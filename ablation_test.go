@@ -1,6 +1,7 @@
 package pmove
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -41,7 +42,7 @@ func runPipeline(b *testing.B, cfg telemetry.PipelineConfig) telemetry.SessionSt
 	if err != nil {
 		b.Fatal(err)
 	}
-	st, err := sess.Run()
+	st, err := sess.RunContext(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}

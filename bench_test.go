@@ -2,16 +2,10 @@ package pmove
 
 import (
 	"context"
-	"fmt"
-	"runtime"
-	"sort"
-	"sync"
 	"testing"
 
 	"pmove/internal/experiments"
 	"pmove/internal/spmv"
-	"pmove/internal/storage"
-	"pmove/internal/tsdb"
 )
 
 // The benchmarks below regenerate every table and figure of the paper's
@@ -179,363 +173,10 @@ func abs(f float64) float64 {
 
 // --- Component micro-benchmarks -----------------------------------------
 
-// BenchmarkTSDBWrite measures raw point-insert throughput of the
-// time-series substrate.
-func BenchmarkTSDBWrite(b *testing.B) {
-	db := tsdb.New()
-	fields := map[string]float64{}
-	for c := 0; c < 88; c++ {
-		fields[fmt.Sprintf("_cpu%d", c)] = float64(c)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := tsdb.Point{Measurement: "m", Fields: fields, Time: int64(i)}
-		if err := db.WritePoint(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(fields)), "values/point")
-}
-
-// BenchmarkTSDBWriteParallel sweeps the durable sharded ingest path:
-// writer goroutines (1/4/16) x batch size (1/16/256), each writer
-// appending in time order to its own measurement — the telemetry
-// shape, one shipper per target — against a WAL-backed store with
-// fsync=always. Batch size 1 is the seed ingest discipline (one WAL
-// append + fsync per point); larger batches ride the group commit
-// (one CRC-framed record, one fsync per batch). The points/s metric
-// is the perf trajectory BENCH_7.json records; the acceptance ratio
-// compares g16/b256 against the g1/b1 single-point baseline.
-func BenchmarkTSDBWriteParallel(b *testing.B) {
-	for _, g := range []int{1, 4, 16} {
-		for _, batch := range []int{1, 16, 256} {
-			b.Run(fmt.Sprintf("g%d/b%d", g, batch), func(b *testing.B) {
-				db, err := tsdb.Open(b.TempDir(), storage.FsyncAlways)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer db.Close()
-				fields := map[string]float64{}
-				for c := 0; c < 8; c++ {
-					fields[fmt.Sprintf("_cpu%d", c)] = float64(c)
-				}
-				ctx := context.Background()
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for w := 0; w < g; w++ {
-					n := b.N / g
-					if w < b.N%g {
-						n++
-					}
-					wg.Add(1)
-					go func(w, n int) {
-						defer wg.Done()
-						m := fmt.Sprintf("m%d", w)
-						buf := make([]tsdb.Point, 0, batch)
-						for i := 0; i < n; i++ {
-							p := tsdb.Point{Measurement: m, Fields: fields, Time: int64(i)}
-							if batch == 1 {
-								if err := db.WritePoint(p); err != nil {
-									b.Error(err)
-									return
-								}
-								continue
-							}
-							buf = append(buf, p)
-							if len(buf) == batch {
-								if err := db.WriteBatchContext(ctx, buf); err != nil {
-									b.Error(err)
-									return
-								}
-								buf = buf[:0]
-							}
-						}
-						if len(buf) > 0 {
-							if err := db.WriteBatchContext(ctx, buf); err != nil {
-								b.Error(err)
-							}
-						}
-					}(w, n)
-				}
-				wg.Wait()
-				b.StopTimer()
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "points/s")
-				if points, _ := db.Stats(); points != uint64(b.N) {
-					b.Fatalf("conservation: %d points stored, want %d", points, b.N)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkTSDBQuery measures SELECT latency over 10k rows.
-func BenchmarkTSDBQuery(b *testing.B) {
-	db := tsdb.New()
-	for i := 0; i < 10000; i++ {
-		db.WritePoint(tsdb.Point{
-			Measurement: "m", Tags: map[string]string{"tag": "t"},
-			Fields: map[string]float64{"_cpu0": 1}, Time: int64(i),
-		})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := db.QueryString(`SELECT "_cpu0" FROM "m" WHERE tag="t"`)
-		if err != nil || len(res.Rows) != 10000 {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkQueryAggregate sweeps the aggregation engine: worker count
-// (1/4/16) x dataset size (1e4/1e6 points), each iteration running the
-// same windowed mean+p99 scan with the result cache bypassed so the
-// stripe fan-out is what's measured. The raw/* rows are the baseline
-// the engine replaces: materialize every matching row (one map
-// allocation per point) and fold the mean client-side — the only way
-// to aggregate before the engine existed. ci.sh records the points/s
-// trajectory in BENCH_9.json and gates w16 at n=1e6 against raw
-// (>=2x, any machine) and against w1 (>=2x, only with >=4 CPUs —
-// stripe parallelism cannot speed up a single core).
-func BenchmarkQueryAggregate(b *testing.B) {
-	sizes := []int{10000, 1000000}
-	dbs := map[int]*tsdb.DB{}
-	for _, n := range sizes {
-		db := tsdb.New()
-		batch := make([]tsdb.Point, 0, 4096)
-		ctx := context.Background()
-		for i := 0; i < n; i++ {
-			batch = append(batch, tsdb.Point{
-				Measurement: "m", Tags: map[string]string{"tag": "t"},
-				Fields: map[string]float64{"f": float64(i%997) / 4},
-				Time:   int64(i),
-			})
-			if len(batch) == cap(batch) {
-				if err := db.WriteBatchContext(ctx, batch); err != nil {
-					b.Fatal(err)
-				}
-				batch = batch[:0]
-			}
-		}
-		if len(batch) > 0 {
-			if err := db.WriteBatchContext(ctx, batch); err != nil {
-				b.Fatal(err)
-			}
-		}
-		dbs[n] = db
-	}
-	aggQ, err := tsdb.ParseQuery(`SELECT mean("f"), p99("f") FROM "m" WHERE tag="t" GROUP BY time(65536)`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rawQ, err := tsdb.ParseQuery(`SELECT "f" FROM "m" WHERE tag="t"`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	for _, n := range sizes {
-		db := dbs[n]
-		b.Run(fmt.Sprintf("raw/n%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := db.ExecuteContext(ctx, tsdb.QueryRequest{Query: rawQ})
-				if err != nil || len(res.Rows) != n {
-					b.Fatalf("rows=%d err=%v", len(res.Rows), err)
-				}
-				sum := 0.0
-				for _, r := range res.Rows {
-					sum += r.Values["f"]
-				}
-				if sum == 0 {
-					b.Fatal("empty fold")
-				}
-			}
-			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "points/s")
-		})
-		for _, w := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("w%d/n%d", w, n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res, err := db.ExecuteContext(ctx, tsdb.QueryRequest{
-						Query: aggQ, Workers: w, SkipCache: true,
-					})
-					if err != nil || len(res.Rows) == 0 {
-						b.Fatalf("rows=%d err=%v", len(res.Rows), err)
-					}
-				}
-				b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "points/s")
-			})
-		}
-	}
-}
-
-// BenchmarkStorageFootprint pins the columnar engine's headline claim:
-// resident bytes/point of the sealed-block store vs the row
-// representation it replaced (one Point struct + a Tags map + a Fields
-// map per sample — what the pre-columnar engine kept resident). Both
-// figures are live-heap deltas after a forced GC, so only retained
-// memory counts. ci.sh records both in BENCH_10.json and gates the
-// ratio at >= 4x.
-func BenchmarkStorageFootprint(b *testing.B) {
-	const n = 1_000_000
-	heap := func() uint64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-	b.Run(fmt.Sprintf("rowstore/n%d", n), func(b *testing.B) {
-		for it := 0; it < b.N; it++ {
-			base := heap()
-			pts := make([]tsdb.Point, 0, n)
-			for i := 0; i < n; i++ {
-				pts = append(pts, tsdb.Point{
-					Measurement: "m", Tags: map[string]string{"tag": "t"},
-					Fields: map[string]float64{"f": float64(i%997) / 4},
-					Time:   int64(i),
-				})
-			}
-			perPoint := float64(heap()-base) / n
-			runtime.KeepAlive(pts)
-			b.ReportMetric(perPoint, "bytes/point")
-		}
-	})
-	b.Run(fmt.Sprintf("columnar/n%d", n), func(b *testing.B) {
-		ctx := context.Background()
-		for it := 0; it < b.N; it++ {
-			base := heap()
-			db := tsdb.New()
-			batch := make([]tsdb.Point, 0, 4096)
-			for i := 0; i < n; i++ {
-				batch = append(batch, tsdb.Point{
-					Measurement: "m", Tags: map[string]string{"tag": "t"},
-					Fields: map[string]float64{"f": float64(i%997) / 4},
-					Time:   int64(i),
-				})
-				if len(batch) == cap(batch) {
-					if err := db.WriteBatchContext(ctx, batch); err != nil {
-						b.Fatal(err)
-					}
-					batch = batch[:0]
-				}
-			}
-			perPoint := float64(heap()-base) / n
-			runtime.KeepAlive(db)
-			b.ReportMetric(perPoint, "bytes/point")
-		}
-	})
-}
-
-// BenchmarkBlockScan measures aggregate scan throughput over the
-// sealed-block store against the row-scan it replaced. The rowscan mode
-// is an honest replica of the pre-columnar per-point fold (tag-filter
-// map probe, Fields map lookup, window map upsert, percentile sample
-// retention per matching point); the engine mode runs the same windowed
-// mean+p99 statement through ExecuteContext with one worker and the
-// cache bypassed, so the data layout is the only variable. ci.sh
-// records both at 1e4/1e6 in BENCH_10.json and gates engine/rowscan at
-// n=1e6 >= 2x.
-func BenchmarkBlockScan(b *testing.B) {
-	sizes := []int{10000, 1000000}
-	mkPoints := func(n int) []tsdb.Point {
-		pts := make([]tsdb.Point, 0, n)
-		for i := 0; i < n; i++ {
-			pts = append(pts, tsdb.Point{
-				Measurement: "m", Tags: map[string]string{"tag": "t"},
-				Fields: map[string]float64{"f": float64(i%997) / 4},
-				Time:   int64(i),
-			})
-		}
-		return pts
-	}
-	aggQ, err := tsdb.ParseQuery(`SELECT mean("f"), p99("f") FROM "m" WHERE tag="t" GROUP BY time(65536)`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	for _, n := range sizes {
-		pts := mkPoints(n)
-		b.Run(fmt.Sprintf("rowscan/n%d", n), func(b *testing.B) {
-			type winAgg struct {
-				count   int
-				sum     float64
-				samples []float64
-			}
-			for it := 0; it < b.N; it++ {
-				wins := map[int64]*winAgg{}
-				for i := range pts {
-					p := &pts[i]
-					if p.Tags["tag"] != "t" {
-						continue
-					}
-					v, ok := p.Fields["f"]
-					if !ok {
-						continue
-					}
-					w := (p.Time / 65536) * 65536
-					st := wins[w]
-					if st == nil {
-						st = &winAgg{}
-						wins[w] = st
-					}
-					st.count++
-					st.sum += v
-					st.samples = append(st.samples, v)
-				}
-				rows := 0
-				for _, st := range wins {
-					sort.Float64s(st.samples)
-					mean := st.sum / float64(st.count)
-					p99 := st.samples[(len(st.samples)-1)*99/100]
-					if mean == 0 && p99 == 0 {
-						b.Fatal("empty fold")
-					}
-					rows++
-				}
-				if rows == 0 {
-					b.Fatal("no windows")
-				}
-			}
-			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "points/s")
-		})
-		db := tsdb.New()
-		for i := 0; i < len(pts); i += 4096 {
-			end := i + 4096
-			if end > len(pts) {
-				end = len(pts)
-			}
-			if err := db.WriteBatchContext(ctx, pts[i:end]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.Run(fmt.Sprintf("engine/n%d", n), func(b *testing.B) {
-			for it := 0; it < b.N; it++ {
-				res, err := db.ExecuteContext(ctx, tsdb.QueryRequest{Query: aggQ, Workers: 1, SkipCache: true})
-				if err != nil || len(res.Rows) == 0 {
-					b.Fatalf("rows=%d err=%v", len(res.Rows), err)
-				}
-			}
-			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "points/s")
-		})
-		// Footer-only aggregates skip decompression entirely: the same
-		// windows answered from block footers (no percentile).
-		sumQ, err := tsdb.ParseQuery(`SELECT sum("f"), count("f") FROM "m" WHERE tag="t" GROUP BY time(65536)`)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("footer/n%d", n), func(b *testing.B) {
-			for it := 0; it < b.N; it++ {
-				res, err := db.ExecuteContext(ctx, tsdb.QueryRequest{Query: sumQ, Workers: 1, SkipCache: true})
-				if err != nil || len(res.Rows) == 0 {
-					b.Fatalf("rows=%d err=%v", len(res.Rows), err)
-				}
-			}
-			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "points/s")
-		})
-	}
-}
-
 // BenchmarkKBGenerate measures full knowledge-base generation for the
 // 88-thread skx (the probe -> KB path of Figure 3).
 func BenchmarkKBGenerate(b *testing.B) {
-	d, err := NewDaemon(EnvFromOS())
+	d, err := NewDaemonWith(WithEnv(EnvFromOS()))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -544,7 +185,7 @@ func BenchmarkKBGenerate(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		kb, err := d.Probe(PresetSKX)
+		kb, err := d.ProbeContext(context.Background(), PresetSKX)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -602,7 +243,7 @@ func BenchmarkRCM(b *testing.B) {
 // levels and the FP probe) on the analytic engine.
 func BenchmarkCARMConstruction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		d, err := NewDaemon(EnvFromOS())
+		d, err := NewDaemonWith(WithEnv(EnvFromOS()))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -610,10 +251,10 @@ func BenchmarkCARMConstruction(b *testing.B) {
 		if _, err := d.AttachTarget(sys, MachineConfig{Seed: uint64(i)}, DefaultPipeline()); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := d.Probe(PresetCSL); err != nil {
+		if _, err := d.ProbeContext(context.Background(), PresetCSL); err != nil {
 			b.Fatal(err)
 		}
-		model, err := d.ConstructCARM(PresetCSL, ISAAVX512, 8)
+		model, err := d.ConstructCARMContext(context.Background(), PresetCSL, ISAAVX512, 8)
 		if err != nil {
 			b.Fatal(err)
 		}

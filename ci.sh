@@ -1,6 +1,9 @@
 #!/bin/sh
 # Tier-1 gate: formatting, vet, build, and the full test suite under the
 # race detector. Run from the repo root; exits non-zero on any failure.
+# Performance is not gated here: the repository's benchmark is
+# `go run ./cmd/pmovebench` (see internal/bench/README.md), whose harness
+# the test pass below already smokes through `go test ./internal/bench`.
 set -eu
 
 unformatted=$(gofmt -l .)
@@ -51,207 +54,36 @@ fuzz_smoke ./internal/storage FuzzWALRecord
 # measurement.
 go test -run NONE -bench . -benchtime 1x ./...
 
-# Perf record: sweep the durable sharded-ingest benchmark (writer
-# goroutines x batch size against a WAL with fsync=always) and record
-# the points/s trajectory in BENCH_7.json. Gate: group-committed
-# batches (16 goroutines x batch 256) must hold >=4x the single-point
-# fsync-per-write baseline (1 goroutine x batch 1, the seed ingest
-# discipline).
-go test -run '^$' -bench '^BenchmarkTSDBWriteParallel$' -benchtime 0.3s . > bench7.out
-awk '
-    /^BenchmarkTSDBWriteParallel\// {
-        split($1, name, "/")
-        g = substr(name[2], 2) + 0
-        bsz = name[3]; sub(/^b/, "", bsz); sub(/-[0-9]+$/, "", bsz); bsz += 0
-        for (i = 2; i <= NF; i++) if ($i == "points/s") pps[g "," bsz] = $(i - 1) + 0
-    }
-    END {
-        printf "{\n  \"benchmark\": \"BenchmarkTSDBWriteParallel\",\n  \"fsync\": \"always\",\n  \"rows\": [\n"
-        n = 0
-        for (g = 1; g <= 16; g *= 4) for (b = 1; b <= 256; b *= 16) {
-            if (n++) printf ",\n"
-            printf "    {\"goroutines\": %d, \"batch\": %d, \"points_per_sec\": %.0f}", g, b, pps[g "," b]
-        }
-        base = pps["1,1"]; top = pps["16,256"]
-        printf "\n  ],\n  \"single_point_baseline_points_per_sec\": %.0f,\n", base
-        printf "  \"g16_b256_points_per_sec\": %.0f,\n", top
-        printf "  \"speedup_g16_b256_vs_single_point\": %.2f\n}\n", top / base
-        if (base <= 0 || top < 4 * base) exit 1
-    }
-' bench7.out > BENCH_7.json || {
-    echo "ingest bench gate: g16/b256 did not reach 4x the g1/b1 single-point baseline:" >&2
-    cat bench7.out >&2
-    exit 1
+# API gate: one name per operation, and that name is context-first. Every
+# exported method of the daemon, the wire clients (tsdb, docdb), the
+# superdb remote, the embedded DB's Execute*/Query*/Write* entry points,
+# and every exported exporter function that writes through a
+# tsdb.BatchWriter must take `ctx context.Context` as its first
+# parameter. The only exemptions are pure accessors/configuration that
+# perform no cancellable work, and Close: the shutdown path must run even
+# when every request context is already dead. Extend an allowlist only
+# for another pure accessor — never for a context-free twin.
+daemon_accessors='AttachTarget|Target|Hosts|KB|SetTelemetrySink|SelfSnapshot|SelfSpans|MetaDashboard|ExposeAddr|Close'
+client_accessors='Stats|Transport|Close|SetIntrospection|SetLogger'
+context_free() { # stdin: func declarations; $1: exempt method names
+    grep -v '[A-Za-z](ctx context\.Context' | grep -Ev "\) ($1)\(" || true
 }
-rm -f bench7.out
-echo "ingest bench: $(grep speedup BENCH_7.json | tr -d ' ,')"
-
-# Perf record: sweep the aggregation query engine (scan workers x
-# dataset size, cache bypassed) against the raw materialize-and-fold
-# baseline it replaces, recording the points/s trajectory in
-# BENCH_9.json. Gates: the engine at 16 workers on 1e6 points must hold
-# >=2x the raw baseline on any machine (the win is algorithmic — no
-# per-row map allocations); it must additionally hold >=2x its own
-# 1-worker scan only when >=4 CPUs are present, because stripe
-# parallelism cannot speed up a single core.
-cpus=$(nproc 2>/dev/null || echo 1)
-go test -run '^$' -bench '^BenchmarkQueryAggregate$' -benchtime 0.3s . > bench9.out
-awk -v cpus="$cpus" '
-    /^BenchmarkQueryAggregate\// {
-        split($1, name, "/")
-        mode = name[2]
-        sz = name[3]; sub(/^n/, "", sz); sub(/-[0-9]+$/, "", sz); sz += 0
-        for (i = 2; i <= NF; i++) if ($i == "points/s") pps[mode "," sz] = $(i - 1) + 0
-    }
-    END {
-        printf "{\n  \"benchmark\": \"BenchmarkQueryAggregate\",\n  \"cpus\": %d,\n  \"rows\": [\n", cpus
-        n = 0
-        split("raw w1 w4 w16", modes, " ")
-        split("10000 1000000", sizes, " ")
-        for (si = 1; si <= 2; si++) for (mi = 1; mi <= 4; mi++) {
-            if (n++) printf ",\n"
-            printf "    {\"mode\": \"%s\", \"points\": %d, \"points_per_sec\": %.0f}", \
-                modes[mi], sizes[si], pps[modes[mi] "," sizes[si]]
-        }
-        raw = pps["raw,1000000"]; w1 = pps["w1,1000000"]; w16 = pps["w16,1000000"]
-        printf "\n  ],\n  \"raw_baseline_n1e6_points_per_sec\": %.0f,\n", raw
-        printf "  \"w1_n1e6_points_per_sec\": %.0f,\n", w1
-        printf "  \"w16_n1e6_points_per_sec\": %.0f,\n", w16
-        printf "  \"speedup_w16_vs_raw\": %.2f,\n", w16 / raw
-        printf "  \"speedup_w16_vs_w1\": %.2f\n}\n", w16 / w1
-        if (raw <= 0 || w16 < 2 * raw) exit 1
-        if (cpus >= 4 && w16 < 2 * w1) exit 1
-    }
-' bench9.out > BENCH_9.json || {
-    echo "query bench gate: engine w16/n1e6 did not clear its baselines (2x raw always; 2x w1 with >=4 CPUs):" >&2
-    cat bench9.out >&2
-    exit 1
-}
-rm -f bench9.out
-echo "query bench: $(grep -E 'speedup|cpus' BENCH_9.json | tr -d ' ,')"
-
-# Perf record: measure the columnar storage engine against the row
-# store it replaces, recording both axes in BENCH_10.json. Footprint:
-# resident bytes/point of []Point rows vs the sealed-block DB at 1e4
-# and 1e6 points. Scan: a faithful replica of the pre-columnar
-# per-row map fold (rowscan) vs the block-aware engine at 1 worker
-# (engine) vs the footer-only fast path (footer), same query, same
-# windows. Gates at 1e6: columnar must hold >=4x less memory per
-# point, and the 1-worker engine scan must hold >=2x the row-store
-# fold throughput — both within-run ratios, so machine-independent.
-go test -run '^$' -bench '^(BenchmarkStorageFootprint|BenchmarkBlockScan)$' -benchtime 1x . > bench10.out
-awk '
-    /^BenchmarkStorageFootprint\// {
-        split($1, name, "/")
-        mode = name[2]
-        sz = name[3]; sub(/^n/, "", sz); sub(/-[0-9]+$/, "", sz); sz += 0
-        for (i = 2; i <= NF; i++) if ($i == "bytes/point") bpp[mode "," sz] = $(i - 1) + 0
-    }
-    /^BenchmarkBlockScan\// {
-        split($1, name, "/")
-        mode = name[2]
-        sz = name[3]; sub(/^n/, "", sz); sub(/-[0-9]+$/, "", sz); sz += 0
-        for (i = 2; i <= NF; i++) if ($i == "points/s") pps[mode "," sz] = $(i - 1) + 0
-    }
-    END {
-        printf "{\n  \"benchmark\": \"BenchmarkStorageFootprint+BenchmarkBlockScan\",\n  \"footprint\": [\n"
-        n = 0
-        split("rowstore columnar", fmodes, " ")
-        split("10000 1000000", sizes, " ")
-        for (mi = 1; mi <= 2; mi++) {
-            if (n++) printf ",\n"
-            printf "    {\"mode\": \"%s\", \"points\": 1000000, \"bytes_per_point\": %.2f}", \
-                fmodes[mi], bpp[fmodes[mi] ",1000000"]
-        }
-        printf "\n  ],\n  \"scan\": [\n"
-        n = 0
-        split("rowscan engine footer", smodes, " ")
-        for (si = 1; si <= 2; si++) for (mi = 1; mi <= 3; mi++) {
-            if (n++) printf ",\n"
-            printf "    {\"mode\": \"%s\", \"points\": %d, \"points_per_sec\": %.0f}", \
-                smodes[mi], sizes[si], pps[smodes[mi] "," sizes[si]]
-        }
-        rowb = bpp["rowstore,1000000"]; colb = bpp["columnar,1000000"]
-        raws = pps["rowscan,1000000"]; eng = pps["engine,1000000"]; foot = pps["footer,1000000"]
-        printf "\n  ],\n  \"rowstore_bytes_per_point_n1e6\": %.2f,\n", rowb
-        printf "  \"columnar_bytes_per_point_n1e6\": %.2f,\n", colb
-        printf "  \"footprint_ratio_n1e6\": %.2f,\n", rowb / colb
-        printf "  \"rowscan_n1e6_points_per_sec\": %.0f,\n", raws
-        printf "  \"engine_n1e6_points_per_sec\": %.0f,\n", eng
-        printf "  \"footer_n1e6_points_per_sec\": %.0f,\n", foot
-        printf "  \"speedup_engine_vs_rowscan_n1e6\": %.2f\n}\n", eng / raws
-        if (colb <= 0 || rowb < 4 * colb) exit 1
-        if (raws <= 0 || eng < 2 * raws) exit 1
-    }
-' bench10.out > BENCH_10.json || {
-    echo "storage bench gate: columnar did not hold 4x footprint and 2x scan vs the row store at 1e6:" >&2
-    cat bench10.out >&2
-    exit 1
-}
-rm -f bench10.out
-echo "storage bench: $(grep -E 'ratio|speedup' BENCH_10.json | tr -d ' ,')"
-
-# API gate: the daemon's public surface is context-first. Any NEW exported
-# method on *Daemon must take `ctx context.Context` as its first parameter.
-# Grandfathered exceptions: the deprecated positional wrappers kept for
-# compatibility, and accessors/configuration that perform no cancellable
-# work. Extend the allowlist only when adding another pure accessor.
-# Close is shutdown-path: it must run unconditionally even when every
-# request context is already dead, so it is deliberately context-free.
-wrappers='Probe|Monitor|Observe|ObserveGPUKernel|LiveCARM|Scan|RunSTREAM|RunHPCG|ConstructCARM'
-accessors='AttachTarget|Target|Hosts|KB|SetTelemetrySink|SelfSnapshot|SelfSpans|MetaDashboard|ExposeAddr|Close'
-violations=$(grep -h 'func (d \*Daemon) [A-Z]' internal/core/*.go \
-    | grep -v 'ctx context\.Context' \
-    | grep -Ev "func \(d \*Daemon\) ($wrappers|$accessors)\(" || true)
+violations=$(
+    grep -h 'func (d \*Daemon) [A-Z]' internal/core/*.go | context_free "$daemon_accessors"
+    grep -h 'func (c \*Client) [A-Z]\|func (r \*Remote) [A-Z]' \
+        internal/tsdb/*.go internal/docdb/*.go internal/superdb/*.go | context_free "$client_accessors"
+    grep -hE 'func \(db \*DB\) (Execute|Query|Write)[A-Za-z]*\(' internal/tsdb/*.go | context_free -
+    grep -h '^func [A-Z].*tsdb\.BatchWriter' internal/introspect/*export/*.go | context_free -
+)
 if [ -n "$violations" ]; then
-    echo "context-first API gate: exported Daemon methods must take 'ctx context.Context' first:" >&2
+    echo "context-first API gate: these exported operations must take 'ctx context.Context' first:" >&2
     echo "$violations" >&2
     exit 1
 fi
-
-# Same rule for the trace-export surface: any exported traceexport
-# function that writes through a Sink performs I/O and must be
-# cancellable, i.e. take `ctx context.Context` first. Pure assembly /
-# rendering helpers (Assemble, Attribute, Waterfall, ChromeTrace) are
-# exempt because they never leave the process.
-trace_violations=$(grep -h '^func [A-Z].*Sink' internal/introspect/traceexport/*.go \
-    | grep -v 'ctx context\.Context' || true)
-if [ -n "$trace_violations" ]; then
-    echo "context-first API gate: exported traceexport funcs taking a Sink must take 'ctx context.Context' first:" >&2
-    echo "$trace_violations" >&2
-    exit 1
-fi
-
-# Same rule for the wire clients: every exported method on the tsdb /
-# docdb clients and the superdb remote that crosses the wire must have a
-# context-first form. The context-free names below are grandfathered
-# deprecated wrappers (one-line delegates to the Context twin); pure
-# accessors and the shutdown path are exempt. A NEW context-free wire
-# method fails here — add the ...Context form and wrap it instead.
-client_wrappers='Write|WritePoint|WriteBatch|Query|Ping|Insert|InsertBatch|Upsert|Find|Get|Count|ReportJob|ReportKB|ReportObservation|Hosts|QueryObservation'
-client_accessors='Stats|Transport|Close|SetIntrospection|SetLogger'
-client_violations=$(grep -h 'func (c \*Client) [A-Z]\|func (r \*Remote) [A-Z]' \
-    internal/tsdb/*.go internal/docdb/*.go internal/superdb/*.go \
-    | grep -v 'ctx context\.Context' \
-    | grep -Ev "\) ($client_wrappers|$client_accessors)\(" || true)
-if [ -n "$client_violations" ]; then
-    echo "context-first API gate: exported wire-client methods must take 'ctx context.Context' first:" >&2
-    echo "$client_violations" >&2
-    exit 1
-fi
-
-# Same rule for the embedded DB's query entry points: a NEW exported
-# Execute*/Query*/Write* method on tsdb.DB is cancellable work (the
-# aggregation engine checks ctx between stripes) and must take ctx
-# first. Execute, QueryString, WritePoint and WriteBatch are the
-# grandfathered context-free wrappers.
-db_wrappers='Execute|QueryString|WritePoint|WriteBatch'
-db_violations=$(grep -hE 'func \(db \*DB\) (Execute|Query|Write)[A-Za-z]*\(' internal/tsdb/*.go \
-    | grep -v 'ctx context\.Context' \
-    | grep -Ev "\) ($db_wrappers)\(" || true)
-if [ -n "$db_violations" ]; then
-    echo "context-first API gate: exported tsdb.DB query/write methods must take 'ctx context.Context' first:" >&2
-    echo "$db_violations" >&2
+deprecated=$(grep -rc 'Deprecated:' --include='*.go' . | awk -F: '{ n += $NF } END { print n + 0 }')
+if [ "$deprecated" -ne 0 ]; then
+    echo "API gate: $deprecated 'Deprecated:' markers; delete the old name instead of keeping a twin:" >&2
+    grep -rn 'Deprecated:' --include='*.go' . >&2
     exit 1
 fi
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"strings"
@@ -83,7 +84,7 @@ func cmdScan(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := d.Observe(pmove.ObserveRequest{
+	res, err := d.ObserveContext(context.Background(), pmove.ObserveRequest{
 		Host: *host, Workload: spec, Command: "spmv --algo mkl --matrix arrow",
 		Threads: *threads, Pin: pmove.PinBalanced,
 		HWEvents: []string{"INSTRUCTION_RETIRED"}, FreqHz: 50,

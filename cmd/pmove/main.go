@@ -22,6 +22,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -106,7 +107,7 @@ func daemonWith(host string, seed uint64, pipe pmove.PipelineConfig, opts ...pmo
 	if _, err := d.AttachTarget(sys, pmove.MachineConfig{Seed: seed}, pipe); err != nil {
 		return nil, nil, err
 	}
-	if _, err := d.Probe(host); err != nil {
+	if _, err := d.ProbeContext(context.Background(), host); err != nil {
 		return nil, nil, err
 	}
 	return d, sys, nil
@@ -117,7 +118,7 @@ func cmdProbe(args []string) error {
 	host := fs.String("host", "skx", "target preset (skx|icl|csl|zen3)")
 	gpu := fs.Bool("gpu", false, "attach a GPU to the target")
 	fs.Parse(args)
-	d, err := pmove.NewDaemon(pmove.EnvFromOS())
+	d, err := pmove.NewDaemonWith(pmove.WithEnv(pmove.EnvFromOS()))
 	if err != nil {
 		return err
 	}
@@ -131,7 +132,7 @@ func cmdProbe(args []string) error {
 	if _, err := d.AttachTarget(sys, pmove.MachineConfig{Seed: 1}, pmove.DefaultPipeline()); err != nil {
 		return err
 	}
-	kb, err := d.Probe(*host)
+	kb, err := d.ProbeContext(context.Background(), *host)
 	if err != nil {
 		return err
 	}
@@ -247,7 +248,7 @@ func cmdMonitor(args []string) error {
 		defer sink.Close()
 		d.SetTelemetrySink(sink)
 	}
-	res, err := d.Monitor(*host, nil, *freq, *duration)
+	res, err := d.MonitorContext(context.Background(), pmove.MonitorRequest{Host: *host, FreqHz: *freq, DurationSeconds: *duration})
 	if err != nil {
 		return err
 	}
@@ -302,7 +303,7 @@ func cmdObserve(args []string) error {
 		return err
 	}
 	generics := []string{abst.GenericTotalMemOps, abst.GenericEnergy, abst.GenericInstructions, abst.GenericCycles}
-	res, err := d.Observe(pmove.ObserveRequest{
+	res, err := d.ObserveContext(context.Background(), pmove.ObserveRequest{
 		Host: *host, Workload: spec,
 		Command: "likwid-bench -t " + *kernel,
 		Threads: *threads, Pin: topo.PinStrategy(*pin),
@@ -333,7 +334,7 @@ func cmdCARM(args []string) error {
 	if err != nil {
 		return err
 	}
-	model, err := d.ConstructCARM(*host, sys.CPU.WidestISA(), *threads)
+	model, err := d.ConstructCARMContext(context.Background(), *host, sys.CPU.WidestISA(), *threads)
 	if err != nil {
 		return err
 	}
@@ -350,6 +351,7 @@ func cmdCARM(args []string) error {
 }
 
 func cmdBench(args []string) error {
+	ctx := context.Background()
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	host := fs.String("host", "csl", "target preset")
 	name := fs.String("name", "stream", "benchmark: stream|hpcg")
@@ -362,9 +364,9 @@ func cmdBench(args []string) error {
 	var b *pmove.Benchmark
 	switch *name {
 	case "stream":
-		b, err = d.RunSTREAM(*host, *threads)
+		b, err = d.RunSTREAMContext(ctx, *host, *threads)
 	case "hpcg":
-		b, err = d.RunHPCG(*host, *threads, 1<<18)
+		b, err = d.RunHPCGContext(ctx, *host, *threads, 1<<18)
 	default:
 		return fmt.Errorf("unknown benchmark %q", *name)
 	}

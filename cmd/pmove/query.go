@@ -40,7 +40,7 @@ func cmdQuery(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := d.Observe(pmove.ObserveRequest{
+	res, err := d.ObserveContext(context.Background(), pmove.ObserveRequest{
 		Host: *host, Workload: spec,
 		Command: "likwid-bench -t " + *kernel,
 		Threads: *threads, Pin: topo.PinStrategy("balanced"),

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,13 +15,14 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	global := pmove.NewSuperDB()
 
 	// Two independent instances: skx and icl, each probing its own target
 	// and running a short monitoring session.
 	kbs := map[string]*pmove.KB{}
 	for i, preset := range []string{pmove.PresetSKX, pmove.PresetICL} {
-		d, err := pmove.NewDaemon(pmove.EnvFromOS())
+		d, err := pmove.NewDaemonWith(pmove.WithEnv(pmove.EnvFromOS()))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -28,13 +30,13 @@ func main() {
 		if _, err := d.AttachTarget(sys, pmove.MachineConfig{Seed: uint64(i + 1)}, pmove.DefaultPipeline()); err != nil {
 			log.Fatal(err)
 		}
-		k, err := d.Probe(preset)
+		k, err := d.ProbeContext(ctx, preset)
 		if err != nil {
 			log.Fatal(err)
 		}
 		kbs[preset] = k
 
-		res, err := d.Monitor(preset, nil, 4, 20)
+		res, err := d.MonitorContext(ctx, pmove.MonitorRequest{Host: preset, FreqHz: 4, DurationSeconds: 20})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -66,7 +68,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	d, err := pmove.NewDaemon(pmove.EnvFromOS())
+	d, err := pmove.NewDaemonWith(pmove.WithEnv(pmove.EnvFromOS()))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,7 +15,8 @@ import (
 )
 
 func main() {
-	d, err := pmove.NewDaemon(pmove.EnvFromOS())
+	ctx := context.Background()
+	d, err := pmove.NewDaemonWith(pmove.WithEnv(pmove.EnvFromOS()))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -23,7 +25,7 @@ func main() {
 	if _, err := d.AttachTarget(sys, pmove.MachineConfig{Seed: 13}, pmove.DefaultPipeline()); err != nil {
 		log.Fatal(err)
 	}
-	kb, err := d.Probe(sys.Hostname)
+	kb, err := d.ProbeContext(ctx, sys.Hostname)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,13 +52,13 @@ func main() {
 		"sm__throughput":                        61.2,  // % of peak
 		"dram__bytes_read":                      3.2e9,
 	}
-	if _, err := d.ObserveGPUKernel(sys.Hostname, 0, "spmv_cuda", metrics); err != nil {
+	if _, err := d.ObserveGPUKernelContext(ctx, sys.Hostname, 0, "spmv_cuda", metrics); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nobserved kernel spmv_cuda through the ncu wrapper")
 
 	// The metrics are in the TSDB, recallable through the usual queries.
-	res, err := d.TS.QueryString(`SELECT "_gpu0" FROM "ncu_gpu__compute_memory_access_throughput"`)
+	res, err := d.TS.ExecuteContext(ctx, pmove.QueryRequest{Statement: `SELECT "_gpu0" FROM "ncu_gpu__compute_memory_access_throughput"`})
 	if err != nil {
 		log.Fatal(err)
 	}

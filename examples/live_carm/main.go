@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,7 +13,8 @@ import (
 )
 
 func main() {
-	d, err := pmove.NewDaemon(pmove.EnvFromOS())
+	ctx := context.Background()
+	d, err := pmove.NewDaemonWith(pmove.WithEnv(pmove.EnvFromOS()))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -20,13 +22,13 @@ func main() {
 	if _, err := d.AttachTarget(sys, pmove.MachineConfig{Seed: 3}, pmove.DefaultPipeline()); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := d.Probe(sys.Hostname); err != nil {
+	if _, err := d.ProbeContext(ctx, sys.Hostname); err != nil {
 		log.Fatal(err)
 	}
 
 	threads := 8
 	isa := sys.CPU.WidestISA()
-	model, err := d.ConstructCARM(sys.Hostname, isa, threads)
+	model, err := d.ConstructCARMContext(ctx, sys.Hostname, isa, threads)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -37,7 +39,7 @@ func main() {
 
 	// A second construction is answered from the KB cache — no re-run of
 	// the microbenchmarks (§IV-B1).
-	if _, err := d.ConstructCARM(sys.Hostname, isa, threads); err != nil {
+	if _, err := d.ConstructCARMContext(ctx, sys.Hostname, isa, threads); err != nil {
 		log.Fatal(err)
 	}
 	k, _ := d.KB(sys.Hostname)
@@ -60,7 +62,7 @@ func main() {
 		mkPhase("peakflops", 4<<10), // register-resident -> FP ceiling
 		mkPhase("ddot", l1/2),       // L1-resident -> surpasses the L2 roof
 	}
-	res, err := d.LiveCARM(sys.Hostname, model, phases, threads, 50)
+	res, err := d.LiveCARMContext(ctx, pmove.LiveCARMRequest{Host: sys.Hostname, Model: model, Phases: phases, Threads: threads, FreqHz: 50})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,9 +14,10 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// Step ⓪: the daemon reads its environment (database addresses,
 	// Grafana token); unset variables select embedded instances.
-	d, err := pmove.NewDaemon(pmove.EnvFromOS())
+	d, err := pmove.NewDaemonWith(pmove.WithEnv(pmove.EnvFromOS()))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -30,7 +32,7 @@ func main() {
 
 	// Steps ①-③: probe the target, generate the KB, insert into the
 	// document store.
-	kb, err := d.Probe(sys.Hostname)
+	kb, err := d.ProbeContext(ctx, sys.Hostname)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,7 +63,7 @@ func main() {
 	fmt.Printf("%s: %d components\n\n", sub.Title, len(sub.Nodes))
 
 	// Scenario A: monitor system state for 10 virtual seconds at 2 Hz.
-	res, err := d.Monitor(sys.Hostname, nil, 2, 10)
+	res, err := d.MonitorContext(ctx, pmove.MonitorRequest{Host: sys.Hostname, FreqHz: 2, DurationSeconds: 10})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,7 +17,8 @@ import (
 )
 
 func main() {
-	d, err := pmove.NewDaemon(pmove.EnvFromOS())
+	ctx := context.Background()
+	d, err := pmove.NewDaemonWith(pmove.WithEnv(pmove.EnvFromOS()))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -24,7 +26,7 @@ func main() {
 	if _, err := d.AttachTarget(sys, pmove.MachineConfig{Seed: 7}, pmove.DefaultPipeline()); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := d.Probe(sys.Hostname); err != nil {
+	if _, err := d.ProbeContext(ctx, sys.Hostname); err != nil {
 		log.Fatal(err)
 	}
 
@@ -62,7 +64,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			res, err := d.Observe(pmove.ObserveRequest{
+			res, err := d.ObserveContext(ctx, pmove.ObserveRequest{
 				Host:     sys.Hostname,
 				Workload: spec,
 				Command:  fmt.Sprintf("spmv --algo %s --order %s", algo, ord),

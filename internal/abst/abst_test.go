@@ -1,6 +1,7 @@
 package abst
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -260,12 +261,12 @@ func TestEvalOverTSDB(t *testing.T) {
 	db := tsdb.New()
 	tag := "obs-eval"
 	write := func(meas string, cpu0, cpu1 float64, ts int64) {
-		if err := db.WritePoint(tsdb.Point{
+		if err := db.WriteBatchContext(context.Background(), []tsdb.Point{{
 			Measurement: meas,
 			Tags:        map[string]string{"tag": tag},
 			Fields:      map[string]float64{"_cpu0": cpu0, "_cpu1": cpu1},
 			Time:        ts,
-		}); err != nil {
+		}}); err != nil {
 			t.Fatal(err)
 		}
 	}

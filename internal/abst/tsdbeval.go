@@ -1,6 +1,7 @@
 package abst
 
 import (
+	"context"
 	"fmt"
 
 	"pmove/internal/tsdb"
@@ -34,7 +35,7 @@ func EvalOverTSDB(db *tsdb.DB, reg *Registry, pmuName, genericEvent, tag string,
 		if tag != "" {
 			q.TagFilter["tag"] = tag
 		}
-		res, err := db.Execute(q)
+		res, err := db.ExecuteContext(context.Background(), tsdb.QueryRequest{Query: q})
 		if err != nil {
 			return 0, err
 		}

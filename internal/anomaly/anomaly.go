@@ -7,6 +7,7 @@
 package anomaly
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -274,7 +275,7 @@ func fetch(db *tsdb.DB, measurement, tag string, fields []string) ([]Series, err
 	if tag != "" {
 		q.TagFilter["tag"] = tag
 	}
-	res, err := db.Execute(q)
+	res, err := db.ExecuteContext(context.Background(), tsdb.QueryRequest{Query: q})
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package anomaly
 
 import (
+	"context"
 	"testing"
 
 	"pmove/internal/kb"
@@ -96,12 +97,12 @@ func TestScanObservationEndToEnd(t *testing.T) {
 		if i < 8 {
 			cum1 += 100
 		}
-		db.WritePoint(tsdb.Point{
+		db.WriteBatchContext(context.Background(), []tsdb.Point{{
 			Measurement: "perfevent_hwcounters_CYC",
 			Tags:        map[string]string{"tag": tag},
 			Fields:      map[string]float64{"_cpu0": cum0, "_cpu1": cum1},
 			Time:        i * 1e9,
-		})
+		}})
 	}
 	obs := &kb.Observation{
 		ID: "obs:1", Tag: tag, Host: "t",

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"testing"
 
 	"pmove/internal/docdb"
@@ -43,7 +44,7 @@ func TestReportUploadsKBsAndJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	nodes, jobs, err := c.Report(r)
+	nodes, jobs, err := c.Report(context.Background(), r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestReportUploadsKBsAndJobs(t *testing.T) {
 	}
 
 	// Re-reporting upserts rather than duplicating.
-	if _, _, err := c.Report(r); err != nil {
+	if _, _, err := c.Report(context.Background(), r); err != nil {
 		t.Fatal(err)
 	}
 	if n := docs.Collection(superdb.CollJobs).Count(nil); n != 1 {

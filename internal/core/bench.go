@@ -10,13 +10,6 @@ import (
 	"pmove/internal/topo"
 )
 
-// RunSTREAM executes the STREAM benchmark with a background context.
-//
-// Deprecated: use RunSTREAMContext.
-func (d *Daemon) RunSTREAM(host string, threads int) (*kb.Benchmark, error) {
-	return d.RunSTREAMContext(context.Background(), host, threads)
-}
-
 // RunSTREAMContext executes the STREAM benchmark through the
 // BenchmarkInterface path: "P-MoVE first copies the benchmark source
 // codes to the target system … After the benchmark, P-MoVE parses the
@@ -74,13 +67,6 @@ func (d *Daemon) runSTREAM(ctx context.Context, host string, threads int) (*kb.B
 	return bench, nil
 }
 
-// RunHPCG executes the HPCG proxy benchmark with a background context.
-//
-// Deprecated: use RunHPCGContext.
-func (d *Daemon) RunHPCG(host string, threads, n int) (*kb.Benchmark, error) {
-	return d.RunHPCGContext(context.Background(), host, threads, n)
-}
-
 // RunHPCGContext executes the HPCG proxy benchmark.
 func (d *Daemon) RunHPCGContext(ctx context.Context, host string, threads, n int) (*kb.Benchmark, error) {
 	ctx, done := d.opStart(ctx, "hpcg")
@@ -124,13 +110,6 @@ func (d *Daemon) runHPCG(ctx context.Context, host string, threads, n int) (*kb.
 		return nil, err
 	}
 	return bench, nil
-}
-
-// ConstructCARM builds the CARM model with a background context.
-//
-// Deprecated: use ConstructCARMContext.
-func (d *Daemon) ConstructCARM(host string, isa topo.ISA, threads int) (*carm.Model, error) {
-	return d.ConstructCARMContext(context.Background(), host, isa, threads)
 }
 
 // ConstructCARMContext builds (or recalls) the CARM model for a host at

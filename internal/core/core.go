@@ -155,15 +155,6 @@ func (d *Daemon) newCollector(t *Target) *telemetry.Collector {
 	return c
 }
 
-// New creates a daemon with embedded databases and the built-in
-// abstraction-layer registry.
-//
-// Deprecated: use NewWith (functional options); New(env) is equivalent to
-// NewWith(WithEnv(env)) and kept for compatibility.
-func New(env Env) (*Daemon, error) {
-	return NewWith(WithEnv(env))
-}
-
 // AttachTarget registers a target system with the daemon, building its
 // execution engine and sampler stack.
 func (d *Daemon) AttachTarget(sys *topo.System, mcfg machine.Config, pipe telemetry.PipelineConfig) (*Target, error) {
@@ -202,13 +193,6 @@ func (d *Daemon) Hosts() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Probe runs Figure 3 steps ①–③ with a background context.
-//
-// Deprecated: use ProbeContext.
-func (d *Daemon) Probe(host string) (*kb.KB, error) {
-	return d.ProbeContext(context.Background(), host)
 }
 
 // ProbeContext runs Figure 3 steps ①–③ for a target: the probing module
@@ -316,16 +300,6 @@ type MonitorResult struct {
 	Observation *kb.Observation
 	Stats       telemetry.SessionStats
 	Dashboard   *dashboard.Dashboard
-}
-
-// Monitor runs Scenario A with the legacy positional signature and a
-// background context.
-//
-// Deprecated: use MonitorContext with a MonitorRequest.
-func (d *Daemon) Monitor(host string, metrics []string, freqHz, durationSeconds float64) (*MonitorResult, error) {
-	return d.MonitorContext(context.Background(), MonitorRequest{
-		Host: host, Metrics: metrics, FreqHz: freqHz, DurationSeconds: durationSeconds,
-	})
 }
 
 // MonitorContext runs Scenario A: sampling software-emitted metrics to

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -12,11 +13,12 @@ import (
 	"pmove/internal/ontology"
 	"pmove/internal/telemetry"
 	"pmove/internal/topo"
+	"pmove/internal/tsdb"
 )
 
 func testDaemon(t *testing.T, presets ...string) *Daemon {
 	t.Helper()
-	d, err := New(Env{InfluxAddr: "embedded", MongoAddr: "embedded", GrafanaToken: "tok"})
+	d, err := NewWith(WithEnv(Env{InfluxAddr: "embedded", MongoAddr: "embedded", GrafanaToken: "tok"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +27,7 @@ func testDaemon(t *testing.T, presets ...string) *Daemon {
 		if _, err := d.AttachTarget(sys, machine.Config{Seed: 9}, telemetry.DefaultPipeline()); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.Probe(p); err != nil {
+		if _, err := d.ProbeContext(context.Background(), p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,7 +84,7 @@ func TestAttachAndProbe(t *testing.T) {
 
 func TestMonitorScenarioA(t *testing.T) {
 	d := testDaemon(t, topo.PresetICL)
-	res, err := d.Monitor("icl", []string{machine.MetricCPUIdle, machine.MetricNUMAAllocHit}, 2, 5)
+	res, err := d.MonitorContext(context.Background(), MonitorRequest{Host: "icl", Metrics: []string{machine.MetricCPUIdle, machine.MetricNUMAAllocHit}, FreqHz: 2, DurationSeconds: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +105,7 @@ func TestMonitorScenarioA(t *testing.T) {
 	}
 	// Data landed in the TSDB under the observation tag.
 	q := `SELECT "_cpu0" FROM "kernel_percpu_cpu_idle" WHERE tag="` + obs.Tag + `"`
-	r, err := d.TS.QueryString(q)
+	r, err := d.TS.ExecuteContext(context.Background(), tsdb.QueryRequest{Statement: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +113,7 @@ func TestMonitorScenarioA(t *testing.T) {
 		t.Error("no telemetry rows stored")
 	}
 	// Default metric set derived from the KB when none are given.
-	res2, err := d.Monitor("icl", nil, 2, 1)
+	res2, err := d.MonitorContext(context.Background(), MonitorRequest{Host: "icl", Metrics: nil, FreqHz: 2, DurationSeconds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +128,7 @@ func TestObserveScenarioB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.Observe(ObserveRequest{
+	res, err := d.ObserveContext(context.Background(), ObserveRequest{
 		Host:     "csl",
 		Workload: spec,
 		Command:  "likwid-bench -t triad",
@@ -160,7 +162,7 @@ func TestObserveScenarioB(t *testing.T) {
 		if !strings.Contains(q, `WHERE tag="`+obs.Tag+`"`) {
 			t.Errorf("query missing tag filter: %s", q)
 		}
-		if _, err := d.TS.QueryString(q); err != nil {
+		if _, err := d.TS.ExecuteContext(context.Background(), tsdb.QueryRequest{Statement: q}); err != nil {
 			t.Errorf("generated query does not parse: %s: %v", q, err)
 		}
 	}
@@ -191,27 +193,27 @@ func TestObserveValidation(t *testing.T) {
 	base := ObserveRequest{Host: "icl", Workload: spec, Threads: 2, FreqHz: 8}
 	bad := base
 	bad.FreqHz = 0
-	if _, err := d.Observe(bad); err == nil {
+	if _, err := d.ObserveContext(context.Background(), bad); err == nil {
 		t.Error("zero frequency accepted")
 	}
 	bad = base
 	bad.Threads = 0
-	if _, err := d.Observe(bad); err == nil {
+	if _, err := d.ObserveContext(context.Background(), bad); err == nil {
 		t.Error("zero threads accepted")
 	}
 	bad = base
 	bad.HWEvents = []string{"NO_SUCH_EVENT"}
-	if _, err := d.Observe(bad); err == nil {
+	if _, err := d.ObserveContext(context.Background(), bad); err == nil {
 		t.Error("unknown hardware event accepted")
 	}
 	bad = base
 	bad.GenericEvents = []string{"NO_SUCH_GENERIC"}
-	if _, err := d.Observe(bad); err == nil {
+	if _, err := d.ObserveContext(context.Background(), bad); err == nil {
 		t.Error("unknown generic event accepted")
 	}
 	bad = base
 	bad.Host = "ghost"
-	if _, err := d.Observe(bad); err == nil {
+	if _, err := d.ObserveContext(context.Background(), bad); err == nil {
 		t.Error("unknown host accepted")
 	}
 }
@@ -230,7 +232,7 @@ func TestRunScript(t *testing.T) {
 
 func TestBenchmarkInterfaces(t *testing.T) {
 	d := testDaemon(t, topo.PresetCSL)
-	stream, err := d.RunSTREAM("csl", 8)
+	stream, err := d.RunSTREAMContext(context.Background(), "csl", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +245,7 @@ func TestBenchmarkInterfaces(t *testing.T) {
 	if r, ok := stream.Result("bandwidth", map[string]string{"kernel": "stream_triad"}); !ok || r.Value <= 0 {
 		t.Error("triad bandwidth missing")
 	}
-	hpcg, err := d.RunHPCG("csl", 8, 1<<16)
+	hpcg, err := d.RunHPCGContext(context.Background(), "csl", 8, 1<<16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +261,7 @@ func TestBenchmarkInterfaces(t *testing.T) {
 
 func TestConstructCARMUsesKBCache(t *testing.T) {
 	d := testDaemon(t, topo.PresetCSL)
-	m1, err := d.ConstructCARM("csl", topo.ISAAVX512, 8)
+	m1, err := d.ConstructCARMContext(context.Background(), "csl", topo.ISAAVX512, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +272,7 @@ func TestConstructCARMUsesKBCache(t *testing.T) {
 	}
 	// Second construction is served from the KB cache: no new entry, and
 	// identical roofs.
-	m2, err := d.ConstructCARM("csl", topo.ISAAVX512, 8)
+	m2, err := d.ConstructCARMContext(context.Background(), "csl", topo.ISAAVX512, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +283,7 @@ func TestConstructCARMUsesKBCache(t *testing.T) {
 		t.Error("cached model differs")
 	}
 	// A different thread count re-benchmarks.
-	if _, err := d.ConstructCARM("csl", topo.ISAAVX512, 4); err != nil {
+	if _, err := d.ConstructCARMContext(context.Background(), "csl", topo.ISAAVX512, 4); err != nil {
 		t.Fatal(err)
 	}
 	if len(k.Benchmarks("carm")) != 2 {
@@ -291,7 +293,7 @@ func TestConstructCARMUsesKBCache(t *testing.T) {
 
 func TestLiveCARMPhases(t *testing.T) {
 	d := testDaemon(t, topo.PresetCSL)
-	model, err := d.ConstructCARM("csl", topo.ISAAVX512, 4)
+	model, err := d.ConstructCARMContext(context.Background(), "csl", topo.ISAAVX512, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,10 +305,10 @@ func TestLiveCARMPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.LiveCARM("csl", model, []LiveCARMPhase{
+	res, err := d.LiveCARMContext(context.Background(), LiveCARMRequest{Host: "csl", Model: model, Phases: []LiveCARMPhase{
 		{Label: "ddot", Workload: ddot},
 		{Label: "peakflops", Workload: peak},
-	}, 4, 50)
+	}, Threads: 4, FreqHz: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,16 +332,16 @@ func TestLiveCARMPhases(t *testing.T) {
 		t.Errorf("peakflops live AI = %f, want ~2", peakAI)
 	}
 	// Validation.
-	if _, err := d.LiveCARM("csl", model, nil, 4, 50); err == nil {
+	if _, err := d.LiveCARMContext(context.Background(), LiveCARMRequest{Host: "csl", Model: model, Phases: nil, Threads: 4, FreqHz: 50}); err == nil {
 		t.Error("empty phase list accepted")
 	}
-	if _, err := d.LiveCARM("csl", model, []LiveCARMPhase{{Label: "x", Workload: ddot}}, 4, 0); err == nil {
+	if _, err := d.LiveCARMContext(context.Background(), LiveCARMRequest{Host: "csl", Model: model, Phases: []LiveCARMPhase{{Label: "x", Workload: ddot}}, Threads: 4, FreqHz: 0}); err == nil {
 		t.Error("zero frequency accepted")
 	}
 }
 
 func TestObserveGPUKernel(t *testing.T) {
-	d, err := New(EnvFromOS())
+	d, err := NewWith(WithEnv(EnvFromOS()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,10 +349,10 @@ func TestObserveGPUKernel(t *testing.T) {
 	if _, err := d.AttachTarget(sys, machine.Config{Seed: 1}, telemetry.DefaultPipeline()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Probe("icl"); err != nil {
+	if _, err := d.ProbeContext(context.Background(), "icl"); err != nil {
 		t.Fatal(err)
 	}
-	sample, err := d.ObserveGPUKernel("icl", 0, "vecadd", map[string]float64{
+	sample, err := d.ObserveGPUKernelContext(context.Background(), "icl", 0, "vecadd", map[string]float64{
 		"gpu__compute_memory_access_throughput": 812.5,
 		"sm__throughput":                        61.2,
 	})
@@ -361,7 +363,7 @@ func TestObserveGPUKernel(t *testing.T) {
 		t.Error("no GPU metrics recorded")
 	}
 	// The ncu output landed in the TSDB and the KB got an observation.
-	res, err := d.TS.QueryString(`SELECT "_gpu0" FROM "ncu_gpu__compute_memory_access_throughput"`)
+	res, err := d.TS.ExecuteContext(context.Background(), tsdb.QueryRequest{Statement: `SELECT "_gpu0" FROM "ncu_gpu__compute_memory_access_throughput"`})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +381,7 @@ func TestObserveGPUKernel(t *testing.T) {
 		t.Error("GPU observation not attached")
 	}
 	// No such GPU.
-	if _, err := d.ObserveGPUKernel("icl", 7, "x", nil); err == nil {
+	if _, err := d.ObserveGPUKernelContext(context.Background(), "icl", 7, "x", nil); err == nil {
 		t.Error("unknown GPU accepted")
 	}
 }
@@ -416,7 +418,7 @@ func TestDashboardTargetsMatchStoredMeasurements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.Observe(ObserveRequest{
+	res, err := d.ObserveContext(context.Background(), ObserveRequest{
 		Host: "icl", Workload: spec, Threads: 2,
 		HWEvents: []string{"FP_ARITH:512B_PACKED_DOUBLE", "MEM_INST_RETIRED:ALL_LOADS"},
 		FreqHz:   32,

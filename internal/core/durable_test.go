@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"pmove/internal/kb"
@@ -23,7 +24,7 @@ func durableDaemon(t *testing.T, dir, fsync string) *Daemon {
 	if _, err := d.AttachTarget(topo.MustPreset(topo.PresetICL), machine.Config{Seed: 9}, telemetry.DefaultPipeline()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Probe(topo.PresetICL); err != nil {
+	if _, err := d.ProbeContext(context.Background(), topo.PresetICL); err != nil {
 		t.Fatal(err)
 	}
 	return d
@@ -35,7 +36,7 @@ func durableDaemon(t *testing.T, dir, fsync string) *Daemon {
 func TestDaemonDataDirSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	d := durableDaemon(t, dir, "always")
-	res, err := d.Monitor("icl", []string{machine.MetricCPUIdle}, 2, 5)
+	res, err := d.MonitorContext(context.Background(), MonitorRequest{Host: "icl", Metrics: []string{machine.MetricCPUIdle}, FreqHz: 2, DurationSeconds: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestDaemonCloseRefusesFurtherWrites(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Monitor("icl", []string{machine.MetricCPUIdle}, 2, 2); err == nil {
+	if _, err := d.MonitorContext(context.Background(), MonitorRequest{Host: "icl", Metrics: []string{machine.MetricCPUIdle}, FreqHz: 2, DurationSeconds: 2}); err == nil {
 		t.Error("closed durable daemon accepted a monitoring run")
 	}
 	if err := d.Close(); err != nil {

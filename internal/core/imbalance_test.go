@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"pmove/internal/anomaly"
@@ -60,7 +61,7 @@ func TestImbalanceDetectionEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := d.Observe(ObserveRequest{
+		res, err := d.ObserveContext(context.Background(), ObserveRequest{
 			Host: "csl", Workload: spec,
 			Command: "spmv --algo " + string(algo), Threads: threads,
 			Pin:         topo.PinBalanced,
@@ -163,7 +164,7 @@ func TestDaemonScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.Observe(ObserveRequest{
+	res, err := d.ObserveContext(context.Background(), ObserveRequest{
 		Host: "csl", Workload: spec, Command: "spmv", Threads: threads,
 		Pin: topo.PinBalanced, HWEvents: []string{pmu.IntelInstructions},
 		FreqHz: 50, WorkFactors: factors,
@@ -171,7 +172,7 @@ func TestDaemonScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan, err := d.Scan("csl", res.Observation.Tag)
+	scan, err := d.ScanContext(context.Background(), "csl", res.Observation.Tag)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,10 +188,10 @@ func TestDaemonScan(t *testing.T) {
 	if scan.Report == "" {
 		t.Error("empty report")
 	}
-	if _, err := d.Scan("csl", "no-such-tag"); err == nil {
+	if _, err := d.ScanContext(context.Background(), "csl", "no-such-tag"); err == nil {
 		t.Error("unknown tag accepted")
 	}
-	if _, err := d.Scan("ghost", "x"); err == nil {
+	if _, err := d.ScanContext(context.Background(), "ghost", "x"); err == nil {
 		t.Error("unknown host accepted")
 	}
 }

@@ -113,7 +113,7 @@ func TestSelfMetricsQueryable(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.TS.QueryString(`SELECT "_value" FROM "pmove_self_op_monitor_total" WHERE "tag" = 'self'`)
+	res, err := d.TS.ExecuteContext(context.Background(), tsdb.QueryRequest{Statement: `SELECT "_value" FROM "pmove_self_op_monitor_total" WHERE "tag" = 'self'`})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestSelfMetricsQueryable(t *testing.T) {
 		t.Errorf("op.monitor.total exported %v, want 1", last.Values["_value"])
 	}
 	// Latency histogram exported with count and buckets.
-	res, err = d.TS.QueryString(`SELECT "_count" FROM "pmove_self_op_monitor_seconds" WHERE "tag" = 'self'`)
+	res, err = d.TS.ExecuteContext(context.Background(), tsdb.QueryRequest{Statement: `SELECT "_count" FROM "pmove_self_op_monitor_seconds" WHERE "tag" = 'self'`})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestSelfMetricsQueryable(t *testing.T) {
 // introspection off: no self series, MetaDashboard refuses.
 func TestIntrospectionDisabledIsInert(t *testing.T) {
 	d := testDaemon(t, topo.PresetICL)
-	if _, err := d.Monitor("icl", []string{machine.MetricCPUIdle}, 2, 1); err != nil {
+	if _, err := d.MonitorContext(context.Background(), MonitorRequest{Host: "icl", Metrics: []string{machine.MetricCPUIdle}, FreqHz: 2, DurationSeconds: 1}); err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range d.TS.Measurements() {
@@ -196,8 +196,8 @@ type cancelAfterSink struct {
 	left int
 }
 
-func (s *cancelAfterSink) WritePoint(p tsdb.Point) error {
-	err := s.db.WritePoint(p)
+func (s *cancelAfterSink) WriteBatchContext(_ context.Context, ps []tsdb.Point) error {
+	err := s.db.WriteBatchContext(context.Background(), ps)
 	s.mu.Lock()
 	s.left--
 	if s.left == 0 {
@@ -270,25 +270,6 @@ func TestObserveCancellation(t *testing.T) {
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-observe cancel returned %v, want wrapped context.Canceled", err)
-	}
-}
-
-// TestDeprecatedWrappersStillWork pins the compatibility contract: the
-// positional, context-free methods keep their pre-redesign behavior.
-func TestDeprecatedWrappersStillWork(t *testing.T) {
-	d := introspectedDaemon(t, topo.PresetICL)
-	res, err := d.Monitor("icl", []string{machine.MetricCPUIdle}, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Ticks != 2 {
-		t.Errorf("ticks = %d", res.Stats.Ticks)
-	}
-	if _, err := d.Scan("icl", res.Observation.Tag); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.SelfSnapshot().CounterValue("op.monitor.total"); got != 1 {
-		t.Errorf("wrapper bypassed instrumentation: op.monitor.total = %d", got)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"pmove/internal/machine"
 	"pmove/internal/telemetry"
 	"pmove/internal/topo"
+	"pmove/internal/tsdb"
 )
 
 // gpuObservation builds the ObservationInterface for an ncu-wrapped GPU
@@ -62,16 +63,6 @@ type LiveCARMRequest struct {
 	Threads int
 	// FreqHz is the PMU sampling frequency.
 	FreqHz float64
-}
-
-// LiveCARM runs the live panel with the legacy positional signature and a
-// background context.
-//
-// Deprecated: use LiveCARMContext with a LiveCARMRequest.
-func (d *Daemon) LiveCARM(host string, model *carm.Model, phases []LiveCARMPhase, threads int, freqHz float64) (*LiveCARMResult, error) {
-	return d.LiveCARMContext(context.Background(), LiveCARMRequest{
-		Host: host, Model: model, Phases: phases, Threads: threads, FreqHz: freqHz,
-	})
 }
 
 // LiveCARMContext runs a sequence of labelled kernels while sampling the
@@ -177,14 +168,6 @@ func (d *Daemon) liveCARM(ctx context.Context, req LiveCARMRequest) (*LiveCARMRe
 	return &LiveCARMResult{Model: model, Panel: panel, Summaries: panel.Summarize()}, nil
 }
 
-// ObserveGPUKernel integrates an accelerator execution with a background
-// context.
-//
-// Deprecated: use ObserveGPUKernelContext.
-func (d *Daemon) ObserveGPUKernel(host string, gpuID int, kernelName string, metrics map[string]float64) (*telemetry.Sample, error) {
-	return d.ObserveGPUKernelContext(context.Background(), host, gpuID, kernelName, metrics)
-}
-
 // ObserveGPUKernelContext integrates an accelerator execution through the
 // §III-D path: lacking live HW telemetry, "P-MoVE is tasked with creating
 // a wrapper script for initiating the kernel launch and configuring ncu to
@@ -224,16 +207,18 @@ func (d *Daemon) observeGPU(ctx context.Context, host string, gpuID int, kernelN
 	ts := int64(t.Machine.Now() * 1e9)
 	sample := telemetry.Sample{Metric: "ncu", Values: map[string]float64{}}
 	var refs []string
+	var pts []tsdb.Point
 	for name, v := range metrics {
 		meas := "ncu_" + name
 		field := fmt.Sprintf("_gpu%d", gpuID)
 		sample.Values[field] = v
-		if err := d.TS.WritePoint(telemetry.ToPoint(telemetry.Sample{
+		pts = append(pts, telemetry.ToPoint(telemetry.Sample{
 			Metric: meas, Values: map[string]float64{field: v},
-		}, tag, ts)); err != nil {
-			return nil, err
-		}
+		}, tag, ts))
 		refs = append(refs, meas)
+	}
+	if err := d.TS.WriteBatchContext(ctx, pts); err != nil {
+		return nil, err
 	}
 	obs := gpuObservation(host, tag, kernelName, gpuID, refs, ts)
 	if err := d.attachAndPersist(k, obs); err != nil {

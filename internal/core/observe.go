@@ -58,13 +58,6 @@ type ObserveResult struct {
 	Queries []string
 }
 
-// Observe runs Scenario B with a background context.
-//
-// Deprecated: use ObserveContext.
-func (d *Daemon) Observe(req ObserveRequest) (*ObserveResult, error) {
-	return d.ObserveContext(context.Background(), req)
-}
-
 // ObserveContext runs Scenario B (Figure 3, B1–B8): configure the PMUs
 // from the KB and abstraction layer, generate the pinned run script, start
 // sampling, execute the kernel, stop sampling when it halts, and append an

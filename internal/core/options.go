@@ -265,7 +265,7 @@ func (d *Daemon) opStart(ctx context.Context, op string) (context.Context, func(
 			d.Logs.With("daemon").Debug(ctx, "op complete",
 				"op", op, "duration", took.String())
 		}
-		d.exportSelf()
+		d.exportSelf(ctx)
 	}
 }
 
@@ -273,12 +273,12 @@ func (d *Daemon) opStart(ctx context.Context, op string) (context.Context, func(
 // the pmove.self.* namespace — the monitor writing its own health through
 // the same store it monitors targets with. Export failures only count;
 // self-telemetry must never wedge the operation that emitted it.
-func (d *Daemon) exportSelf() {
+func (d *Daemon) exportSelf(ctx context.Context) {
 	in := d.Introspection
 	if in == nil {
 		return
 	}
-	if _, err := selfexport.Export(in, d.TS, time.Now().UnixNano()); err != nil {
+	if _, err := selfexport.Export(context.WithoutCancel(ctx), in, d.TS, time.Now().UnixNano()); err != nil {
 		in.Metrics().Counter("export.errors").Inc()
 	}
 }

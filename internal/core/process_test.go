@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"pmove/internal/kb"
@@ -20,7 +21,7 @@ func TestObserveInstantiatesProcessInterface(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() *ObserveResult {
-		res, err := d.Observe(ObserveRequest{
+		res, err := d.ObserveContext(context.Background(), ObserveRequest{
 			Host: "icl", Workload: spec, Command: "./sum", Threads: 2,
 			HWEvents: []string{"UNHALTED_CORE_CYCLES"}, FreqHz: 8,
 		})

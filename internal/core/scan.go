@@ -18,13 +18,6 @@ type ScanResult struct {
 	Report string
 }
 
-// Scan runs the anomaly detectors with a background context.
-//
-// Deprecated: use ScanContext.
-func (d *Daemon) Scan(host, tag string) (*ScanResult, error) {
-	return d.ScanContext(context.Background(), host, tag)
-}
-
 // ScanContext runs the default anomaly detectors over an observation's
 // linked telemetry — the automated-analysis loop of §III-B.
 // Hardware-counter measurements are scanned on the CPUs the observation

@@ -12,12 +12,12 @@ func seedAggDB(t *testing.T) *tsdb.DB {
 	t.Helper()
 	db := tsdb.New()
 	for i := int64(0); i < 40; i++ {
-		if err := db.WritePoint(tsdb.Point{
+		if err := db.WriteBatchContext(context.Background(), []tsdb.Point{{
 			Measurement: "m1",
 			Tags:        map[string]string{"tag": "t"},
 			Fields:      map[string]float64{"_cpu0": float64(i % 8)},
 			Time:        i * 1000,
-		}); err != nil {
+		}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package dashboard
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -184,12 +185,12 @@ func TestGeneratorUniqueDashboardIDs(t *testing.T) {
 func TestFetchSeriesAndRender(t *testing.T) {
 	db := tsdb.New()
 	for i := int64(0); i < 20; i++ {
-		db.WritePoint(tsdb.Point{
+		db.WriteBatchContext(context.Background(), []tsdb.Point{{
 			Measurement: "m1",
 			Tags:        map[string]string{"tag": "t"},
 			Fields:      map[string]float64{"_cpu0": float64(i % 7)},
 			Time:        i * 1000,
-		})
+		}})
 	}
 	tgt := Target{Datasource: Datasource{Type: "influxdb", UID: "u"}, Measurement: "m1", Params: "_cpu0", Tag: "t"}
 	ts, vs, err := FetchSeries(db, tgt)

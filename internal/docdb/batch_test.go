@@ -68,9 +68,4 @@ func TestClientInsertBatch(t *testing.T) {
 	if n := db.Collection("jobs").Count(nil); n != 4 {
 		t.Fatalf("collection holds %d docs, want 4 (3 + applied prefix of 1)", n)
 	}
-
-	// Deprecated wrapper agrees.
-	if ids, err := c.InsertBatch("jobs", []Doc{{"name": "d"}}); err != nil || len(ids) != 1 {
-		t.Fatalf("deprecated InsertBatch: ids=%v err=%v", ids, err)
-	}
 }

@@ -1,6 +1,7 @@
 package docdb
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 )
@@ -245,29 +246,29 @@ func TestServerClientEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	id, err := c.Insert("kb", Doc{"host": "skx", "kind": "meta"})
+	id, err := c.InsertContext(context.Background(), "kb", Doc{"host": "skx", "kind": "meta"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Get("kb", id)
+	got, err := c.GetContext(context.Background(), "kb", id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got["host"] != "skx" {
 		t.Errorf("remote get: %v", got)
 	}
-	docs, err := c.Find("kb", &Filter{Eq: map[string]any{"kind": "meta"}})
+	docs, err := c.FindContext(context.Background(), "kb", &Filter{Eq: map[string]any{"kind": "meta"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(docs) != 1 {
 		t.Errorf("remote find: %d docs", len(docs))
 	}
-	n, err := c.Count("kb", nil)
+	n, err := c.CountContext(context.Background(), "kb", nil)
 	if err != nil || n != 1 {
 		t.Errorf("remote count: %d %v", n, err)
 	}
-	if _, err := c.Get("kb", "missing"); err == nil {
+	if _, err := c.GetContext(context.Background(), "kb", "missing"); err == nil {
 		t.Error("remote get of missing doc succeeded")
 	}
 }

@@ -1,6 +1,7 @@
 package docdb
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"reflect"
@@ -185,7 +186,7 @@ func TestServerFlushOnClose(t *testing.T) {
 	}
 	var ids []string
 	for i := 0; i < 8; i++ {
-		id, err := cli.Insert("acked", Doc{"i": i})
+		id, err := cli.InsertContext(context.Background(), "acked", Doc{"i": i})
 		if err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}

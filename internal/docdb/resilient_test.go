@@ -2,6 +2,7 @@ package docdb
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -74,7 +75,7 @@ func TestClientPing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Ping(); err != nil {
+	if err := c.PingContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -98,23 +99,23 @@ func TestClientRecoversAfterTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Insert("col", Doc{"_id": "a", "v": 1.0}); err != nil {
+	if _, err := c.InsertContext(context.Background(), "col", Doc{"_id": "a", "v": 1.0}); err != nil {
 		t.Fatal(err)
 	}
 	proxy.Partition()
-	if _, err := c.Insert("col", Doc{"_id": "b", "v": 2.0}); err == nil {
+	if _, err := c.InsertContext(context.Background(), "col", Doc{"_id": "b", "v": 2.0}); err == nil {
 		t.Fatal("partitioned insert should fail")
 	}
 	proxy.Heal()
 	// The historical bug: this Count would read the stale insert response.
-	n, err := c.Count("col", nil)
+	n, err := c.CountContext(context.Background(), "col", nil)
 	if err != nil {
 		t.Fatalf("count after failed insert: %v", err)
 	}
 	if n < 1 {
 		t.Fatalf("count misparsed: got %d", n)
 	}
-	got, err := c.Get("col", "a")
+	got, err := c.GetContext(context.Background(), "col", "a")
 	if err != nil || got["v"] != 1.0 {
 		t.Fatalf("get after recovery: %v %v", got, err)
 	}
@@ -141,17 +142,17 @@ func TestClientConcurrentRace(t *testing.T) {
 				id := fmt.Sprintf("w%d-%d", wkr, i)
 				switch i % 3 {
 				case 0:
-					if _, err := c.Upsert("race", Doc{"_id": id, "v": float64(i)}); err != nil {
+					if _, err := c.UpsertContext(context.Background(), "race", Doc{"_id": id, "v": float64(i)}); err != nil {
 						t.Error(err)
 						return
 					}
 				case 1:
-					if _, err := c.Find("race", nil); err != nil {
+					if _, err := c.FindContext(context.Background(), "race", nil); err != nil {
 						t.Error(err)
 						return
 					}
 				default:
-					if err := c.Ping(); err != nil {
+					if err := c.PingContext(context.Background()); err != nil {
 						t.Error(err)
 						return
 					}
@@ -188,7 +189,7 @@ func TestClientSurvivesResets(t *testing.T) {
 	defer c.Close()
 	ok := 0
 	for i := 0; i < 10; i++ {
-		if _, err := c.Upsert("r", Doc{"_id": fmt.Sprintf("d%d", i), "v": float64(i)}); err == nil {
+		if _, err := c.UpsertContext(context.Background(), "r", Doc{"_id": fmt.Sprintf("d%d", i), "v": float64(i)}); err == nil {
 			ok++
 		}
 	}

@@ -333,11 +333,6 @@ func (c *Client) Stats() resilience.TransportStats { return c.tr.Stats() }
 // self-observability wiring (Transport.SetIntrospection).
 func (c *Client) Transport() *resilience.Transport { return c.tr }
 
-// Ping checks liveness end to end with a background context.
-func (c *Client) Ping() error {
-	return c.PingContext(context.Background())
-}
-
 // PingContext checks liveness end to end.
 func (c *Client) PingContext(ctx context.Context) error {
 	_, err := c.roundTrip(ctx, request{Op: "ping"})
@@ -375,22 +370,10 @@ func (c *Client) roundTrip(ctx context.Context, req request) (response, error) {
 	return resp, err
 }
 
-// Insert stores a document remotely and returns its id.
-func (c *Client) Insert(collection string, d Doc) (string, error) {
-	return c.InsertContext(context.Background(), collection, d)
-}
-
 // InsertContext stores a document remotely and returns its id.
 func (c *Client) InsertContext(ctx context.Context, collection string, d Doc) (string, error) {
 	resp, err := c.roundTrip(ctx, request{Op: "insert", Collection: collection, Doc: d})
 	return resp.ID, err
-}
-
-// InsertBatch stores a batch of documents with a background context.
-//
-// Deprecated: use InsertBatchContext.
-func (c *Client) InsertBatch(collection string, docs []Doc) ([]string, error) {
-	return c.InsertBatchContext(context.Background(), collection, docs)
 }
 
 // InsertBatchContext stores a batch of documents in ONE round-trip and
@@ -407,31 +390,16 @@ func (c *Client) InsertBatchContext(ctx context.Context, collection string, docs
 	return resp.IDs, err
 }
 
-// Upsert inserts or replaces a document remotely by its _id.
-func (c *Client) Upsert(collection string, d Doc) (string, error) {
-	return c.UpsertContext(context.Background(), collection, d)
-}
-
 // UpsertContext inserts or replaces a document remotely by its _id.
 func (c *Client) UpsertContext(ctx context.Context, collection string, d Doc) (string, error) {
 	resp, err := c.roundTrip(ctx, request{Op: "upsert", Collection: collection, Doc: d})
 	return resp.ID, err
 }
 
-// Find queries a collection remotely.
-func (c *Client) Find(collection string, f *Filter) ([]Doc, error) {
-	return c.FindContext(context.Background(), collection, f)
-}
-
 // FindContext queries a collection remotely.
 func (c *Client) FindContext(ctx context.Context, collection string, f *Filter) ([]Doc, error) {
 	resp, err := c.roundTrip(ctx, request{Op: "find", Collection: collection, Filter: f})
 	return resp.Docs, err
-}
-
-// Get fetches one document by id.
-func (c *Client) Get(collection, id string) (Doc, error) {
-	return c.GetContext(context.Background(), collection, id)
 }
 
 // GetContext fetches one document by id.
@@ -444,11 +412,6 @@ func (c *Client) GetContext(ctx context.Context, collection, id string) (Doc, er
 		return nil, fmt.Errorf("docdb: no document %q", id)
 	}
 	return resp.Docs[0], nil
-}
-
-// Count counts matching documents.
-func (c *Client) Count(collection string, f *Filter) (int, error) {
-	return c.CountContext(context.Background(), collection, f)
 }
 
 // CountContext counts matching documents.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -124,7 +125,7 @@ func chaosRun(mode string, ticks uint64, freqHz float64) (*ChaosRow, error) {
 		if ph.fault != nil && mode != "baseline" {
 			ph.fault()
 		}
-		if _, err := sess.RunTicks(ph.ticks); err != nil {
+		if _, err := sess.RunTicksContext(context.Background(), ph.ticks); err != nil {
 			row.Outcome = fmt.Sprintf("aborted: %.24s...", err)
 			break
 		}

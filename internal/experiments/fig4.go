@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -104,7 +105,7 @@ func fig4One(host, kname string, freq float64) (Fig4Row, error) {
 		return Fig4Row{}, err
 	}
 	ticks := uint64(exec.Duration*freq) + 1
-	if _, err := sess.RunTicks(ticks); err != nil {
+	if _, err := sess.RunTicksContext(context.Background(), ticks); err != nil {
 		return Fig4Row{}, err
 	}
 	if err := m.Wait(exec); err != nil {
@@ -114,7 +115,7 @@ func fig4One(host, kname string, freq float64) (Fig4Row, error) {
 	sampled := func(ev string) float64 {
 		meas := tsdb.MeasurementName(telemetry.MetricForEvent(ev))
 		q := &tsdb.Query{Fields: []string{"*"}, Measurement: meas, TagFilter: map[string]string{"tag": "fig4"}}
-		r, err := db.Execute(q)
+		r, err := db.ExecuteContext(context.Background(), tsdb.QueryRequest{Query: q})
 		if err != nil || len(r.Rows) == 0 {
 			return 0
 		}

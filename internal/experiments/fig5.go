@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"pmove/internal/kernels"
@@ -99,7 +100,7 @@ func fig5Arm(host, kname string, freq float64, reps int, seed uint64) (float64, 
 				return 0, err
 			}
 			ticks := uint64(exec.Duration*freq) + 1
-			if _, err := sess.RunTicks(ticks); err != nil {
+			if _, err := sess.RunTicksContext(context.Background(), ticks); err != nil {
 				return 0, err
 			}
 		}

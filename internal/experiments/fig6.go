@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -69,7 +70,7 @@ func Fig6(freqs []float64, durationSeconds float64) (*Fig6Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		st, err := sess.Run()
+		st, err := sess.RunContext(context.Background())
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"pmove/internal/abst"
@@ -44,18 +45,19 @@ type Fig7Result struct {
 // RAPL_POWER_PACKAGE). The SpMV results themselves are computed (both
 // kernels really multiply) and cross-checked.
 func Fig7(scale Scale, threads int) (*Fig7Result, error) {
+	ctx := context.Background()
 	sys := topo.MustPreset(topo.PresetCSL)
 	if threads <= 0 {
 		threads = sys.NumCores()
 	}
-	d, err := core.New(core.EnvFromOS())
+	d, err := core.NewWith(core.WithEnv(core.EnvFromOS()))
 	if err != nil {
 		return nil, err
 	}
 	if _, err := d.AttachTarget(sys, machine.Config{Seed: 11}, telemetry.DefaultPipeline()); err != nil {
 		return nil, err
 	}
-	if _, err := d.Probe(sys.Hostname); err != nil {
+	if _, err := d.ProbeContext(ctx, sys.Hostname); err != nil {
 		return nil, err
 	}
 	t, err := d.Target(sys.Hostname)
@@ -90,7 +92,7 @@ func Fig7(scale Scale, threads int) (*Fig7Result, error) {
 				}
 				raplBefore := raplTruth(t)
 				tBefore := t.Machine.Now()
-				obsRes, err := d.Observe(core.ObserveRequest{
+				obsRes, err := d.ObserveContext(ctx, core.ObserveRequest{
 					Host:          sys.Hostname,
 					Workload:      spec,
 					Command:       fmt.Sprintf("spmv --algo %s --matrix %s --order %s", algo, mi.Name, ord),

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"pmove/internal/carm"
@@ -23,14 +24,14 @@ type Fig8Result struct {
 // fig8Daemon builds a probed CSL daemon.
 func fig8Daemon() (*core.Daemon, *topo.System, error) {
 	sys := topo.MustPreset(topo.PresetCSL)
-	d, err := core.New(core.EnvFromOS())
+	d, err := core.NewWith(core.WithEnv(core.EnvFromOS()))
 	if err != nil {
 		return nil, nil, err
 	}
 	if _, err := d.AttachTarget(sys, machine.Config{Seed: 21}, telemetry.DefaultPipeline()); err != nil {
 		return nil, nil, err
 	}
-	if _, err := d.Probe(sys.Hostname); err != nil {
+	if _, err := d.ProbeContext(context.Background(), sys.Hostname); err != nil {
 		return nil, nil, err
 	}
 	return d, sys, nil
@@ -39,6 +40,7 @@ func fig8Daemon() (*core.Daemon, *topo.System, error) {
 // Fig8 constructs the CARM for CSL, then feeds the four SpMV phases
 // through the live panel.
 func Fig8(scale Scale, threads int) (*Fig8Result, error) {
+	ctx := context.Background()
 	d, sys, err := fig8Daemon()
 	if err != nil {
 		return nil, err
@@ -46,7 +48,7 @@ func Fig8(scale Scale, threads int) (*Fig8Result, error) {
 	if threads <= 0 {
 		threads = sys.NumCores()
 	}
-	model, err := d.ConstructCARM(sys.Hostname, sys.CPU.WidestISA(), threads)
+	model, err := d.ConstructCARMContext(ctx, sys.Hostname, sys.CPU.WidestISA(), threads)
 	if err != nil {
 		return nil, err
 	}
@@ -71,7 +73,7 @@ func Fig8(scale Scale, threads int) (*Fig8Result, error) {
 			})
 		}
 	}
-	lc, err := d.LiveCARM(sys.Hostname, model, phases, threads, 50)
+	lc, err := d.LiveCARMContext(ctx, core.LiveCARMRequest{Host: sys.Hostname, Model: model, Phases: phases, Threads: threads, FreqHz: 50})
 	if err != nil {
 		return nil, err
 	}
@@ -120,6 +122,7 @@ type Fig9Result struct {
 
 // Fig9 profiles Triad, PeakFlops and DDOT against the live-CARM roofs.
 func Fig9(threads int) (*Fig9Result, error) {
+	ctx := context.Background()
 	d, sys, err := fig8Daemon()
 	if err != nil {
 		return nil, err
@@ -128,7 +131,7 @@ func Fig9(threads int) (*Fig9Result, error) {
 		threads = sys.NumCores()
 	}
 	isa := sys.CPU.WidestISA()
-	model, err := d.ConstructCARM(sys.Hostname, isa, threads)
+	model, err := d.ConstructCARMContext(ctx, sys.Hostname, isa, threads)
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +165,7 @@ func Fig9(threads int) (*Fig9Result, error) {
 		}
 		phases = append(phases, core.LiveCARMPhase{Label: c.name, Workload: spec})
 	}
-	lc, err := d.LiveCARM(sys.Hostname, model, phases, threads, 50)
+	lc, err := d.LiveCARMContext(ctx, core.LiveCARMRequest{Host: sys.Hostname, Model: model, Phases: phases, Threads: threads, FreqHz: 50})
 	if err != nil {
 		return nil, err
 	}

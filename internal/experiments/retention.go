@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"pmove/internal/telemetry"
@@ -62,7 +63,7 @@ func RetentionStudy(freqHz, durationSeconds float64, retentions []float64) (*Ret
 		dropped := 0
 		ticksPerSec := uint64(freqHz)
 		for s := 0.0; s < durationSeconds; s++ {
-			if _, err := sess.RunTicks(ticksPerSec); err != nil {
+			if _, err := sess.RunTicksContext(context.Background(), ticksPerSec); err != nil {
 				return nil, err
 			}
 			dropped += db.EnforceRetention(int64(m.Now() * 1e9))

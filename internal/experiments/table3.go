@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"pmove/internal/telemetry"
 	"pmove/internal/tsdb"
 )
@@ -54,7 +55,7 @@ func TableIII(durationSeconds float64) (*TableIIIResult, error) {
 				if err != nil {
 					return nil, err
 				}
-				st, err := sess.Run()
+				st, err := sess.RunContext(context.Background())
 				if err != nil {
 					return nil, err
 				}

@@ -6,6 +6,7 @@
 package selfexport
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -14,13 +15,6 @@ import (
 	"pmove/internal/introspect"
 	"pmove/internal/tsdb"
 )
-
-// Sink is where exported self-metrics land — the embedded tsdb.DB or a
-// resilient remote client; both satisfy it. (Declared locally so this
-// package stays import-free of the telemetry package.)
-type Sink interface {
-	WritePoint(p tsdb.Point) error
-}
 
 // selfTag marks every exported point so self-telemetry is recallable with
 // the same tag-filtered Listing-3 queries as any observation.
@@ -43,23 +37,24 @@ func bucketField(le float64) string {
 }
 
 // Export writes a snapshot of the introspector's registry into sink at
-// nowNanos: one point per metric under the introspector's prefix.
-// Counters and gauges export a single "_value" field; histograms export
-// "_count", "_sum" and one "_le_*" field per bucket. It returns how many
-// points were written; the first write error aborts (self-telemetry must
-// never wedge the op that emitted it — callers treat the error as
-// advisory). A nil introspector exports nothing.
-func Export(in *introspect.Introspector, sink Sink, nowNanos int64) (int, error) {
+// nowNanos: one point per metric under the introspector's prefix, the
+// whole snapshot as one batch. Counters and gauges export a single
+// "_value" field; histograms export "_count", "_sum" and one "_le_*"
+// field per bucket. It returns how many points were written — all of
+// them or, on a write error, none (self-telemetry must never wedge the
+// op that emitted it — callers treat the error as advisory). A nil
+// introspector exports nothing.
+func Export(ctx context.Context, in *introspect.Introspector, sink tsdb.BatchWriter, nowNanos int64) (int, error) {
 	if !in.Enabled() {
 		return 0, nil
 	}
-	return ExportSnapshot(sink, in.Prefix(), in.Snapshot(), nowNanos)
+	return ExportSnapshot(ctx, sink, in.Prefix(), in.Snapshot(), nowNanos)
 }
 
 // ExportSnapshot writes an already-taken snapshot (Export's core; split
 // out so delta snapshots can be shipped too).
-func ExportSnapshot(sink Sink, prefix string, snap introspect.Snapshot, nowNanos int64) (int, error) {
-	written := 0
+func ExportSnapshot(ctx context.Context, sink tsdb.BatchWriter, prefix string, snap introspect.Snapshot, nowNanos int64) (int, error) {
+	pts := make([]tsdb.Point, 0, len(snap.Metrics))
 	for _, m := range snap.Metrics {
 		p := tsdb.Point{
 			Measurement: MeasurementFor(prefix, m.Name),
@@ -77,12 +72,12 @@ func ExportSnapshot(sink Sink, prefix string, snap introspect.Snapshot, nowNanos
 		default:
 			p.Fields["_value"] = m.Value
 		}
-		if err := sink.WritePoint(p); err != nil {
-			return written, fmt.Errorf("selfexport: export %s: %w", m.Name, err)
-		}
-		written++
+		pts = append(pts, p)
 	}
-	return written, nil
+	if err := sink.WriteBatchContext(ctx, pts); err != nil {
+		return 0, fmt.Errorf("selfexport: export: %w", err)
+	}
+	return len(pts), nil
 }
 
 // MetaDashboard generates the self-observability dashboard over a

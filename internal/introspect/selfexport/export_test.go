@@ -1,6 +1,7 @@
 package selfexport
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -18,7 +19,7 @@ func TestExportRoundTrip(t *testing.T) {
 	reg.Histogram("op.monitor.seconds", 0.001, 0.1).Observe(0.05)
 
 	db := tsdb.New()
-	n, err := Export(in, db, 12345)
+	n, err := Export(context.Background(), in, db, 12345)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestExportRoundTrip(t *testing.T) {
 		}
 	}
 
-	res, err := db.QueryString(`SELECT "_value" FROM "pmove_self_op_monitor_total" WHERE "tag" = 'self'`)
+	res, err := db.ExecuteContext(context.Background(), tsdb.QueryRequest{Statement: `SELECT "_value" FROM "pmove_self_op_monitor_total" WHERE "tag" = 'self'`})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestExportRoundTrip(t *testing.T) {
 		t.Fatalf("counter round-trip: %+v", res.Rows)
 	}
 
-	res, err = db.QueryString(`SELECT "_count" FROM "pmove_self_op_monitor_seconds" WHERE "tag" = 'self'`)
+	res, err = db.ExecuteContext(context.Background(), tsdb.QueryRequest{Statement: `SELECT "_count" FROM "pmove_self_op_monitor_seconds" WHERE "tag" = 'self'`})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestExportRoundTrip(t *testing.T) {
 	// Bucket fields: 0.05 lands in the 0.1 bucket, not 0.001.
 	q := &tsdb.Query{Fields: []string{"_le_0.001", "_le_0.1", "_le_inf"},
 		Measurement: "pmove_self_op_monitor_seconds"}
-	res, err = db.Execute(q)
+	res, err = db.ExecuteContext(context.Background(), tsdb.QueryRequest{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestExportPrefix(t *testing.T) {
 	in := introspect.New(introspect.WithPrefix("test.self"))
 	in.Metrics().Counter("x").Inc()
 	db := tsdb.New()
-	if _, err := Export(in, db, 1); err != nil {
+	if _, err := Export(context.Background(), in, db, 1); err != nil {
 		t.Fatal(err)
 	}
 	if ms := db.Measurements(); len(ms) != 1 || ms[0] != "test_self_x" {
@@ -115,7 +116,7 @@ func TestMetaDashboard(t *testing.T) {
 
 // TestExportNil checks a disabled (nil) introspector exports nothing.
 func TestExportNil(t *testing.T) {
-	if n, err := Export(nil, nil, 0); n != 0 || err != nil {
+	if n, err := Export(context.Background(), nil, nil, 0); n != 0 || err != nil {
 		t.Errorf("nil export wrote %d, err %v", n, err)
 	}
 }

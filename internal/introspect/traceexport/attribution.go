@@ -172,18 +172,10 @@ func RecordAttribution(reg *introspect.Registry, a Attribution) {
 	reg.Gauge("trace.hop.server_insert.seconds").Set(a.ServerInsertSecs)
 }
 
-// Sink is where exported attribution points land: the embedded tsdb.DB
-// does not satisfy it directly (no context form), but the resilient
-// tsdb.Client and the telemetry collector do — attribution export rides
-// the same cancellable write path as every other self-metric.
-type Sink interface {
-	WritePointContext(ctx context.Context, p tsdb.Point) error
-}
-
 // ExportAttribution writes one point holding every attribution component
 // under <prefix>.trace.hop.seconds, tagged "self" like all
 // self-telemetry, honoring ctx cancellation through the sink.
-func ExportAttribution(ctx context.Context, sink Sink, prefix string, a Attribution, nowNanos int64) error {
+func ExportAttribution(ctx context.Context, sink tsdb.BatchWriter, prefix string, a Attribution, nowNanos int64) error {
 	p := tsdb.Point{
 		Measurement: tsdb.MeasurementName(prefix + ".trace.hop.seconds"),
 		Tags:        map[string]string{"tag": "self"},
@@ -199,7 +191,7 @@ func ExportAttribution(ctx context.Context, sink Sink, prefix string, a Attribut
 		},
 		Time: nowNanos,
 	}
-	if err := sink.WritePointContext(ctx, p); err != nil {
+	if err := sink.WriteBatchContext(ctx, []tsdb.Point{p}); err != nil {
 		return fmt.Errorf("traceexport: export attribution: %w", err)
 	}
 	return nil

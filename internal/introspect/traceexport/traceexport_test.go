@@ -65,7 +65,7 @@ func TestAssembleAndAttribute(t *testing.T) {
 			Fields:      map[string]float64{"usage": float64(i)},
 			Time:        int64(i + 1),
 		}
-		if err := cl.WriteContext(ctx, p); err != nil {
+		if err := cl.WriteBatchContext(ctx, []tsdb.Point{p}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -91,8 +91,8 @@ func TestAssembleAndAttribute(t *testing.T) {
 	if got := tr.Processes(); len(got) != 2 || got[0] != "daemon" || got[1] != "tsdb-server" {
 		t.Fatalf("processes: %v", got)
 	}
-	// Each write: do -> attempt -> tsdb.server.write -> {queue,parse,insert}.
-	wn, ok := tr.Find("tsdb.server.write")
+	// Each write: do -> attempt -> tsdb.server.writeb -> {queue,parse,insert}.
+	wn, ok := tr.Find("tsdb.server.writeb")
 	if !ok {
 		t.Fatal("no server write span in assembled trace")
 	}
@@ -149,9 +149,9 @@ type memorySink struct {
 	points []tsdb.Point
 }
 
-func (m *memorySink) WritePointContext(_ context.Context, p tsdb.Point) error {
+func (m *memorySink) WriteBatchContext(_ context.Context, ps []tsdb.Point) error {
 	m.mu.Lock()
-	m.points = append(m.points, p)
+	m.points = append(m.points, ps...)
 	m.mu.Unlock()
 	return nil
 }
@@ -168,7 +168,7 @@ func TestChromeTraceExport(t *testing.T) {
 	defer cl.Close()
 	cl.Transport().SetIntrospection(clientIn, "tsdb")
 	ctx, root := clientIn.StartSpan(context.Background(), "test.op")
-	if err := cl.WriteContext(ctx, tsdb.Point{Measurement: "m", Fields: map[string]float64{"v": 1}, Time: 1}); err != nil {
+	if err := cl.WriteBatchContext(ctx, []tsdb.Point{{Measurement: "m", Fields: map[string]float64{"v": 1}, Time: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	root.End(nil)
@@ -210,14 +210,14 @@ func TestChromeTraceExport(t *testing.T) {
 	if complete != traces[0].Spans {
 		t.Errorf("complete events = %d, want %d spans", complete, traces[0].Spans)
 	}
-	for _, want := range []string{"test.op", "transport.tsdb.do", "tsdb.server.write"} {
+	for _, want := range []string{"test.op", "transport.tsdb.do", "tsdb.server.writeb"} {
 		if !names[want] {
 			t.Errorf("chrome trace missing span %q", want)
 		}
 	}
 
 	wf := Waterfall(traces[0])
-	for _, want := range []string{"test.op", "tsdb.server.write", "daemon", "tsdb-server"} {
+	for _, want := range []string{"test.op", "tsdb.server.writeb", "daemon", "tsdb-server"} {
 		if !strings.Contains(wf, want) {
 			t.Errorf("waterfall missing %q:\n%s", want, wf)
 		}
@@ -256,12 +256,12 @@ func TestTraceThroughFaultProxy(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
 				ctx, span := clientIn.StartSpan(context.Background(), "chaos.write")
-				err := cl.WriteContext(ctx, tsdb.Point{
+				err := cl.WriteBatchContext(ctx, []tsdb.Point{{
 					Measurement: "chaos",
 					Tags:        map[string]string{"g": fmt.Sprint(g)},
 					Fields:      map[string]float64{"v": float64(i)},
 					Time:        int64(g*100 + i + 1),
-				})
+				}})
 				span.End(err)
 				if i == 5 && g == 0 {
 					proxy.Partition()

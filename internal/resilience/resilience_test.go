@@ -174,7 +174,7 @@ func pingProbe(w *Wire) error {
 
 func roundTrip(tr *Transport, line string) (string, error) {
 	var out string
-	err := tr.Do(func(_ context.Context, w *Wire) error {
+	err := tr.DoContext(context.Background(), func(_ context.Context, w *Wire) error {
 		if _, err := fmt.Fprintln(w.Conn, line); err != nil {
 			return err
 		}
@@ -270,7 +270,7 @@ func TestTransportPermanentNotRetried(t *testing.T) {
 	defer tr.Close()
 	calls := 0
 	wantErr := fmt.Errorf("rejected")
-	err := tr.Do(func(_ context.Context, w *Wire) error {
+	err := tr.DoContext(context.Background(), func(_ context.Context, w *Wire) error {
 		calls++
 		// Full round trip keeps the stream in sync, then reject.
 		if _, err := fmt.Fprintln(w.Conn, "x"); err != nil {

@@ -185,11 +185,6 @@ func (t *Transport) Close() error {
 	return nil
 }
 
-// Do runs one request/response exchange with a background context.
-func (t *Transport) Do(op func(ctx context.Context, w *Wire) error) error {
-	return t.DoContext(context.Background(), op)
-}
-
 // DoContext runs one request/response exchange with retry, reconnect and
 // breaker semantics. op errors wrapped with Permanent are returned as-is
 // (unwrapped) without retry; any other error drops the wire, records a

@@ -39,14 +39,14 @@ func TestRemoteEndToEnd(t *testing.T) {
 	defer r.Close()
 
 	k := testKB(t, "skx")
-	if err := r.ReportKB(k); err != nil {
+	if err := r.ReportKBContext(context.Background(), k); err != nil {
 		t.Fatal(err)
 	}
 	// Re-reporting upserts.
-	if err := r.ReportKB(k); err != nil {
+	if err := r.ReportKBContext(context.Background(), k); err != nil {
 		t.Fatal(err)
 	}
-	hosts, err := r.Hosts()
+	hosts, err := r.HostsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +57,10 @@ func TestRemoteEndToEnd(t *testing.T) {
 	// Ship a TS observation over the wire, then recall it remotely.
 	local := tsdb.New()
 	obs := seedObservation(t, local, "skx", "remote-tag")
-	if err := r.ReportObservation(obs, local, ModeTS); err != nil {
+	if err := r.ReportObservationContext(context.Background(), obs, local, ModeTS); err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.QueryObservation("skx", "remote-tag", "perfevent_hwcounters_X", []string{"_cpu0"})
+	res, err := r.QueryObservationContext(context.Background(), "skx", "remote-tag", "perfevent_hwcounters_X", []string{"_cpu0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,17 +70,17 @@ func TestRemoteEndToEnd(t *testing.T) {
 
 	// AGG mode uploads only the summary document.
 	obs2 := seedObservation(t, local, "skx", "remote-agg")
-	if err := r.ReportObservation(obs2, local, ModeAGG); err != nil {
+	if err := r.ReportObservationContext(context.Background(), obs2, local, ModeAGG); err != nil {
 		t.Fatal(err)
 	}
-	res, err = r.QueryObservation("skx", "remote-agg", "perfevent_hwcounters_X", nil)
+	res, err = r.QueryObservationContext(context.Background(), "skx", "remote-agg", "perfevent_hwcounters_X", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 0 {
 		t.Error("AGG upload shipped raw rows")
 	}
-	docs, err := r.Docs.Find(CollObservations, &docdb.Filter{Eq: map[string]any{"tag": "remote-agg"}})
+	docs, err := r.Docs.FindContext(context.Background(), CollObservations, &docdb.Filter{Eq: map[string]any{"tag": "remote-agg"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestAggregateObservationRemote(t *testing.T) {
 
 	local := tsdb.New()
 	obs := seedObservation(t, local, "skx", "remote-sum")
-	if err := r.ReportObservation(obs, local, ModeTS); err != nil {
+	if err := r.ReportObservationContext(context.Background(), obs, local, ModeTS); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()

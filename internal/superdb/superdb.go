@@ -161,11 +161,10 @@ func quantile(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// ReportKB uploads a system's knowledge base to the global store ("The
-// users have the option to report their performance telemetry readings and
-// the system's KB to SUPERDB").
-func (s *SuperDB) ReportKB(k *kb.KB) error {
-	doc, err := docdb.FromValue(map[string]any{
+// kbSummary renders the document a KB upload stores, keyed by host so a
+// re-upload replaces the previous one.
+func kbSummary(k *kb.KB) (docdb.Doc, error) {
+	return docdb.FromValue(map[string]any{
 		"_id":       "kb:" + k.Host,
 		"host":      k.Host,
 		"nodes":     k.Len(),
@@ -173,6 +172,13 @@ func (s *SuperDB) ReportKB(k *kb.KB) error {
 		"vendor":    string(k.Probe.System.CPU.Vendor),
 		"threads":   k.Probe.System.NumThreads(),
 	})
+}
+
+// ReportKB uploads a system's knowledge base to the global store ("The
+// users have the option to report their performance telemetry readings and
+// the system's KB to SUPERDB").
+func (s *SuperDB) ReportKB(k *kb.KB) error {
+	doc, err := kbSummary(k)
 	if err != nil {
 		return err
 	}
@@ -196,49 +202,75 @@ const (
 // either the raw series (ModeTS) or aggregates (ModeAGG) pulled from the
 // local time-series database.
 func (s *SuperDB) ReportObservation(o *kb.Observation, local *tsdb.DB, mode ReportMode) error {
+	return reportObservation(context.Background(), o, local, mode, s.TS, func(doc docdb.Doc) error {
+		_, err := s.Docs.Collection(CollObservations).Upsert(doc)
+		return err
+	})
+}
+
+// reportBatchSize chunks ModeTS uploads: a large observation ships as a
+// few full frames instead of |rows| round-trips, while staying
+// comfortably under the tsdb server's MaxBatchPoints bound.
+const reportBatchSize = 256
+
+// reportObservation is the upload the embedded SuperDB and the Remote
+// share; they differ only in where the rows (ts) and the metadata
+// document (upsert) land. Cancelling ctx aborts between (and inside)
+// batch uploads.
+func reportObservation(ctx context.Context, o *kb.Observation, local *tsdb.DB, mode ReportMode,
+	ts tsdb.BatchWriter, upsert func(docdb.Doc) error) error {
 	kind := ontology.EntryTSObservation
 	if mode == ModeAGG {
 		kind = ontology.EntryAGGObservation
 	}
 	var aggs []Aggregates
 	rawPoints := 0
+	var pending []tsdb.Point
+	flush := func() error {
+		if err := ts.WriteBatchContext(ctx, pending); err != nil {
+			return err
+		}
+		rawPoints += len(pending)
+		pending = pending[:0]
+		return nil
+	}
 	for _, m := range o.Metrics {
 		if mode == ModeAGG && !hasStar(m.Fields) {
 			// One aggregate query computes the whole summary on the
 			// engine instead of materializing raw rows to fold here.
 			sq := summaryQuery(m.Measurement, map[string]string{"tag": o.Tag}, m.Fields)
-			res, err := local.ExecuteContext(context.Background(), tsdb.QueryRequest{Query: sq})
+			res, err := local.ExecuteContext(ctx, tsdb.QueryRequest{Query: sq})
 			if err != nil {
 				return fmt.Errorf("superdb: aggregate %s: %w", m.Measurement, err)
 			}
 			aggs = append(aggs, summaryFromResult(m.Measurement, m.Fields, res)...)
 			continue
 		}
-		q := &tsdb.Query{
+		res, err := local.ExecuteContext(ctx, tsdb.QueryRequest{Query: &tsdb.Query{
 			Fields:      m.Fields,
 			Measurement: m.Measurement,
 			TagFilter:   map[string]string{"tag": o.Tag},
-		}
-		res, err := local.Execute(q)
+		}})
 		if err != nil {
 			return fmt.Errorf("superdb: fetch %s: %w", m.Measurement, err)
 		}
 		switch mode {
 		case ModeTS:
 			for _, row := range res.Rows {
-				p := tsdb.Point{
+				if len(row.Values) == 0 {
+					continue
+				}
+				pending = append(pending, tsdb.Point{
 					Measurement: m.Measurement,
 					Tags:        map[string]string{"tag": o.Tag, "host": o.Host},
 					Fields:      row.Values,
 					Time:        row.Time,
+				})
+				if len(pending) >= reportBatchSize {
+					if err := flush(); err != nil {
+						return err
+					}
 				}
-				if len(p.Fields) == 0 {
-					continue
-				}
-				if err := s.TS.WritePoint(p); err != nil {
-					return err
-				}
-				rawPoints++
 			}
 		case ModeAGG:
 			byField := map[string][]float64{}
@@ -259,6 +291,9 @@ func (s *SuperDB) ReportObservation(o *kb.Observation, local *tsdb.DB, mode Repo
 			return fmt.Errorf("superdb: unknown report mode %q", mode)
 		}
 	}
+	if err := flush(); err != nil {
+		return err
+	}
 	doc, err := docdb.FromValue(map[string]any{
 		"_id":     fmt.Sprintf("obs:%s:%s", o.Host, o.Tag),
 		"kind":    string(kind),
@@ -272,7 +307,7 @@ func (s *SuperDB) ReportObservation(o *kb.Observation, local *tsdb.DB, mode Repo
 	if err != nil {
 		return err
 	}
-	if _, err := s.Docs.Collection(CollObservations).Upsert(doc); err != nil {
+	if err := upsert(doc); err != nil {
 		return fmt.Errorf("superdb: report observation %s: %w", o.Tag, err)
 	}
 	return nil

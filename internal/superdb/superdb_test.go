@@ -1,6 +1,7 @@
 package superdb
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -27,12 +28,12 @@ func testKB(t *testing.T, preset string) *kb.KB {
 func seedObservation(t *testing.T, local *tsdb.DB, host, tag string) *kb.Observation {
 	t.Helper()
 	for i := int64(0); i < 10; i++ {
-		if err := local.WritePoint(tsdb.Point{
+		if err := local.WriteBatchContext(context.Background(), []tsdb.Point{{
 			Measurement: "perfevent_hwcounters_X",
 			Tags:        map[string]string{"tag": tag},
 			Fields:      map[string]float64{"_cpu0": float64(i), "_cpu1": float64(i * 2)},
 			Time:        i * 1e9,
-		}); err != nil {
+		}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -69,7 +70,7 @@ func TestReportObservationTS(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Raw rows are in the global TSDB, tagged with the host.
-	res, err := s.TS.QueryString(`SELECT "_cpu0" FROM "perfevent_hwcounters_X" WHERE tag="t-ts" AND host="skx"`)
+	res, err := s.TS.ExecuteContext(context.Background(), tsdb.QueryRequest{Statement: `SELECT "_cpu0" FROM "perfevent_hwcounters_X" WHERE tag="t-ts" AND host="skx"`})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestReportObservationAGG(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No raw rows shipped.
-	res, _ := s.TS.QueryString(`SELECT "_cpu0" FROM "perfevent_hwcounters_X"`)
+	res, _ := s.TS.ExecuteContext(context.Background(), tsdb.QueryRequest{Statement: `SELECT "_cpu0" FROM "perfevent_hwcounters_X"`})
 	if len(res.Rows) != 0 {
 		t.Error("AGG mode should not ship raw rows")
 	}

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"pmove/internal/tsdb"
@@ -21,52 +22,86 @@ func tickSamples(n int) []Sample {
 	return out
 }
 
-// TestOfferBatchedUnbatchedEquivalence: the batched shipment path must
-// be accounting-identical to the per-point path — same Expected /
-// Inserted / Zeros / Lost and the same stored data — for the same
-// offered load. Only the wire/WAL granularity differs.
-func TestOfferBatchedUnbatchedEquivalence(t *testing.T) {
-	run := func(unbatched bool) (*Collector, *tsdb.DB) {
+// splitSink forwards a batch one point per call: the per-point shipment
+// the batched path is held equivalent to.
+type splitSink struct{ next tsdb.BatchWriter }
+
+func (s splitSink) WriteBatchContext(ctx context.Context, ps []tsdb.Point) error {
+	for i := range ps {
+		if err := s.next.WriteBatchContext(ctx, ps[i:i+1]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestOfferBatchedPerPointEquivalence: shipping a tick as one batch must
+// be accounting-identical to shipping it point by point — the same
+// counters and the same stored rows for the same offered load — through
+// a healthy session and through a degraded outage whose backlog overflows
+// the journal and is then replayed. Only the wire/WAL granularity differs.
+func TestOfferBatchedPerPointEquivalence(t *testing.T) {
+	run := func(split, outage bool) (*Collector, *tsdb.DB) {
 		db := tsdb.New()
 		cfg := DefaultPipeline()
 		cfg.StallProb = 0
-		cfg.Unbatched = unbatched
-		col := NewCollector(db, cfg)
+		cfg.Degraded = outage
+		cfg.JournalCap = 12 // under the 3-tick × 5-point outage backlog
+		col := NewCollector(nil, cfg)
+		sw := &switchSink{db: db}
+		col.Sink = sw
+		if split {
+			col.Sink = splitSink{next: sw}
+		}
 		for tick := 0; tick < 10; tick++ {
-			now := float64(tick) * 0.1
-			if err := col.Offer(now, tickSamples(5), "t", tick%3 == 2); err != nil {
+			sw.down = outage && tick >= 3 && tick < 6
+			if err := col.OfferContext(context.Background(), float64(tick)*0.1, tickSamples(5), "t", tick%3 == 2); err != nil {
 				t.Fatal(err)
 			}
 		}
+		if left := col.ReplayContext(context.Background()); left != 0 {
+			t.Fatalf("split=%v outage=%v: %d points still journalled", split, outage, left)
+		}
 		return col, db
 	}
-	b, bdb := run(false)
-	u, udb := run(true)
-	if b.Expected != u.Expected || b.Inserted != u.Inserted || b.Zeros != u.Zeros || b.Lost != u.Lost {
-		t.Fatalf("accounting diverged: batched {E:%d I:%d Z:%d L:%d} vs unbatched {E:%d I:%d Z:%d L:%d}",
-			b.Expected, b.Inserted, b.Zeros, b.Lost,
-			u.Expected, u.Inserted, u.Zeros, u.Lost)
-	}
-	bp, bv := bdb.Stats()
-	up, uv := udb.Stats()
-	if bp != up || bv != uv {
-		t.Fatalf("stored data diverged: batched (%d, %d) vs unbatched (%d, %d)", bp, bv, up, uv)
-	}
-	for _, m := range bdb.Measurements() {
-		bt, bz := bdb.CountValues(m)
-		ut, uz := udb.CountValues(m)
-		if bt != ut || bz != uz {
-			t.Fatalf("%s: batched (%d, %d) vs unbatched (%d, %d)", m, bt, bz, ut, uz)
+	for _, outage := range []bool{false, true} {
+		b, bdb := run(false, outage)
+		s, sdb := run(true, outage)
+		counters := func(c *Collector) [7]uint64 {
+			return [7]uint64{c.Expected, c.Inserted, c.Lost, c.Zeros, c.Spilled, c.Replayed, c.SpillDropped}
+		}
+		if counters(b) != counters(s) {
+			t.Fatalf("outage=%v: accounting diverged (E I L Z Sp Rp Dr): batched %v vs per-point %v",
+				outage, counters(b), counters(s))
+		}
+		if outage && (b.Replayed == 0 || b.SpillDropped == 0) {
+			t.Fatalf("outage run replayed %d, evicted %d: the degraded path was not exercised", b.Replayed, b.SpillDropped)
+		}
+		if !reflect.DeepEqual(bdb.Measurements(), sdb.Measurements()) {
+			t.Fatalf("outage=%v: measurements diverged: %v vs %v", outage, bdb.Measurements(), sdb.Measurements())
+		}
+		for _, m := range bdb.Measurements() {
+			req := tsdb.QueryRequest{Query: &tsdb.Query{Fields: []string{"*"}, Measurement: m}}
+			br, err := bdb.ExecuteContext(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sr, err := sdb.ExecuteContext(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(br, sr) {
+				t.Fatalf("outage=%v: %s rows diverged:\nbatched   %+v\nper-point %+v", outage, m, br.Rows, sr.Rows)
+			}
 		}
 	}
 }
 
-// failingBatchSink accepts single points but fails every batch write —
-// the asymmetric-failure case the degraded path must spill through.
-type failingBatchSink struct{ db *tsdb.DB }
+// failingBatchSink fails every write — the outage the degraded path
+// must spill through.
+type failingBatchSink struct{}
 
-func (s *failingBatchSink) WritePoint(p tsdb.Point) error { return s.db.WritePoint(p) }
-func (s *failingBatchSink) WriteBatchContext(ctx context.Context, ps []tsdb.Point) error {
+func (failingBatchSink) WriteBatchContext(context.Context, []tsdb.Point) error {
 	return fmt.Errorf("batch sink down")
 }
 
@@ -74,13 +109,12 @@ func (s *failingBatchSink) WriteBatchContext(ctx context.Context, ps []tsdb.Poin
 // spills every point of the tick (whole-tick granularity), and the
 // conservation law still balances.
 func TestOfferBatchFailureSpillsWhole(t *testing.T) {
-	db := tsdb.New()
 	cfg := DefaultPipeline()
 	cfg.StallProb = 0
 	cfg.Degraded = true
-	col := NewCollector(db, cfg)
-	col.Sink = &failingBatchSink{db: db}
-	if err := col.Offer(0, tickSamples(4), "t", false); err != nil {
+	col := NewCollector(nil, cfg)
+	col.Sink = failingBatchSink{}
+	if err := col.OfferContext(context.Background(), 0, tickSamples(4), "t", false); err != nil {
 		t.Fatal(err)
 	}
 	if col.Inserted != 0 {
@@ -94,27 +128,9 @@ func TestOfferBatchFailureSpillsWhole(t *testing.T) {
 		t.Fatalf("conservation violated: %d != expected %d", got, col.Expected)
 	}
 	// Non-degraded: the same failure aborts the offer with an error.
-	strict := NewCollector(db, func() PipelineConfig { c := DefaultPipeline(); c.StallProb = 0; return c }())
-	strict.Sink = &failingBatchSink{db: db}
-	if err := strict.Offer(0, tickSamples(4), "t", false); err == nil {
+	strict := NewCollector(nil, func() PipelineConfig { c := DefaultPipeline(); c.StallProb = 0; return c }())
+	strict.Sink = failingBatchSink{}
+	if err := strict.OfferContext(context.Background(), 0, tickSamples(4), "t", false); err == nil {
 		t.Fatal("non-degraded batch failure did not abort")
-	}
-}
-
-// TestOfferUnbatchedConfigForcesPerPoint: with Unbatched set, a sink
-// whose batch path always fails is never asked for it — the per-point
-// path carries the tick.
-func TestOfferUnbatchedConfigForcesPerPoint(t *testing.T) {
-	db := tsdb.New()
-	cfg := DefaultPipeline()
-	cfg.StallProb = 0
-	cfg.Unbatched = true
-	col := NewCollector(db, cfg)
-	col.Sink = &failingBatchSink{db: db}
-	if err := col.Offer(0, tickSamples(3), "t", false); err != nil {
-		t.Fatalf("unbatched offer used the batch path: %v", err)
-	}
-	if col.Inserted != col.Expected {
-		t.Fatalf("inserted %d of %d", col.Inserted, col.Expected)
 	}
 }

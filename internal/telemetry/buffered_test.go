@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"context"
 	"testing"
 
 	"pmove/internal/tsdb"
@@ -16,7 +17,7 @@ func TestBufferedPipelineNeverDrops(t *testing.T) {
 	col := NewCollector(tsdb.New(), cfg)
 	s := []Sample{{Metric: "m", Values: map[string]float64{"a": 1}}}
 	for i := 0; i < 20; i++ {
-		if err := col.Offer(float64(i)*0.01, s, "t", false); err != nil {
+		if err := col.OfferContext(context.Background(), float64(i)*0.01, s, "t", false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -45,7 +46,7 @@ func TestUnbufferedLagBounded(t *testing.T) {
 	col := NewCollector(tsdb.New(), cfg)
 	s := []Sample{{Metric: "m", Values: map[string]float64{"a": 1}}}
 	for i := 0; i < 20; i++ {
-		if err := col.Offer(float64(i)*0.01, s, "t", false); err != nil {
+		if err := col.OfferContext(context.Background(), float64(i)*0.01, s, "t", false); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -67,11 +68,11 @@ func TestChaosKillWithoutDegradation(t *testing.T) {
 	defer c.Close()
 
 	s := chaosSession(t, c, chaosPipeline())
-	if _, err := s.RunTicks(5); err != nil {
+	if _, err := s.RunTicksContext(context.Background(), 5); err != nil {
 		t.Fatalf("healthy phase failed: %v", err)
 	}
 	srv.Close() // kill the host TSDB mid-session
-	if _, err := s.RunTicks(5); err == nil {
+	if _, err := s.RunTicksContext(context.Background(), 5); err == nil {
 		t.Fatal("session survived a dead sink with degradation off")
 	}
 }
@@ -100,7 +101,7 @@ func TestChaosKillRestartDegraded(t *testing.T) {
 	col := s.Collector
 
 	// Phase 1: healthy.
-	st1, err := s.RunTicks(4)
+	st1, err := s.RunTicksContext(context.Background(), 4)
 	if err != nil {
 		t.Fatalf("healthy phase: %v", err)
 	}
@@ -110,7 +111,7 @@ func TestChaosKillRestartDegraded(t *testing.T) {
 
 	// Phase 2: the server dies; every report spills locally.
 	srv.Close()
-	st2, err := s.RunTicks(4)
+	st2, err := s.RunTicksContext(context.Background(), 4)
 	if err != nil {
 		t.Fatalf("outage phase aborted despite degraded mode: %v", err)
 	}
@@ -132,7 +133,7 @@ func TestChaosKillRestartDegraded(t *testing.T) {
 		t.Fatalf("restart on %s: %v", addr, err)
 	}
 	defer srv2.Close()
-	st3, err := s.RunTicks(4)
+	st3, err := s.RunTicksContext(context.Background(), 4)
 	if err != nil {
 		t.Fatalf("recovery phase: %v", err)
 	}
@@ -189,7 +190,7 @@ func TestChaosJournalCapBoundsLoss(t *testing.T) {
 	col := s.Collector
 
 	srv.Close() // down from the first tick
-	st, err := s.RunTicks(10)
+	st, err := s.RunTicksContext(context.Background(), 10)
 	if err != nil {
 		t.Fatalf("outage run: %v", err)
 	}

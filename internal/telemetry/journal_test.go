@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"context"
 	"errors"
 	"os"
 	"testing"
@@ -15,11 +16,11 @@ type switchSink struct {
 	db   *tsdb.DB
 }
 
-func (s *switchSink) WritePoint(p tsdb.Point) error {
+func (s *switchSink) WriteBatchContext(ctx context.Context, ps []tsdb.Point) error {
 	if s.down {
 		return errors.New("sink down")
 	}
-	return s.db.WritePoint(p)
+	return s.db.WriteBatchContext(ctx, ps)
 }
 
 func journalSamples(v float64) []Sample {
@@ -42,7 +43,7 @@ func TestJournalPersistAndRecover(t *testing.T) {
 	}
 	const spills = 5
 	for i := 0; i < spills; i++ {
-		if err := colA.Offer(float64(i+1), journalSamples(float64(i)), "j", false); err != nil {
+		if err := colA.OfferContext(context.Background(), float64(i+1), journalSamples(float64(i)), "j", false); err != nil {
 			t.Fatalf("offer %d: %v", i, err)
 		}
 	}
@@ -67,7 +68,7 @@ func TestJournalPersistAndRecover(t *testing.T) {
 	if !colB.Degraded() {
 		t.Fatal("collector with inherited backlog must resume degraded")
 	}
-	if left := colB.Replay(); left != 0 {
+	if left := colB.ReplayContext(context.Background()); left != 0 {
 		t.Fatalf("replay left %d points against a healthy sink", left)
 	}
 	if total, _ := sink.db.CountValues("cpu_idle"); total != spills {
@@ -101,7 +102,7 @@ func TestJournalTornTailRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := col.Offer(float64(i+1), journalSamples(1), "j", false); err != nil {
+		if err := col.OfferContext(context.Background(), float64(i+1), journalSamples(1), "j", false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -140,7 +141,7 @@ func TestJournalCapAppliesOnRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		if err := col.Offer(float64(i+1), journalSamples(float64(i)), "j", false); err != nil {
+		if err := col.OfferContext(context.Background(), float64(i+1), journalSamples(float64(i)), "j", false); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -55,14 +55,6 @@ type PipelineConfig struct {
 	// WALs) so an outage backlog survives a collector crash. Opened by
 	// OpenJournal; recovery is at-least-once up to JournalCap.
 	JournalDir string
-	// Unbatched disables per-tick batch shipment: every point goes to
-	// the sink as its own WritePoint, the pre-batching behaviour. The
-	// default ships one tick's report as ONE batch write whenever the
-	// sink supports it (BatchPointSink) — one round-trip and one group
-	// commit per tick instead of |instance domain|. The accounting is
-	// identical either way; only failure granularity differs (a batch
-	// fails or spills whole, which is also what a tick loss means).
-	Unbatched bool
 	// Seed drives the deterministic jitter.
 	Seed uint64
 }
@@ -85,29 +77,16 @@ func DefaultPipeline() PipelineConfig {
 	}
 }
 
-// PointSink is where the collector lands points: the embedded tsdb.DB or
-// a (resilient) remote tsdb.Client — both satisfy it.
-type PointSink interface {
-	WritePoint(p tsdb.Point) error
-}
+// PointSink is where the collector lands points: the store's one write
+// contract, which the embedded tsdb.DB (group-committed WAL append), the
+// remote tsdb.Client (one WRITEB round-trip) and superdb.Remote provide.
+// Each tick's report ships as one batch — one round-trip and one group
+// commit per tick instead of |instance domain|.
+type PointSink = tsdb.BatchWriter
 
-// ContextPointSink is a PointSink that honors cancellation. Sinks that
-// implement it (the resilient remote clients) get the session context so
-// in-flight retries abort when the caller gives up; plain sinks fall back
-// to WritePoint.
-type ContextPointSink interface {
-	PointSink
-	WritePointContext(ctx context.Context, p tsdb.Point) error
-}
-
-// BatchPointSink is a PointSink that accepts whole batches — the
-// embedded tsdb.DB (group-committed WAL append) and the remote
-// tsdb.Client (one WRITEB round-trip) both satisfy it. The collector
-// ships each tick's report through this path unless Cfg.Unbatched.
-type BatchPointSink interface {
-	PointSink
-	WriteBatchContext(ctx context.Context, ps []tsdb.Point) error
-}
+// BatchPointSink is PointSink under the name the frozen benchmark
+// package (internal/bench) still spells.
+type BatchPointSink = PointSink
 
 // Collector is the host-side sink: it owns the tsdb handle and the
 // busy-until state of the unbuffered pipeline.
@@ -228,27 +207,12 @@ func (c *Collector) spill(ctx context.Context, p tsdb.Point) {
 	reg.Gauge("telemetry.journal.pending").Set(float64(len(c.journal)))
 }
 
-// writePoint routes one point to the sink, threading ctx through sinks
-// that can use it.
-func (c *Collector) writePoint(ctx context.Context, p tsdb.Point) error {
-	s := c.sink()
-	if cs, ok := s.(ContextPointSink); ok {
-		return cs.WritePointContext(ctx, p)
-	}
-	return s.WritePoint(p)
-}
-
-// Replay drains the journal into the sink, oldest first, stopping at the
-// first failure (the sink is still down). It returns how many points
-// remain. Offer replays opportunistically before each new report, so a
-// recovered sink catches up within one tick; call Replay directly to
-// flush at session end.
-func (c *Collector) Replay() int {
-	return c.ReplayContext(context.Background())
-}
-
-// ReplayContext is Replay with a caller context for sink writes and the
-// replay span.
+// ReplayContext drains the journal into the sink, oldest first, stopping
+// at the first failure (the sink is still down). It returns how many
+// points remain. OfferContext replays opportunistically before each new
+// report, so a recovered sink catches up within one tick; call
+// ReplayContext directly to flush at session end. ctx reaches the sink
+// writes and parents the replay span.
 func (c *Collector) ReplayContext(ctx context.Context) int {
 	reg := c.Self.Metrics()
 	ctx, span := c.Self.StartSpan(ctx, "telemetry.replay")
@@ -263,9 +227,12 @@ func (c *Collector) ReplayContext(ctx context.Context) int {
 			c.compactJournal()
 		}
 	}()
+	// One point per write, so a sink that fails mid-drain leaves exactly
+	// the undelivered suffix journalled.
+	sink := c.sink()
 	for len(c.journal) > 0 {
 		p := c.journal[0]
-		if err := c.writePoint(ctx, p); err != nil {
+		if err := sink.WriteBatchContext(ctx, c.journal[:1:1]); err != nil {
 			reg.Gauge("telemetry.journal.pending").Set(float64(len(c.journal)))
 			return len(c.journal)
 		}
@@ -311,19 +278,14 @@ func (c *Collector) reportCost(nValues int, nBytes int64) float64 {
 	return cost
 }
 
-// Offer presents one report (all samples of one tick) to the pipeline at
-// virtual time now. If the pipeline is still busy with the previous
-// report, the whole report is dropped (no buffer). Otherwise the samples
-// are written with the tick's timestamp and the pipeline is busy for the
-// report's cost. zeroBatch marks the PMU-sourced values as a batched-zero
-// readout: they are inserted with value 0.
-func (c *Collector) Offer(now float64, samples []Sample, tag string, zeroBatch bool) error {
-	return c.OfferContext(context.Background(), now, samples, tag, zeroBatch)
-}
-
-// OfferContext is Offer with a caller context: sink writes that can honor
-// cancellation receive ctx, and the report lands as a child span of the
-// surrounding daemon operation when self-observability is on.
+// OfferContext presents one report (all samples of one tick) to the
+// pipeline at virtual time now. If the pipeline is still busy with the
+// previous report, the whole report is dropped (no buffer). Otherwise the
+// samples are written with the tick's timestamp and the pipeline is busy
+// for the report's cost. zeroBatch marks the PMU-sourced values as a
+// batched-zero readout: they are inserted with value 0. The sink write
+// receives ctx, and the report lands as a child span of the surrounding
+// daemon operation when self-observability is on.
 func (c *Collector) OfferContext(ctx context.Context, now float64, samples []Sample, tag string, zeroBatch bool) (err error) {
 	reg := c.Self.Metrics()
 	ctx, span := c.Self.StartSpan(ctx, "telemetry.offer")
@@ -370,44 +332,27 @@ func (c *Collector) OfferContext(ctx context.Context, now float64, samples []Sam
 		}
 		pts = append(pts, ToPoint(s, tag, ts))
 	}
-	switch bs, batchable := c.sink().(BatchPointSink); {
-	case c.Cfg.Degraded && c.degraded:
+	// The whole tick ships as one batch: one round-trip / one group
+	// commit, and — because the batch path is atomic and idempotent under
+	// retry — it lands whole, spills whole, or fails whole, which is the
+	// same granularity a lost tick already has.
+	if c.Cfg.Degraded && c.degraded {
 		// Sink known down (the opportunistic Replay above just probed
-		// it): journal without burning the client's retry budget on
-		// every sample.
+		// it): journal without burning the client's retry budget.
 		for _, p := range pts {
 			c.spill(ctx, p)
 		}
-	case batchable && !c.Cfg.Unbatched && len(pts) > 1:
-		// The whole tick ships as one batch: one round-trip / one group
-		// commit, and — because the batch path is atomic and idempotent
-		// under retry — it lands whole, spills whole, or fails whole,
-		// which is the same granularity a lost tick already has.
-		if werr := bs.WriteBatchContext(ctx, pts); werr != nil {
-			if !c.Cfg.Degraded {
-				err = fmt.Errorf("telemetry: batch insert (%d points): %w", len(pts), werr)
-				return err
-			}
-			for _, p := range pts {
-				c.spill(ctx, p)
-			}
-		} else {
-			c.Inserted += uint64(nValues)
-			reg.Counter("telemetry.points.inserted").Add(uint64(nValues))
+	} else if werr := c.sink().WriteBatchContext(ctx, pts); werr != nil {
+		if !c.Cfg.Degraded {
+			err = fmt.Errorf("telemetry: batch insert (%d points): %w", len(pts), werr)
+			return err
 		}
-	default:
 		for _, p := range pts {
-			if werr := c.writePoint(ctx, p); werr != nil {
-				if !c.Cfg.Degraded {
-					err = fmt.Errorf("telemetry: insert %s: %w", p.Measurement, werr)
-					return err
-				}
-				c.spill(ctx, p)
-			} else {
-				c.Inserted += uint64(len(p.Fields))
-				reg.Counter("telemetry.points.inserted").Add(uint64(len(p.Fields)))
-			}
+			c.spill(ctx, p)
 		}
+	} else {
+		c.Inserted += uint64(nValues)
+		reg.Counter("telemetry.points.inserted").Add(uint64(nValues))
 	}
 	if zeroBatch {
 		c.Zeros += uint64(nValues)

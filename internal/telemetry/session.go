@@ -79,12 +79,6 @@ func NewSession(p *PMCD, c *Collector, cfg SessionConfig) (*Session, error) {
 	return &Session{PMCD: p, Collector: c, Cfg: cfg}, nil
 }
 
-// Run executes the session for its configured duration with a background
-// context.
-func (s *Session) Run() (SessionStats, error) {
-	return s.RunContext(context.Background())
-}
-
 // RunContext executes the session for its configured duration, driving
 // the machine's virtual clock tick by tick, and returns the statistics.
 // Cancelling ctx stops the loop at the next tick.
@@ -94,11 +88,6 @@ func (s *Session) RunContext(ctx context.Context) (SessionStats, error) {
 	}
 	ticks := uint64(s.Cfg.DurationSeconds * s.Cfg.FreqHz)
 	return s.RunTicksContext(ctx, ticks)
-}
-
-// RunTicks executes exactly n sampling ticks with a background context.
-func (s *Session) RunTicks(n uint64) (SessionStats, error) {
-	return s.RunTicksContext(context.Background(), n)
 }
 
 // RunTicksContext executes exactly n sampling ticks, checking ctx before

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -118,16 +119,16 @@ func TestCollectorLossWhenBusy(t *testing.T) {
 	cfg.StallProb = 0
 	col := NewCollector(db, cfg)
 	s := []Sample{{Metric: "m", Values: map[string]float64{"a": 1}}}
-	if err := col.Offer(0.0, s, "t", false); err != nil {
+	if err := col.OfferContext(context.Background(), 0.0, s, "t", false); err != nil {
 		t.Fatal(err)
 	}
-	if err := col.Offer(0.1, s, "t", false); err != nil { // pipeline still busy
+	if err := col.OfferContext(context.Background(), 0.1, s, "t", false); err != nil { // pipeline still busy
 		t.Fatal(err)
 	}
 	if col.Inserted != 1 || col.Lost != 1 || col.Expected != 2 {
 		t.Errorf("inserted=%d lost=%d expected=%d", col.Inserted, col.Lost, col.Expected)
 	}
-	if err := col.Offer(2.0, s, "t", false); err != nil { // pipeline free again
+	if err := col.OfferContext(context.Background(), 2.0, s, "t", false); err != nil { // pipeline free again
 		t.Fatal(err)
 	}
 	if col.Inserted != 2 {
@@ -142,7 +143,7 @@ func TestCollectorZeroBatch(t *testing.T) {
 	db := tsdb.New()
 	col := NewCollector(db, DefaultPipeline())
 	s := []Sample{{Metric: "m", Values: map[string]float64{"a": 42, "b": 7}}}
-	if err := col.Offer(0, s, "t", true); err != nil {
+	if err := col.OfferContext(context.Background(), 0, s, "t", true); err != nil {
 		t.Fatal(err)
 	}
 	if col.Zeros != 2 {
@@ -187,7 +188,7 @@ func TestSessionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(); err == nil {
+	if _, err := s.RunContext(context.Background()); err == nil {
 		t.Error("run without duration accepted")
 	}
 }
@@ -202,7 +203,7 @@ func TestSessionAdvancesVirtualClockAndWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := sess.Run()
+	st, err := sess.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +216,7 @@ func TestSessionAdvancesVirtualClockAndWrites(t *testing.T) {
 	if st.Expected != 20*16 {
 		t.Errorf("expected = %d, want 320", st.Expected)
 	}
-	res, err := db.QueryString(`SELECT "_cpu0" FROM "kernel_percpu_cpu_idle" WHERE tag="sesstest"`)
+	res, err := db.ExecuteContext(context.Background(), tsdb.QueryRequest{Statement: `SELECT "_cpu0" FROM "kernel_percpu_cpu_idle" WHERE tag="sesstest"`})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +265,7 @@ func TestTableIIIShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := sess.Run()
+		st, err := sess.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,38 +2,6 @@ package testkit
 
 import "testing"
 
-// TestScenarioBatchedUnbatchedOracles runs the same seeded chaos
-// scenario through the batched (default) and forced-unbatched shipment
-// paths: both must uphold every oracle — conservation, no duplicate
-// inserts after retry, shard-stats accounting — and both must replay
-// deterministically. The batched path additionally exercises the
-// WRITEB frame + idempotency-token dedup under kill/restart faults.
-func TestScenarioBatchedUnbatchedOracles(t *testing.T) {
-	for _, seed := range []uint64{3, 0xbeef} {
-		for _, unbatched := range []bool{false, true} {
-			sc := FromSeed(seed)
-			sc.Unbatched = unbatched
-			r, err := Run(sc)
-			if err != nil {
-				t.Fatalf("seed %#x unbatched=%v: %v", seed, unbatched, err)
-			}
-			if err := r.Verify(); err != nil {
-				t.Fatalf("seed %#x unbatched=%v: oracle violated (%s): %v",
-					seed, unbatched, ReproLine(seed), err)
-			}
-			// Determinism within each mode.
-			again, err := Run(sc)
-			if err != nil {
-				t.Fatalf("seed %#x unbatched=%v rerun: %v", seed, unbatched, err)
-			}
-			if !r.Log.Equal(again.Log) {
-				t.Fatalf("seed %#x unbatched=%v: replay diverged:\n%s",
-					seed, unbatched, r.Log.Diff(again.Log))
-			}
-		}
-	}
-}
-
 // TestDurableScenarioBatchedRecovery runs the crash-recovery chaos
 // scenario with batched shipment: group-committed batches must recover
 // whole-or-none across kills, so with fsync=always the durable

@@ -391,7 +391,7 @@ func (h *harness) drive() error {
 		h.res.Log.Append(h.tickEvent(tick))
 	}
 	if h.sc.Expose && h.res.SessionErr == nil {
-		h.recoverReady()
+		h.recoverReady(ctx)
 	}
 	return nil
 }
@@ -401,7 +401,7 @@ func (h *harness) drive() error {
 // reports ready again. Bounded — an unhealed sink leaves
 // RecoveredReady false rather than hanging the run. Wall-clock paced
 // around the breaker cooldown, so nothing here enters the event log.
-func (h *harness) recoverReady() {
+func (h *harness) recoverReady(ctx context.Context) {
 	for i := 0; i < 100; i++ {
 		if h.ready() {
 			h.res.RecoveredReady = true
@@ -409,7 +409,7 @@ func (h *harness) recoverReady() {
 		}
 		// Replay both drains the backlog check and, by writing through
 		// the transport, walks an open breaker through half-open → closed.
-		h.col.Replay()
+		h.col.ReplayContext(ctx)
 		time.Sleep(10 * time.Millisecond)
 	}
 }

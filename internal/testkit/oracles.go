@@ -1,6 +1,7 @@
 package testkit
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -90,7 +91,7 @@ func CheckBreakerStates(r *Result) error {
 // is never severed mid-flight.
 func CheckNoDuplicateInserts(r *Result) error {
 	for _, m := range r.Measurements {
-		res, err := r.ServerDB.Execute(&tsdb.Query{Fields: []string{"*"}, Measurement: m})
+		res, err := r.ServerDB.ExecuteContext(context.Background(), tsdb.QueryRequest{Query: &tsdb.Query{Fields: []string{"*"}, Measurement: m}})
 		if err != nil {
 			return fmt.Errorf("duplicate oracle: query %s: %w", m, err)
 		}

@@ -128,11 +128,6 @@ type Scenario struct {
 	// directory removed when the run ends. Set it to inspect the files a
 	// scenario leaves behind or to chain runs over one directory.
 	DataDir string
-	// Unbatched forces the pre-batching shipment path (one WritePoint
-	// per sample instead of one WRITEB batch per tick). Both paths must
-	// uphold the same conservation laws — equivalence scenarios run the
-	// same seed with and without it.
-	Unbatched bool
 	// QueryEveryTick issues one wire-level aggregate query per completed
 	// tick through the resilient tsdb client (count+mean over the first
 	// session measurement), exercising the query engine under the same
@@ -166,7 +161,6 @@ func (sc Scenario) pipeline() telemetry.PipelineConfig {
 	cfg.Seed = sc.Seed
 	cfg.Degraded = sc.Degraded
 	cfg.JournalCap = sc.JournalCap
-	cfg.Unbatched = sc.Unbatched
 	return cfg
 }
 

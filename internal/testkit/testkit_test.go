@@ -15,7 +15,7 @@ import (
 // divergence here means some nondeterminism (wall time, map order,
 // goroutine interleaving) leaked into the semantic outcome.
 func TestScenarioDeterministicReplay(t *testing.T) {
-	for _, seed := range []uint64{1, 0xdecaf, 0x5eed5eed} {
+	for _, seed := range []uint64{1, 3, 0xbeef, 0xdecaf, 0x5eed5eed} {
 		a, err := Replay(seed)
 		if err != nil {
 			t.Fatalf("seed %#x: run A: %v", seed, err)

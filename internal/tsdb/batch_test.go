@@ -41,7 +41,7 @@ func TestShardedStressConservation(t *testing.T) {
 					Fields:      map[string]float64{"v": float64(i), "w": float64(w)},
 					Time:        int64(w*perWriter + i),
 				}
-				if err := db.WritePoint(p); err != nil {
+				if err := db.WriteBatchContext(context.Background(), []Point{p}); err != nil {
 					t.Errorf("writer %d: %v", w, err)
 					return
 				}
@@ -166,11 +166,11 @@ func TestWriteBatchEmptyAndCancelled(t *testing.T) {
 }
 
 // TestExecuteContextForms: the request-struct query API accepts both a
-// statement and a pre-parsed query, and the deprecated wrappers agree.
+// statement and a pre-parsed query.
 func TestExecuteContextForms(t *testing.T) {
 	db := New()
 	for i := 0; i < 4; i++ {
-		if err := db.WritePoint(Point{Measurement: "m", Fields: map[string]float64{"v": float64(i)}, Time: int64(i)}); err != nil {
+		if err := db.WriteBatchContext(context.Background(), []Point{{Measurement: "m", Fields: map[string]float64{"v": float64(i)}, Time: int64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -182,12 +182,8 @@ func TestExecuteContextForms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old, err := db.QueryString(`SELECT v FROM m`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(byStmt.Rows) != 4 || len(byQuery.Rows) != 4 || len(old.Rows) != 4 {
-		t.Fatalf("rows: stmt=%d query=%d deprecated=%d, want 4 each", len(byStmt.Rows), len(byQuery.Rows), len(old.Rows))
+	if len(byStmt.Rows) != 4 || len(byQuery.Rows) != 4 {
+		t.Fatalf("rows: stmt=%d query=%d, want 4 each", len(byStmt.Rows), len(byQuery.Rows))
 	}
 	if _, err := db.ExecuteContext(context.Background(), QueryRequest{Statement: "not a query"}); err == nil {
 		t.Fatal("malformed statement accepted")
@@ -250,7 +246,7 @@ func TestDurableBatchTornRecoversWholeOrNone(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A pre-batch point that must survive.
-	if err := db.WritePoint(Point{Measurement: "keep", Fields: map[string]float64{"v": 1}, Time: 1}); err != nil {
+	if err := db.WriteBatchContext(context.Background(), []Point{{Measurement: "keep", Fields: map[string]float64{"v": 1}, Time: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	ps := make([]Point, 8)
@@ -319,6 +315,93 @@ func TestClientWriteBatchRoundTrip(t *testing.T) {
 	var be *BatchError
 	if err := c.WriteBatchContext(context.Background(), bad); !errors.As(err, &be) || be.Index != 1 {
 		t.Fatalf("want *BatchError{Index: 1}, got %v", err)
+	}
+}
+
+// TestClientBatchTooLarge: a batch over MaxBatchPoints is refused before
+// anything is sent — the server would answer such a header by hanging up
+// with the body undrained — so the connection survives: the next op
+// needs no reconnect.
+func TestClientBatchTooLarge(t *testing.T) {
+	db := New()
+	srv, addr := startServer(t, db)
+	defer srv.Close()
+	c, err := DialPolicy(addr, testPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ps := make([]Point, MaxBatchPoints+1)
+	for i := range ps {
+		ps[i] = Point{Measurement: "big", Fields: map[string]float64{"v": 1}, Time: int64(i)}
+	}
+	before := c.Stats()
+	err = c.WriteBatchContext(context.Background(), ps)
+	var be *BatchError
+	if !errors.Is(err, ErrBatchTooLarge) || !errors.As(err, &be) || be.Index != MaxBatchPoints || be.Applied != 0 {
+		t.Fatalf("over-limit batch: got %v, want *BatchError{Index: %d, Applied: 0} wrapping ErrBatchTooLarge", err, MaxBatchPoints)
+	}
+	if err := c.PingContext(context.Background()); err != nil {
+		t.Fatalf("ping after refused batch: %v", err)
+	}
+	if after := c.Stats(); after.Dials != before.Dials || after.Failures != before.Failures {
+		t.Fatalf("refused batch cost the connection: stats %+v -> %+v", before, after)
+	}
+	if points, _ := db.Stats(); points != 0 {
+		t.Fatalf("refused batch applied %d points", points)
+	}
+	// The limit itself still ships.
+	if err := c.WriteBatchContext(context.Background(), ps[:MaxBatchPoints]); err != nil {
+		t.Fatalf("batch of exactly MaxBatchPoints: %v", err)
+	}
+}
+
+// TestWriteVerbContract: WRITE <line> is outside input (old clients, the
+// fuzz corpora) and keeps its replies now that a one-point batch serves
+// it: "OK", or "ERR <cause>" with the cause alone — no batch index — and
+// the stream in sync either way.
+func TestWriteVerbContract(t *testing.T) {
+	db := New()
+	srv, addr := startServer(t, db)
+	defer srv.Close()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	r := bufio.NewReader(conn)
+	cause := func(line string) string {
+		_, err := DecodeLine(line)
+		if err == nil {
+			t.Fatalf("DecodeLine(%q) accepted", line)
+		}
+		return "ERR " + err.Error()
+	}
+	for _, tc := range []struct{ line, want string }{
+		{"m,tag=t v=1 7", "OK"},
+		{"not a valid line", cause("not a valid line")},
+		{"m v=NaN 8", cause("m v=NaN 8")},
+	} {
+		fmt.Fprintf(conn, "WRITE %s\n", tc.line)
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		resp, err := r.ReadString('\n')
+		if err != nil {
+			t.Fatalf("WRITE %q: %v", tc.line, err)
+		}
+		if got := strings.TrimSpace(resp); got != tc.want {
+			t.Fatalf("WRITE %q: got %q, want %q", tc.line, got, tc.want)
+		}
+	}
+	if _, err := DecodeLine("m v=NaN 8"); !errors.Is(err, ErrNonFiniteField) {
+		t.Fatalf("non-finite field rejected as %v, want ErrNonFiniteField", err)
+	}
+	fmt.Fprintf(conn, "PING\n")
+	if resp, err := r.ReadString('\n'); err != nil || strings.TrimSpace(resp) != "PONG" {
+		t.Fatalf("ping after rejected writes: %q, %v", resp, err)
+	}
+	rows := rawRows(t, db, "m")
+	if len(rows) != 1 || rows[0].Time != 7 || rows[0].Values["v"] != 1 {
+		t.Fatalf("store holds %+v, want the one valid point", rows)
 	}
 }
 

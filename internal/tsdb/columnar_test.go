@@ -2,9 +2,13 @@ package tsdb
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pmove/internal/introspect"
@@ -15,7 +19,7 @@ import (
 // sealed-block oracle agreement (the dataset is pushed well past
 // blockRows so compressed blocks, footers, and the head all
 // participate), storage self-metrics, block-wise retention, and the
-// compressed snapshot format (including the legacy fallback).
+// compressed snapshot format (including the rejection of any other).
 
 // rawRows materializes SELECT * for comparison.
 func rawRows(t *testing.T, db *DB, meas string) []Row {
@@ -37,22 +41,22 @@ func TestOutOfOrderIngestSingle(t *testing.T) {
 	shuffled := rng.Perm(n)
 	ooo, sorted := New(), New()
 	for _, i := range shuffled {
-		if err := ooo.WritePoint(Point{
+		if err := ooo.WriteBatchContext(context.Background(), []Point{{
 			Measurement: "m",
 			Tags:        map[string]string{"tag": "t"},
 			Fields:      map[string]float64{"f": float64(i) / 4},
 			Time:        int64(i),
-		}); err != nil {
+		}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < n; i++ {
-		if err := sorted.WritePoint(Point{
+		if err := sorted.WriteBatchContext(context.Background(), []Point{{
 			Measurement: "m",
 			Tags:        map[string]string{"tag": "t"},
 			Fields:      map[string]float64{"f": float64(i) / 4},
 			Time:        int64(i),
-		}); err != nil {
+		}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -288,9 +292,9 @@ func TestCompressedSnapshotRoundTrip(t *testing.T) {
 	}
 	// A few post-snapshot writes exercise snapshot+WAL overlap.
 	for i := 0; i < 10; i++ {
-		if err := db.WritePoint(Point{
+		if err := db.WriteBatchContext(context.Background(), []Point{{
 			Measurement: "late", Fields: map[string]float64{"v": float64(i)}, Time: int64(i),
-		}); err != nil {
+		}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -320,57 +324,51 @@ func TestCompressedSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLegacySnapshotFallback plants a row-engine (line protocol)
-// snapshot in the data directory and verifies Open still replays it.
-func TestLegacySnapshotFallback(t *testing.T) {
+// TestSnapshotFormatRejected plants a snapshot without the columnar
+// magic (a line-protocol dump, what the row engine wrote) beside a live
+// WAL: Open must fail with ErrSnapshotFormat — not panic, not come up
+// empty — and leave every file of the data directory byte-for-byte as
+// it found it.
+func TestSnapshotFormatRejected(t *testing.T) {
 	dir := t.TempDir()
 	st, _, err := storage.Open(dir, storage.FsyncAlways)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var legacy []byte
-	for i := 0; i < 5; i++ {
-		line, err := EncodeLine(Point{
-			Measurement: "old", Tags: map[string]string{"tag": "t"},
-			Fields: map[string]float64{"f": float64(i)}, Time: int64(i),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacy = append(legacy, line...)
-		legacy = append(legacy, '\n')
+	if err := st.Compact([]byte("old,tag=t f=1 1\nold,tag=t f=2 2\n")); err != nil {
+		t.Fatal(err)
 	}
-	if err := st.Compact(legacy); err != nil {
+	if _, err := st.Append([]byte("old,tag=t f=3 3")); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db, err := Open(dir, storage.FsyncAlways)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	rows := rawRows(t, db, "old")
-	if len(rows) != 5 {
-		t.Fatalf("legacy snapshot replayed %d rows, want 5", len(rows))
-	}
-	for i, r := range rows {
-		if r.Time != int64(i) || r.Values["f"] != float64(i) {
-			t.Fatalf("legacy row %d = %+v", i, r)
+	files := func() map[string]string {
+		out := map[string]string{}
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for _, e := range ents {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[e.Name()] = string(b)
+		}
+		return out
 	}
-	// And the next Compact upgrades it to the columnar format.
-	if err := db.Compact(); err != nil {
-		t.Fatal(err)
+	before := files()
+	db, err := Open(dir, storage.FsyncAlways)
+	if db != nil || !errors.Is(err, ErrSnapshotFormat) {
+		t.Fatalf("Open over a magic-less snapshot = (%v, %v), want ErrSnapshotFormat", db, err)
 	}
-	re, err := Open(dir, storage.FsyncAlways)
-	if err != nil {
-		t.Fatal(err)
+	if want := "tsdb: recover " + dir + ": "; !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("error %q does not start with %q", err, want)
 	}
-	defer re.Close()
-	if got := rawRows(t, re, "old"); !reflect.DeepEqual(got, rows) {
-		t.Fatalf("upgraded snapshot diverges: %v vs %v", got, rows)
+	if after := files(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("failed Open changed the data directory:\nbefore %q\nafter  %q", before, after)
 	}
 }
 
@@ -381,9 +379,9 @@ func TestSealBoundaryScan(t *testing.T) {
 	db := New()
 	write := func(i int) {
 		t.Helper()
-		if err := db.WritePoint(Point{
+		if err := db.WriteBatchContext(context.Background(), []Point{{
 			Measurement: "m", Fields: map[string]float64{"f": float64(i) / 4}, Time: int64(i),
-		}); err != nil {
+		}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -393,7 +391,7 @@ func TestSealBoundaryScan(t *testing.T) {
 	if rows := rawRows(t, db, "m"); len(rows) != blockRows {
 		t.Fatalf("at seal boundary: %d rows, want %d", len(rows), blockRows)
 	}
-	res, err := db.QueryString(fmt.Sprintf(`SELECT count("f"), sum("f") FROM "m" WHERE time >= %d AND time <= %d`, 0, blockRows))
+	res, err := db.ExecuteContext(context.Background(), QueryRequest{Statement: fmt.Sprintf(`SELECT count("f"), sum("f") FROM "m" WHERE time >= %d AND time <= %d`, 0, blockRows)})
 	if err != nil {
 		t.Fatal(err)
 	}

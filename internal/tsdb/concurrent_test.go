@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -19,12 +20,12 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 			defer wg.Done()
 			meas := fmt.Sprintf("m%d", w%4) // measurements shared across writers
 			for i := 0; i < points; i++ {
-				err := db.WritePoint(Point{
+				err := db.WriteBatchContext(context.Background(), []Point{{
 					Measurement: meas,
 					Tags:        map[string]string{"tag": fmt.Sprintf("w%d", w)},
 					Fields:      map[string]float64{"v": float64(i)},
 					Time:        int64(w*points + i),
-				})
+				}})
 				if err != nil {
 					t.Error(err)
 					return
@@ -38,7 +39,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if _, err := db.QueryString(fmt.Sprintf(`SELECT "v" FROM "m%d"`, r)); err != nil {
+				if _, err := db.ExecuteContext(context.Background(), QueryRequest{Statement: fmt.Sprintf(`SELECT "v" FROM "m%d"`, r)}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -52,7 +53,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 	}
 	// Every measurement's rows are time-ordered despite interleaving.
 	for _, m := range db.Measurements() {
-		res, err := db.QueryString(fmt.Sprintf(`SELECT "v" FROM "%s"`, m))
+		res, err := db.ExecuteContext(context.Background(), QueryRequest{Statement: fmt.Sprintf(`SELECT "v" FROM "%s"`, m)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +74,7 @@ func TestConcurrentRetention(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := int64(0); i < 2000; i++ {
-			_ = db.WritePoint(Point{Measurement: "m", Fields: map[string]float64{"v": 1}, Time: i})
+			_ = db.WriteBatchContext(context.Background(), []Point{{Measurement: "m", Fields: map[string]float64{"v": 1}, Time: i}})
 		}
 	}()
 	go func() {
@@ -84,7 +85,7 @@ func TestConcurrentRetention(t *testing.T) {
 	}()
 	wg.Wait()
 	db.EnforceRetention(2000)
-	res, err := db.QueryString(`SELECT "v" FROM "m"`)
+	res, err := db.ExecuteContext(context.Background(), QueryRequest{Statement: `SELECT "v" FROM "m"`})
 	if err != nil {
 		t.Fatal(err)
 	}

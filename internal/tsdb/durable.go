@@ -3,18 +3,17 @@ package tsdb
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"pmove/internal/storage"
 )
 
 // Durability for the embedded tsdb: Open binds a DB to a data directory
-// managed by internal/storage — every accepted point is appended to the
-// write-ahead log (one line-protocol record per point, the same codec
-// the wire speaks) before it lands in memory, and Open replays
+// managed by internal/storage — every accepted batch is appended to the
+// write-ahead log before it lands in memory, and Open replays
 // snapshot+WAL so a restart reconstructs exactly the acknowledged
 // writes. Compact folds the log into an atomic snapshot.
 //
@@ -24,20 +23,20 @@ import (
 // Batch writes group-commit: the whole batch is ONE WAL record (a
 // storage batch envelope of line-protocol sub-bodies), so recovery
 // replays a batch entirely or — when the crash tore its frame — not at
-// all. Single-point records keep plain line bodies, so old WALs replay
-// unchanged.
+// all. A one-point batch is a plain line body.
 //
 // Snapshots are columnar: sealed blocks are written in their compressed
 // wire form (the same bytes resident in memory — zero re-encoding) and
 // each mutable head is sealed into one block for the file, so snapshot
 // size and write time shrink with the storage compression ratio.
-// Snapshots produced by the old row engine (plain line protocol) are
-// detected by the missing magic and replayed line by line.
 
-// snapshotMagic heads a columnar snapshot. Line-protocol snapshots can
-// never collide with it: a line starts with a measurement name and '\7'
-// is not valid there.
+// snapshotMagic heads a columnar snapshot.
 const snapshotMagic = "\x07PMVCOL1\n"
+
+// ErrSnapshotFormat rejects a snapshot file that does not start with the
+// columnar magic: Open fails and leaves the data directory as it found
+// it rather than guess at the contents or start empty over them.
+var ErrSnapshotFormat = errors.New("tsdb: snapshot is not in the columnar format")
 
 // Open opens (creating if needed) a durable DB at dir. Recovery order:
 // the snapshot's points first, then every WAL record newer than the
@@ -50,58 +49,45 @@ func Open(dir string, pol storage.FsyncPolicy) (*DB, error) {
 		return nil, err
 	}
 	db := New()
-	replayLine := func(line string) error {
-		p, derr := DecodeLine(line)
-		if derr != nil {
-			return fmt.Errorf("tsdb: recover %s: %w", dir, derr)
-		}
-		sh := db.shardFor(p.Measurement)
-		sh.insertLocked(p)
-		return nil
-	}
-	if len(rec.Snapshot) > 0 {
-		if bytes.HasPrefix(rec.Snapshot, []byte(snapshotMagic)) {
-			if err := db.loadSnapshot(rec.Snapshot); err != nil {
-				st.Close()
-				return nil, fmt.Errorf("tsdb: recover %s: %w", dir, err)
-			}
-		} else {
-			// Legacy row-engine snapshot: line protocol, one point per line.
-			for _, line := range strings.Split(string(rec.Snapshot), "\n") {
-				if line == "" {
-					continue
-				}
-				if err := replayLine(line); err != nil {
-					st.Close()
-					return nil, err
-				}
-			}
-		}
-	}
-	for _, r := range rec.Records {
-		if storage.IsBatchBody(r.Data) {
-			items, derr := storage.DecodeBatchBody(r.Data)
-			if derr != nil {
-				st.Close()
-				return nil, fmt.Errorf("tsdb: recover %s: %w", dir, derr)
-			}
-			for _, it := range items {
-				if err := replayLine(string(it)); err != nil {
-					st.Close()
-					return nil, err
-				}
-			}
-			continue
-		}
-		if err := replayLine(string(r.Data)); err != nil {
-			st.Close()
-			return nil, err
-		}
+	if err := db.replay(rec); err != nil {
+		st.Close()
+		return nil, fmt.Errorf("tsdb: recover %s: %w", dir, err)
 	}
 	db.mu.Lock()
 	db.store = st
 	db.mu.Unlock()
 	return db, nil
+}
+
+// replay rebuilds the in-memory state from a recovered snapshot and the
+// WAL records after it, one insertBatch per record. Runs before the DB
+// is shared.
+func (db *DB) replay(rec storage.Recovered) error {
+	if len(rec.Snapshot) > 0 {
+		if !bytes.HasPrefix(rec.Snapshot, []byte(snapshotMagic)) {
+			return ErrSnapshotFormat
+		}
+		if err := db.loadSnapshot(rec.Snapshot); err != nil {
+			return err
+		}
+	}
+	for _, r := range rec.Records {
+		var err error
+		items := [][]byte{r.Data}
+		if storage.IsBatchBody(r.Data) {
+			if items, err = storage.DecodeBatchBody(r.Data); err != nil {
+				return err
+			}
+		}
+		ps := make([]Point, len(items))
+		for i, it := range items {
+			if ps[i], err = DecodeLine(string(it)); err != nil {
+				return err
+			}
+		}
+		db.insertBatch(ps)
+	}
+	return nil
 }
 
 // Durable reports whether the DB is backed by a data directory.

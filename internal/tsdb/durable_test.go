@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"testing"
@@ -29,7 +30,7 @@ func TestDurableWriteCrashRecover(t *testing.T) {
 	}
 	const n = 25
 	for i := 0; i < n; i++ {
-		if err := db.WritePoint(point("cpu_idle", int64(i)*1000, float64(i))); err != nil {
+		if err := db.WriteBatchContext(context.Background(), []Point{point("cpu_idle", int64(i)*1000, float64(i))}); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}
@@ -45,7 +46,7 @@ func TestDurableWriteCrashRecover(t *testing.T) {
 		t.Fatalf("recovered %d values, want %d (fsync=always must lose nothing acknowledged)", got, n)
 	}
 	// Writes resume cleanly on the recovered store.
-	if err := re.WritePoint(point("cpu_idle", 99000, 99)); err != nil {
+	if err := re.WriteBatchContext(context.Background(), []Point{point("cpu_idle", 99000, 99)}); err != nil {
 		t.Fatalf("post-recovery write: %v", err)
 	}
 }
@@ -60,7 +61,7 @@ func TestDurableCompactThenRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := db.WritePoint(point("m", int64(i), float64(i))); err != nil {
+		if err := db.WriteBatchContext(context.Background(), []Point{point("m", int64(i), float64(i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -68,7 +69,7 @@ func TestDurableCompactThenRecover(t *testing.T) {
 		t.Fatalf("Compact: %v", err)
 	}
 	for i := 10; i < 15; i++ {
-		if err := db.WritePoint(point("m", int64(i), float64(i))); err != nil {
+		if err := db.WriteBatchContext(context.Background(), []Point{point("m", int64(i), float64(i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -83,7 +84,7 @@ func TestDurableCompactThenRecover(t *testing.T) {
 	if got := countAll(t, re, "m"); got != 15 {
 		t.Fatalf("recovered %d values after compact, want 15", got)
 	}
-	res, err := re.QueryString(`SELECT value FROM m`)
+	res, err := re.ExecuteContext(context.Background(), QueryRequest{Statement: `SELECT value FROM m`})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestDurableTornTailRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := db.WritePoint(point("m", int64(i), 1)); err != nil {
+		if err := db.WriteBatchContext(context.Background(), []Point{point("m", int64(i), 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,13 +142,13 @@ func TestClosedDurableDBRefusesWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.WritePoint(point("m", 1, 1)); err != nil {
+	if err := db.WriteBatchContext(context.Background(), []Point{point("m", 1, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.WritePoint(point("m", 2, 2)); err == nil {
+	if err := db.WriteBatchContext(context.Background(), []Point{point("m", 2, 2)}); err == nil {
 		t.Fatal("closed durable DB accepted a write")
 	}
 	if got := countAll(t, db, "m"); got != 1 {
@@ -175,7 +176,7 @@ func TestServerFlushOnClose(t *testing.T) {
 	}
 	const n = 10
 	for i := 0; i < n; i++ {
-		if err := cli.Write(point("flushed", int64(i), float64(i))); err != nil {
+		if err := cli.WriteBatchContext(context.Background(), []Point{point("flushed", int64(i), float64(i))}); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}
@@ -210,7 +211,7 @@ func TestDurableRecoveryIsByteIdentical(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		p := point("m", int64(i%3), float64(i)) // unordered timestamps exercise the insert path
 		p.Fields[fmt.Sprintf("f%d", i)] = float64(i) * 2
-		if err := db.WritePoint(p); err != nil {
+		if err := db.WriteBatchContext(context.Background(), []Point{p}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -221,7 +222,7 @@ func TestDurableRecoveryIsByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer r.Close()
-		res, err := r.QueryString(`SELECT * FROM m`)
+		res, err := r.ExecuteContext(context.Background(), QueryRequest{Statement: `SELECT * FROM m`})
 		if err != nil {
 			t.Fatal(err)
 		}

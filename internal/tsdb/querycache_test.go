@@ -41,7 +41,7 @@ func TestQueryCacheHitMissCounters(t *testing.T) {
 
 	write := func(ts int64) {
 		t.Helper()
-		if err := db.WritePoint(Point{Measurement: "m", Time: ts, Fields: map[string]float64{"f": 1}}); err != nil {
+		if err := db.WriteBatchContext(context.Background(), []Point{{Measurement: "m", Time: ts, Fields: map[string]float64{"f": 1}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -156,7 +156,7 @@ func TestQueryCacheRetentionInvalidates(t *testing.T) {
 	db := New()
 	db.SetRetention(RetentionPolicy{Name: "short", Duration: 100})
 	for i := int64(1); i <= 4; i++ {
-		if err := db.WritePoint(Point{Measurement: "m", Time: i, Fields: map[string]float64{"f": 1}}); err != nil {
+		if err := db.WriteBatchContext(context.Background(), []Point{{Measurement: "m", Time: i, Fields: map[string]float64{"f": 1}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -211,7 +211,7 @@ func TestQueryCacheTortureNeverStale(t *testing.T) {
 						Time:        int64(w*writesEach + i + 1),
 						Fields:      map[string]float64{"f": 1},
 					}
-					if err := db.WritePoint(p); err != nil {
+					if err := db.WriteBatchContext(context.Background(), []Point{p}); err != nil {
 						errs <- err
 						return
 					}

@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"net"
 	"strings"
@@ -90,7 +91,7 @@ func TestClientNoDesyncAfterTimeout(t *testing.T) {
 	defer c.Close()
 
 	p := Point{Measurement: "m", Fields: map[string]float64{"v": 1}, Time: 1}
-	if err := c.Write(p); err != nil {
+	if err := c.WriteBatchContext(context.Background(), []Point{p}); err != nil {
 		t.Fatal(err)
 	}
 	// Stall the link: the write request reaches the void, the response
@@ -98,20 +99,20 @@ func TestClientNoDesyncAfterTimeout(t *testing.T) {
 	// when the link heals — exactly the desync window.
 	proxy.Partition()
 	p.Time = 2
-	if err := c.Write(p); err == nil {
+	if err := c.WriteBatchContext(context.Background(), []Point{p}); err == nil {
 		t.Fatal("partitioned write should fail")
 	}
 	proxy.Heal()
 	// Every subsequent op must parse its own response. A QUERY after the
 	// failed WRITE is the historical misparse (it used to read "OK").
-	res, err := c.Query(`SELECT "v" FROM "m"`)
+	res, err := c.QueryContext(context.Background(), `SELECT "v" FROM "m"`)
 	if err != nil {
 		t.Fatalf("query after failed write: %v", err)
 	}
 	if len(res.Rows) != 1 || res.Rows[0].Time != 1 {
 		t.Fatalf("query misparsed after failure: %+v", res)
 	}
-	if err := c.Ping(); err != nil {
+	if err := c.PingContext(context.Background()); err != nil {
 		t.Fatalf("ping after recovery: %v", err)
 	}
 }
@@ -137,7 +138,7 @@ func TestClientDeadlineUnderPartition(t *testing.T) {
 	proxy.Partition()
 	done := make(chan error, 1)
 	go func() {
-		done <- c.Write(Point{Measurement: "m", Fields: map[string]float64{"v": 1}, Time: 1})
+		done <- c.WriteBatchContext(context.Background(), []Point{{Measurement: "m", Fields: map[string]float64{"v": 1}, Time: 1}})
 	}()
 	select {
 	case err := <-done:
@@ -169,23 +170,23 @@ func TestClientConcurrentRace(t *testing.T) {
 			for i := 0; i < ops; i++ {
 				switch i % 3 {
 				case 0:
-					err := c.Write(Point{
+					err := c.WriteBatchContext(context.Background(), []Point{{
 						Measurement: "race",
 						Tags:        map[string]string{"w": fmt.Sprintf("%d", wkr)},
 						Fields:      map[string]float64{"v": float64(i)},
 						Time:        int64(wkr*ops + i),
-					})
+					}})
 					if err != nil {
 						t.Error(err)
 						return
 					}
 				case 1:
-					if _, err := c.Query(`SELECT "v" FROM "race"`); err != nil {
+					if _, err := c.QueryContext(context.Background(), `SELECT "v" FROM "race"`); err != nil {
 						t.Error(err)
 						return
 					}
 				default:
-					if err := c.Ping(); err != nil {
+					if err := c.PingContext(context.Background()); err != nil {
 						t.Error(err)
 						return
 					}
@@ -244,7 +245,7 @@ func TestClientSurvivesInjectedFaults(t *testing.T) {
 			defer c.Close()
 			wrote := 0
 			for i := 0; i < 12; i++ {
-				err := c.Write(Point{Measurement: "f", Fields: map[string]float64{"v": float64(i)}, Time: int64(i)})
+				err := c.WriteBatchContext(context.Background(), []Point{{Measurement: "f", Fields: map[string]float64{"v": float64(i)}, Time: int64(i)}})
 				if err == nil {
 					wrote++
 				}

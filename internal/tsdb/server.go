@@ -20,9 +20,14 @@ import (
 
 // MaxBatchPoints bounds one WRITEB frame. The bound keeps a malicious
 // or corrupted header from committing the server to drain an unbounded
-// body; an over-limit batch is rejected fatally (connection closed)
-// because the server will not read its body.
+// body; the server rejects an over-limit header fatally (connection
+// closed) because it will not read the body, so the client refuses such
+// a batch with ErrBatchTooLarge before sending anything.
 const MaxBatchPoints = 4096
+
+// ErrBatchTooLarge is the cause inside the *BatchError a client write
+// of more than MaxBatchPoints points returns.
+var ErrBatchTooLarge = errors.New("tsdb: batch too large")
 
 // dedupWindowSize is how many applied batch tokens the server
 // remembers for retry dedup (see resilience.DedupWindow).
@@ -256,9 +261,10 @@ func frameContext(rest string) (context.Context, string) {
 	return ctx, body
 }
 
-// handleWrite decodes and inserts one WRITE frame, tracing the
-// queue/parse/insert phases under a tsdb.server.write span backdated to
-// frame arrival so queue time (arrival → processing) is visible.
+// handleWrite decodes one WRITE frame and inserts it as a one-point
+// batch (the verb predates WRITEB; old clients still send it), tracing
+// the queue/parse/insert phases under a tsdb.server.write span backdated
+// to frame arrival so queue time (arrival → processing) is visible.
 func (s *Server) handleWrite(rest string, arrivalNanos int64, w *bufio.Writer) {
 	ctx, body := frameContext(rest)
 	in := s.tracing()
@@ -270,7 +276,13 @@ func (s *Server) handleWrite(rest string, arrivalNanos int64, w *bufio.Writer) {
 	ps.End(err)
 	if err == nil {
 		_, is := in.StartSpan(wctx, "tsdb.server.insert")
-		err = s.db.WritePoint(p)
+		err = s.db.WriteBatchContext(wctx, []Point{p})
+		// The reply names the cause alone: a one-point frame has no
+		// batch index to report.
+		var be *BatchError
+		if errors.As(err, &be) {
+			err = be.Err
+		}
 		is.End(err)
 	}
 	op.End(err)
@@ -426,8 +438,8 @@ func (s *Server) Close() error {
 // connection-state resync — a fresh wire is verified in-sync before any
 // op uses it, so a half-read response from a previous failure can never
 // desynchronise later calls). Protocol rejections ("ERR ...") are fully
-// read off the wire and never retried. Writes are at-least-once under
-// retry: a WRITE whose response was lost may be re-sent.
+// read off the wire and never retried. Writes are exactly-once under
+// retry (see WriteBatchContext).
 type Client struct {
 	tr *resilience.Transport
 }
@@ -483,62 +495,22 @@ func (c *Client) Stats() resilience.TransportStats { return c.tr.Stats() }
 // importing the introspect package (which imports tsdb).
 func (c *Client) Transport() *resilience.Transport { return c.tr }
 
-// Write ships one point with a background context.
-func (c *Client) Write(p Point) error {
-	return c.WriteContext(context.Background(), p)
-}
-
-// WriteContext ships one point; cancelling ctx aborts mid-retry.
-func (c *Client) WriteContext(ctx context.Context, p Point) error {
-	line, err := EncodeLine(p)
-	if err != nil {
-		return err
-	}
-	return c.tr.DoContext(ctx, func(ctx context.Context, w *resilience.Wire) error {
-		if _, err := fmt.Fprintf(w.Conn, "WRITE %s%s\n", wireTag(ctx), line); err != nil {
-			return err
-		}
-		resp, err := w.R.ReadString('\n')
-		if err != nil {
-			return err
-		}
-		resp = strings.TrimSpace(resp)
-		if resp != "OK" {
-			return resilience.Permanent(fmt.Errorf("tsdb: write rejected: %s", resp))
-		}
-		return nil
-	})
-}
-
-// WritePoint aliases Write so the client satisfies telemetry.PointSink.
-func (c *Client) WritePoint(p Point) error { return c.Write(p) }
-
-// WritePointContext aliases WriteContext so the client satisfies
-// telemetry.ContextPointSink: a cancelled session stops burning the
-// retry budget on the in-flight point.
-func (c *Client) WritePointContext(ctx context.Context, p Point) error {
-	return c.WriteContext(ctx, p)
-}
-
-// WriteBatch ships a batch with a background context.
-//
-// Deprecated: use WriteBatchContext.
-func (c *Client) WriteBatch(ps []Point) error {
-	return c.WriteBatchContext(context.Background(), ps)
-}
-
 // WriteBatchContext ships a whole batch in ONE round-trip (a WRITEB
 // frame: header + n body lines + one ack). The batch is encoded — and
 // thereby validated — up front; an unencodable point returns a
-// *BatchError before anything touches the wire. An idempotency token
-// is minted once per call and carried on every retry attempt, so a
-// batch whose ack was lost is acknowledged (not re-applied) by the
-// server's dedup window: batch writes are exactly-once under retry,
-// where single-point WRITEs are only at-least-once. Server-side
-// rejections are permanent (fully read, never retried).
+// *BatchError before anything touches the wire, and so does a batch of
+// more than MaxBatchPoints points (Index: MaxBatchPoints, wrapping
+// ErrBatchTooLarge). An idempotency token is minted once per call and
+// carried on every retry attempt, so a batch whose ack was lost is
+// acknowledged (not re-applied) by the server's dedup window: writes are
+// exactly-once under retry. Server-side rejections are permanent (fully
+// read, never retried).
 func (c *Client) WriteBatchContext(ctx context.Context, ps []Point) error {
 	if len(ps) == 0 {
 		return nil
+	}
+	if len(ps) > MaxBatchPoints {
+		return &BatchError{Index: MaxBatchPoints, Err: fmt.Errorf("%w: %d points (limit %d)", ErrBatchTooLarge, len(ps), MaxBatchPoints)}
 	}
 	lines := make([]string, len(ps))
 	for i := range ps {
@@ -573,11 +545,6 @@ func (c *Client) WriteBatchContext(ctx context.Context, ps []Point) error {
 	})
 }
 
-// Query runs a SELECT statement remotely with a background context.
-func (c *Client) Query(stmt string) (*Result, error) {
-	return c.QueryContext(context.Background(), stmt)
-}
-
 // QueryContext runs a SELECT statement remotely.
 func (c *Client) QueryContext(ctx context.Context, stmt string) (*Result, error) {
 	var res Result
@@ -604,11 +571,6 @@ func (c *Client) QueryContext(ctx context.Context, stmt string) (*Result, error)
 		return nil, err
 	}
 	return &res, nil
-}
-
-// Ping checks liveness with a background context.
-func (c *Client) Ping() error {
-	return c.PingContext(context.Background())
 }
 
 // PingContext checks liveness.

@@ -150,7 +150,7 @@ func TestSlowOpConcurrentWriters(t *testing.T) {
 			for j := 0; j < 20; j++ {
 				p := Point{Measurement: "m", Tags: map[string]string{"host": "h"},
 					Fields: map[string]float64{"v": float64(j)}, Time: int64(j + 1)}
-				if err := c.WriteContext(ctx, p); err != nil {
+				if err := c.WriteBatchContext(ctx, []Point{p}); err != nil {
 					t.Error(err)
 					return
 				}

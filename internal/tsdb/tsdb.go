@@ -173,20 +173,6 @@ func (sh *shard) insertSeriesRow(s *memSeries, t int64, fields map[string]float6
 	}
 }
 
-// insertLocked lands one validated point. Callers hold sh.mu.
-func (sh *shard) insertLocked(p Point) {
-	m := sh.measurements[p.Measurement]
-	if m == nil {
-		name := sh.intern.intern(p.Measurement)
-		m = &measurement{name: name, byKey: map[string]*memSeries{}}
-		sh.measurements[name] = m
-	}
-	s := sh.seriesFor(m, p.Tags)
-	sh.insertSeriesRow(s, p.Time, p.Fields)
-	sh.points++
-	sh.values += uint64(len(p.Fields))
-}
-
 // insertRun lands every point of ps whose shard index (precomputed in
 // idx) equals self, under ONE lock acquisition — the atomic-per-shard
 // leg of a batch write. Consecutive points of the same measurement and
@@ -334,40 +320,6 @@ func (db *DB) Retention() RetentionPolicy {
 	return db.retention
 }
 
-// WritePoint inserts one point. On a durable DB the point is logged to
-// the write-ahead log first (per the open fsync policy) — a nil return
-// means the write is recoverable, not just resident.
-func (db *DB) WritePoint(p Point) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.closed {
-		return fmt.Errorf("tsdb: write to closed durable DB")
-	}
-	if db.store != nil {
-		line, err := EncodeLine(p)
-		if err != nil {
-			return err
-		}
-		if _, err := db.store.Append([]byte(line)); err != nil {
-			// Not logged → not acknowledged; the in-memory state must not
-			// run ahead of what recovery can reconstruct.
-			return fmt.Errorf("tsdb: wal append: %w", err)
-		}
-	}
-	sh := db.shardFor(p.Measurement)
-	sh.mu.Lock()
-	sh.insertLocked(p)
-	sh.mu.Unlock()
-	// Invalidate after the point is visible and before acknowledging:
-	// a cache hit must never be older than an acknowledged write.
-	db.qcache.invalidate(p.Measurement)
-	db.publishStorageGauges()
-	return nil
-}
-
 // BatchError reports a rejected batch write: the offending point's
 // index and how many points of the batch were applied. The engine
 // validates the whole batch before touching the log or memory, so
@@ -388,13 +340,6 @@ func (e *BatchError) Error() string {
 }
 
 func (e *BatchError) Unwrap() error { return e.Err }
-
-// WriteBatch inserts a batch of points with a background context.
-//
-// Deprecated: use WriteBatchContext.
-func (db *DB) WriteBatch(ps []Point) error {
-	return db.WriteBatchContext(context.Background(), ps)
-}
 
 // WriteBatchContext inserts a batch atomically: every point is
 // validated up front (a rejection returns a *BatchError with Applied ==
@@ -427,20 +372,7 @@ func (db *DB) WriteBatchContext(ctx context.Context, ps []Point) error {
 			return err
 		}
 	}
-	// Precompute each point's stripe, then land the batch one shard at a
-	// time — one lock acquisition per touched stripe, input order
-	// preserved within each.
-	idx := make([]uint32, len(ps))
-	var touched [NumShards]bool
-	for i := range ps {
-		idx[i] = shardIndex(ps[i].Measurement)
-		touched[idx[i]] = true
-	}
-	for s := uint32(0); s < NumShards; s++ {
-		if touched[s] {
-			db.shards[s].insertRun(ps, idx, s)
-		}
-	}
+	db.insertBatch(ps)
 	// Invalidate every written measurement after the batch is visible
 	// and before acknowledging (deduplicated — batches repeat names).
 	seen := make(map[string]struct{}, 4)
@@ -453,6 +385,24 @@ func (db *DB) WriteBatchContext(ctx context.Context, ps []Point) error {
 	}
 	db.publishStorageGauges()
 	return nil
+}
+
+// insertBatch lands validated points in memory: each point's stripe is
+// precomputed, then the batch lands one shard at a time — one lock
+// acquisition per touched stripe, input order preserved within each.
+// Live writes and WAL replay share it.
+func (db *DB) insertBatch(ps []Point) {
+	idx := make([]uint32, len(ps))
+	var touched [NumShards]bool
+	for i := range ps {
+		idx[i] = shardIndex(ps[i].Measurement)
+		touched[idx[i]] = true
+	}
+	for s := uint32(0); s < NumShards; s++ {
+		if touched[s] {
+			db.shards[s].insertRun(ps, idx, s)
+		}
+	}
 }
 
 // appendBatchLocked group-commits a validated batch to the WAL as one
@@ -695,21 +645,6 @@ type QueryRequest struct {
 	// SkipCache bypasses the query-result cache (both lookup and
 	// fill) — benchmarking and freshness-critical reads.
 	SkipCache bool
-}
-
-// Execute runs a parsed query with a background context.
-//
-// Deprecated: use ExecuteContext with a QueryRequest.
-func (db *DB) Execute(q *Query) (*Result, error) {
-	return db.ExecuteContext(context.Background(), QueryRequest{Query: q})
-}
-
-// QueryString parses and executes a SELECT statement with a background
-// context.
-//
-// Deprecated: use ExecuteContext with a QueryRequest.
-func (db *DB) QueryString(stmt string) (*Result, error) {
-	return db.ExecuteContext(context.Background(), QueryRequest{Statement: stmt})
 }
 
 // ExecuteContext runs one query from its request form. Only the
@@ -972,7 +907,9 @@ func (db *DB) execRaw(q *Query) (*Result, error) {
 				cols[f] = true
 			}
 		}
-		res.Columns = res.Columns[:0]
+		// A fresh slice: Columns aliased q.Fields until here, and the
+		// caller's query must come back unchanged.
+		res.Columns = make([]string, 0, len(cols))
 		for f := range cols {
 			res.Columns = append(res.Columns, f)
 		}

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -17,12 +18,12 @@ func pt(meas string, t int64, tag string, fields map[string]float64) Point {
 func TestWriteAndQuery(t *testing.T) {
 	db := New()
 	for i := int64(0); i < 10; i++ {
-		if err := db.WritePoint(pt("kernel_percpu_cpu_idle", i*1000, "obs1",
-			map[string]float64{"_cpu0": float64(i), "_cpu1": float64(i * 2)})); err != nil {
+		if err := db.WriteBatchContext(context.Background(), []Point{pt("kernel_percpu_cpu_idle", i*1000, "obs1",
+			map[string]float64{"_cpu0": float64(i), "_cpu1": float64(i * 2)})}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res, err := db.QueryString(`SELECT "_cpu0", "_cpu1" FROM "kernel_percpu_cpu_idle" WHERE tag="obs1"`)
+	res, err := db.ExecuteContext(context.Background(), QueryRequest{Statement: `SELECT "_cpu0", "_cpu1" FROM "kernel_percpu_cpu_idle" WHERE tag="obs1"`})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestWriteAndQuery(t *testing.T) {
 		t.Errorf("row 3 _cpu1 = %f", res.Rows[3].Values["_cpu1"])
 	}
 	// Tag mismatch filters everything.
-	res, err = db.QueryString(`SELECT "_cpu0" FROM "kernel_percpu_cpu_idle" WHERE tag="other"`)
+	res, err = db.ExecuteContext(context.Background(), QueryRequest{Statement: `SELECT "_cpu0" FROM "kernel_percpu_cpu_idle" WHERE tag="other"`})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,13 +45,13 @@ func TestWriteAndQuery(t *testing.T) {
 
 func TestWriteValidation(t *testing.T) {
 	db := New()
-	if err := db.WritePoint(Point{}); err == nil {
+	if err := db.WriteBatchContext(context.Background(), []Point{{}}); err == nil {
 		t.Error("empty point accepted")
 	}
-	if err := db.WritePoint(Point{Measurement: "m"}); err == nil {
+	if err := db.WriteBatchContext(context.Background(), []Point{{Measurement: "m"}}); err == nil {
 		t.Error("fieldless point accepted")
 	}
-	if err := db.WritePoint(Point{Measurement: "m", Fields: map[string]float64{"": 1}}); err == nil {
+	if err := db.WriteBatchContext(context.Background(), []Point{{Measurement: "m", Fields: map[string]float64{"": 1}}}); err == nil {
 		t.Error("empty field name accepted")
 	}
 }
@@ -58,11 +59,11 @@ func TestWriteValidation(t *testing.T) {
 func TestOutOfOrderInsertKeepsTimeOrder(t *testing.T) {
 	db := New()
 	for _, ts := range []int64{50, 10, 30, 20, 40} {
-		if err := db.WritePoint(pt("m", ts, "", map[string]float64{"v": float64(ts)})); err != nil {
+		if err := db.WriteBatchContext(context.Background(), []Point{pt("m", ts, "", map[string]float64{"v": float64(ts)})}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res, err := db.QueryString(`SELECT "v" FROM "m"`)
+	res, err := db.ExecuteContext(context.Background(), QueryRequest{Statement: `SELECT "v" FROM "m"`})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,9 +79,9 @@ func TestOutOfOrderInsertKeepsTimeOrder(t *testing.T) {
 func TestTimeRangeQueries(t *testing.T) {
 	db := New()
 	for i := int64(0); i < 100; i++ {
-		db.WritePoint(pt("m", i, "", map[string]float64{"v": 1}))
+		db.WriteBatchContext(context.Background(), []Point{pt("m", i, "", map[string]float64{"v": 1})})
 	}
-	res, err := db.QueryString(`SELECT "v" FROM "m" WHERE time >= 10 AND time <= 19`)
+	res, err := db.ExecuteContext(context.Background(), QueryRequest{Statement: `SELECT "v" FROM "m" WHERE time >= 10 AND time <= 19`})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +92,8 @@ func TestTimeRangeQueries(t *testing.T) {
 
 func TestSelectStar(t *testing.T) {
 	db := New()
-	db.WritePoint(pt("m", 1, "", map[string]float64{"a": 1, "b": 2}))
-	res, err := db.QueryString(`SELECT * FROM "m"`)
+	db.WriteBatchContext(context.Background(), []Point{pt("m", 1, "", map[string]float64{"a": 1, "b": 2})})
+	res, err := db.ExecuteContext(context.Background(), QueryRequest{Statement: `SELECT * FROM "m"`})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestSelectStar(t *testing.T) {
 
 func TestQueryMissingMeasurement(t *testing.T) {
 	db := New()
-	res, err := db.QueryString(`SELECT "x" FROM "nothing"`)
+	res, err := db.ExecuteContext(context.Background(), QueryRequest{Statement: `SELECT "x" FROM "nothing"`})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,13 +180,13 @@ func TestRetention(t *testing.T) {
 	db := New()
 	db.SetRetention(RetentionPolicy{Name: "short", Duration: 100})
 	for i := int64(0); i < 200; i += 10 {
-		db.WritePoint(pt("m", i, "", map[string]float64{"v": 1}))
+		db.WriteBatchContext(context.Background(), []Point{pt("m", i, "", map[string]float64{"v": 1})})
 	}
 	dropped := db.EnforceRetention(200)
 	if dropped != 10 {
 		t.Errorf("dropped %d points, want 10 (times 0..90)", dropped)
 	}
-	res, _ := db.QueryString(`SELECT "v" FROM "m"`)
+	res, _ := db.ExecuteContext(context.Background(), QueryRequest{Statement: `SELECT "v" FROM "m"`})
 	for _, r := range res.Rows {
 		if r.Time < 100 {
 			t.Errorf("point at %d survived retention", r.Time)
@@ -193,7 +194,7 @@ func TestRetention(t *testing.T) {
 	}
 	// Infinite retention drops nothing.
 	db2 := New()
-	db2.WritePoint(pt("m", 1, "", map[string]float64{"v": 1}))
+	db2.WriteBatchContext(context.Background(), []Point{pt("m", 1, "", map[string]float64{"v": 1})})
 	if db2.EnforceRetention(1<<60) != 0 {
 		t.Error("infinite retention dropped points")
 	}
@@ -202,7 +203,7 @@ func TestRetention(t *testing.T) {
 func TestRetentionRemovesEmptyMeasurements(t *testing.T) {
 	db := New()
 	db.SetRetention(RetentionPolicy{Duration: 1})
-	db.WritePoint(pt("gone", 0, "", map[string]float64{"v": 1}))
+	db.WriteBatchContext(context.Background(), []Point{pt("gone", 0, "", map[string]float64{"v": 1})})
 	db.EnforceRetention(1000)
 	if len(db.Measurements()) != 0 {
 		t.Errorf("measurements = %v", db.Measurements())
@@ -211,8 +212,8 @@ func TestRetentionRemovesEmptyMeasurements(t *testing.T) {
 
 func TestCountValues(t *testing.T) {
 	db := New()
-	db.WritePoint(pt("m", 0, "", map[string]float64{"a": 0, "b": 1}))
-	db.WritePoint(pt("m", 1, "", map[string]float64{"a": 2, "b": 0}))
+	db.WriteBatchContext(context.Background(), []Point{pt("m", 0, "", map[string]float64{"a": 0, "b": 1})})
+	db.WriteBatchContext(context.Background(), []Point{pt("m", 1, "", map[string]float64{"a": 2, "b": 0})})
 	total, zeros := db.CountValues("m")
 	if total != 4 || zeros != 2 {
 		t.Errorf("total=%d zeros=%d, want 4/2", total, zeros)
@@ -221,7 +222,7 @@ func TestCountValues(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	db := New()
-	db.WritePoint(pt("m", 0, "", map[string]float64{"a": 1, "b": 2, "c": 3}))
+	db.WriteBatchContext(context.Background(), []Point{pt("m", 0, "", map[string]float64{"a": 1, "b": 2, "c": 3})})
 	points, values := db.Stats()
 	if points != 1 || values != 3 {
 		t.Errorf("stats = %d/%d", points, values)
@@ -334,15 +335,15 @@ func TestServerClientEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Ping(); err != nil {
+	if err := c.PingContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 5; i++ {
-		if err := c.Write(pt("remote_m", i, "t1", map[string]float64{"_cpu0": float64(i)})); err != nil {
+		if err := c.WriteBatchContext(context.Background(), []Point{pt("remote_m", i, "t1", map[string]float64{"_cpu0": float64(i)})}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res, err := c.Query(`SELECT "_cpu0" FROM "remote_m" WHERE tag="t1"`)
+	res, err := c.QueryContext(context.Background(), `SELECT "_cpu0" FROM "remote_m" WHERE tag="t1"`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +351,7 @@ func TestServerClientEndToEnd(t *testing.T) {
 		t.Fatalf("remote query rows = %d", len(res.Rows))
 	}
 	// Bad query propagates an error.
-	if _, err := c.Query(`DROP TABLE x`); err == nil {
+	if _, err := c.QueryContext(context.Background(), `DROP TABLE x`); err == nil {
 		t.Error("bad remote query accepted")
 	}
 }

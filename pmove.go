@@ -7,10 +7,10 @@
 // sampling, construct cache-aware roofline models, and generate
 // dashboards — from a single import.
 //
-//	d, _ := pmove.NewDaemon(pmove.EnvFromOS())
+//	d, _ := pmove.NewDaemonWith(pmove.WithEnv(pmove.EnvFromOS()))
 //	sys := pmove.MustPreset(pmove.PresetSKX)
 //	d.AttachTarget(sys, pmove.MachineConfig{Seed: 1}, pmove.DefaultPipeline())
-//	kb, _ := d.Probe(sys.Hostname)
+//	kb, _ := d.ProbeContext(ctx, sys.Hostname)
 package pmove
 
 import (
@@ -45,9 +45,7 @@ import (
 //
 // Public daemon operations are context-first: every op has a
 // <Name>Context(ctx, ...) form whose cancellation is honored through
-// sampling loops, retry backoffs and in-flight DB requests. The
-// context-free legacy names remain as thin wrappers over
-// context.Background().
+// sampling loops, retry backoffs and in-flight DB requests.
 type (
 	// Daemon is the P-MoVE host process.
 	Daemon = core.Daemon
@@ -72,12 +70,6 @@ type (
 	// LiveCARMResult carries the live panel and phase summaries.
 	LiveCARMResult = core.LiveCARMResult
 )
-
-// NewDaemon creates a daemon with embedded databases.
-//
-// Deprecated: use NewDaemonWith(WithEnv(env)) — the options form admits
-// telemetry sinks and introspection without further signature changes.
-func NewDaemon(env Env) (*Daemon, error) { return core.New(env) }
 
 // NewDaemonWith creates a daemon from functional options (WithEnv,
 // WithInflux, WithMongo, WithTelemetrySink, WithIntrospection, ...).
@@ -369,7 +361,8 @@ type (
 	// tsdb/docdb/superdb server.
 	FaultProxy = resilience.Proxy
 	// PointSink is where a telemetry collector lands points — the
-	// embedded TSDB or a resilient remote client.
+	// embedded TSDB or a resilient remote client; the same contract as
+	// BatchWriter.
 	PointSink = telemetry.PointSink
 )
 

@@ -1,6 +1,7 @@
 package pmove
 
 import (
+	"context"
 	"pmove/internal/cluster"
 	"strings"
 	"testing"
@@ -10,7 +11,7 @@ import (
 // quickstart does: probe, views, monitor, observe, CARM, dashboards and
 // SUPERDB upload, all through the exported surface only.
 func TestPublicAPIEndToEnd(t *testing.T) {
-	d, err := NewDaemon(EnvFromOS())
+	d, err := NewDaemonWith(WithEnv(EnvFromOS()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,7 +19,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if _, err := d.AttachTarget(sys, MachineConfig{Seed: 99}, DefaultPipeline()); err != nil {
 		t.Fatal(err)
 	}
-	kb, err := d.Probe(PresetCSL)
+	kb, err := d.ProbeContext(context.Background(), PresetCSL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// Scenario A.
-	mon, err := d.Monitor(PresetCSL, nil, 2, 5)
+	mon, err := d.MonitorContext(context.Background(), MonitorRequest{Host: PresetCSL, Metrics: nil, FreqHz: 2, DurationSeconds: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs, err := d.Observe(ObserveRequest{
+	obs, err := d.ObserveContext(context.Background(), ObserveRequest{
 		Host: PresetCSL, Workload: spec, Threads: 4, Pin: PinBalanced,
 		HWEvents: []string{"UNHALTED_CORE_CYCLES", "INSTRUCTION_RETIRED"},
 		FreqHz:   16,
@@ -65,7 +66,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// CARM.
-	model, err := d.ConstructCARM(PresetCSL, ISAAVX512, 4)
+	model, err := d.ConstructCARMContext(context.Background(), PresetCSL, ISAAVX512, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,14 +128,14 @@ func TestPinFacade(t *testing.T) {
 // TestCrossLevelViewFacade builds the Fig 2(d) view through the facade.
 func TestCrossLevelViewFacade(t *testing.T) {
 	mk := func(preset string) *KB {
-		d, err := NewDaemon(EnvFromOS())
+		d, err := NewDaemonWith(WithEnv(EnvFromOS()))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := d.AttachTarget(MustPreset(preset), MachineConfig{Seed: 1}, DefaultPipeline()); err != nil {
 			t.Fatal(err)
 		}
-		k, err := d.Probe(preset)
+		k, err := d.ProbeContext(context.Background(), preset)
 		if err != nil {
 			t.Fatal(err)
 		}
