@@ -87,6 +87,19 @@ if [ "$deprecated" -ne 0 ]; then
     exit 1
 fi
 
+# Hot-path gate: a strings.Replacer or a compiled regexp is built once,
+# as a package-level `var name = ...` (both are safe for concurrent use),
+# never inside a function body where every call pays for the build — the
+# line encoder used to spend more there than on everything else a point
+# costs.
+per_call=$(grep -rnE 'strings\.NewReplacer\(|regexp\.MustCompile\(' --include='*.go' --exclude='*_test.go' . |
+    grep -Ev '^[^:]+:[0-9]+:var [A-Za-z_][A-Za-z0-9_]* += ' || true)
+if [ -n "$per_call" ]; then
+    echo "hot-path gate: hoist these to package-level vars:" >&2
+    echo "$per_call" >&2
+    exit 1
+fi
+
 # Expose smoke: a daemon serves the live observability plane for real
 # scrapers — /healthz answers and /metrics covers the runtime gauges.
 # The monitor prints the bound address after its (virtual-time) run and

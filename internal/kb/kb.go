@@ -415,9 +415,10 @@ func sanitizeHost(h string) string {
 // sanitizeMetric converts a PMU event name into a DB-safe measurement
 // suffix.
 func sanitizeMetric(ev string) string {
-	r := strings.NewReplacer(":", "_", ".", "_", "-", "_")
-	return r.Replace(ev)
+	return metricReplacer.Replace(ev)
 }
+
+var metricReplacer = strings.NewReplacer(":", "_", ".", "_", "-", "_")
 
 // telemetryName converts an event name to a content name.
 func telemetryName(ev string) string {

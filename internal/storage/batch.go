@@ -26,19 +26,33 @@ import (
 // batchMagic tags a batch-envelope record body.
 var batchMagic = [4]byte{0x00, 0xB7, 'G', 'C'}
 
+// AppendBatchHeader opens a batch envelope of count items on dst. Each
+// item follows through AppendBatchItem, so a caller can encode its items
+// straight into the record body instead of gathering them first.
+func AppendBatchHeader(dst []byte, count int) []byte {
+	dst = append(dst, batchMagic[:]...)
+	return binary.AppendUvarint(dst, uint64(count))
+}
+
+// AppendBatchItem closes one item of the envelope: the caller has
+// appended the item's bytes to dst from offset start, and they move
+// right by the width of their uvarint length, which lands at start.
+func AppendBatchItem(dst []byte, start int) []byte {
+	var l [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(l[:], uint64(len(dst)-start))
+	dst = append(dst, l[:n]...)
+	copy(dst[start+n:], dst[start:])
+	copy(dst[start:], l[:n])
+	return dst
+}
+
 // EncodeBatchBody frames the given sub-bodies into one record body for
 // a group-committed WAL append.
 func EncodeBatchBody(items [][]byte) []byte {
-	size := len(batchMagic) + binary.MaxVarintLen64
+	buf := AppendBatchHeader(nil, len(items))
 	for _, it := range items {
-		size += binary.MaxVarintLen64 + len(it)
-	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, batchMagic[:]...)
-	buf = binary.AppendUvarint(buf, uint64(len(items)))
-	for _, it := range items {
-		buf = binary.AppendUvarint(buf, uint64(len(it)))
-		buf = append(buf, it...)
+		start := len(buf)
+		buf = AppendBatchItem(append(buf, it...), start)
 	}
 	return buf
 }

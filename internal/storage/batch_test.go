@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -34,6 +35,25 @@ func TestBatchBodyRoundTrip(t *testing.T) {
 	// codec must not choke on it).
 	if dec, err := DecodeBatchBody(EncodeBatchBody(nil)); err != nil || len(dec) != 0 {
 		t.Fatalf("empty batch: %v / %d items", err, len(dec))
+	}
+}
+
+// The append-style pair frames items a caller encodes straight into the
+// record body: behind whatever dst already holds, with lengths of one
+// and two bytes, growing dst when it has no room for them.
+func TestAppendBatchItemInPlace(t *testing.T) {
+	buf := AppendBatchHeader([]byte("pre"), 3)
+	for _, it := range []string{"ab", strings.Repeat("x", 200), ""} {
+		start := len(buf)
+		buf = append(buf, it...)
+		buf = AppendBatchItem(buf[:len(buf):len(buf)], start)
+	}
+	want := "pre\x00\xb7GC\x03\x02ab\xc8\x01" + strings.Repeat("x", 200) + "\x00"
+	if string(buf) != want {
+		t.Fatalf("envelope %q, want %q", buf, want)
+	}
+	if got := EncodeBatchBody([][]byte{[]byte("ab"), bytes.Repeat([]byte("x"), 200), nil}); string(got) != want[3:] {
+		t.Fatalf("EncodeBatchBody %q, want %q", got, want[3:])
 	}
 }
 

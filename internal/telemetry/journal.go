@@ -83,9 +83,9 @@ func (c *Collector) persistSpill(p tsdb.Point) {
 	if c.journalWAL == nil {
 		return
 	}
-	line, err := tsdb.EncodeLine(p)
+	line, err := tsdb.AppendLine(nil, &p)
 	if err == nil {
-		_, err = c.journalWAL.Append([]byte(line))
+		_, err = c.journalWAL.Append(line)
 	}
 	if err != nil {
 		c.Self.Metrics().Counter("telemetry.journal.persist_errors").Inc()
@@ -101,12 +101,12 @@ func (c *Collector) compactJournal() {
 		return
 	}
 	payloads := make([][]byte, 0, len(c.journal))
-	for _, p := range c.journal {
-		line, err := tsdb.EncodeLine(p)
+	for i := range c.journal {
+		line, err := tsdb.AppendLine(nil, &c.journal[i])
 		if err != nil {
 			continue
 		}
-		payloads = append(payloads, []byte(line))
+		payloads = append(payloads, line)
 	}
 	c.journalWAL.Close()
 	w, _, err := storage.RewriteWAL(c.journalPath, storage.FsyncAlways, payloads)

@@ -154,11 +154,7 @@ func (db *DB) snapshotLocked() ([]byte, error) {
 			out = binary.AppendUvarint(out, uint64(len(m.name)))
 			out = append(out, m.name...)
 			out = binary.AppendUvarint(out, uint64(len(s.tags)))
-			tagKeys = tagKeys[:0]
-			for k := range s.tags {
-				tagKeys = append(tagKeys, k)
-			}
-			sort.Strings(tagKeys)
+			tagKeys = sortedKeys(tagKeys[:0], s.tags)
 			for _, k := range tagKeys {
 				out = binary.AppendUvarint(out, uint64(len(k)))
 				out = append(out, k...)

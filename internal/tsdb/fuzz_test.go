@@ -26,8 +26,10 @@ func pointsEqual(a, b Point) bool {
 }
 
 // FuzzDecodeLine asserts the decoder's contract over arbitrary input:
-// never panic, and every accepted line re-encodes to a canonical form
-// that decodes back to the same point, byte-stably.
+// never panic, agree with the reference decoder (lineproto_ref_test.go)
+// on accept/reject, rejection class and the decoded point, and every
+// accepted line re-encodes — as the reference encoder would — to a
+// canonical form that decodes back to the same point, byte-stably.
 func FuzzDecodeLine(f *testing.F) {
 	f.Add("cpu,host=a usage=0.5 1000")
 	f.Add(`kernel_percpu_cpu_idle,tag=x _cpu0=99.5,_cpu1=98 1722000000000000000`)
@@ -39,14 +41,20 @@ func FuzzDecodeLine(f *testing.F) {
 	f.Add("m,=x f=1 5")
 	f.Add(`trailing\`)
 	f.Add("")
+	f.Add("m,a=b,a=c f=1")
+	f.Add("m =1,f=NaN 5")
+	f.Add(`m=x,k=\  f=1\,2 5`)
 	f.Fuzz(func(t *testing.T, line string) {
-		p, err := DecodeLine(line)
+		p, err := decodeLikeRef(t, line)
 		if err != nil {
 			return // rejection is a valid outcome; panics are not
 		}
 		enc, err := EncodeLine(p)
 		if err != nil {
 			t.Fatalf("accepted line %q decoded to unencodable point %+v: %v", line, p, err)
+		}
+		if ref, _ := refEncodeLine(p); enc != ref {
+			t.Fatalf("EncodeLine(%+v) = %q, reference %q", p, enc, ref)
 		}
 		p2, err := DecodeLine(enc)
 		if err != nil {

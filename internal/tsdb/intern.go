@@ -2,7 +2,7 @@ package tsdb
 
 import (
 	"encoding/binary"
-	"sort"
+	"strings"
 )
 
 // String interning for the columnar store. Every point used to carry
@@ -14,11 +14,14 @@ import (
 // An interner is guarded by its shard's mutex — no locking here.
 type interner map[string]string
 
-// intern returns the canonical instance of s, storing it on first use.
+// intern returns the canonical instance of s, storing a copy on first
+// use: s may be cut from a wire line or a WAL record (DecodeLine returns
+// substrings), and the table must not pin that buffer.
 func (in interner) intern(s string) string {
 	if c, ok := in[s]; ok {
 		return c
 	}
+	s = strings.Clone(s)
 	in[s] = s
 	return s
 }
@@ -30,11 +33,7 @@ func (in interner) intern(s string) string {
 func appendSeriesKey(dst []byte, meas string, tags map[string]string, keys []string) ([]byte, []string) {
 	dst = binary.AppendUvarint(dst, uint64(len(meas)))
 	dst = append(dst, meas...)
-	keys = keys[:0]
-	for k := range tags {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys = sortedKeys(keys[:0], tags)
 	for _, k := range keys {
 		dst = binary.AppendUvarint(dst, uint64(len(k)))
 		dst = append(dst, k...)

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -26,135 +26,209 @@ var (
 	ErrEmptyKey = errors.New("tsdb: empty key")
 )
 
-// EncodeLine renders a point in the InfluxDB line protocol:
+// AppendLine validates p and appends it to dst in the InfluxDB line
+// protocol:
 //
 //	measurement[,tag=value...] field=value[,field=value...] timestamp
 //
 // Tag and field keys are sorted for a canonical form: for any point p
-// accepted by Validate, DecodeLine(EncodeLine(p)) returns p and
-// re-encoding yields byte-identical output. Backslashes, spaces, commas
-// and equals signs in names are escaped with a backslash as in the real
-// protocol.
-func EncodeLine(p Point) (string, error) {
+// accepted by Validate, DecodeLine of the line returns p and re-encoding
+// yields byte-identical output. Backslashes, spaces, commas and equals
+// signs in names are escaped with a backslash as in the real protocol.
+// It is the only encoder: wire frames, WAL bodies and the spill journal
+// are all this one pass, which allocates nothing when dst has room and
+// the point has at most 16 tags and 16 fields.
+func AppendLine(dst []byte, p *Point) ([]byte, error) {
 	if err := p.Validate(); err != nil {
-		return "", err
+		return dst, err
 	}
-	var b strings.Builder
-	b.WriteString(escapeLP(p.Measurement))
-	tagKeys := make([]string, 0, len(p.Tags))
-	for k := range p.Tags {
-		tagKeys = append(tagKeys, k)
-	}
-	sort.Strings(tagKeys)
-	for _, k := range tagKeys {
-		b.WriteByte(',')
-		b.WriteString(escapeLP(k))
-		b.WriteByte('=')
-		b.WriteString(escapeLP(p.Tags[k]))
-	}
-	b.WriteByte(' ')
-	fieldKeys := make([]string, 0, len(p.Fields))
-	for k := range p.Fields {
-		fieldKeys = append(fieldKeys, k)
-	}
-	sort.Strings(fieldKeys)
-	for i, k := range fieldKeys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(escapeLP(k))
-		b.WriteByte('=')
-		b.WriteString(strconv.FormatFloat(p.Fields[k], 'g', -1, 64))
-	}
-	fmt.Fprintf(&b, " %d", p.Time)
-	return b.String(), nil
+	return appendLine(dst, p), nil
 }
 
-// DecodeLine parses one line-protocol line.
-func DecodeLine(line string) (Point, error) {
-	parts := splitUnescaped(line, ' ')
-	if len(parts) != 3 {
-		return Point{}, fmt.Errorf("tsdb: line protocol needs 3 sections, got %d in %q", len(parts), line)
+// EncodeLine is AppendLine into a fresh string.
+func EncodeLine(p Point) (string, error) {
+	b, err := AppendLine(nil, &p)
+	return string(b), err
+}
+
+// appendLine encodes a point its caller has already validated. Up to 16
+// keys sort on its own stack.
+func appendLine(dst []byte, p *Point) []byte {
+	var stack [16]string
+	dst = appendEscaped(dst, p.Measurement)
+	keys := sortedKeys(stack[:0], p.Tags)
+	for _, k := range keys {
+		dst = append(dst, ',')
+		dst = appendEscaped(dst, k)
+		dst = append(dst, '=')
+		dst = appendEscaped(dst, p.Tags[k])
 	}
-	p := Point{Tags: map[string]string{}, Fields: map[string]float64{}}
-	// Section 1: measurement and tags.
-	head := splitUnescaped(parts[0], ',')
-	p.Measurement = unescapeLP(head[0])
-	for _, kv := range head[1:] {
-		pair := splitUnescaped(kv, '=')
-		if len(pair) != 2 {
-			return Point{}, fmt.Errorf("tsdb: bad tag %q", kv)
+	sep := byte(' ')
+	for _, k := range sortedKeys(keys[:0], p.Fields) {
+		dst = append(dst, sep)
+		dst = appendEscaped(dst, k)
+		dst = append(dst, '=')
+		dst = strconv.AppendFloat(dst, p.Fields[k], 'g', -1, 64)
+		sep = ','
+	}
+	dst = append(dst, ' ')
+	return strconv.AppendInt(dst, p.Time, 10)
+}
+
+// linesSizeHint is the buffer capacity to encode ps into: room for names
+// and numbers of the usual widths, a separator after each line and the
+// length in front of it. A batch that needs more grows the buffer.
+func linesSizeHint(ps []Point) int {
+	size := 0
+	for i := range ps {
+		size += len(ps[i].Measurement) + 32*(len(ps[i].Tags)+len(ps[i].Fields)) + 24
+	}
+	return size
+}
+
+// sortedKeys returns m's keys, sorted, in dst if they fit there.
+func sortedKeys[V any](dst []string, m map[string]V) []string {
+	if len(m) > cap(dst) {
+		dst = make([]string, 0, len(m))
+	}
+	for k := range m {
+		dst = append(dst, k)
+	}
+	slices.Sort(dst)
+	return dst
+}
+
+// appendEscaped appends s with a backslash before every backslash,
+// comma, space and equals sign. The backslash itself must be escaped:
+// without it a name ending in '\' swallows the section separator on
+// decode and the line desyncs.
+func appendEscaped(dst []byte, s string) []byte {
+	start := 0
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '\\', ',', ' ', '=':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\')
+			start = i
 		}
-		k, v := unescapeLP(pair[0]), unescapeLP(pair[1])
+	}
+	return append(dst, s[start:]...)
+}
+
+// DecodeLine parses one line-protocol line in a single left-to-right
+// scan. A name without a backslash is a substring of line, so a caller
+// that keeps one beyond the line's lifetime clones it (interner.intern
+// does). A line that does not have exactly three sections is reported as
+// that, whatever else is wrong with it.
+func DecodeLine(line string) (Point, error) {
+	p, err := scanLine(line)
+	if err == nil {
+		return p, nil
+	}
+	sections := 1
+	for i := 0; i < len(line); i++ {
+		switch line[i] {
+		case '\\':
+			i++
+		case ' ':
+			sections++
+		}
+	}
+	if sections != 3 {
+		err = fmt.Errorf("tsdb: line protocol needs 3 sections, got %d in %q", sections, line)
+	}
+	return Point{}, err
+}
+
+// scanLine is DecodeLine's scan; on a line with the wrong number of
+// sections its error is whichever defect it met first.
+func scanLine(line string) (Point, error) {
+	s := lineScanner{line: line}
+	raw, esc, stop := s.cut(false)
+	p := Point{Measurement: unescape(raw, esc), Tags: map[string]string{}}
+	for stop == ',' {
+		kraw, kesc, kstop := s.cut(true)
+		vraw, vesc, vstop := s.cut(true)
+		if kstop != '=' || vstop == '=' { // not exactly one '=' in the pair
+			return p, fmt.Errorf("tsdb: bad tag %q", kraw)
+		}
+		k, v := unescape(kraw, kesc), unescape(vraw, vesc)
 		if k == "" || v == "" {
-			return Point{}, fmt.Errorf("%w: tag %q", ErrEmptyKey, kv)
+			return p, fmt.Errorf("%w: tag %q=%q", ErrEmptyKey, k, v)
 		}
 		if _, dup := p.Tags[k]; dup {
-			return Point{}, fmt.Errorf("%w: tag %q", ErrDuplicateKey, k)
+			return p, fmt.Errorf("%w: tag %q", ErrDuplicateKey, k)
 		}
 		p.Tags[k] = v
+		stop = vstop
 	}
-	// Section 2: fields.
-	for _, kv := range splitUnescaped(parts[1], ',') {
-		pair := splitUnescaped(kv, '=')
-		if len(pair) != 2 {
-			return Point{}, fmt.Errorf("tsdb: bad field %q", kv)
+	// Pre-sized from the separator count, capped: nothing has checked it yet.
+	p.Fields = make(map[string]float64, min(1+strings.Count(line[s.i:], ","), 1024))
+	for stop = ','; stop == ','; {
+		kraw, kesc, kstop := s.cut(true)
+		var vraw string
+		if vraw, _, stop = s.cut(true); kstop != '=' || stop == '=' {
+			return p, fmt.Errorf("tsdb: bad field %q", kraw)
 		}
-		v, err := strconv.ParseFloat(pair[1], 64)
+		// The value is parsed as written: an escape in it is a bad number.
+		v, err := strconv.ParseFloat(vraw, 64)
 		if err != nil {
-			return Point{}, fmt.Errorf("tsdb: bad field value %q: %v", pair[1], err)
+			return p, fmt.Errorf("tsdb: bad field value %q: %v", vraw, err)
 		}
-		k := unescapeLP(pair[0])
+		k := unescape(kraw, kesc)
 		if _, dup := p.Fields[k]; dup {
-			return Point{}, fmt.Errorf("%w: field %q", ErrDuplicateKey, k)
+			return p, fmt.Errorf("%w: field %q", ErrDuplicateKey, k)
 		}
 		p.Fields[k] = v
 	}
-	// Section 3: timestamp.
-	ts, err := strconv.ParseInt(parts[2], 10, 64)
+	ts, err := strconv.ParseInt(line[s.i:], 10, 64)
 	if err != nil {
-		return Point{}, fmt.Errorf("tsdb: bad timestamp %q: %v", parts[2], err)
+		return p, fmt.Errorf("tsdb: bad timestamp %q: %v", line[s.i:], err)
 	}
 	p.Time = ts
 	return p, p.Validate()
 }
 
-func escapeLP(s string) string {
-	// The backslash must be escaped first (NewReplacer never rescans its
-	// own output, so the ordering here is belt-and-braces documentation):
-	// without it a name ending in '\' swallows the section separator on
-	// decode and the line desyncs.
-	r := strings.NewReplacer(`\`, `\\`, ",", `\,`, " ", `\ `, "=", `\=`)
-	return r.Replace(s)
+// lineScanner walks a line one name at a time.
+type lineScanner struct {
+	line string
+	i    int
 }
 
-func unescapeLP(s string) string {
-	var b strings.Builder
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\\' && i+1 < len(s) {
+// cut returns the text from s.i up to the next unescaped space, comma
+// or (when eq is set: everywhere but in the measurement) equals sign,
+// whether it holds a backslash, and that stop byte — 0 at the end of the
+// line — and moves s.i past the stop.
+func (s *lineScanner) cut(eq bool) (raw string, esc bool, stop byte) {
+	start := s.i
+	for i := start; i < len(s.line); i++ {
+		switch c := s.line[i]; {
+		case c == '\\':
+			esc = true
 			i++
+		case c == ' ' || c == ',' || c == '=' && eq:
+			s.i = i + 1
+			return s.line[start:i], esc, c
 		}
-		b.WriteByte(s[i])
 	}
-	return b.String()
+	s.i = len(s.line)
+	return s.line[start:], esc, 0
 }
 
-// splitUnescaped splits on sep, honouring backslash escapes.
-func splitUnescaped(s string, sep byte) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\\' {
-			i++
-			continue
-		}
-		if s[i] == sep {
-			out = append(out, s[start:i])
-			start = i + 1
-		}
+// unescape drops the backslash of every escape pair in raw; a name
+// with none (esc unset) is returned as it is, sharing the line's bytes.
+func unescape(raw string, esc bool) string {
+	if !esc {
+		return raw
 	}
-	out = append(out, s[start:])
-	return out
+	b := make([]byte, 0, len(raw))
+	for i := 0; i < len(raw); i++ {
+		if raw[i] == '\\' && i+1 < len(raw) {
+			i++
+		}
+		b = append(b, raw[i])
+	}
+	return string(b)
 }
 
 // validateFinite rejects NaN and ±Inf field values with the typed error.

@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"container/list"
+	"strings"
 	"sync"
 
 	"pmove/internal/introspect"
@@ -149,7 +150,12 @@ func (c *queryCache) evictLocked(el *list.Element) {
 func (c *queryCache) invalidate(measurement string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.versions[measurement]++
+	v, ok := c.versions[measurement]
+	if !ok {
+		// A new key outlives the write: do not pin the line it was cut from.
+		measurement = strings.Clone(measurement)
+	}
+	c.versions[measurement] = v + 1
 	c.invalidations.Inc()
 	set := c.byMeas[measurement]
 	for key := range set {

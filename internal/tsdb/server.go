@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strconv"
 	"strings"
@@ -512,25 +511,21 @@ func (c *Client) WriteBatchContext(ctx context.Context, ps []Point) error {
 	if len(ps) > MaxBatchPoints {
 		return &BatchError{Index: MaxBatchPoints, Err: fmt.Errorf("%w: %d points (limit %d)", ErrBatchTooLarge, len(ps), MaxBatchPoints)}
 	}
-	lines := make([]string, len(ps))
+	// The body is encoded once, whatever the number of attempts.
+	body := make([]byte, 0, linesSizeHint(ps))
 	for i := range ps {
-		line, err := EncodeLine(ps[i])
+		line, err := AppendLine(body, &ps[i])
 		if err != nil {
 			return &BatchError{Index: i, Err: err}
 		}
-		lines[i] = line
+		body = append(line, '\n')
 	}
 	token := resilience.NextOpToken()
 	return c.tr.DoContext(ctx, func(ctx context.Context, w *resilience.Wire) error {
-		// One buffered write for the whole frame: header + body reach the
-		// kernel together, so a monitoring tick is one syscall + one RTT.
-		var b strings.Builder
-		fmt.Fprintf(&b, "WRITEB %s%d id=%s\n", wireTag(ctx), len(lines), token)
-		for _, line := range lines {
-			b.WriteString(line)
-			b.WriteByte('\n')
-		}
-		if _, err := io.WriteString(w.Conn, b.String()); err != nil {
+		// One write for the whole frame: header + body reach the kernel
+		// together, so a monitoring tick is one syscall + one RTT.
+		frame := fmt.Appendf(make([]byte, 0, 128+len(body)), "WRITEB %s%d id=%s\n", wireTag(ctx), len(ps), token)
+		if _, err := w.Conn.Write(append(frame, body...)); err != nil {
 			return err
 		}
 		resp, err := w.R.ReadString('\n')

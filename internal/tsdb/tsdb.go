@@ -407,27 +407,20 @@ func (db *DB) insertBatch(ps []Point) {
 
 // appendBatchLocked group-commits a validated batch to the WAL as one
 // record (plain line body for a single point, batch envelope
-// otherwise). Callers hold db.mu shared with store non-nil.
+// otherwise), encoding every line straight into the record body.
+// Callers hold db.mu shared with store non-nil.
 func (db *DB) appendBatchLocked(ps []Point) error {
+	buf := make([]byte, 0, 16+linesSizeHint(ps)) // 16: the envelope header
 	if len(ps) == 1 {
-		line, err := EncodeLine(ps[0])
-		if err != nil {
-			return &BatchError{Index: 0, Err: err}
+		buf = appendLine(buf, &ps[0])
+	} else {
+		buf = storage.AppendBatchHeader(buf, len(ps))
+		for i := range ps {
+			start := len(buf)
+			buf = storage.AppendBatchItem(appendLine(buf, &ps[i]), start)
 		}
-		if _, err := db.store.Append([]byte(line)); err != nil {
-			return &BatchError{Index: 0, Err: fmt.Errorf("tsdb: wal append: %w", err)}
-		}
-		return nil
 	}
-	bodies := make([][]byte, len(ps))
-	for i := range ps {
-		line, err := EncodeLine(ps[i])
-		if err != nil {
-			return &BatchError{Index: i, Err: err}
-		}
-		bodies[i] = []byte(line)
-	}
-	if _, err := db.store.Append(storage.EncodeBatchBody(bodies)); err != nil {
+	if _, err := db.store.Append(buf); err != nil {
 		return &BatchError{Index: 0, Err: fmt.Errorf("tsdb: wal append: %w", err)}
 	}
 	return nil
@@ -924,6 +917,7 @@ func (db *DB) execRaw(q *Query) (*Result, error) {
 // "perfevent.hwcounters.FP_ARITH:SCALAR_DOUBLE" ->
 // "perfevent_hwcounters_FP_ARITH_SCALAR_DOUBLE" (Listing 1).
 func MeasurementName(metric string) string {
-	r := strings.NewReplacer(".", "_", ":", "_", "-", "_")
-	return r.Replace(metric)
+	return measurementNameReplacer.Replace(metric)
 }
+
+var measurementNameReplacer = strings.NewReplacer(".", "_", ":", "_", "-", "_")
