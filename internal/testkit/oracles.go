@@ -153,14 +153,13 @@ func CheckDurableRecovery(r *Result) error {
 	return nil
 }
 
-// CheckShardStats asserts the sharded engine's merged accounting: the
-// cumulative Stats() counters (per-shard, merged on read) must equal
-// the sum of per-measurement CountValues over everything the server
-// stores. A mismatch means a shard lost or double-counted a write —
-// the cross-stripe conservation law of the lock-striped measurement
-// map. Valid whenever no retention enforcement ran (the harness never
-// does): cumulative write counters and resident data then coincide.
-func CheckShardStats(r *Result) error {
+// CheckStoreStats asserts the engine's accounting: the cumulative
+// Stats() counters must equal the sum of per-measurement CountValues
+// over everything the server stores. A mismatch means the write path
+// lost or double-counted a write. Valid whenever no retention
+// enforcement ran (the harness never does): cumulative write counters
+// and resident data then coincide.
+func CheckStoreStats(r *Result) error {
 	_, values := r.ServerDB.Stats()
 	var stored uint64
 	for _, m := range r.ServerDB.Measurements() {
@@ -168,7 +167,7 @@ func CheckShardStats(r *Result) error {
 		stored += n
 	}
 	if stored != values {
-		return fmt.Errorf("shard stats violated: merged Stats() reports %d values but measurements hold %d",
+		return fmt.Errorf("store stats violated: Stats() reports %d values but measurements hold %d",
 			values, stored)
 	}
 	return nil
@@ -200,7 +199,7 @@ func (r *Result) Verify() error {
 		CheckConservation(r),
 		CheckBreakerStates(r),
 		CheckNoDuplicateInserts(r),
-		CheckShardStats(r),
+		CheckStoreStats(r),
 		CheckAttribution(r),
 		CheckCheckpoints(r),
 		CheckDurableRecovery(r),

@@ -18,7 +18,7 @@ import (
 // coordinator merges partials in unit order so the result is
 // deterministic for a fixed dataset regardless of scheduling. Workers
 // observe context cancellation between units, never mid-unit, so a
-// cancelled query releases the shard read lock promptly without tearing
+// cancelled query releases the data read lock promptly without tearing
 // any partial.
 //
 // Sealed blocks give the scan two levels of shortcut: a block wholly
@@ -28,10 +28,9 @@ import (
 // per-worker scratch buffer that is reused across units instead of
 // materializing []Point.
 //
-// The scan holds the owning shard's RLock for its whole duration:
-// writers shift head columns in place on out-of-order inserts, so
-// workers may not retain head slices past the lock. Writers to other
-// measurements (other stripes of the measurement map) are unaffected.
+// The scan holds the data lock shared for its whole duration: writers
+// shift head columns in place on out-of-order inserts, so workers may
+// not retain head slices past the lock.
 
 // fieldAgg is the partial aggregate of one field within one window.
 type fieldAgg struct {
@@ -384,32 +383,22 @@ func aggColumns(q *Query) []string {
 	return cols
 }
 
-// defaultQueryWorkers bounds the scan pool when the request does not
-// pin one: the machine's parallelism, capped at the shard width.
-func defaultQueryWorkers() int {
-	w := runtime.GOMAXPROCS(0)
-	if w > NumShards {
-		w = NumShards
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
+// maxDefaultQueryWorkers caps the scan pool when the request does not
+// pin one.
+const maxDefaultQueryWorkers = 16
 
 // execAggregate runs an aggregate query. The caller has validated that
 // q carries only aggregates.
 func (db *DB) execAggregate(ctx context.Context, q *Query, workers int) (*Result, error) {
 	if workers <= 0 {
-		workers = defaultQueryWorkers()
+		workers = min(runtime.GOMAXPROCS(0), maxDefaultQueryWorkers)
 	}
 	plan := planAggregates(q)
 	res := &Result{Measurement: q.Measurement, Columns: aggColumns(q)}
 
-	sh := db.shardFor(q.Measurement)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	m := sh.measurements[q.Measurement]
+	db.data.RLock()
+	defer db.data.RUnlock()
+	m := db.measurements[q.Measurement]
 	if m == nil {
 		return res, nil
 	}

@@ -15,12 +15,11 @@ import (
 	"pmove/internal/storage"
 )
 
-// TestShardedStressConservation is the lock-striping stress oracle: 64
+// TestConcurrentWritersConservation is the data-lock stress oracle: 64
 // concurrent writers over 8 measurements, each point written exactly
-// once, and the merged Stats() plus per-measurement CountValues must
-// account for every write. Run under -race this also proves the stripe
-// locking is sound.
-func TestShardedStressConservation(t *testing.T) {
+// once, and Stats() plus per-measurement CountValues must account for
+// every write. Run under -race this also proves the locking is sound.
+func TestConcurrentWritersConservation(t *testing.T) {
 	const (
 		writers      = 64
 		measurements = 8
@@ -70,9 +69,9 @@ func TestShardedStressConservation(t *testing.T) {
 	}
 }
 
-// TestShardedStressBatches mixes concurrent batch writers with readers:
-// conservation must hold and every series must stay time-ordered.
-func TestShardedStressBatches(t *testing.T) {
+// TestConcurrentWritersBatches mixes concurrent batch writers with
+// readers: conservation must hold and every series must stay time-ordered.
+func TestConcurrentWritersBatches(t *testing.T) {
 	const (
 		writers   = 16
 		batches   = 20
@@ -97,7 +96,7 @@ func TestShardedStressBatches(t *testing.T) {
 					t.Errorf("writer %d batch %d: %v", w, b, err)
 					return
 				}
-				// Interleave reads to exercise the shard RLock paths.
+				// Interleave reads to exercise the RLock paths.
 				db.Stats()
 				db.CountValues("m0")
 			}
@@ -118,6 +117,67 @@ func TestShardedStressBatches(t *testing.T) {
 				t.Fatalf("%s: rows out of time order at %d", m, i)
 			}
 		}
+	}
+}
+
+// TestBatchVisibleWhole is the visibility contract of the one data
+// lock: a batch spanning several measurements becomes visible whole, so
+// a reader polling Stats() while writers land k-row batches only ever
+// sees whole multiples of a batch — never part of a tick.
+func TestBatchVisibleWhole(t *testing.T) {
+	const (
+		writers = 4
+		batches = 300
+		k       = 6 // rows per batch, two per measurement
+		fields  = 2
+	)
+	names := []string{"bulk_a", "bulk_b", "bulk_c"}
+	db := New()
+	done := make(chan struct{})
+	var rg sync.WaitGroup
+	rg.Add(1)
+	go func() {
+		defer rg.Done()
+		for {
+			points, values := db.Stats()
+			if points%k != 0 || values%(k*fields) != 0 {
+				t.Errorf("Stats() = %d points, %d values: part of a %d-row batch is visible", points, values, k)
+				return
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for b := 0; b < batches; b++ {
+				ps := make([]Point, k)
+				for i := range ps {
+					ps[i] = Point{
+						Measurement: names[i%len(names)],
+						Tags:        map[string]string{"w": fmt.Sprint(w)},
+						Fields:      map[string]float64{"x": 1, "y": 2},
+						Time:        int64(b*k + i),
+					}
+				}
+				if err := db.WriteBatchContext(context.Background(), ps); err != nil {
+					t.Errorf("writer %d batch %d: %v", w, b, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(done)
+	rg.Wait()
+	if points, _ := db.Stats(); points != writers*batches*k {
+		t.Fatalf("Stats points = %d, want %d", points, writers*batches*k)
 	}
 }
 
@@ -531,75 +591,5 @@ func TestWriteBatchStreamSync(t *testing.T) {
 	}
 	if _, err := r3.ReadString('\n'); err == nil {
 		t.Fatal("connection survived an over-limit batch header")
-	}
-}
-
-// TestBatcher covers the auto-batcher contract: size-triggered flush,
-// explicit flush of a partial tail, failed batches handed back via
-// OnError, and refusal after Close.
-func TestBatcher(t *testing.T) {
-	db := New()
-	b := NewBatcher(context.Background(), db, BatcherConfig{MaxPoints: 4, FlushInterval: -1})
-	for i := 0; i < 10; i++ {
-		if err := b.Add(Point{Measurement: "m", Fields: map[string]float64{"v": 1}, Time: int64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// 10 adds with MaxPoints=4: two full batches shipped, 2 pending.
-	if points, _ := db.Stats(); points != 8 {
-		t.Fatalf("after adds: %d points shipped, want 8", points)
-	}
-	if p := b.Pending(); p != 2 {
-		t.Fatalf("pending = %d, want 2", p)
-	}
-	if err := b.Flush(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if points, _ := db.Stats(); points != 10 {
-		t.Fatalf("after flush: %d points, want 10", points)
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Add(Point{Measurement: "m", Fields: map[string]float64{"v": 1}}); err == nil {
-		t.Fatal("closed batcher accepted a point")
-	}
-
-	// Failure path: an invalid point poisons its batch; OnError gets the
-	// whole batch back intact (spill-journal compatibility).
-	var handed []Point
-	fb := NewBatcher(context.Background(), db, BatcherConfig{
-		MaxPoints:     2,
-		FlushInterval: -1,
-		OnError:       func(ps []Point, err error) { handed = append(handed, ps...) },
-	})
-	fb.Add(Point{Measurement: "ok", Fields: map[string]float64{"v": 1}, Time: 1})
-	if err := fb.Add(Point{Measurement: "", Time: 2}); err == nil {
-		t.Fatal("batch with invalid point shipped without error")
-	}
-	if len(handed) != 2 {
-		t.Fatalf("OnError handed back %d points, want the whole batch of 2", len(handed))
-	}
-	fb.Close()
-}
-
-// TestBatcherTimerFlush: a partial batch ships on the interval without
-// any further Adds.
-func TestBatcherTimerFlush(t *testing.T) {
-	db := New()
-	b := NewBatcher(context.Background(), db, BatcherConfig{MaxPoints: 100, FlushInterval: 10 * time.Millisecond})
-	defer b.Close()
-	if err := b.Add(Point{Measurement: "m", Fields: map[string]float64{"v": 1}, Time: 1}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if points, _ := db.Stats(); points == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("interval flush never shipped the buffered point")
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }

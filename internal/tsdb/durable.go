@@ -131,25 +131,21 @@ const (
 // measurements in sorted order, each measurement's series in creation
 // order (so recovery reassigns the same scan tie-break sequence), each
 // series as its identity plus its chunks — sealed blocks verbatim, the
-// head compressed once. Callers hold db.mu exclusively (shard locks are
-// not needed: the structural lock excludes all writers).
+// head compressed once. Callers hold db.mu exclusively (the data lock is
+// not needed: the lifecycle lock excludes all mutators).
 func (db *DB) snapshotLocked() ([]byte, error) {
-	var names []string
-	for i := range db.shards {
-		for m := range db.shards[i].measurements {
-			names = append(names, m)
-		}
+	names := make([]string, 0, len(db.measurements))
+	total := 0
+	for name, m := range db.measurements {
+		names = append(names, name)
+		total += len(m.series)
 	}
 	sort.Strings(names)
 	out := []byte(snapshotMagic)
-	total := 0
-	for _, name := range names {
-		total += len(db.shardFor(name).measurements[name].series)
-	}
 	out = binary.AppendUvarint(out, uint64(total))
 	var tagKeys []string
 	for _, name := range names {
-		m := db.shardFor(name).measurements[name]
+		m := db.measurements[name]
 		for _, s := range m.series {
 			out = binary.AppendUvarint(out, uint64(len(m.name)))
 			out = append(out, m.name...)
@@ -240,14 +236,7 @@ func (db *DB) loadSnapshot(snap []byte) error {
 			}
 			tags[k] = v
 		}
-		sh := db.shardFor(meas)
-		m := sh.measurements[meas]
-		if m == nil {
-			name := sh.intern.intern(meas)
-			m = &measurement{name: name, byKey: map[string]*memSeries{}}
-			sh.measurements[name] = m
-		}
-		s := sh.seriesFor(m, tags)
+		s := db.seriesFor(db.measurementFor(meas), tags)
 		nchunks, err := uvar()
 		if err != nil {
 			return err
@@ -268,11 +257,11 @@ func (db *DB) loadSnapshot(snap []byte) error {
 			}
 			p += blen
 			if kind == chunkSealed {
-				if err := sh.adoptBlock(s, b); err != nil {
+				if err := db.adoptBlock(s, b); err != nil {
 					return err
 				}
 			} else {
-				if err := sh.adoptHead(s, b); err != nil {
+				if err := db.adoptHead(s, b); err != nil {
 					return err
 				}
 			}
@@ -286,37 +275,37 @@ func (db *DB) loadSnapshot(snap []byte) error {
 
 // adoptBlock attaches a recovered sealed block to a series, with the
 // same stats accounting a live seal performs.
-func (sh *shard) adoptBlock(s *memSeries, b *block) error {
+func (db *DB) adoptBlock(s *memSeries, b *block) error {
 	// Register the block's fields so later head inserts reuse columns.
 	for i := range b.fields {
 		if _, ok := s.fields[b.fields[i].name]; !ok {
-			name := sh.intern.intern(b.fields[i].name)
+			name := db.intern.intern(b.fields[i].name)
 			s.fields[name] = len(s.names)
 			s.names = append(s.names, name)
 			s.head.cols = append(s.head.cols, nil)
 		}
 	}
 	s.blocks = append(s.blocks, b)
-	st := sh.stats
-	st.sealedBytes.Add(int64(len(b.blob)))
-	st.sealedRows.Add(int64(b.rows))
-	st.sealedValues.Add(int64(b.values))
-	st.blocks.Add(1)
-	sh.points += uint64(b.rows)
-	sh.values += uint64(b.values)
+	st := &db.stats
+	st.sealedBytes += int64(len(b.blob))
+	st.sealedRows += int64(b.rows)
+	st.sealedValues += int64(b.values)
+	st.blocks++
+	db.points += uint64(b.rows)
+	db.values += uint64(b.values)
 	return nil
 }
 
 // adoptHead decompresses a head chunk back into the series' mutable
 // column arrays.
-func (sh *shard) adoptHead(s *memSeries, b *block) error {
+func (db *DB) adoptHead(s *memSeries, b *block) error {
 	times, err := b.decodeTimes(nil)
 	if err != nil {
 		return err
 	}
 	for i := range b.fields {
 		if _, ok := s.fields[b.fields[i].name]; !ok {
-			name := sh.intern.intern(b.fields[i].name)
+			name := db.intern.intern(b.fields[i].name)
 			s.fields[name] = len(s.names)
 			s.names = append(s.names, name)
 			s.head.cols = append(s.head.cols, nil)
@@ -340,11 +329,11 @@ func (sh *shard) adoptHead(s *memSeries, b *block) error {
 		}
 		s.head.cols[ci] = col
 	}
-	st := sh.stats
-	st.headRows.Add(int64(len(times)))
-	st.headSlots.Add(int64(len(times)) * int64(len(s.names)))
-	sh.points += uint64(b.rows)
-	sh.values += uint64(b.values)
+	st := &db.stats
+	st.headRows += int64(len(times))
+	st.headSlots += int64(len(times)) * int64(len(s.names))
+	db.points += uint64(b.rows)
+	db.values += uint64(b.values)
 	return nil
 }
 

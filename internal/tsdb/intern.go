@@ -8,10 +8,10 @@ import (
 // String interning for the columnar store. Every point used to carry
 // its own Tags map; in the columnar layout a series owns one canonical
 // tag set and points contribute only (time, field values). The interner
-// deduplicates measurement names, tag keys, and tag values per shard so
-// a million points over a handful of series pin a handful of strings.
+// deduplicates measurement names, tag keys, tag values and field names
+// so a million points over a handful of series pin a handful of strings.
 //
-// An interner is guarded by its shard's mutex — no locking here.
+// The DB's interner is guarded by DB.data — no locking here.
 type interner map[string]string
 
 // intern returns the canonical instance of s, storing a copy on first

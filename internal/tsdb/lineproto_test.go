@@ -259,24 +259,21 @@ func TestStoredNamesDoNotAliasDecodedLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stored []string
-	for i := range db.shards {
-		sh := &db.shards[i]
-		for name, m := range sh.measurements {
-			stored = append(stored, name, m.name)
-			for _, s := range m.series {
-				stored = append(stored, s.key)
-				stored = append(stored, s.names...)
-				for k, v := range s.tags {
-					stored = append(stored, k, v)
-				}
-				for f := range s.fields {
-					stored = append(stored, f)
-				}
+	for name, m := range db.measurements {
+		stored = append(stored, name, m.name)
+		for _, s := range m.series {
+			stored = append(stored, s.key)
+			stored = append(stored, s.names...)
+			for k, v := range s.tags {
+				stored = append(stored, k, v)
+			}
+			for f := range s.fields {
+				stored = append(stored, f)
 			}
 		}
-		for k, v := range sh.intern {
-			stored = append(stored, k, v)
-		}
+	}
+	for k, v := range db.intern {
+		stored = append(stored, k, v)
 	}
 	for m := range db.qcache.versions {
 		stored = append(stored, m)

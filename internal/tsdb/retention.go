@@ -1,0 +1,123 @@
+package tsdb
+
+import "sort"
+
+// EnforceRetention drops points older than now-Duration. Returns the
+// number of points dropped. Sealed blocks wholly before the cutoff are
+// dropped in O(1) each — no decompression, just unlinking — and at most
+// one straddling block per series is rewritten.
+func (db *DB) EnforceRetention(now int64) int {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	if db.retention.Duration <= 0 {
+		return 0
+	}
+	cutoff := now - db.retention.Duration
+	dropped := 0
+	db.data.Lock()
+	for name, m := range db.measurements {
+		kept := m.series[:0]
+		for _, s := range m.series {
+			dropped += db.retainSeries(s, cutoff)
+			if len(s.blocks) == 0 && len(s.head.times) == 0 {
+				delete(m.byKey, s.key)
+				continue
+			}
+			kept = append(kept, s)
+		}
+		for j := len(kept); j < len(m.series); j++ {
+			m.series[j] = nil
+		}
+		m.series = kept
+		if len(m.series) == 0 {
+			delete(db.measurements, name)
+		}
+	}
+	db.publishStorageGauges()
+	db.data.Unlock()
+	if dropped > 0 {
+		db.qcache.invalidateAll()
+	}
+	return dropped
+}
+
+// retainSeries applies a retention cutoff to one series: whole sealed
+// blocks before the cutoff unlink in O(1), the (at most one) straddling
+// block is rewritten, and the head drops its expired prefix. Returns
+// rows dropped. Callers hold db.data exclusively.
+func (db *DB) retainSeries(s *memSeries, cutoff int64) int {
+	st := &db.stats
+	dropped := 0
+	kept := s.blocks[:0]
+	for _, b := range s.blocks {
+		switch {
+		case b.maxT < cutoff: // wholly expired: O(1) drop
+			dropped += b.rows
+			st.sealedBytes -= int64(len(b.blob))
+			st.sealedRows -= int64(b.rows)
+			st.sealedValues -= int64(b.values)
+			st.blocks--
+		case b.minT >= cutoff: // wholly live
+			kept = append(kept, b)
+		default: // straddles: rewrite the surviving suffix
+			nb, removed, err := shrinkBlock(b, cutoff)
+			if err != nil || removed == 0 {
+				// Decode failure would mean an engine bug; keep the data.
+				kept = append(kept, b)
+				continue
+			}
+			dropped += removed
+			st.sealedBytes += int64(len(nb.blob)) - int64(len(b.blob))
+			st.sealedRows += int64(nb.rows) - int64(b.rows)
+			st.sealedValues += int64(nb.values) - int64(b.values)
+			kept = append(kept, nb)
+		}
+	}
+	for i := len(kept); i < len(s.blocks); i++ {
+		s.blocks[i] = nil
+	}
+	s.blocks = kept
+	h := &s.head
+	if n := len(h.times); n > 0 && h.times[0] < cutoff {
+		i := sort.Search(n, func(i int) bool { return h.times[i] >= cutoff })
+		dropped += i
+		copy(h.times, h.times[i:])
+		h.times = h.times[:n-i]
+		for ci := range h.cols {
+			copy(h.cols[ci], h.cols[ci][i:])
+			h.cols[ci] = h.cols[ci][:n-i]
+		}
+		st.headRows -= int64(i)
+		st.headSlots -= int64(i) * int64(len(s.names))
+	}
+	return dropped
+}
+
+// shrinkBlock re-encodes the rows of b at or after cutoff into a new
+// block, returning it and the number of rows removed. The caller has
+// established minT < cutoff <= maxT, so the suffix is never empty.
+func shrinkBlock(b *block, cutoff int64) (*block, int, error) {
+	times, err := b.decodeTimes(nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	idx := sort.Search(len(times), func(i int) bool { return times[i] >= cutoff })
+	if idx == 0 {
+		return b, 0, nil
+	}
+	names := make([]string, len(b.fields))
+	cols := make([][]float64, len(b.fields))
+	for i := range b.fields {
+		names[i] = b.fields[i].name
+		col, err := b.decodeField(i, nil)
+		if err != nil {
+			return nil, 0, err
+		}
+		cols[i] = col[idx:]
+	}
+	nb, err := encodeBlock(times[idx:], names, cols)
+	if err != nil {
+		return nil, 0, err
+	}
+	return nb, idx, nil
+}

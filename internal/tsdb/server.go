@@ -132,8 +132,9 @@ func (s *Server) logger() (*logbuf.Logger, time.Duration) {
 // logOp emits the per-op structured record: errors always, slow ops
 // when the threshold is met. sctx is the span-carrying context (the
 // record's trace identity); wireCtx is the frame context whose
-// traceparent field ties the record back to the bytes on the wire.
-func (s *Server) logOp(sctx, wireCtx context.Context, cmd string, arrivalNanos int64, err error) {
+// traceparent field ties the record back to the bytes on the wire;
+// extra key/value pairs join a slow-op record.
+func (s *Server) logOp(sctx, wireCtx context.Context, cmd string, arrivalNanos int64, err error, extra ...string) {
 	lg, slow := s.logger()
 	if lg == nil {
 		return
@@ -146,7 +147,7 @@ func (s *Server) logOp(sctx, wireCtx context.Context, cmd string, arrivalNanos i
 	if slow < 0 || elapsed < slow {
 		return
 	}
-	kv := []string{"cmd", cmd, "duration", elapsed.String()}
+	kv := append([]string{"cmd", cmd, "duration", elapsed.String()}, extra...)
 	if tp := introspect.TraceparentFromContext(wireCtx); tp != "" {
 		kv = append(kv, "traceparent", tp)
 	}
@@ -348,14 +349,12 @@ func (s *Server) handleWriteBatch(rest string, arrivalNanos int64, sc *bufio.Sca
 	}
 	ps.End(err)
 
+	// Retry of an applied batch: acknowledge without re-inserting, and
+	// say so in the log — it is the op someone chasing a lost ack looks for.
+	var extra []string
 	if err == nil && token != "" && s.dedup.Seen(token) {
-		// Retry of an applied batch: acknowledge without re-inserting.
-		op.End(nil)
-		fmt.Fprintf(w, "OK %d\n", n)
-		s.observe("writeb", nil)
-		return true
-	}
-	if err == nil {
+		extra = []string{"dedup", "true"}
+	} else if err == nil {
 		_, is := in.StartSpan(wctx, "tsdb.server.insert")
 		err = s.db.WriteBatchContext(wctx, points)
 		is.End(err)
@@ -371,7 +370,7 @@ func (s *Server) handleWriteBatch(rest string, arrivalNanos int64, sc *bufio.Sca
 	} else {
 		fmt.Fprintf(w, "OK %d\n", n)
 	}
-	s.logOp(wctx, ctx, "writeb", arrivalNanos, err)
+	s.logOp(wctx, ctx, "writeb", arrivalNanos, err, extra...)
 	s.observe("writeb", err)
 	return true
 }

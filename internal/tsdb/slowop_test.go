@@ -1,7 +1,10 @@
 package tsdb
 
 import (
+	"bufio"
 	"context"
+	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -111,6 +114,55 @@ func fieldValue(rec logbuf.Record, key string) string {
 		}
 	}
 	return ""
+}
+
+// TestSlowOpLogsDedupedRetry: under SetLogger(lg, 0) every op is logged,
+// the deduplicated retry of an applied batch included — same ack, one
+// more writeb record flagged dedup=true, rows counted once.
+func TestSlowOpLogsDedupedRetry(t *testing.T) {
+	db := New()
+	srv := NewServer(db)
+	logs := logbuf.New(64)
+	srv.SetLogger(logs.With("tsdb.server"), 0)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	r := bufio.NewReader(conn)
+	for attempt := 0; attempt < 2; attempt++ {
+		if _, err := conn.Write([]byte("WRITEB 2 id=retry-tok\nm v=1 1\nm v=2 2\n")); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		if resp, err := r.ReadString('\n'); err != nil || strings.TrimSpace(resp) != "OK 2" {
+			t.Fatalf("attempt %d: got %q, %v; want OK 2", attempt, resp, err)
+		}
+	}
+	// Each record is logged before its ack is flushed.
+	recs := logs.Records()
+	if len(recs) != 2 {
+		t.Fatalf("got %d records, want one per frame: %+v", len(recs), recs)
+	}
+	for i, rec := range recs {
+		if cmd := fieldValue(rec, "cmd"); cmd != "writeb" {
+			t.Fatalf("record %d: cmd = %q", i, cmd)
+		}
+	}
+	if d := fieldValue(recs[0], "dedup"); d != "" {
+		t.Fatalf("first apply flagged dedup=%q", d)
+	}
+	if d := fieldValue(recs[1], "dedup"); d != "true" {
+		t.Fatalf("retry not flagged: %+v", recs[1])
+	}
+	if points, _ := db.Stats(); points != 2 {
+		t.Fatalf("server holds %d points after the retry, want 2", points)
+	}
 }
 
 // TestSlowOpConcurrentWriters drives many traced client ops against one

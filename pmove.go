@@ -14,8 +14,6 @@
 package pmove
 
 import (
-	"context"
-
 	"pmove/internal/abst"
 	"pmove/internal/anomaly"
 	"pmove/internal/carm"
@@ -394,11 +392,6 @@ type (
 	// BatchError reports a rejected batch write: offending index and
 	// how many points applied (0 — batches are atomic).
 	BatchError = tsdb.BatchError
-	// Batcher coalesces single-point writes into batched frames with
-	// size/interval flush.
-	Batcher = tsdb.Batcher
-	// BatcherConfig tunes a Batcher.
-	BatcherConfig = tsdb.BatcherConfig
 	// QueryRequest is the request-struct form of a TSDB query.
 	QueryRequest = tsdb.QueryRequest
 	// Query is the parsed SELECT subset (raw fields or aggregates,
@@ -414,12 +407,6 @@ type (
 // ParseQuery parses a SELECT statement into its Query form; the
 // rendering Query.String is canonical (ParseQuery(q.String()) == q).
 func ParseQuery(stmt string) (*Query, error) { return tsdb.ParseQuery(stmt) }
-
-// NewBatcher starts an auto-batcher over any BatchWriter; cancelling
-// ctx stops its timer and aborts in-flight flush retries.
-func NewBatcher(ctx context.Context, w BatchWriter, cfg BatcherConfig) *Batcher {
-	return tsdb.NewBatcher(ctx, w, cfg)
-}
 
 // NewTSDB constructs an in-memory embedded time-series store.
 func NewTSDB() *TSDB { return tsdb.New() }
