@@ -32,10 +32,13 @@ fi
 
 # Size ratchet: aim 2 of the ROADMAP expects net-negative diffs, so the
 # largest package's non-test line count is printed beside the coverage
-# and may not grow past the ceiling (the total measured when the lock
-# stripes and the auto-batcher were deleted). Lower the ceiling when code
-# goes; raise it only with the reason in the PR.
-size_ceiling=3954
+# and may not grow past the ceiling. Lower the ceiling when code goes;
+# raise it only with the reason in the PR. (3 954 when the lock stripes
+# and the auto-batcher were deleted; +78 in PR 15: the word-wise bit
+# reader and writer, the run-wise fold and the ordered partial merge
+# cost more lines than the per-byte reader, the window map, its merge
+# and the result sort gave back, for 1.8x on dash_cold.)
+size_ceiling=4032
 size=$(find internal/tsdb -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 echo "size: internal/tsdb ${size} non-test lines (ceiling ${size_ceiling})"
 if [ "$size" -gt "$size_ceiling" ]; then
@@ -64,7 +67,8 @@ fuzz_smoke ./internal/storage FuzzWALRecord
 
 # Benchmark smoke: every benchmark must still compile and survive one
 # iteration — catches bit-rotted b.Run setups without paying for real
-# measurement.
+# measurement. This is also what keeps the scan-kernel benchmarks of
+# internal/tsdb (DecodeField, DecodeTimes, FoldColumns) from rotting.
 go test -run NONE -bench . -benchtime 1x ./...
 
 # API gate: one name per operation, and that name is context-first. Every

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -14,8 +15,9 @@ import (
 // scan per field, the matching series of the measurement are split into
 // scan units — one per overlapping sealed block plus one per non-empty
 // head — and the units are scanned by a bounded worker pool. Each
-// worker folds its units into partial per-window aggregates, and the
-// coordinator merges partials in unit order so the result is
+// worker folds its units into partials — per-window aggregates, in
+// window order because a unit's rows are time-sorted — and the
+// coordinator merges them in unit order into one ordered result,
 // deterministic for a fixed dataset regardless of scheduling. Workers
 // observe context cancellation between units, never mid-unit, so a
 // cancelled query releases the data read lock promptly without tearing
@@ -41,22 +43,34 @@ type fieldAgg struct {
 	samples []float64 // retained only when a percentile asks for the distribution
 }
 
-func (fa *fieldAgg) observe(v float64, keepSamples bool) {
-	if fa.count == 0 {
-		fa.min, fa.max = v, v
-	} else {
-		if v < fa.min {
-			fa.min = v
+// observeRun folds the present (non-NaN) values of run, in order.
+func (fa *fieldAgg) observeRun(run []float64, keepSamples bool) {
+	count, sum, lo, hi := fa.count, fa.sum, fa.min, fa.max
+	for _, v := range run {
+		if v != v {
+			continue
 		}
-		if v > fa.max {
-			fa.max = v
+		if count == 0 || v < lo {
+			lo = v
 		}
+		if count == 0 || v > hi {
+			hi = v
+		}
+		count++
+		sum += v
 	}
-	fa.count++
-	fa.sum += v
 	if keepSamples {
-		fa.samples = append(fa.samples, v)
+		if count-fa.count == uint64(len(run)) {
+			fa.samples = append(fa.samples, run...)
+		} else {
+			for _, v := range run {
+				if v == v {
+					fa.samples = append(fa.samples, v)
+				}
+			}
+		}
 	}
+	fa.count, fa.sum, fa.min, fa.max = count, sum, lo, hi
 }
 
 // merge folds o into fa. Partials are merged in unit order, so the
@@ -78,25 +92,6 @@ func (fa *fieldAgg) merge(o *fieldAgg) {
 	fa.count += o.count
 	fa.sum += o.sum
 	fa.samples = append(fa.samples, o.samples...)
-}
-
-// foldFooter merges a sealed block's per-field footer into fa — the
-// whole-block fast path that never touches the compressed stream. The
-// footer's sum was accumulated in row order at seal time, so the fold
-// is the same association a decoded scan would produce.
-func (fa *fieldAgg) foldFooter(f *blockField) {
-	if fa.count == 0 {
-		fa.min, fa.max = f.min, f.max
-	} else {
-		if f.min < fa.min {
-			fa.min = f.min
-		}
-		if f.max > fa.max {
-			fa.max = f.max
-		}
-	}
-	fa.count += f.count
-	fa.sum += f.sum
 }
 
 // aggPlan is the execution plan of an aggregate query: the distinct
@@ -129,8 +124,12 @@ func planAggregates(q *Query) *aggPlan {
 }
 
 // windowStart floors t to the start of its GROUP BY window (Euclidean
-// floor, so negative timestamps window consistently).
+// floor, so negative timestamps window consistently); without a GROUP
+// BY (w <= 0) everything is window 0.
 func windowStart(t, w int64) int64 {
+	if w <= 0 {
+		return 0
+	}
 	q := t / w
 	if t%w != 0 && t < 0 {
 		q--
@@ -138,15 +137,85 @@ func windowStart(t, w int64) int64 {
 	return q * w
 }
 
-// windowAggs is the per-window state of one scan unit: window start
-// → one fieldAgg per planned field.
-type windowAggs map[int64][]fieldAgg
+// partial is the per-window state of one scan unit, and of the merged
+// result: window starts ascending in wins, and per window one fieldAgg
+// per planned field, window-major in states.
+type partial struct {
+	wins   []int64
+	states []fieldAgg
+}
 
-// aggUnit is one work item of the parallel scan: a sealed block of a
-// matching series, or (b == nil) the series' mutable head.
+// window returns the nf states of window win, adding the window, zeroed,
+// if it is new. Rows arrive time-sorted, so a new window is normally the
+// latest — but the window holding math.MinInt64 can start below it and
+// wrap to a huge start, and that one sorts in where its value belongs.
+func (p *partial) window(win int64, nf int) []fieldAgg {
+	i, found := len(p.wins), false
+	if i > 0 && win <= p.wins[i-1] {
+		if i, found = slices.BinarySearch(p.wins, win); !found {
+			p.wins = slices.Insert(p.wins, i, win)
+			p.states = slices.Insert(p.states, i*nf, make([]fieldAgg, nf)...)
+		}
+	} else {
+		p.wins = append(p.wins, win)
+		p.states = append(p.states, make([]fieldAgg, nf)...)
+	}
+	return p.states[i*nf : (i+1)*nf]
+}
+
+// mergeStates folds one window's states src into dst, field by field.
+func mergeStates(dst, src []fieldAgg) {
+	for fi := range dst {
+		dst[fi].merge(&src[fi])
+	}
+}
+
+// merge folds one unit's partial o into p. Called in unit order, so each
+// window's states — and their float sums — fold in unit order. Units of
+// a series follow each other in time and series mostly share a window
+// grid: the usual merge is a search, matches in place and appends.
+func (p *partial) merge(o *partial, nf int) {
+	if len(o.wins) == 0 {
+		return
+	}
+	i, _ := slices.BinarySearch(p.wins, o.wins[0])
+	j := 0
+	for ; j < len(o.wins); j++ {
+		for i < len(p.wins) && p.wins[i] < o.wins[j] {
+			i++
+		}
+		if i == len(p.wins) {
+			p.window(o.wins[j], nf)
+		} else if p.wins[i] > o.wins[j] {
+			break
+		}
+		mergeStates(p.states[i*nf:(i+1)*nf], o.states[j*nf:])
+	}
+	if j == len(o.wins) {
+		return
+	}
+	// o.wins[j] is new to p and belongs before p.wins[i]: rebuild p from
+	// i on as the union of its old tail and the rest of o — one pass, not
+	// a shift per window.
+	old := partial{slices.Clone(p.wins[i:]), slices.Clone(p.states[i*nf:])}
+	p.wins, p.states = p.wins[:i], p.states[:i*nf]
+	for a := 0; a < len(old.wins) || j < len(o.wins); {
+		if j == len(o.wins) || (a < len(old.wins) && old.wins[a] <= o.wins[j]) {
+			mergeStates(p.window(old.wins[a], nf), old.states[a*nf:])
+			a++
+		} else {
+			mergeStates(p.window(o.wins[j], nf), o.states[j*nf:])
+			j++
+		}
+	}
+}
+
+// aggUnit is one work item of the parallel scan: a sealed block (footer:
+// it folds from its footer alone) or, b == nil, the series' mutable head.
 type aggUnit struct {
-	s *memSeries
-	b *block
+	s      *memSeries
+	b      *block
+	footer bool
 }
 
 // aggScratch is a per-worker decode buffer: one timestamp slice and one
@@ -164,43 +233,39 @@ func blockFooterOnly(b *block, q *Query) bool {
 	if (q.From != 0 && b.minT < q.From) || (q.To != 0 && b.maxT > q.To) {
 		return false
 	}
-	return q.GroupBy <= 0 || windowStart(b.minT, q.GroupBy) == windowStart(b.maxT, q.GroupBy)
+	return windowStart(b.minT, q.GroupBy) == windowStart(b.maxT, q.GroupBy)
 }
 
-// foldColumns folds decoded (or head) columns into per-window partials.
-// cols is aligned with plan.fields; a nil column means the unit does
-// not carry that field. NaN cells are absent values.
-func foldColumns(out windowAggs, times []int64, cols [][]float64, q *Query, plan *aggPlan) {
-	lo, hi := timeBounds(times, q.From, q.To)
-	var curStates []fieldAgg
-	curWin := int64(0)
-	for i := lo; i < hi; i++ {
-		win := int64(0)
-		if q.GroupBy > 0 {
-			win = windowStart(times[i], q.GroupBy)
-		}
-		if curStates == nil || win != curWin {
-			curStates = out[win]
-			if curStates == nil {
-				curStates = make([]fieldAgg, len(plan.fields))
-				out[win] = curStates
-			}
-			curWin = win
-		}
-		for fi := range cols {
-			if cols[fi] == nil {
-				continue
-			}
-			if v := cols[fi][i]; v == v {
-				curStates[fi].observe(v, plan.keepSamples[fi])
+// foldColumns folds decoded (or head) columns into out a window's run of
+// rows at a time: the run's end is found once, then each field folds its
+// slice of the run, in row order. cols is aligned with plan.fields; a
+// nil column means the unit lacks that field. NaN cells are absent values.
+func foldColumns(out *partial, times []int64, cols [][]float64, q *Query, plan *aggPlan) {
+	i, hi := timeBounds(times, q.From, q.To)
+	for i < hi {
+		// The run ends where times reach win+GroupBy. A sum not above
+		// times[i] overflowed: the window runs to the end of time. (A
+		// start wrapped below math.MinInt64 still sums to the true end.)
+		win, j := windowStart(times[i], q.GroupBy), hi
+		if end := win + q.GroupBy; q.GroupBy > 0 && end > times[i] && times[hi-1] >= end {
+			for j = i + 1; times[j] < end; j++ {
 			}
 		}
+		states := out.window(win, len(cols))
+		for fi, col := range cols {
+			if col != nil {
+				states[fi].observeRun(col[i:j], plan.keepSamples[fi])
+			}
+		}
+		i = j
 	}
 }
 
-// scanUnit folds one unit into per-window partial aggregates.
-func scanUnit(u aggUnit, q *Query, plan *aggPlan, sc *aggScratch) (windowAggs, error) {
-	out := windowAggs{}
+// scanUnit folds one unit into out (emptied first), its partial.
+func scanUnit(u aggUnit, q *Query, plan *aggPlan, sc *aggScratch, out *partial) error {
+	out.wins = out.wins[:0]
+	clear(out.states) // drop the last unit's sample buffers
+	out.states = out.states[:0]
 	if u.b == nil {
 		cols := make([][]float64, len(plan.fields))
 		for fi, f := range plan.fields {
@@ -209,30 +274,27 @@ func scanUnit(u aggUnit, q *Query, plan *aggPlan, sc *aggScratch) (windowAggs, e
 			}
 		}
 		foldColumns(out, u.s.head.times, cols, q, plan)
-		return out, nil
+		return nil
 	}
 	b := u.b
-	if !plan.anySamples && blockFooterOnly(b, q) {
-		win := int64(0)
-		if q.GroupBy > 0 {
-			win = windowStart(b.minT, q.GroupBy)
-		}
-		states := make([]fieldAgg, len(plan.fields))
-		found := false
-		for fi, f := range plan.fields {
-			if bi := b.fieldIndex(f); bi >= 0 {
-				states[fi].foldFooter(&b.fields[bi])
-				found = true
+	if u.footer {
+		// The footer's sum was accumulated in row order at seal time, so
+		// merging it is the association a decoded scan would produce.
+		var states []fieldAgg
+		for fi, name := range plan.fields {
+			if bi := b.fieldIndex(name); bi >= 0 {
+				if states == nil {
+					states = out.window(windowStart(b.minT, q.GroupBy), len(plan.fields))
+				}
+				f := &b.fields[bi]
+				states[fi].merge(&fieldAgg{count: f.count, sum: f.sum, min: f.min, max: f.max})
 			}
 		}
-		if found {
-			out[win] = states
-		}
-		return out, nil
+		return nil
 	}
 	times, err := b.decodeTimes(sc.times)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sc.times = times
 	if cap(sc.cols) < len(plan.fields) {
@@ -247,13 +309,13 @@ func scanUnit(u aggUnit, q *Query, plan *aggPlan, sc *aggScratch) (windowAggs, e
 		}
 		col, err := b.decodeField(bi, cols[fi])
 		if err != nil {
-			return nil, err
+			return err
 		}
 		cols[fi] = col
 	}
 	sc.cols = cols
 	foldColumns(out, times, cols, q, plan)
-	return out, nil
+	return nil
 }
 
 // quantile returns the q∈[0,1] quantile of sorted by linear
@@ -350,7 +412,8 @@ func quantileSelect(s []float64, q float64) float64 {
 }
 
 // value renders one aggregate from its merged field state. Valid only
-// when fa.count > 0 (except count, which is always defined).
+// when fa.count > 0 (except count, which is always defined). The merged
+// state is private to the query, so a percentile selects in place.
 func (a Aggregate) value(fa *fieldAgg) float64 {
 	switch a.Fn {
 	case "count":
@@ -364,12 +427,11 @@ func (a Aggregate) value(fa *fieldAgg) float64 {
 	case "mean":
 		return fa.sum / float64(fa.count)
 	case "p":
-		s := append([]float64(nil), fa.samples...)
-		if len(s) <= 64 {
-			sort.Float64s(s)
-			return quantile(s, a.Pct/100)
+		if len(fa.samples) <= 64 {
+			sort.Float64s(fa.samples)
+			return quantile(fa.samples, a.Pct/100)
 		}
-		return quantileSelect(s, a.Pct/100)
+		return quantileSelect(fa.samples, a.Pct/100)
 	}
 	return math.NaN()
 }
@@ -405,6 +467,7 @@ func (db *DB) execAggregate(ctx context.Context, q *Query, workers int) (*Result
 	// Build the unit list in deterministic order: series in creation
 	// order, each series' blocks in seal order, head last.
 	var units []aggUnit
+	var nFooter, nHead int
 	for _, s := range m.series {
 		if !s.matchTags(q.TagFilter) {
 			continue
@@ -413,13 +476,19 @@ func (db *DB) execAggregate(ctx context.Context, q *Query, workers int) (*Result
 			if (q.From != 0 && b.maxT < q.From) || (q.To != 0 && b.minT > q.To) {
 				continue
 			}
-			units = append(units, aggUnit{s: s, b: b})
+			// Percentiles need the distribution, which no footer holds.
+			footer := !plan.anySamples && blockFooterOnly(b, q)
+			if footer {
+				nFooter++
+			}
+			units = append(units, aggUnit{s: s, b: b, footer: footer})
 		}
 		if minT, maxT, ok := s.head.timeRange(); ok {
 			if (q.From != 0 && maxT < q.From) || (q.To != 0 && minT > q.To) {
 				continue
 			}
 			units = append(units, aggUnit{s: s})
+			nHead++
 		}
 	}
 	if len(units) == 0 {
@@ -429,22 +498,23 @@ func (db *DB) execAggregate(ctx context.Context, q *Query, workers int) (*Result
 		workers = len(units)
 	}
 
-	var merged windowAggs
+	nf := len(plan.fields)
+	var merged partial
 	if workers == 1 {
-		// Sequential path: one fold over the units, no pool.
+		// Sequential path: one fold over the units, no pool, one partial.
 		var sc aggScratch
+		var part partial
 		for _, u := range units {
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("tsdb: query: %w", err)
 			}
-			part, err := scanUnit(u, q, plan, &sc)
-			if err != nil {
+			if err := scanUnit(u, q, plan, &sc, &part); err != nil {
 				return nil, err
 			}
-			mergeWindowAggs(&merged, part, plan)
+			merged.merge(&part, nf)
 		}
 	} else {
-		partials := make([]windowAggs, len(units))
+		partials := make([]partial, len(units))
 		var next int64
 		var wg sync.WaitGroup
 		var errMu sync.Mutex
@@ -468,8 +538,7 @@ func (db *DB) execAggregate(ctx context.Context, q *Query, workers int) (*Result
 					if i >= len(units) {
 						return
 					}
-					part, err := scanUnit(units[i], q, plan, &sc)
-					if err != nil {
+					if err := scanUnit(units[i], q, plan, &sc, &partials[i]); err != nil {
 						errMu.Lock()
 						if firstErr == nil {
 							firstErr = err
@@ -477,7 +546,6 @@ func (db *DB) execAggregate(ctx context.Context, q *Query, workers int) (*Result
 						errMu.Unlock()
 						return
 					}
-					partials[i] = part
 				}
 			}()
 		}
@@ -488,66 +556,34 @@ func (db *DB) execAggregate(ctx context.Context, q *Query, workers int) (*Result
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("tsdb: query: %w", err)
 		}
-		for _, part := range partials {
-			mergeWindowAggs(&merged, part, plan)
+		for i := range partials {
+			merged.merge(&partials[i], nf)
 		}
 	}
-	if merged == nil {
-		merged = windowAggs{}
-	}
+	db.qcache.countUnits(nFooter, len(units)-nFooter-nHead, nHead)
 
-	wins := make([]int64, 0, len(merged))
-	for w := range merged {
-		wins = append(wins, w)
-	}
-	sort.Slice(wins, func(i, j int) bool { return wins[i] < wins[j] })
-	for _, win := range wins {
-		states := merged[win]
-		any := false
-		for fi := range states {
-			if states[fi].count > 0 {
-				any = true
-				break
-			}
-		}
-		if !any {
+	for wi, win := range merged.wins {
+		states := merged.states[wi*nf : (wi+1)*nf]
+		if !slices.ContainsFunc(states, func(fa fieldAgg) bool { return fa.count > 0 }) {
 			continue
 		}
 		t := win
 		if q.GroupBy <= 0 {
 			t = q.From
 		}
-		row := Row{Time: t, Values: map[string]float64{}}
-		for _, a := range q.Aggregates {
+		row := Row{Time: t, Values: make(map[string]float64, len(q.Aggregates))}
+		for ai, a := range q.Aggregates {
 			fa := &states[plan.fieldIdx[a.Field]]
 			if a.Fn == "count" {
-				row.Values[a.Column()] = float64(fa.count)
+				row.Values[res.Columns[ai]] = float64(fa.count)
 				continue
 			}
 			if fa.count == 0 {
 				continue
 			}
-			row.Values[a.Column()] = a.value(fa)
+			row.Values[res.Columns[ai]] = a.value(fa)
 		}
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
-}
-
-// mergeWindowAggs folds one unit's partials into the accumulated map,
-// in call (= unit) order.
-func mergeWindowAggs(merged *windowAggs, part windowAggs, plan *aggPlan) {
-	if *merged == nil {
-		*merged = windowAggs{}
-	}
-	for win, states := range part {
-		dst := (*merged)[win]
-		if dst == nil {
-			dst = make([]fieldAgg, len(plan.fields))
-			(*merged)[win] = dst
-		}
-		for fi := range states {
-			dst[fi].merge(&states[fi])
-		}
-	}
 }

@@ -74,55 +74,75 @@ func (b *block) fieldIndex(name string) int {
 	return -1
 }
 
-// bitWriter appends an MSB-first bit stream.
+// bitWriter appends an MSB-first bit stream a word at a time: bits
+// collect left-aligned in acc and reach buf eight bytes per append.
 type bitWriter struct {
-	buf  []byte
-	free uint // unused low bits in the last byte
+	buf []byte
+	acc uint64 // pending bits, left-aligned
+	n   uint   // pending bit count, < 64
 }
 
-// writeBits appends the low nb bits of v, most significant first.
+// writeBits appends the low nb <= 64 bits of v, most significant first.
 func (w *bitWriter) writeBits(v uint64, nb uint) {
 	v <<= 64 - nb // left-align
-	for nb > 0 {
-		if w.free == 0 {
-			w.buf = append(w.buf, 0)
-			w.free = 8
-		}
-		take := w.free
-		if take > nb {
-			take = nb
-		}
-		w.buf[len(w.buf)-1] |= byte(v>>(64-take)) << (w.free - take)
-		v <<= take
-		nb -= take
-		w.free -= take
+	w.acc |= v >> w.n
+	if w.n+nb < 64 {
+		w.n += nb
+		return
 	}
+	w.buf = binary.BigEndian.AppendUint64(w.buf, w.acc)
+	w.acc = v << (64 - w.n) // the bits of v that did not fit
+	w.n += nb - 64
 }
 
-// bitReader consumes an MSB-first bit stream with hard bounds checks.
-type bitReader struct {
-	buf []byte
-	pos uint // bit position
+// bytes returns the stream, its last byte zero-padded.
+func (w *bitWriter) bytes() []byte {
+	for ; w.n > 0; w.n -= min(w.n, 8) {
+		w.buf = append(w.buf, byte(w.acc>>56))
+		w.acc <<= 8
+	}
+	return w.buf
 }
 
-// readBits reads nb bits (nb <= 64), erroring instead of over-reading.
-func (r *bitReader) readBits(nb uint) (uint64, error) {
-	if uint(len(r.buf))*8-r.pos < nb {
-		return 0, errBlockCorrupt
+// The bit reader consumes an MSB-first stream through a left-aligned
+// 64-bit accumulator. Its state is three values its caller keeps in
+// locals (acc is the decode loop's critical path; a struct whose methods
+// took its address would live in memory): buf, the bytes not yet loaded,
+// and acc, whose top n bits are the next n unread bits. Every read
+// checks n first, so a short stream is refused, never over-read.
+
+// refill tops acc up to more than 56 bits, or to all that is left. Eight
+// bytes load at once and the whole bytes that fit are consumed; leading
+// bits of the next byte land below the n valid ones, where the next
+// refill ORs them again — until then they are not counted. The last <8
+// bytes load byte-wise: a word load there would over-read.
+func refill(buf []byte, acc uint64, n uint) ([]byte, uint64, uint) {
+	if len(buf) >= 8 {
+		adv := (64 - n) >> 3
+		return buf[adv:], acc | binary.BigEndian.Uint64(buf)>>n, n + adv<<3
 	}
-	var v uint64
-	for nb > 0 {
-		avail := 8 - r.pos&7
-		take := avail
-		if take > nb {
-			take = nb
+	for n <= 56 && len(buf) > 0 {
+		buf, acc, n = buf[1:], acc|uint64(buf[0])<<(56-n), n+8
+	}
+	return buf, acc, n
+}
+
+// readBits reads 1 <= nb <= 64 bits through a refill; ok is false on a
+// shorter stream. The decode loop calls it for what acc does not hold.
+func readBits(buf []byte, acc uint64, n, nb uint) (v uint64, _ []byte, _ uint64, _ uint, ok bool) {
+	if n < nb {
+		if buf, acc, n = refill(buf, acc, n); n < nb {
+			// Short stream, or nb > 56 met 57..63 bits in acc: those are the
+			// value's high part, a second refill has the low nb-n <= 7.
+			if n+8*uint(len(buf)) < nb {
+				return 0, buf, acc, n, false
+			}
+			nb -= n
+			v = acc >> (64 - n) << nb
+			buf, acc, n = refill(buf, 0, 0)
 		}
-		chunk := uint64(r.buf[r.pos>>3]>>(avail-take)) & (1<<take - 1)
-		v = v<<take | chunk
-		r.pos += take
-		nb -= take
 	}
-	return v, nil
+	return v | acc>>(64-nb), buf, acc << nb, n - nb, true
 }
 
 // encodeBlock compresses rows of a series (aligned columns, NaN =
@@ -232,7 +252,7 @@ func encodeBlock(times []int64, names []string, cols [][]float64) (*block, error
 		secs = append(secs, section{
 			name: name, count: count, zeros: zeros,
 			minV: minV, maxV: maxV, sum: sum,
-			bitmap: bitmap, stream: vw.buf,
+			bitmap: bitmap, stream: vw.bytes(),
 		})
 	}
 	blob = binary.AppendUvarint(blob, uint64(len(secs)))
@@ -378,19 +398,25 @@ func (b *block) decodeTimes(dst []int64) ([]int64, error) {
 	data := b.blob[b.tsOff : b.tsOff+b.tsLen]
 	p := 0
 	var prevT, prevD int64
-	for i := 0; i < b.rows; i++ {
-		v, n := binary.Varint(data[p:])
-		if n <= 0 {
+	for i := range dst {
+		if p >= len(data) {
 			return nil, errBlockCorrupt
 		}
-		p += n
-		switch i {
-		case 0:
+		// A regular tick's delta-of-delta is the byte 0x00: one-byte
+		// zig-zag varints decode in line, longer ones in the library.
+		v := int64(data[p]>>1) ^ -int64(data[p]&1)
+		if data[p] < 0x80 {
+			p++
+		} else {
+			var n int
+			if v, n = binary.Varint(data[p:]); n <= 0 {
+				return nil, errBlockCorrupt
+			}
+			p += n
+		}
+		if i == 0 {
 			prevT = v
-		case 1:
-			prevD = v
-			prevT += v
-		default:
+		} else { // the first delta is a delta-of-delta from 0
 			prevD += v
 			prevT += prevD
 		}
@@ -413,70 +439,70 @@ func (b *block) decodeField(fi int, dst []float64) ([]float64, error) {
 		dst = make([]float64, b.rows)
 	}
 	dst = dst[:b.rows]
-	bitmap := b.blob[f.bmOff : f.bmOff+f.bmLen]
-	br := bitReader{buf: b.blob[f.valOff : f.valOff+f.valLen]}
-	nan := math.NaN()
-	var prevBits uint64
-	var lz, sig uint = 0, 64
-	first := true
-	for r := 0; r < b.rows; r++ {
-		if bitmap[r>>3]>>(r&7)&1 == 0 {
-			dst[r] = nan
+	// The stream holds the present values back to back (decodeBlock held
+	// count to the bitmap's popcount): decode them bitmap-free into
+	// dst[:count].
+	vals := dst[:f.count]
+	prevBits, buf, acc, n, ok := readBits(b.blob[f.valOff:f.valOff+f.valLen], 0, 0, 64)
+	vals[0] = math.Float64frombits(prevBits)
+	if !ok || vals[0] != vals[0] {
+		return nil, errBlockCorrupt
+	}
+	var sig, shift uint = 64, 0 // the window: its width, and zeros below it
+	for k := 1; k < len(vals); k++ {
+		// One refill covers the control code, a window header and a payload
+		// of up to 44 bits.
+		if n < 57 {
+			buf, acc, n = refill(buf, acc, n)
+		}
+		switch {
+		case n == 0:
+			return nil, errBlockCorrupt
+		case acc>>63 == 0: // '0': the value repeats
+			acc, n = acc<<1, n-1
+			vals[k] = vals[k-1]
 			continue
+		case n < 2:
+			return nil, errBlockCorrupt
+		case acc>>62 == 2: // '10': reuse the window
+			acc, n = acc<<2, n-2
+		case n < 13:
+			return nil, errBlockCorrupt
+		default: // '11': 5 bits of leading zeros, 6 of width (0 = 64)
+			lz := uint(acc >> 57 & 31)
+			sig = (uint(acc>>51)-1)&63 + 1
+			acc, n = acc<<13, n-13
+			if lz+sig > 64 {
+				return nil, errBlockCorrupt
+			}
+			shift = 64 - lz - sig
 		}
-		if first {
-			v, err := br.readBits(64)
-			if err != nil {
-				return nil, err
-			}
-			prevBits = v
-			first = false
-		} else {
-			c, err := br.readBits(1)
-			if err != nil {
-				return nil, err
-			}
-			if c == 1 {
-				c2, err := br.readBits(1)
-				if err != nil {
-					return nil, err
-				}
-				if c2 == 1 {
-					l, err := br.readBits(5)
-					if err != nil {
-						return nil, err
-					}
-					s, err := br.readBits(6)
-					if err != nil {
-						return nil, err
-					}
-					lz, sig = uint(l), uint(s)
-					if sig == 0 {
-						sig = 64
-					}
-					if lz+sig > 64 {
-						return nil, errBlockCorrupt
-					}
-				}
-				m, err := br.readBits(sig)
-				if err != nil {
-					return nil, err
-				}
-				prevBits ^= m << (64 - lz - sig)
-			}
+		var m uint64
+		if sig <= n { // shifts masked to what they can be: no range fix-ups
+			m, acc, n = acc>>((64-sig)&63), acc<<((sig-1)&63)<<1, n-sig
+		} else if m, buf, acc, n, ok = readBits(buf, acc, n, sig); !ok {
+			return nil, errBlockCorrupt
 		}
+		prevBits ^= m << (shift & 63)
 		v := math.Float64frombits(prevBits)
 		if v != v { // NaN never enters a valid block; refuse the sentinel
 			return nil, errBlockCorrupt
 		}
-		dst[r] = v
+		vals[k] = v
 	}
 	// Only sub-byte zero padding may remain unread.
-	if rem := uint(len(br.buf))*8 - br.pos; rem >= 8 {
+	if len(buf) > 0 || n >= 8 || (n > 0 && acc>>(64-n) != 0) {
 		return nil, errBlockCorrupt
-	} else if rem > 0 {
-		if pad, err := br.readBits(rem); err != nil || pad != 0 {
-			return nil, errBlockCorrupt
+	}
+	// Spread a sparse column over its rows, back to front: a value moves
+	// before anything overwrites it, and once k > r the rest is in place.
+	bitmap := b.blob[f.bmOff : f.bmOff+f.bmLen]
+	for k, r := len(vals), len(dst)-1; k <= r; r-- {
+		if bitmap[r>>3]>>(r&7)&1 == 0 {
+			dst[r] = math.NaN()
+		} else {
+			k--
+			dst[r] = dst[k]
 		}
 	}
 	return dst, nil

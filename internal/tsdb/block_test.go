@@ -1,8 +1,15 @@
 package tsdb
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -18,8 +25,11 @@ import (
 // columns use NaN for absent cells, mirroring live heads.
 func genBlockCase(rng *rand.Rand) (times []int64, names []string, cols [][]float64) {
 	rows := 1 + rng.Intn(600)
-	if rng.Intn(20) == 0 {
+	switch rng.Intn(20) {
+	case 0:
 		rows = 1 + rng.Intn(blockRows) // occasionally a full-size block
+	case 1:
+		rows = 1 + rng.Intn(3) // and a block of a row or three
 	}
 	times = make([]int64, rows)
 	base := int64(rng.Intn(1<<30)) - (1 << 29)
@@ -48,6 +58,9 @@ func genBlockCase(rng *rand.Rand) (times []int64, names []string, cols [][]float
 		col := make([]float64, rows)
 		pattern := rng.Intn(6)
 		present := 1 + rng.Intn(100) // % chance a cell is present
+		if rng.Intn(4) == 0 {
+			present = 100 // a column with no gaps: the decoder never needs the bitmap
+		}
 		prev := 0.0
 		for i := range col {
 			if rng.Intn(100) >= present {
@@ -190,9 +203,233 @@ func TestBlockCompressionRatio(t *testing.T) {
 	}
 }
 
+// sameVerdict reports whether a decoder and its reference agree on
+// error-vs-ok and on the error class.
+func sameVerdict(got, want error) bool {
+	return (got == nil) == (want == nil) && errors.Is(got, errBlockCorrupt) == errors.Is(want, errBlockCorrupt)
+}
+
+// checkDecodeAgainstReference holds the decoders to the ones they
+// replaced (block_ref_test.go) on one parsed block: column by column,
+// the same accept/reject, the same error class, the same bits.
+func checkDecodeAgainstReference(t *testing.T, label string, b *block) {
+	t.Helper()
+	gotT, gerr := b.decodeTimes(nil)
+	wantT, werr := refDecodeTimes(b, nil)
+	if !sameVerdict(gerr, werr) {
+		t.Fatalf("%s: decodeTimes error %v, reference %v", label, gerr, werr)
+	}
+	if !slices.Equal(gotT, wantT) {
+		t.Fatalf("%s: timestamp column differs from the reference", label)
+	}
+	for fi := range b.fields {
+		got, gerr := b.decodeField(fi, nil)
+		want, werr := refDecodeField(b, fi, nil)
+		if !sameVerdict(gerr, werr) {
+			t.Fatalf("%s: field %s: decodeField error %v, reference %v", label, b.fields[fi].name, gerr, werr)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: field %s: %d rows, reference %d", label, b.fields[fi].name, len(got), len(want))
+		}
+		for r, w := range want {
+			if math.Float64bits(got[r]) != math.Float64bits(w) {
+				t.Fatalf("%s: field %s row %d: got %x, reference %x", label, b.fields[fi].name, r, math.Float64bits(got[r]), math.Float64bits(w))
+			}
+		}
+	}
+}
+
+// TestBlockDecodeMatchesReference runs the differential check over
+// seeded blocks and over damaged copies of each: every truncation class
+// and single-bit flips across the blob. It also requires the generator
+// to have produced the shapes the word-wise reader treats differently.
+func TestBlockDecodeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x15b10c))
+	var oneRow, dense, sparse, fullWidth int
+	var padBits [8]int
+	for c := 0; c < 2000; c++ {
+		times, names, cols := genBlockCase(rng)
+		b, err := encodeBlock(times, names, cols)
+		if err != nil {
+			t.Fatalf("case %d: encode: %v", c, err)
+		}
+		label := fmt.Sprintf("case %d", c)
+		checkDecodeAgainstReference(t, label, b)
+		if b.rows == 1 {
+			oneRow++
+		}
+		for fi := range b.fields {
+			f := &b.fields[fi]
+			if f.count == uint64(b.rows) {
+				dense++
+			} else {
+				sparse++
+			}
+			bitLen, wide := refStreamBits(t, b, fi)
+			padBits[bitLen%8]++
+			if wide {
+				fullWidth++
+			}
+		}
+		// Damage: decodeBlock refuses most of it; what still parses must
+		// decode, or fail, exactly as the reference does.
+		blob := b.blob
+		for k := 0; k < 24; k++ {
+			mut := append([]byte(nil), blob...)
+			if k%3 == 0 {
+				mut = mut[:rng.Intn(len(mut))]
+			} else {
+				mut[rng.Intn(len(mut))] ^= 1 << rng.Intn(8)
+			}
+			if mb, err := decodeBlock(mut); err == nil {
+				checkDecodeAgainstReference(t, fmt.Sprintf("%s damage %d", label, k), mb)
+			}
+		}
+		// A stream cut or extended by whole bytes keeps the frame valid
+		// when its length prefix follows, which decodeBlock cannot catch.
+		for fi := range b.fields {
+			for _, delta := range []int{-9, -8, -1, 1, 8} {
+				if mb := resizeStream(b, fi, delta); mb != nil {
+					checkDecodeAgainstReference(t, fmt.Sprintf("%s field %d stream %+d", label, fi, delta), mb)
+				}
+			}
+		}
+	}
+	if oneRow == 0 || dense == 0 || sparse == 0 || fullWidth == 0 {
+		t.Fatalf("generator coverage: 1-row %d, dense %d, sparse %d, sig==64 %d", oneRow, dense, sparse, fullWidth)
+	}
+	for off, n := range padBits {
+		if n == 0 {
+			t.Fatalf("generator coverage: no stream ends %d bits into a byte", off)
+		}
+	}
+}
+
+// refStreamBits walks field fi's stream with the reference reader and
+// returns its length in bits before padding, and whether any value was
+// stored with a full 64-bit window.
+func refStreamBits(t *testing.T, b *block, fi int) (bitLen uint, wide bool) {
+	t.Helper()
+	f := &b.fields[fi]
+	br := refBitReader{buf: b.blob[f.valOff : f.valOff+f.valLen]}
+	read := func(nb uint) uint64 {
+		v, err := br.readBits(nb)
+		if err != nil {
+			t.Fatalf("walk field %d: %v", fi, err)
+		}
+		return v
+	}
+	read(64)
+	sig := uint(64)
+	for k := uint64(1); k < f.count; k++ {
+		if read(1) == 0 {
+			continue
+		}
+		if read(1) == 1 {
+			read(5)
+			if sig = uint(read(6)); sig == 0 {
+				sig = 64
+			}
+		}
+		if sig == 64 {
+			wide = true
+		}
+		read(sig)
+	}
+	return br.pos, wide
+}
+
+// resizeStream returns a re-framed copy of b whose field fi stream is
+// delta bytes longer (zero bytes appended) or shorter, nil when the
+// stream is too short to cut.
+func resizeStream(b *block, fi, delta int) *block {
+	f := &b.fields[fi]
+	if f.valLen+delta < 0 {
+		return nil
+	}
+	prefix := len(binary.AppendUvarint(nil, uint64(f.valLen)))
+	blob := append([]byte(nil), b.blob[:f.valOff-prefix]...)
+	blob = binary.AppendUvarint(blob, uint64(f.valLen+delta))
+	if delta < 0 {
+		blob = append(blob, b.blob[f.valOff:f.valOff+f.valLen+delta]...)
+	} else {
+		blob = append(blob, b.blob[f.valOff:f.valOff+f.valLen]...)
+		blob = append(blob, make([]byte, delta)...)
+	}
+	blob = append(blob, b.blob[f.valOff+f.valLen:]...)
+	mb, err := decodeBlock(blob)
+	if err != nil {
+		return nil
+	}
+	return mb
+}
+
+// telemetryBlockInput is a full block shaped like what a sampler seals:
+// a clock ticking every millisecond and eight gap-free random walks in
+// steps of 1/8.
+const telemetryStep = 1_000_000 // ns between its rows
+
+func telemetryBlockInput(rng *rand.Rand) (times []int64, names []string, cols [][]float64) {
+	times = make([]int64, blockRows)
+	for r := range times {
+		times[r] = 1_700_000_000_000_000_000 + int64(r)*telemetryStep
+	}
+	names = []string{"f0", "f1", "f2", "f3", "f4", "f5", "f6", "f7"}
+	cols = make([][]float64, len(names))
+	for ci := range cols {
+		cols[ci] = make([]float64, blockRows)
+		v := float64(rng.Intn(64))
+		for r := range cols[ci] {
+			v += float64(rng.Intn(17)-8) / 8
+			cols[ci][r] = v
+		}
+	}
+	return times, names, cols
+}
+
+// blockFixture is the fixed input of testdata/block_pr14.bin: the blobs,
+// each behind a uvarint length, that the parent commit's per-byte
+// bitWriter sealed for 40 generated cases and one telemetry-shaped full
+// block.
+func blockFixture(t *testing.T) []byte {
+	t.Helper()
+	rng := rand.New(rand.NewSource(14))
+	var out []byte
+	add := func(times []int64, names []string, cols [][]float64) {
+		b, err := encodeBlock(times, names, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = binary.AppendUvarint(out, uint64(len(b.blob)))
+		out = append(out, b.blob...)
+	}
+	for c := 0; c < 40; c++ {
+		add(genBlockCase(rng))
+	}
+	add(telemetryBlockInput(rng))
+	return out
+}
+
+// TestBlockBytesUnchanged: the word-wise bitWriter seals byte for byte
+// what the per-byte writer it replaced did.
+func TestBlockBytesUnchanged(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "block_pr14.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := blockFixture(t); !bytes.Equal(got, want) {
+		n := 0
+		for n < len(got) && n < len(want) && got[n] == want[n] {
+			n++
+		}
+		t.Fatalf("sealed blocks differ from the PR 14 writer's: %d bytes vs %d, first difference at offset %d", len(got), len(want), n)
+	}
+}
+
 // FuzzBlockDecode holds the block decoder to its contract on arbitrary
 // bytes: never panic, never over-read — either a clean error or a block
-// whose every column decodes.
+// whose columns decode, or fail to, exactly as under the reference
+// readers (block_ref_test.go).
 func FuzzBlockDecode(f *testing.F) {
 	// Seed with valid blobs (and their prefixes) so the fuzzer starts
 	// inside the format, plus raw noise.
@@ -215,13 +452,43 @@ func FuzzBlockDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if _, err := b.decodeTimes(nil); err != nil {
-			return
-		}
-		for fi := range b.fields {
-			if _, err := b.decodeField(fi, nil); err != nil {
-				return
-			}
-		}
+		checkDecodeAgainstReference(t, "fuzz input", b)
 	})
+}
+
+// telemetryBlock seals telemetryBlockInput: the block the scan-kernel
+// benchmarks and allocation tests run over.
+func telemetryBlock(tb testing.TB) *block {
+	tb.Helper()
+	blk, err := encodeBlock(telemetryBlockInput(rand.New(rand.NewSource(1))))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return blk
+}
+
+func BenchmarkDecodeField(b *testing.B) {
+	blk := telemetryBlock(b)
+	dst := make([]float64, blk.rows)
+	b.ReportAllocs()
+	b.SetBytes(int64(blk.rows) * 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := blk.decodeField(i%len(blk.fields), dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDecodeTimes(b *testing.B) {
+	blk := telemetryBlock(b)
+	dst := make([]int64, blk.rows)
+	b.ReportAllocs()
+	b.SetBytes(int64(blk.rows) * 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := blk.decodeTimes(dst); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

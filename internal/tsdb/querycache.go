@@ -31,6 +31,8 @@ type queryCache struct {
 	versions map[string]uint64
 
 	hits, misses, evictions, invalidations *introspect.Counter
+	// Aggregate scan units by how they were answered (query.units_*).
+	unitsFooter, unitsDecoded, unitsHead *introspect.Counter
 }
 
 type cacheEntry struct {
@@ -65,6 +67,18 @@ func (c *queryCache) setIntrospection(in *introspect.Introspector) {
 	c.misses = m.Counter("query.cache.misses")
 	c.evictions = m.Counter("query.cache.evictions")
 	c.invalidations = m.Counter("query.cache.invalidations")
+	c.unitsFooter = m.Counter("query.units_footer")
+	c.unitsDecoded = m.Counter("query.units_decoded")
+	c.unitsHead = m.Counter("query.units_head")
+	c.mu.Unlock()
+}
+
+// countUnits adds one aggregate scan's units, by how they were answered.
+func (c *queryCache) countUnits(footer, decoded, head int) {
+	c.mu.Lock()
+	c.unitsFooter.Add(uint64(footer))
+	c.unitsDecoded.Add(uint64(decoded))
+	c.unitsHead.Add(uint64(head))
 	c.mu.Unlock()
 }
 

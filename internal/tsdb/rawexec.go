@@ -1,6 +1,11 @@
 package tsdb
 
-import "sort"
+import (
+	"context"
+	"fmt"
+	"slices"
+	"sort"
+)
 
 // rawRun is one time-sorted source of rows for the raw SELECT merge: a
 // decoded sealed block or a series head, restricted to the query's time
@@ -29,42 +34,34 @@ func timeBounds(times []int64, from, to int64) (lo, hi int) {
 }
 
 // blockRawRun decodes the selected columns of a sealed block into a
-// merge run. A block carrying none of the selected fields yields an
-// empty run — none of its rows could contribute a row.
+// merge run: the timestamp column first, and no field at all when no
+// row is in bounds. A block carrying none of the selected fields yields
+// an empty run — none of its rows could contribute a row.
 func blockRawRun(b *block, q *Query, selectAll bool) (rawRun, error) {
 	var run rawRun
-	if selectAll {
-		for fi := range b.fields {
-			col, err := b.decodeField(fi, nil)
-			if err != nil {
-				return run, err
-			}
-			run.names = append(run.names, b.fields[fi].name)
-			run.cols = append(run.cols, col)
-		}
-	} else {
-		for _, f := range q.Fields {
-			fi := b.fieldIndex(f)
-			if fi < 0 {
-				continue
-			}
-			col, err := b.decodeField(fi, nil)
-			if err != nil {
-				return run, err
-			}
-			run.names = append(run.names, f)
-			run.cols = append(run.cols, col)
-		}
-		if len(run.names) == 0 {
-			return run, nil
-		}
-	}
 	times, err := b.decodeTimes(nil)
 	if err != nil {
 		return run, err
 	}
-	run.times = times
-	run.pos, run.end = timeBounds(times, q.From, q.To)
+	pos, end := timeBounds(times, q.From, q.To)
+	if pos == end {
+		return run, nil
+	}
+	for fi := range b.fields {
+		name := b.fields[fi].name
+		if !selectAll && !slices.Contains(q.Fields, name) {
+			continue
+		}
+		col, err := b.decodeField(fi, nil)
+		if err != nil {
+			return run, err
+		}
+		run.names = append(run.names, name)
+		run.cols = append(run.cols, col)
+	}
+	if len(run.names) > 0 {
+		run.times, run.pos, run.end = times, pos, end
+	}
 	return run, nil
 }
 
@@ -138,8 +135,9 @@ func runLess(runs []rawRun, a, b int) bool {
 // execRaw materializes a raw SELECT: per matching series, the
 // overlapping sealed blocks decode into sorted runs and the head joins
 // as a final run; a k-way merge emits rows in (time, series, ingest)
-// order — the same order the row store produced.
-func (db *DB) execRaw(q *Query) (*Result, error) {
+// order — the same order the row store produced. Like the aggregate
+// scan it observes cancellation between blocks, never mid-block.
+func (db *DB) execRaw(ctx context.Context, q *Query) (*Result, error) {
 	db.data.RLock()
 	defer db.data.RUnlock()
 	res := &Result{Measurement: q.Measurement, Columns: q.Fields}
@@ -156,6 +154,9 @@ func (db *DB) execRaw(q *Query) (*Result, error) {
 		for _, b := range s.blocks {
 			if (q.From != 0 && b.maxT < q.From) || (q.To != 0 && b.minT > q.To) {
 				continue
+			}
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("tsdb: query: %w", err)
 			}
 			run, err := blockRawRun(b, q, selectAll)
 			if err != nil {

@@ -153,10 +153,11 @@ func New() *DB {
 }
 
 // SetIntrospection attaches the self-observability plane: query-cache
-// hit/miss/evict/invalidation counters land in the introspector's
-// registry as query.cache.*, and the columnar engine's footprint gauges
-// as storage.bytes / storage.blocks / storage.compression.ratio /
-// storage.head.samples (all exported with the pmove.self. prefix).
+// hit/miss/evict/invalidation counters and the aggregate scan's unit
+// tally land in the introspector's registry as query.cache.* and
+// query.units_*, the columnar engine's footprint gauges as storage.bytes
+// / storage.blocks / storage.compression.ratio / storage.head.samples
+// (all exported with the pmove.self. prefix).
 func (db *DB) SetIntrospection(in *introspect.Introspector) {
 	db.qcache.setIntrospection(in)
 	reg := in.Metrics()
@@ -507,7 +508,7 @@ func (db *DB) ExecuteContext(ctx context.Context, req QueryRequest) (*Result, er
 		}
 		return res, nil
 	}
-	return db.execRaw(q)
+	return db.execRaw(ctx, q)
 }
 
 // MeasurementName converts a PCP metric name to the measurement naming
