@@ -30,6 +30,13 @@ type Machine struct {
 	threads map[int]*pmu.ThreadPMU
 	rapl    map[int]*pmu.RAPL // per socket
 
+	// The instance domains of the per-CPU and per-NUMA-node software
+	// metrics, resolved once: hardware thread ids in id order with their
+	// "_cpuN" names beside them, and the "_nodeN" names of sys.NUMA.
+	cpuIDs    []int
+	cpuNames  []string
+	nodeNames []string
+
 	active []*Execution
 	done   []*Execution
 
@@ -93,6 +100,11 @@ func New(sys *topo.System, cfg Config) (*Machine, error) {
 	smt := sys.CPU.ThreadsPerCore > 1
 	for _, t := range sys.AllThreads() {
 		m.threads[t.ID] = pmu.NewThreadPMU(cat, smt, noise)
+		m.cpuIDs = append(m.cpuIDs, t.ID)
+		m.cpuNames = append(m.cpuNames, fmt.Sprintf("_cpu%d", t.ID))
+	}
+	for _, n := range sys.NUMA {
+		m.nodeNames = append(m.nodeNames, fmt.Sprintf("_node%d", n.ID))
 	}
 	for _, sk := range sys.Sockets {
 		r := pmu.NewRAPL(noise)

@@ -70,9 +70,9 @@ func (m *Machine) SampleSW(metric string) (SWSample, error) {
 
 	switch metric {
 	case MetricCPUIdle, MetricCPUUser:
-		s := SWSample{Metric: metric}
-		for _, t := range m.sys.AllThreads() {
-			util := busy[t.ID]
+		s := SWSample{Metric: metric, Values: make([]InstanceValue, 0, len(m.cpuIDs))}
+		for i, id := range m.cpuIDs {
+			util := busy[id]
 			// Baseline OS noise keeps idle just under 1.
 			util += 0.01
 			if util > 1 {
@@ -82,7 +82,7 @@ func (m *Machine) SampleSW(metric string) (SWSample, error) {
 			if metric == MetricCPUIdle {
 				v = 1 - util
 			}
-			s.Values = append(s.Values, InstanceValue{Instance: fmt.Sprintf("_cpu%d", t.ID), Value: v})
+			s.Values = append(s.Values, InstanceValue{Instance: m.cpuNames[i], Value: v})
 		}
 		return s, nil
 	case MetricMemUsed, MetricMemFree:
@@ -97,10 +97,10 @@ func (m *Machine) SampleSW(metric string) (SWSample, error) {
 		}
 		return SWSample{Metric: metric, Values: []InstanceValue{{Instance: "", Value: v}}}, nil
 	case MetricNUMAAllocHit:
-		s := SWSample{Metric: metric}
-		for _, n := range m.sys.NUMA {
+		s := SWSample{Metric: metric, Values: make([]InstanceValue, 0, len(m.nodeNames))}
+		for i, n := range m.sys.NUMA {
 			pages := numaTraffic[n.ID] / 4096
-			s.Values = append(s.Values, InstanceValue{Instance: fmt.Sprintf("_node%d", n.ID), Value: pages})
+			s.Values = append(s.Values, InstanceValue{Instance: m.nodeNames[i], Value: pages})
 		}
 		return s, nil
 	case MetricLoadAvg:

@@ -11,6 +11,7 @@ package telemetry
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -90,6 +91,22 @@ type PerfeventAgent struct {
 	// metric rendering is lossy (':' becomes '_'), so the inverse comes
 	// from the catalog rather than string surgery.
 	byMetric map[string]string
+	// The two instance domains, resolved once: every hardware thread in
+	// id order and every socket, each with its counters and the field
+	// name its readings are reported under.
+	cpus    []cpuInstance
+	sockets []socketInstance
+}
+
+type cpuInstance struct {
+	id   int
+	name string // "_cpuN"
+	pmu  *pmu.ThreadPMU
+}
+
+type socketInstance struct {
+	name string // "_socketN"
+	rapl *pmu.RAPL
 }
 
 // NewPerfeventAgent wraps a machine.
@@ -97,6 +114,16 @@ func NewPerfeventAgent(m *machine.Machine) *PerfeventAgent {
 	a := &PerfeventAgent{m: m, usage: ResourceUsage{MemoryBytes: 6 << 20}, byMetric: map[string]string{}}
 	for _, ev := range m.Catalog().Names() {
 		a.byMetric[MetricForEvent(ev)] = ev
+	}
+	// The lookups cannot fail: the machine built a counter file for every
+	// thread and socket of this same system.
+	for _, t := range m.System().AllThreads() {
+		tp, _ := m.ThreadPMU(t.ID)
+		a.cpus = append(a.cpus, cpuInstance{t.ID, fmt.Sprintf("_cpu%d", t.ID), tp})
+	}
+	for _, sk := range m.System().Sockets {
+		r, _ := m.RAPL(sk.ID)
+		a.sockets = append(a.sockets, socketInstance{fmt.Sprintf("_socket%d", sk.ID), r})
 	}
 	return a
 }
@@ -144,34 +171,28 @@ func (a *PerfeventAgent) Sample(metric string) (Sample, error) {
 	if !ok {
 		return Sample{}, fmt.Errorf("telemetry: unknown event %q", ev)
 	}
-	s := Sample{Metric: metric, Values: map[string]float64{}}
+	var s Sample
 	if def.PMU == "rapl" {
-		for _, sk := range a.m.System().Sockets {
-			r, err := a.m.RAPL(sk.ID)
+		domain := "pkg"
+		if ev == pmu.RAPLEnergyDRAM {
+			domain = "dram"
+		}
+		s = Sample{Metric: metric, Values: make(map[string]float64, len(a.sockets))}
+		for _, sk := range a.sockets {
+			v, err := sk.rapl.Read(domain)
 			if err != nil {
 				return Sample{}, err
 			}
-			domain := "pkg"
-			if ev == pmu.RAPLEnergyDRAM {
-				domain = "dram"
-			}
-			v, err := r.Read(domain)
-			if err != nil {
-				return Sample{}, err
-			}
-			s.Values[fmt.Sprintf("_socket%d", sk.ID)] = float64(v)
+			s.Values[sk.name] = float64(v)
 		}
 	} else {
-		for _, t := range a.m.System().AllThreads() {
-			tp, err := a.m.ThreadPMU(t.ID)
+		s = Sample{Metric: metric, Values: make(map[string]float64, len(a.cpus))}
+		for _, c := range a.cpus {
+			v, err := c.pmu.Read(ev)
 			if err != nil {
-				return Sample{}, err
+				return Sample{}, fmt.Errorf("telemetry: cpu%d: %w", c.id, err)
 			}
-			v, err := tp.Read(ev)
-			if err != nil {
-				return Sample{}, fmt.Errorf("telemetry: cpu%d: %w", t.ID, err)
-			}
-			s.Values[fmt.Sprintf("_cpu%d", t.ID)] = float64(v)
+			s.Values[c.name] = float64(v)
 		}
 	}
 	a.usage.AddCPU(cpuCostPerValue * float64(len(s.Values)))
@@ -205,7 +226,7 @@ func (a *LinuxAgent) Sample(metric string) (Sample, error) {
 	if err != nil {
 		return Sample{}, err
 	}
-	s := Sample{Metric: metric, Values: map[string]float64{}}
+	s := Sample{Metric: metric, Values: make(map[string]float64, len(sw.Values))}
 	for _, iv := range sw.Values {
 		key := iv.Instance
 		if key == "" {
@@ -221,14 +242,23 @@ func (a *LinuxAgent) Sample(metric string) (Sample, error) {
 // domain gives it the bigger memory footprint Fig 6 shows ("pmdaproc uses
 // more memory due to a larger instance domain").
 type ProcAgent struct {
-	m     *machine.Machine
-	usage ResourceUsage
+	m       *machine.Machine
+	usage   ResourceUsage
+	daemons []string // instance names of the fixed background population
 }
 
 // NewProcAgent wraps a machine.
 func NewProcAgent(m *machine.Machine) *ProcAgent {
-	return &ProcAgent{m: m, usage: ResourceUsage{MemoryBytes: 54 << 20}}
+	a := &ProcAgent{m: m, usage: ResourceUsage{MemoryBytes: 54 << 20}}
+	for i := 0; i < 140; i++ {
+		a.daemons = append(a.daemons, procInstance(100+i, "daemon"+strconv.Itoa(i)))
+	}
+	return a
 }
+
+// procInstance names a process instance the way pmdaproc does: its
+// zero-padded pid, then its command.
+func procInstance(pid int, cmd string) string { return fmt.Sprintf("%06d %s", pid, cmd) }
 
 // Name implements Agent.
 func (a *ProcAgent) Name() string { return AgentProc }
@@ -251,11 +281,11 @@ func (a *ProcAgent) Metrics() []string {
 // Sample implements Agent. The instance domain is the set of observed
 // kernel executions plus a synthetic population of OS processes.
 func (a *ProcAgent) Sample(metric string) (Sample, error) {
-	s := Sample{Metric: metric, Values: map[string]float64{}}
 	execs := a.m.ActiveExecutions()
+	s := Sample{Metric: metric, Values: make(map[string]float64, len(execs)+len(a.daemons))}
 	now := a.m.Now()
 	for i, e := range execs {
-		inst := fmt.Sprintf("%06d %s", 10000+i, e.Spec.Name)
+		inst := procInstance(10000+i, e.Spec.Name)
 		switch metric {
 		case MetricProcRSS:
 			s.Values[inst] = float64(e.Spec.WorkingSetBytes * int64(len(e.Pinning)))
@@ -268,8 +298,7 @@ func (a *ProcAgent) Sample(metric string) (Sample, error) {
 		}
 	}
 	// Background OS processes: a fixed population.
-	for i := 0; i < 140; i++ {
-		inst := fmt.Sprintf("%06d daemon%d", 100+i, i)
+	for i, inst := range a.daemons {
 		switch metric {
 		case MetricProcRSS:
 			s.Values[inst] = float64((i%17 + 1)) * 1.5e6
@@ -370,7 +399,7 @@ func wireBytes(s Sample) int64 {
 func ToPoint(s Sample, tag string, timeNanos int64) tsdb.Point {
 	p := tsdb.Point{
 		Measurement: tsdb.MeasurementName(s.Metric),
-		Fields:      map[string]float64{},
+		Fields:      make(map[string]float64, len(s.Values)),
 		Time:        timeNanos,
 	}
 	if tag != "" {

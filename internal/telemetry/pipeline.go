@@ -324,7 +324,7 @@ func (c *Collector) OfferContext(ctx context.Context, now float64, samples []Sam
 	pts := make([]tsdb.Point, 0, len(samples))
 	for _, s := range samples {
 		if zeroBatch {
-			zeroed := Sample{Metric: s.Metric, Values: map[string]float64{}}
+			zeroed := Sample{Metric: s.Metric, Values: make(map[string]float64, len(s.Values))}
 			for f := range s.Values {
 				zeroed.Values[f] = 0
 			}

@@ -348,3 +348,54 @@ func TestSamplingCostChargesMachine(t *testing.T) {
 		t.Error("PMU sampling should interfere with the running kernel (Fig 5)")
 	}
 }
+
+// tickMetrics is a monitoring tick on skx: five PMU events, each across
+// all 88 hardware threads.
+func tickMetrics(tb testing.TB) (*PMCD, []string) {
+	tb.Helper()
+	m, err := machine.New(topo.MustPreset(topo.PresetSKX), machine.Config{Seed: 5})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	events := []string{pmu.IntelCycles, pmu.IntelInstructions, "FP_ARITH:SCALAR_DOUBLE", "MEM_INST_RETIRED:ALL_LOADS", "MEM_INST_RETIRED:ALL_STORES"}
+	if err := m.ProgramAll(events); err != nil {
+		tb.Fatal(err)
+	}
+	var metrics []string
+	for _, ev := range events {
+		metrics = append(metrics, MetricForEvent(ev))
+	}
+	return NewPMCD(m), metrics
+}
+
+// TestSampleAllocations: instance names and counter handles are resolved
+// when the agent is built, so a tick allocates its five value maps and
+// nothing per value.
+func TestSampleAllocations(t *testing.T) {
+	p, metrics := tickMetrics(t)
+	tick := func() {
+		for _, metric := range metrics {
+			s, err := p.Sample(metric)
+			if _, ok := s.Values["_cpu87"]; err != nil || len(s.Values) != 88 || !ok {
+				t.Fatalf("%s: %d values, %v", metric, len(s.Values), err)
+			}
+		}
+	}
+	tick()
+	if n := testing.AllocsPerRun(50, tick); n > float64(8*len(metrics)) {
+		t.Errorf("a tick of %d metrics x 88 threads allocates %v objects; want a few per metric, none per value", len(metrics), n)
+	}
+}
+
+func BenchmarkSampleTick(b *testing.B) {
+	p, metrics := tickMetrics(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, metric := range metrics {
+			if _, err := p.Sample(metric); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -11,7 +11,7 @@ package topo
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Vendor identifies a CPU vendor. The abstraction layer keys its event
@@ -249,24 +249,33 @@ func (s *System) NumThreads() int {
 }
 
 // AllThreads returns every hardware thread ordered by global thread id.
+// Sockets, cores and threads built in id order — every preset without
+// SMT, every probe — are already so, and are not sorted again.
 func (s *System) AllThreads() []Thread {
-	var ts []Thread
+	ts := make([]Thread, 0, s.NumThreads())
 	for _, sk := range s.Sockets {
 		for _, c := range sk.Cores {
 			ts = append(ts, c.Threads...)
 		}
 	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i].ID < ts[j].ID })
+	byID := func(a, b Thread) int { return a.ID - b.ID }
+	if !slices.IsSortedFunc(ts, byID) {
+		slices.SortFunc(ts, byID)
+	}
 	return ts
 }
 
-// AllCores returns every core ordered by global core id.
+// AllCores returns every core ordered by global core id, sorting only a
+// system whose sockets do not list them so.
 func (s *System) AllCores() []Core {
-	var cs []Core
+	cs := make([]Core, 0, s.NumCores())
 	for _, sk := range s.Sockets {
 		cs = append(cs, sk.Cores...)
 	}
-	sort.Slice(cs, func(i, j int) bool { return cs[i].ID < cs[j].ID })
+	byID := func(a, b Core) int { return a.ID - b.ID }
+	if !slices.IsSortedFunc(cs, byID) {
+		slices.SortFunc(cs, byID)
+	}
 	return cs
 }
 

@@ -72,6 +72,50 @@ func TestThreadIDsUniqueAndDense(t *testing.T) {
 	}
 }
 
+// AllThreads and AllCores answer in id order whatever order the system
+// lists them in: a preset's (SMT siblings are c and c+cores, so a core's
+// threads are not neighbours) or one built back to front.
+func TestAllThreadsAndCoresInIDOrder(t *testing.T) {
+	inOrder := func(name string, sys *System) {
+		t.Helper()
+		ts, cs := sys.AllThreads(), sys.AllCores()
+		if len(ts) != sys.NumThreads() || len(cs) != sys.NumCores() {
+			t.Fatalf("%s: %d threads, %d cores listed; want %d, %d", name, len(ts), len(cs), sys.NumThreads(), sys.NumCores())
+		}
+		for i := 1; i < len(ts); i++ {
+			if ts[i-1].ID >= ts[i].ID {
+				t.Fatalf("%s: AllThreads has id %d before %d", name, ts[i-1].ID, ts[i].ID)
+			}
+		}
+		for i := 1; i < len(cs); i++ {
+			if cs[i-1].ID >= cs[i].ID {
+				t.Fatalf("%s: AllCores has id %d before %d", name, cs[i-1].ID, cs[i].ID)
+			}
+		}
+	}
+	for _, name := range Presets() {
+		sys := MustPreset(name)
+		inOrder(name, sys)
+		// The same machine with sockets, cores and threads reversed.
+		back := *sys
+		back.Sockets = nil
+		for i := len(sys.Sockets) - 1; i >= 0; i-- {
+			sk := sys.Sockets[i]
+			sk.Cores = nil
+			for j := len(sys.Sockets[i].Cores) - 1; j >= 0; j-- {
+				c := sys.Sockets[i].Cores[j]
+				c.Threads = nil
+				for k := len(sys.Sockets[i].Cores[j].Threads) - 1; k >= 0; k-- {
+					c.Threads = append(c.Threads, sys.Sockets[i].Cores[j].Threads[k])
+				}
+				sk.Cores = append(sk.Cores, c)
+			}
+			back.Sockets = append(back.Sockets, sk)
+		}
+		inOrder(name+" reversed", &back)
+	}
+}
+
 func TestSMTSiblingNumbering(t *testing.T) {
 	// cpu0 and cpu<numCores> must share core 0 (the Linux convention the
 	// probe output follows).

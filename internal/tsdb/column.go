@@ -78,7 +78,7 @@ func (s *memSeries) fieldCol(name string, in interner) int {
 // only the head's tail — bounded by blockRows — instead of copying the
 // whole series as the old row store did. Equal timestamps insert after
 // existing rows, preserving ingest order within the head.
-func (s *memSeries) insertRow(t int64, fields map[string]float64, in interner) {
+func (s *memSeries) insertRow(t int64, fields []rowKV, in interner) {
 	h := &s.head
 	n := len(h.times)
 	pos := n
@@ -96,11 +96,16 @@ func (s *memSeries) insertRow(t int64, fields map[string]float64, in interner) {
 		c[pos] = nan
 		h.cols[i] = c
 	}
-	for name, v := range fields {
-		ci := s.fieldCol(name, in)
-		// fieldCol may have appended a fresh column already sized to the
-		// post-insert row count; both paths leave cols[ci] length n+1.
-		s.head.cols[ci][pos] = v
+	for i, f := range fields {
+		// A series fed in one key order finds field i in column i; any
+		// other row looks its columns up. fieldCol may have appended a
+		// fresh column already sized to the post-insert row count; both
+		// paths leave cols[ci] length n+1.
+		ci := i
+		if ci >= len(s.names) || s.names[ci] != f.key {
+			ci = s.fieldCol(f.key, in)
+		}
+		s.head.cols[ci][pos] = f.num
 	}
 }
 

@@ -19,7 +19,9 @@ import (
 //
 // The line protocol is already the canonical, fuzz-hardened encoding of
 // a point (EncodeLine∘DecodeLine is the identity on valid points), so
-// the WAL record body reuses it instead of inventing a second codec.
+// the WAL record body reuses it instead of inventing a second codec: a
+// record holds the lines a wire client sent (when canonical) or the
+// encoder's, and replay reads them with the wire server's row scanner.
 // Batch writes group-commit: the whole batch is ONE WAL record (a
 // storage batch envelope of line-protocol sub-bodies), so recovery
 // replays a batch entirely or — when the crash tore its frame — not at
@@ -60,8 +62,8 @@ func Open(dir string, pol storage.FsyncPolicy) (*DB, error) {
 }
 
 // replay rebuilds the in-memory state from a recovered snapshot and the
-// WAL records after it, one insertBatch per record. Runs before the DB
-// is shared.
+// WAL records after it: each record's lines go through the row scanner
+// into one insertBatch. Runs before the DB is shared.
 func (db *DB) replay(rec storage.Recovered) error {
 	if len(rec.Snapshot) > 0 {
 		if !bytes.HasPrefix(rec.Snapshot, []byte(snapshotMagic)) {
@@ -71,6 +73,7 @@ func (db *DB) replay(rec storage.Recovered) error {
 			return err
 		}
 	}
+	var rb rowBuf // reused record after record
 	for _, r := range rec.Records {
 		var err error
 		items := [][]byte{r.Data}
@@ -79,13 +82,13 @@ func (db *DB) replay(rec storage.Recovered) error {
 				return err
 			}
 		}
-		ps := make([]Point, len(items))
-		for i, it := range items {
-			if ps[i], err = DecodeLine(string(it)); err != nil {
+		rb.rows, rb.kvs = rb.rows[:0], rb.kvs[:0]
+		for _, it := range items {
+			if err := rb.scan(string(it)); err != nil {
 				return err
 			}
 		}
-		db.insertBatch(ps)
+		db.insertBatch(len(rb.rows), rb.at)
 	}
 	return nil
 }
@@ -143,21 +146,16 @@ func (db *DB) snapshotLocked() ([]byte, error) {
 	sort.Strings(names)
 	out := []byte(snapshotMagic)
 	out = binary.AppendUvarint(out, uint64(total))
-	var tagKeys []string
 	for _, name := range names {
 		m := db.measurements[name]
+		// A series' identity is its key with the tag count put in: the key
+		// already spells the length-prefixed measurement, then the tag
+		// pairs the same way in key order.
+		id := len(binary.AppendUvarint(nil, uint64(len(m.name)))) + len(m.name)
 		for _, s := range m.series {
-			out = binary.AppendUvarint(out, uint64(len(m.name)))
-			out = append(out, m.name...)
+			out = append(out, s.key[:id]...)
 			out = binary.AppendUvarint(out, uint64(len(s.tags)))
-			tagKeys = sortedKeys(tagKeys[:0], s.tags)
-			for _, k := range tagKeys {
-				out = binary.AppendUvarint(out, uint64(len(k)))
-				out = append(out, k...)
-				v := s.tags[k]
-				out = binary.AppendUvarint(out, uint64(len(v)))
-				out = append(out, v...)
-			}
+			out = append(out, s.key[id:]...)
 			chunks := len(s.blocks)
 			var headBlob []byte
 			if len(s.head.times) > 0 {
@@ -212,6 +210,7 @@ func (db *DB) loadSnapshot(snap []byte) error {
 	if err != nil {
 		return err
 	}
+	var tags []rowKV
 	for si := 0; si < nseries; si++ {
 		meas, err := str()
 		if err != nil {
@@ -224,7 +223,7 @@ func (db *DB) loadSnapshot(snap []byte) error {
 		if err != nil {
 			return err
 		}
-		tags := make(map[string]string, ntags)
+		tags = tags[:0]
 		for i := 0; i < ntags; i++ {
 			k, err := str()
 			if err != nil {
@@ -234,7 +233,10 @@ func (db *DB) loadSnapshot(snap []byte) error {
 			if err != nil {
 				return err
 			}
-			tags[k] = v
+			if i > 0 && k <= tags[i-1].key { // the writer sorts them: the order spells the series key
+				return errBlockCorrupt
+			}
+			tags = append(tags, rowKV{key: k, str: v})
 		}
 		s := db.seriesFor(db.measurementFor(meas), tags)
 		nchunks, err := uvar()

@@ -1,0 +1,350 @@
+package tsdb
+
+import (
+	"bufio"
+	"context"
+	"errors"
+	"fmt"
+	"net"
+	"os"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"pmove/internal/introspect"
+	"pmove/internal/storage"
+)
+
+// The row path from a received frame to the WAL and the head: which
+// lines go into a WAL body as they came, what the ingest counters say,
+// and what a warm frame allocates.
+
+// TestScanRowCanonicalForm: a line is taken verbatim exactly when it is
+// what the encoder prints for its point, up to the spelling of a number;
+// any other accepted line is printed again from its row, and that is the
+// encoder's line.
+func TestScanRowCanonicalForm(t *testing.T) {
+	for _, c := range []struct {
+		line     string
+		verbatim bool
+	}{
+		{"m v=1 5", true},
+		{"m,a=x,b=y f=1,g=2 -5", true},
+		{"m v=1.0 5", true}, // number spelling is not part of the form
+		{"m v=1e0,w=+5 0", true},
+		{"m v=1 +5", false},
+		{"m v=1 05", false},
+		{"m v=1 -0", false},
+		{"m g=2,f=1 5", false},
+		{"m,b=y,a=x f=1 5", false},
+		{`m\ s v=1 5`, false},
+		{`m,a=x\,y v=1 5`, false},
+		{`m a\=b=1 5`, false},
+		{"m=x v=1 5", false}, // the encoder escapes the '='
+	} {
+		rb := new(rowBuf)
+		if err := rb.scan(c.line); err != nil {
+			t.Fatalf("scan(%q): %v", c.line, err)
+		}
+		r := &rb.rows[0]
+		if got := r.line != ""; got != c.verbatim {
+			t.Errorf("scan(%q): verbatim = %v, want %v", c.line, got, c.verbatim)
+		}
+		p, err := DecodeLine(c.line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := EncodeLine(p)
+		if c.verbatim {
+			if back, err := DecodeLine(string(appendRow(nil, r))); err != nil || !pointsEqual(back, p) {
+				t.Errorf("%q taken verbatim reads back as %+v (%v), want %+v", c.line, back, err, p)
+			}
+		} else if got := string(appendRow(nil, r)); got != want {
+			t.Errorf("scan(%q) encodes as %q, the encoder prints %q", c.line, got, want)
+		}
+	}
+	// A rejected line leaves the rows before it alone.
+	rb := new(rowBuf)
+	for _, line := range []string{"a,k=v f=1,g=2 1", "b,k=v f=1,f=2 2", "c,k=w h=3 3"} {
+		rb.scan(line)
+	}
+	if len(rb.rows) != 2 || len(rb.kvs) != 5 || rb.rows[1].meas != "c" || rb.rows[1].fields[0].key != "h" {
+		t.Fatalf("rows after a rejected line: %+v", rb.rows)
+	}
+}
+
+// TestClientRefusesLineBreak: a newline in a name would put n+1 lines
+// under a header that says n — the server would read the tail as a
+// command and every later reply on the connection would be one behind.
+// The client refuses the point before anything touches the wire.
+func TestClientRefusesLineBreak(t *testing.T) {
+	db := New()
+	srv, addr := startServer(t, db)
+	defer srv.Close()
+	c, err := DialPolicy(addr, testPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	good := Point{Measurement: "m", Fields: map[string]float64{"v": 1}, Time: 1}
+	for name, bad := range map[string]Point{
+		"tag value":   {Measurement: "m", Tags: map[string]string{"k": "x\nWRITE m v=9 9"}, Fields: map[string]float64{"v": 2}, Time: 2},
+		"measurement": {Measurement: "m\nPING", Fields: map[string]float64{"v": 2}, Time: 2},
+		"field key":   {Measurement: "m", Fields: map[string]float64{"a\nb": 2}, Time: 2},
+	} {
+		err := c.WriteBatchContext(ctx, []Point{good, bad})
+		var be *BatchError
+		if !errors.Is(err, ErrLineBreak) || !errors.As(err, &be) || be.Index != 1 || be.Applied != 0 {
+			t.Fatalf("newline in a %s: got %v, want *BatchError{Index: 1} wrapping ErrLineBreak", name, err)
+		}
+		if err := c.PingContext(ctx); err != nil {
+			t.Fatalf("ping after the refused batch (%s): %v", name, err)
+		}
+		if _, err := c.QueryContext(ctx, `SELECT "v" FROM "m"`); err != nil {
+			t.Fatalf("query after the refused batch (%s): %v", name, err)
+		}
+	}
+	if points, _ := db.Stats(); points != 0 {
+		t.Fatalf("refused batches applied %d points", points)
+	}
+	// The embedded store, the WAL and replay hold such a name: they frame
+	// by length.
+	dir := t.TempDir()
+	ddb, err := Open(dir, storage.FsyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl := Point{Measurement: "m", Tags: map[string]string{"k": "x\ny"}, Fields: map[string]float64{"v": 2}, Time: 2}
+	if err := ddb.WriteBatchContext(ctx, []Point{good, nl}); err != nil {
+		t.Fatal(err)
+	}
+	ddb.Close()
+	if ddb, err = Open(dir, storage.FsyncAlways); err != nil {
+		t.Fatalf("reopen a store holding a newline in a name: %v", err)
+	}
+	defer ddb.Close()
+	if points, _ := ddb.Stats(); points != 2 {
+		t.Fatalf("reopened store has %d points, want 2", points)
+	}
+}
+
+// TestIngestRowCounters: every row of an accepted frame is counted once,
+// as taken verbatim or as encoded again; a frame from Client is all
+// verbatim, an embedded write is not a frame.
+func TestIngestRowCounters(t *testing.T) {
+	db, err := Open(t.TempDir(), storage.FsyncNever)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	in := introspect.New()
+	db.SetIntrospection(in)
+	counts := func() (verbatim, reencoded uint64) {
+		reg := in.Metrics()
+		return reg.Counter("ingest.rows_verbatim").Load(), reg.Counter("ingest.rows_reencoded").Load()
+	}
+	srv, addr := startServer(t, db)
+	defer srv.Close()
+	c, err := DialPolicy(addr, testPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	var sent uint64
+	for _, batch := range fixtureBatches()[:3] {
+		if err := c.WriteBatchContext(ctx, batch); err != nil {
+			t.Fatal(err)
+		}
+		sent += uint64(len(batch))
+	}
+	if v, r := counts(); v != sent || r != 0 {
+		t.Fatalf("after %d rows from Client: %d verbatim, %d re-encoded; want all verbatim", sent, v, r)
+	}
+	if err := db.WriteBatchContext(ctx, fixtureBatches()[0]); err != nil {
+		t.Fatal(err)
+	}
+	if v, r := counts(); v != sent || r != 0 {
+		t.Fatalf("an embedded write moved the frame counters to %d, %d", v, r)
+	}
+	// A foreign client: two of three rows out of form; a rejected frame
+	// counts nothing.
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	r := bufio.NewReader(conn)
+	fmt.Fprint(conn, "WRITEB 3\nm b=2,a=1 1\nm a=1,b=2 2\nm\\ x a=1 +3\nWRITEB 2\nm a=1 4\nm a=nan 5\nWRITE m b=1,a=2 6\n")
+	for _, want := range []string{"OK 3", "ERR", "OK"} {
+		if ack, err := r.ReadString('\n'); err != nil || !strings.HasPrefix(ack, want) {
+			t.Fatalf("ack %q (%v), want %s", ack, err, want)
+		}
+	}
+	if v, r := counts(); v != sent+1 || r != 3 {
+		t.Fatalf("after the foreign frames: %d verbatim, %d re-encoded; want %d, 3", v, r, sent+1)
+	}
+}
+
+// frameOf renders rows×fields canonical lines under a WRITEB header, as
+// Client would send them.
+func frameOf(rows, fields int) (frame []byte, lines []string) {
+	for r := 0; r < rows; r++ {
+		p := codecRow(fields)
+		p.Time += int64(r)
+		line, _ := EncodeLine(p)
+		lines = append(lines, line)
+	}
+	return []byte(fmt.Sprintf("WRITEB %d\n%s\n", rows, strings.Join(lines, "\n"))), lines
+}
+
+// TestServerBatchAllocations: what a warm connection allocates for a
+// canonical frame — the lines, the WAL record, the ack — does not depend
+// on how many fields a row has, and neither does a warm replay of the
+// record: no object per field anywhere between the socket and the head.
+func TestServerBatchAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are held without the race detector")
+	}
+	perFrame := map[int]float64{}
+	perReplay := map[int]float64{}
+	for _, fields := range []int{8, 88} {
+		db, err := Open(t.TempDir(), storage.FsyncNever)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, addr := startServer(t, db)
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(30 * time.Second))
+		frame, lines := frameOf(5, fields)
+		ack := make([]byte, 16)
+		send := func() {
+			if _, err := conn.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := conn.Read(ack); err != nil || string(ack[:n]) != "OK 5\n" {
+				t.Fatalf("ack %q, %v", ack[:n], err)
+			}
+		}
+		// Warm: past the first seal the head columns keep a block's
+		// capacity, and the measured frames stay short of the next.
+		for i := 0; i < blockRows/5+1; i++ {
+			send()
+		}
+		perFrame[fields] = testing.AllocsPerRun(100, send)
+		conn.Close()
+		srv.Close()
+		db.Close()
+
+		bodies := make([][]byte, len(lines))
+		for i, l := range lines {
+			bodies[i] = []byte(l)
+		}
+		// Replay warms on a log's first record: what each further one
+		// costs is a 51-record log's count less a 1-record log's.
+		var log51 storage.Recovered
+		for i := 0; i < 51; i++ {
+			log51.Records = append(log51.Records, storage.Record{Seq: uint64(i + 1), Data: storage.EncodeBatchBody(bodies)})
+		}
+		log1 := storage.Recovered{Records: log51.Records[:1]}
+		mem := New()
+		replay := func(log storage.Recovered) func() {
+			return func() {
+				if err := mem.replay(log); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i := 0; i < blockRows/(5*51)+1; i++ {
+			replay(log51)()
+		}
+		perReplay[fields] = (testing.AllocsPerRun(5, replay(log51)) - testing.AllocsPerRun(5, replay(log1))) / 50
+	}
+	t.Logf("objects per 5-row frame: %v, per replayed record: %v", perFrame, perReplay)
+	if perFrame[8] != perFrame[88] || perFrame[8] > 13 {
+		t.Errorf("a 5-row frame allocates %v objects at 8 fields a row and %v at 88; want the same few", perFrame[8], perFrame[88])
+	}
+	if perReplay[8] != perReplay[88] || perReplay[8] > 8 {
+		t.Errorf("replaying a 5-row record allocates %v objects at 8 fields a row and %v at 88; want the same few", perReplay[8], perReplay[88])
+	}
+}
+
+func BenchmarkScanRow(b *testing.B) {
+	for _, n := range []int{8, 88} {
+		line, _ := EncodeLine(codecRow(n))
+		b.Run(fmt.Sprintf("f%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			rb := new(rowBuf)
+			for i := 0; i < b.N; i++ {
+				rb.rows, rb.kvs = rb.rows[:0], rb.kvs[:0]
+				if err := rb.scan(line); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkServerWriteBatch is one monitoring tick (5 rows × 88 fields)
+// over a loopback connection into an in-memory and a durable store.
+func BenchmarkServerWriteBatch(b *testing.B) {
+	for _, durable := range []bool{false, true} {
+		name := "mem"
+		if durable {
+			name = "durable"
+		}
+		b.Run(name, func(b *testing.B) {
+			db := New()
+			if durable {
+				dir, err := os.MkdirTemp("", "tsdb-bench")
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer os.RemoveAll(dir)
+				if db, err = Open(dir, storage.FsyncNever); err != nil {
+					b.Fatal(err)
+				}
+				defer db.Close()
+			}
+			srv := NewServer(db)
+			addr, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer srv.Close()
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer conn.Close()
+			// The tick's lines less their timestamps: time moves on frame
+			// by frame, as a monitor's does.
+			_, lines := frameOf(5, 88)
+			for i, l := range lines {
+				lines[i] = l[:strings.LastIndexByte(l, ' ')+1]
+			}
+			var frame []byte
+			ack := make([]byte, 16)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				frame = append(frame[:0], "WRITEB 5\n"...)
+				for _, l := range lines {
+					frame = append(strconv.AppendInt(append(frame, l...), int64(i), 10), '\n')
+				}
+				if _, err := conn.Write(frame); err != nil {
+					b.Fatal(err)
+				}
+				if n, err := conn.Read(ack); err != nil || string(ack[:n]) != "OK 5\n" {
+					b.Fatalf("ack %q, %v", ack[:n], err)
+				}
+			}
+		})
+	}
+}

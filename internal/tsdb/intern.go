@@ -27,19 +27,16 @@ func (in interner) intern(s string) string {
 }
 
 // appendSeriesKey appends the canonical series identity — measurement
-// plus the sorted tag set, each part uvarint-length-prefixed so the key
-// is injective (no separator collisions) — to dst and returns it.
-// keys is caller scratch for sorting tag keys without allocating.
-func appendSeriesKey(dst []byte, meas string, tags map[string]string, keys []string) ([]byte, []string) {
+// plus the tag set sorted by key, each part uvarint-length-prefixed so
+// the key is injective (no separator collisions) — to dst.
+func appendSeriesKey(dst []byte, meas string, tags []rowKV) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(meas)))
 	dst = append(dst, meas...)
-	keys = sortedKeys(keys[:0], tags)
-	for _, k := range keys {
-		dst = binary.AppendUvarint(dst, uint64(len(k)))
-		dst = append(dst, k...)
-		v := tags[k]
-		dst = binary.AppendUvarint(dst, uint64(len(v)))
-		dst = append(dst, v...)
+	for _, t := range tags {
+		dst = binary.AppendUvarint(dst, uint64(len(t.key)))
+		dst = append(dst, t.key...)
+		dst = binary.AppendUvarint(dst, uint64(len(t.str)))
+		dst = append(dst, t.str...)
 	}
-	return dst, keys
+	return dst
 }

@@ -37,12 +37,18 @@ var (
 // signs in names are escaped with a backslash as in the real protocol.
 // It is the only encoder: wire frames, WAL bodies and the spill journal
 // are all this one pass, which allocates nothing when dst has room and
-// the point has at most 16 tags and 16 fields.
+// the point has at most 16 tags and fields.
 func AppendLine(dst []byte, p *Point) ([]byte, error) {
-	if err := p.Validate(); err != nil {
+	var stack [16]rowKV
+	kvs := stack[:0]
+	if n := len(p.Tags) + len(p.Fields); n > len(stack) {
+		kvs = make([]rowKV, 0, n)
+	}
+	r, _, err := pointRow(p, kvs, true)
+	if err != nil {
 		return dst, err
 	}
-	return appendLine(dst, p), nil
+	return appendRow(dst, &r), nil
 }
 
 // EncodeLine is AppendLine into a fresh string.
@@ -51,28 +57,99 @@ func EncodeLine(p Point) (string, error) {
 	return string(b), err
 }
 
-// appendLine encodes a point its caller has already validated. Up to 16
-// keys sort on its own stack.
-func appendLine(dst []byte, p *Point) []byte {
-	var stack [16]string
-	dst = appendEscaped(dst, p.Measurement)
-	keys := sortedKeys(stack[:0], p.Tags)
-	for _, k := range keys {
+// A row is a point in the form it travels in from the socket to the
+// head: tags and fields are slices of one scratch, tags ascending by key
+// (they spell the series key), fields too where a line is encoded from
+// them.
+type row struct {
+	meas         string
+	tags, fields []rowKV
+	time         int64
+	// line is the line the row was scanned from when that is in canonical
+	// form — unescaped names, no '=' in the measurement, keys strictly
+	// ascending, plain decimal timestamp: what appendRow would print, up
+	// to the spelling of a number, which replay reads with the same
+	// ParseFloat — so a WAL body takes it as it came. "" otherwise.
+	line string
+}
+
+// rowKV is a tag (key, str) or a field (key, num).
+type rowKV struct {
+	key, str string
+	num      float64
+}
+
+func byKey(a, b rowKV) int { return strings.Compare(a.key, b.key) }
+
+// rowBuf is the flat scratch the rows of a received frame or a replayed
+// record are built in: one header per row over one slice of all their
+// tags and fields. A row keeps slices of the backing array as it was
+// then, so a rowBuf is appended to, not edited.
+type rowBuf struct {
+	rows     []row
+	kvs      []rowKV
+	verbatim int // rows scanned from a canonical line
+	bytes    int // length of the lines scanned
+}
+
+func (rb *rowBuf) at(i int) *row { return &rb.rows[i] }
+
+// pointRow validates p — Point.Validate's checks, in its order — as it
+// collects it into a row built at the end of kvs, which it returns too:
+// tags sorted, fields in map order unless sortFields asks for the order
+// a line is encoded in. A rejected point leaves kvs as it was.
+func pointRow(p *Point, kvs []rowKV, sortFields bool) (row, []rowKV, error) {
+	f0 := len(kvs)
+	if p.Measurement == "" {
+		return row{}, kvs, errNoMeasurement
+	}
+	if len(p.Fields) == 0 {
+		return row{}, kvs, fmt.Errorf("tsdb: point in %q has no fields", p.Measurement)
+	}
+	for k, v := range p.Fields {
+		if err := validField(p.Measurement, k, v); err != nil {
+			return row{}, kvs[:f0], err
+		}
+		kvs = append(kvs, rowKV{key: k, num: v})
+	}
+	t0 := len(kvs)
+	for k, v := range p.Tags {
+		if k == "" || v == "" {
+			return row{}, kvs[:f0], fmt.Errorf("%w: point in %q has an empty tag key or value", ErrEmptyKey, p.Measurement)
+		}
+		kvs = append(kvs, rowKV{key: k, str: v})
+	}
+	r := row{meas: p.Measurement, tags: kvs[t0:], fields: kvs[f0:t0], time: p.Time}
+	slices.SortFunc(r.tags, byKey)
+	if sortFields {
+		slices.SortFunc(r.fields, byKey)
+	}
+	return r, kvs, nil
+}
+
+// appendRow appends the line of a row whose tags and fields are sorted:
+// the one it was scanned from when that is canonical, else the encoding.
+func appendRow(dst []byte, r *row) []byte {
+	if r.line != "" {
+		return append(dst, r.line...)
+	}
+	dst = appendEscaped(dst, r.meas)
+	for _, t := range r.tags {
 		dst = append(dst, ',')
-		dst = appendEscaped(dst, k)
+		dst = appendEscaped(dst, t.key)
 		dst = append(dst, '=')
-		dst = appendEscaped(dst, p.Tags[k])
+		dst = appendEscaped(dst, t.str)
 	}
 	sep := byte(' ')
-	for _, k := range sortedKeys(keys[:0], p.Fields) {
+	for _, f := range r.fields {
 		dst = append(dst, sep)
-		dst = appendEscaped(dst, k)
+		dst = appendEscaped(dst, f.key)
 		dst = append(dst, '=')
-		dst = strconv.AppendFloat(dst, p.Fields[k], 'g', -1, 64)
+		dst = strconv.AppendFloat(dst, f.num, 'g', -1, 64)
 		sep = ','
 	}
 	dst = append(dst, ' ')
-	return strconv.AppendInt(dst, p.Time, 10)
+	return strconv.AppendInt(dst, r.time, 10)
 }
 
 // linesSizeHint is the buffer capacity to encode ps into: room for names
@@ -84,18 +161,6 @@ func linesSizeHint(ps []Point) int {
 		size += len(ps[i].Measurement) + 32*(len(ps[i].Tags)+len(ps[i].Fields)) + 24
 	}
 	return size
-}
-
-// sortedKeys returns m's keys, sorted, in dst if they fit there.
-func sortedKeys[V any](dst []string, m map[string]V) []string {
-	if len(m) > cap(dst) {
-		dst = make([]string, 0, len(m))
-	}
-	for k := range m {
-		dst = append(dst, k)
-	}
-	slices.Sort(dst)
-	return dst
 }
 
 // appendEscaped appends s with a backslash before every backslash,
@@ -115,78 +180,146 @@ func appendEscaped(dst []byte, s string) []byte {
 	return append(dst, s[start:]...)
 }
 
-// DecodeLine parses one line-protocol line in a single left-to-right
-// scan. A name without a backslash is a substring of line, so a caller
+// DecodeLine parses one line-protocol line: the row scan, then the two
+// maps. A name without a backslash is a substring of line, so a caller
 // that keeps one beyond the line's lifetime clones it (interner.intern
-// does). A line that does not have exactly three sections is reported as
-// that, whatever else is wrong with it.
+// does).
 func DecodeLine(line string) (Point, error) {
-	p, err := scanLine(line)
-	if err == nil {
-		return p, nil
+	// One tag or field per separator; capped: nothing has checked the line yet.
+	r, _, err := scanRow(line, make([]rowKV, 0, min(strings.Count(line, ",")+1, 1024)))
+	if err != nil {
+		return Point{}, err
 	}
-	sections := 1
-	for i := 0; i < len(line); i++ {
-		switch line[i] {
-		case '\\':
-			i++
-		case ' ':
-			sections++
-		}
+	p := Point{Measurement: r.meas, Tags: make(map[string]string, len(r.tags)),
+		Fields: make(map[string]float64, len(r.fields)), Time: r.time}
+	for _, t := range r.tags {
+		p.Tags[t.key] = t.str
 	}
-	if sections != 3 {
-		err = fmt.Errorf("tsdb: line protocol needs 3 sections, got %d in %q", sections, line)
+	for _, f := range r.fields {
+		p.Fields[f.key] = f.num
 	}
-	return Point{}, err
+	return p, nil
 }
 
-// scanLine is DecodeLine's scan; on a line with the wrong number of
-// sections its error is whichever defect it met first.
-func scanLine(line string) (Point, error) {
+// scan appends the row of one line to rb's rows.
+func (rb *rowBuf) scan(line string) (err error) {
+	var r row
+	if r, rb.kvs, err = scanRow(line, rb.kvs); err == nil {
+		rb.rows = append(rb.rows, r)
+		rb.bytes += len(line)
+		if r.line != "" {
+			rb.verbatim++
+		}
+	}
+	return err
+}
+
+// scanRow parses one line in a single left-to-right pass into a row
+// built at the end of kvs, which it returns too, making every check a
+// point must pass on the way: the one reader of the grammar, for wire
+// frames, WAL replay and DecodeLine. A rejected line leaves kvs as it was;
+// its error is the first defect the pass met, unless the line does not
+// have exactly three sections: then that, whatever else is wrong with it
+// (recounted on the error path only).
+func scanRow(line string, kvs []rowKV) (row, []rowKV, error) {
+	t0 := len(kvs)
+	fail := func(format string, args ...any) (row, []rowKV, error) {
+		sections := 1
+		for i := 0; i < len(line); i++ {
+			switch line[i] {
+			case '\\':
+				i++
+			case ' ':
+				sections++
+			}
+		}
+		if sections != 3 {
+			format, args = "tsdb: line protocol needs 3 sections, got %d in %q", []any{sections, line}
+		}
+		return row{}, kvs[:t0], fmt.Errorf(format, args...)
+	}
 	s := lineScanner{line: line}
 	raw, esc, stop := s.cut(false)
-	p := Point{Measurement: unescape(raw, esc), Tags: map[string]string{}}
+	meas := unescape(raw, esc)
+	canonical := !esc && strings.IndexByte(raw, '=') < 0
+	var seen map[string]struct{}
 	for stop == ',' {
 		kraw, kesc, kstop := s.cut(true)
 		vraw, vesc, vstop := s.cut(true)
 		if kstop != '=' || vstop == '=' { // not exactly one '=' in the pair
-			return p, fmt.Errorf("tsdb: bad tag %q", kraw)
+			return fail("tsdb: bad tag %q", kraw)
 		}
 		k, v := unescape(kraw, kesc), unescape(vraw, vesc)
 		if k == "" || v == "" {
-			return p, fmt.Errorf("%w: tag %q=%q", ErrEmptyKey, k, v)
+			return fail("%w: tag %q=%q", ErrEmptyKey, k, v)
 		}
-		if _, dup := p.Tags[k]; dup {
-			return p, fmt.Errorf("%w: tag %q", ErrDuplicateKey, k)
+		if !distinct(&seen, kvs[t0:], k) {
+			return fail("%w: tag %q", ErrDuplicateKey, k)
 		}
-		p.Tags[k] = v
+		kvs = append(kvs, rowKV{key: k, str: v})
+		canonical = canonical && !kesc && !vesc
 		stop = vstop
 	}
-	// Pre-sized from the separator count, capped: nothing has checked it yet.
-	p.Fields = make(map[string]float64, min(1+strings.Count(line[s.i:], ","), 1024))
+	f0, ascending := len(kvs), seen == nil
+	seen = nil
 	for stop = ','; stop == ','; {
 		kraw, kesc, kstop := s.cut(true)
 		var vraw string
 		if vraw, _, stop = s.cut(true); kstop != '=' || stop == '=' {
-			return p, fmt.Errorf("tsdb: bad field %q", kraw)
+			return fail("tsdb: bad field %q", kraw)
 		}
 		// The value is parsed as written: an escape in it is a bad number.
 		v, err := strconv.ParseFloat(vraw, 64)
 		if err != nil {
-			return p, fmt.Errorf("tsdb: bad field value %q: %v", vraw, err)
+			return fail("tsdb: bad field value %q: %v", vraw, err)
 		}
 		k := unescape(kraw, kesc)
-		if _, dup := p.Fields[k]; dup {
-			return p, fmt.Errorf("%w: field %q", ErrDuplicateKey, k)
+		if !distinct(&seen, kvs[f0:], k) {
+			return fail("%w: field %q", ErrDuplicateKey, k)
 		}
-		p.Fields[k] = v
+		kvs = append(kvs, rowKV{key: k, num: v})
+		canonical = canonical && !kesc
 	}
-	ts, err := strconv.ParseInt(line[s.i:], 10, 64)
+	ts := line[s.i:]
+	t, err := strconv.ParseInt(ts, 10, 64)
 	if err != nil {
-		return p, fmt.Errorf("tsdb: bad timestamp %q: %v", line[s.i:], err)
+		return fail("tsdb: bad timestamp %q: %v", ts, err)
 	}
-	p.Time = ts
-	return p, p.Validate()
+	// What Point.Validate checks that the pass has not met yet.
+	if meas == "" {
+		return fail("%w", errNoMeasurement)
+	}
+	for _, f := range kvs[f0:] {
+		if err := validField(meas, f.key, f.num); err != nil {
+			return fail("%w", err)
+		}
+	}
+	r := row{meas: meas, tags: kvs[t0:f0], fields: kvs[f0:], time: t}
+	if !ascending || seen != nil {
+		slices.SortFunc(r.tags, byKey)
+		slices.SortFunc(r.fields, byKey)
+	} else if digits := strings.TrimPrefix(ts, "-"); canonical && ts[0] != '+' && (digits[0] != '0' || ts == "0") {
+		r.line = line
+	}
+	return r, kvs, nil
+}
+
+// distinct reports whether k is not a key of sec, the section it is
+// about to join. Strictly ascending keys cannot repeat, so there is a set
+// to ask only from the first key that does not follow its predecessor.
+func distinct(seen *map[string]struct{}, sec []rowKV, k string) bool {
+	if *seen == nil {
+		if len(sec) == 0 || sec[len(sec)-1].key < k {
+			return true
+		}
+		*seen = make(map[string]struct{}, len(sec)+1)
+		for i := range sec {
+			(*seen)[sec[i].key] = struct{}{}
+		}
+	}
+	_, dup := (*seen)[k]
+	(*seen)[k] = struct{}{}
+	return !dup
 }
 
 // lineScanner walks a line one name at a time.
@@ -231,8 +364,14 @@ func unescape(raw string, esc bool) string {
 	return string(b)
 }
 
-// validateFinite rejects NaN and ±Inf field values with the typed error.
-func validateFinite(measurement, key string, v float64) error {
+var errNoMeasurement = errors.New("tsdb: point has no measurement")
+
+// validField rejects an empty field key, and a NaN or ±Inf value, with
+// the typed errors.
+func validField(measurement, key string, v float64) error {
+	if key == "" {
+		return fmt.Errorf("%w: point in %q has an empty field name", ErrEmptyKey, measurement)
+	}
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return fmt.Errorf("%w: %s in %q", ErrNonFiniteField, key, measurement)
 	}

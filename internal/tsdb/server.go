@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -27,6 +28,12 @@ const MaxBatchPoints = 4096
 // ErrBatchTooLarge is the cause inside the *BatchError a client write
 // of more than MaxBatchPoints points returns.
 var ErrBatchTooLarge = errors.New("tsdb: batch too large")
+
+// ErrLineBreak is the cause inside the *BatchError a client write
+// returns for a point with a newline in a name: the wire frames by lines,
+// so it would arrive as two. (The WAL and the spill journal frame by
+// length and hold such a name.)
+var ErrLineBreak = errors.New("tsdb: line break in a name")
 
 // dedupWindowSize is how many applied batch tokens the server
 // remembers for retry dedup (see resilience.DedupWindow).
@@ -261,10 +268,10 @@ func frameContext(rest string) (context.Context, string) {
 	return ctx, body
 }
 
-// handleWrite decodes one WRITE frame and inserts it as a one-point
-// batch (the verb predates WRITEB; old clients still send it), tracing
-// the queue/parse/insert phases under a tsdb.server.write span backdated
-// to frame arrival so queue time (arrival → processing) is visible.
+// handleWrite scans one WRITE frame and inserts it as a one-row batch
+// (the verb predates WRITEB; old clients still send it), tracing the
+// queue/parse/insert phases under a tsdb.server.write span backdated to
+// frame arrival so queue time (arrival → processing) is visible.
 func (s *Server) handleWrite(rest string, arrivalNanos int64, w *bufio.Writer) {
 	ctx, body := frameContext(rest)
 	in := s.tracing()
@@ -272,11 +279,12 @@ func (s *Server) handleWrite(rest string, arrivalNanos int64, w *bufio.Writer) {
 	_, qs := in.StartSpanAt(wctx, "tsdb.server.queue", arrivalNanos)
 	qs.End(nil)
 	_, ps := in.StartSpan(wctx, "tsdb.server.parse")
-	p, err := DecodeLine(body)
+	var rb rowBuf
+	err := rb.scan(body)
 	ps.End(err)
 	if err == nil {
 		_, is := in.StartSpan(wctx, "tsdb.server.insert")
-		err = s.db.WriteBatchContext(wctx, []Point{p})
+		err = s.db.writeFrame(&rb)
 		// The reply names the cause alone: a one-point frame has no
 		// batch index to report.
 		var be *BatchError
@@ -300,7 +308,9 @@ func (s *Server) handleWrite(rest string, arrivalNanos int64, w *bufio.Writer) {
 // the connection dying mid-body) after which the caller must close the
 // connection; true means the stream is in sync regardless of whether
 // the batch was accepted. The queue/parse/insert phases trace under a
-// tsdb.server.writeb span backdated to header arrival.
+// tsdb.server.writeb span backdated to header arrival: parse is the row
+// scan (and the validation), insert the WAL record built from the
+// received lines and the head append — no Point on the way.
 func (s *Server) handleWriteBatch(rest string, arrivalNanos int64, sc *bufio.Scanner, w *bufio.Writer) bool {
 	ctx, body := frameContext(rest)
 	in := s.tracing()
@@ -338,14 +348,18 @@ func (s *Server) handleWriteBatch(rest string, arrivalNanos int64, sc *bufio.Sca
 	}
 
 	_, ps := in.StartSpan(wctx, "tsdb.server.parse")
-	points := make([]Point, len(lines))
+	// The frame's own scratch, sized from its separators (a tag or a field
+	// each, at most) and dropped with it: an idle connection keeps nothing.
+	kvs := n
+	for _, line := range lines {
+		kvs += strings.Count(line, ",")
+	}
+	rb := rowBuf{rows: make([]row, 0, n), kvs: make([]rowKV, 0, min(kvs, 1<<15))} // capped: unchecked yet
 	for i, line := range lines {
-		p, derr := DecodeLine(line)
-		if derr != nil {
+		if derr := rb.scan(line); derr != nil {
 			err = fmt.Errorf("tsdb: batch point %d: %w", i, derr)
 			break
 		}
-		points[i] = p
 	}
 	ps.End(err)
 
@@ -356,7 +370,7 @@ func (s *Server) handleWriteBatch(rest string, arrivalNanos int64, sc *bufio.Sca
 		extra = []string{"dedup", "true"}
 	} else if err == nil {
 		_, is := in.StartSpan(wctx, "tsdb.server.insert")
-		err = s.db.WriteBatchContext(wctx, points)
+		err = s.db.writeFrame(&rb)
 		is.End(err)
 		if err == nil && token != "" {
 			// Record only after the apply succeeded: a failed batch must
@@ -495,8 +509,9 @@ func (c *Client) Transport() *resilience.Transport { return c.tr }
 
 // WriteBatchContext ships a whole batch in ONE round-trip (a WRITEB
 // frame: header + n body lines + one ack). The batch is encoded — and
-// thereby validated — up front; an unencodable point returns a
-// *BatchError before anything touches the wire, and so does a batch of
+// thereby validated — up front; an unencodable point, or one whose line
+// would hold a newline (ErrLineBreak), returns a *BatchError before
+// anything touches the wire, and so does a batch of
 // more than MaxBatchPoints points (Index: MaxBatchPoints, wrapping
 // ErrBatchTooLarge). An idempotency token is minted once per call and
 // carried on every retry attempt, so a batch whose ack was lost is
@@ -514,6 +529,9 @@ func (c *Client) WriteBatchContext(ctx context.Context, ps []Point) error {
 	body := make([]byte, 0, linesSizeHint(ps))
 	for i := range ps {
 		line, err := AppendLine(body, &ps[i])
+		if err == nil && bytes.IndexByte(line[len(body):], '\n') >= 0 {
+			err = fmt.Errorf("%w: point in %q", ErrLineBreak, ps[i].Measurement)
+		}
 		if err != nil {
 			return &BatchError{Index: i, Err: err}
 		}

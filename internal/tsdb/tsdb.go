@@ -54,16 +54,13 @@ type Point struct {
 // value can be NaN.)
 func (p *Point) Validate() error {
 	if p.Measurement == "" {
-		return fmt.Errorf("tsdb: point has no measurement")
+		return errNoMeasurement
 	}
 	if len(p.Fields) == 0 {
 		return fmt.Errorf("tsdb: point in %q has no fields", p.Measurement)
 	}
 	for k, v := range p.Fields {
-		if k == "" {
-			return fmt.Errorf("%w: point in %q has an empty field name", ErrEmptyKey, p.Measurement)
-		}
-		if err := validateFinite(p.Measurement, k, v); err != nil {
+		if err := validField(p.Measurement, k, v); err != nil {
 			return err
 		}
 	}
@@ -99,6 +96,9 @@ type storageStats struct {
 // storageGauges are the introspection handles the stats publish into.
 type storageGauges struct {
 	bytes, blocks, ratio, head *introspect.Gauge
+	// Rows of received wire frames by how they reach a WAL body: as the
+	// line the client sent, or encoded again from the scanned row.
+	verbatim, reencoded *introspect.Counter
 }
 
 // DB is a time-series database: in-memory by default (New), optionally
@@ -129,8 +129,7 @@ type DB struct {
 	points       uint64 // rows written (cumulative)
 	values       uint64 // field values written (cumulative)
 	intern       interner
-	keyBuf       []byte   // seriesFor's key scratch
-	tagKeys      []string // seriesFor's tag-sort scratch
+	keyBuf       []byte // seriesFor's key scratch
 	stats        storageStats
 
 	// gauges (when introspection is attached) receive a publish of stats
@@ -156,8 +155,9 @@ func New() *DB {
 // hit/miss/evict/invalidation counters and the aggregate scan's unit
 // tally land in the introspector's registry as query.cache.* and
 // query.units_*, the columnar engine's footprint gauges as storage.bytes
-// / storage.blocks / storage.compression.ratio / storage.head.samples
-// (all exported with the pmove.self. prefix).
+// / storage.blocks / storage.compression.ratio / storage.head.samples,
+// and the rows of received wire frames as ingest.rows_verbatim /
+// ingest.rows_reencoded (all exported with the pmove.self. prefix).
 func (db *DB) SetIntrospection(in *introspect.Introspector) {
 	db.qcache.setIntrospection(in)
 	reg := in.Metrics()
@@ -166,6 +166,9 @@ func (db *DB) SetIntrospection(in *introspect.Introspector) {
 		blocks: reg.Gauge("storage.blocks"),
 		ratio:  reg.Gauge("storage.compression.ratio"),
 		head:   reg.Gauge("storage.head.samples"),
+
+		verbatim:  reg.Counter("ingest.rows_verbatim"),
+		reencoded: reg.Counter("ingest.rows_reencoded"),
 	})
 	db.data.RLock()
 	db.publishStorageGauges()
@@ -206,17 +209,18 @@ func (db *DB) measurementFor(name string) *measurement {
 	return m
 }
 
-// seriesFor resolves (or creates) the series for a tag set within a
-// measurement. The lookup is allocation-free: the candidate key renders
-// into DB scratch and probes the map via the string(bytes) idiom.
-func (db *DB) seriesFor(m *measurement, tags map[string]string) *memSeries {
-	db.keyBuf, db.tagKeys = appendSeriesKey(db.keyBuf[:0], m.name, tags, db.tagKeys)
+// seriesFor resolves (or creates) the series for a tag set — sorted by
+// key — within a measurement. The lookup is allocation-free: the
+// candidate key renders into DB scratch and probes the map via the
+// string(bytes) idiom.
+func (db *DB) seriesFor(m *measurement, tags []rowKV) *memSeries {
+	db.keyBuf = appendSeriesKey(db.keyBuf[:0], m.name, tags)
 	if s, ok := m.byKey[string(db.keyBuf)]; ok {
 		return s
 	}
 	ctags := make(map[string]string, len(tags))
-	for k, v := range tags {
-		ctags[db.intern.intern(k)] = db.intern.intern(v)
+	for _, t := range tags {
+		ctags[db.intern.intern(t.key)] = db.intern.intern(t.str)
 	}
 	s := &memSeries{
 		seq:    m.nextSeq,
@@ -232,7 +236,7 @@ func (db *DB) seriesFor(m *measurement, tags map[string]string) *memSeries {
 
 // insertSeriesRow lands one row into a series' head, sealing it into a
 // compressed block when it reaches blockRows, with footprint accounting.
-func (db *DB) insertSeriesRow(s *memSeries, t int64, fields map[string]float64) {
+func (db *DB) insertSeriesRow(s *memSeries, t int64, fields []rowKV) {
 	st := &db.stats
 	preSlots := int64(len(s.names)) * int64(len(s.head.times))
 	s.insertRow(t, fields, db.intern)
@@ -314,72 +318,116 @@ func (db *DB) WriteBatchContext(ctx context.Context, ps []Point) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("tsdb: batch: %w", err)
 	}
-	for i := range ps {
-		if err := ps[i].Validate(); err != nil {
-			return &BatchError{Index: i, Err: err}
+	// Validation is one pass, which for a durable store also encodes.
+	var rec []byte
+	if db.Durable() {
+		var at int
+		var err error
+		rec, at, err = walRecord(len(ps), linesSizeHint(ps), func(dst []byte, i int) ([]byte, error) {
+			return AppendLine(dst, &ps[i])
+		})
+		if err != nil {
+			return &BatchError{Index: at, Err: err}
+		}
+	} else {
+		for i := range ps {
+			if err := ps[i].Validate(); err != nil {
+				return &BatchError{Index: i, Err: err}
+			}
 		}
 	}
+	// The adaptor onto the row insert: a point becomes a row, in a scratch
+	// one row wide, as the insert asks for it — tags sorted, fields as the
+	// map yields them.
+	var r row
+	kvs := make([]rowKV, 0, len(ps[0].Tags)+len(ps[0].Fields))
+	return db.commit(rec, len(ps), func(i int) *row {
+		r, kvs, _ = pointRow(&ps[i], kvs[:0], false) // valid: checked above
+		return &r
+	})
+}
+
+// writeFrame is WriteBatchContext for the rows the wire server scanned,
+// and so validated, from a received frame: a durable store's WAL record
+// is built from the lines as they came, where they are canonical.
+func (db *DB) writeFrame(rb *rowBuf) error {
+	if g := db.gauges.Load(); g != nil {
+		g.verbatim.Add(uint64(rb.verbatim))
+		g.reencoded.Add(uint64(len(rb.rows) - rb.verbatim))
+	}
+	var rec []byte
+	if db.Durable() {
+		rec, _, _ = walRecord(len(rb.rows), rb.bytes+3*len(rb.rows), func(dst []byte, i int) ([]byte, error) {
+			return appendRow(dst, &rb.rows[i]), nil
+		})
+	}
+	return db.commit(rec, len(rb.rows), rb.at)
+}
+
+// walRecord builds the WAL record of n lines — a plain line body for
+// one, the batch envelope otherwise — each appended straight into it by
+// line; on an error it says at which.
+func walRecord(n, sizeHint int, line func(dst []byte, i int) ([]byte, error)) (rec []byte, at int, err error) {
+	rec = make([]byte, 0, 16+sizeHint) // 16: the envelope header
+	if n > 1 {
+		rec = storage.AppendBatchHeader(rec, n)
+	}
+	for i := 0; i < n; i++ {
+		start := len(rec)
+		if rec, err = line(rec, i); err != nil {
+			return nil, i, err
+		}
+		if n > 1 {
+			rec = storage.AppendBatchItem(rec, start)
+		}
+	}
+	return rec, 0, nil
+}
+
+// commit lands n validated rows: their record (nil in memory) in the WAL
+// first, then the rows in memory, then every written measurement's
+// cached results are invalidated — after the batch is visible and before
+// it is acknowledged.
+func (db *DB) commit(rec []byte, n int, rowAt func(i int) *row) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.closed {
 		return fmt.Errorf("tsdb: write to closed durable DB")
 	}
 	if db.store != nil {
-		if err := db.appendBatchLocked(ps); err != nil {
-			return err
+		if _, err := db.store.Append(rec); err != nil {
+			return &BatchError{Index: 0, Err: fmt.Errorf("tsdb: wal append: %w", err)}
 		}
 	}
-	// Invalidate every written measurement after the batch is visible
-	// and before acknowledging.
-	for _, name := range db.insertBatch(ps) {
+	for _, name := range db.insertBatch(n, rowAt) {
 		db.qcache.invalidate(name)
 	}
 	return nil
 }
 
-// insertBatch lands validated points in memory in input order under one
-// hold of the data lock, and returns the distinct measurements written.
-// Consecutive points of the same measurement skip the map lookup. Live
-// writes and WAL replay share it.
-func (db *DB) insertBatch(ps []Point) (written []string) {
+// insertBatch lands n validated rows in memory in input order under one
+// hold of the data lock — rowAt(i) is called there, and its row need not
+// outlive the next call — and returns the distinct measurements written.
+// Consecutive rows of the same measurement skip the map lookup. Live
+// writes, wire frames and WAL replay share it.
+func (db *DB) insertBatch(n int, rowAt func(i int) *row) (written []string) {
 	db.data.Lock()
 	defer db.data.Unlock()
 	var m *measurement
-	for i := range ps {
-		p := &ps[i]
-		if m == nil || p.Measurement != m.name {
-			m = db.measurementFor(p.Measurement)
+	for i := 0; i < n; i++ {
+		r := rowAt(i)
+		if m == nil || r.meas != m.name {
+			m = db.measurementFor(r.meas)
 			if !slices.Contains(written, m.name) {
 				written = append(written, m.name)
 			}
 		}
-		db.insertSeriesRow(db.seriesFor(m, p.Tags), p.Time, p.Fields)
-		db.values += uint64(len(p.Fields))
+		db.insertSeriesRow(db.seriesFor(m, r.tags), r.time, r.fields)
+		db.values += uint64(len(r.fields))
 	}
-	db.points += uint64(len(ps))
+	db.points += uint64(n)
 	db.publishStorageGauges()
 	return written
-}
-
-// appendBatchLocked group-commits a validated batch to the WAL as one
-// record (plain line body for a single point, batch envelope
-// otherwise), encoding every line straight into the record body.
-// Callers hold db.mu shared with store non-nil.
-func (db *DB) appendBatchLocked(ps []Point) error {
-	buf := make([]byte, 0, 16+linesSizeHint(ps)) // 16: the envelope header
-	if len(ps) == 1 {
-		buf = appendLine(buf, &ps[0])
-	} else {
-		buf = storage.AppendBatchHeader(buf, len(ps))
-		for i := range ps {
-			start := len(buf)
-			buf = storage.AppendBatchItem(appendLine(buf, &ps[i]), start)
-		}
-	}
-	if _, err := db.store.Append(buf); err != nil {
-		return &BatchError{Index: 0, Err: fmt.Errorf("tsdb: wal append: %w", err)}
-	}
-	return nil
 }
 
 // Measurements lists all measurement names, sorted.

@@ -97,19 +97,55 @@ func writeFixture(t *testing.T) []byte {
 	return img
 }
 
-func TestWALFixtureSameBytes(t *testing.T) {
+// sameAsFixture fails unless got is the fixture's wal.log, byte for byte.
+func sameAsFixture(t *testing.T, got []byte, writer string) {
+	t.Helper()
 	want, err := os.ReadFile(filepath.Join("testdata", "wal_pr12.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := writeFixture(t)
 	if !bytes.Equal(got, want) {
 		n := 0
 		for n < len(got) && n < len(want) && got[n] == want[n] {
 			n++
 		}
-		t.Fatalf("WAL differs from the PR 12 writer's: %d bytes vs %d, first difference at offset %d", len(got), len(want), n)
+		t.Fatalf("WAL written %s differs from the PR 12 writer's: %d bytes vs %d, first difference at offset %d", writer, len(got), len(want), n)
 	}
+}
+
+func TestWALFixtureSameBytes(t *testing.T) {
+	sameAsFixture(t, writeFixture(t), "by the embedded store")
+}
+
+// The same batches through Client → Server → durable DB: the plain rows
+// reach the WAL as the lines the client sent, the escaped ones are
+// encoded again from their scanned rows, and both land on the fixture.
+func TestWALFixtureSameBytesOverWire(t *testing.T) {
+	db, err := Open(t.TempDir(), storage.FsyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, addr := startServer(t, db)
+	c, err := DialPolicy(addr, testPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range fixtureBatches() {
+		if err := c.WriteBatchContext(context.Background(), b); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+	}
+	c.Close()
+	srv.Close()
+	path := db.WALPath()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAsFixture(t, got, "over the wire")
 }
 
 func TestWALFixtureReplays(t *testing.T) {
