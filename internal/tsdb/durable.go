@@ -259,13 +259,9 @@ func (db *DB) loadSnapshot(snap []byte) error {
 			}
 			p += blen
 			if kind == chunkSealed {
-				if err := db.adoptBlock(s, b); err != nil {
-					return err
-				}
-			} else {
-				if err := db.adoptHead(s, b); err != nil {
-					return err
-				}
+				db.adoptBlock(s, b)
+			} else if err := db.adoptHead(s, b); err != nil {
+				return err
 			}
 		}
 	}
@@ -275,10 +271,10 @@ func (db *DB) loadSnapshot(snap []byte) error {
 	return nil
 }
 
-// adoptBlock attaches a recovered sealed block to a series, with the
-// same stats accounting a live seal performs.
-func (db *DB) adoptBlock(s *memSeries, b *block) error {
-	// Register the block's fields so later head inserts reuse columns.
+// adoptFields registers a recovered block's fields on its series, so
+// later head inserts reuse the columns. The column slots stay nil:
+// adoptHead fills them.
+func (db *DB) adoptFields(s *memSeries, b *block) {
 	for i := range b.fields {
 		if _, ok := s.fields[b.fields[i].name]; !ok {
 			name := db.intern.intern(b.fields[i].name)
@@ -287,6 +283,12 @@ func (db *DB) adoptBlock(s *memSeries, b *block) error {
 			s.head.cols = append(s.head.cols, nil)
 		}
 	}
+}
+
+// adoptBlock attaches a recovered sealed block to a series, with the
+// same stats accounting a live seal performs.
+func (db *DB) adoptBlock(s *memSeries, b *block) {
+	db.adoptFields(s, b)
 	s.blocks = append(s.blocks, b)
 	st := &db.stats
 	st.sealedBytes += int64(len(b.blob))
@@ -295,7 +297,6 @@ func (db *DB) adoptBlock(s *memSeries, b *block) error {
 	st.blocks++
 	db.points += uint64(b.rows)
 	db.values += uint64(b.values)
-	return nil
 }
 
 // adoptHead decompresses a head chunk back into the series' mutable
@@ -305,14 +306,7 @@ func (db *DB) adoptHead(s *memSeries, b *block) error {
 	if err != nil {
 		return err
 	}
-	for i := range b.fields {
-		if _, ok := s.fields[b.fields[i].name]; !ok {
-			name := db.intern.intern(b.fields[i].name)
-			s.fields[name] = len(s.names)
-			s.names = append(s.names, name)
-			s.head.cols = append(s.head.cols, nil)
-		}
-	}
+	db.adoptFields(s, b)
 	nan := math.NaN()
 	s.head.times = times
 	for ci := range s.names {

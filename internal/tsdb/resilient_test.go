@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"pmove/internal/introspect/logbuf"
 	"pmove/internal/resilience"
 )
 
@@ -63,6 +64,70 @@ func TestServerLineTooLong(t *testing.T) {
 	}
 	if want := "ERR line too long"; strings.TrimSpace(resp) != want {
 		t.Fatalf("got %q, want %q", strings.TrimSpace(resp), want)
+	}
+}
+
+// TestServerBatchBodyLineTooLong: the same overflow inside a WRITEB body
+// used to be a bare EOF logged as "connection lost" — the verb was
+// reading, so nobody looked at the scanner's error.
+func TestServerBatchBodyLineTooLong(t *testing.T) {
+	srv, addr := startServer(t, New())
+	defer srv.Close()
+	logs := logbuf.New(8)
+	srv.SetLogger(logs, -1)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Header, then a body line of exactly the cap with no newline (see
+	// TestServerLineTooLong for why exactly).
+	w := bufio.NewWriterSize(conn, 1<<20)
+	w.WriteString("WRITEB 1\nm v=")
+	w.WriteString(strings.Repeat("9", 8<<20-len("m v=")))
+	if err := w.Flush(); err != nil {
+		t.Fatalf("flush oversized body: %v", err)
+	}
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	resp, err := bufio.NewReader(conn).ReadString('\n')
+	if err != nil {
+		t.Fatalf("server hung up without answering: %v", err)
+	}
+	if want := "ERR line too long"; strings.TrimSpace(resp) != want {
+		t.Fatalf("got %q, want %q", strings.TrimSpace(resp), want)
+	}
+	// Logged before the reply was flushed, under its real cause.
+	recs := logs.Records()
+	if len(recs) != 1 || fieldValue(recs[0], "cmd") != "writeb" ||
+		!strings.Contains(fieldValue(recs[0], "error"), bufio.ErrTooLong.Error()) {
+		t.Fatalf("records %+v, want one failed writeb naming %v", recs, bufio.ErrTooLong)
+	}
+}
+
+// TestServerUnknownVerbLogged: a rejected frame leaves the ordinary
+// failed-op record, and the session goes on.
+func TestServerUnknownVerbLogged(t *testing.T) {
+	srv, addr := startServer(t, New())
+	defer srv.Close()
+	logs := logbuf.New(8)
+	srv.SetLogger(logs, -1)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	r := bufio.NewReader(conn)
+	conn.SetDeadline(time.Now().Add(2 * time.Second))
+	for _, tc := range [][2]string{{"FROB x", `ERR unknown command "FROB"`}, {"PING", "PONG"}} {
+		fmt.Fprintln(conn, tc[0])
+		if resp, err := r.ReadString('\n'); err != nil || strings.TrimSpace(resp) != tc[1] {
+			t.Fatalf("%s: got %q, %v; want %q", tc[0], resp, err, tc[1])
+		}
+	}
+	recs := logs.Records()
+	if len(recs) != 1 || recs[0].Msg != "op failed" || fieldValue(recs[0], "cmd") != "unknown" ||
+		fieldValue(recs[0], "error") != `unknown command "FROB"` {
+		t.Fatalf("records %+v, want one failed op cmd=unknown", recs)
 	}
 }
 

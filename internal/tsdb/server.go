@@ -7,15 +7,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"pmove/internal/introspect"
-	"pmove/internal/introspect/logbuf"
 	"pmove/internal/resilience"
+	"pmove/internal/wire"
 )
 
 // MaxBatchPoints bounds one WRITEB frame. The bound keeps a malicious
@@ -61,197 +59,75 @@ const dedupWindowSize = 1024
 // The host runs one of these for the target's telemetry shippers (Figure
 // 3: "the host runs ... InfluxDB").
 type Server struct {
+	*skeleton
 	db    *DB
 	dedup *resilience.DedupWindow
-
-	mu    sync.Mutex
-	ln    net.Listener
-	done  chan struct{}
-	conns map[net.Conn]bool
-	wg    sync.WaitGroup
-	obs   func(cmd string, err error)
-	in    *introspect.Introspector
-	log   *logbuf.Logger
-	slow  time.Duration
 }
+
+// skeleton names wire.Server so that embedding it promotes Listen, Serve,
+// Close and SetLogger without exporting a Server.Server field.
+type skeleton = wire.Server
 
 // NewServer wraps a DB.
 func NewServer(db *DB) *Server {
-	return &Server{
-		db:    db,
-		dedup: resilience.NewDedupWindow(dedupWindowSize),
-		conns: map[net.Conn]bool{},
-	}
-}
-
-// SetObserver installs a per-command hook called after every handled
-// request with the command name ("ping"/"write"/"query"/"unknown") and
-// its outcome. The daemon wires this to the self-observability registry;
-// a function type (rather than an introspect dependency) keeps the
-// import direction tsdb ← introspect, since the self-metrics exporter
-// writes tsdb points.
-func (s *Server) SetObserver(fn func(cmd string, err error)) {
-	s.mu.Lock()
-	s.obs = fn
-	s.mu.Unlock()
+	s := &Server{db: db, dedup: resilience.NewDedupWindow(dedupWindowSize)}
+	s.skeleton = wire.NewServer(wire.Proto{
+		Name: "tsdb", OpKey: "cmd", MaxLine: 8 << 20,
+		Handle:    s.serve,
+		ErrorLine: func(w *bufio.Writer, msg string) { fmt.Fprintf(w, "ERR %s\n", msg) },
+		// Flush-on-close barrier: every accepted write has completed its
+		// WAL append; one sync makes the whole accepted prefix durable
+		// even under fsync=interval/never.
+		Flush: db.Sync,
+	})
+	return s
 }
 
 // SetTracing attaches an introspector whose tracer records server-side
-// spans (tsdb.server.write with parse/queue/insert children, ...). When
-// an incoming frame carries a traceparent tag, the server spans join the
-// caller's distributed trace; untagged frames open local root spans. A
-// nil introspector (the default) disables server tracing.
+// spans (tsdb.server.write with parse/queue/insert children, ...); see
+// wire.Server.SetTracing.
 func (s *Server) SetTracing(in *introspect.Introspector) {
-	s.mu.Lock()
-	s.in = in
-	s.mu.Unlock()
+	s.skeleton.SetTracing(in)
 	// The served DB's query-cache counters belong to the same
 	// self-observability plane (pmove.self.query.cache.*).
 	s.db.SetIntrospection(in)
 }
 
-func (s *Server) tracing() *introspect.Introspector {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.in
-}
-
-// SetLogger attaches a structured log ring (conventionally a
-// "tsdb.server" component child). Ops slower than slowThreshold emit a
-// warn record carrying the op's wire traceparent, so a slow server-side
-// op joins the client span that carried it on the same 128-bit trace
-// id; a zero threshold logs every op, a negative one disables the
-// slow-op path (failed ops are still logged). A nil logger disables
-// everything.
-func (s *Server) SetLogger(lg *logbuf.Logger, slowThreshold time.Duration) {
-	s.mu.Lock()
-	s.log = lg
-	s.slow = slowThreshold
-	s.mu.Unlock()
-}
-
-func (s *Server) logger() (*logbuf.Logger, time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.log, s.slow
-}
-
-// logOp emits the per-op structured record: errors always, slow ops
-// when the threshold is met. sctx is the span-carrying context (the
-// record's trace identity); wireCtx is the frame context whose
-// traceparent field ties the record back to the bytes on the wire;
-// extra key/value pairs join a slow-op record.
-func (s *Server) logOp(sctx, wireCtx context.Context, cmd string, arrivalNanos int64, err error, extra ...string) {
-	lg, slow := s.logger()
-	if lg == nil {
-		return
+// serve dispatches one request line to its verb.
+func (s *Server) serve(c *wire.Conn) bool {
+	line := c.Sc.Text()
+	arrival := time.Now().UnixNano()
+	cmd, rest, _ := strings.Cut(line, " ")
+	switch strings.ToUpper(cmd) {
+	case "PING":
+		c.W.WriteString("PONG\n")
+	case "WRITE":
+		s.handleWrite(c, rest, arrival)
+	case "WRITEB":
+		// False is a fatal frame error: the server cannot trust how many
+		// body lines follow, so it answers (if it can) and hangs up rather
+		// than desynchronise the stream. The resilient client re-verifies
+		// sync with PING on reconnect.
+		return s.handleWriteBatch(c, rest, arrival)
+	case "QUERY":
+		s.handleQuery(c, rest, arrival)
+	default:
+		ctx := context.Background()
+		answer(c, ctx, ctx, "unknown", arrival, fmt.Errorf("unknown command %q", cmd), nil)
 	}
-	elapsed := time.Duration(time.Now().UnixNano() - arrivalNanos)
+	return true
+}
+
+// answer is a verb's last step once its op span has ended (the reply is
+// rendered outside the span): the line ok, or "ERR <err>", then the log.
+func answer(c *wire.Conn, sctx, wireCtx context.Context, cmd string, arrivalNanos int64, err error, ok []byte, extra ...string) {
 	if err != nil {
-		lg.Error(sctx, "op failed", "cmd", cmd, "duration", elapsed.String(), "error", err.Error())
-		return
+		fmt.Fprintf(c.W, "ERR %v\n", err)
+	} else {
+		c.W.Write(ok)
+		c.W.WriteByte('\n')
 	}
-	if slow < 0 || elapsed < slow {
-		return
-	}
-	kv := append([]string{"cmd", cmd, "duration", elapsed.String()}, extra...)
-	if tp := introspect.TraceparentFromContext(wireCtx); tp != "" {
-		kv = append(kv, "traceparent", tp)
-	}
-	lg.Warn(sctx, "slow op", kv...)
-}
-
-func (s *Server) observe(cmd string, err error) {
-	s.mu.Lock()
-	fn := s.obs
-	s.mu.Unlock()
-	if fn != nil {
-		fn(cmd, err)
-	}
-}
-
-// Listen starts serving on addr ("127.0.0.1:0" picks a free port) and
-// returns the bound address.
-func (s *Server) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("tsdb: listen: %w", err)
-	}
-	s.mu.Lock()
-	s.ln = ln
-	s.done = make(chan struct{})
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.acceptLoop(ln)
-	return ln.Addr().String(), nil
-}
-
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mu.Lock()
-		s.conns[conn] = true
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.handle(conn)
-	}
-}
-
-func (s *Server) handle(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 64<<10), 8<<20)
-	w := bufio.NewWriter(conn)
-	for sc.Scan() {
-		line := sc.Text()
-		arrival := time.Now().UnixNano()
-		cmd, rest, _ := strings.Cut(line, " ")
-		switch strings.ToUpper(cmd) {
-		case "PING":
-			fmt.Fprintln(w, "PONG")
-			s.observe("ping", nil)
-		case "WRITE":
-			s.handleWrite(rest, arrival, w)
-		case "WRITEB":
-			if !s.handleWriteBatch(rest, arrival, sc, w) {
-				// Fatal frame error: the server cannot trust how many
-				// body lines follow, so it answers (if it can) and hangs
-				// up rather than desynchronise the stream. The resilient
-				// client re-verifies sync with PING on reconnect.
-				w.Flush()
-				return
-			}
-		case "QUERY":
-			s.handleQuery(rest, arrival, w)
-		default:
-			fmt.Fprintf(w, "ERR unknown command %q\n", cmd)
-			s.observe("unknown", fmt.Errorf("unknown command %q", cmd))
-		}
-		if err := w.Flush(); err != nil {
-			return
-		}
-	}
-	// A scanner error (most commonly a line over the buffer cap) used to
-	// kill the session silently; answer before hanging up so the client
-	// sees a protocol error instead of a bare EOF.
-	if err := sc.Err(); err != nil {
-		if errors.Is(err, bufio.ErrTooLong) {
-			fmt.Fprintln(w, "ERR line too long")
-		} else {
-			fmt.Fprintf(w, "ERR %v\n", err)
-		}
-		w.Flush()
-	}
+	c.LogOp(sctx, wireCtx, cmd, arrivalNanos, err, extra...)
 }
 
 // frameContext strips an optional leading "traceparent=<tp> " token off
@@ -272,18 +148,17 @@ func frameContext(rest string) (context.Context, string) {
 // (the verb predates WRITEB; old clients still send it), tracing the
 // queue/parse/insert phases under a tsdb.server.write span backdated to
 // frame arrival so queue time (arrival → processing) is visible.
-func (s *Server) handleWrite(rest string, arrivalNanos int64, w *bufio.Writer) {
+func (s *Server) handleWrite(c *wire.Conn, rest string, arrivalNanos int64) {
 	ctx, body := frameContext(rest)
-	in := s.tracing()
-	wctx, op := in.StartSpanAt(ctx, "tsdb.server.write", arrivalNanos)
-	_, qs := in.StartSpanAt(wctx, "tsdb.server.queue", arrivalNanos)
+	wctx, op := c.In.StartSpanAt(ctx, "tsdb.server.write", arrivalNanos)
+	_, qs := c.In.StartSpanAt(wctx, "tsdb.server.queue", arrivalNanos)
 	qs.End(nil)
-	_, ps := in.StartSpan(wctx, "tsdb.server.parse")
+	_, ps := c.In.StartSpan(wctx, "tsdb.server.parse")
 	var rb rowBuf
 	err := rb.scan(body)
 	ps.End(err)
 	if err == nil {
-		_, is := in.StartSpan(wctx, "tsdb.server.insert")
+		_, is := c.In.StartSpan(wctx, "tsdb.server.insert")
 		err = s.db.writeFrame(&rb)
 		// The reply names the cause alone: a one-point frame has no
 		// batch index to report.
@@ -294,28 +169,21 @@ func (s *Server) handleWrite(rest string, arrivalNanos int64, w *bufio.Writer) {
 		is.End(err)
 	}
 	op.End(err)
-	if err != nil {
-		fmt.Fprintf(w, "ERR %v\n", err)
-	} else {
-		fmt.Fprintln(w, "OK")
-	}
-	s.logOp(wctx, ctx, "write", arrivalNanos, err)
-	s.observe("write", err)
+	answer(c, wctx, ctx, "write", arrivalNanos, err, []byte("OK"))
 }
 
 // handleWriteBatch serves one WRITEB frame: header → n body lines →
 // one ack. Returns false on a fatal frame error (invalid header, or
-// the connection dying mid-body) after which the caller must close the
-// connection; true means the stream is in sync regardless of whether
-// the batch was accepted. The queue/parse/insert phases trace under a
-// tsdb.server.writeb span backdated to header arrival: parse is the row
-// scan (and the validation), insert the WAL record built from the
-// received lines and the head append — no Point on the way.
-func (s *Server) handleWriteBatch(rest string, arrivalNanos int64, sc *bufio.Scanner, w *bufio.Writer) bool {
+// the body cut short) after which the connection is closed; true means
+// the stream is in sync regardless of whether the batch was accepted.
+// The queue/parse/insert phases trace under a tsdb.server.writeb span
+// backdated to header arrival: parse is the row scan (and the
+// validation), insert the WAL record built from the received lines and
+// the head append — no Point on the way.
+func (s *Server) handleWriteBatch(c *wire.Conn, rest string, arrivalNanos int64) bool {
 	ctx, body := frameContext(rest)
-	in := s.tracing()
-	wctx, op := in.StartSpanAt(ctx, "tsdb.server.writeb", arrivalNanos)
-	_, qs := in.StartSpanAt(wctx, "tsdb.server.queue", arrivalNanos)
+	wctx, op := c.In.StartSpanAt(ctx, "tsdb.server.writeb", arrivalNanos)
+	_, qs := c.In.StartSpanAt(wctx, "tsdb.server.queue", arrivalNanos)
 	qs.End(nil)
 
 	nStr, opts, _ := strings.Cut(body, " ")
@@ -323,9 +191,7 @@ func (s *Server) handleWriteBatch(rest string, arrivalNanos int64, sc *bufio.Sca
 	if err != nil || n <= 0 || n > MaxBatchPoints {
 		err = fmt.Errorf("tsdb: bad batch header %q (want 1..%d points)", body, MaxBatchPoints)
 		op.End(err)
-		fmt.Fprintf(w, "ERR %v\n", err)
-		s.logOp(wctx, ctx, "writeb", arrivalNanos, err)
-		s.observe("writeb", err)
+		answer(c, wctx, ctx, "writeb", arrivalNanos, err, nil)
 		return false
 	}
 	var token string
@@ -337,17 +203,21 @@ func (s *Server) handleWriteBatch(rest string, arrivalNanos int64, sc *bufio.Sca
 	// a rejection leaves the stream in sync.
 	lines := make([]string, 0, n)
 	for i := 0; i < n; i++ {
-		if !sc.Scan() {
+		if !c.Sc.Scan() {
+			// No reply from here: the peer is gone, or the scanner failed
+			// (a body line over the cap) and the skeleton answers that.
 			err = fmt.Errorf("tsdb: connection lost %d/%d lines into batch body", i, n)
+			if serr := c.Sc.Err(); serr != nil {
+				err = fmt.Errorf("tsdb: batch body line %d/%d: %w", i, n, serr)
+			}
 			op.End(err)
-			s.logOp(wctx, ctx, "writeb", arrivalNanos, err)
-			s.observe("writeb", err)
+			c.LogOp(wctx, ctx, "writeb", arrivalNanos, err)
 			return false
 		}
-		lines = append(lines, sc.Text())
+		lines = append(lines, c.Sc.Text())
 	}
 
-	_, ps := in.StartSpan(wctx, "tsdb.server.parse")
+	_, ps := c.In.StartSpan(wctx, "tsdb.server.parse")
 	// The frame's own scratch, sized from its separators (a tag or a field
 	// each, at most) and dropped with it: an idle connection keeps nothing.
 	kvs := n
@@ -369,7 +239,7 @@ func (s *Server) handleWriteBatch(rest string, arrivalNanos int64, sc *bufio.Sca
 	if err == nil && token != "" && s.dedup.Seen(token) {
 		extra = []string{"dedup", "true"}
 	} else if err == nil {
-		_, is := in.StartSpan(wctx, "tsdb.server.insert")
+		_, is := c.In.StartSpan(wctx, "tsdb.server.insert")
 		err = s.db.writeFrame(&rb)
 		is.End(err)
 		if err == nil && token != "" {
@@ -379,69 +249,32 @@ func (s *Server) handleWriteBatch(rest string, arrivalNanos int64, sc *bufio.Sca
 		}
 	}
 	op.End(err)
-	if err != nil {
-		fmt.Fprintf(w, "ERR %v\n", err)
-	} else {
-		fmt.Fprintf(w, "OK %d\n", n)
-	}
-	s.logOp(wctx, ctx, "writeb", arrivalNanos, err, extra...)
-	s.observe("writeb", err)
+	answer(c, wctx, ctx, "writeb", arrivalNanos, err, fmt.Appendf(nil, "OK %d", n), extra...)
 	return true
 }
 
 // handleQuery parses and executes one QUERY frame with parse/exec child
 // spans under tsdb.server.query.
-func (s *Server) handleQuery(rest string, arrivalNanos int64, w *bufio.Writer) {
+func (s *Server) handleQuery(c *wire.Conn, rest string, arrivalNanos int64) {
 	ctx, body := frameContext(rest)
-	in := s.tracing()
-	qctx, op := in.StartSpanAt(ctx, "tsdb.server.query", arrivalNanos)
-	_, ps := in.StartSpan(qctx, "tsdb.server.parse")
+	qctx, op := c.In.StartSpanAt(ctx, "tsdb.server.query", arrivalNanos)
+	_, ps := c.In.StartSpan(qctx, "tsdb.server.parse")
 	q, err := ParseQuery(body)
 	ps.End(err)
 	var res *Result
 	if err == nil {
-		var es *introspect.ActiveSpan
-		var ectx context.Context
-		ectx, es = in.StartSpan(qctx, "tsdb.server.exec")
+		ectx, es := c.In.StartSpan(qctx, "tsdb.server.exec")
 		res, err = s.db.ExecuteContext(ectx, QueryRequest{Query: q})
 		es.End(err)
 	}
+	// A result that will not marshal fails the reply and the record, not
+	// the span.
 	op.End(err)
-	if err != nil {
-		fmt.Fprintf(w, "ERR %v\n", err)
-	} else {
-		b, merr := json.Marshal(res)
-		if merr != nil {
-			fmt.Fprintf(w, "ERR %v\n", merr)
-			err = merr
-		} else {
-			w.Write(b)
-			w.WriteByte('\n')
-		}
+	var reply []byte
+	if err == nil {
+		reply, err = json.Marshal(res)
 	}
-	s.logOp(qctx, ctx, "query", arrivalNanos, err)
-	s.observe("query", err)
-}
-
-// Close stops the server: the listener and idle connections are torn
-// down, every in-flight handler drains (an accepted WRITE finishes its
-// insert before the DB is considered final), and the DB's WAL is
-// flushed — so a graceful shutdown never loses an acknowledged point
-// even under fsync=interval/never.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.ln != nil {
-		s.ln.Close()
-		s.ln = nil
-	}
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-	// Flush-on-close barrier: every handleWrite above has completed its
-	// WAL append; one sync makes the whole accepted prefix durable.
-	return s.db.Sync()
+	answer(c, qctx, ctx, "query", arrivalNanos, err, reply)
 }
 
 // Client talks to a Server through a resilient transport: per-op
