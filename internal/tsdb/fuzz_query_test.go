@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -55,12 +56,17 @@ func FuzzParseQuery(f *testing.F) {
 	f.Add(`SELECT mean("f"), "g" FROM "m"`)
 	f.Add(`SELECT pNaN("f") FROM "m"`)
 	f.Add(``)
+	f.Add("SELECT mean(v)\nFROM m WHERE k='a\nb' AND \"k\n2\"=\"x\"")
 	f.Fuzz(func(t *testing.T, stmt string) {
 		q, err := ParseQuery(stmt)
 		if err != nil {
 			return // rejection is a valid outcome; panics are not
 		}
 		canon := q.String()
+		// The client sends this text as one wire line (QueryContext).
+		if strings.Contains(canon, "\n") {
+			t.Fatalf("canonical form %q of %q holds a line break", canon, stmt)
+		}
 		q2, err := ParseQuery(canon)
 		if err != nil {
 			t.Fatalf("canonical form %q of %q does not parse: %v", canon, stmt, err)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -127,6 +128,51 @@ func TestClientRefusesLineBreak(t *testing.T) {
 	defer ddb.Close()
 	if points, _ := ddb.Stats(); points != 2 {
 		t.Fatalf("reopened store has %d points, want 2", points)
+	}
+}
+
+// TestClientMultiLineSelect: the wire frames by lines too for QUERY, so a
+// multi-line SELECT goes out in its one-line canonical form — it gets the
+// embedded answer and the ops after it on the same connection stay in
+// step; a statement that does not parse fails before anything is sent.
+func TestClientMultiLineSelect(t *testing.T) {
+	db := New()
+	srv, addr := startServer(t, db)
+	defer srv.Close()
+	c, err := DialPolicy(addr, testPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	for i := int64(1); i <= 3; i++ {
+		if err := db.WriteBatchContext(ctx, []Point{{Measurement: "m", Fields: map[string]float64{"v": float64(i)}, Time: i}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stmt := "SELECT mean(v)\nFROM m"
+	want, err := db.ExecuteContext(ctx, QueryRequest{Statement: stmt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.QueryContext(ctx, stmt); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("multi-line SELECT over the wire: %+v, %v; embedded: %+v", got, err, want)
+	}
+	if err := c.WriteBatchContext(ctx, []Point{{Measurement: "m", Fields: map[string]float64{"v": 4}, Time: 4}}); err != nil {
+		t.Fatalf("write after the multi-line SELECT: %v", err)
+	}
+	got, err := c.QueryContext(ctx, "SELECT count(v)\n\tFROM m\n")
+	if err != nil || len(got.Rows) != 1 || got.Rows[0].Values["count(v)"] != 4 {
+		t.Fatalf("query after the write: %+v, %v; want a count of 4", got, err)
+	}
+	if err := c.PingContext(ctx); err != nil {
+		t.Fatalf("ping after the queries: %v", err)
+	}
+	if _, err := c.QueryContext(ctx, "SELECT\nFROM m"); err == nil || strings.Contains(err.Error(), "rejected") {
+		t.Fatalf("unparsable statement: %v, want the parse error from the client", err)
+	}
+	if err := c.PingContext(ctx); err != nil {
+		t.Fatalf("ping after the refused statement: %v", err)
 	}
 }
 

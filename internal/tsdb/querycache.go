@@ -35,6 +35,9 @@ type queryCache struct {
 	unitsFooter, unitsDecoded, unitsHead *introspect.Counter
 }
 
+// cacheEntry holds a result nothing writes after put: get hands out res
+// itself, which the server encodes concurrently with other readers and
+// ExecuteContext copies for an embedded caller.
 type cacheEntry struct {
 	key         string
 	measurement string
@@ -96,7 +99,7 @@ func (c *queryCache) version(measurement string) uint64 {
 	return v
 }
 
-// get returns a deep copy of the cached result for key, if any.
+// get returns the cached result for key, if any, for reading only.
 func (c *queryCache) get(key string) (*Result, bool) {
 	c.mu.Lock()
 	el, ok := c.entries[key]
@@ -109,13 +112,12 @@ func (c *queryCache) get(key string) (*Result, bool) {
 	res := el.Value.(*cacheEntry).res
 	c.hits.Inc()
 	c.mu.Unlock()
-	return copyResult(res), true
+	return res, true
 }
 
 // put caches res under key iff the measurement's version still equals
 // the pre-scan snapshot — otherwise a write landed mid-scan and the
-// fill is discarded. The cached copy is private; get copies on the way
-// out and callers keep their own copy on the way in.
+// fill is discarded. From here on res is read, never written.
 func (c *queryCache) put(key, measurement string, version uint64, res *Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -200,7 +202,7 @@ func (c *queryCache) len() int {
 }
 
 // copyResult deep-copies a result so cache-resident rows are never
-// aliased by callers.
+// aliased by embedded callers, which own what ExecuteContext returns.
 func copyResult(res *Result) *Result {
 	out := &Result{
 		Measurement: res.Measurement,

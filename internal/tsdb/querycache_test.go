@@ -120,12 +120,22 @@ func TestQueryCacheLRUEviction(t *testing.T) {
 		t.Fatalf("evictions = %d, want 1", ev)
 	}
 
-	// get returns a private copy: mutating it must not poison the cache.
-	got, _ := c.get("k3")
-	got.Rows[0].Values["count(f)"] = 999
-	again, _ := c.get("k3")
-	if again.Rows[0].Values["count(f)"] != 1 {
-		t.Fatal("cache-resident result aliased by a caller mutation")
+	// get hands out the resident result (the server only reads it);
+	// ExecuteContext returns a private copy on a fill and on a hit, so an
+	// embedded caller's mutation must not poison the cache.
+	db := New()
+	if err := db.WriteBatchContext(context.Background(), []Point{{Measurement: "m", Time: 1, Fields: map[string]float64{"f": 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		got, err := db.ExecuteContext(context.Background(), QueryRequest{Query: countQuery("m")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Rows[0].Values["count(f)"] != 1 {
+			t.Fatalf("execution %d: cache-resident result aliased by a caller mutation", i)
+		}
+		got.Rows[0].Values["count(f)"] = 999
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strconv"
@@ -28,9 +27,9 @@ const MaxBatchPoints = 4096
 var ErrBatchTooLarge = errors.New("tsdb: batch too large")
 
 // ErrLineBreak is the cause inside the *BatchError a client write
-// returns for a point with a newline in a name: the wire frames by lines,
-// so it would arrive as two. (The WAL and the spill journal frame by
-// length and hold such a name.)
+// returns for a point with a newline in a name — the wire frames by lines,
+// so it would arrive as two; the WAL and the spill journal frame by length
+// and hold such a name — and what QueryContext wraps for a statement alike.
 var ErrLineBreak = errors.New("tsdb: line break in a name")
 
 // dedupWindowSize is how many applied batch tokens the server
@@ -264,17 +263,21 @@ func (s *Server) handleQuery(c *wire.Conn, rest string, arrivalNanos int64) {
 	var res *Result
 	if err == nil {
 		ectx, es := c.In.StartSpan(qctx, "tsdb.server.exec")
-		res, err = s.db.ExecuteContext(ectx, QueryRequest{Query: q})
+		// A cached aggregate is the cache's own result: read, not copied.
+		res, err = s.db.execute(ectx, QueryRequest{Query: q}, false)
 		es.End(err)
 	}
-	// A result that will not marshal fails the reply and the record, not
+	// A result that will not encode fails the reply and the record, not
 	// the span.
 	op.End(err)
 	var reply []byte
+	var extra []string
 	if err == nil {
-		reply, err = json.Marshal(res)
+		// A buffer for this request only: an idle connection keeps nothing.
+		reply, err = appendResult(nil, res)
+		extra = []string{"rows", strconv.Itoa(len(res.Rows)), "bytes", strconv.Itoa(len(reply))}
 	}
-	answer(c, qctx, ctx, "query", arrivalNanos, err, reply)
+	answer(c, qctx, ctx, "query", arrivalNanos, err, reply, extra...)
 }
 
 // Client talks to a Server through a resilient transport: per-op
@@ -390,32 +393,41 @@ func (c *Client) WriteBatchContext(ctx context.Context, ps []Point) error {
 	})
 }
 
-// QueryContext runs a SELECT statement remotely.
+// QueryContext runs a SELECT statement remotely. The statement is parsed
+// here and sent in its canonical form (Query.String), which is one line
+// whatever the text's layout — the wire frames by lines — so a statement
+// that does not parse returns its error before anything is sent.
 func (c *Client) QueryContext(ctx context.Context, stmt string) (*Result, error) {
-	var res Result
-	err := c.tr.DoContext(ctx, func(ctx context.Context, w *resilience.Wire) error {
-		if _, err := fmt.Fprintf(w.Conn, "QUERY %s%s\n", wireTag(ctx), stmt); err != nil {
+	q, err := ParseQuery(stmt)
+	if err != nil {
+		return nil, err
+	}
+	text := q.String()
+	if strings.Contains(text, "\n") {
+		return nil, fmt.Errorf("%w: query %q", ErrLineBreak, text)
+	}
+	var res *Result
+	err = c.tr.DoContext(ctx, func(ctx context.Context, w *resilience.Wire) error {
+		if _, err := fmt.Fprintf(w.Conn, "QUERY %s%s\n", wireTag(ctx), text); err != nil {
 			return err
 		}
-		resp, err := w.R.ReadString('\n')
+		line, err := w.R.ReadBytes('\n')
 		if err != nil {
 			return err
 		}
-		resp = strings.TrimSpace(resp)
-		if strings.HasPrefix(resp, "ERR") {
-			return resilience.Permanent(fmt.Errorf("tsdb: query rejected: %s", resp))
+		line = line[:len(line)-1]
+		if bytes.HasPrefix(line, []byte("ERR")) {
+			return resilience.Permanent(fmt.Errorf("tsdb: query rejected: %s", bytes.TrimSpace(line)))
 		}
-		if err := json.Unmarshal([]byte(resp), &res); err != nil {
-			// The line was fully read, so the stream is in sync; a
-			// malformed body will not get better on retry.
-			return resilience.Permanent(fmt.Errorf("tsdb: bad query response: %w", err))
-		}
-		return nil
+		// The line was fully read, so the stream is in sync; a malformed
+		// body will not get better on retry.
+		res, err = decodeResult(line)
+		return resilience.Permanent(err)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &res, nil
+	return res, nil
 }
 
 // PingContext checks liveness.

@@ -3,6 +3,7 @@ package tsdb
 import (
 	"bufio"
 	"context"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -104,6 +105,51 @@ func TestSlowOpLogCarriesClientTraceID(t *testing.T) {
 	}
 	if cmd := fieldValue(rec, "cmd"); cmd != "writeb" {
 		t.Fatalf("cmd field = %q", cmd)
+	}
+}
+
+// TestSlowOpQueryCarriesReplySize: a query's slow-op record names the rows
+// and the bytes of its reply, so a slow panel refresh is explained from
+// the log ring alone.
+func TestSlowOpQueryCarriesReplySize(t *testing.T) {
+	db := New()
+	srv := NewServer(db)
+	logs := logbuf.New(16)
+	srv.SetLogger(logs.With("tsdb.server"), 0)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	for i := int64(1); i <= 3; i++ {
+		if err := db.WriteBatchContext(ctx, []Point{{Measurement: "m", Fields: map[string]float64{"v": float64(i) / 3}, Time: i}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := c.QueryContext(ctx, `SELECT "v" FROM "m"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []logbuf.Record
+	for _, rec := range logs.Records() {
+		if fieldValue(rec, "cmd") == "query" {
+			recs = append(recs, rec)
+		}
+	}
+	if len(recs) != 1 {
+		t.Fatalf("got %d query records, want 1: %+v", len(recs), logs.Records())
+	}
+	if rows := fieldValue(recs[0], "rows"); rows != "3" {
+		t.Fatalf("rows = %q, want 3", rows)
+	}
+	if got, want := fieldValue(recs[0], "bytes"), fmt.Sprint(len(refReply(res))); got != want {
+		t.Fatalf("bytes = %q, want %s (the reply line without its newline)", got, want)
 	}
 }
 

@@ -518,6 +518,13 @@ type QueryRequest struct {
 // cache (querycache.go); raw SELECTs merge the sorted runs (sealed
 // blocks + heads) of every matching series (rawexec.go).
 func (db *DB) ExecuteContext(ctx context.Context, req QueryRequest) (*Result, error) {
+	return db.execute(ctx, req, true)
+}
+
+// execute is ExecuteContext. With private false a cached aggregate is the
+// cache-resident result itself, hit or fill, which the caller may only
+// read: the server encoding a reply.
+func (db *DB) execute(ctx context.Context, req QueryRequest, private bool) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("tsdb: query: %w", err)
 	}
@@ -541,6 +548,9 @@ func (db *DB) ExecuteContext(ctx context.Context, req QueryRequest) (*Result, er
 		key := q.String()
 		if !req.SkipCache {
 			if res, ok := db.qcache.get(key); ok {
+				if private {
+					res = copyResult(res)
+				}
 				return res, nil
 			}
 		}
@@ -550,9 +560,13 @@ func (db *DB) ExecuteContext(ctx context.Context, req QueryRequest) (*Result, er
 			return nil, err
 		}
 		if !req.SkipCache {
-			// The cache keeps its own copy; the caller's result stays
-			// private either way.
-			db.qcache.put(key, q.Measurement, ver, copyResult(res))
+			cached := res
+			if private {
+				// The cache keeps its own copy; the caller's result stays
+				// private either way.
+				cached = copyResult(res)
+			}
+			db.qcache.put(key, q.Measurement, ver, cached)
 		}
 		return res, nil
 	}
