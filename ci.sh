@@ -50,11 +50,20 @@ fi
 # strict about every number and escape spelling so a decoded reply
 # encodes back to its bytes, with a check that spares a short decimal
 # a second spelling — in place of encoding/json, whose
-# reflection, deep copy and decode were most of a wire reader's CPU.)
+# reflection, deep copy and decode were most of a wire reader's CPU.
+# +260 for the open head, over its +150 budget and said so in
+# CHANGES.md: the open block a head compresses into on append — its
+# per-field running footer and gap-free bitmap, the side run for late
+# rows and its merge into scan order, the reader that decodes a head
+# without writing to it — and version-stamped query-cache entries, which
+# a write leaves stale instead of freeing, cost more than colHead's
+# shift-insert, encodeBlock's per-field body, adoptHead's decode loop,
+# CountValues' head scan and headSlots gave back, for live_monitor's
+# heap 13.9 -> 2.4 B/point.)
 # The second line is the same ratchet over all non-test Go outside the
 # benchmark's frozen paths (BENCHMARK.json "paths"): 26 312 before the
 # two wire servers became one skeleton (internal/wire), 26 222 after,
-# 26 640 with ISSUE 25's reply codec.
+# 26 640 with the reply codec, 26 903 with the open head.
 size_gate() { # $1: what is counted; $2: ceiling; stdin: the files
     size=$(xargs cat | wc -l)
     echo "size: $1 ${size} non-test lines (ceiling $2)"
@@ -63,9 +72,9 @@ size_gate() { # $1: what is counted; $2: ceiling; stdin: the files
         exit 1
     fi
 }
-find internal/tsdb -name '*.go' ! -name '*_test.go' | size_gate internal/tsdb 4486
+find internal/tsdb -name '*.go' ! -name '*_test.go' | size_gate internal/tsdb 4746
 find . -name '*.go' ! -name '*_test.go' ! -path './internal/bench/*' ! -path './cmd/pmovebench/*' |
-    size_gate 'outside the benchmark paths' 26640
+    size_gate 'outside the benchmark paths' 26903
 
 # One accept loop: tsdb and docdb serve through internal/wire. A second
 # loop is a second place for a close-vs-accept rule to be forgotten.

@@ -1,7 +1,10 @@
 package testkit
 
 import (
+	"context"
 	"testing"
+
+	"pmove/internal/docdb"
 )
 
 // TestDurableKillRestartRecovery is the acceptance scenario: WAL-backed
@@ -151,5 +154,32 @@ func TestDurableBadFsyncRejected(t *testing.T) {
 	sc := Scenario{Seed: 1, Load: Load{FreqHz: 25, Ticks: 4}, Durable: true, Fsync: "sometimes"}
 	if _, err := Run(sc); err == nil {
 		t.Error("unknown fsync policy accepted")
+	}
+}
+
+// TestCheckpointRetryAfterLostAck: a checkpoint attempt that timed out
+// after its write committed (the ack waits on the docdb WAL fsync, which
+// a loaded disk can stretch past the read deadline) leaves the document
+// stored; the retry must land on it and count the checkpoint as written,
+// not fail as a duplicate — the outcome the event log records may not
+// depend on how long an fsync took.
+func TestCheckpointRetryAfterLostAck(t *testing.T) {
+	h := &harness{
+		sc:  Scenario{Seed: 7, Load: Load{FreqHz: 25, Ticks: 1, CheckpointEvery: 1}, Durable: true},
+		res: &Result{Log: &EventLog{}},
+	}
+	defer h.close()
+	if err := h.setup(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.docdbDB.Collection(CheckpointCollection).Insert(docdb.Doc{"_id": "ck-001", "tick": 1}); err != nil {
+		t.Fatal(err)
+	}
+	h.checkpoint(context.Background(), 1)
+	if h.res.CheckpointsOK != 1 || h.res.CheckpointsFailed != 0 {
+		t.Fatalf("checkpoints ok %d failed %d, want 1 0", h.res.CheckpointsOK, h.res.CheckpointsFailed)
+	}
+	if n := h.docdbDB.Collection(CheckpointCollection).Count(nil); n != 1 {
+		t.Fatalf("%d checkpoint documents stored, want 1", n)
 	}
 }

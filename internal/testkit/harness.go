@@ -449,7 +449,10 @@ func (h *harness) tickEvent(tick uint64) Event {
 
 // checkpoint writes one session-progress document through the docdb wire
 // and records the semantic outcome (never the error text, which carries
-// run-specific addresses).
+// run-specific addresses). The server acks only after the WAL fsync, so
+// on a loaded disk an attempt can time out after its write committed;
+// the write is an upsert by the tick's _id, so the retry lands on the
+// stored document instead of failing as a duplicate insert.
 func (h *harness) checkpoint(ctx context.Context, tick uint64) {
 	doc := docdb.Doc{
 		"_id":      fmt.Sprintf("ck-%03d", tick),
@@ -458,7 +461,7 @@ func (h *harness) checkpoint(ctx context.Context, tick uint64) {
 		"lost":     int(h.col.Lost),
 		"pending":  int(h.col.PendingSpillFields()),
 	}
-	if _, err := h.docdbClient.InsertContext(ctx, CheckpointCollection, doc); err != nil {
+	if _, err := h.docdbClient.UpsertContext(ctx, CheckpointCollection, doc); err != nil {
 		h.res.CheckpointsFailed++
 		h.res.Log.Append(Event{Tick: tick, Kind: "checkpoint", Detail: "failed"})
 		return

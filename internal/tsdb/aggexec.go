@@ -23,16 +23,18 @@ import (
 // cancelled query releases the data read lock promptly without tearing
 // any partial.
 //
-// Sealed blocks give the scan two levels of shortcut: a block wholly
-// inside the query's time bounds whose rows share one GROUP BY window
-// folds straight from its footer (count/zeros/min/max/sum per field) —
-// no decompression at all — and every other block decodes ONCE into a
+// Blocks give the scan two levels of shortcut: a block wholly inside the
+// query's time bounds whose rows share one GROUP BY window folds
+// straight from its footer (count/zeros/min/max/sum per field) — no
+// decompression at all — and every other block decodes ONCE into a
 // per-worker scratch buffer that is reused across units instead of
-// materializing []Point.
+// materializing []Point. A head is an open block: with no late rows it
+// takes the footer shortcut on the same terms, and otherwise decodes
+// and merges its late rows in the same scratch.
 //
 // The scan holds the data lock shared for its whole duration: writers
-// shift head columns in place on out-of-order inserts, so workers may
-// not retain head slices past the lock.
+// append to heads in place, so workers only read them, and not past the
+// lock.
 
 // fieldAgg is the partial aggregate of one field within one window.
 type fieldAgg struct {
@@ -210,8 +212,8 @@ func (p *partial) merge(o *partial, nf int) {
 	}
 }
 
-// aggUnit is one work item of the parallel scan: a sealed block (footer:
-// it folds from its footer alone) or, b == nil, the series' mutable head.
+// aggUnit is one work item of the parallel scan: a sealed block or, b ==
+// nil, the series' head (footer: it folds from its footers alone).
 type aggUnit struct {
 	s      *memSeries
 	b      *block
@@ -226,14 +228,27 @@ type aggScratch struct {
 	cols  [][]float64
 }
 
-// blockFooterOnly reports whether a sealed block can fold from its
-// footer alone: every row inside the time bounds (0 = unbounded) and
-// every row in the same GROUP BY window.
-func blockFooterOnly(b *block, q *Query) bool {
-	if (q.From != 0 && b.minT < q.From) || (q.To != 0 && b.maxT > q.To) {
+// footerOnly reports whether rows spanning [minT, maxT] can fold from
+// their footers alone: every row inside the time bounds (0 = unbounded)
+// and every row in the same GROUP BY window.
+func footerOnly(minT, maxT int64, q *Query) bool {
+	if (q.From != 0 && minT < q.From) || (q.To != 0 && maxT > q.To) {
 		return false
 	}
-	return windowStart(b.minT, q.GroupBy) == windowStart(b.maxT, q.GroupBy)
+	return windowStart(minT, q.GroupBy) == windowStart(maxT, q.GroupBy)
+}
+
+// footerOf returns the unit's footer of a field and the unit's first
+// time; nil when the unit holds no value of the field.
+func (u aggUnit) footerOf(name string) (*footer, int64) {
+	if u.b != nil {
+		if bi := u.b.fieldIndex(name); bi >= 0 {
+			return &u.b.fields[bi].footer, u.b.minT
+		}
+	} else if ci, ok := u.s.fields[name]; ok && u.s.open.cols[ci].count > 0 {
+		return &u.s.open.cols[ci].footer, u.s.open.minT
+	}
+	return nil, 0
 }
 
 // foldColumns folds decoded (or head) columns into out a window's run of
@@ -266,32 +281,37 @@ func scanUnit(u aggUnit, q *Query, plan *aggPlan, sc *aggScratch, out *partial) 
 	out.wins = out.wins[:0]
 	clear(out.states) // drop the last unit's sample buffers
 	out.states = out.states[:0]
-	if u.b == nil {
-		cols := make([][]float64, len(plan.fields))
-		for fi, f := range plan.fields {
-			if ci, ok := u.s.fields[f]; ok {
-				cols[fi] = u.s.head.cols[ci]
-			}
-		}
-		foldColumns(out, u.s.head.times, cols, q, plan)
-		return nil
-	}
-	b := u.b
 	if u.footer {
-		// The footer's sum was accumulated in row order at seal time, so
-		// merging it is the association a decoded scan would produce.
+		// A footer's sum was accumulated in row order, so merging it is
+		// the association a decoded scan would produce.
 		var states []fieldAgg
 		for fi, name := range plan.fields {
-			if bi := b.fieldIndex(name); bi >= 0 {
+			if f, minT := u.footerOf(name); f != nil {
 				if states == nil {
-					states = out.window(windowStart(b.minT, q.GroupBy), len(plan.fields))
+					states = out.window(windowStart(minT, q.GroupBy), len(plan.fields))
 				}
-				f := &b.fields[bi]
 				states[fi].merge(&fieldAgg{count: f.count, sum: f.sum, min: f.min, max: f.max})
 			}
 		}
 		return nil
 	}
+	if u.b == nil {
+		cis := make([]int, len(plan.fields))
+		for fi, f := range plan.fields {
+			var ok bool
+			if cis[fi], ok = u.s.fields[f]; !ok {
+				cis[fi] = -1
+			}
+		}
+		times, cols, err := u.s.headColumns(cis, sc.times, sc.cols)
+		if err != nil {
+			return err
+		}
+		sc.times, sc.cols = times, cols
+		foldColumns(out, times, cols, q, plan)
+		return nil
+	}
+	b := u.b
 	times, err := b.decodeTimes(sc.times)
 	if err != nil {
 		return err
@@ -477,18 +497,23 @@ func (db *DB) execAggregate(ctx context.Context, q *Query, workers int) (*Result
 				continue
 			}
 			// Percentiles need the distribution, which no footer holds.
-			footer := !plan.anySamples && blockFooterOnly(b, q)
+			footer := !plan.anySamples && footerOnly(b.minT, b.maxT, q)
 			if footer {
 				nFooter++
 			}
 			units = append(units, aggUnit{s: s, b: b, footer: footer})
 		}
-		if minT, maxT, ok := s.head.timeRange(); ok {
+		if minT, maxT, ok := s.headRange(); ok {
 			if (q.From != 0 && maxT < q.From) || (q.To != 0 && minT > q.To) {
 				continue
 			}
-			units = append(units, aggUnit{s: s})
-			nHead++
+			footer := !plan.anySamples && len(s.side.times) == 0 && footerOnly(minT, maxT, q)
+			if footer {
+				nFooter++
+			} else {
+				nHead++
+			}
+			units = append(units, aggUnit{s: s, footer: footer})
 		}
 	}
 	if len(units) == 0 {

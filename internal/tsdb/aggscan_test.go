@@ -127,7 +127,8 @@ func TestScanUnitAllocations(t *testing.T) {
 
 // TestQueryUnitCounters: every unit of an aggregate scan is counted
 // once, by how it was answered, and a block-aligned whole-range mean
-// decodes nothing.
+// decodes nothing — a head without late rows folds from its footers
+// too.
 func TestQueryUnitCounters(t *testing.T) {
 	db := New()
 	in := introspect.New()
@@ -158,20 +159,34 @@ func TestQueryUnitCounters(t *testing.T) {
 		}
 		return
 	}
-	if f, d, h := exec(`SELECT mean("f") FROM "m"`, 2*(blocks+1)); f != 2*blocks || d != 0 || h != 2 {
-		t.Fatalf("whole-range mean: footer %d decoded %d head %d, want %d 0 2", f, d, h, 2*blocks)
+	if f, d, h := exec(`SELECT mean("f") FROM "m"`, 2*(blocks+1)); f != 2*(blocks+1) || d != 0 || h != 0 {
+		t.Fatalf("whole-range mean: footer %d decoded %d head %d, want %d 0 0", f, d, h, 2*(blocks+1))
 	}
-	if f, d, h := exec(fmt.Sprintf(`SELECT mean("f") FROM "m" GROUP BY time(%dns)`, blockRows), 2*(blocks+1)); f != 2*blocks || d != 0 || h != 2 {
-		t.Fatalf("block-aligned windows: footer %d decoded %d head %d, want %d 0 2", f, d, h, 2*blocks)
+	if f, d, h := exec(fmt.Sprintf(`SELECT mean("f") FROM "m" GROUP BY time(%dns)`, blockRows), 2*(blocks+1)); f != 2*(blocks+1) || d != 0 || h != 0 {
+		t.Fatalf("block-aligned windows: footer %d decoded %d head %d, want %d 0 0", f, d, h, 2*(blocks+1))
+	}
+	// A bound inside the head decodes it.
+	stmt := fmt.Sprintf(`SELECT sum("f") FROM "m" WHERE "tag"='a' AND time >= %d`, blocks*blockRows+10)
+	if f, d, h := exec(stmt, 1); f != 0 || d != 0 || h != 1 {
+		t.Fatalf("bound inside the head: footer %d decoded %d head %d, want 0 0 1", f, d, h)
 	}
 	if f, d, _ := exec(`SELECT p50("f") FROM "m" WHERE "tag"='a'`, blocks+1); f != 0 || d != blocks {
 		t.Fatalf("percentile: footer %d decoded %d, want 0 %d", f, d, blocks)
 	}
 	// From inside block 0 to inside block 2: the middle block folds, the
 	// ends decode, the head is out of range.
-	stmt := fmt.Sprintf(`SELECT sum("f") FROM "m" WHERE "tag"='b' AND time >= %d AND time <= %d`, 10, 2*blockRows+10)
+	stmt = fmt.Sprintf(`SELECT sum("f") FROM "m" WHERE "tag"='b' AND time >= %d AND time <= %d`, 10, 2*blockRows+10)
 	if f, d, h := exec(stmt, 3); f != 1 || d != 2 || h != 0 {
 		t.Fatalf("partial range: footer %d decoded %d head %d, want 1 2 0", f, d, h)
+	}
+	// A late row puts the head off the footer path: its footers do not
+	// cover the side run.
+	late := Point{Measurement: "m", Time: blocks*blockRows + 5, Tags: map[string]string{"tag": "a"}, Fields: map[string]float64{"f": 1}}
+	if err := db.WriteBatchContext(context.Background(), []Point{late}); err != nil {
+		t.Fatal(err)
+	}
+	if f, d, h := exec(`SELECT mean("f") FROM "m"`, 2*(blocks+1)); f != 2*blocks+1 || d != 0 || h != 1 {
+		t.Fatalf("head with a late row: footer %d decoded %d head %d, want %d 0 1", f, d, h, 2*blocks+1)
 	}
 }
 

@@ -42,13 +42,19 @@ const (
 
 var errBlockCorrupt = errors.New("tsdb: corrupt block")
 
+// footer is one field's aggregates over a block's rows: what a scan
+// folds without decompressing, and the head keeps running.
+type footer struct {
+	count, zeros  uint64
+	min, max, sum float64
+}
+
 // blockField is one field column of a sealed block: its footer
 // aggregates and the offsets of its presence bitmap and XOR stream
 // inside the blob.
 type blockField struct {
-	name           string
-	count, zeros   uint64
-	min, max, sum  float64
+	name string
+	footer
 	bmOff, bmLen   int
 	valOff, valLen int
 }
@@ -76,32 +82,38 @@ func (b *block) fieldIndex(name string) int {
 
 // bitWriter appends an MSB-first bit stream a word at a time: bits
 // collect left-aligned in acc and reach buf eight bytes per append.
+// buf's last word always holds acc, so the stream written so far reads
+// from buf alone: a head reader never has to flush the writer.
 type bitWriter struct {
-	buf []byte
+	buf []byte // the whole words written, then acc's word
 	acc uint64 // pending bits, left-aligned
 	n   uint   // pending bit count, < 64
 }
 
 // writeBits appends the low nb <= 64 bits of v, most significant first.
 func (w *bitWriter) writeBits(v uint64, nb uint) {
+	if len(w.buf) == 0 {
+		w.buf = append(w.buf, make([]byte, 8)...)
+	}
 	v <<= 64 - nb // left-align
 	w.acc |= v >> w.n
 	if w.n+nb < 64 {
 		w.n += nb
-		return
+	} else {
+		binary.BigEndian.PutUint64(w.buf[len(w.buf)-8:], w.acc)
+		w.buf = append(w.buf, make([]byte, 8)...)
+		w.acc = v << (64 - w.n) // the bits of v that did not fit
+		w.n += nb - 64
 	}
-	w.buf = binary.BigEndian.AppendUint64(w.buf, w.acc)
-	w.acc = v << (64 - w.n) // the bits of v that did not fit
-	w.n += nb - 64
+	binary.BigEndian.PutUint64(w.buf[len(w.buf)-8:], w.acc)
 }
 
-// bytes returns the stream, its last byte zero-padded.
+// bytes returns the stream written so far, its last byte zero-padded.
 func (w *bitWriter) bytes() []byte {
-	for ; w.n > 0; w.n -= min(w.n, 8) {
-		w.buf = append(w.buf, byte(w.acc>>56))
-		w.acc <<= 8
+	if len(w.buf) == 0 {
+		return nil
 	}
-	return w.buf
+	return w.buf[:len(w.buf)-8+int(w.n+7)/8]
 }
 
 // The bit reader consumes an MSB-first stream through a left-aligned
@@ -145,133 +157,205 @@ func readBits(buf []byte, acc uint64, n, nb uint) (v uint64, _ []byte, _ uint64,
 	return v | acc>>(64-nb), buf, acc << nb, n - nb, true
 }
 
-// encodeBlock compresses rows of a series (aligned columns, NaN =
-// absent) into a sealed block. times must be non-decreasing and
-// non-empty; columns with no present values are dropped.
-func encodeBlock(times []int64, names []string, cols [][]float64) (*block, error) {
-	rows := len(times)
-	if rows == 0 {
+// openBlock is a block still taking rows: the sealed format's streams
+// written as rows arrive — delta-of-delta timestamps, and per field a
+// presence bitmap and a Gorilla XOR stream — with each field's footer
+// kept running in row order. Rows arrive in time order; close writes
+// the sealed blob around the streams without encoding anything again.
+type openBlock struct {
+	rows       int
+	minT, maxT int64
+	prevD      int64  // the last time delta
+	ts         []byte // first time, first delta, then delta-of-deltas, as zig-zag varints
+	cols       []openCol
+	bytes      int // ts, bitmap and stream bytes: what the head holds
+}
+
+// openCol is one field of an open block. Its bitmap is empty while the
+// column has a value in every row so far (the decoder never reads a
+// gap-free column's bitmap), and is written at the first gap; the bytes
+// a bitmap lacks are zero.
+type openCol struct {
+	footer
+	bitmap   []byte
+	vw       bitWriter
+	prevBits uint64
+	lz, sig  uint8 // the XOR window; sig == 0 until the first one is set
+}
+
+// appendTime appends a row at time t >= maxT and returns its index.
+func (o *openBlock) appendTime(t int64) int {
+	n := len(o.ts)
+	if o.rows == 0 {
+		o.ts = binary.AppendVarint(o.ts, t)
+		o.minT = t
+	} else { // the first delta is a delta-of-delta from 0
+		d := t - o.maxT
+		o.ts = binary.AppendVarint(o.ts, d-o.prevD)
+		o.prevD = d
+	}
+	o.maxT = t
+	o.rows++
+	o.bytes += len(o.ts) - n
+	return o.rows - 1
+}
+
+// put appends the value of row r, later than the column's last, and
+// returns the bytes the column grew by.
+func (c *openCol) put(r int, v float64) int {
+	n := len(c.bitmap) + len(c.vw.bytes())
+	if len(c.bitmap) > 0 || r != int(c.count) {
+		if len(c.bitmap) == 0 {
+			c.bitmap = appendOnes(c.bitmap, int(c.count))
+		}
+		for len(c.bitmap) <= r>>3 {
+			c.bitmap = append(c.bitmap, 0)
+		}
+		c.bitmap[r>>3] |= 1 << (r & 7)
+	}
+	bitsV := math.Float64bits(v)
+	if c.count == 0 {
+		c.vw.writeBits(bitsV, 64)
+		c.min, c.max, c.sum = v, v, v
+	} else {
+		xor := c.prevBits ^ bitsV
+		if xor == 0 {
+			c.vw.writeBits(0, 1)
+		} else {
+			l := min(uint(bits.LeadingZeros64(xor)), 31)
+			tz := uint(bits.TrailingZeros64(xor))
+			if lz, sig := uint(c.lz), uint(c.sig); sig > 0 && l >= lz && tz >= 64-lz-sig {
+				c.vw.writeBits(2, 2) // '1','0': reuse window
+				c.vw.writeBits(xor>>(64-lz-sig), sig)
+			} else {
+				s := 64 - l - tz
+				c.vw.writeBits(3, 2) // '1','1': new window
+				c.vw.writeBits(uint64(l), 5)
+				c.vw.writeBits(uint64(s&63), 6) // 64 encodes as 0
+				c.vw.writeBits(xor>>tz, s)
+				c.lz, c.sig = uint8(l), uint8(s)
+			}
+		}
+		if v < c.min {
+			c.min = v
+		}
+		if v > c.max {
+			c.max = v
+		}
+		c.sum += v
+	}
+	if v == 0 {
+		c.zeros++
+	}
+	c.count++
+	c.prevBits = bitsV
+	return len(c.bitmap) + len(c.vw.bytes()) - n
+}
+
+// appendOnes appends the bitmap of n present rows.
+func appendOnes(dst []byte, n int) []byte {
+	for ; n >= 8; n -= 8 {
+		dst = append(dst, 0xff)
+	}
+	if n > 0 {
+		dst = append(dst, 1<<n-1)
+	}
+	return dst
+}
+
+// appendRows appends time-sorted rows given as columns aligned with
+// o.cols, NaN (or a nil column) where a row has no value.
+func (o *openBlock) appendRows(times []int64, cols [][]float64) {
+	r0 := o.rows
+	for _, t := range times {
+		o.appendTime(t)
+	}
+	for ci, col := range cols {
+		for r, v := range col {
+			if v == v {
+				o.bytes += o.cols[ci].put(r0+r, v)
+			}
+		}
+	}
+}
+
+// decodeCol decompresses column ci over the block's rows into dst
+// (reused when it has capacity), NaN where a row has none. It only
+// reads the block, so readers sharing the data lock may call it.
+func (o *openBlock) decodeCol(ci int, dst []float64) ([]float64, error) {
+	c := &o.cols[ci]
+	return decodeValues(c.vw.bytes(), c.bitmap, int(c.count), o.rows, dst)
+}
+
+// reset empties the block for the next rows, keeping its buffers.
+func (o *openBlock) reset() {
+	o.rows, o.prevD, o.bytes = 0, 0, 0
+	o.ts = o.ts[:0]
+	for i := range o.cols {
+		c := &o.cols[i]
+		*c = openCol{bitmap: c.bitmap[:0], vw: bitWriter{buf: c.vw.buf[:0]}}
+	}
+}
+
+// close writes the sealed blob of the rows so far — the header, the
+// timestamp stream, then for each field with a value (names is aligned
+// with cols) its footer, bitmap and stream — and parses it back, so one
+// reader owns the format and nothing sealed fails to decode.
+func (o *openBlock) close(names []string) (*block, error) {
+	if o.rows == 0 {
 		return nil, fmt.Errorf("tsdb: encode empty block")
 	}
-	blob := make([]byte, 0, 16+rows)
+	bmLen := (o.rows + 7) / 8
+	size, nf := 40+o.bytes, 0 // 40 bounds a header's and a footer's varints
+	for ci := range o.cols {
+		if o.cols[ci].count > 0 {
+			size += 40 + len(names[ci]) + bmLen
+			nf++
+		}
+	}
+	blob := make([]byte, 0, size)
 	blob = append(blob, blockMagic)
-	blob = binary.AppendUvarint(blob, uint64(rows))
-	blob = binary.AppendVarint(blob, times[0])
-	blob = binary.AppendVarint(blob, times[rows-1])
-
-	// Timestamp column: first value, first delta, then delta-of-deltas —
-	// all zigzag varints (telemetry ticks make the dods almost all zero,
-	// one byte each).
-	ts := make([]byte, 0, rows+8)
-	var prevT, prevD int64
-	for i, t := range times {
-		switch i {
-		case 0:
-			ts = binary.AppendVarint(ts, t)
-		case 1:
-			d := t - prevT
-			ts = binary.AppendVarint(ts, d)
-			prevD = d
-		default:
-			d := t - prevT
-			ts = binary.AppendVarint(ts, d-prevD)
-			prevD = d
-		}
-		prevT = t
-	}
-	blob = binary.AppendUvarint(blob, uint64(len(ts)))
-	blob = append(blob, ts...)
-
-	// Field sections, skipping columns with nothing present in this run.
-	type section struct {
-		name            string
-		count, zeros    uint64
-		minV, maxV, sum float64
-		bitmap, stream  []byte
-	}
-	var secs []section
-	for ci, name := range names {
-		col := cols[ci]
-		bitmap := make([]byte, (rows+7)/8)
-		var vw bitWriter
-		var count, zeros uint64
-		var minV, maxV, sum float64
-		var prevBits uint64
-		var lz, sig uint
-		windowValid := false
-		for r := 0; r < rows; r++ {
-			v := col[r]
-			if v != v { // NaN sentinel: field absent in this row
-				continue
-			}
-			bitmap[r>>3] |= 1 << (r & 7)
-			bitsV := math.Float64bits(v)
-			if count == 0 {
-				vw.writeBits(bitsV, 64)
-				minV, maxV, sum = v, v, v
-			} else {
-				xor := prevBits ^ bitsV
-				if xor == 0 {
-					vw.writeBits(0, 1)
-				} else {
-					l := uint(bits.LeadingZeros64(xor))
-					if l > 31 {
-						l = 31
-					}
-					tz := uint(bits.TrailingZeros64(xor))
-					if windowValid && l >= lz && tz >= 64-lz-sig {
-						vw.writeBits(2, 2) // '1','0': reuse window
-						vw.writeBits(xor>>(64-lz-sig), sig)
-					} else {
-						s := 64 - l - tz
-						vw.writeBits(3, 2) // '1','1': new window
-						vw.writeBits(uint64(l), 5)
-						vw.writeBits(uint64(s&63), 6) // 64 encodes as 0
-						vw.writeBits(xor>>tz, s)
-						lz, sig = l, s
-						windowValid = true
-					}
-				}
-				if v < minV {
-					minV = v
-				}
-				if v > maxV {
-					maxV = v
-				}
-				sum += v
-			}
-			if v == 0 {
-				zeros++
-			}
-			count++
-			prevBits = bitsV
-		}
-		if count == 0 {
+	blob = binary.AppendUvarint(blob, uint64(o.rows))
+	blob = binary.AppendVarint(blob, o.minT)
+	blob = binary.AppendVarint(blob, o.maxT)
+	blob = binary.AppendUvarint(blob, uint64(len(o.ts)))
+	blob = append(blob, o.ts...)
+	blob = binary.AppendUvarint(blob, uint64(nf))
+	for ci := range o.cols {
+		c := &o.cols[ci]
+		if c.count == 0 {
 			continue
 		}
-		secs = append(secs, section{
-			name: name, count: count, zeros: zeros,
-			minV: minV, maxV: maxV, sum: sum,
-			bitmap: bitmap, stream: vw.bytes(),
-		})
+		blob = binary.AppendUvarint(blob, uint64(len(names[ci])))
+		blob = append(blob, names[ci]...)
+		blob = binary.AppendUvarint(blob, c.count)
+		blob = binary.AppendUvarint(blob, c.zeros)
+		blob = binary.LittleEndian.AppendUint64(blob, math.Float64bits(c.min))
+		blob = binary.LittleEndian.AppendUint64(blob, math.Float64bits(c.max))
+		blob = binary.LittleEndian.AppendUint64(blob, math.Float64bits(c.sum))
+		blob = binary.AppendUvarint(blob, uint64(bmLen))
+		bm := len(blob)
+		if len(c.bitmap) == 0 {
+			blob = appendOnes(blob, int(c.count))
+		} else {
+			blob = append(blob, c.bitmap...)
+		}
+		blob = append(blob, make([]byte, bm+bmLen-len(blob))...)
+		stream := c.vw.bytes()
+		blob = binary.AppendUvarint(blob, uint64(len(stream)))
+		blob = append(blob, stream...)
 	}
-	blob = binary.AppendUvarint(blob, uint64(len(secs)))
-	for _, s := range secs {
-		blob = binary.AppendUvarint(blob, uint64(len(s.name)))
-		blob = append(blob, s.name...)
-		blob = binary.AppendUvarint(blob, s.count)
-		blob = binary.AppendUvarint(blob, s.zeros)
-		blob = binary.LittleEndian.AppendUint64(blob, math.Float64bits(s.minV))
-		blob = binary.LittleEndian.AppendUint64(blob, math.Float64bits(s.maxV))
-		blob = binary.LittleEndian.AppendUint64(blob, math.Float64bits(s.sum))
-		blob = binary.AppendUvarint(blob, uint64(len(s.bitmap)))
-		blob = append(blob, s.bitmap...)
-		blob = binary.AppendUvarint(blob, uint64(len(s.stream)))
-		blob = append(blob, s.stream...)
-	}
-	// Re-parsing the freshly built blob keeps one authoritative format
-	// reader and guarantees anything we sealed will decode.
 	return decodeBlock(blob)
+}
+
+// encodeBlock compresses rows of a series (aligned columns, NaN =
+// absent) into a sealed block: appended into a fresh open block, then
+// closed. times must be non-decreasing and non-empty; columns with no
+// present values are dropped.
+func encodeBlock(times []int64, names []string, cols [][]float64) (*block, error) {
+	o := openBlock{cols: make([]openCol, len(names))}
+	o.appendRows(times, cols)
+	return o.close(names)
 }
 
 // decodeBlock parses a block blob into its meta: time range, per-field
@@ -395,12 +479,20 @@ func (b *block) decodeTimes(dst []int64) ([]int64, error) {
 		dst = make([]int64, b.rows)
 	}
 	dst = dst[:b.rows]
-	data := b.blob[b.tsOff : b.tsOff+b.tsLen]
+	if decodeTimeStream(b.blob[b.tsOff:b.tsOff+b.tsLen], dst) != nil || dst[0] != b.minT || dst[b.rows-1] != b.maxT {
+		return nil, errBlockCorrupt
+	}
+	return dst, nil
+}
+
+// decodeTimeStream decompresses a timestamp stream of exactly len(dst)
+// non-decreasing times into dst.
+func decodeTimeStream(data []byte, dst []int64) error {
 	p := 0
 	var prevT, prevD int64
 	for i := range dst {
 		if p >= len(data) {
-			return nil, errBlockCorrupt
+			return errBlockCorrupt
 		}
 		// A regular tick's delta-of-delta is the byte 0x00: one-byte
 		// zig-zag varints decode in line, longer ones in the library.
@@ -410,7 +502,7 @@ func (b *block) decodeTimes(dst []int64) ([]int64, error) {
 		} else {
 			var n int
 			if v, n = binary.Varint(data[p:]); n <= 0 {
-				return nil, errBlockCorrupt
+				return errBlockCorrupt
 			}
 			p += n
 		}
@@ -421,29 +513,42 @@ func (b *block) decodeTimes(dst []int64) ([]int64, error) {
 			prevT += prevD
 		}
 		if i > 0 && prevT < dst[i-1] {
-			return nil, errBlockCorrupt
+			return errBlockCorrupt
 		}
 		dst[i] = prevT
 	}
-	if p != len(data) || dst[0] != b.minT || dst[b.rows-1] != b.maxT {
-		return nil, errBlockCorrupt
+	if p != len(data) {
+		return errBlockCorrupt
 	}
-	return dst, nil
+	return nil
 }
 
 // decodeField decompresses field column fi into dst aligned with the
 // block's rows: dst[r] is the value, or NaN where the row has none.
 func (b *block) decodeField(fi int, dst []float64) ([]float64, error) {
 	f := &b.fields[fi]
-	if cap(dst) < b.rows {
-		dst = make([]float64, b.rows)
+	return decodeValues(b.blob[f.valOff:f.valOff+f.valLen], b.blob[f.bmOff:f.bmOff+f.bmLen], int(f.count), b.rows, dst)
+}
+
+// decodeValues decompresses the count values of an XOR stream into dst
+// (reused when it has capacity) over rows rows, spread by the presence
+// bitmap — bytes past its end are zero — with NaN where a row has none.
+func decodeValues(stream, bitmap []byte, count, rows int, dst []float64) ([]float64, error) {
+	if cap(dst) < rows {
+		dst = make([]float64, rows)
 	}
-	dst = dst[:b.rows]
+	dst = dst[:rows]
+	if count == 0 {
+		for r := range dst {
+			dst[r] = math.NaN()
+		}
+		return dst, nil
+	}
 	// The stream holds the present values back to back (decodeBlock held
 	// count to the bitmap's popcount): decode them bitmap-free into
 	// dst[:count].
-	vals := dst[:f.count]
-	prevBits, buf, acc, n, ok := readBits(b.blob[f.valOff:f.valOff+f.valLen], 0, 0, 64)
+	vals := dst[:count]
+	prevBits, buf, acc, n, ok := readBits(stream, 0, 0, 64)
 	vals[0] = math.Float64frombits(prevBits)
 	if !ok || vals[0] != vals[0] {
 		return nil, errBlockCorrupt
@@ -496,9 +601,8 @@ func (b *block) decodeField(fi int, dst []float64) ([]float64, error) {
 	}
 	// Spread a sparse column over its rows, back to front: a value moves
 	// before anything overwrites it, and once k > r the rest is in place.
-	bitmap := b.blob[f.bmOff : f.bmOff+f.bmLen]
 	for k, r := len(vals), len(dst)-1; k <= r; r-- {
-		if bitmap[r>>3]>>(r&7)&1 == 0 {
+		if r>>3 >= len(bitmap) || bitmap[r>>3]>>(r&7)&1 == 0 {
 			dst[r] = math.NaN()
 		} else {
 			k--

@@ -2,7 +2,9 @@ package tsdb
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
+	"math/bits"
 )
 
 // The sealed-block readers as they stood before the word-wise bit
@@ -10,6 +12,169 @@ import (
 // FuzzBlockDecode and TestBlockDecodeMatchesReference hold the new
 // decoders to: identical accept/reject on any bytes, the same error
 // class, and bit-identical columns (NaN cells included).
+//
+// The column-at-a-time encoder as it stood before heads compressed on
+// append, with the word-wise bit writer it used, kept verbatim the same
+// way: TestOpenBlockMatchesEncodeBlock holds every seal to its bytes.
+
+// refBitWriter appends an MSB-first bit stream a word at a time: bits
+// collect left-aligned in acc and reach buf eight bytes per append.
+type refBitWriter struct {
+	buf []byte
+	acc uint64 // pending bits, left-aligned
+	n   uint   // pending bit count, < 64
+}
+
+// writeBits appends the low nb <= 64 bits of v, most significant first.
+func (w *refBitWriter) writeBits(v uint64, nb uint) {
+	v <<= 64 - nb // left-align
+	w.acc |= v >> w.n
+	if w.n+nb < 64 {
+		w.n += nb
+		return
+	}
+	w.buf = binary.BigEndian.AppendUint64(w.buf, w.acc)
+	w.acc = v << (64 - w.n) // the bits of v that did not fit
+	w.n += nb - 64
+}
+
+// bytes returns the stream, its last byte zero-padded.
+func (w *refBitWriter) bytes() []byte {
+	for ; w.n > 0; w.n -= min(w.n, 8) {
+		w.buf = append(w.buf, byte(w.acc>>56))
+		w.acc <<= 8
+	}
+	return w.buf
+}
+
+// refEncodeBlock compresses rows of a series (aligned columns, NaN =
+// absent) into a sealed block. times must be non-decreasing and
+// non-empty; columns with no present values are dropped.
+func refEncodeBlock(times []int64, names []string, cols [][]float64) (*block, error) {
+	rows := len(times)
+	if rows == 0 {
+		return nil, fmt.Errorf("tsdb: encode empty block")
+	}
+	blob := make([]byte, 0, 16+rows)
+	blob = append(blob, blockMagic)
+	blob = binary.AppendUvarint(blob, uint64(rows))
+	blob = binary.AppendVarint(blob, times[0])
+	blob = binary.AppendVarint(blob, times[rows-1])
+
+	// Timestamp column: first value, first delta, then delta-of-deltas —
+	// all zigzag varints (telemetry ticks make the dods almost all zero,
+	// one byte each).
+	ts := make([]byte, 0, rows+8)
+	var prevT, prevD int64
+	for i, t := range times {
+		switch i {
+		case 0:
+			ts = binary.AppendVarint(ts, t)
+		case 1:
+			d := t - prevT
+			ts = binary.AppendVarint(ts, d)
+			prevD = d
+		default:
+			d := t - prevT
+			ts = binary.AppendVarint(ts, d-prevD)
+			prevD = d
+		}
+		prevT = t
+	}
+	blob = binary.AppendUvarint(blob, uint64(len(ts)))
+	blob = append(blob, ts...)
+
+	// Field sections, skipping columns with nothing present in this run.
+	type section struct {
+		name            string
+		count, zeros    uint64
+		minV, maxV, sum float64
+		bitmap, stream  []byte
+	}
+	var secs []section
+	for ci, name := range names {
+		col := cols[ci]
+		bitmap := make([]byte, (rows+7)/8)
+		var vw refBitWriter
+		var count, zeros uint64
+		var minV, maxV, sum float64
+		var prevBits uint64
+		var lz, sig uint
+		windowValid := false
+		for r := 0; r < rows; r++ {
+			v := col[r]
+			if v != v { // NaN sentinel: field absent in this row
+				continue
+			}
+			bitmap[r>>3] |= 1 << (r & 7)
+			bitsV := math.Float64bits(v)
+			if count == 0 {
+				vw.writeBits(bitsV, 64)
+				minV, maxV, sum = v, v, v
+			} else {
+				xor := prevBits ^ bitsV
+				if xor == 0 {
+					vw.writeBits(0, 1)
+				} else {
+					l := uint(bits.LeadingZeros64(xor))
+					if l > 31 {
+						l = 31
+					}
+					tz := uint(bits.TrailingZeros64(xor))
+					if windowValid && l >= lz && tz >= 64-lz-sig {
+						vw.writeBits(2, 2) // '1','0': reuse window
+						vw.writeBits(xor>>(64-lz-sig), sig)
+					} else {
+						s := 64 - l - tz
+						vw.writeBits(3, 2) // '1','1': new window
+						vw.writeBits(uint64(l), 5)
+						vw.writeBits(uint64(s&63), 6) // 64 encodes as 0
+						vw.writeBits(xor>>tz, s)
+						lz, sig = l, s
+						windowValid = true
+					}
+				}
+				if v < minV {
+					minV = v
+				}
+				if v > maxV {
+					maxV = v
+				}
+				sum += v
+			}
+			if v == 0 {
+				zeros++
+			}
+			count++
+			prevBits = bitsV
+		}
+		if count == 0 {
+			continue
+		}
+		secs = append(secs, section{
+			name: name, count: count, zeros: zeros,
+			minV: minV, maxV: maxV, sum: sum,
+			bitmap: bitmap, stream: vw.bytes(),
+		})
+	}
+	blob = binary.AppendUvarint(blob, uint64(len(secs)))
+	for _, s := range secs {
+		blob = binary.AppendUvarint(blob, uint64(len(s.name)))
+		blob = append(blob, s.name...)
+		blob = binary.AppendUvarint(blob, s.count)
+		blob = binary.AppendUvarint(blob, s.zeros)
+		blob = binary.LittleEndian.AppendUint64(blob, math.Float64bits(s.minV))
+		blob = binary.LittleEndian.AppendUint64(blob, math.Float64bits(s.maxV))
+		blob = binary.LittleEndian.AppendUint64(blob, math.Float64bits(s.sum))
+		blob = binary.AppendUvarint(blob, uint64(len(s.bitmap)))
+		blob = append(blob, s.bitmap...)
+		blob = binary.AppendUvarint(blob, uint64(len(s.stream)))
+		blob = append(blob, s.stream...)
+	}
+	// Re-parsing the freshly built blob keeps one authoritative format
+	// reader and guarantees anything we sealed will decode.
+	return decodeBlock(blob)
+}
 
 // refBitReader consumes an MSB-first bit stream with hard bounds checks.
 type refBitReader struct {

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"pmove/internal/storage"
@@ -29,8 +28,8 @@ import (
 //
 // Snapshots are columnar: sealed blocks are written in their compressed
 // wire form (the same bytes resident in memory — zero re-encoding) and
-// each mutable head is sealed into one block for the file, so snapshot
-// size and write time shrink with the storage compression ratio.
+// each head is closed into one block for the file, so snapshot size and
+// write time shrink with the storage compression ratio.
 
 // snapshotMagic heads a columnar snapshot.
 const snapshotMagic = "\x07PMVCOL1\n"
@@ -124,7 +123,7 @@ func (db *DB) Sync() error {
 }
 
 // Snapshot chunk kinds: a sealed block carried verbatim, or the head
-// sealed just for the file (it stays mutable in memory).
+// closed just for the file (it stays open in memory).
 const (
 	chunkSealed = 1
 	chunkHead   = 0
@@ -134,7 +133,7 @@ const (
 // measurements in sorted order, each measurement's series in creation
 // order (so recovery reassigns the same scan tie-break sequence), each
 // series as its identity plus its chunks — sealed blocks verbatim, the
-// head compressed once. Callers hold db.mu exclusively (the data lock is
+// head closed (s.closeHead). Callers hold db.mu exclusively (the data lock is
 // not needed: the lifecycle lock excludes all mutators).
 func (db *DB) snapshotLocked() ([]byte, error) {
 	names := make([]string, 0, len(db.measurements))
@@ -158,8 +157,8 @@ func (db *DB) snapshotLocked() ([]byte, error) {
 			out = append(out, s.key[id:]...)
 			chunks := len(s.blocks)
 			var headBlob []byte
-			if len(s.head.times) > 0 {
-				hb, err := encodeBlock(s.head.times, s.names, s.head.cols)
+			if s.headRows() > 0 {
+				hb, err := s.closeHead()
 				if err != nil {
 					return nil, fmt.Errorf("tsdb: snapshot %s: %w", m.name, err)
 				}
@@ -184,8 +183,8 @@ func (db *DB) snapshotLocked() ([]byte, error) {
 
 // loadSnapshot rebuilds the store from a columnar snapshot. Sealed
 // chunks are adopted verbatim (their blobs alias the snapshot buffer,
-// which is immutable once loaded); the head chunk decompresses back
-// into mutable column arrays. Runs before the DB is shared — no locks.
+// which is immutable once loaded); the head chunk's rows append back
+// into the series' open block. Runs before the DB is shared — no locks.
 func (db *DB) loadSnapshot(snap []byte) error {
 	data := snap[len(snapshotMagic):]
 	p := 0
@@ -272,16 +271,10 @@ func (db *DB) loadSnapshot(snap []byte) error {
 }
 
 // adoptFields registers a recovered block's fields on its series, so
-// later head inserts reuse the columns. The column slots stay nil:
-// adoptHead fills them.
+// later head inserts reuse the columns.
 func (db *DB) adoptFields(s *memSeries, b *block) {
 	for i := range b.fields {
-		if _, ok := s.fields[b.fields[i].name]; !ok {
-			name := db.intern.intern(b.fields[i].name)
-			s.fields[name] = len(s.names)
-			s.names = append(s.names, name)
-			s.head.cols = append(s.head.cols, nil)
-		}
+		s.fieldCol(b.fields[i].name, db.intern)
 	}
 }
 
@@ -299,35 +292,25 @@ func (db *DB) adoptBlock(s *memSeries, b *block) {
 	db.values += uint64(b.values)
 }
 
-// adoptHead decompresses a head chunk back into the series' mutable
-// column arrays.
+// adoptHead appends a head chunk's rows into the series' open block,
+// which must be empty: a snapshot holds one head chunk per series.
 func (db *DB) adoptHead(s *memSeries, b *block) error {
 	times, err := b.decodeTimes(nil)
-	if err != nil {
-		return err
+	if err != nil || s.headRows() > 0 {
+		return errBlockCorrupt
 	}
 	db.adoptFields(s, b)
-	nan := math.NaN()
-	s.head.times = times
-	for ci := range s.names {
-		col := make([]float64, len(times))
-		bi := b.fieldIndex(s.names[ci])
-		if bi < 0 {
-			for i := range col {
-				col[i] = nan
-			}
-		} else {
-			decoded, err := b.decodeField(bi, col)
-			if err != nil {
-				return err
-			}
-			col = decoded
+	cols := make([][]float64, len(s.names))
+	for bi := range b.fields {
+		ci := s.fields[b.fields[bi].name]
+		if cols[ci], err = b.decodeField(bi, nil); err != nil {
+			return err
 		}
-		s.head.cols[ci] = col
 	}
+	s.open.appendRows(times, cols)
 	st := &db.stats
 	st.headRows += int64(len(times))
-	st.headSlots += int64(len(times)) * int64(len(s.names))
+	st.headBytes += s.headBytes()
 	db.points += uint64(b.rows)
 	db.values += uint64(b.values)
 	return nil

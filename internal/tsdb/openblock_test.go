@@ -1,0 +1,301 @@
+package tsdb
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
+	"sync"
+	"testing"
+	"unsafe"
+
+	"pmove/internal/introspect"
+)
+
+// Head tests: a head compresses rows into an open block as they arrive
+// and keeps late rows in a side run. Sealed, it must write exactly what
+// the column-at-a-time encoder (refEncodeBlock) writes for the same rows
+// in today's order; read, it must give those rows; and reading it must
+// not write to it.
+
+// insertCase feeds rows of a genBlockCase input to a series head in the
+// given arrival order — a row's fields in random order, absent cells
+// left out — and returns the rows stably sorted by time: the order the
+// head must scan and seal them in. cols come back aligned with s.names,
+// NaN where a row or the case has no value.
+func insertCase(rng *rand.Rand, s *memSeries, times []int64, names []string, cols [][]float64, order []int) ([]int64, [][]float64) {
+	in := interner{}
+	var kvs []rowKV
+	for _, r := range order {
+		kvs = kvs[:0]
+		for ci, name := range names {
+			if v := cols[ci][r]; v == v {
+				kvs = append(kvs, rowKV{key: name, num: v})
+			}
+		}
+		rng.Shuffle(len(kvs), func(i, j int) { kvs[i], kvs[j] = kvs[j], kvs[i] })
+		s.insertRow(times[r], kvs, in)
+	}
+	sorted := slices.Clone(order)
+	sort.SliceStable(sorted, func(i, j int) bool { return times[sorted[i]] < times[sorted[j]] })
+	wantT := make([]int64, len(sorted))
+	for k, r := range sorted {
+		wantT[k] = times[r]
+	}
+	wantC := make([][]float64, len(s.names))
+	for ci, name := range s.names {
+		wantC[ci] = make([]float64, len(sorted))
+		src := slices.Index(names, name)
+		for k, r := range sorted {
+			wantC[ci][k] = math.NaN()
+			if src >= 0 {
+				wantC[ci][k] = cols[src][r]
+			}
+		}
+	}
+	return wantT, wantC
+}
+
+// TestOpenBlockMatchesEncodeBlock seals 2 000 generated heads, one series
+// reused so every seal also tests the reset before it, and holds each
+// to the reference encoder's bytes for the stably sorted rows: rows in
+// order, rows up to 16 places late, rows in any order (duplicate times
+// arriving split between open block and side run), and a field first
+// seen mid-head. Before the seal the head must read back those rows.
+func TestOpenBlockMatchesEncodeBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x0be7b10c))
+	s := &memSeries{fields: map[string]int{}}
+	var withLate, splitDup, midField int
+	for c := 0; c < 2000; c++ {
+		times, names, cols := genBlockCase(rng)
+		rows := len(times)
+		key := make([]int, rows) // arrival order: rows sorted by key, stably
+		for r := range key {
+			key[r] = r
+		}
+		switch c % 4 {
+		case 1: // a tenth of the rows arrive up to 16 places late
+			for r := range key {
+				if rng.Intn(10) == 0 {
+					key[r] += 1 + rng.Intn(16)
+				}
+			}
+		case 2: // any order
+			key = rng.Perm(rows)
+		case 3: // a field first seen mid-head
+			f := rng.Intn(len(cols))
+			for r := 0; r < rows/2; r++ {
+				cols[f][r] = math.NaN()
+			}
+			midField++
+		}
+		order := make([]int, rows)
+		for r := range order {
+			order[r] = r
+		}
+		sort.SliceStable(order, func(i, j int) bool { return key[order[i]] < key[order[j]] })
+		wantT, wantC := insertCase(rng, s, times, names, cols, order)
+
+		label := fmt.Sprintf("case %d", c)
+		if s.headRows() != rows {
+			t.Fatalf("%s: head holds %d rows, want %d", label, s.headRows(), rows)
+		}
+		if len(s.side.times) > 0 {
+			withLate++
+			openT := make([]int64, s.open.rows)
+			if err := decodeTimeStream(s.open.ts, openT); err != nil {
+				t.Fatalf("%s: open block times: %v", label, err)
+			}
+			if slices.ContainsFunc(s.side.times, func(ts int64) bool { _, ok := slices.BinarySearch(openT, ts); return ok }) {
+				splitDup++
+			}
+		}
+		gotT, gotC, err := s.headColumns(s.allCols(), nil, nil)
+		if err != nil {
+			t.Fatalf("%s: headColumns: %v", label, err)
+		}
+		if !slices.Equal(gotT, wantT) {
+			t.Fatalf("%s: head times differ from the stably sorted rows", label)
+		}
+		for ci := range wantC {
+			if gotC[ci] == nil {
+				if slices.ContainsFunc(wantC[ci], func(v float64) bool { return v == v }) {
+					t.Fatalf("%s: field %s: head reads no values", label, s.names[ci])
+				}
+				continue
+			}
+			for r, w := range wantC[ci] {
+				if math.Float64bits(gotC[ci][r]) != math.Float64bits(w) {
+					t.Fatalf("%s: field %s row %d: head reads %x, want %x", label, s.names[ci], r, math.Float64bits(gotC[ci][r]), math.Float64bits(w))
+				}
+			}
+		}
+		want, err := refEncodeBlock(wantT, s.names, wantC)
+		if err != nil {
+			t.Fatalf("%s: reference encode: %v", label, err)
+		}
+		got, err := s.seal()
+		if err != nil {
+			t.Fatalf("%s: seal: %v", label, err)
+		}
+		if !bytes.Equal(got.blob, want.blob) {
+			t.Fatalf("%s: sealed %d bytes, reference %d; they differ", label, len(got.blob), len(want.blob))
+		}
+		if s.headRows() != 0 || s.headBytes() != 0 {
+			t.Fatalf("%s: seal left %d rows, %d bytes in the head", label, s.headRows(), s.headBytes())
+		}
+	}
+	if withLate < 500 || splitDup == 0 || midField < 500 {
+		t.Fatalf("generator coverage: late rows %d, equal times split %d, mid-head field %d", withLate, splitDup, midField)
+	}
+}
+
+// TestHeadReadersDoNotMutate runs raw and aggregate queries over heads
+// while a writer appends in-order and late rows, under -race in ci.sh: a
+// reader that wrote to a head — a bit writer flushed to read its tail —
+// races with the reader beside it. Afterwards every query must agree
+// with the row oracle.
+func TestHeadReadersDoNotMutate(t *testing.T) {
+	db := New()
+	rng := rand.New(rand.NewSource(0x4ead))
+	var pts []Point
+	for i := 0; i < 3000; i++ {
+		ts := int64(i)
+		if rng.Intn(10) == 0 {
+			ts -= int64(1 + rng.Intn(16)) // late
+		}
+		pts = append(pts, Point{Measurement: "m", Time: ts, Tags: map[string]string{"tag": []string{"a", "b"}[i%2]},
+			Fields: map[string]float64{"f": dyadic(rng), "g": float64(i % 7)}})
+	}
+	queries := []*Query{
+		{Measurement: "m", Fields: []string{"*"}},
+		{Measurement: "m", Aggregates: []Aggregate{{Fn: "sum", Field: "f"}, {Fn: "count", Field: "g"}, {Fn: "max", Field: "g"}}, GroupBy: 256},
+		{Measurement: "m", Aggregates: []Aggregate{{Fn: "p", Field: "f", Pct: 90}}},
+		{Measurement: "m", Aggregates: []Aggregate{{Fn: "min", Field: "f"}}, From: 100, To: 2000},
+	}
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := r; ; k++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if _, err := db.ExecuteContext(ctx, QueryRequest{Query: queries[k%len(queries)], Workers: 2, SkipCache: true}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < len(pts); i += 10 {
+		if err := db.WriteBatchContext(ctx, pts[i:i+10]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	for qi, q := range queries[1:] {
+		got, err := db.ExecuteContext(ctx, QueryRequest{Query: q, SkipCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareResults(t, qi, q, got, refExecute(pts, q))
+	}
+}
+
+// headCapBytes is what a series head holds on the heap: the capacity of
+// every buffer it appended into, and its column array.
+func headCapBytes(s *memSeries) int {
+	n := cap(s.open.ts) + cap(s.open.cols)*int(unsafe.Sizeof(openCol{})) + 8*cap(s.side.times)
+	for i := range s.open.cols {
+		n += cap(s.open.cols[i].bitmap) + cap(s.open.cols[i].vw.buf)
+	}
+	for _, col := range s.side.cols {
+		n += 8 * cap(col)
+	}
+	return n
+}
+
+// liveRows feeds a live-shaped series rows rows from tick r0 on through
+// the store's insert: 88 per-CPU PMU counts on a 250 ms tick, shaped
+// like the sampler's — three events in five idle at 0, the rest
+// cumulative counts moving by about a tenth of their rate each tick.
+func liveRows(db *DB, r0, rows int) error {
+	rng := rand.New(rand.NewSource(88))
+	ctr := make([]float64, 88)
+	for r := r0; r < r0+rows; r++ {
+		p := Point{Measurement: "perfevent", Tags: map[string]string{"host": "icl"}, Fields: map[string]float64{}, Time: int64(r) * 250_000_000}
+		for f := range ctr {
+			if f%5 >= 3 {
+				ctr[f] += float64(250_000 + rng.Intn(50_000))
+			}
+			p.Fields[fmt.Sprintf("_cpu%d", f)] = ctr[f]
+		}
+		if err := db.WriteBatchContext(context.Background(), []Point{p}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestHeadBytesPerPoint: an unsealed live-shaped head costs about what
+// its sealed block does, not 8 bytes a value plus append slack.
+func TestHeadBytesPerPoint(t *testing.T) {
+	db := New()
+	const rows = 266
+	if err := liveRows(db, 0, rows); err != nil {
+		t.Fatal(err)
+	}
+	s := db.measurements["perfevent"].series[0]
+	perPoint := float64(headCapBytes(s)) / (rows * 88)
+	b, err := s.closeHead()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("head %.2f B/point, sealed %.2f", perPoint, float64(len(b.blob))/(rows*88))
+	if perPoint > 3 {
+		t.Fatalf("head holds %.2f B/point, want <= 3", perPoint)
+	}
+}
+
+// TestStorageBytesGauge: storage.bytes counts a head by the bytes it
+// holds — the timestamp and value streams its sealed block carries; a
+// series without gaps holds no bitmap — then by the blob once it seals.
+func TestStorageBytesGauge(t *testing.T) {
+	db := New()
+	in := introspect.New()
+	db.SetIntrospection(in)
+	if err := liveRows(db, 0, 266); err != nil {
+		t.Fatal(err)
+	}
+	s := db.measurements["perfevent"].series[0]
+	b, err := s.closeHead()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := b.tsLen
+	for _, f := range b.fields {
+		want += f.valLen
+	}
+	if got := in.Metrics().Snapshot().GaugeValue("storage.bytes"); got != float64(want) {
+		t.Fatalf("storage.bytes = %v over a live head, want its streams' %d", got, want)
+	}
+	if err := liveRows(db, 266, blockRows-266); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.blocks) != 1 || s.headRows() != 0 {
+		t.Fatalf("%d blocks, %d head rows after blockRows rows; want 1 and 0", len(s.blocks), s.headRows())
+	}
+	if got := in.Metrics().Snapshot().GaugeValue("storage.bytes"); got != float64(len(s.blocks[0].blob)) {
+		t.Fatalf("storage.bytes = %v once sealed, want the blob's %d", got, len(s.blocks[0].blob))
+	}
+}

@@ -14,8 +14,14 @@ import (
 // fill is accepted only if the version is unchanged when the scan
 // completes — a write that lands mid-scan bumps the version (before
 // the write is acknowledged), so a stale fill is rejected instead of
-// cached. A cache hit therefore never returns data older than the last
-// acknowledged write to that measurement.
+// cached. An entry keeps the version it was filled at and a hit
+// requires it to be current, so a write invalidates by bumping the
+// version alone. A stale entry is refilled in place by its statement's
+// next execution, so a dashboard's fixed panel set costs no churn; a
+// fill of a statement not cached yet first drops its measurement's
+// stale entries, so sliding-window statements never pile up. A cache
+// hit therefore never returns data older than the last acknowledged
+// write to that measurement.
 //
 // The cache is a bounded LRU; hit/miss/evict/invalidation counts are
 // exported as pmove.self.query.cache.* when introspection is attached.
@@ -41,6 +47,7 @@ type queryCache struct {
 type cacheEntry struct {
 	key         string
 	measurement string
+	version     uint64 // the measurement's version res was computed at
 	res         *Result
 }
 
@@ -108,8 +115,14 @@ func (c *queryCache) get(key string) (*Result, bool) {
 		c.mu.Unlock()
 		return nil, false
 	}
+	e := el.Value.(*cacheEntry)
+	if e.version != c.versions[e.measurement] {
+		c.misses.Inc()
+		c.mu.Unlock()
+		return nil, false
+	}
 	c.lru.MoveToFront(el)
-	res := el.Value.(*cacheEntry).res
+	res := e.res
 	c.hits.Inc()
 	c.mu.Unlock()
 	return res, true
@@ -125,17 +138,22 @@ func (c *queryCache) put(key, measurement string, version uint64, res *Result) {
 		return
 	}
 	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).res = res
+		e := el.Value.(*cacheEntry)
+		e.version, e.res = version, res
 		c.lru.MoveToFront(el)
 		return
 	}
-	el := c.lru.PushFront(&cacheEntry{key: key, measurement: measurement, res: res})
-	c.entries[key] = el
 	set := c.byMeas[measurement]
-	if set == nil {
+	for k := range set {
+		if el := c.entries[k]; el.Value.(*cacheEntry).version != version {
+			c.evictLocked(el)
+		}
+	}
+	if set = c.byMeas[measurement]; set == nil {
 		set = map[string]struct{}{}
 		c.byMeas[measurement] = set
 	}
+	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, measurement: measurement, version: version, res: res})
 	set[key] = struct{}{}
 	for c.lru.Len() > c.cap {
 		c.evictLocked(c.lru.Back())
@@ -159,8 +177,8 @@ func (c *queryCache) evictLocked(el *list.Element) {
 	}
 }
 
-// invalidate drops every cached result for the measurement and bumps
-// its version. Writers call it after the write is visible in memory
+// invalidate bumps the measurement's version, which makes every cached
+// result of it stale. Writers call it after the write is visible in memory
 // and before acknowledging, so acknowledged data is never shadowed by
 // a stale hit.
 func (c *queryCache) invalidate(measurement string) {
@@ -173,10 +191,6 @@ func (c *queryCache) invalidate(measurement string) {
 	}
 	c.versions[measurement] = v + 1
 	c.invalidations.Inc()
-	set := c.byMeas[measurement]
-	for key := range set {
-		c.evictLocked(c.entries[key])
-	}
 }
 
 // invalidateAll drops everything and bumps every registered version —
@@ -194,11 +208,17 @@ func (c *queryCache) invalidateAll() {
 	}
 }
 
-// stats returns the live entry count (tests and Stats surfaces).
+// len returns the count of entries a hit could return (tests).
 func (c *queryCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lru.Len()
+	n := 0
+	for _, el := range c.entries {
+		if e := el.Value.(*cacheEntry); e.version == c.versions[e.measurement] {
+			n++
+		}
+	}
+	return n
 }
 
 // copyResult deep-copies a result so cache-resident rows are never

@@ -264,3 +264,30 @@ func TestQueryCacheTortureNeverStale(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestQueryCacheStaleEntries pins what a write leaves resident: its
+// measurement's entries stay, stale — a miss each — until a statement's
+// refill replaces its entry in place; a fill of a statement not cached
+// yet drops the stale rest, so statements that differ every refresh
+// (a sliding window) hold one entry, not the cache's capacity.
+func TestQueryCacheStaleEntries(t *testing.T) {
+	c := newQueryCache(8)
+	res := &Result{Measurement: "m"}
+	v := c.version("m")
+	c.put("k1", "m", v, res)
+	c.put("k2", "m", v, res)
+	c.put("q", "other", c.version("other"), res)
+	c.invalidate("m")
+	if _, ok := c.get("k1"); ok || c.len() != 1 {
+		t.Fatalf("after a write: k1 hit %v, %d current entries; want a miss and 1", ok, c.len())
+	}
+	v = c.version("m")
+	c.put("k1", "m", v, res)
+	if _, ok := c.get("k1"); !ok || c.lru.Len() != 3 {
+		t.Fatalf("refill: k1 hit %v, %d resident; want a hit and 3 (k2 stale)", ok, c.lru.Len())
+	}
+	c.put("k3", "m", v, res)
+	if _, ok := c.entries["k2"]; ok || c.lru.Len() != 3 || c.len() != 3 {
+		t.Fatalf("new statement: k2 resident %v, %d resident, %d current; want false, 3, 3", ok, c.lru.Len(), c.len())
+	}
+}

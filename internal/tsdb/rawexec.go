@@ -8,7 +8,7 @@ import (
 )
 
 // rawRun is one time-sorted source of rows for the raw SELECT merge: a
-// decoded sealed block or a series head, restricted to the query's time
+// decoded sealed block or series head, restricted to the query's time
 // bounds and to the selected columns it actually carries.
 type rawRun struct {
 	times    []int64
@@ -65,27 +65,32 @@ func blockRawRun(b *block, q *Query, selectAll bool) (rawRun, error) {
 	return run, nil
 }
 
-// headRawRun builds a merge run over a series head by aliasing its
-// column arrays — safe for the duration of the data read lock.
-func headRawRun(s *memSeries, q *Query, selectAll bool) rawRun {
+// headRawRun decodes the selected columns of a series head into a merge
+// run, its late rows merged in; a field the head holds no value of
+// joins no run.
+func headRawRun(s *memSeries, q *Query, selectAll bool) (rawRun, error) {
 	var run rawRun
-	if selectAll {
-		run.names = s.names
-		run.cols = s.head.cols
-	} else {
-		for _, f := range q.Fields {
-			if ci, ok := s.fields[f]; ok {
-				run.names = append(run.names, f)
-				run.cols = append(run.cols, s.head.cols[ci])
-			}
-		}
-		if len(run.names) == 0 {
-			return run
+	var cis []int
+	for ci, name := range s.names {
+		if selectAll || slices.Contains(q.Fields, name) {
+			cis = append(cis, ci)
 		}
 	}
-	run.times = s.head.times
-	run.pos, run.end = timeBounds(run.times, q.From, q.To)
-	return run
+	times, cols, err := s.headColumns(cis, nil, nil)
+	if err != nil {
+		return run, err
+	}
+	for i, col := range cols {
+		if col != nil {
+			run.names = append(run.names, s.names[cis[i]])
+			run.cols = append(run.cols, col)
+		}
+	}
+	if len(run.names) > 0 {
+		run.times = times
+		run.pos, run.end = timeBounds(times, q.From, q.To)
+	}
+	return run, nil
 }
 
 // appendRawRow renders the run's current row (skipping it when no
@@ -166,8 +171,12 @@ func (db *DB) execRaw(ctx context.Context, q *Query) (*Result, error) {
 				runs = append(runs, run)
 			}
 		}
-		if len(s.head.times) > 0 {
-			if run := headRawRun(s, q, selectAll); run.end > run.pos {
+		if minT, maxT, ok := s.headRange(); ok && (q.From == 0 || maxT >= q.From) && (q.To == 0 || minT <= q.To) {
+			run, err := headRawRun(s, q, selectAll)
+			if err != nil {
+				return nil, err
+			}
+			if run.end > run.pos {
 				runs = append(runs, run)
 			}
 		}

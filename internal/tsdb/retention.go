@@ -19,7 +19,7 @@ func (db *DB) EnforceRetention(now int64) int {
 		kept := m.series[:0]
 		for _, s := range m.series {
 			dropped += db.retainSeries(s, cutoff)
-			if len(s.blocks) == 0 && len(s.head.times) == 0 {
+			if len(s.blocks) == 0 && s.headRows() == 0 {
 				delete(m.byKey, s.key)
 				continue
 			}
@@ -43,8 +43,9 @@ func (db *DB) EnforceRetention(now int64) int {
 
 // retainSeries applies a retention cutoff to one series: whole sealed
 // blocks before the cutoff unlink in O(1), the (at most one) straddling
-// block is rewritten, and the head drops its expired prefix. Returns
-// rows dropped. Callers hold db.data exclusively.
+// block is rewritten, and a head holding expired rows is rebuilt from
+// its surviving suffix. Returns rows dropped. Callers hold db.data
+// exclusively.
 func (db *DB) retainSeries(s *memSeries, cutoff int64) int {
 	st := &db.stats
 	dropped := 0
@@ -77,18 +78,23 @@ func (db *DB) retainSeries(s *memSeries, cutoff int64) int {
 		s.blocks[i] = nil
 	}
 	s.blocks = kept
-	h := &s.head
-	if n := len(h.times); n > 0 && h.times[0] < cutoff {
-		i := sort.Search(n, func(i int) bool { return h.times[i] >= cutoff })
-		dropped += i
-		copy(h.times, h.times[i:])
-		h.times = h.times[:n-i]
-		for ci := range h.cols {
-			copy(h.cols[ci], h.cols[ci][i:])
-			h.cols[ci] = h.cols[ci][:n-i]
+	if minT, _, ok := s.headRange(); ok && minT < cutoff {
+		times, cols, err := s.headColumns(s.allCols(), nil, nil)
+		if err != nil {
+			return dropped // an engine bug; keep the data
 		}
+		i := sort.Search(len(times), func(i int) bool { return times[i] >= cutoff })
+		for ci, col := range cols {
+			if col != nil {
+				cols[ci] = col[i:]
+			}
+		}
+		pre := s.headBytes()
+		s.resetHead()
+		s.open.appendRows(times[i:], cols)
+		dropped += i
 		st.headRows -= int64(i)
-		st.headSlots -= int64(i) * int64(len(s.names))
+		st.headBytes += s.headBytes() - pre
 	}
 	return dropped
 }

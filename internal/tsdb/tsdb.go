@@ -16,11 +16,11 @@
 //
 // Storage is columnar: a point decomposes into its series identity
 // (measurement + canonical sorted tag set, interned once) and
-// per-field value columns. Each series keeps a mutable head of column
-// arrays that seals into immutable Gorilla-compressed blocks of
-// blockRows samples (block.go/column.go) — queries scan blocks, block
-// footers answer whole-block aggregates without decompression, and
-// retention drops whole sealed blocks in O(1).
+// per-field value columns. Each series compresses new rows into an open
+// block that seals into an immutable Gorilla-compressed block of
+// blockRows samples (block.go/column.go) — queries scan blocks, footers
+// answer whole-block aggregates without decompression, and retention
+// drops whole sealed blocks in O(1).
 package tsdb
 
 import (
@@ -81,12 +81,11 @@ type RetentionPolicy struct {
 }
 
 // storageStats is the columnar engine's resident-footprint accounting,
-// guarded by DB.data. headSlots counts head column cells (rows × field
-// columns, padding included), so headRows*8 + headSlots*8 + sealedBytes
-// is the engine's resident data size in bytes.
+// guarded by DB.data: headBytes + sealedBytes is the engine's resident
+// data size in bytes.
 type storageStats struct {
-	headRows     int64 // rows currently in mutable heads
-	headSlots    int64 // float64 cells across head columns
+	headRows     int64 // rows currently in heads
+	headBytes    int64 // memSeries.headBytes across heads
 	sealedBytes  int64 // compressed bytes across sealed blocks
 	sealedRows   int64 // rows across sealed blocks
 	sealedValues int64 // present field values across sealed blocks
@@ -176,8 +175,8 @@ func (db *DB) SetIntrospection(in *introspect.Introspector) {
 }
 
 // publishStorageGauges pushes the current footprint accounting into the
-// introspection gauges: resident bytes (head columns at 8 bytes/cell +
-// compressed blocks), sealed block count, sealed compression ratio
+// introspection gauges: resident bytes (heads' compressed bytes and
+// late cells at 8 bytes + sealed blocks), sealed block count, sealed compression ratio
 // (uncompressed row bytes ÷ compressed bytes; 0 before the first seal),
 // and head sample count. No-op until SetIntrospection attaches gauges.
 // Callers hold db.data.
@@ -187,7 +186,7 @@ func (db *DB) publishStorageGauges() {
 		return
 	}
 	st := &db.stats
-	g.bytes.Set(float64(st.headRows*8 + st.headSlots*8 + st.sealedBytes))
+	g.bytes.Set(float64(st.headBytes + st.sealedBytes))
 	g.blocks.Set(float64(st.blocks))
 	ratio := 0.0
 	if st.sealedBytes > 0 {
@@ -238,21 +237,20 @@ func (db *DB) seriesFor(m *measurement, tags []rowKV) *memSeries {
 // compressed block when it reaches blockRows, with footprint accounting.
 func (db *DB) insertSeriesRow(s *memSeries, t int64, fields []rowKV) {
 	st := &db.stats
-	preSlots := int64(len(s.names)) * int64(len(s.head.times))
+	pre := s.headBytes()
 	s.insertRow(t, fields, db.intern)
 	st.headRows++
-	st.headSlots += int64(len(s.names))*int64(len(s.head.times)) - preSlots
-	if len(s.head.times) >= blockRows {
-		rows := int64(len(s.head.times))
-		slots := int64(len(s.names)) * rows
+	st.headBytes += s.headBytes() - pre
+	if rows := s.headRows(); rows >= blockRows {
+		pre = s.headBytes()
 		b, err := s.seal()
 		if err != nil {
 			// Can only mean an engine bug; keep the rows in the head (the
 			// next insert retries) rather than lose data.
 			return
 		}
-		st.headRows -= rows
-		st.headSlots -= slots
+		st.headRows -= int64(rows)
+		st.headBytes -= pre
 		st.sealedBytes += int64(len(b.blob))
 		st.sealedRows += int64(b.rows)
 		st.sealedValues += int64(b.values)
@@ -452,8 +450,8 @@ func (db *DB) Stats() (points, values uint64) {
 
 // CountValues returns the number of stored field values in a measurement,
 // and how many of them are zero — the accounting Table III reports
-// ("Inserted" and "Zeros" columns). Sealed blocks answer from their
-// footers without decompression; only the mutable heads are scanned.
+// ("Inserted" and "Zeros" columns). Blocks and open blocks answer from
+// their footers without decompression; only late rows are scanned.
 func (db *DB) CountValues(measurement string) (total, zeros uint64) {
 	db.data.RLock()
 	defer db.data.RUnlock()
@@ -468,7 +466,11 @@ func (db *DB) CountValues(measurement string) (total, zeros uint64) {
 				zeros += b.fields[i].zeros
 			}
 		}
-		for _, col := range s.head.cols {
+		for i := range s.open.cols {
+			total += s.open.cols[i].count
+			zeros += s.open.cols[i].zeros
+		}
+		for _, col := range s.side.cols {
 			for _, v := range col {
 				if v == v { // non-NaN: a present value
 					total++
