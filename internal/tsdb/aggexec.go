@@ -13,11 +13,11 @@ import (
 
 // Aggregation execution: a parsed aggregate query is planned into one
 // scan per field, the matching series of the measurement are split into
-// scan units — one per overlapping sealed block plus one per non-empty
-// head — and the units are scanned by a bounded worker pool. Each
-// worker folds its units into partials — per-window aggregates, in
-// window order because a unit's rows are time-sorted — and the
-// coordinator merges them in unit order into one ordered result,
+// scan units (db.units, column.go) — one per overlapping sealed block
+// plus one per non-empty head — and the units are scanned by a bounded
+// worker pool. Each worker folds its units into partials — per-window
+// aggregates, in window order because a unit's rows are time-sorted —
+// and the coordinator merges them in unit order into one ordered result,
 // deterministic for a fixed dataset regardless of scheduling. Workers
 // observe context cancellation between units, never mid-unit, so a
 // cancelled query releases the data read lock promptly without tearing
@@ -30,7 +30,7 @@ import (
 // per-worker scratch buffer that is reused across units instead of
 // materializing []Point. A head is an open block: with no late rows it
 // takes the footer shortcut on the same terms, and otherwise decodes
-// and merges its late rows in the same scratch.
+// like a block, its late rows merged in.
 //
 // The scan holds the data lock shared for its whole duration: writers
 // append to heads in place, so workers only read them, and not past the
@@ -212,22 +212,6 @@ func (p *partial) merge(o *partial, nf int) {
 	}
 }
 
-// aggUnit is one work item of the parallel scan: a sealed block or, b ==
-// nil, the series' head (footer: it folds from its footers alone).
-type aggUnit struct {
-	s      *memSeries
-	b      *block
-	footer bool
-}
-
-// aggScratch is a per-worker decode buffer: one timestamp slice and one
-// value slice per planned field, reused across every block the worker
-// scans — decode happens once per block, allocation once per worker.
-type aggScratch struct {
-	times []int64
-	cols  [][]float64
-}
-
 // footerOnly reports whether rows spanning [minT, maxT] can fold from
 // their footers alone: every row inside the time bounds (0 = unbounded)
 // and every row in the same GROUP BY window.
@@ -238,25 +222,12 @@ func footerOnly(minT, maxT int64, q *Query) bool {
 	return windowStart(minT, q.GroupBy) == windowStart(maxT, q.GroupBy)
 }
 
-// footerOf returns the unit's footer of a field and the unit's first
-// time; nil when the unit holds no value of the field.
-func (u aggUnit) footerOf(name string) (*footer, int64) {
-	if u.b != nil {
-		if bi := u.b.fieldIndex(name); bi >= 0 {
-			return &u.b.fields[bi].footer, u.b.minT
-		}
-	} else if ci, ok := u.s.fields[name]; ok && u.s.open.cols[ci].count > 0 {
-		return &u.s.open.cols[ci].footer, u.s.open.minT
-	}
-	return nil, 0
-}
-
-// foldColumns folds decoded (or head) columns into out a window's run of
-// rows at a time: the run's end is found once, then each field folds its
-// slice of the run, in row order. cols is aligned with plan.fields; a
-// nil column means the unit lacks that field. NaN cells are absent values.
-func foldColumns(out *partial, times []int64, cols [][]float64, q *Query, plan *aggPlan) {
-	i, hi := timeBounds(times, q.From, q.To)
+// foldColumns folds rows [i, hi) of a unit's decoded columns into out a
+// window's run of rows at a time: the run's end is found once, then each
+// field folds its slice of the run, in row order. cols is aligned with
+// plan.fields; a nil column means the unit lacks that field. NaN cells
+// are absent values.
+func foldColumns(out *partial, times []int64, cols [][]float64, i, hi int, q *Query, plan *aggPlan) {
 	for i < hi {
 		// The run ends where times reach win+GroupBy. A sum not above
 		// times[i] overflowed: the window runs to the end of time. (A
@@ -277,7 +248,7 @@ func foldColumns(out *partial, times []int64, cols [][]float64, q *Query, plan *
 }
 
 // scanUnit folds one unit into out (emptied first), its partial.
-func scanUnit(u aggUnit, q *Query, plan *aggPlan, sc *aggScratch, out *partial) error {
+func scanUnit(u unit, q *Query, plan *aggPlan, sc *scratch, out *partial) error {
 	out.wins = out.wins[:0]
 	clear(out.states) // drop the last unit's sample buffers
 	out.states = out.states[:0]
@@ -286,55 +257,21 @@ func scanUnit(u aggUnit, q *Query, plan *aggPlan, sc *aggScratch, out *partial) 
 		// the association a decoded scan would produce.
 		var states []fieldAgg
 		for fi, name := range plan.fields {
-			if f, minT := u.footerOf(name); f != nil {
+			if bi := u.b.fieldIndex(name); bi >= 0 && u.b.fields[bi].count > 0 {
 				if states == nil {
-					states = out.window(windowStart(minT, q.GroupBy), len(plan.fields))
+					states = out.window(windowStart(u.minT, q.GroupBy), len(plan.fields))
 				}
+				f := &u.b.fields[bi]
 				states[fi].merge(&fieldAgg{count: f.count, sum: f.sum, min: f.min, max: f.max})
 			}
 		}
 		return nil
 	}
-	if u.b == nil {
-		cis := make([]int, len(plan.fields))
-		for fi, f := range plan.fields {
-			var ok bool
-			if cis[fi], ok = u.s.fields[f]; !ok {
-				cis[fi] = -1
-			}
-		}
-		times, cols, err := u.s.headColumns(cis, sc.times, sc.cols)
-		if err != nil {
-			return err
-		}
-		sc.times, sc.cols = times, cols
-		foldColumns(out, times, cols, q, plan)
-		return nil
-	}
-	b := u.b
-	times, err := b.decodeTimes(sc.times)
+	lo, hi, err := u.columns(plan.fields, q.From, q.To, sc)
 	if err != nil {
 		return err
 	}
-	sc.times = times
-	if cap(sc.cols) < len(plan.fields) {
-		sc.cols = make([][]float64, len(plan.fields))
-	}
-	cols := sc.cols[:len(plan.fields)]
-	for fi, f := range plan.fields {
-		bi := b.fieldIndex(f)
-		if bi < 0 {
-			cols[fi] = nil
-			continue
-		}
-		col, err := b.decodeField(bi, cols[fi])
-		if err != nil {
-			return err
-		}
-		cols[fi] = col
-	}
-	sc.cols = cols
-	foldColumns(out, times, cols, q, plan)
+	foldColumns(out, sc.times, sc.cols, lo, hi, q, plan)
 	return nil
 }
 
@@ -433,7 +370,7 @@ func quantileSelect(s []float64, q float64) float64 {
 
 // value renders one aggregate from its merged field state. Valid only
 // when fa.count > 0 (except count, which is always defined). The merged
-// state is private to the query, so a percentile selects in place.
+// state belongs to the query alone, so a percentile selects in place.
 func (a Aggregate) value(fa *fieldAgg) float64 {
 	switch a.Fn {
 	case "count":
@@ -480,44 +417,21 @@ func (db *DB) execAggregate(ctx context.Context, q *Query, workers int) (*Result
 
 	db.data.RLock()
 	defer db.data.RUnlock()
-	m := db.measurements[q.Measurement]
-	if m == nil {
-		return res, nil
-	}
-	// Build the unit list in deterministic order: series in creation
-	// order, each series' blocks in seal order, head last.
-	var units []aggUnit
-	var nFooter, nHead int
-	for _, s := range m.series {
-		if !s.matchTags(q.TagFilter) {
-			continue
-		}
-		for _, b := range s.blocks {
-			if (q.From != 0 && b.maxT < q.From) || (q.To != 0 && b.minT > q.To) {
-				continue
-			}
-			// Percentiles need the distribution, which no footer holds.
-			footer := !plan.anySamples && footerOnly(b.minT, b.maxT, q)
-			if footer {
-				nFooter++
-			}
-			units = append(units, aggUnit{s: s, b: b, footer: footer})
-		}
-		if minT, maxT, ok := s.headRange(); ok {
-			if (q.From != 0 && maxT < q.From) || (q.To != 0 && minT > q.To) {
-				continue
-			}
-			footer := !plan.anySamples && len(s.side.times) == 0 && footerOnly(minT, maxT, q)
-			if footer {
-				nFooter++
-			} else {
-				nHead++
-			}
-			units = append(units, aggUnit{s: s, footer: footer})
-		}
-	}
+	units := db.units(q)
 	if len(units) == 0 {
 		return res, nil
+	}
+	var nFooter, nHead int
+	for i := range units {
+		u := &units[i]
+		// Percentiles need the distribution, which no footer holds, and a
+		// head's footers do not cover its late rows.
+		u.footer = !plan.anySamples && u.side == nil && footerOnly(u.minT, u.b.maxT, q)
+		if u.footer {
+			nFooter++
+		} else if u.head {
+			nHead++
+		}
 	}
 	if workers > len(units) {
 		workers = len(units)
@@ -527,7 +441,7 @@ func (db *DB) execAggregate(ctx context.Context, q *Query, workers int) (*Result
 	var merged partial
 	if workers == 1 {
 		// Sequential path: one fold over the units, no pool, one partial.
-		var sc aggScratch
+		var sc scratch
 		var part partial
 		for _, u := range units {
 			if err := ctx.Err(); err != nil {
@@ -548,7 +462,7 @@ func (db *DB) execAggregate(ctx context.Context, q *Query, workers int) (*Result
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				var sc aggScratch
+				var sc scratch
 				for {
 					if ctx.Err() != nil {
 						return

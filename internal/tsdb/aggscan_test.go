@@ -84,16 +84,18 @@ func TestWindowEdges(t *testing.T) {
 
 // TestScanUnitAllocations: decoding and folding a block allocates by
 // the window, never by the row, and not at all once the scratch and the
-// partial have been through one unit.
+// partial have been through one unit — nor does a head without late
+// rows, folded from its footers or decoded.
 func TestScanUnitAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	u := aggUnit{b: telemetryBlock(t)}
+	blk := telemetryBlock(t)
+	u := unit{b: blk, minT: blk.minT}
 	const step = telemetryStep
 	scan := func(q *Query, fresh bool) float64 {
 		plan := planAggregates(q)
-		var sc aggScratch
+		var sc scratch
 		var out partial
 		run := func() {
 			if fresh {
@@ -122,6 +124,23 @@ func TestScanUnitAllocations(t *testing.T) {
 	// Samples append a run at a time: one gap-free window is one append.
 	if n := scan(&Query{Aggregates: []Aggregate{{Fn: "p", Field: "f0", Pct: 99}}}, false); n == 0 || n > 2*math.Log2(blockRows) {
 		t.Errorf("p99 over the block: %v allocations, want 1..%v", n, 2*math.Log2(blockRows))
+	}
+	// The same rows in a head: one more unit, read in place.
+	s := &memSeries{fields: map[string]int{}}
+	times, names, cols := telemetryBlockInput(rand.New(rand.NewSource(1)))
+	for _, name := range names {
+		s.fieldCol(name, interner{})
+	}
+	s.open.appendRows(times, cols)
+	u = s.head()
+	for _, footer := range []bool{true, false} {
+		u.footer = footer
+		if n := scan(&Query{Aggregates: sum}, false); n != 0 {
+			t.Errorf("head (footer %v), no GROUP BY, warm: %v allocations, want 0", footer, n)
+		}
+	}
+	if n := scan(&Query{Aggregates: sum, GroupBy: 16 * step}, false); n != 0 {
+		t.Errorf("head, 16-row windows, warm: %v allocations, want 0", n)
 	}
 }
 
@@ -262,7 +281,7 @@ func BenchmarkFoldColumns(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				clear(out.states)
 				out.wins, out.states = out.wins[:0], out.states[:0]
-				foldColumns(&out, times, cols, bc.q, plan)
+				foldColumns(&out, times, cols, 0, len(times), bc.q, plan)
 			}
 		})
 	}

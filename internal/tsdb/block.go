@@ -19,7 +19,7 @@ import (
 // The blob is self-contained: the same bytes live in memory, in the
 // snapshot file, and (conceptually) on any future wire — encode once at
 // seal time, reuse everywhere. decodeBlock re-parses a blob into its
-// meta (footers + column offsets) with every length and invariant
+// meta (footers + column slices) with every length and invariant
 // checked, so a corrupt snapshot errors instead of tearing the scan;
 // FuzzBlockDecode holds the decoder to "never panic, never over-read".
 
@@ -49,24 +49,22 @@ type footer struct {
 	min, max, sum float64
 }
 
-// blockField is one field column of a sealed block: its footer
-// aggregates and the offsets of its presence bitmap and XOR stream
-// inside the blob.
+// blockField is one field column of a block: its footer aggregates,
+// its presence bitmap and its XOR stream.
 type blockField struct {
 	name string
 	footer
-	bmOff, bmLen   int
-	valOff, valLen int
+	bitmap, stream []byte
 }
 
-// block is one sealed, immutable, compressed run of a series.
+// block is one compressed run of a series: sealed and immutable, its
+// streams slices of its blob, or an open block's, which has no blob.
 type block struct {
 	rows       int
 	values     int // present field values across all columns
 	minT, maxT int64
 	blob       []byte
-	tsOff      int
-	tsLen      int
+	ts         []byte // the timestamp stream
 	fields     []blockField
 }
 
@@ -80,40 +78,13 @@ func (b *block) fieldIndex(name string) int {
 	return -1
 }
 
-// bitWriter appends an MSB-first bit stream a word at a time: bits
-// collect left-aligned in acc and reach buf eight bytes per append.
-// buf's last word always holds acc, so the stream written so far reads
-// from buf alone: a head reader never has to flush the writer.
-type bitWriter struct {
-	buf []byte // the whole words written, then acc's word
-	acc uint64 // pending bits, left-aligned
-	n   uint   // pending bit count, < 64
-}
-
-// writeBits appends the low nb <= 64 bits of v, most significant first.
-func (w *bitWriter) writeBits(v uint64, nb uint) {
-	if len(w.buf) == 0 {
-		w.buf = append(w.buf, make([]byte, 8)...)
+// fieldNames lists the block's field names.
+func (b *block) fieldNames() []string {
+	names := make([]string, len(b.fields))
+	for i := range b.fields {
+		names[i] = b.fields[i].name
 	}
-	v <<= 64 - nb // left-align
-	w.acc |= v >> w.n
-	if w.n+nb < 64 {
-		w.n += nb
-	} else {
-		binary.BigEndian.PutUint64(w.buf[len(w.buf)-8:], w.acc)
-		w.buf = append(w.buf, make([]byte, 8)...)
-		w.acc = v << (64 - w.n) // the bits of v that did not fit
-		w.n += nb - 64
-	}
-	binary.BigEndian.PutUint64(w.buf[len(w.buf)-8:], w.acc)
-}
-
-// bytes returns the stream written so far, its last byte zero-padded.
-func (w *bitWriter) bytes() []byte {
-	if len(w.buf) == 0 {
-		return nil
-	}
-	return w.buf[:len(w.buf)-8+int(w.n+7)/8]
+	return names
 }
 
 // The bit reader consumes an MSB-first stream through a left-aligned
@@ -160,27 +131,56 @@ func readBits(buf []byte, acc uint64, n, nb uint) (v uint64, _ []byte, _ uint64,
 // openBlock is a block still taking rows: the sealed format's streams
 // written as rows arrive — delta-of-delta timestamps, and per field a
 // presence bitmap and a Gorilla XOR stream — with each field's footer
-// kept running in row order. Rows arrive in time order; close writes
-// the sealed blob around the streams without encoding anything again.
+// kept running in row order. The embedded block's rows, time range,
+// footers and stream slices stay current, so &o.block reads as any
+// block does; a field with no value yet reads as one the block lacks.
+// Rows arrive in time order; close writes the sealed blob around the
+// streams without encoding anything again.
 type openBlock struct {
-	rows       int
-	minT, maxT int64
-	prevD      int64  // the last time delta
-	ts         []byte // first time, first delta, then delta-of-deltas, as zig-zag varints
-	cols       []openCol
-	bytes      int // ts, bitmap and stream bytes: what the head holds
+	block           // ts: first time, first delta, then delta-of-deltas, as zig-zag varints
+	prevD int64     // the last time delta
+	cols  []openCol // the XOR writers, aligned with fields
+	bytes int       // ts, bitmap and stream bytes: what the head holds
 }
 
-// openCol is one field of an open block. Its bitmap is empty while the
-// column has a value in every row so far (the decoder never reads a
+// openCol writes one field's XOR stream, MSB first, a word at a time:
+// bits collect left-aligned in acc and reach the stream eight bytes per
+// append. acc's word is stored past the whole words on every write, and
+// the stream ends in its bytes that hold bits, so the stream written so
+// far reads from its slice alone, its last byte zero-padded: a head
+// reader never has to flush the writer. The field's bitmap is empty
+// while it has a value in every row so far (the decoder never reads a
 // gap-free column's bitmap), and is written at the first gap; the bytes
 // a bitmap lacks are zero.
 type openCol struct {
-	footer
-	bitmap   []byte
-	vw       bitWriter
+	acc      uint64 // pending bits, left-aligned
 	prevBits uint64
+	n        uint8 // pending bit count, < 64
 	lz, sig  uint8 // the XOR window; sig == 0 until the first one is set
+}
+
+// writeBits appends the low nb <= 64 bits of v to stream, most
+// significant first, and returns the stream.
+func (c *openCol) writeBits(stream []byte, v uint64, nb uint) []byte {
+	n := uint(c.n)
+	words := stream[:len(stream)-int(n+7)/8]
+	v <<= 64 - nb // left-align
+	c.acc |= v >> n
+	if n+nb < 64 {
+		n += nb
+	} else {
+		words = binary.BigEndian.AppendUint64(words, c.acc)
+		c.acc = v << (64 - n) // the bits of v that did not fit
+		n += nb - 64
+	}
+	c.n = uint8(n)
+	return binary.BigEndian.AppendUint64(words, c.acc)[:len(words)+int(n+7)/8]
+}
+
+// addField appends an empty field column.
+func (o *openBlock) addField(name string) {
+	o.fields = append(o.fields, blockField{name: name})
+	o.cols = append(o.cols, openCol{})
 }
 
 // appendTime appends a row at time t >= maxT and returns its index.
@@ -200,56 +200,60 @@ func (o *openBlock) appendTime(t int64) int {
 	return o.rows - 1
 }
 
-// put appends the value of row r, later than the column's last, and
-// returns the bytes the column grew by.
-func (c *openCol) put(r int, v float64) int {
-	n := len(c.bitmap) + len(c.vw.bytes())
-	if len(c.bitmap) > 0 || r != int(c.count) {
-		if len(c.bitmap) == 0 {
-			c.bitmap = appendOnes(c.bitmap, int(c.count))
+// put appends the value of row r to field ci, later than the field's
+// last.
+func (o *openBlock) put(ci, r int, v float64) {
+	f, c := &o.fields[ci], &o.cols[ci]
+	n := len(f.bitmap) + len(f.stream)
+	if len(f.bitmap) > 0 || r != int(f.count) {
+		if len(f.bitmap) == 0 {
+			f.bitmap = appendOnes(f.bitmap, int(f.count))
 		}
-		for len(c.bitmap) <= r>>3 {
-			c.bitmap = append(c.bitmap, 0)
+		for len(f.bitmap) <= r>>3 {
+			f.bitmap = append(f.bitmap, 0)
 		}
-		c.bitmap[r>>3] |= 1 << (r & 7)
+		f.bitmap[r>>3] |= 1 << (r & 7)
 	}
 	bitsV := math.Float64bits(v)
-	if c.count == 0 {
-		c.vw.writeBits(bitsV, 64)
-		c.min, c.max, c.sum = v, v, v
+	st := f.stream
+	if f.count == 0 {
+		st = c.writeBits(st, bitsV, 64)
+		f.min, f.max, f.sum = v, v, v
 	} else {
 		xor := c.prevBits ^ bitsV
 		if xor == 0 {
-			c.vw.writeBits(0, 1)
+			st = c.writeBits(st, 0, 1)
 		} else {
 			l := min(uint(bits.LeadingZeros64(xor)), 31)
 			tz := uint(bits.TrailingZeros64(xor))
 			if lz, sig := uint(c.lz), uint(c.sig); sig > 0 && l >= lz && tz >= 64-lz-sig {
-				c.vw.writeBits(2, 2) // '1','0': reuse window
-				c.vw.writeBits(xor>>(64-lz-sig), sig)
+				st = c.writeBits(st, 2, 2) // '1','0': reuse window
+				st = c.writeBits(st, xor>>(64-lz-sig), sig)
 			} else {
+				// '1','1': new window, 5 bits of leading zeros, 6 of width (64
+				// encodes as 0)
 				s := 64 - l - tz
-				c.vw.writeBits(3, 2) // '1','1': new window
-				c.vw.writeBits(uint64(l), 5)
-				c.vw.writeBits(uint64(s&63), 6) // 64 encodes as 0
-				c.vw.writeBits(xor>>tz, s)
+				st = c.writeBits(st, 3<<11|uint64(l)<<6|uint64(s&63), 13)
+				st = c.writeBits(st, xor>>tz, s)
 				c.lz, c.sig = uint8(l), uint8(s)
 			}
 		}
-		if v < c.min {
-			c.min = v
+		if v < f.min {
+			f.min = v
 		}
-		if v > c.max {
-			c.max = v
+		if v > f.max {
+			f.max = v
 		}
-		c.sum += v
+		f.sum += v
 	}
 	if v == 0 {
-		c.zeros++
+		f.zeros++
 	}
-	c.count++
+	f.count++
+	o.values++
 	c.prevBits = bitsV
-	return len(c.bitmap) + len(c.vw.bytes()) - n
+	f.stream = st
+	o.bytes += len(f.bitmap) + len(f.stream) - n
 }
 
 // appendOnes appends the bitmap of n present rows.
@@ -264,7 +268,7 @@ func appendOnes(dst []byte, n int) []byte {
 }
 
 // appendRows appends time-sorted rows given as columns aligned with
-// o.cols, NaN (or a nil column) where a row has no value.
+// o.fields, NaN (or a nil column) where a row has no value.
 func (o *openBlock) appendRows(times []int64, cols [][]float64) {
 	r0 := o.rows
 	for _, t := range times {
@@ -273,43 +277,37 @@ func (o *openBlock) appendRows(times []int64, cols [][]float64) {
 	for ci, col := range cols {
 		for r, v := range col {
 			if v == v {
-				o.bytes += o.cols[ci].put(r0+r, v)
+				o.put(ci, r0+r, v)
 			}
 		}
 	}
 }
 
-// decodeCol decompresses column ci over the block's rows into dst
-// (reused when it has capacity), NaN where a row has none. It only
-// reads the block, so readers sharing the data lock may call it.
-func (o *openBlock) decodeCol(ci int, dst []float64) ([]float64, error) {
-	c := &o.cols[ci]
-	return decodeValues(c.vw.bytes(), c.bitmap, int(c.count), o.rows, dst)
-}
-
-// reset empties the block for the next rows, keeping its buffers.
+// reset empties the block for the next rows, keeping its fields and
+// buffers.
 func (o *openBlock) reset() {
-	o.rows, o.prevD, o.bytes = 0, 0, 0
-	o.ts = o.ts[:0]
-	for i := range o.cols {
-		c := &o.cols[i]
-		*c = openCol{bitmap: c.bitmap[:0], vw: bitWriter{buf: c.vw.buf[:0]}}
+	o.block = block{ts: o.ts[:0], fields: o.fields}
+	o.prevD, o.bytes = 0, 0
+	for i := range o.fields {
+		f := &o.fields[i]
+		*f = blockField{name: f.name, bitmap: f.bitmap[:0], stream: f.stream[:0]}
+		o.cols[i] = openCol{}
 	}
 }
 
 // close writes the sealed blob of the rows so far — the header, the
-// timestamp stream, then for each field with a value (names is aligned
-// with cols) its footer, bitmap and stream — and parses it back, so one
-// reader owns the format and nothing sealed fails to decode.
-func (o *openBlock) close(names []string) (*block, error) {
+// timestamp stream, then for each field with a value its footer, bitmap
+// and stream — and parses it back, so one reader owns the format and
+// nothing sealed fails to decode.
+func (o *openBlock) close() (*block, error) {
 	if o.rows == 0 {
 		return nil, fmt.Errorf("tsdb: encode empty block")
 	}
 	bmLen := (o.rows + 7) / 8
 	size, nf := 40+o.bytes, 0 // 40 bounds a header's and a footer's varints
-	for ci := range o.cols {
-		if o.cols[ci].count > 0 {
-			size += 40 + len(names[ci]) + bmLen
+	for i := range o.fields {
+		if o.fields[i].count > 0 {
+			size += 40 + len(o.fields[i].name) + bmLen
 			nf++
 		}
 	}
@@ -321,29 +319,28 @@ func (o *openBlock) close(names []string) (*block, error) {
 	blob = binary.AppendUvarint(blob, uint64(len(o.ts)))
 	blob = append(blob, o.ts...)
 	blob = binary.AppendUvarint(blob, uint64(nf))
-	for ci := range o.cols {
-		c := &o.cols[ci]
-		if c.count == 0 {
+	for i := range o.fields {
+		f := &o.fields[i]
+		if f.count == 0 {
 			continue
 		}
-		blob = binary.AppendUvarint(blob, uint64(len(names[ci])))
-		blob = append(blob, names[ci]...)
-		blob = binary.AppendUvarint(blob, c.count)
-		blob = binary.AppendUvarint(blob, c.zeros)
-		blob = binary.LittleEndian.AppendUint64(blob, math.Float64bits(c.min))
-		blob = binary.LittleEndian.AppendUint64(blob, math.Float64bits(c.max))
-		blob = binary.LittleEndian.AppendUint64(blob, math.Float64bits(c.sum))
+		blob = binary.AppendUvarint(blob, uint64(len(f.name)))
+		blob = append(blob, f.name...)
+		blob = binary.AppendUvarint(blob, f.count)
+		blob = binary.AppendUvarint(blob, f.zeros)
+		blob = binary.LittleEndian.AppendUint64(blob, math.Float64bits(f.min))
+		blob = binary.LittleEndian.AppendUint64(blob, math.Float64bits(f.max))
+		blob = binary.LittleEndian.AppendUint64(blob, math.Float64bits(f.sum))
 		blob = binary.AppendUvarint(blob, uint64(bmLen))
 		bm := len(blob)
-		if len(c.bitmap) == 0 {
-			blob = appendOnes(blob, int(c.count))
+		if len(f.bitmap) == 0 {
+			blob = appendOnes(blob, int(f.count))
 		} else {
-			blob = append(blob, c.bitmap...)
+			blob = append(blob, f.bitmap...)
 		}
 		blob = append(blob, make([]byte, bm+bmLen-len(blob))...)
-		stream := c.vw.bytes()
-		blob = binary.AppendUvarint(blob, uint64(len(stream)))
-		blob = append(blob, stream...)
+		blob = binary.AppendUvarint(blob, uint64(len(f.stream)))
+		blob = append(blob, f.stream...)
 	}
 	return decodeBlock(blob)
 }
@@ -353,13 +350,16 @@ func (o *openBlock) close(names []string) (*block, error) {
 // closed. times must be non-decreasing and non-empty; columns with no
 // present values are dropped.
 func encodeBlock(times []int64, names []string, cols [][]float64) (*block, error) {
-	o := openBlock{cols: make([]openCol, len(names))}
+	var o openBlock
+	for _, name := range names {
+		o.addField(name)
+	}
 	o.appendRows(times, cols)
-	return o.close(names)
+	return o.close()
 }
 
 // decodeBlock parses a block blob into its meta: time range, per-field
-// footers, and column offsets. Every length is bounds-checked and every
+// footers, and column slices. Every length is bounds-checked and every
 // structural invariant verified, so arbitrary bytes yield an error, not
 // a panic or an over-read; the columns themselves stay compressed.
 func decodeBlock(blob []byte) (*block, error) {
@@ -401,7 +401,7 @@ func decodeBlock(blob []byte) (*block, error) {
 	if err != nil || tsLen64 > uint64(len(blob)-p) {
 		return nil, errBlockCorrupt
 	}
-	b := &block{rows: rows, minT: minT, maxT: maxT, blob: blob, tsOff: p, tsLen: int(tsLen64)}
+	b := &block{rows: rows, minT: minT, maxT: maxT, blob: blob, ts: blob[p : p+int(tsLen64)]}
 	p += int(tsLen64)
 	nf64, err := uvar()
 	if err != nil || nf64 > maxBlockFields {
@@ -440,9 +440,9 @@ func decodeBlock(blob []byte) (*block, error) {
 		if err != nil || gotBM != uint64(bmLen) || gotBM > uint64(len(blob)-p) {
 			return nil, errBlockCorrupt
 		}
-		f.bmOff, f.bmLen = p, bmLen
+		f.bitmap = blob[p : p+bmLen]
 		var present uint64
-		for _, by := range blob[p : p+bmLen] {
+		for _, by := range f.bitmap {
 			present += uint64(bits.OnesCount8(by))
 		}
 		if present != f.count {
@@ -458,7 +458,7 @@ func decodeBlock(blob []byte) (*block, error) {
 		if err != nil || valLen > uint64(len(blob)-p) {
 			return nil, errBlockCorrupt
 		}
-		f.valOff, f.valLen = p, int(valLen)
+		f.stream = blob[p : p+int(valLen)]
 		p += int(valLen)
 		if b.fieldIndex(f.name) >= 0 {
 			return nil, errBlockCorrupt
@@ -479,20 +479,11 @@ func (b *block) decodeTimes(dst []int64) ([]int64, error) {
 		dst = make([]int64, b.rows)
 	}
 	dst = dst[:b.rows]
-	if decodeTimeStream(b.blob[b.tsOff:b.tsOff+b.tsLen], dst) != nil || dst[0] != b.minT || dst[b.rows-1] != b.maxT {
-		return nil, errBlockCorrupt
-	}
-	return dst, nil
-}
-
-// decodeTimeStream decompresses a timestamp stream of exactly len(dst)
-// non-decreasing times into dst.
-func decodeTimeStream(data []byte, dst []int64) error {
-	p := 0
+	data, p := b.ts, 0
 	var prevT, prevD int64
 	for i := range dst {
 		if p >= len(data) {
-			return errBlockCorrupt
+			return nil, errBlockCorrupt
 		}
 		// A regular tick's delta-of-delta is the byte 0x00: one-byte
 		// zig-zag varints decode in line, longer ones in the library.
@@ -502,7 +493,7 @@ func decodeTimeStream(data []byte, dst []int64) error {
 		} else {
 			var n int
 			if v, n = binary.Varint(data[p:]); n <= 0 {
-				return errBlockCorrupt
+				return nil, errBlockCorrupt
 			}
 			p += n
 		}
@@ -513,27 +504,22 @@ func decodeTimeStream(data []byte, dst []int64) error {
 			prevT += prevD
 		}
 		if i > 0 && prevT < dst[i-1] {
-			return errBlockCorrupt
+			return nil, errBlockCorrupt
 		}
 		dst[i] = prevT
 	}
-	if p != len(data) {
-		return errBlockCorrupt
+	if p != len(data) || dst[0] != b.minT || dst[b.rows-1] != b.maxT {
+		return nil, errBlockCorrupt
 	}
-	return nil
+	return dst, nil
 }
 
-// decodeField decompresses field column fi into dst aligned with the
-// block's rows: dst[r] is the value, or NaN where the row has none.
+// decodeField decompresses field column fi into dst (reused when it has
+// capacity) aligned with the block's rows, spread by the presence bitmap
+// — bytes past its end are zero — with NaN where a row has none.
 func (b *block) decodeField(fi int, dst []float64) ([]float64, error) {
 	f := &b.fields[fi]
-	return decodeValues(b.blob[f.valOff:f.valOff+f.valLen], b.blob[f.bmOff:f.bmOff+f.bmLen], int(f.count), b.rows, dst)
-}
-
-// decodeValues decompresses the count values of an XOR stream into dst
-// (reused when it has capacity) over rows rows, spread by the presence
-// bitmap — bytes past its end are zero — with NaN where a row has none.
-func decodeValues(stream, bitmap []byte, count, rows int, dst []float64) ([]float64, error) {
+	stream, bitmap, count, rows := f.stream, f.bitmap, int(f.count), b.rows
 	if cap(dst) < rows {
 		dst = make([]float64, rows)
 	}

@@ -209,7 +209,7 @@ func refDecodeTimes(b *block, dst []int64) ([]int64, error) {
 		dst = make([]int64, b.rows)
 	}
 	dst = dst[:b.rows]
-	data := b.blob[b.tsOff : b.tsOff+b.tsLen]
+	data := b.ts
 	p := 0
 	var prevT, prevD int64
 	for i := 0; i < b.rows; i++ {
@@ -247,8 +247,8 @@ func refDecodeField(b *block, fi int, dst []float64) ([]float64, error) {
 		dst = make([]float64, b.rows)
 	}
 	dst = dst[:b.rows]
-	bitmap := b.blob[f.bmOff : f.bmOff+f.bmLen]
-	br := refBitReader{buf: b.blob[f.valOff : f.valOff+f.valLen]}
+	bitmap := f.bitmap
+	br := refBitReader{buf: f.stream}
 	nan := math.NaN()
 	var prevBits uint64
 	var lz, sig uint = 0, 64

@@ -311,7 +311,7 @@ func TestBlockDecodeMatchesReference(t *testing.T) {
 func refStreamBits(t *testing.T, b *block, fi int) (bitLen uint, wide bool) {
 	t.Helper()
 	f := &b.fields[fi]
-	br := refBitReader{buf: b.blob[f.valOff : f.valOff+f.valLen]}
+	br := refBitReader{buf: f.stream}
 	read := func(nb uint) uint64 {
 		v, err := br.readBits(nb)
 		if err != nil {
@@ -344,19 +344,22 @@ func refStreamBits(t *testing.T, b *block, fi int) (bitLen uint, wide bool) {
 // stream is too short to cut.
 func resizeStream(b *block, fi, delta int) *block {
 	f := &b.fields[fi]
-	if f.valLen+delta < 0 {
+	if len(f.stream)+delta < 0 {
 		return nil
 	}
-	prefix := len(binary.AppendUvarint(nil, uint64(f.valLen)))
-	blob := append([]byte(nil), b.blob[:f.valOff-prefix]...)
-	blob = binary.AppendUvarint(blob, uint64(f.valLen+delta))
+	// The stream is a slice of the blob, so its offset is their
+	// capacities' difference.
+	off, end := cap(b.blob)-cap(f.stream), cap(b.blob)-cap(f.stream)+len(f.stream)
+	prefix := len(binary.AppendUvarint(nil, uint64(len(f.stream))))
+	blob := append([]byte(nil), b.blob[:off-prefix]...)
+	blob = binary.AppendUvarint(blob, uint64(len(f.stream)+delta))
 	if delta < 0 {
-		blob = append(blob, b.blob[f.valOff:f.valOff+f.valLen+delta]...)
+		blob = append(blob, f.stream[:len(f.stream)+delta]...)
 	} else {
-		blob = append(blob, b.blob[f.valOff:f.valOff+f.valLen]...)
+		blob = append(blob, f.stream...)
 		blob = append(blob, make([]byte, delta)...)
 	}
-	blob = append(blob, b.blob[f.valOff+f.valLen:]...)
+	blob = append(blob, b.blob[end:]...)
 	mb, err := decodeBlock(blob)
 	if err != nil {
 		return nil
@@ -389,7 +392,7 @@ func telemetryBlockInput(rng *rand.Rand) (times []int64, names []string, cols []
 
 // blockFixture is the fixed input of testdata/block_pr14.bin: the blobs,
 // each behind a uvarint length, that the parent commit's per-byte
-// bitWriter sealed for 40 generated cases and one telemetry-shaped full
+// bit writer sealed for 40 generated cases and one telemetry-shaped full
 // block.
 func blockFixture(t *testing.T) []byte {
 	t.Helper()
@@ -410,7 +413,7 @@ func blockFixture(t *testing.T) []byte {
 	return out
 }
 
-// TestBlockBytesUnchanged: the word-wise bitWriter seals byte for byte
+// TestBlockBytesUnchanged: the word-wise bit writer seals byte for byte
 // what the per-byte writer it replaced did.
 func TestBlockBytesUnchanged(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "block_pr14.bin"))

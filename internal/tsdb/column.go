@@ -25,16 +25,16 @@ import (
 // last when it arrived — sorted by time, equal times in arrival order.
 type sideRun struct {
 	times []int64
-	cols  [][]float64 // as long as times, aligned with memSeries.names; columns past the end are absent
+	cols  [][]float64 // as long as times, aligned with the open block's fields; columns past the end are absent
 }
 
-// memSeries is one series: identity, sealed history, head.
+// memSeries is one series: identity, sealed history, head. The open
+// block's fields are the series' fields, in creation order.
 type memSeries struct {
 	seq    int    // creation order within the measurement (scan tie-break)
 	key    string // canonical series key (appendSeriesKey form)
 	tags   map[string]string
-	names  []string       // field names, creation order, aligned with open.cols
-	fields map[string]int // field name -> index in names
+	fields map[string]int // field name -> index in open.fields
 	blocks []*block
 	open   openBlock
 	side   sideRun
@@ -66,10 +66,9 @@ func (s *memSeries) fieldCol(name string, in interner) int {
 		return i
 	}
 	name = in.intern(name)
-	i := len(s.names)
-	s.names = append(s.names, name)
+	i := len(s.open.fields)
 	s.fields[name] = i
-	s.open.cols = append(s.open.cols, openCol{})
+	s.open.addField(name)
 	return i
 }
 
@@ -94,15 +93,18 @@ func (s *memSeries) insertRow(t int64, fields []rowKV, in interner) {
 	} else {
 		r = o.appendTime(t)
 	}
+	if o.fields == nil { // a new series: room for its first row's fields
+		o.fields, o.cols = make([]blockField, 0, len(fields)), make([]openCol, 0, len(fields))
+	}
 	for i, f := range fields {
 		// A series fed in one key order finds field i in column i; any
 		// other row looks its columns up.
 		ci := i
-		if ci >= len(s.names) || s.names[ci] != f.key {
+		if ci >= len(o.fields) || o.fields[ci].name != f.key {
 			ci = s.fieldCol(f.key, in)
 		}
 		if !late {
-			o.bytes += o.cols[ci].put(r, f.num)
+			o.put(ci, r, f.num)
 			continue
 		}
 		for len(sd.cols) <= ci {
@@ -125,87 +127,162 @@ func (s *memSeries) headBytes() int64 {
 	return int64(s.open.bytes + 8*len(s.side.times)*(1+len(s.side.cols)))
 }
 
-// headRange returns the head's time span; ok is false when empty. Late
-// rows are older than the open block's last, so maxT is that.
-func (s *memSeries) headRange() (minT, maxT int64, ok bool) {
-	if s.open.rows == 0 {
-		return 0, 0, false
-	}
-	minT = s.open.minT
-	if len(s.side.times) > 0 {
-		minT = min(minT, s.side.times[0])
-	}
-	return minT, s.open.maxT, true
+// unit is one time-sorted run of a series' rows that a reader decodes
+// whole: a sealed block, or a head — its open block, with its late rows
+// when it has any.
+type unit struct {
+	b      *block
+	side   *sideRun // the head's late rows; nil for a block or a head without any
+	minT   int64    // the first row's time: a late row can precede b's
+	head   bool
+	footer bool // an aggregate folds the unit from its footers alone
 }
 
-// headColumns materializes the head's rows in scan order: times, and per
-// cis entry (a column index, or -1) that column with NaN where a row has
-// none — nil when the head holds no value of it. times and cols are reused when
-// they have capacity. It only reads the head, so readers sharing the
-// data lock may call it.
-func (s *memSeries) headColumns(cis []int, times []int64, cols [][]float64) ([]int64, [][]float64, error) {
-	o, sd := &s.open, &s.side
-	n := o.rows + len(sd.times)
-	if cap(times) < n {
-		times = make([]int64, n)
+// head is the series' head as a unit. Callers check it has rows.
+func (s *memSeries) head() unit {
+	u := unit{b: &s.open.block, minT: s.open.minT, head: true}
+	if len(s.side.times) > 0 {
+		u.side, u.minT = &s.side, min(u.minT, s.side.times[0])
 	}
-	if err := decodeTimeStream(o.ts, times[:o.rows]); err != nil {
-		return nil, nil, err
+	return u
+}
+
+// units lists the units a query reads, in scan order: matching series in
+// creation order, each series' blocks in seal order, then its head —
+// every unit whose time range meets the query's bounds (0 = unbounded).
+// Callers hold db.data shared, which keeps the heads' units current.
+func (db *DB) units(q *Query) []unit {
+	m := db.measurements[q.Measurement]
+	if m == nil {
+		return nil
 	}
-	if cap(cols) < len(cis) {
-		cols = make([][]float64, len(cis))
-	}
-	cols = cols[:len(cis)]
-	for i, ci := range cis {
-		var late []float64
-		if ci >= 0 && ci < len(sd.cols) {
-			late = sd.cols[ci]
+	var us []unit
+	add := func(u unit) {
+		if (q.From == 0 || u.b.maxT >= q.From) && (q.To == 0 || u.minT <= q.To) {
+			us = append(us, u)
 		}
-		if ci < 0 || (o.cols[ci].count == 0 && len(late) == 0) {
-			cols[i] = nil
+	}
+	for _, s := range m.series {
+		if !s.matchTags(q.TagFilter) {
 			continue
 		}
-		col := cols[i]
+		for _, b := range s.blocks {
+			add(unit{b: b, minT: b.minT})
+		}
+		if s.open.rows > 0 {
+			add(s.head())
+		}
+	}
+	return us
+}
+
+// scratch holds a unit's decoded columns: one timestamp slice and one
+// value slice per selected field, reused unit after unit — decode
+// happens once per unit, allocation once per scratch.
+type scratch struct {
+	times []int64
+	cols  [][]float64
+}
+
+// columns decodes the unit's rows in scan order into sc: the times
+// first, then — unless no row lies in [from, to] (0 = unbounded), the
+// span [lo, hi) it returns — per name the field's column, NaN where a
+// row has none and nil where the unit holds no value of it. A head's
+// late rows merge in by time, after the open rows at their time. It only
+// reads the unit, so readers sharing the data lock may call it.
+func (u unit) columns(names []string, from, to int64, sc *scratch) (lo, hi int, err error) {
+	var lateT []int64
+	if u.side != nil {
+		lateT = u.side.times
+	}
+	n := u.b.rows + len(lateT)
+	if cap(sc.times) < n {
+		sc.times = make([]int64, n)
+	}
+	if sc.times, err = u.b.decodeTimes(sc.times); err != nil {
+		return 0, 0, err
+	}
+	sc.times = mergeTimes(sc.times, lateT)
+	if lo, hi = timeBounds(sc.times, from, to); lo == hi {
+		return lo, hi, nil
+	}
+	if cap(sc.cols) < len(names) {
+		sc.cols = make([][]float64, len(names))
+	}
+	sc.cols = sc.cols[:len(names)]
+	for i, name := range names {
+		fi := u.b.fieldIndex(name)
+		var late []float64
+		if fi >= 0 && u.side != nil && fi < len(u.side.cols) {
+			late = u.side.cols[fi]
+		}
+		if fi < 0 || (u.b.fields[fi].count == 0 && late == nil) {
+			sc.cols[i] = nil
+			continue
+		}
+		col := sc.cols[i]
 		if cap(col) < n {
 			col = make([]float64, n)
 		}
-		col, err := o.decodeCol(ci, col[:o.rows])
-		if err != nil {
-			return nil, nil, err
+		if col, err = u.b.decodeField(fi, col); err != nil {
+			return 0, 0, err
 		}
-		cols[i] = mergeLate(col, times, late, sd.times, math.NaN())
+		sc.cols[i] = mergeCol(col, sc.times, late, lateT)
 	}
-	return mergeLate(times[:o.rows], times, sd.times, sd.times, 0), cols, nil
+	return lo, hi, nil
 }
 
-// mergeLate merges the side run's cells late (nil: absent, read as fill)
-// into dst, which holds the open rows at times[:len(dst)] and has room
-// for the rest: back to front, open rows first on equal times. dst may
-// be times itself, merged last.
-func mergeLate[T int64 | float64](dst []T, times []int64, late []T, lateT []int64, fill T) []T {
-	i := len(dst) - 1
-	dst = dst[:len(dst)+len(lateT)]
-	for j, k := len(lateT)-1, len(dst)-1; j >= 0; k-- {
+// mergeTimes merges the late times lateT into times, which holds the
+// open rows' and has room for the rest: back to front, open rows first
+// on equal times.
+func mergeTimes(times, lateT []int64) []int64 {
+	i := len(times) - 1
+	times = times[:len(times)+len(lateT)]
+	for j, k := len(lateT)-1, len(times)-1; j >= 0; k-- {
 		if i >= 0 && times[i] > lateT[j] {
-			dst[k], i = dst[i], i-1
+			times[k], i = times[i], i-1
+		} else {
+			times[k], j = lateT[j], j-1
+		}
+	}
+	return times
+}
+
+// mergeCol spreads col, a field's open rows, over the merged times,
+// putting the late rows' cells late (nil: absent) in their slots: back
+// to front, a slot is the next late row's when it has that row's time,
+// since equal times put the late rows last.
+func mergeCol(col []float64, times []int64, late []float64, lateT []int64) []float64 {
+	i := len(col) - 1
+	col = col[:len(times)]
+	for j, k := len(lateT)-1, len(times)-1; j >= 0; k-- {
+		if times[k] != lateT[j] {
+			col[k], i = col[i], i-1
 			continue
 		}
-		dst[k] = fill
+		col[k] = math.NaN()
 		if late != nil {
-			dst[k] = late[j]
+			col[k] = late[j]
 		}
 		j--
 	}
-	return dst
+	return col
 }
 
-// allCols lists every column index of the series.
-func (s *memSeries) allCols() []int {
-	cis := make([]int, len(s.names))
-	for i := range cis {
-		cis[i] = i
+// since decodes every field of the unit (names) and returns its rows at
+// or after cutoff, and how many rows precede them.
+func (u unit) since(names []string, cutoff int64) ([]int64, [][]float64, int, error) {
+	var sc scratch
+	if _, _, err := u.columns(names, 0, 0, &sc); err != nil {
+		return nil, nil, 0, err
 	}
-	return cis
+	n := sort.Search(len(sc.times), func(i int) bool { return sc.times[i] >= cutoff })
+	for i, col := range sc.cols {
+		if col != nil {
+			sc.cols[i] = col[n:]
+		}
+	}
+	return sc.times[n:], sc.cols, n, nil
 }
 
 // closeHead writes the head as a sealed block without changing it: the
@@ -213,13 +290,14 @@ func (s *memSeries) allCols() []int {
 // encoded once.
 func (s *memSeries) closeHead() (*block, error) {
 	if len(s.side.times) == 0 {
-		return s.open.close(s.names)
+		return s.open.close()
 	}
-	times, cols, err := s.headColumns(s.allCols(), nil, nil)
-	if err != nil {
+	names := s.open.fieldNames()
+	var sc scratch
+	if _, _, err := s.head().columns(names, 0, 0, &sc); err != nil {
 		return nil, err
 	}
-	return encodeBlock(times, s.names, cols)
+	return encodeBlock(sc.times, names, sc.cols)
 }
 
 // resetHead empties the head, keeping its buffers.

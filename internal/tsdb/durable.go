@@ -295,21 +295,17 @@ func (db *DB) adoptBlock(s *memSeries, b *block) {
 // adoptHead appends a head chunk's rows into the series' open block,
 // which must be empty: a snapshot holds one head chunk per series.
 func (db *DB) adoptHead(s *memSeries, b *block) error {
-	times, err := b.decodeTimes(nil)
-	if err != nil || s.headRows() > 0 {
+	if s.headRows() > 0 {
 		return errBlockCorrupt
 	}
 	db.adoptFields(s, b)
-	cols := make([][]float64, len(s.names))
-	for bi := range b.fields {
-		ci := s.fields[b.fields[bi].name]
-		if cols[ci], err = b.decodeField(bi, nil); err != nil {
-			return err
-		}
+	var sc scratch
+	if _, _, err := (unit{b: b}).columns(s.open.fieldNames(), 0, 0, &sc); err != nil {
+		return err
 	}
-	s.open.appendRows(times, cols)
+	s.open.appendRows(sc.times, sc.cols)
 	st := &db.stats
-	st.headRows += int64(len(times))
+	st.headRows += int64(b.rows)
 	st.headBytes += s.headBytes()
 	db.points += uint64(b.rows)
 	db.values += uint64(b.values)

@@ -263,7 +263,7 @@ func TestStoredNamesDoNotAliasDecodedLine(t *testing.T) {
 		stored = append(stored, name, m.name)
 		for _, s := range m.series {
 			stored = append(stored, s.key)
-			stored = append(stored, s.names...)
+			stored = append(stored, s.open.fieldNames()...)
 			for k, v := range s.tags {
 				stored = append(stored, k, v)
 			}

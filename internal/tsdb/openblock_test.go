@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
@@ -24,8 +25,8 @@ import (
 // insertCase feeds rows of a genBlockCase input to a series head in the
 // given arrival order — a row's fields in random order, absent cells
 // left out — and returns the rows stably sorted by time: the order the
-// head must scan and seal them in. cols come back aligned with s.names,
-// NaN where a row or the case has no value.
+// head must scan and seal them in. cols come back aligned with the head's
+// fields, NaN where a row or the case has no value.
 func insertCase(rng *rand.Rand, s *memSeries, times []int64, names []string, cols [][]float64, order []int) ([]int64, [][]float64) {
 	in := interner{}
 	var kvs []rowKV
@@ -45,8 +46,9 @@ func insertCase(rng *rand.Rand, s *memSeries, times []int64, names []string, col
 	for k, r := range sorted {
 		wantT[k] = times[r]
 	}
-	wantC := make([][]float64, len(s.names))
-	for ci, name := range s.names {
+	stored := s.open.fieldNames()
+	wantC := make([][]float64, len(stored))
+	for ci, name := range stored {
 		wantC[ci] = make([]float64, len(sorted))
 		src := slices.Index(names, name)
 		for k, r := range sorted {
@@ -59,17 +61,71 @@ func insertCase(rng *rand.Rand, s *memSeries, times []int64, names []string, col
 	return wantT, wantC
 }
 
+// seriesDB is a store whose measurement "m" holds the one series s, with
+// a retention of 1 ns.
+func seriesDB(s *memSeries) *DB {
+	db := New()
+	db.SetRetention(RetentionPolicy{Duration: 1})
+	db.measurements["m"] = &measurement{name: "m", series: []*memSeries{s}, byKey: map[string]*memSeries{s.key: s}}
+	return db
+}
+
+// readerAnswers renders, bit for bit, what each reader gives over db's
+// measurement "m": count/sum/min/max of every field folded where it can
+// be from footers, the same with a median so every unit decodes, a raw
+// SELECT *, and CountValues.
+func readerAnswers(t *testing.T, db *DB, names []string) []string {
+	t.Helper()
+	var aggs, withP50 []Aggregate
+	for _, f := range names {
+		aggs = append(aggs, Aggregate{Fn: "count", Field: f}, Aggregate{Fn: "sum", Field: f},
+			Aggregate{Fn: "min", Field: f}, Aggregate{Fn: "max", Field: f})
+		withP50 = append(withP50, Aggregate{Fn: "p", Field: f, Pct: 50})
+	}
+	withP50 = append(withP50, aggs...)
+	var out []string
+	for _, q := range []*Query{
+		{Measurement: "m", Aggregates: aggs},
+		{Measurement: "m", Aggregates: withP50},
+		{Measurement: "m", Fields: []string{"*"}},
+	} {
+		res, err := db.ExecuteContext(context.Background(), QueryRequest{Query: q, Workers: 1, SkipCache: true})
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		var sb strings.Builder
+		fmt.Fprintln(&sb, res.Columns)
+		for _, r := range res.Rows {
+			fmt.Fprint(&sb, r.Time)
+			for _, c := range res.Columns {
+				if v, ok := r.Values[c]; ok {
+					fmt.Fprintf(&sb, " %s=%x", c, math.Float64bits(v))
+				}
+			}
+			sb.WriteByte('\n')
+		}
+		out = append(out, sb.String())
+	}
+	total, zeros := db.CountValues("m")
+	return append(out, fmt.Sprint(total, zeros))
+}
+
 // TestOpenBlockMatchesEncodeBlock seals 2 000 generated heads, one series
 // reused so every seal also tests the reset before it, and holds each
 // to the reference encoder's bytes for the stably sorted rows: rows in
 // order, rows up to 16 places late, rows in any order (duplicate times
 // arriving split between open block and side run), and a field first
-// seen mid-head. Before the seal the head must read back those rows.
+// seen mid-head. Before the seal the head must read back those rows, and
+// every reader — an aggregate from footers and decoded, a raw SELECT *,
+// CountValues and a retention cut — must answer over the head as over
+// the same rows sealed.
 func TestOpenBlockMatchesEncodeBlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x0be7b10c))
-	s := &memSeries{fields: map[string]int{}}
-	var withLate, splitDup, midField int
+	s, sealed := &memSeries{fields: map[string]int{}}, &memSeries{}
+	headDB, sealedDB := seriesDB(s), seriesDB(sealed)
+	var withLate, splitDup, midField, cut int
 	for c := 0; c < 2000; c++ {
+		s.blocks = nil // the last case's seal
 		times, names, cols := genBlockCase(rng)
 		rows := len(times)
 		key := make([]int, rows) // arrival order: rows sorted by key, stably
@@ -98,6 +154,7 @@ func TestOpenBlockMatchesEncodeBlock(t *testing.T) {
 		}
 		sort.SliceStable(order, func(i, j int) bool { return key[order[i]] < key[order[j]] })
 		wantT, wantC := insertCase(rng, s, times, names, cols, order)
+		stored := s.open.fieldNames()
 
 		label := fmt.Sprintf("case %d", c)
 		if s.headRows() != rows {
@@ -105,51 +162,72 @@ func TestOpenBlockMatchesEncodeBlock(t *testing.T) {
 		}
 		if len(s.side.times) > 0 {
 			withLate++
-			openT := make([]int64, s.open.rows)
-			if err := decodeTimeStream(s.open.ts, openT); err != nil {
+			openT, err := s.open.decodeTimes(nil)
+			if err != nil {
 				t.Fatalf("%s: open block times: %v", label, err)
 			}
 			if slices.ContainsFunc(s.side.times, func(ts int64) bool { _, ok := slices.BinarySearch(openT, ts); return ok }) {
 				splitDup++
 			}
 		}
-		gotT, gotC, err := s.headColumns(s.allCols(), nil, nil)
-		if err != nil {
-			t.Fatalf("%s: headColumns: %v", label, err)
+		var sc scratch
+		if _, _, err := s.head().columns(stored, 0, 0, &sc); err != nil {
+			t.Fatalf("%s: head columns: %v", label, err)
 		}
+		gotT, gotC := sc.times, sc.cols
 		if !slices.Equal(gotT, wantT) {
 			t.Fatalf("%s: head times differ from the stably sorted rows", label)
 		}
 		for ci := range wantC {
 			if gotC[ci] == nil {
 				if slices.ContainsFunc(wantC[ci], func(v float64) bool { return v == v }) {
-					t.Fatalf("%s: field %s: head reads no values", label, s.names[ci])
+					t.Fatalf("%s: field %s: head reads no values", label, stored[ci])
 				}
 				continue
 			}
 			for r, w := range wantC[ci] {
 				if math.Float64bits(gotC[ci][r]) != math.Float64bits(w) {
-					t.Fatalf("%s: field %s row %d: head reads %x, want %x", label, s.names[ci], r, math.Float64bits(gotC[ci][r]), math.Float64bits(w))
+					t.Fatalf("%s: field %s row %d: head reads %x, want %x", label, stored[ci], r, math.Float64bits(gotC[ci][r]), math.Float64bits(w))
 				}
 			}
 		}
-		want, err := refEncodeBlock(wantT, s.names, wantC)
+		want, err := refEncodeBlock(wantT, stored, wantC)
 		if err != nil {
 			t.Fatalf("%s: reference encode: %v", label, err)
 		}
-		got, err := s.seal()
+		got, err := s.closeHead()
 		if err != nil {
-			t.Fatalf("%s: seal: %v", label, err)
+			t.Fatalf("%s: close: %v", label, err)
 		}
 		if !bytes.Equal(got.blob, want.blob) {
 			t.Fatalf("%s: sealed %d bytes, reference %d; they differ", label, len(got.blob), len(want.blob))
+		}
+		sealed.blocks = []*block{got}
+		if h, b := readerAnswers(t, headDB, stored), readerAnswers(t, sealedDB, stored); !slices.Equal(h, b) {
+			t.Fatalf("%s: readers answer\n%q\nover the head, and\n%q\nover its sealed block", label, h, b)
+		}
+		// Retention cuts the head at its middle row, and the block there.
+		now := wantT[rows/2] + 1
+		if h, b := headDB.EnforceRetention(now), sealedDB.EnforceRetention(now); h != b {
+			t.Fatalf("%s: retention drops %d head rows, %d sealed", label, h, b)
+		} else if h > 0 {
+			cut++
+		}
+		if h, b := readerAnswers(t, headDB, stored), readerAnswers(t, sealedDB, stored); !slices.Equal(h, b) {
+			t.Fatalf("%s: after retention readers answer\n%q\nover the head, and\n%q\nover its sealed block", label, h, b)
+		}
+		if got, err = s.seal(); err != nil {
+			t.Fatalf("%s: seal: %v", label, err)
+		}
+		if !bytes.Equal(got.blob, sealed.blocks[0].blob) {
+			t.Fatalf("%s: the cut head seals to %d bytes, the cut block is %d; they differ", label, len(got.blob), len(sealed.blocks[0].blob))
 		}
 		if s.headRows() != 0 || s.headBytes() != 0 {
 			t.Fatalf("%s: seal left %d rows, %d bytes in the head", label, s.headRows(), s.headBytes())
 		}
 	}
-	if withLate < 500 || splitDup == 0 || midField < 500 {
-		t.Fatalf("generator coverage: late rows %d, equal times split %d, mid-head field %d", withLate, splitDup, midField)
+	if withLate < 500 || splitDup == 0 || midField < 500 || cut < 1000 {
+		t.Fatalf("generator coverage: late rows %d, equal times split %d, mid-head field %d, retention cut %d", withLate, splitDup, midField, cut)
 	}
 }
 
@@ -215,9 +293,9 @@ func TestHeadReadersDoNotMutate(t *testing.T) {
 // headCapBytes is what a series head holds on the heap: the capacity of
 // every buffer it appended into, and its column array.
 func headCapBytes(s *memSeries) int {
-	n := cap(s.open.ts) + cap(s.open.cols)*int(unsafe.Sizeof(openCol{})) + 8*cap(s.side.times)
+	n := cap(s.open.ts) + cap(s.open.cols)*int(unsafe.Sizeof(openCol{})) + cap(s.open.fields)*int(unsafe.Sizeof(blockField{})) + 8*cap(s.side.times)
 	for i := range s.open.cols {
-		n += cap(s.open.cols[i].bitmap) + cap(s.open.cols[i].vw.buf)
+		n += cap(s.open.fields[i].bitmap) + cap(s.open.fields[i].stream)
 	}
 	for _, col := range s.side.cols {
 		n += 8 * cap(col)
@@ -282,9 +360,9 @@ func TestStorageBytesGauge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := b.tsLen
+	want := len(b.ts)
 	for _, f := range b.fields {
-		want += f.valLen
+		want += len(f.stream)
 	}
 	if got := in.Metrics().Snapshot().GaugeValue("storage.bytes"); got != float64(want) {
 		t.Fatalf("storage.bytes = %v over a live head, want its streams' %d", got, want)

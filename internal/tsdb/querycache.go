@@ -42,8 +42,7 @@ type queryCache struct {
 }
 
 // cacheEntry holds a result nothing writes after put: get hands out res
-// itself, which the server encodes concurrently with other readers and
-// ExecuteContext copies for an embedded caller.
+// itself, which every caller that hits it reads concurrently.
 type cacheEntry struct {
 	key         string
 	measurement string
@@ -219,24 +218,4 @@ func (c *queryCache) len() int {
 		}
 	}
 	return n
-}
-
-// copyResult deep-copies a result so cache-resident rows are never
-// aliased by embedded callers, which own what ExecuteContext returns.
-func copyResult(res *Result) *Result {
-	out := &Result{
-		Measurement: res.Measurement,
-		Columns:     append([]string(nil), res.Columns...),
-	}
-	if res.Rows != nil {
-		out.Rows = make([]Row, len(res.Rows))
-		for i, r := range res.Rows {
-			vals := make(map[string]float64, len(r.Values))
-			for k, v := range r.Values {
-				vals[k] = v
-			}
-			out.Rows[i] = Row{Time: r.Time, Values: vals}
-		}
-	}
-	return out
 }

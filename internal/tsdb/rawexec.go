@@ -8,12 +8,11 @@ import (
 )
 
 // rawRun is one time-sorted source of rows for the raw SELECT merge: a
-// decoded sealed block or series head, restricted to the query's time
-// bounds and to the selected columns it actually carries.
+// decoded unit's selected columns (names), and the span of its rows in
+// the query's time bounds.
 type rawRun struct {
-	times    []int64
+	scratch
 	names    []string
-	cols     [][]float64
 	pos, end int
 }
 
@@ -33,74 +32,14 @@ func timeBounds(times []int64, from, to int64) (lo, hi int) {
 	return lo, hi
 }
 
-// blockRawRun decodes the selected columns of a sealed block into a
-// merge run: the timestamp column first, and no field at all when no
-// row is in bounds. A block carrying none of the selected fields yields
-// an empty run — none of its rows could contribute a row.
-func blockRawRun(b *block, q *Query, selectAll bool) (rawRun, error) {
-	var run rawRun
-	times, err := b.decodeTimes(nil)
-	if err != nil {
-		return run, err
-	}
-	pos, end := timeBounds(times, q.From, q.To)
-	if pos == end {
-		return run, nil
-	}
-	for fi := range b.fields {
-		name := b.fields[fi].name
-		if !selectAll && !slices.Contains(q.Fields, name) {
-			continue
-		}
-		col, err := b.decodeField(fi, nil)
-		if err != nil {
-			return run, err
-		}
-		run.names = append(run.names, name)
-		run.cols = append(run.cols, col)
-	}
-	if len(run.names) > 0 {
-		run.times, run.pos, run.end = times, pos, end
-	}
-	return run, nil
-}
-
-// headRawRun decodes the selected columns of a series head into a merge
-// run, its late rows merged in; a field the head holds no value of
-// joins no run.
-func headRawRun(s *memSeries, q *Query, selectAll bool) (rawRun, error) {
-	var run rawRun
-	var cis []int
-	for ci, name := range s.names {
-		if selectAll || slices.Contains(q.Fields, name) {
-			cis = append(cis, ci)
-		}
-	}
-	times, cols, err := s.headColumns(cis, nil, nil)
-	if err != nil {
-		return run, err
-	}
-	for i, col := range cols {
-		if col != nil {
-			run.names = append(run.names, s.names[cis[i]])
-			run.cols = append(run.cols, col)
-		}
-	}
-	if len(run.names) > 0 {
-		run.times = times
-		run.pos, run.end = timeBounds(times, q.From, q.To)
-	}
-	return run, nil
-}
-
 // appendRawRow renders the run's current row (skipping it when no
 // selected field is present) and advances the cursor.
 func appendRawRow(res *Result, r *rawRun) {
 	t := r.times[r.pos]
 	vals := make(map[string]float64, len(r.names))
 	for ci, name := range r.names {
-		if v := r.cols[ci][r.pos]; v == v {
-			vals[name] = v
+		if col := r.cols[ci]; col != nil && col[r.pos] == col[r.pos] {
+			vals[name] = col[r.pos]
 		}
 	}
 	r.pos++
@@ -137,48 +76,32 @@ func runLess(runs []rawRun, a, b int) bool {
 	return ta < tb || (ta == tb && a < b)
 }
 
-// execRaw materializes a raw SELECT: per matching series, the
-// overlapping sealed blocks decode into sorted runs and the head joins
-// as a final run; a k-way merge emits rows in (time, series, ingest)
-// order — the same order the row store produced. Like the aggregate
-// scan it observes cancellation between blocks, never mid-block.
+// execRaw materializes a raw SELECT: every unit decodes its selected
+// fields into a sorted run, and a k-way merge emits rows in (time,
+// series, ingest) order — the same order the row store produced. Like
+// the aggregate scan it observes cancellation between units, never
+// mid-unit.
 func (db *DB) execRaw(ctx context.Context, q *Query) (*Result, error) {
 	db.data.RLock()
 	defer db.data.RUnlock()
 	res := &Result{Measurement: q.Measurement, Columns: q.Fields}
-	m := db.measurements[q.Measurement]
-	if m == nil {
-		return res, nil
-	}
 	selectAll := len(q.Fields) == 1 && q.Fields[0] == "*"
 	var runs []rawRun
-	for _, s := range m.series {
-		if !s.matchTags(q.TagFilter) {
-			continue
+	for _, u := range db.units(q) {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("tsdb: query: %w", err)
 		}
-		for _, b := range s.blocks {
-			if (q.From != 0 && b.maxT < q.From) || (q.To != 0 && b.minT > q.To) {
-				continue
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("tsdb: query: %w", err)
-			}
-			run, err := blockRawRun(b, q, selectAll)
-			if err != nil {
-				return nil, err
-			}
-			if run.end > run.pos {
-				runs = append(runs, run)
-			}
+		run := rawRun{names: q.Fields}
+		if selectAll {
+			run.names = u.b.fieldNames()
 		}
-		if minT, maxT, ok := s.headRange(); ok && (q.From == 0 || maxT >= q.From) && (q.To == 0 || minT <= q.To) {
-			run, err := headRawRun(s, q, selectAll)
-			if err != nil {
-				return nil, err
-			}
-			if run.end > run.pos {
-				runs = append(runs, run)
-			}
+		var err error
+		if run.pos, run.end, err = u.columns(run.names, q.From, q.To, &run.scratch); err != nil {
+			return nil, err
+		}
+		// A unit holding none of the selected fields has no row to give.
+		if run.end > run.pos && slices.ContainsFunc(run.cols, func(c []float64) bool { return c != nil }) {
+			runs = append(runs, run)
 		}
 	}
 	total := 0

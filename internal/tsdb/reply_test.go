@@ -414,9 +414,11 @@ func BenchmarkQueryReply(b *testing.B) {
 }
 
 // TestWireReadersShareCachedResult: wire readers encode one cache-resident
-// result at once while a writer invalidates it and readers refill it. Every
-// reply must be the SkipCache answer at some batch boundary, and under
-// -race any write to a shared result is reported.
+// result at once, and embedded ExecuteContext callers read it, while a
+// writer invalidates it and readers refill it. Every reply must be the
+// SkipCache answer at some batch boundary, embedded hits must return the
+// one resident *Result, and under -race any write to a shared result is
+// reported.
 func TestWireReadersShareCachedResult(t *testing.T) {
 	db := New()
 	srv, addr := startServer(t, db)
@@ -458,27 +460,34 @@ func TestWireReadersShareCachedResult(t *testing.T) {
 
 	done := make(chan struct{})
 	progress := make(chan struct{}, readers) // one query done, per reader at most
-	replies := make([][]string, readers)
+	replies := make([][]string, 2*readers)
 	var wg sync.WaitGroup
 	stop := sync.OnceFunc(func() { close(done); wg.Wait() })
 	defer stop()
-	for r := 0; r < readers; r++ {
+	// Readers [0, readers) query over the wire, the rest embedded.
+	for r := 0; r < 2*readers; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			c, err := DialPolicy(addr, testPolicy())
-			if err != nil {
-				t.Error(err)
-				return
+			query := func(stmt string) (*Result, error) {
+				return db.ExecuteContext(ctx, QueryRequest{Statement: stmt})
 			}
-			defer c.Close()
+			if r < readers {
+				c, err := DialPolicy(addr, testPolicy())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer c.Close()
+				query = func(stmt string) (*Result, error) { return c.QueryContext(ctx, stmt) }
+			}
 			for i := 0; ; i++ {
 				select {
 				case <-done:
 					return
 				default:
 				}
-				res, err := c.QueryContext(ctx, stmts[i%len(stmts)])
+				res, err := query(stmts[i%len(stmts)])
 				if err != nil {
 					t.Error(err)
 					return
@@ -516,4 +525,25 @@ func TestWireReadersShareCachedResult(t *testing.T) {
 	if n < readers*len(stmts) {
 		t.Fatalf("readers made only %d queries", n)
 	}
+	// Concurrent embedded hits share the one resident result.
+	resident, err := db.ExecuteContext(ctx, QueryRequest{Statement: stmts[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := string(replyLine(resident))
+	var hits sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		hits.Add(1)
+		go func() {
+			defer hits.Done()
+			for i := 0; i < 20; i++ {
+				res, err := db.ExecuteContext(ctx, QueryRequest{Statement: stmts[0]})
+				if err != nil || res != resident || string(replyLine(res)) != want {
+					t.Errorf("hit %d: error %v, resident result %v", i, err, res == resident)
+					return
+				}
+			}
+		}()
+	}
+	hits.Wait()
 }

@@ -1,7 +1,5 @@
 package tsdb
 
-import "sort"
-
 // EnforceRetention drops points older than now-Duration. Returns the
 // number of points dropped. Sealed blocks wholly before the cutoff are
 // dropped in O(1) each — no decompression, just unlinking — and at most
@@ -78,22 +76,16 @@ func (db *DB) retainSeries(s *memSeries, cutoff int64) int {
 		s.blocks[i] = nil
 	}
 	s.blocks = kept
-	if minT, _, ok := s.headRange(); ok && minT < cutoff {
-		times, cols, err := s.headColumns(s.allCols(), nil, nil)
+	if h := s.head(); s.open.rows > 0 && h.minT < cutoff {
+		times, cols, n, err := h.since(s.open.fieldNames(), cutoff)
 		if err != nil {
 			return dropped // an engine bug; keep the data
 		}
-		i := sort.Search(len(times), func(i int) bool { return times[i] >= cutoff })
-		for ci, col := range cols {
-			if col != nil {
-				cols[ci] = col[i:]
-			}
-		}
 		pre := s.headBytes()
 		s.resetHead()
-		s.open.appendRows(times[i:], cols)
-		dropped += i
-		st.headRows -= int64(i)
+		s.open.appendRows(times, cols)
+		dropped += n
+		st.headRows -= int64(n)
 		st.headBytes += s.headBytes() - pre
 	}
 	return dropped
@@ -103,27 +95,11 @@ func (db *DB) retainSeries(s *memSeries, cutoff int64) int {
 // block, returning it and the number of rows removed. The caller has
 // established minT < cutoff <= maxT, so the suffix is never empty.
 func shrinkBlock(b *block, cutoff int64) (*block, int, error) {
-	times, err := b.decodeTimes(nil)
-	if err != nil {
-		return nil, 0, err
+	names := b.fieldNames()
+	times, cols, n, err := unit{b: b}.since(names, cutoff)
+	if err != nil || n == 0 {
+		return b, 0, err
 	}
-	idx := sort.Search(len(times), func(i int) bool { return times[i] >= cutoff })
-	if idx == 0 {
-		return b, 0, nil
-	}
-	names := make([]string, len(b.fields))
-	cols := make([][]float64, len(b.fields))
-	for i := range b.fields {
-		names[i] = b.fields[i].name
-		col, err := b.decodeField(i, nil)
-		if err != nil {
-			return nil, 0, err
-		}
-		cols[i] = col[idx:]
-	}
-	nb, err := encodeBlock(times[idx:], names, cols)
-	if err != nil {
-		return nil, 0, err
-	}
-	return nb, idx, nil
+	nb, err := encodeBlock(times, names, cols)
+	return nb, n, err
 }

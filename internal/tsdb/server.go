@@ -264,7 +264,7 @@ func (s *Server) handleQuery(c *wire.Conn, rest string, arrivalNanos int64) {
 	if err == nil {
 		ectx, es := c.In.StartSpan(qctx, "tsdb.server.exec")
 		// A cached aggregate is the cache's own result: read, not copied.
-		res, err = s.db.execute(ectx, QueryRequest{Query: q}, false)
+		res, err = s.db.ExecuteContext(ectx, QueryRequest{Query: q})
 		es.End(err)
 	}
 	// A result that will not encode fails the reply and the record, not

@@ -450,27 +450,20 @@ func (db *DB) Stats() (points, values uint64) {
 
 // CountValues returns the number of stored field values in a measurement,
 // and how many of them are zero — the accounting Table III reports
-// ("Inserted" and "Zeros" columns). Blocks and open blocks answer from
-// their footers without decompression; only late rows are scanned.
+// ("Inserted" and "Zeros" columns). Units answer from their footers
+// without decompression; only late rows are scanned.
 func (db *DB) CountValues(measurement string) (total, zeros uint64) {
 	db.data.RLock()
 	defer db.data.RUnlock()
-	m := db.measurements[measurement]
-	if m == nil {
-		return 0, 0
-	}
-	for _, s := range m.series {
-		for _, b := range s.blocks {
-			for i := range b.fields {
-				total += b.fields[i].count
-				zeros += b.fields[i].zeros
-			}
+	for _, u := range db.units(&Query{Measurement: measurement}) {
+		for i := range u.b.fields {
+			total += u.b.fields[i].count
+			zeros += u.b.fields[i].zeros
 		}
-		for i := range s.open.cols {
-			total += s.open.cols[i].count
-			zeros += s.open.cols[i].zeros
+		if u.side == nil {
+			continue
 		}
-		for _, col := range s.side.cols {
+		for _, col := range u.side.cols {
 			for _, v := range col {
 				if v == v { // non-NaN: a present value
 					total++
@@ -490,7 +483,10 @@ type Row struct {
 	Values map[string]float64
 }
 
-// Result is a query result: the selected field columns and the rows.
+// Result is a query result: the selected field columns and the rows. A
+// result is shared and read-only: a cached aggregate's is the
+// cache-resident one, read by every caller that hits it, so no caller
+// may write its rows, value maps or columns.
 type Result struct {
 	Measurement string
 	Columns     []string
@@ -517,16 +513,10 @@ type QueryRequest struct {
 // ExecuteContext runs one query from its request form, holding the data
 // lock shared for the scan. Aggregate queries run on the parallel
 // block-aware engine (aggexec.go) behind the invalidation-correct result
-// cache (querycache.go); raw SELECTs merge the sorted runs (sealed
-// blocks + heads) of every matching series (rawexec.go).
+// cache (querycache.go), whose resident result a hit or a fill returns;
+// raw SELECTs merge the sorted runs (sealed blocks + heads) of every
+// matching series (rawexec.go).
 func (db *DB) ExecuteContext(ctx context.Context, req QueryRequest) (*Result, error) {
-	return db.execute(ctx, req, true)
-}
-
-// execute is ExecuteContext. With private false a cached aggregate is the
-// cache-resident result itself, hit or fill, which the caller may only
-// read: the server encoding a reply.
-func (db *DB) execute(ctx context.Context, req QueryRequest, private bool) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("tsdb: query: %w", err)
 	}
@@ -550,9 +540,6 @@ func (db *DB) execute(ctx context.Context, req QueryRequest, private bool) (*Res
 		key := q.String()
 		if !req.SkipCache {
 			if res, ok := db.qcache.get(key); ok {
-				if private {
-					res = copyResult(res)
-				}
 				return res, nil
 			}
 		}
@@ -562,13 +549,7 @@ func (db *DB) execute(ctx context.Context, req QueryRequest, private bool) (*Res
 			return nil, err
 		}
 		if !req.SkipCache {
-			cached := res
-			if private {
-				// The cache keeps its own copy; the caller's result stays
-				// private either way.
-				cached = copyResult(res)
-			}
-			db.qcache.put(key, q.Measurement, ver, cached)
+			db.qcache.put(key, q.Measurement, ver, res)
 		}
 		return res, nil
 	}
