@@ -62,12 +62,18 @@ fi
 # heap 13.9 -> 2.4 B/point. -167 when the open block became a block to
 # every reader: one unit list and one unit decode in place of the head's
 # second read path in each engine, retention and snapshot load, and the
-# cached result shared instead of copied.)
+# cached result shared instead of copied. -3 when storage.Store took
+# the closed/crashed lifecycle over from tsdb and docdb, and their
+# dead seq counters and Retention accessor went, net of the WRITEB
+# server's in-flight token claim.)
 # The second line is the same ratchet over all non-test Go outside the
 # benchmark's frozen paths (BENCHMARK.json "paths"): 26 312 before the
 # two wire servers became one skeleton (internal/wire), 26 222 after,
 # 26 640 with the reply codec, 26 903 with the open head, 26 736 with
-# one reader for sealed and open blocks.
+# one reader for sealed and open blocks, 26 650 with one durable
+# lifecycle: the stores' closed flags and lock-and-nil-check methods,
+# RewriteWAL, the sync-interval setters, IsTorn and the unread Store
+# accessors gone, and the spill journal a Store.
 size_gate() { # $1: what is counted; $2: ceiling; stdin: the files
     size=$(xargs cat | wc -l)
     echo "size: $1 ${size} non-test lines (ceiling $2)"
@@ -76,9 +82,21 @@ size_gate() { # $1: what is counted; $2: ceiling; stdin: the files
         exit 1
     fi
 }
-find internal/tsdb -name '*.go' ! -name '*_test.go' | size_gate internal/tsdb 4579
+find internal/tsdb -name '*.go' ! -name '*_test.go' | size_gate internal/tsdb 4576
 find . -name '*.go' ! -name '*_test.go' ! -path './internal/bench/*' ! -path './cmd/pmovebench/*' |
-    size_gate 'outside the benchmark paths' 26736
+    size_gate 'outside the benchmark paths' 26650
+
+# One durable lifecycle: every durable byte goes through storage.Store
+# (store.go over wal.go), which owns closed and crashed. A bare WAL
+# outside internal/storage is a second place for that rule to be
+# forgotten. The benchmark's frozen paths time the WAL itself.
+bare_wals=$(grep -rlE 'storage\.(OpenWAL|RewriteWAL)\(' --include='*.go' --exclude='*_test.go' . |
+    grep -Ev '^\./(internal/storage|internal/bench|cmd/pmovebench)/' || true)
+if [ -n "$bare_wals" ]; then
+    echo "storage gate: open a storage.Store, not a bare WAL:" >&2
+    echo "$bare_wals" >&2
+    exit 1
+fi
 
 # One accept loop: tsdb and docdb serve through internal/wire. A second
 # loop is a second place for a close-vs-accept rule to be forgotten.

@@ -23,7 +23,7 @@ func EvalOverTSDB(db *tsdb.DB, reg *Registry, pmuName, genericEvent, tag string,
 		return 0, err
 	}
 	return f.Eval(func(hwEvent string) (float64, error) {
-		meas := "perfevent_hwcounters_" + sanitize(hwEvent)
+		meas := "perfevent_hwcounters_" + tsdb.MeasurementName(hwEvent)
 		q := &tsdb.Query{
 			Fields:      fields,
 			Measurement: meas,
@@ -58,18 +58,4 @@ func EvalOverTSDB(db *tsdb.DB, reg *Registry, pmuName, genericEvent, tag string,
 		}
 		return total, nil
 	})
-}
-
-// sanitize mirrors the measurement naming of the telemetry exporter.
-func sanitize(ev string) string {
-	out := make([]rune, 0, len(ev))
-	for _, r := range ev {
-		switch r {
-		case ':', '.', '-':
-			out = append(out, '_')
-		default:
-			out = append(out, r)
-		}
-	}
-	return string(out)
 }

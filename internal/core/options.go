@@ -56,7 +56,9 @@ func WithTelemetrySink(sink telemetry.PointSink) Option {
 // directories under dir (tsdb/ and docdb/ subdirectories), replaying
 // them on construction so KB documents and telemetry survive a daemon
 // crash. fsync selects the durability policy: "always" (ack = durable),
-// "interval" or "never"; "" means always. Open/recovery failures
+// "interval" (a write fsyncs when 100 ms have passed since the last
+// sync; an idle log stays unsynced until the next write or Close) or
+// "never"; "" means always. Open/recovery failures
 // surface from NewWith. Without this option the daemon keeps its
 // zero-config in-memory databases.
 func WithDataDir(dir, fsync string) Option {

@@ -159,18 +159,18 @@ type Collection struct {
 // optionally backed by a write-ahead log + snapshot data directory
 // (Open) so acknowledged mutations survive a crash.
 type DB struct {
-	mu          sync.RWMutex
+	mu          sync.RWMutex // guards collections
 	collections map[string]*Collection
 	// compactMu serializes mutations (read side) against Compact/Close/
 	// Crash (write side), so a snapshot is a quiescent point: every WAL
 	// record it claims to cover has committed to memory, and none past
 	// it have. Lock order: compactMu, then Collection.mu, then DB.mu.
 	compactMu sync.RWMutex
-	// store is the durability layer; nil in the default in-memory mode.
-	// closed marks a released durable DB: reads keep working, mutations
-	// are refused rather than silently volatile.
-	store  *storage.Store
-	closed bool
+	// store is the durability layer, set once by Open; nil in the
+	// default in-memory mode. Once closed or crashed it refuses appends
+	// (storage.ErrClosed): reads keep working, mutations are refused
+	// rather than silently volatile.
+	store *storage.Store
 }
 
 // New creates an empty database.
@@ -223,11 +223,20 @@ func (c *Collection) Insert(d Doc) (string, error) {
 	if _, exists := c.docs[id]; exists {
 		return "", fmt.Errorf("docdb: duplicate _id %q in %s", id, c.name)
 	}
-	if err := c.logLocked(walOp{Op: "insert", Collection: c.name, Doc: stored, Seq: c.seq}); err != nil {
+	if err := c.putLocked(walOp{Op: "insert", Collection: c.name, Doc: stored, Seq: c.seq}); err != nil {
 		return "", err
 	}
-	c.docs[id] = stored
 	return id, nil
+}
+
+// putLocked logs a resolved insert or replace of op.Doc, then stores it.
+// Callers hold c.mu and have checked the op against c.docs under it.
+func (c *Collection) putLocked(op walOp) error {
+	if err := c.logLocked(op); err != nil {
+		return err
+	}
+	c.docs[op.Doc.ID()] = op.Doc
+	return nil
 }
 
 // Get fetches a document by id.
@@ -288,26 +297,26 @@ func (c *Collection) Replace(id string, d Doc) error {
 	if _, ok := c.docs[id]; !ok {
 		return fmt.Errorf("docdb: no document %q in %s", id, c.name)
 	}
-	if err := c.logLocked(walOp{Op: "replace", Collection: c.name, ID: id, Doc: stored}); err != nil {
-		return err
-	}
-	c.docs[id] = stored
-	return nil
+	return c.putLocked(walOp{Op: "replace", Collection: c.name, ID: id, Doc: stored})
 }
 
-// Upsert inserts or replaces by id; an empty id inserts fresh.
+// Upsert inserts or replaces by id; an empty id inserts fresh. Which of
+// the two it is gets decided, logged and applied under one hold of the
+// collection lock, so concurrent upserts of one fresh id all succeed:
+// the first inserts, the rest replace.
 func (c *Collection) Upsert(d Doc) (string, error) {
 	id := d.ID()
 	if id == "" {
 		return c.Insert(d)
 	}
+	stored := d.Clone()
+	defer c.beginMutation()()
 	c.mu.Lock()
-	_, exists := c.docs[id]
-	c.mu.Unlock()
-	if exists {
-		return id, c.Replace(id, d)
+	defer c.mu.Unlock()
+	if _, exists := c.docs[id]; exists {
+		return id, c.putLocked(walOp{Op: "replace", Collection: c.name, ID: id, Doc: stored})
 	}
-	return c.Insert(d)
+	return id, c.putLocked(walOp{Op: "insert", Collection: c.name, Doc: stored, Seq: c.seq})
 }
 
 // SetField sets a top-level or nested field (dot path; intermediate maps

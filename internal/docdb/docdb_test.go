@@ -2,8 +2,13 @@ package docdb
 
 import (
 	"context"
+	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
+
+	"pmove/internal/storage"
 )
 
 func TestInsertGeneratesIDs(t *testing.T) {
@@ -159,6 +164,49 @@ func TestReplaceAndUpsert(t *testing.T) {
 	got, _ = c.Get("u1")
 	if got["v"] != 5.0 {
 		t.Errorf("upsert replace: %v", got)
+	}
+}
+
+// TestUpsertFreshIDConcurrently: concurrent upserts of one fresh _id —
+// the lost-ack retry of a checkpoint — all succeed, one inserting and
+// the rest replacing, and the WAL replays the resolved ops to the same
+// collection.
+func TestUpsertFreshIDConcurrently(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, storage.FsyncNever)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := db.Collection("ckpt")
+	const rounds, writers = 50, 16
+	for r := 0; r < rounds; r++ {
+		id := fmt.Sprintf("ckpt-%d", r)
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				if _, err := c.Upsert(Doc{"_id": id, "w": w}); err != nil {
+					t.Errorf("upsert %s by writer %d: %v", id, w, err)
+				}
+			}(w)
+		}
+		wg.Wait()
+	}
+	want := c.Find(nil)
+	if len(want) != rounds {
+		t.Fatalf("%d documents, want %d", len(want), rounds)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir, storage.FsyncNever)
+	if err != nil {
+		t.Fatalf("replay of the upserts: %v", err)
+	}
+	defer re.Close()
+	if got := re.Collection("ckpt").Find(nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed upserts differ:\n got %v\nwant %v", got, want)
 	}
 }
 

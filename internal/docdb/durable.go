@@ -55,26 +55,18 @@ func (c *Collection) beginMutation() func() {
 }
 
 // logLocked appends one mutation to the owning DB's WAL (no-op in
-// memory). Callers hold c.mu; a failed append aborts the mutation so
-// memory never runs ahead of what recovery can reconstruct.
+// memory). Callers hold c.mu; a failed append — storage.ErrClosed on a
+// closed DB among them — aborts the mutation so memory never runs ahead
+// of what recovery can reconstruct.
 func (c *Collection) logLocked(op walOp) error {
-	if c.db == nil {
-		return nil
-	}
-	c.db.mu.RLock()
-	st, closed := c.db.store, c.db.closed
-	c.db.mu.RUnlock()
-	if closed {
-		return fmt.Errorf("docdb: mutation on closed durable DB")
-	}
-	if st == nil {
+	if c.db == nil || c.db.store == nil {
 		return nil
 	}
 	b, err := json.Marshal(op)
 	if err != nil {
 		return fmt.Errorf("docdb: encode wal op: %w", err)
 	}
-	if _, err := st.Append(b); err != nil {
+	if _, err := c.db.store.Append(b); err != nil {
 		return fmt.Errorf("docdb: wal append: %w", err)
 	}
 	return nil
@@ -115,9 +107,7 @@ func Open(dir string, pol storage.FsyncPolicy) (*DB, error) {
 			return nil, fmt.Errorf("docdb: replay record %d in %s: %w", r.Seq, dir, err)
 		}
 	}
-	db.mu.Lock()
 	db.store = st
-	db.mu.Unlock()
 	return db, nil
 }
 
@@ -154,52 +144,30 @@ func (db *DB) applyOp(op walOp) error {
 	return nil
 }
 
-// Durable reports whether the DB is backed by a data directory.
-func (db *DB) Durable() bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.store != nil
-}
-
 // WALPath returns the write-ahead log path ("" for in-memory DBs).
-func (db *DB) WALPath() string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.store == nil {
-		return ""
-	}
-	return db.store.WALPath()
-}
+func (db *DB) WALPath() string { return db.store.WALPath() }
 
 // Sync forces the WAL to stable storage. No-op in memory.
-func (db *DB) Sync() error {
-	db.mu.RLock()
-	st := db.store
-	db.mu.RUnlock()
-	if st == nil {
-		return nil
-	}
-	return st.Sync()
-}
+func (db *DB) Sync() error { return db.store.Sync() }
 
 // Compact folds the current state into an atomic snapshot and resets
 // the WAL. The compaction barrier keeps mutations out while the
 // snapshot is cut, so it is a true quiescent point: every logged record
 // is reflected in it, and recovery's overlap filter makes a crash
-// anywhere inside Compact harmless. No-op in memory.
+// anywhere inside Compact harmless. No-op in memory; after Close or
+// Crash it returns storage.ErrClosed.
 func (db *DB) Compact() error {
 	db.compactMu.Lock()
 	defer db.compactMu.Unlock()
+	if db.store == nil {
+		return nil
+	}
 	db.mu.RLock()
-	st := db.store
 	cols := make(map[string]*Collection, len(db.collections))
 	for n, c := range db.collections {
 		cols[n] = c
 	}
 	db.mu.RUnlock()
-	if st == nil {
-		return nil
-	}
 	img := snapshotImage{Collections: map[string]snapshotCollection{}}
 	names := make([]string, 0, len(cols))
 	for n := range cols {
@@ -220,37 +188,23 @@ func (db *DB) Compact() error {
 	if err != nil {
 		return fmt.Errorf("docdb: encode snapshot: %w", err)
 	}
-	return st.Compact(b)
+	return db.store.Compact(b)
 }
 
 // Close flushes and releases the data directory; reads keep working,
-// further mutations are refused. No-op in memory.
+// further mutations return storage.ErrClosed. No-op in memory, and on a
+// closed or crashed DB.
 func (db *DB) Close() error {
 	db.compactMu.Lock()
 	defer db.compactMu.Unlock()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.store == nil {
-		return nil
-	}
-	err := db.store.Close()
-	db.store = nil
-	db.closed = true
-	return err
+	return db.store.Close()
 }
 
 // Crash simulates dying without a flush: the WAL keeps only what the
-// fsync policy already made stable. Test/simulation use only.
+// fsync policy already made stable, and the DB is closed.
+// Test/simulation use only.
 func (db *DB) Crash() error {
 	db.compactMu.Lock()
 	defer db.compactMu.Unlock()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.store == nil {
-		return nil
-	}
-	err := db.store.Crash()
-	db.store = nil
-	db.closed = true
-	return err
+	return db.store.Crash()
 }

@@ -2,6 +2,7 @@ package docdb
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"reflect"
@@ -142,27 +143,47 @@ func TestDurableTornTailRecovers(t *testing.T) {
 	}
 }
 
-// TestClosedDurableDBRefusesMutations: reads survive Close, mutations
-// are refused instead of going silently volatile.
+// TestClosedDurableDBRefusesMutations: reads survive Close and Crash,
+// mutations and Compact are refused with storage.ErrClosed instead of
+// going silently volatile, and Close after either is a no-op.
 func TestClosedDurableDBRefusesMutations(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(dir, storage.FsyncAlways)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := db.Collection("col")
-	if _, err := c.Insert(Doc{"keep": true}); err != nil {
-		t.Fatal(err)
-	}
-	db.Close()
-	if _, err := c.Insert(Doc{"lost": true}); err == nil {
-		t.Fatal("closed durable DB accepted an insert")
-	}
-	if err := c.SetField("nope", "a", 1); err == nil {
-		t.Fatal("closed durable DB accepted a setfield")
-	}
-	if n := c.Count(nil); n != 1 {
-		t.Fatalf("closed DB unreadable or mutated: %d docs", n)
+	for _, end := range []string{"close", "crash"} {
+		t.Run(end, func(t *testing.T) {
+			db, err := Open(t.TempDir(), storage.FsyncAlways)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := db.Collection("col")
+			id, err := c.Insert(Doc{"keep": true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stop := db.Close
+			if end == "crash" {
+				stop = db.Crash
+			}
+			if err := stop(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Insert(Doc{"lost": true}); !errors.Is(err, storage.ErrClosed) {
+				t.Fatalf("insert after %s: %v, want storage.ErrClosed", end, err)
+			}
+			if _, err := c.Upsert(Doc{"_id": id, "lost": true}); !errors.Is(err, storage.ErrClosed) {
+				t.Fatalf("upsert after %s: %v, want storage.ErrClosed", end, err)
+			}
+			if err := c.SetField(id, "a", 1); !errors.Is(err, storage.ErrClosed) {
+				t.Fatalf("setfield after %s: %v, want storage.ErrClosed", end, err)
+			}
+			if err := db.Compact(); !errors.Is(err, storage.ErrClosed) {
+				t.Fatalf("Compact after %s: %v, want storage.ErrClosed", end, err)
+			}
+			if d, ok := c.Get(id); !ok || len(d) != 2 || c.Count(nil) != 1 {
+				t.Fatalf("closed DB unreadable or mutated: %v, %d docs", d, c.Count(nil))
+			}
+			if err := db.Close(); err != nil {
+				t.Fatalf("Close after %s: %v", end, err)
+			}
+		})
 	}
 }
 

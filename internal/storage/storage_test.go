@@ -181,7 +181,7 @@ func TestCorruptCRCMidFile(t *testing.T) {
 	if !errors.Is(oerr, ErrCorruptRecord) {
 		t.Fatalf("error %v, want ErrCorruptRecord", oerr)
 	}
-	if IsTorn(oerr) {
+	if errors.Is(oerr, ErrTornRecord) {
 		t.Fatalf("mid-file corruption classified as torn: %v", oerr)
 	}
 }
@@ -358,52 +358,105 @@ func TestStoreCorruptSnapshotErrors(t *testing.T) {
 	}
 }
 
-func TestRewriteWAL(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.wal")
-	w, _, _ := openWAL(t, path, FsyncAlways)
-	mustAppend(t, w, "stale-1")
-	mustAppend(t, w, "stale-2")
-	w.Close()
-	w2, recs, err := RewriteWAL(path, FsyncAlways, [][]byte{[]byte("kept")})
-	if err != nil {
-		t.Fatalf("RewriteWAL: %v", err)
+// TestStoreRefusesAfterClose: the store owns its lifecycle. Once closed
+// or crashed it refuses Append and Compact with ErrClosed and leaves its
+// files as they were — no snapshot, no new wal.log — while Sync, Close
+// and Crash are no-ops; so are they on the nil store of the in-memory
+// mode.
+func TestStoreRefusesAfterClose(t *testing.T) {
+	for _, end := range []string{"close", "crash"} {
+		t.Run(end, func(t *testing.T) {
+			dir := t.TempDir()
+			s, _, err := Open(dir, FsyncAlways)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Append([]byte("kept")); err != nil {
+				t.Fatal(err)
+			}
+			stop := s.Close
+			if end == "crash" {
+				stop = s.Crash
+			}
+			if err := stop(); err != nil {
+				t.Fatal(err)
+			}
+			walImg, err := os.ReadFile(s.WALPath())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Compact([]byte("STATE")); !errors.Is(err, ErrClosed) {
+				t.Fatalf("Compact after %s: %v, want ErrClosed", end, err)
+			}
+			if _, err := s.Append([]byte("late")); !errors.Is(err, ErrClosed) {
+				t.Fatalf("Append after %s: %v, want ErrClosed", end, err)
+			}
+			if _, err := os.Stat(filepath.Join(dir, snapshotFileName)); !os.IsNotExist(err) {
+				t.Fatalf("a closed store wrote a snapshot (stat: %v)", err)
+			}
+			if img, err := os.ReadFile(s.WALPath()); err != nil || !bytes.Equal(img, walImg) {
+				t.Fatalf("a closed store rewrote its WAL: %d bytes, was %d (%v)", len(img), len(walImg), err)
+			}
+			for name, f := range map[string]func() error{"Sync": s.Sync, "Close": s.Close, "Crash": s.Crash} {
+				if err := f(); err != nil {
+					t.Errorf("%s after %s: %v, want nil", name, end, err)
+				}
+			}
+		})
 	}
-	defer w2.Close()
-	if len(recs) != 1 || string(recs[0].Data) != "kept" || recs[0].Seq != 1 {
-		t.Fatalf("rewritten log holds %v", recs)
-	}
-	// Rewriting to empty truncates the journal entirely.
-	w2.Close()
-	w3, recs3, err := RewriteWAL(path, FsyncAlways, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w3.Close()
-	if len(recs3) != 0 || w3.Size() != 0 {
-		t.Fatalf("empty rewrite left %d records, %d bytes", len(recs3), w3.Size())
+	var mem *Store
+	if mem.WALPath() != "" || mem.Sync() != nil || mem.Close() != nil || mem.Crash() != nil {
+		t.Fatal("the nil store is not a no-op")
 	}
 }
 
+// TestFsyncIntervalPolicy pins what "interval" means: an append syncs
+// when syncInterval has passed since the last sync, and nothing syncs
+// between appends — a log left idle keeps its unsynced suffix until the
+// next append, Sync or Close. The test moves the last sync's time
+// instead of sleeping: a sync "in the future" keeps the interval from
+// passing.
 func TestFsyncIntervalPolicy(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, _, _, err := OpenWAL(path, FsyncInterval)
-	if err != nil {
-		t.Fatal(err)
+	w, _, _ := openWAL(t, path, FsyncInterval)
+	syncedAt := func(at time.Time) {
+		w.mu.Lock()
+		w.lastSync = at
+		w.mu.Unlock()
 	}
-	w.SetSyncInterval(time.Hour) // no interval flush during the test
+	unsynced := func() int64 {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return w.size - w.synced
+	}
+	syncedAt(time.Now().Add(time.Hour))
 	mustAppend(t, w, "a")
 	mustAppend(t, w, "b")
+	if unsynced() == 0 {
+		t.Fatal("an append inside the interval synced")
+	}
+	// The interval passes on an idle log: it stays unsynced.
+	syncedAt(time.Now().Add(-2 * syncInterval))
+	if unsynced() == 0 {
+		t.Fatal("an idle log synced")
+	}
+	mustAppend(t, w, "c") // the first append after the interval syncs a..c
+	if n := unsynced(); n != 0 {
+		t.Fatalf("%d bytes unsynced after the interval's append", n)
+	}
+	syncedAt(time.Now().Add(time.Hour))
+	mustAppend(t, w, "d")
 	if err := w.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	// Nothing synced: interval crash loses the suffix but stays clean.
+	// The crash loses what the last sync did not cover, cleanly.
 	w2, recs, info := openWAL(t, path, FsyncInterval)
 	defer w2.Close()
 	if info.Torn {
 		t.Fatalf("interval crash left a torn tail: %+v", info)
 	}
-	if len(recs) > 1 {
-		t.Fatalf("interval crash kept %d unsynced records", len(recs))
+	if len(recs) != 3 || string(recs[2].Data) != "c" {
+		t.Fatalf("interval crash recovered %d records, want a, b, c", len(recs))
 	}
 }
 

@@ -1,10 +1,11 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"time"
 )
 
 // Data-directory layout. The snapshot is one framed record (seq = the
@@ -14,6 +15,11 @@ const (
 	walFileName      = "wal.log"
 	snapshotFileName = "snapshot.db"
 )
+
+// ErrClosed is what Append and Compact return once the store (or WAL)
+// was closed or crashed: the caller's memory may still answer reads, but
+// a write it accepted now would be silently volatile.
+var ErrClosed = errors.New("storage: write to a closed store")
 
 // Recovered is everything Open found in a data directory.
 type Recovered struct {
@@ -26,15 +32,15 @@ type Recovered struct {
 	// snapshot write and WAL rotation leaves an overlap) are filtered
 	// out, so replaying Snapshot then Records is idempotent.
 	Records []Record
-	// Info is the WAL recovery report (torn-tail truncation etc.).
-	Info RecoveryInfo
 }
 
 // Store manages one data directory: a WAL for incremental mutations and
-// an atomically replaced snapshot for compaction.
+// an atomically replaced snapshot for compaction. It owns the directory's
+// lifecycle: after Close or Crash, Append and Compact return ErrClosed
+// and Sync, Close and Crash return nil. A nil *Store is the in-memory
+// mode's: it has no WAL path, and Sync, Close and Crash do nothing.
 type Store struct {
 	dir string
-	pol FsyncPolicy
 	wal *WAL
 }
 
@@ -67,11 +73,10 @@ func Open(dir string, pol FsyncPolicy) (*Store, Recovered, error) {
 	} else if !os.IsNotExist(err) {
 		return nil, rec, fmt.Errorf("storage: read snapshot: %w", err)
 	}
-	wal, recs, info, err := OpenWAL(filepath.Join(dir, walFileName), pol)
+	wal, recs, _, err := OpenWAL(filepath.Join(dir, walFileName), pol)
 	if err != nil {
 		return nil, rec, err
 	}
-	rec.Info = info
 	for _, r := range recs {
 		if r.Seq > rec.SnapshotSeq {
 			rec.Records = append(rec.Records, r)
@@ -80,28 +85,20 @@ func Open(dir string, pol FsyncPolicy) (*Store, Recovered, error) {
 	// A WAL that restarted numbering below the snapshot horizon (the
 	// rotation completed) must keep assigning sequences above it, or the
 	// next compaction would mask fresh records.
-	if wal.NextSeq() <= rec.SnapshotSeq {
-		wal.mu.Lock()
+	if wal.nextSeq <= rec.SnapshotSeq {
 		wal.nextSeq = rec.SnapshotSeq + 1
-		wal.mu.Unlock()
 	}
-	return &Store{dir: dir, pol: pol, wal: wal}, rec, nil
+	return &Store{dir: dir, wal: wal}, rec, nil
 }
 
-// Dir returns the data directory path.
-func (s *Store) Dir() string { return s.dir }
-
-// Policy returns the fsync policy the store was opened with.
-func (s *Store) Policy() FsyncPolicy { return s.pol }
-
-// WALPath returns the log file path (fault injection targets it).
-func (s *Store) WALPath() string { return filepath.Join(s.dir, walFileName) }
-
-// WALSize returns the current log length in bytes.
-func (s *Store) WALSize() int64 { return s.wal.Size() }
-
-// SetSyncInterval overrides the FsyncInterval flush period.
-func (s *Store) SetSyncInterval(d time.Duration) { s.wal.SetSyncInterval(d) }
+// WALPath returns the log file path (fault injection targets it); ""
+// on a nil store.
+func (s *Store) WALPath() string {
+	if s == nil {
+		return ""
+	}
+	return filepath.Join(s.dir, walFileName)
+}
 
 // Append logs one mutation and returns its sequence number.
 func (s *Store) Append(data []byte) (uint64, error) {
@@ -110,47 +107,63 @@ func (s *Store) Append(data []byte) (uint64, error) {
 
 // Sync forces the log to stable storage (flush-on-close and the
 // interval policy's checkpoint both come through here).
-func (s *Store) Sync() error { return s.wal.Sync() }
+func (s *Store) Sync() error {
+	if s == nil {
+		return nil
+	}
+	return s.wal.Sync()
+}
 
 // Compact atomically writes state as the new snapshot covering every
-// record logged so far, then resets the WAL. A crash between the two
-// steps leaves an overlap that Open filters out by sequence number, so
-// compaction is crash-safe at every point.
+// record logged so far, then empties the WAL in place; sequence numbers
+// carry on above the snapshot's. A crash between the two steps leaves an
+// overlap that Open filters out by sequence number, so compaction is
+// crash-safe at every point. Appends wait for it.
 func (s *Store) Compact(state []byte) error {
-	lastSeq := s.wal.NextSeq() - 1
-	img, err := AppendRecord(nil, lastSeq, state)
+	w := s.wal
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.f == nil {
+		return ErrClosed
+	}
+	img, err := AppendRecord(nil, w.nextSeq-1, state)
 	if err != nil {
 		return err
 	}
 	// The snapshot must be durable before the WAL shrinks: sync the log
 	// first so the snapshot never covers records the disk has not seen.
-	if err := s.wal.Sync(); err != nil {
+	if err := w.syncLocked(); err != nil {
 		return err
 	}
 	snapPath := filepath.Join(s.dir, snapshotFileName)
 	if err := writeFileAtomic(snapPath, snapPath+".tmp", img); err != nil {
 		return err
 	}
-	if err := s.wal.Close(); err != nil {
-		return err
-	}
-	if err := os.Remove(s.WALPath()); err != nil && !os.IsNotExist(err) {
+	if err := w.f.Truncate(0); err != nil {
 		return fmt.Errorf("storage: rotate wal: %w", err)
 	}
-	wal, _, _, err := OpenWAL(s.WALPath(), s.pol)
-	if err != nil {
-		return err
+	// The file is not opened for appending: the next frame goes where
+	// the offset points, which must be the new end.
+	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
+		return fmt.Errorf("storage: rotate wal: %w", err)
 	}
-	wal.mu.Lock()
-	wal.nextSeq = lastSeq + 1
-	wal.mu.Unlock()
-	s.wal = wal
-	return nil
+	w.size = 0
+	return w.syncLocked()
 }
 
 // Close flushes and closes the store.
-func (s *Store) Close() error { return s.wal.Close() }
+func (s *Store) Close() error {
+	if s == nil {
+		return nil
+	}
+	return s.wal.Close()
+}
 
 // Crash simulates dying without a flush: the unsynced WAL suffix is
 // discarded. Test/simulation use only — see WAL.Crash.
-func (s *Store) Crash() error { return s.wal.Crash() }
+func (s *Store) Crash() error {
+	if s == nil {
+		return nil
+	}
+	return s.wal.Crash()
+}

@@ -15,9 +15,12 @@ import (
 //
 //   - FsyncAlways: fsync before every append returns. An acknowledged
 //     write is on disk; a crash loses nothing acknowledged.
-//   - FsyncInterval: fsync at most every SyncInterval. A crash loses at
-//     most the last interval's worth of acknowledged writes — but always
-//     recovers a clean prefix (never a torn record).
+//   - FsyncInterval: an append fsyncs when syncInterval has passed
+//     since the last sync, and no sync runs between appends: a crash
+//     loses the appends since the last sync — the last interval's worth
+//     while writes flow, and any count on a log left idle since, until
+//     the next append, Sync or Close — but always recovers a clean
+//     prefix (never a torn record).
 //   - FsyncNever: leave flushing to the OS. Fastest; a crash may lose
 //     any unflushed suffix, still recovering a clean prefix.
 type FsyncPolicy string
@@ -28,8 +31,8 @@ const (
 	FsyncNever    FsyncPolicy = "never"
 )
 
-// DefaultSyncInterval is the FsyncInterval flush period when unset.
-const DefaultSyncInterval = 100 * time.Millisecond
+// syncInterval is the FsyncInterval flush period.
+const syncInterval = 100 * time.Millisecond
 
 // ParseFsyncPolicy validates a policy string (the -fsync flag value).
 func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
@@ -58,11 +61,9 @@ type RecoveryInfo struct {
 // simulation of an OS crash) can discard exactly the bytes a real crash
 // could lose under the configured policy.
 type WAL struct {
-	mu  sync.Mutex
-	f   *os.File
-	pol FsyncPolicy
-	// interval is the FsyncInterval flush period.
-	interval time.Duration
+	mu       sync.Mutex
+	f        *os.File // nil once closed or crashed
+	pol      FsyncPolicy
 	lastSync time.Time
 
 	nextSeq uint64
@@ -89,7 +90,7 @@ func OpenWAL(path string, pol FsyncPolicy) (*WAL, []Record, RecoveryInfo, error)
 	recs, cleanLen, derr := DecodeAll(img)
 	info := RecoveryInfo{Records: len(recs), TornBytes: int64(len(img) - cleanLen)}
 	if derr != nil {
-		if !IsTorn(derr) {
+		if !errors.Is(derr, ErrTornRecord) {
 			return nil, nil, info, fmt.Errorf("storage: %s: %w", path, derr)
 		}
 		info.Torn = true
@@ -117,12 +118,11 @@ func OpenWAL(path string, pol FsyncPolicy) (*WAL, []Record, RecoveryInfo, error)
 		return nil, nil, info, fmt.Errorf("storage: seek %s: %w", path, err)
 	}
 	w := &WAL{
-		f:        f,
-		pol:      pol,
-		interval: DefaultSyncInterval,
-		nextSeq:  1,
-		size:     int64(cleanLen),
-		synced:   int64(cleanLen),
+		f:       f,
+		pol:     pol,
+		nextSeq: 1,
+		size:    int64(cleanLen),
+		synced:  int64(cleanLen),
 	}
 	if n := len(recs); n > 0 {
 		w.nextSeq = recs[n-1].Seq + 1
@@ -130,29 +130,15 @@ func OpenWAL(path string, pol FsyncPolicy) (*WAL, []Record, RecoveryInfo, error)
 	return w, recs, info, nil
 }
 
-// IsTorn reports whether a recovery error marks a torn (truncatable)
-// tail rather than mid-file corruption.
-func IsTorn(err error) bool {
-	return errors.Is(err, ErrTornRecord)
-}
-
-// SetSyncInterval overrides the FsyncInterval flush period.
-func (w *WAL) SetSyncInterval(d time.Duration) {
-	w.mu.Lock()
-	if d > 0 {
-		w.interval = d
-	}
-	w.mu.Unlock()
-}
-
 // Append frames data, writes it, and applies the fsync policy. The
 // returned sequence number identifies the record on recovery. When
 // Append returns nil under FsyncAlways, the record is on stable storage.
+// A closed WAL refuses with ErrClosed.
 func (w *WAL) Append(data []byte) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
-		return 0, fmt.Errorf("storage: append to closed WAL")
+		return 0, ErrClosed
 	}
 	seq := w.nextSeq
 	var err error
@@ -175,7 +161,7 @@ func (w *WAL) Append(data []byte) (uint64, error) {
 			return 0, err
 		}
 	case FsyncInterval:
-		if time.Since(w.lastSync) >= w.interval {
+		if time.Since(w.lastSync) >= syncInterval {
 			if err := w.syncLocked(); err != nil {
 				return 0, err
 			}
@@ -201,13 +187,6 @@ func (w *WAL) syncLocked() error {
 	w.synced = w.size
 	w.lastSync = time.Now()
 	return nil
-}
-
-// NextSeq returns the sequence number the next append will get.
-func (w *WAL) NextSeq() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.nextSeq
 }
 
 // Size returns the current log length in bytes.
@@ -256,27 +235,6 @@ func (w *WAL) Crash() error {
 		return fmt.Errorf("storage: crash truncate: %w", err)
 	}
 	return cerr
-}
-
-// RewriteWAL atomically replaces the log at path with exactly the given
-// payloads (freshly renumbered from seq 1): the new image is written to
-// a temp file, synced, and renamed over the old one. Used to compact the
-// telemetry spill journal after a replay drains it.
-func RewriteWAL(path string, pol FsyncPolicy, payloads [][]byte) (*WAL, []Record, error) {
-	tmp := path + ".tmp"
-	var img []byte
-	var err error
-	for i, p := range payloads {
-		img, err = AppendRecord(img, uint64(i)+1, p)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	if err := writeFileAtomic(path, tmp, img); err != nil {
-		return nil, nil, err
-	}
-	w, recs, _, err := OpenWAL(path, pol)
-	return w, recs, err
 }
 
 // writeFileAtomic writes data to tmp, fsyncs it, renames it over dst and

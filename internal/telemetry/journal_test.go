@@ -6,6 +6,7 @@ import (
 	"os"
 	"testing"
 
+	"pmove/internal/storage"
 	"pmove/internal/tsdb"
 )
 
@@ -162,4 +163,63 @@ func TestJournalCapAppliesOnRecovery(t *testing.T) {
 		t.Fatalf("conservation violated after capped recovery: %+v", *re)
 	}
 	re.CloseJournal()
+}
+
+// journalPoints counts the points a journal directory holds on disk: the
+// snapshot's backlog, then the records logged after it.
+func journalPoints(t *testing.T, dir string) int {
+	t.Helper()
+	st, rec, err := storage.Open(dir, storage.FsyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	n := len(rec.Records)
+	if len(rec.Snapshot) > 0 {
+		lines, err := storage.DecodeBatchBody(rec.Snapshot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += len(lines)
+	}
+	return n
+}
+
+// TestJournalFileBoundedByCap: through an outage ten times JournalCap
+// the on-disk journal holds the whole in-memory backlog and stays under
+// twice the cap — it compacts once the appends since the last
+// compaction reach the cap — and a restart recovers the newest cap
+// points, oldest first.
+func TestJournalFileBoundedByCap(t *testing.T) {
+	dir := t.TempDir()
+	sink := &switchSink{down: true, db: tsdb.New()}
+	cfg := PipelineConfig{Seed: 1, Degraded: true, JournalDir: dir, JournalCap: 8}
+	col := NewCollector(nil, cfg)
+	col.Sink = sink
+	if _, err := col.OpenJournal(); err != nil {
+		t.Fatal(err)
+	}
+	const ticks = 10 * 8
+	for i := 0; i < ticks; i++ {
+		if err := col.OfferContext(context.Background(), float64(i+1), journalSamples(float64(i)), "j", false); err != nil {
+			t.Fatal(err)
+		}
+		if n := journalPoints(t, dir); n < col.PendingSpill() || n >= 2*cfg.JournalCap {
+			t.Fatalf("tick %d: the journal directory holds %d points for a backlog of %d, cap %d", i, n, col.PendingSpill(), cfg.JournalCap)
+		}
+	}
+	// Crash: no CloseJournal.
+	re := NewCollector(nil, cfg)
+	if _, err := re.OpenJournal(); err != nil {
+		t.Fatal(err)
+	}
+	defer re.CloseJournal()
+	if re.PendingSpill() != cfg.JournalCap {
+		t.Fatalf("recovered a backlog of %d, want the cap %d", re.PendingSpill(), cfg.JournalCap)
+	}
+	for k, p := range re.journal {
+		if want := float64(ticks - cfg.JournalCap + k); p.Fields["value"] != want {
+			t.Fatalf("recovered entry %d holds %v, want %v", k, p.Fields["value"], want)
+		}
+	}
 }

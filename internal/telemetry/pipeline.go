@@ -51,8 +51,8 @@ type PipelineConfig struct {
 	// arbitrarily long outage.
 	JournalCap int
 	// JournalDir, when non-empty, persists the spill journal to a
-	// write-ahead log in that directory (same framing as the database
-	// WALs) so an outage backlog survives a collector crash. Opened by
+	// storage data directory (WAL + snapshot, as the databases' are) so
+	// an outage backlog survives a collector crash. Opened by
 	// OpenJournal; recovery is at-least-once up to JournalCap.
 	JournalDir string
 	// Seed drives the deterministic jitter.
@@ -110,12 +110,13 @@ type Collector struct {
 	seq       uint64
 
 	// journal holds points spilled while the sink was unreachable
-	// (Degraded mode only), bounded by JournalCap. journalWAL mirrors it
-	// on disk when Cfg.JournalDir is set (see journal.go).
-	journal     []tsdb.Point
-	degraded    bool
-	journalWAL  *storage.WAL
-	journalPath string
+	// (Degraded mode only), bounded by JournalCap. journalStore mirrors
+	// it on disk when Cfg.JournalDir is set, with journalAppends records
+	// logged since its last compaction (see journal.go).
+	journal        []tsdb.Point
+	degraded       bool
+	journalStore   *storage.Store
+	journalAppends int
 
 	// Cumulative statistics.
 	Expected  uint64 // data points the sampler should have produced

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"pmove/internal/introspect"
 	"pmove/internal/storage"
 )
 
@@ -509,6 +510,93 @@ func TestWriteBatchDedupOnRetry(t *testing.T) {
 	}
 	if points, _ := db.Stats(); points != 4 {
 		t.Fatalf("server holds %d points, want 4", points)
+	}
+}
+
+// sendFrame writes a frame on a fresh connection and returns where its
+// one reply line (or the read error) arrives.
+func sendFrame(t *testing.T, addr, frame string) <-chan string {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if _, err := conn.Write([]byte(frame)); err != nil {
+		t.Fatal(err)
+	}
+	reply := make(chan string, 1)
+	go func() {
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		resp, err := bufio.NewReader(conn).ReadString('\n')
+		if err != nil {
+			resp = err.Error()
+		}
+		reply <- strings.TrimSpace(resp)
+	}()
+	return reply
+}
+
+// TestWriteBatchRetryRacingFirstAttempt: a retry sent on a fresh
+// connection while its first attempt is still applying — stalled here
+// behind the mutation barrier — waits for that apply and is acked as a
+// dedup: the batch lands once, not twice.
+func TestWriteBatchRetryRacingFirstAttempt(t *testing.T) {
+	db := New()
+	srv, addr := startServer(t, db)
+	defer srv.Close()
+	in := introspect.New()
+	srv.SetTracing(in)
+	const frame = "WRITEB 1 id=tok-1\nm v=1 1\n"
+	db.mu.Lock()
+	first, retry := sendFrame(t, addr, frame), sendFrame(t, addr, frame)
+	// Release the apply once both frames are parsed — the step before
+	// each decides between applying and acking a dedup.
+	for parsed := 0; parsed < 2; time.Sleep(time.Millisecond) {
+		parsed = 0
+		for _, sp := range in.Tracer().Spans() {
+			if sp.Name == "tsdb.server.parse" {
+				parsed++
+			}
+		}
+	}
+	db.mu.Unlock()
+	for _, reply := range []<-chan string{first, retry} {
+		if got := <-reply; got != "OK 1" {
+			t.Fatalf("reply %q, want OK 1", got)
+		}
+	}
+	if total, _ := db.CountValues("m"); total != 1 {
+		t.Fatalf("the batch landed %d times, want once", total)
+	}
+}
+
+// TestWriteBatchPendingTokenHoldsOnlyItsRetries: while a token's apply
+// is under way, a frame with another token is served at once and the
+// token's own retry waits; when the first apply fails, the retry applies
+// the batch itself.
+func TestWriteBatchPendingTokenHoldsOnlyItsRetries(t *testing.T) {
+	db := New()
+	srv, addr := startServer(t, db)
+	defer srv.Close()
+	if srv.claimToken("tok-1") {
+		t.Fatal("a fresh token claimed as applied")
+	}
+	retry := sendFrame(t, addr, "WRITEB 1 id=tok-1\nm v=1 1\n")
+	if got := <-sendFrame(t, addr, "WRITEB 1 id=tok-2\nm v=2 2\n"); got != "OK 1" {
+		t.Fatalf("another token's frame: %q, want OK 1", got)
+	}
+	select {
+	case got := <-retry:
+		t.Fatalf("the retry of a pending token answered %q before its apply ended", got)
+	case <-time.After(50 * time.Millisecond):
+	}
+	srv.releaseToken("tok-1", false)
+	if got := <-retry; got != "OK 1" {
+		t.Fatalf("the retry after a failed apply: %q, want OK 1", got)
+	}
+	if total, _ := db.CountValues("m"); total != 2 {
+		t.Fatalf("store holds %d values, want both batches once", total)
 	}
 }
 

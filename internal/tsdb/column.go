@@ -31,7 +31,6 @@ type sideRun struct {
 // memSeries is one series: identity, sealed history, head. The open
 // block's fields are the series' fields, in creation order.
 type memSeries struct {
-	seq    int    // creation order within the measurement (scan tie-break)
 	key    string // canonical series key (appendSeriesKey form)
 	tags   map[string]string
 	fields map[string]int // field name -> index in open.fields
@@ -42,10 +41,9 @@ type memSeries struct {
 
 // measurement groups the series of one measurement name.
 type measurement struct {
-	name    string
-	series  []*memSeries // creation order == seq order
-	byKey   map[string]*memSeries
-	nextSeq int
+	name   string
+	series []*memSeries // creation order (the scan tie-break)
+	byKey  map[string]*memSeries
 }
 
 // matchTags reports whether the series' tag set satisfies an equality

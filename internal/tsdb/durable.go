@@ -54,9 +54,7 @@ func Open(dir string, pol storage.FsyncPolicy) (*DB, error) {
 		st.Close()
 		return nil, fmt.Errorf("tsdb: recover %s: %w", dir, err)
 	}
-	db.mu.Lock()
 	db.store = st
-	db.mu.Unlock()
 	return db, nil
 }
 
@@ -93,34 +91,15 @@ func (db *DB) replay(rec storage.Recovered) error {
 }
 
 // Durable reports whether the DB is backed by a data directory.
-func (db *DB) Durable() bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.store != nil
-}
+func (db *DB) Durable() bool { return db.store != nil }
 
 // WALPath returns the write-ahead log path ("" for in-memory DBs);
 // fault-injection harnesses tear and corrupt it between restarts.
-func (db *DB) WALPath() string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.store == nil {
-		return ""
-	}
-	return db.store.WALPath()
-}
+func (db *DB) WALPath() string { return db.store.WALPath() }
 
 // Sync forces the WAL to stable storage — the flush-on-close barrier
 // and the interval policy's manual checkpoint. No-op in memory.
-func (db *DB) Sync() error {
-	db.mu.RLock()
-	st := db.store
-	db.mu.RUnlock()
-	if st == nil {
-		return nil
-	}
-	return st.Sync()
-}
+func (db *DB) Sync() error { return db.store.Sync() }
 
 // Snapshot chunk kinds: a sealed block carried verbatim, or the head
 // closed just for the file (it stays open in memory).
@@ -134,7 +113,7 @@ const (
 // order (so recovery reassigns the same scan tie-break sequence), each
 // series as its identity plus its chunks — sealed blocks verbatim, the
 // head closed (s.closeHead). Callers hold db.mu exclusively (the data lock is
-// not needed: the lifecycle lock excludes all mutators).
+// not needed: the mutation barrier excludes all mutators).
 func (db *DB) snapshotLocked() ([]byte, error) {
 	names := make([]string, 0, len(db.measurements))
 	total := 0
@@ -314,7 +293,8 @@ func (db *DB) adoptHead(s *memSeries, b *block) error {
 
 // Compact folds the current state into an atomic snapshot and resets
 // the WAL — bounding recovery time and log growth. Crash-safe at every
-// step (see storage.Store.Compact). No-op in memory.
+// step (see storage.Store.Compact). No-op in memory; after Close or
+// Crash it returns storage.ErrClosed.
 func (db *DB) Compact() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -329,32 +309,21 @@ func (db *DB) Compact() error {
 }
 
 // Close flushes and releases the data directory. The DB stays readable
-// (it is just memory) but further writes error. No-op in memory.
+// (it is just memory) but further writes return storage.ErrClosed.
+// No-op in memory, and on a closed or crashed DB.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.store == nil {
-		return nil
-	}
-	err := db.store.Close()
-	db.store = nil
-	db.closed = true
-	return err
+	return db.store.Close()
 }
 
 // Crash simulates the process dying without a flush: the WAL keeps only
-// what the fsync policy had already made stable, and the DB detaches
-// from the directory. With fsync=always no acknowledged point is lost;
-// weaker policies lose the unsynced suffix — which is exactly what the
-// recovery oracles probe. Test/simulation use only.
+// what the fsync policy had already made stable, and the DB is closed.
+// With fsync=always no acknowledged point is lost; weaker policies lose
+// the unsynced suffix — which is exactly what the recovery oracles
+// probe. Test/simulation use only.
 func (db *DB) Crash() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.store == nil {
-		return nil
-	}
-	err := db.store.Crash()
-	db.store = nil
-	db.closed = true
-	return err
+	return db.store.Crash()
 }

@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"testing"
@@ -134,25 +135,40 @@ func TestDurableTornTailRecovers(t *testing.T) {
 	}
 }
 
-// TestClosedDurableDBRefusesWrites: after Close/Crash the memory image
-// stays readable but writes fail instead of silently losing durability.
+// TestClosedDurableDBRefusesWrites: after Close or Crash the memory
+// image stays readable, but writes and Compact fail with
+// storage.ErrClosed instead of silently losing durability, and Close
+// after either is a no-op.
 func TestClosedDurableDBRefusesWrites(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(dir, storage.FsyncAlways)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.WriteBatchContext(context.Background(), []Point{point("m", 1, 1)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.WriteBatchContext(context.Background(), []Point{point("m", 2, 2)}); err == nil {
-		t.Fatal("closed durable DB accepted a write")
-	}
-	if got := countAll(t, db, "m"); got != 1 {
-		t.Fatalf("closed DB no longer readable: %d values", got)
+	for _, end := range []string{"close", "crash"} {
+		t.Run(end, func(t *testing.T) {
+			db, err := Open(t.TempDir(), storage.FsyncAlways)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.WriteBatchContext(context.Background(), []Point{point("m", 1, 1)}); err != nil {
+				t.Fatal(err)
+			}
+			stop := db.Close
+			if end == "crash" {
+				stop = db.Crash
+			}
+			if err := stop(); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.WriteBatchContext(context.Background(), []Point{point("m", 2, 2)}); !errors.Is(err, storage.ErrClosed) {
+				t.Fatalf("write after %s: %v, want storage.ErrClosed", end, err)
+			}
+			if err := db.Compact(); !errors.Is(err, storage.ErrClosed) {
+				t.Fatalf("Compact after %s: %v, want storage.ErrClosed", end, err)
+			}
+			if got := countAll(t, db, "m"); got != 1 {
+				t.Fatalf("closed DB no longer readable: %d values", got)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatalf("Close after %s: %v", end, err)
+			}
+		})
 	}
 }
 

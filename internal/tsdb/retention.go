@@ -7,12 +7,13 @@ package tsdb
 func (db *DB) EnforceRetention(now int64) int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	db.data.Lock()
 	if db.retention.Duration <= 0 {
+		db.data.Unlock()
 		return 0
 	}
 	cutoff := now - db.retention.Duration
 	dropped := 0
-	db.data.Lock()
 	for name, m := range db.measurements {
 		kept := m.series[:0]
 		for _, s := range m.series {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"pmove/internal/introspect"
@@ -61,6 +62,13 @@ type Server struct {
 	*skeleton
 	db    *DB
 	dedup *resilience.DedupWindow
+	// applying marks the batch tokens whose apply is under way. A retry
+	// racing its own first attempt on another connection waits on
+	// applied for that apply to end — then is acked as a dedup, or
+	// applies itself if the first failed — instead of applying twice.
+	// Guarded by applied.L.
+	applying map[string]bool
+	applied  *sync.Cond
 }
 
 // skeleton names wire.Server so that embedding it promotes Listen, Serve,
@@ -69,7 +77,12 @@ type skeleton = wire.Server
 
 // NewServer wraps a DB.
 func NewServer(db *DB) *Server {
-	s := &Server{db: db, dedup: resilience.NewDedupWindow(dedupWindowSize)}
+	s := &Server{
+		db:       db,
+		dedup:    resilience.NewDedupWindow(dedupWindowSize),
+		applying: map[string]bool{},
+		applied:  sync.NewCond(&sync.Mutex{}),
+	}
 	s.skeleton = wire.NewServer(wire.Proto{
 		Name: "tsdb", OpKey: "cmd", MaxLine: 8 << 20,
 		Handle:    s.serve,
@@ -235,21 +248,49 @@ func (s *Server) handleWriteBatch(c *wire.Conn, rest string, arrivalNanos int64)
 	// Retry of an applied batch: acknowledge without re-inserting, and
 	// say so in the log — it is the op someone chasing a lost ack looks for.
 	var extra []string
-	if err == nil && token != "" && s.dedup.Seen(token) {
+	if err == nil && token != "" && s.claimToken(token) {
 		extra = []string{"dedup", "true"}
 	} else if err == nil {
 		_, is := c.In.StartSpan(wctx, "tsdb.server.insert")
 		err = s.db.writeFrame(&rb)
 		is.End(err)
-		if err == nil && token != "" {
-			// Record only after the apply succeeded: a failed batch must
-			// stay retryable.
-			s.dedup.Record(token)
+		if token != "" {
+			s.releaseToken(token, err == nil)
 		}
 	}
 	op.End(err)
 	answer(c, wctx, ctx, "writeb", arrivalNanos, err, fmt.Appendf(nil, "OK %d", n), extra...)
 	return true
+}
+
+// claimToken waits out an apply of token under way on another
+// connection, then reports whether the batch has landed (a retry to ack
+// without applying). When it has not, the caller now owns the token's
+// apply and must end it with releaseToken; frames with other tokens do
+// not wait for it.
+func (s *Server) claimToken(token string) (applied bool) {
+	s.applied.L.Lock()
+	defer s.applied.L.Unlock()
+	for s.applying[token] {
+		s.applied.Wait()
+	}
+	if s.dedup.Seen(token) {
+		return true
+	}
+	s.applying[token] = true
+	return false
+}
+
+// releaseToken ends a claimed apply, recording the token only when the
+// apply succeeded: a failed batch must stay retryable.
+func (s *Server) releaseToken(token string, ok bool) {
+	s.applied.L.Lock()
+	if ok {
+		s.dedup.Record(token)
+	}
+	delete(s.applying, token)
+	s.applied.L.Unlock()
+	s.applied.Broadcast()
 }
 
 // handleQuery parses and executes one QUERY frame with parse/exec child

@@ -106,24 +106,24 @@ type storageGauges struct {
 //
 // Lock order: mu, then data.
 type DB struct {
-	// mu is the lifecycle lock. Every mutator holds it SHARED for its
-	// whole operation — so a writer's WAL append and fsync run outside
-	// the exclusive section of data, overlapping another writer's insert
-	// — while Compact/Close/Crash hold it EXCLUSIVELY so the store
-	// pointer and the series map are stable while a snapshot renders or
-	// the store detaches. It also guards retention/store/closed.
-	mu        sync.RWMutex
-	retention RetentionPolicy
-	// store is the durability layer; nil for the zero-config in-memory
-	// mode every embedded use defaults to. closed marks a durable DB
-	// whose directory was released (Close/Crash): still readable, but
-	// writes would be silently volatile, so they are refused.
-	store  *storage.Store
-	closed bool
+	// mu is the barrier between mutations and Compact/Close/Crash. Every
+	// mutator holds it SHARED for its whole operation — so a writer's WAL
+	// append and fsync run outside the exclusive section of data,
+	// overlapping another writer's insert — while Compact/Close/Crash
+	// hold it EXCLUSIVELY, so a snapshot renders a quiescent series map
+	// and no mutation straddles the store's close.
+	mu sync.RWMutex
+	// store is the durability layer, set once by Open; nil for the
+	// zero-config in-memory mode every embedded use defaults to. Once
+	// closed or crashed it refuses appends (storage.ErrClosed): the DB
+	// stays readable, but a write is refused rather than silently
+	// volatile.
+	store *storage.Store
 
 	// data guards the series map and everything up to gauges: a batch
 	// lands under one exclusive hold, so readers see all of it or none.
 	data         sync.RWMutex
+	retention    RetentionPolicy
 	measurements map[string]*measurement
 	points       uint64 // rows written (cumulative)
 	values       uint64 // field values written (cumulative)
@@ -222,12 +222,10 @@ func (db *DB) seriesFor(m *measurement, tags []rowKV) *memSeries {
 		ctags[db.intern.intern(t.key)] = db.intern.intern(t.str)
 	}
 	s := &memSeries{
-		seq:    m.nextSeq,
 		key:    string(db.keyBuf),
 		tags:   ctags,
 		fields: map[string]int{},
 	}
-	m.nextSeq++
 	m.series = append(m.series, s)
 	m.byKey[s.key] = s
 	return s
@@ -260,16 +258,9 @@ func (db *DB) insertSeriesRow(s *memSeries, t int64, fields []rowKV) {
 
 // SetRetention installs a retention policy; EnforceRetention applies it.
 func (db *DB) SetRetention(rp RetentionPolicy) {
-	db.mu.Lock()
+	db.data.Lock()
 	db.retention = rp
-	db.mu.Unlock()
-}
-
-// Retention returns the current policy.
-func (db *DB) Retention() RetentionPolicy {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.retention
+	db.data.Unlock()
 }
 
 // BatchError reports a rejected batch write: the offending point's
@@ -389,9 +380,6 @@ func walRecord(n, sizeHint int, line func(dst []byte, i int) ([]byte, error)) (r
 func (db *DB) commit(rec []byte, n int, rowAt func(i int) *row) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if db.closed {
-		return fmt.Errorf("tsdb: write to closed durable DB")
-	}
 	if db.store != nil {
 		if _, err := db.store.Append(rec); err != nil {
 			return &BatchError{Index: 0, Err: fmt.Errorf("tsdb: wal append: %w", err)}
