@@ -73,7 +73,12 @@ fi
 # one reader for sealed and open blocks, 26 650 with one durable
 # lifecycle: the stores' closed flags and lock-and-nil-check methods,
 # RewriteWAL, the sync-interval setters, IsTorn and the unread Store
-# accessors gone, and the spill journal a Store.
+# accessors gone, and the spill journal a Store; 26 689 (+39) with
+# docdb's document walker, which copies a document structurally where
+# Clone re-parsed it through JSON (1.7x on a probe), and its
+# ErrUnencodable in place of the panic: net of Clone's round trip,
+# SetField's inline one, Compact's per-document copy and the filter's
+# jsonEqual/toFloat, which the walker's normal form replaces.
 size_gate() { # $1: what is counted; $2: ceiling; stdin: the files
     size=$(xargs cat | wc -l)
     echo "size: $1 ${size} non-test lines (ceiling $2)"
@@ -84,7 +89,7 @@ size_gate() { # $1: what is counted; $2: ceiling; stdin: the files
 }
 find internal/tsdb -name '*.go' ! -name '*_test.go' | size_gate internal/tsdb 4576
 find . -name '*.go' ! -name '*_test.go' ! -path './internal/bench/*' ! -path './cmd/pmovebench/*' |
-    size_gate 'outside the benchmark paths' 26650
+    size_gate 'outside the benchmark paths' 26689
 
 # One durable lifecycle: every durable byte goes through storage.Store
 # (store.go over wal.go), which owns closed and crashed. A bare WAL
@@ -135,6 +140,7 @@ fuzz_smoke ./internal/tsdb FuzzBlockDecode
 fuzz_smoke ./internal/tsdb FuzzQueryReply
 fuzz_smoke ./internal/introspect FuzzParseTraceparent
 fuzz_smoke ./internal/docdb FuzzDocdbFrame
+fuzz_smoke ./internal/docdb FuzzDocClone
 fuzz_smoke ./internal/storage FuzzWALRecord
 
 # Benchmark smoke: every benchmark must still compile and survive one

@@ -8,11 +8,15 @@ package docdb
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"pmove/internal/storage"
 )
@@ -26,20 +30,94 @@ func (d Doc) ID() string {
 	return id
 }
 
-// Clone deep-copies a document through JSON (documents are stored and
-// returned by value so callers cannot alias the store).
-func (d Doc) Clone() Doc {
-	b, err := json.Marshal(d)
+// ErrUnencodable marks a document or value with no JSON form: a NaN or
+// infinite number, a cycle, nesting past maxDepth, a func, chan or complex.
+var ErrUnencodable = errors.New("docdb: unencodable document")
+
+// maxDepth is encoding/json's nesting limit: json.Unmarshal refuses a
+// document nested deeper, so Clone does too, and a cycle reaches it.
+const maxDepth = 10000
+
+var errTooDeep = fmt.Errorf("%w: nested deeper than %d", ErrUnencodable, maxDepth)
+
+// Clone deep-copies a document into exactly what a JSON round trip —
+// json.Marshal, then json.Unmarshal into a Doc — gives, and fails with
+// ErrUnencodable where that fails. Documents are stored and returned by
+// value so callers cannot alias the store.
+func (d Doc) Clone() (Doc, error) { return FromValue(d) }
+
+// clone copies v, nested in depth arrays and objects, into the form
+// json.Unmarshal yields. The generic forms are copied structurally; any
+// other leaf, and any string or key that is not valid UTF-8, goes
+// through JSON, which turns each invalid byte into U+FFFD — so keys can
+// meet, and JSON's sorted key order picks the survivor.
+func clone(v any, depth int) (any, error) {
+	switch x := v.(type) {
+	case nil, bool:
+		return x, nil
+	case string:
+		if utf8.ValidString(x) {
+			return x, nil
+		}
+	case float64:
+		if !math.IsNaN(x) && !math.IsInf(x, 0) {
+			return x, nil
+		}
+	case Doc:
+		return clone(map[string]any(x), depth)
+	case map[string]any:
+		if x == nil {
+			return nil, nil
+		}
+		if depth >= maxDepth {
+			return nil, errTooDeep
+		}
+		out := make(map[string]any, len(x))
+		for k, e := range x {
+			if !utf8.ValidString(k) {
+				return viaJSON(x, depth)
+			}
+			var err error
+			if out[k], err = clone(e, depth+1); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
+	case []any:
+		if x == nil {
+			return nil, nil
+		}
+		if depth >= maxDepth {
+			return nil, errTooDeep
+		}
+		out := make([]any, len(x))
+		for i, e := range x {
+			var err error
+			if out[i], err = clone(e, depth+1); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
+	}
+	return viaJSON(v, depth)
+}
+
+// viaJSON is clone's JSON round trip for one value.
+func viaJSON(v any, depth int) (any, error) {
+	var out any
+	b, err := json.Marshal(v)
+	if err == nil {
+		err = json.Unmarshal(b, &out)
+	}
 	if err != nil {
-		// Documents are built from JSON-able values; a cycle is a caller
-		// bug surfaced loudly.
-		panic(fmt.Sprintf("docdb: unclonable document: %v", err))
+		return nil, fmt.Errorf("%w: %w", ErrUnencodable, err)
 	}
-	var out Doc
-	if err := json.Unmarshal(b, &out); err != nil {
-		panic(fmt.Sprintf("docdb: unclonable document: %v", err))
+	if depth == 0 {
+		return out, nil
 	}
-	return out
+	// json.Unmarshal bounded out's own nesting; walking it bounds it
+	// where it sits.
+	return clone(out, depth)
 }
 
 // Lookup resolves a dot path ("contents.0.name") inside the document.
@@ -74,8 +152,8 @@ func (d Doc) Lookup(path string) (any, bool) {
 
 // Filter matches documents. All clauses must hold (AND semantics).
 type Filter struct {
-	// Eq maps dot paths to required values (compared after JSON
-	// normalisation, so ints match float64s).
+	// Eq maps dot paths to required values, compared as Clone stores
+	// them (so ints match float64s).
 	Eq map[string]any
 	// Exists lists dot paths that must be present.
 	Exists []string
@@ -88,7 +166,8 @@ type Filter struct {
 func (f *Filter) Matches(d Doc) bool {
 	for path, want := range f.Eq {
 		got, ok := d.Lookup(path)
-		if !ok || !jsonEqual(got, want) {
+		norm, err := clone(want, 0)
+		if !ok || err != nil || !reflect.DeepEqual(got, norm) {
 			return false
 		}
 	}
@@ -108,40 +187,6 @@ func (f *Filter) Matches(d Doc) bool {
 		}
 	}
 	return true
-}
-
-// jsonEqual compares two values modulo JSON number normalisation.
-func jsonEqual(a, b any) bool {
-	na, aok := toFloat(a)
-	nb, bok := toFloat(b)
-	if aok && bok {
-		return na == nb
-	}
-	ab, err1 := json.Marshal(a)
-	bb, err2 := json.Marshal(b)
-	if err1 != nil || err2 != nil {
-		return false
-	}
-	return string(ab) == string(bb)
-}
-
-func toFloat(v any) (float64, bool) {
-	switch n := v.(type) {
-	case float64:
-		return n, true
-	case float32:
-		return float64(n), true
-	case int:
-		return float64(n), true
-	case int64:
-		return float64(n), true
-	case uint64:
-		return float64(n), true
-	case json.Number:
-		f, err := n.Float64()
-		return f, err == nil
-	}
-	return 0, false
 }
 
 // Collection is a set of documents.
@@ -210,7 +255,10 @@ func (c *Collection) Insert(d Doc) (string, error) {
 	if d == nil {
 		return "", fmt.Errorf("docdb: cannot insert nil document into %s", c.name)
 	}
-	stored := d.Clone()
+	stored, err := d.Clone()
+	if err != nil {
+		return "", fmt.Errorf("%w in %s", err, c.name)
+	}
 	defer c.beginMutation()()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -247,7 +295,8 @@ func (c *Collection) Get(id string) (Doc, bool) {
 	if !ok {
 		return nil, false
 	}
-	return d.Clone(), true
+	out, _ := d.Clone() // stored documents came through Clone: no error
+	return out, true
 }
 
 // Find returns all documents matching the filter, ordered by _id. A nil
@@ -258,7 +307,8 @@ func (c *Collection) Find(f *Filter) []Doc {
 	var out []Doc
 	for _, d := range c.docs {
 		if f == nil || f.Matches(d) {
-			out = append(out, d.Clone())
+			cp, _ := d.Clone() // stored documents came through Clone: no error
+			out = append(out, cp)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
@@ -289,7 +339,10 @@ func (c *Collection) Count(f *Filter) int {
 
 // Replace overwrites the document with the given id. Errors if absent.
 func (c *Collection) Replace(id string, d Doc) error {
-	stored := d.Clone()
+	stored, err := d.Clone()
+	if err != nil {
+		return fmt.Errorf("%w in %s", err, c.name)
+	}
 	stored["_id"] = id
 	defer c.beginMutation()()
 	c.mu.Lock()
@@ -309,7 +362,10 @@ func (c *Collection) Upsert(d Doc) (string, error) {
 	if id == "" {
 		return c.Insert(d)
 	}
-	stored := d.Clone()
+	stored, err := d.Clone()
+	if err != nil {
+		return "", fmt.Errorf("%w in %s", err, c.name)
+	}
 	defer c.beginMutation()()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -320,23 +376,19 @@ func (c *Collection) Upsert(d Doc) (string, error) {
 }
 
 // SetField sets a top-level or nested field (dot path; intermediate maps
-// are created) on the document with the given id.
+// are created) on the document with the given id. The value is stored
+// as Clone stores a document, and is nested where the path puts it, so
+// the document as a whole stays within Clone's depth bound.
 func (c *Collection) SetField(id, path string, value any) error {
+	norm, err := clone(value, strings.Count(path, ".")+1)
+	if err != nil {
+		return fmt.Errorf("%w at %s in %s", err, path, c.name)
+	}
 	defer c.beginMutation()()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.docs[id]; !ok {
 		return fmt.Errorf("docdb: no document %q in %s", id, c.name)
-	}
-	// Normalise the value through JSON so reads are consistent — and so
-	// the WAL-logged form replays to the identical stored value.
-	b, err := json.Marshal(value)
-	if err != nil {
-		return fmt.Errorf("docdb: unencodable value for %s: %w", path, err)
-	}
-	var norm any
-	if err := json.Unmarshal(b, &norm); err != nil {
-		return err
 	}
 	if err := c.logLocked(walOp{Op: "setfield", Collection: c.name, ID: id, Path: path, Value: norm}); err != nil {
 		return err
@@ -394,11 +446,13 @@ func FromJSON(b []byte) (Doc, error) {
 	return d, nil
 }
 
-// FromValue converts any JSON-able Go value into a Doc.
+// FromValue converts any JSON-able Go value into a Doc: what
+// json.Unmarshal of the value's JSON into a Doc would give.
 func FromValue(v any) (Doc, error) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("docdb: unencodable value: %w", err)
+	norm, err := clone(v, 0)
+	d, ok := norm.(map[string]any)
+	if err == nil && !ok && norm != nil {
+		err = fmt.Errorf("docdb: a %T is not a document", v)
 	}
-	return FromJSON(b)
+	return d, err
 }

@@ -3,7 +3,6 @@ package docdb
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"pmove/internal/storage"
 )
@@ -162,28 +161,14 @@ func (db *DB) Compact() error {
 	if db.store == nil {
 		return nil
 	}
+	// compactMu keeps every mutation out until the image is marshalled,
+	// so the stored documents are encoded in place, not copied.
+	img := snapshotImage{Collections: map[string]snapshotCollection{}}
 	db.mu.RLock()
-	cols := make(map[string]*Collection, len(db.collections))
 	for n, c := range db.collections {
-		cols[n] = c
+		img.Collections[n] = snapshotCollection{Seq: c.seq, Docs: c.docs}
 	}
 	db.mu.RUnlock()
-	img := snapshotImage{Collections: map[string]snapshotCollection{}}
-	names := make([]string, 0, len(cols))
-	for n := range cols {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		c := cols[n]
-		c.mu.RLock()
-		sc := snapshotCollection{Seq: c.seq, Docs: make(map[string]Doc, len(c.docs))}
-		for id, d := range c.docs {
-			sc.Docs[id] = d.Clone()
-		}
-		c.mu.RUnlock()
-		img.Collections[n] = sc
-	}
 	b, err := json.Marshal(img)
 	if err != nil {
 		return fmt.Errorf("docdb: encode snapshot: %w", err)
