@@ -78,7 +78,13 @@ fi
 # Clone re-parsed it through JSON (1.7x on a probe), and its
 # ErrUnencodable in place of the panic: net of Clone's round trip,
 # SetField's inline one, Compact's per-document copy and the filter's
-# jsonEqual/toFloat, which the walker's normal form replaces.
+# jsonEqual/toFloat, which the walker's normal form replaces; 26 682
+# (-7) when the KB became written by id and grew by entries: Persist's
+# delete-and-reinsert, docdb's insertb op with InsertBatchContext, the
+# unused FromJSON and three copies of the document write path (now one
+# put, where the store's depth bound is enforced) gone, net of the KB's
+# written-entries mark, the probe's adoption of stored entries and
+# nextTag's resume past their tags.
 size_gate() { # $1: what is counted; $2: ceiling; stdin: the files
     size=$(xargs cat | wc -l)
     echo "size: $1 ${size} non-test lines (ceiling $2)"
@@ -89,7 +95,7 @@ size_gate() { # $1: what is counted; $2: ceiling; stdin: the files
 }
 find internal/tsdb -name '*.go' ! -name '*_test.go' | size_gate internal/tsdb 4576
 find . -name '*.go' ! -name '*_test.go' ! -path './internal/bench/*' ! -path './cmd/pmovebench/*' |
-    size_gate 'outside the benchmark paths' 26689
+    size_gate 'outside the benchmark paths' 26682
 
 # One durable lifecycle: every durable byte goes through storage.Store
 # (store.go over wal.go), which owns closed and crashed. A bare WAL

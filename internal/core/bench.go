@@ -43,7 +43,7 @@ func (d *Daemon) runSTREAM(ctx context.Context, host string, threads int) (*kb.B
 	}
 	start := int64(t.Machine.Now() * 1e9)
 	bench := &kb.Benchmark{
-		ID: "bench:" + d.nextTag(host), Type: "BenchmarkInterface",
+		ID: "bench:" + d.nextTag(k), Type: "BenchmarkInterface",
 		Host: host, Name: "stream", Compiler: preferredCompiler(t.System),
 		StartNanos: start,
 	}
@@ -98,7 +98,7 @@ func (d *Daemon) runHPCG(ctx context.Context, host string, threads, n int) (*kb.
 		return nil, err
 	}
 	bench := &kb.Benchmark{
-		ID: "bench:" + d.nextTag(host), Type: "BenchmarkInterface",
+		ID: "bench:" + d.nextTag(k), Type: "BenchmarkInterface",
 		Host: host, Name: "hpcg", Compiler: preferredCompiler(t.System),
 		StartNanos: start, EndNanos: int64(t.Machine.Now() * 1e9),
 		Results: []kb.BenchmarkResult{{
@@ -151,7 +151,7 @@ func (d *Daemon) constructCARM(ctx context.Context, host string, isa topo.ISA, t
 	if err != nil {
 		return nil, err
 	}
-	bench := model.ToBenchmark("bench:"+d.nextTag(host), start, int64(t.Machine.Now()*1e9))
+	bench := model.ToBenchmark("bench:"+d.nextTag(k), start, int64(t.Machine.Now()*1e9))
 	if err := d.attachAndPersist(k, bench); err != nil {
 		return nil, err
 	}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 
 	"pmove/internal/abst"
@@ -197,7 +198,8 @@ func (d *Daemon) Hosts() []string {
 
 // ProbeContext runs Figure 3 steps ①–③ for a target: the probing module
 // runs on the target, the probe document comes back to the host, the KB
-// is generated from it and inserted into the document database.
+// is generated from it and inserted into the document database, where
+// it adopts the entries earlier runs stored for the host.
 func (d *Daemon) ProbeContext(ctx context.Context, host string) (*kb.KB, error) {
 	ctx, done := d.opStart(ctx, "probe")
 	k, err := d.probe(ctx, host)
@@ -257,10 +259,11 @@ func (d *Daemon) KB(host string) (*kb.KB, error) {
 	return k, nil
 }
 
-// attachAndPersist attaches entries to a host's KB and re-inserts it
-// ("Step ③ re-occurs every time KB changes"). Serialized under d.kbMu:
-// kb.KB has no internal locking, and concurrent sessions on the same
-// host otherwise race on the entry list.
+// attachAndPersist attaches entries to a host's KB and stores them
+// ("Step ③ re-occurs every time KB changes"): Persist writes one record
+// per new entry. Serialized under d.kbMu: kb.KB has no internal
+// locking, and concurrent sessions on the same host otherwise race on
+// the entry list.
 func (d *Daemon) attachAndPersist(k *kb.KB, entries ...kb.Entry) error {
 	d.kbMu.Lock()
 	defer d.kbMu.Unlock()
@@ -272,13 +275,26 @@ func (d *Daemon) attachAndPersist(k *kb.KB, entries ...kb.Entry) error {
 	return k.Persist(d.Docs)
 }
 
-// nextTag allocates an observation tag.
-func (d *Daemon) nextTag(host string) string {
+// nextTag allocates an observation tag: kb.NewUUID(k.Host, seq) for the
+// next seq whose tag no entry of k carries (an entry id is
+// "<kind>:<tag>"). A fresh daemon issues seq 1, 2, …; one restarted on
+// its data directory skips the tags its probe adopted.
+func (d *Daemon) nextTag(k *kb.KB) string {
+	used := map[string]bool{}
+	d.kbMu.Lock()
+	for _, e := range k.Entries {
+		_, tag, _ := strings.Cut(e.EntryID(), ":")
+		used[tag] = true
+	}
+	d.kbMu.Unlock()
 	d.mu.Lock()
-	d.seq++
-	s := d.seq
-	d.mu.Unlock()
-	return kb.NewUUID(host, s)
+	defer d.mu.Unlock()
+	for {
+		d.seq++
+		if tag := kb.NewUUID(k.Host, d.seq); !used[tag] {
+			return tag
+		}
+	}
 }
 
 // MonitorRequest configures a Scenario A run, mirroring ObserveRequest so
@@ -347,7 +363,7 @@ func (d *Daemon) monitor(ctx context.Context, req MonitorRequest) (*MonitorResul
 		}
 		sort.Strings(metrics)
 	}
-	tag := d.nextTag(host)
+	tag := d.nextTag(k)
 
 	// A1/A2: configure the sampler and generate the dashboard in parallel
 	// conceptually; here sequentially but before sampling starts.

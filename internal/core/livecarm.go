@@ -203,7 +203,7 @@ func (d *Daemon) observeGPU(ctx context.Context, host string, gpuID int, kernelN
 	if !found {
 		return nil, fmt.Errorf("core: host %s has no GPU %d", host, gpuID)
 	}
-	tag := d.nextTag(host)
+	tag := d.nextTag(k)
 	ts := int64(t.Machine.Now() * 1e9)
 	sample := telemetry.Sample{Metric: "ncu", Values: map[string]float64{}}
 	var refs []string

@@ -133,7 +133,7 @@ func (d *Daemon) observe(ctx context.Context, req ObserveRequest) (*ObserveResul
 	metrics = append(metrics, req.SWMetrics...)
 	metrics = dedupe(metrics)
 
-	tag := d.nextTag(req.Host)
+	tag := d.nextTag(k)
 	collector := d.newCollector(t)
 	sess, err := telemetry.NewSession(t.PMCD, collector, telemetry.SessionConfig{
 		Metrics: metrics, FreqHz: req.FreqHz, Tag: tag,

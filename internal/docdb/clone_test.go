@@ -230,14 +230,14 @@ func TestFilterComparesAsStored(t *testing.T) {
 }
 
 // TestSetFieldBoundsDocumentDepth: a value set at a path is bounded by
-// where it sits, so no stored document is nested past what Clone and
-// json.Unmarshal accept, and Get never meets one.
+// where it sits, so no stored document is nested past what the store's
+// records and json.Unmarshal accept, and Get never meets one.
 func TestSetFieldBoundsDocumentDepth(t *testing.T) {
 	c := New().Collection("kb")
 	if _, err := c.Insert(Doc{"_id": "a"}); err != nil {
 		t.Fatal(err)
 	}
-	deep := nest(1.0, maxDepth-2) // maxDepth-1 objects: fits one level down, not two
+	deep := nest(1.0, maxDepth-storeDepth-2) // fits one level down, not two
 	if err := c.SetField("a", "x", deep); err != nil {
 		t.Fatalf("value that fits refused: %v", err)
 	}

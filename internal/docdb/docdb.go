@@ -40,6 +40,20 @@ const maxDepth = 10000
 
 var errTooDeep = fmt.Errorf("%w: nested deeper than %d", ErrUnencodable, maxDepth)
 
+// storeDepth is how deep the store's own records nest a document: a
+// snapshot four levels (image, collections, collection, docs), a WAL
+// record one. A document enters the store counted from there, so what
+// the store accepts, Open can decode again.
+const storeDepth = 4
+
+// admit copies a document entering the store, as Clone does but bounded
+// by storeDepth.
+func admit(d Doc) (Doc, error) {
+	norm, err := clone(d, storeDepth)
+	m, _ := norm.(map[string]any)
+	return m, err
+}
+
 // Clone deep-copies a document into exactly what a JSON round trip —
 // json.Marshal, then json.Unmarshal into a Doc — gives, and fails with
 // ErrUnencodable where that fails. Documents are stored and returned by
@@ -251,40 +265,45 @@ func (db *DB) Collections() []string {
 // id. Inserting an id that already exists errors. On a durable DB the
 // fully resolved document (id assigned) is WAL-logged before the insert
 // commits, so replay regenerates identical state including the id.
-func (c *Collection) Insert(d Doc) (string, error) {
+func (c *Collection) Insert(d Doc) (string, error) { return c.put("insert", "", d) }
+
+// put is where a document enters the store, for op "insert", "replace"
+// or "upsert": it admits d, then decides, logs and applies the resolved
+// insert or replace of d under one hold of the collection lock. A
+// replace is of id; an insert or upsert is of the admitted document's
+// own _id, or of a fresh one when it has none.
+func (c *Collection) put(op, id string, d Doc) (string, error) {
 	if d == nil {
-		return "", fmt.Errorf("docdb: cannot insert nil document into %s", c.name)
+		return "", fmt.Errorf("docdb: cannot %s nil document into %s", op, c.name)
 	}
-	stored, err := d.Clone()
+	stored, err := admit(d)
 	if err != nil {
 		return "", fmt.Errorf("%w in %s", err, c.name)
 	}
 	defer c.beginMutation()()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	id := stored.ID()
-	if id == "" {
-		c.seq++
-		id = fmt.Sprintf("%s-%08d", c.name, c.seq)
-		stored["_id"] = id
+	if op != "replace" {
+		if id = stored.ID(); id == "" {
+			c.seq++
+			id = fmt.Sprintf("%s-%08d", c.name, c.seq)
+		}
 	}
-	if _, exists := c.docs[id]; exists {
+	stored["_id"] = id
+	logged := walOp{Op: "insert", Collection: c.name, Doc: stored, Seq: c.seq}
+	switch _, exists := c.docs[id]; {
+	case exists && op == "insert":
 		return "", fmt.Errorf("docdb: duplicate _id %q in %s", id, c.name)
+	case !exists && op == "replace":
+		return "", fmt.Errorf("docdb: no document %q in %s", id, c.name)
+	case exists:
+		logged = walOp{Op: "replace", Collection: c.name, ID: id, Doc: stored}
 	}
-	if err := c.putLocked(walOp{Op: "insert", Collection: c.name, Doc: stored, Seq: c.seq}); err != nil {
+	if err := c.logLocked(logged); err != nil {
 		return "", err
 	}
+	c.docs[id] = stored
 	return id, nil
-}
-
-// putLocked logs a resolved insert or replace of op.Doc, then stores it.
-// Callers hold c.mu and have checked the op against c.docs under it.
-func (c *Collection) putLocked(op walOp) error {
-	if err := c.logLocked(op); err != nil {
-		return err
-	}
-	c.docs[op.Doc.ID()] = op.Doc
-	return nil
 }
 
 // Get fetches a document by id.
@@ -295,7 +314,7 @@ func (c *Collection) Get(id string) (Doc, bool) {
 	if !ok {
 		return nil, false
 	}
-	out, _ := d.Clone() // stored documents came through Clone: no error
+	out, _ := d.Clone() // stored documents came through admit: no error
 	return out, true
 }
 
@@ -307,7 +326,7 @@ func (c *Collection) Find(f *Filter) []Doc {
 	var out []Doc
 	for _, d := range c.docs {
 		if f == nil || f.Matches(d) {
-			cp, _ := d.Clone() // stored documents came through Clone: no error
+			cp, _ := d.Clone() // stored documents came through admit: no error
 			out = append(out, cp)
 		}
 	}
@@ -339,48 +358,22 @@ func (c *Collection) Count(f *Filter) int {
 
 // Replace overwrites the document with the given id. Errors if absent.
 func (c *Collection) Replace(id string, d Doc) error {
-	stored, err := d.Clone()
-	if err != nil {
-		return fmt.Errorf("%w in %s", err, c.name)
-	}
-	stored["_id"] = id
-	defer c.beginMutation()()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.docs[id]; !ok {
-		return fmt.Errorf("docdb: no document %q in %s", id, c.name)
-	}
-	return c.putLocked(walOp{Op: "replace", Collection: c.name, ID: id, Doc: stored})
+	_, err := c.put("replace", id, d)
+	return err
 }
 
 // Upsert inserts or replaces by id; an empty id inserts fresh. Which of
 // the two it is gets decided, logged and applied under one hold of the
 // collection lock, so concurrent upserts of one fresh id all succeed:
 // the first inserts, the rest replace.
-func (c *Collection) Upsert(d Doc) (string, error) {
-	id := d.ID()
-	if id == "" {
-		return c.Insert(d)
-	}
-	stored, err := d.Clone()
-	if err != nil {
-		return "", fmt.Errorf("%w in %s", err, c.name)
-	}
-	defer c.beginMutation()()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, exists := c.docs[id]; exists {
-		return id, c.putLocked(walOp{Op: "replace", Collection: c.name, ID: id, Doc: stored})
-	}
-	return id, c.putLocked(walOp{Op: "insert", Collection: c.name, Doc: stored, Seq: c.seq})
-}
+func (c *Collection) Upsert(d Doc) (string, error) { return c.put("upsert", "", d) }
 
 // SetField sets a top-level or nested field (dot path; intermediate maps
 // are created) on the document with the given id. The value is stored
 // as Clone stores a document, and is nested where the path puts it, so
-// the document as a whole stays within Clone's depth bound.
+// the document as a whole stays within the store's depth bound.
 func (c *Collection) SetField(id, path string, value any) error {
-	norm, err := clone(value, strings.Count(path, ".")+1)
+	norm, err := clone(value, storeDepth+strings.Count(path, ".")+1)
 	if err != nil {
 		return fmt.Errorf("%w at %s in %s", err, path, c.name)
 	}
@@ -414,15 +407,16 @@ func (c *Collection) setFieldLocked(id, path string, norm any) {
 
 // Delete removes documents matching the filter, returning how many.
 // Durable DBs log the filter, not the victims: replaying it against the
-// identically reconstructed state deletes the same documents.
-func (c *Collection) Delete(f *Filter) int {
+// identically reconstructed state deletes the same documents. A failed
+// WAL append deletes nothing and is returned.
+func (c *Collection) Delete(f *Filter) (int, error) {
 	defer c.beginMutation()()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.logLocked(walOp{Op: "delete", Collection: c.name, Filter: f}); err != nil {
-		return 0
+		return 0, err
 	}
-	return c.deleteLocked(f)
+	return c.deleteLocked(f), nil
 }
 
 // deleteLocked removes matching documents. Callers hold c.mu.
@@ -435,15 +429,6 @@ func (c *Collection) deleteLocked(f *Filter) int {
 		}
 	}
 	return n
-}
-
-// FromJSON builds a Doc from raw JSON bytes.
-func FromJSON(b []byte) (Doc, error) {
-	var d Doc
-	if err := json.Unmarshal(b, &d); err != nil {
-		return nil, fmt.Errorf("docdb: bad document JSON: %w", err)
-	}
-	return d, nil
 }
 
 // FromValue converts any JSON-able Go value into a Doc: what

@@ -231,14 +231,14 @@ func TestDelete(t *testing.T) {
 	c := db.Collection("x")
 	c.Insert(Doc{"_id": "1", "host": "a"})
 	c.Insert(Doc{"_id": "2", "host": "b"})
-	if n := c.Delete(&Filter{Eq: map[string]any{"host": "a"}}); n != 1 {
-		t.Errorf("deleted %d", n)
+	if n, err := c.Delete(&Filter{Eq: map[string]any{"host": "a"}}); n != 1 || err != nil {
+		t.Errorf("deleted %d, err %v", n, err)
 	}
 	if c.Count(nil) != 1 {
 		t.Error("delete removed the wrong docs")
 	}
-	if n := c.Delete(nil); n != 1 {
-		t.Errorf("delete all removed %d", n)
+	if n, err := c.Delete(nil); n != 1 || err != nil {
+		t.Errorf("delete all removed %d, err %v", n, err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pmove/internal/storage"
@@ -39,8 +40,8 @@ func TestDurableOpsCrashRecover(t *testing.T) {
 	if _, err := c.Insert(Doc{"name": "doomed", "kill": true}); err != nil {
 		t.Fatal(err)
 	}
-	if n := c.Delete(&Filter{Eq: map[string]any{"kill": true}}); n != 1 {
-		t.Fatalf("deleted %d, want 1", n)
+	if n, err := c.Delete(&Filter{Eq: map[string]any{"kill": true}}); n != 1 || err != nil {
+		t.Fatalf("deleted %d (err %v), want 1", n, err)
 	}
 	want := c.Find(nil)
 	if err := db.Crash(); err != nil {
@@ -187,6 +188,79 @@ func TestClosedDurableDBRefusesMutations(t *testing.T) {
 	}
 }
 
+// TestDeleteOnClosedDBReturnsErrClosed: a delete the WAL refused is an
+// error, not "nothing matched" — from Delete and from the server's
+// delete op — and deletes nothing.
+func TestDeleteOnClosedDBReturnsErrClosed(t *testing.T) {
+	db, err := Open(t.TempDir(), storage.FsyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := db.Collection("col")
+	if _, err := c.Insert(Doc{"_id": "a"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := c.Delete(nil); n != 0 || !errors.Is(err, storage.ErrClosed) {
+		t.Fatalf("Delete on a closed DB = %d, %v; want 0, storage.ErrClosed", n, err)
+	}
+	resp := NewServer(db).dispatch(&request{Op: "delete", Collection: "col"})
+	if resp.OK || !strings.Contains(resp.Error, storage.ErrClosed.Error()) {
+		t.Fatalf("server delete on a closed DB replied %+v", resp)
+	}
+	if c.Count(nil) != 1 {
+		t.Fatal("a refused delete removed documents")
+	}
+}
+
+// TestDeepestStoredDocumentReplays: the deepest document the store
+// accepts comes back from WAL replay and from a snapshot, and one level
+// deeper is refused by every write that brings a document in.
+func TestDeepestStoredDocumentReplays(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, storage.FsyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deepest := nest(1.0, maxDepth-storeDepth-1) // maxDepth-storeDepth objects
+	deepest["_id"] = "a"
+	if _, err := db.Collection("kb").Insert(deepest); err != nil {
+		t.Fatalf("deepest document refused: %v", err)
+	}
+	c := db.Collection("kb")
+	tooDeep := nest(1.0, maxDepth-storeDepth)
+	refused := map[string]error{
+		"insert":   func() error { _, err := c.Insert(tooDeep); return err }(),
+		"replace":  c.Replace("a", tooDeep),
+		"upsert":   func() error { _, err := c.Upsert(Doc{"_id": "a", "k": tooDeep}); return err }(),
+		"setfield": c.SetField("a", "x", tooDeep),
+	}
+	for op, err := range refused {
+		if !errors.Is(err, ErrUnencodable) {
+			t.Errorf("%s of a document one level deeper: err = %v, want ErrUnencodable", op, err)
+		}
+	}
+	for _, step := range []string{"wal replay", "snapshot"} {
+		if step == "snapshot" {
+			if err := db.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if db, err = Open(dir, storage.FsyncAlways); err != nil {
+			t.Fatalf("reopen after %s: %v", step, err)
+		}
+		if got, _ := db.Collection("kb").Get("a"); !reflect.DeepEqual(got, deepest) {
+			t.Fatalf("deepest document not recovered by %s", step)
+		}
+	}
+	db.Close()
+}
+
 // TestServerFlushOnClose: a wire-acknowledged insert survives server
 // Close + crash even under fsync=never, because Close drains handlers
 // and syncs before returning.
@@ -246,7 +320,9 @@ func TestDurableRecoveryDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.Delete(&Filter{Eq: map[string]any{"tag": "t1"}})
+	if _, err := c.Delete(&Filter{Eq: map[string]any{"tag": "t1"}}); err != nil {
+		t.Fatal(err)
+	}
 	db.Close()
 	render := func() string {
 		r, err := Open(dir, storage.FsyncAlways)

@@ -19,10 +19,9 @@ import (
 // omitted by pre-tracing clients, ignored by pre-tracing servers (both
 // directions stay backward compatible).
 type request struct {
-	Op          string  `json:"op"` // insert | insertb | find | get | delete | count | collections
+	Op          string  `json:"op"` // insert | upsert | find | get | delete | count | collections | ping
 	Collection  string  `json:"collection,omitempty"`
 	Doc         Doc     `json:"doc,omitempty"`
-	Docs        []Doc   `json:"docs,omitempty"` // insertb batch body
 	Filter      *Filter `json:"filter,omitempty"`
 	ID          string  `json:"id,omitempty"`
 	Traceparent string  `json:"traceparent,omitempty"`
@@ -32,7 +31,6 @@ type response struct {
 	OK    bool     `json:"ok"`
 	Error string   `json:"error,omitempty"`
 	ID    string   `json:"id,omitempty"`
-	IDs   []string `json:"ids,omitempty"` // insertb assigned ids, batch order
 	Docs  []Doc    `json:"docs,omitempty"`
 	Count int      `json:"count,omitempty"`
 	Names []string `json:"names,omitempty"`
@@ -110,21 +108,6 @@ func (s *Server) dispatch(req *request) response {
 			return response{Error: err.Error()}
 		}
 		return response{OK: true, ID: id}
-	case "insertb":
-		// Batched insert: one frame, one response, ids in batch order.
-		// Unlike tsdb's group commit this is per-doc under the hood (each
-		// doc WAL-logged as its own op), so a mid-batch rejection leaves
-		// the applied prefix — the response reports how far it got and
-		// the op is at-least-once, not atomic, under retry.
-		ids := make([]string, 0, len(req.Docs))
-		for i, d := range req.Docs {
-			id, err := col().Insert(d)
-			if err != nil {
-				return response{IDs: ids, Error: fmt.Sprintf("batch doc %d (%d applied): %v", i, len(ids), err)}
-			}
-			ids = append(ids, id)
-		}
-		return response{OK: true, IDs: ids}
 	case "upsert":
 		id, err := col().Upsert(req.Doc)
 		if err != nil {
@@ -140,7 +123,11 @@ func (s *Server) dispatch(req *request) response {
 		}
 		return response{OK: true, Docs: []Doc{d}}
 	case "delete":
-		return response{OK: true, Count: col().Delete(req.Filter)}
+		n, err := col().Delete(req.Filter)
+		if err != nil {
+			return response{Error: err.Error()}
+		}
+		return response{OK: true, Count: n}
 	case "count":
 		return response{OK: true, Count: col().Count(req.Filter)}
 	case "collections":
@@ -244,20 +231,6 @@ func (c *Client) roundTrip(ctx context.Context, req request) (response, error) {
 func (c *Client) InsertContext(ctx context.Context, collection string, d Doc) (string, error) {
 	resp, err := c.roundTrip(ctx, request{Op: "insert", Collection: collection, Doc: d})
 	return resp.ID, err
-}
-
-// InsertBatchContext stores a batch of documents in ONE round-trip and
-// returns their assigned ids in batch order. The op is at-least-once
-// and non-atomic: a rejection mid-batch leaves the applied prefix
-// (reported via the returned ids), and a retry after a lost ack may
-// re-insert — callers needing exactly-once should write through the
-// tsdb batch path or upsert by stable _id.
-func (c *Client) InsertBatchContext(ctx context.Context, collection string, docs []Doc) ([]string, error) {
-	if len(docs) == 0 {
-		return nil, nil
-	}
-	resp, err := c.roundTrip(ctx, request{Op: "insertb", Collection: collection, Docs: docs})
-	return resp.IDs, err
 }
 
 // UpsertContext inserts or replaces a document remotely by its _id.

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 
+	"pmove/internal/docdb"
 	"pmove/internal/jsonld"
 	"pmove/internal/ontology"
 	"pmove/internal/pmu"
@@ -48,8 +49,13 @@ type KB struct {
 	root  string
 
 	// Entries are the live attachments: observations, benchmark results,
-	// process instantiations.
+	// process instantiations. They only grow: Attach appends.
 	Entries []Entry
+
+	// db is the database Persist last wrote the whole KB to, and
+	// persisted how many leading Entries are stored there.
+	db        *docdb.DB
+	persisted int
 }
 
 // Root returns the root node (the system twin).

@@ -3,6 +3,8 @@ package kb
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"pmove/internal/docdb"
@@ -16,57 +18,70 @@ const (
 	CollMeta       = "kb_meta"
 )
 
-// Persist writes the whole KB into the document database (Figure 3 step
-// ③: "Once the KB is generated, it is inserted into MongoDB … Step ③
-// re-occurs every time KB changes"). Existing documents for the same host
-// are replaced, making Persist idempotent.
+// Persist writes the KB into the document database (Figure 3 step ③:
+// "Once the KB is generated, it is inserted into MongoDB … Step ③
+// re-occurs every time KB changes"). Every document is upserted by its
+// deterministic _id and none is deleted, so Persist is idempotent and a
+// host's stored KB only grows by entries, as the paper's KB does.
+//
+// The first Persist of k into db adopts the host's stored entries that
+// k lacks — a fresh KB from Generate thereby carries the host's history
+// — and writes every interface, entry and the meta document. A later
+// Persist into the same db writes only the entries attached since, one
+// record each.
 func (k *KB) Persist(db *docdb.DB) error {
-	ifaces := db.Collection(CollInterfaces)
+	if k.db != db || k.persisted > len(k.Entries) {
+		if err := k.persistAll(db); err != nil {
+			return err
+		}
+	}
 	entries := db.Collection(CollEntries)
-	meta := db.Collection(CollMeta)
-
-	// Drop prior state for this host.
-	hostFilter := &docdb.Filter{Eq: map[string]any{"host": k.Host}}
-	ifaces.Delete(hostFilter)
-	entries.Delete(hostFilter)
-	meta.Delete(hostFilter)
-
-	for _, n := range k.Nodes() {
-		doc, err := toDoc(n.Interface)
-		if err != nil {
-			return fmt.Errorf("kb: persist %s: %w", n.ID, err)
-		}
-		doc["_id"] = n.ID
-		doc["host"] = k.Host
-		doc["kind"] = string(n.Kind)
-		doc["parent"] = n.Parent
-		if _, err := ifaces.Insert(doc); err != nil {
+	for _, e := range k.Entries[k.persisted:] {
+		if err := upsert(entries, e, map[string]any{"_id": e.EntryID(), "host": k.Host, "kind": string(e.Kind())}); err != nil {
 			return err
 		}
+		k.persisted++
 	}
-	for _, e := range k.Entries {
-		doc, err := toDoc(e)
-		if err != nil {
-			return fmt.Errorf("kb: persist entry %s: %w", e.EntryID(), err)
-		}
-		doc["_id"] = e.EntryID()
-		doc["host"] = k.Host
-		doc["kind"] = string(e.Kind())
-		if _, err := entries.Insert(doc); err != nil {
-			return err
-		}
-	}
-	metaDoc, err := toDoc(map[string]any{
-		"_id":    "meta:" + k.Host,
-		"host":   k.Host,
-		"root":   k.root,
-		"config": k.Config,
-		"nodes":  k.Len(),
-	})
+	return nil
+}
+
+// persistAll adopts the host's stored entries that k lacks, ahead of
+// k's own, and writes every interface and the meta document. It counts
+// the adopted entries as written and leaves k's own to Persist.
+func (k *KB) persistAll(db *docdb.DB) error {
+	stored, err := storedEntries(db, k.Host)
 	if err != nil {
 		return err
 	}
-	_, err = meta.Insert(metaDoc)
+	adopted := stored[:0]
+	for _, e := range stored {
+		if !slices.ContainsFunc(k.Entries, func(have Entry) bool { return have.EntryID() == e.EntryID() }) {
+			adopted = append(adopted, e)
+		}
+	}
+	k.Entries = append(adopted, k.Entries...)
+	ifaces := db.Collection(CollInterfaces)
+	for _, n := range k.Nodes() {
+		if err := upsert(ifaces, n.Interface, map[string]any{"_id": n.ID, "host": k.Host, "kind": string(n.Kind), "parent": n.Parent}); err != nil {
+			return err
+		}
+	}
+	meta := map[string]any{"root": k.root, "config": k.Config, "nodes": k.Len()}
+	if err := upsert(db.Collection(CollMeta), meta, map[string]any{"_id": "meta:" + k.Host, "host": k.Host}); err != nil {
+		return err
+	}
+	k.db, k.persisted = db, len(adopted)
+	return nil
+}
+
+// upsert stores v's document, with keys set over it, by its _id.
+func upsert(c *docdb.Collection, v any, keys map[string]any) error {
+	doc, err := docdb.FromValue(v)
+	if err != nil {
+		return fmt.Errorf("kb: persist %s: %w", keys["_id"], err)
+	}
+	maps.Copy(doc, keys)
+	_, err = c.Upsert(doc)
 	return err
 }
 
@@ -109,59 +124,57 @@ func Load(db *docdb.DB, host string) (*KB, error) {
 	}
 	// Rebuild children lists from parents.
 	for _, n := range k.nodes {
-		if n.Parent != "" {
-			if p, ok := k.nodes[n.Parent]; ok {
-				p.Children = append(p.Children, n.ID)
-			}
+		if p, ok := k.nodes[n.Parent]; ok {
+			p.Children = append(p.Children, n.ID)
 		}
 	}
 	for _, n := range k.nodes {
 		sort.Strings(n.Children)
 	}
-	for _, doc := range db.Collection(CollEntries).Find(hostFilter) {
-		e, err := entryFromDoc(doc)
-		if err != nil {
-			return nil, err
-		}
-		k.Entries = append(k.Entries, e)
+	entries, err := storedEntries(db, host)
+	if err != nil {
+		return nil, err
 	}
+	k.Entries = entries
 	if err := k.Validate(); err != nil {
 		return nil, fmt.Errorf("kb: loaded KB invalid: %w", err)
 	}
 	return k, nil
 }
 
+// storedEntries reads a host's stored entries, ordered by _id.
+func storedEntries(db *docdb.DB, host string) ([]Entry, error) {
+	var out []Entry
+	for _, doc := range db.Collection(CollEntries).Find(&docdb.Filter{Eq: map[string]any{"host": host}}) {
+		e, err := entryFromDoc(doc)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, e)
+	}
+	return out, nil
+}
+
 // entryFromDoc reconstructs a typed entry from its stored document.
 func entryFromDoc(doc docdb.Doc) (Entry, error) {
 	kind, _ := doc["kind"].(string)
+	var e Entry
+	switch ontology.EntryKind(kind) {
+	case ontology.EntryObservation, ontology.EntryTSObservation, ontology.EntryAGGObservation:
+		e = &Observation{}
+	case ontology.EntryBenchmark:
+		e = &Benchmark{}
+	case ontology.EntryProcess:
+		e = &Process{}
+	default:
+		return nil, fmt.Errorf("kb: unknown entry kind %q in document %s", kind, doc.ID())
+	}
 	b, err := json.Marshal(doc)
+	if err == nil {
+		err = json.Unmarshal(b, e)
+	}
 	if err != nil {
 		return nil, err
 	}
-	switch ontology.EntryKind(kind) {
-	case ontology.EntryObservation, ontology.EntryTSObservation, ontology.EntryAGGObservation:
-		var o Observation
-		if err := json.Unmarshal(b, &o); err != nil {
-			return nil, err
-		}
-		return &o, nil
-	case ontology.EntryBenchmark:
-		var bm Benchmark
-		if err := json.Unmarshal(b, &bm); err != nil {
-			return nil, err
-		}
-		return &bm, nil
-	case ontology.EntryProcess:
-		var p Process
-		if err := json.Unmarshal(b, &p); err != nil {
-			return nil, err
-		}
-		return &p, nil
-	}
-	return nil, fmt.Errorf("kb: unknown entry kind %q in document %s", kind, doc.ID())
-}
-
-// toDoc converts any JSON-able value to a docdb document.
-func toDoc(v any) (docdb.Doc, error) {
-	return docdb.FromValue(v)
+	return e, nil
 }
