@@ -65,7 +65,14 @@ fi
 # cached result shared instead of copied. -3 when storage.Store took
 # the closed/crashed lifecycle over from tsdb and docdb, and their
 # dead seq counters and Retention accessor went, net of the WRITEB
-# server's in-flight token claim.)
+# server's in-flight token claim. +90 when the embedded write took the
+# wire path's rows: number.go's exact-digit speller, the two spare
+# rowBufs with their clearing put, the in-place key sort and the client's
+# shared key scratch cost more than the second pointRow, the separate
+# Validate pass, walRecord's callback, linesSizeHint and the frame's
+# separator count gave back, for +52 % bulk_ingest ops_per_s (medians,
+# 10 pairs): the spares +19 % of it over a per-batch scratch, the
+# speller +15 % over strconv.)
 # The second line is the same ratchet over all non-test Go outside the
 # benchmark's frozen paths (BENCHMARK.json "paths"): 26 312 before the
 # two wire servers became one skeleton (internal/wire), 26 222 after,
@@ -84,7 +91,8 @@ fi
 # unused FromJSON and three copies of the document write path (now one
 # put, where the store's depth bound is enforced) gone, net of the KB's
 # written-entries mark, the probe's adoption of stored entries and
-# nextTag's resume past their tags.
+# nextTag's resume past their tags; 26 772 (+90) with the embedded
+# write's rows once, all of it in internal/tsdb (above).
 size_gate() { # $1: what is counted; $2: ceiling; stdin: the files
     size=$(xargs cat | wc -l)
     echo "size: $1 ${size} non-test lines (ceiling $2)"
@@ -93,9 +101,9 @@ size_gate() { # $1: what is counted; $2: ceiling; stdin: the files
         exit 1
     fi
 }
-find internal/tsdb -name '*.go' ! -name '*_test.go' | size_gate internal/tsdb 4576
+find internal/tsdb -name '*.go' ! -name '*_test.go' | size_gate internal/tsdb 4666
 find . -name '*.go' ! -name '*_test.go' ! -path './internal/bench/*' ! -path './cmd/pmovebench/*' |
-    size_gate 'outside the benchmark paths' 26682
+    size_gate 'outside the benchmark paths' 26772
 
 # One durable lifecycle: every durable byte goes through storage.Store
 # (store.go over wal.go), which owns closed and crashed. A bare WAL
@@ -144,6 +152,7 @@ fuzz_smoke ./internal/tsdb FuzzBatchFrame
 fuzz_smoke ./internal/tsdb FuzzParseQuery
 fuzz_smoke ./internal/tsdb FuzzBlockDecode
 fuzz_smoke ./internal/tsdb FuzzQueryReply
+fuzz_smoke ./internal/tsdb FuzzAppendFloat
 fuzz_smoke ./internal/introspect FuzzParseTraceparent
 fuzz_smoke ./internal/docdb FuzzDocdbFrame
 fuzz_smoke ./internal/docdb FuzzDocClone

@@ -85,7 +85,7 @@ func (db *DB) replay(rec storage.Recovered) error {
 				return err
 			}
 		}
-		db.insertBatch(len(rb.rows), rb.at)
+		db.insertBatch(rb.rows)
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // Typed line-protocol errors. Fuzzing shook out a family of inputs the
@@ -40,15 +41,21 @@ var (
 // the point has at most 16 tags and fields.
 func AppendLine(dst []byte, p *Point) ([]byte, error) {
 	var stack [16]rowKV
-	kvs := stack[:0]
-	if n := len(p.Tags) + len(p.Fields); n > len(stack) {
+	dst, _, err := appendLine(dst, p, stack[:0])
+	return dst, err
+}
+
+// appendLine is AppendLine with its key scratch passed in, and handed
+// back grown to fit p, so the points of a batch share one.
+func appendLine(dst []byte, p *Point, kvs []rowKV) ([]byte, []rowKV, error) {
+	if n := len(p.Tags) + len(p.Fields); n > cap(kvs) {
 		kvs = make([]rowKV, 0, n)
 	}
-	r, _, err := pointRow(p, kvs, true)
+	r, kvs, err := pointRow(p, kvs[:0])
 	if err != nil {
-		return dst, err
+		return dst, kvs, err
 	}
-	return appendRow(dst, &r), nil
+	return appendRow(dst, &r), kvs, nil
 }
 
 // EncodeLine is AppendLine into a fresh string.
@@ -81,24 +88,65 @@ type rowKV struct {
 
 func byKey(a, b rowKV) int { return strings.Compare(a.key, b.key) }
 
-// rowBuf is the flat scratch the rows of a received frame or a replayed
-// record are built in: one header per row over one slice of all their
-// tags and fields. A row keeps slices of the backing array as it was
+// sortKeys sorts a row's keys: a few in place, where calling a comparison
+// function would cost more than comparing, more with slices.SortFunc.
+func sortKeys(kvs []rowKV) {
+	if len(kvs) > 16 {
+		slices.SortFunc(kvs, byKey)
+		return
+	}
+	for i := 1; i < len(kvs); i++ {
+		for j := i; j > 0 && kvs[j].key < kvs[j-1].key; j-- {
+			kvs[j], kvs[j-1] = kvs[j-1], kvs[j]
+		}
+	}
+}
+
+// rowBuf is the flat scratch the rows of a batch are built in: one header
+// per row over one slice of all their tags and fields, and the WAL record
+// printed from them. A row keeps slices of the backing array as it was
 // then, so a rowBuf is appended to, not edited.
 type rowBuf struct {
 	rows     []row
 	kvs      []rowKV
+	rec      []byte
 	verbatim int // rows scanned from a canonical line
-	bytes    int // length of the lines scanned
 }
 
-func (rb *rowBuf) at(i int) *row { return &rb.rows[i] }
+// spares keeps the rowBufs of finished batches for the next, one for each
+// of the two writers the busiest workload runs at once. Not a sync.Pool:
+// emptied at each collection, it makes allocations depend on its timing.
+var spares [2]atomic.Pointer[rowBuf]
+
+// getRowBuf hands out a spare rowBuf, or a new one.
+func getRowBuf() *rowBuf {
+	for i := range spares {
+		if rb := spares[i].Swap(nil); rb != nil {
+			return rb
+		}
+	}
+	return new(rowBuf)
+}
+
+// putRowBuf keeps rb, emptied so no batch's names stay reachable, up to
+// 4 096 keys and a 256 KiB record (a 256 × 8 batch needs 2 304, ≈ 30 KiB).
+// A rejected batch's is not kept: it may hold keys past the end of kvs.
+func putRowBuf(rb *rowBuf) {
+	if cap(rb.kvs) > 1<<12 || cap(rb.rec) > 1<<18 {
+		return
+	}
+	clear(rb.rows)
+	clear(rb.kvs)
+	*rb = rowBuf{rows: rb.rows[:0], kvs: rb.kvs[:0], rec: rb.rec[:0]}
+	if !spares[0].CompareAndSwap(nil, rb) {
+		spares[1].CompareAndSwap(nil, rb)
+	}
+}
 
 // pointRow validates p — Point.Validate's checks, in its order — as it
-// collects it into a row built at the end of kvs, which it returns too:
-// tags sorted, fields in map order unless sortFields asks for the order
-// a line is encoded in. A rejected point leaves kvs as it was.
-func pointRow(p *Point, kvs []rowKV, sortFields bool) (row, []rowKV, error) {
+// collects it, tags and fields sorted as a line is encoded, into a row at
+// the end of kvs, which it returns too. A rejected point leaves kvs as it was.
+func pointRow(p *Point, kvs []rowKV) (row, []rowKV, error) {
 	f0 := len(kvs)
 	if p.Measurement == "" {
 		return row{}, kvs, errNoMeasurement
@@ -120,10 +168,8 @@ func pointRow(p *Point, kvs []rowKV, sortFields bool) (row, []rowKV, error) {
 		kvs = append(kvs, rowKV{key: k, str: v})
 	}
 	r := row{meas: p.Measurement, tags: kvs[t0:], fields: kvs[f0:t0], time: p.Time}
-	slices.SortFunc(r.tags, byKey)
-	if sortFields {
-		slices.SortFunc(r.fields, byKey)
-	}
+	sortKeys(r.tags)
+	sortKeys(r.fields)
 	return r, kvs, nil
 }
 
@@ -145,22 +191,11 @@ func appendRow(dst []byte, r *row) []byte {
 		dst = append(dst, sep)
 		dst = appendEscaped(dst, f.key)
 		dst = append(dst, '=')
-		dst = strconv.AppendFloat(dst, f.num, 'g', -1, 64)
+		dst = appendFloat(dst, f.num)
 		sep = ','
 	}
 	dst = append(dst, ' ')
 	return strconv.AppendInt(dst, r.time, 10)
-}
-
-// linesSizeHint is the buffer capacity to encode ps into: room for names
-// and numbers of the usual widths, a separator after each line and the
-// length in front of it. A batch that needs more grows the buffer.
-func linesSizeHint(ps []Point) int {
-	size := 0
-	for i := range ps {
-		size += len(ps[i].Measurement) + 32*(len(ps[i].Tags)+len(ps[i].Fields)) + 24
-	}
-	return size
 }
 
 // appendEscaped appends s with a backslash before every backslash,
@@ -206,7 +241,6 @@ func (rb *rowBuf) scan(line string) (err error) {
 	var r row
 	if r, rb.kvs, err = scanRow(line, rb.kvs); err == nil {
 		rb.rows = append(rb.rows, r)
-		rb.bytes += len(line)
 		if r.line != "" {
 			rb.verbatim++
 		}
@@ -296,8 +330,8 @@ func scanRow(line string, kvs []rowKV) (row, []rowKV, error) {
 	}
 	r := row{meas: meas, tags: kvs[t0:f0], fields: kvs[f0:], time: t}
 	if !ascending || seen != nil {
-		slices.SortFunc(r.tags, byKey)
-		slices.SortFunc(r.fields, byKey)
+		sortKeys(r.tags)
+		sortKeys(r.fields)
 	} else if digits := strings.TrimPrefix(ts, "-"); canonical && ts[0] != '+' && (digits[0] != '0' || ts == "0") {
 		r.line = line
 	}

@@ -230,13 +230,7 @@ func (s *Server) handleWriteBatch(c *wire.Conn, rest string, arrivalNanos int64)
 	}
 
 	_, ps := c.In.StartSpan(wctx, "tsdb.server.parse")
-	// The frame's own scratch, sized from its separators (a tag or a field
-	// each, at most) and dropped with it: an idle connection keeps nothing.
-	kvs := n
-	for _, line := range lines {
-		kvs += strings.Count(line, ",")
-	}
-	rb := rowBuf{rows: make([]row, 0, n), kvs: make([]rowKV, 0, min(kvs, 1<<15))} // capped: unchecked yet
+	rb := getRowBuf()
 	for i, line := range lines {
 		if derr := rb.scan(line); derr != nil {
 			err = fmt.Errorf("tsdb: batch point %d: %w", i, derr)
@@ -247,12 +241,15 @@ func (s *Server) handleWriteBatch(c *wire.Conn, rest string, arrivalNanos int64)
 
 	// Retry of an applied batch: acknowledge without re-inserting, and
 	// say so in the log — it is the op someone chasing a lost ack looks for.
+	// The scratch goes back before the reply, unless a line was rejected.
 	var extra []string
 	if err == nil && token != "" && s.claimToken(token) {
 		extra = []string{"dedup", "true"}
+		putRowBuf(rb)
 	} else if err == nil {
 		_, is := c.In.StartSpan(wctx, "tsdb.server.insert")
-		err = s.db.writeFrame(&rb)
+		err = s.db.writeFrame(rb)
+		putRowBuf(rb)
 		is.End(err)
 		if token != "" {
 			s.releaseToken(token, err == nil)
@@ -403,16 +400,9 @@ func (c *Client) WriteBatchContext(ctx context.Context, ps []Point) error {
 		return &BatchError{Index: MaxBatchPoints, Err: fmt.Errorf("%w: %d points (limit %d)", ErrBatchTooLarge, len(ps), MaxBatchPoints)}
 	}
 	// The body is encoded once, whatever the number of attempts.
-	body := make([]byte, 0, linesSizeHint(ps))
-	for i := range ps {
-		line, err := AppendLine(body, &ps[i])
-		if err == nil && bytes.IndexByte(line[len(body):], '\n') >= 0 {
-			err = fmt.Errorf("%w: point in %q", ErrLineBreak, ps[i].Measurement)
-		}
-		if err != nil {
-			return &BatchError{Index: i, Err: err}
-		}
-		body = append(line, '\n')
+	body, err := batchBody(ps)
+	if err != nil {
+		return err
 	}
 	token := resilience.NextOpToken()
 	return c.tr.DoContext(ctx, func(ctx context.Context, w *resilience.Wire) error {
@@ -432,6 +422,28 @@ func (c *Client) WriteBatchContext(ctx context.Context, ps []Point) error {
 		}
 		return nil
 	})
+}
+
+// batchBody encodes a WRITEB body, a line and a newline per point, through
+// one key scratch, into room for names and numbers of the usual widths.
+func batchBody(ps []Point) ([]byte, error) {
+	size := 0
+	for i := range ps {
+		size += len(ps[i].Measurement) + 32*(len(ps[i].Tags)+len(ps[i].Fields)) + 24
+	}
+	body := make([]byte, 0, size)
+	var kvs []rowKV
+	for i := range ps {
+		line, grown, err := appendLine(body, &ps[i], kvs)
+		if err == nil && bytes.IndexByte(line[len(body):], '\n') >= 0 {
+			err = fmt.Errorf("%w: point in %q", ErrLineBreak, ps[i].Measurement)
+		}
+		if err != nil {
+			return nil, &BatchError{Index: i, Err: err}
+		}
+		body, kvs = append(line, '\n'), grown
+	}
+	return body, nil
 }
 
 // QueryContext runs a SELECT statement remotely. The statement is parsed

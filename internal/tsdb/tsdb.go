@@ -307,101 +307,78 @@ func (db *DB) WriteBatchContext(ctx context.Context, ps []Point) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("tsdb: batch: %w", err)
 	}
-	// Validation is one pass, which for a durable store also encodes.
-	var rec []byte
-	if db.Durable() {
-		var at int
-		var err error
-		rec, at, err = walRecord(len(ps), linesSizeHint(ps), func(dst []byte, i int) ([]byte, error) {
-			return AppendLine(dst, &ps[i])
-		})
+	// Each point becomes a row once, before any lock, as a frame's lines do.
+	rb := getRowBuf()
+	for i := range ps {
+		r, kvs, err := pointRow(&ps[i], rb.kvs)
 		if err != nil {
-			return &BatchError{Index: at, Err: err}
+			return &BatchError{Index: i, Err: err} // rb is not kept
 		}
-	} else {
-		for i := range ps {
-			if err := ps[i].Validate(); err != nil {
-				return &BatchError{Index: i, Err: err}
-			}
-		}
+		rb.rows, rb.kvs = append(rb.rows, r), kvs
 	}
-	// The adaptor onto the row insert: a point becomes a row, in a scratch
-	// one row wide, as the insert asks for it — tags sorted, fields as the
-	// map yields them.
-	var r row
-	kvs := make([]rowKV, 0, len(ps[0].Tags)+len(ps[0].Fields))
-	return db.commit(rec, len(ps), func(i int) *row {
-		r, kvs, _ = pointRow(&ps[i], kvs[:0], false) // valid: checked above
-		return &r
-	})
+	err := db.commit(rb)
+	putRowBuf(rb)
+	return err
 }
 
 // writeFrame is WriteBatchContext for the rows the wire server scanned,
 // and so validated, from a received frame: a durable store's WAL record
-// is built from the lines as they came, where they are canonical.
+// takes the lines as they came, where they are canonical.
 func (db *DB) writeFrame(rb *rowBuf) error {
 	if g := db.gauges.Load(); g != nil {
 		g.verbatim.Add(uint64(rb.verbatim))
 		g.reencoded.Add(uint64(len(rb.rows) - rb.verbatim))
 	}
-	var rec []byte
-	if db.Durable() {
-		rec, _, _ = walRecord(len(rb.rows), rb.bytes+3*len(rb.rows), func(dst []byte, i int) ([]byte, error) {
-			return appendRow(dst, &rb.rows[i]), nil
-		})
-	}
-	return db.commit(rec, len(rb.rows), rb.at)
+	return db.commit(rb)
 }
 
-// walRecord builds the WAL record of n lines — a plain line body for
-// one, the batch envelope otherwise — each appended straight into it by
-// line; on an error it says at which.
-func walRecord(n, sizeHint int, line func(dst []byte, i int) ([]byte, error)) (rec []byte, at int, err error) {
-	rec = make([]byte, 0, 16+sizeHint) // 16: the envelope header
-	if n > 1 {
-		rec = storage.AppendBatchHeader(rec, n)
+// walRecord appends the WAL record of rows to rec — a plain line body for
+// one, the batch envelope otherwise — each line straight into it.
+func walRecord(rec []byte, rows []row) []byte {
+	if len(rows) > 1 {
+		rec = storage.AppendBatchHeader(rec, len(rows))
 	}
-	for i := 0; i < n; i++ {
+	for i := range rows {
 		start := len(rec)
-		if rec, err = line(rec, i); err != nil {
-			return nil, i, err
-		}
-		if n > 1 {
+		rec = appendRow(rec, &rows[i])
+		if len(rows) > 1 {
 			rec = storage.AppendBatchItem(rec, start)
 		}
 	}
-	return rec, 0, nil
+	return rec
 }
 
-// commit lands n validated rows: their record (nil in memory) in the WAL
-// first, then the rows in memory, then every written measurement's
-// cached results are invalidated — after the batch is visible and before
-// it is acknowledged.
-func (db *DB) commit(rec []byte, n int, rowAt func(i int) *row) error {
+// commit lands a batch of validated rows: their record in the WAL first
+// (printed before any lock is taken), then the rows in memory, then every
+// written measurement's cached results are invalidated — after the batch
+// is visible and before it is acknowledged.
+func (db *DB) commit(rb *rowBuf) error {
+	if db.Durable() {
+		rb.rec = walRecord(rb.rec[:0], rb.rows)
+	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.store != nil {
-		if _, err := db.store.Append(rec); err != nil {
+		if _, err := db.store.Append(rb.rec); err != nil {
 			return &BatchError{Index: 0, Err: fmt.Errorf("tsdb: wal append: %w", err)}
 		}
 	}
-	for _, name := range db.insertBatch(n, rowAt) {
+	for _, name := range db.insertBatch(rb.rows) {
 		db.qcache.invalidate(name)
 	}
 	return nil
 }
 
-// insertBatch lands n validated rows in memory in input order under one
-// hold of the data lock — rowAt(i) is called there, and its row need not
-// outlive the next call — and returns the distinct measurements written.
+// insertBatch lands validated rows in memory in input order under one
+// hold of the data lock, and returns the distinct measurements written.
 // Consecutive rows of the same measurement skip the map lookup. Live
 // writes, wire frames and WAL replay share it.
-func (db *DB) insertBatch(n int, rowAt func(i int) *row) (written []string) {
+func (db *DB) insertBatch(rows []row) (written []string) {
 	db.data.Lock()
 	defer db.data.Unlock()
 	var m *measurement
-	for i := 0; i < n; i++ {
-		r := rowAt(i)
+	for i := range rows {
+		r := &rows[i]
 		if m == nil || r.meas != m.name {
 			m = db.measurementFor(r.meas)
 			if !slices.Contains(written, m.name) {
@@ -411,7 +388,7 @@ func (db *DB) insertBatch(n int, rowAt func(i int) *row) (written []string) {
 		db.insertSeriesRow(db.seriesFor(m, r.tags), r.time, r.fields)
 		db.values += uint64(len(r.fields))
 	}
-	db.points += uint64(n)
+	db.points += uint64(len(rows))
 	db.publishStorageGauges()
 	return written
 }

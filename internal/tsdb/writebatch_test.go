@@ -1,0 +1,440 @@
+package tsdb
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"strconv"
+	"sync"
+	"testing"
+
+	"pmove/internal/storage"
+)
+
+// The embedded write: a batch of points becomes rows once, and the WAL
+// record is printed from them with the number speller. The scratch is
+// reused, so these tests hold it to never leaking one batch into another.
+
+// bulkBatch is a batch shaped like the benchmark's bulk_ingest writes:
+// rows points of one series, 8 fields, values in steps of 1/8.
+func bulkBatch(rng *rand.Rand, meas string, rows int) []Point {
+	ps := make([]Point, rows)
+	for i := range ps {
+		ps[i] = Point{Measurement: meas, Tags: map[string]string{"host": "h0"},
+			Fields: make(map[string]float64, 8), Time: int64(i)}
+		for f := 0; f < 8; f++ {
+			ps[i].Fields[fmt.Sprintf("f%d", f)] = float64(rng.Intn(65537)) / 8
+		}
+	}
+	return ps
+}
+
+// retime moves a batch to its n-th slot of a series' timeline.
+func retime(ps []Point, n int) {
+	for i := range ps {
+		ps[i].Time = int64(n*len(ps) + i)
+	}
+}
+
+func BenchmarkWriteBatch(b *testing.B) {
+	for _, mode := range []string{"mem", "never", "always"} {
+		b.Run(mode, func(b *testing.B) {
+			db := New()
+			if mode != "mem" {
+				var err error
+				if db, err = Open(b.TempDir(), storage.FsyncPolicy(mode)); err != nil {
+					b.Fatal(err)
+				}
+				defer db.Close()
+			}
+			ps := bulkBatch(rand.New(rand.NewSource(1)), "bulk", 256)
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				retime(ps, n)
+				if err := db.WriteBatchContext(ctx, ps); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ps)), "ns/point")
+		})
+	}
+}
+
+// floatSets are the value sets the speller is measured and checked on:
+// the benchmark's steps of 1/8, integer counters, and random bit
+// patterns, which strconv spells.
+func floatSets() map[string][]float64 {
+	rng := rand.New(rand.NewSource(7))
+	sets := map[string][]float64{}
+	for i := 0; i < 1024; i++ {
+		sets["dyadic"] = append(sets["dyadic"], float64(rng.Intn(65537))/8)
+		sets["integer"] = append(sets["integer"], float64(rng.Int63n(1<<40)))
+		for {
+			if f := math.Float64frombits(rng.Uint64()); !math.IsNaN(f) && !math.IsInf(f, 0) {
+				sets["random"] = append(sets["random"], f)
+				break
+			}
+		}
+	}
+	return sets
+}
+
+func BenchmarkAppendFloat(b *testing.B) {
+	for _, set := range []string{"dyadic", "integer", "random"} {
+		vs := floatSets()[set]
+		for _, speller := range []struct {
+			name string
+			fn   func([]byte, float64) []byte
+		}{
+			{"spell", appendFloat},
+			{"strconv", func(dst []byte, f float64) []byte { return strconv.AppendFloat(dst, f, 'g', -1, 64) }},
+		} {
+			b.Run(set+"/"+speller.name, func(b *testing.B) {
+				b.ReportAllocs()
+				buf := make([]byte, 0, 32)
+				for i := 0; i < b.N; i++ {
+					buf = speller.fn(buf[:0], vs[i%len(vs)])
+				}
+				sinkLine = buf
+			})
+		}
+	}
+}
+
+// FuzzAppendFloat: for any bit pattern the speller writes strconv's
+// shortest 'g' spelling, byte for byte, NaN and ±Inf included.
+func FuzzAppendFloat(f *testing.F) {
+	for _, v := range []float64{0, math.Copysign(0, -1), 999999, 1e6, 1e15 - 1, 1e15, 1e-4, 1e-5,
+		0.5, 0.125, 1.0 / (1 << 20), 1.0 / (1 << 21), 1.0 / (1 << 22), 1234.625, -8191.875,
+		5e-324, 2.2250738585072014e-308, math.MaxFloat64, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		f.Add(math.Float64bits(v))
+	}
+	f.Fuzz(func(t *testing.T, b uint64) {
+		v := math.Float64frombits(b)
+		dst := []byte("x=")
+		got := appendFloat(dst, v)
+		want := strconv.AppendFloat(dst, v, 'g', -1, 64)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("appendFloat(%#x) = %q, strconv %q", b, got, want)
+		}
+	})
+}
+
+// TestAppendFloatMatchesStrconv: every value of the lanes' sets, their
+// negations and the numbers at each boundary of the speller's rule.
+func TestAppendFloatMatchesStrconv(t *testing.T) {
+	var vs []float64
+	for _, set := range floatSets() {
+		vs = append(vs, set...)
+	}
+	for k := 0; k <= 24; k++ {
+		p := 1.0 / float64(uint64(1)<<k)
+		vs = append(vs, p, 1+p, 1e15-p, 999999+p, 1e6+p, 1e-4+p)
+	}
+	for e := -8; e <= 16; e++ {
+		x := math.Pow10(e)
+		vs = append(vs, x, math.Nextafter(x, 0), math.Nextafter(x, 2*x), 3*x, x/8)
+	}
+	for _, v := range vs {
+		for _, v := range []float64{v, -v} {
+			if got, want := appendFloat(nil, v), strconv.AppendFloat(nil, v, 'g', -1, 64); !bytes.Equal(got, want) {
+				t.Errorf("appendFloat(%v) = %q, strconv %q", v, got, want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { sinkLine = appendFloat(sinkLine[:0], 1234.625) }); n != 0 {
+		t.Errorf("appendFloat into a buffer with room: %v allocations, want 0", n)
+	}
+}
+
+// walImage closes db and returns its wal.log.
+func walImage(t *testing.T, db *DB) []byte {
+	t.Helper()
+	path := db.WALPath()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// TestEmbeddedAndWireWriteSameBytes: the same batches — plain rows, rows
+// whose names need escapes, one-point batches — through the embedded
+// writer and through Client → Server leave the same wal.log and Stats().
+func TestEmbeddedAndWireWriteSameBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	batches := [][]Point{bulkBatch(rng, "bulk", 256), bulkBatch(rng, `m s,c=e\b`, 7), bulkBatch(rng, "one", 1)}
+	for i := range batches[1] {
+		batches[1][i].Tags[`k ,=\`] = "v,w"
+		batches[1][i].Fields["x"] = rng.NormFloat64()
+	}
+	ctx := context.Background()
+	embedded, err := Open(t.TempDir(), storage.FsyncNever)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wired, err := Open(t.TempDir(), storage.FsyncNever)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, addr := startServer(t, wired)
+	defer srv.Close()
+	c, err := DialPolicy(addr, testPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i, b := range batches {
+		if err := embedded.WriteBatchContext(ctx, b); err != nil {
+			t.Fatalf("embedded batch %d: %v", i, err)
+		}
+		if err := c.WriteBatchContext(ctx, b); err != nil {
+			t.Fatalf("wire batch %d: %v", i, err)
+		}
+	}
+	ep, ev := embedded.Stats()
+	wp, wv := wired.Stats()
+	if ep != wp || ev != wv || ep != 264 {
+		t.Fatalf("Stats(): embedded %d rows, %d values; over the wire %d, %d; want 264 rows", ep, ev, wp, wv)
+	}
+	if e, w := walImage(t, embedded), walImage(t, wired); !bytes.Equal(e, w) {
+		t.Fatalf("wal.log: embedded %d bytes, over the wire %d, not the same bytes", len(e), len(w))
+	}
+}
+
+// TestWritersReuseTheirPoints: two writers, each refilling its own
+// []Point maps between batches as the benchmark's generator does, into
+// one durable store. Every stored value, live and replayed, is the one
+// written: a row that kept a name or a value of another batch or another
+// writer — a scratch handed out twice, or reused before its commit — would
+// show here, or to -race.
+func TestWritersReuseTheirPoints(t *testing.T) {
+	const writers, batches, rows = 2, 24, 64
+	dir := t.TempDir()
+	db, err := Open(dir, storage.FsyncNever)
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := func(w, b, r, f int) float64 { return float64(w*1_000_000+b*1000+r) + float64(f)/8 }
+	var wg sync.WaitGroup
+	errs := make([]error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ps := bulkBatch(rand.New(rand.NewSource(int64(w))), fmt.Sprintf("w%d", w), rows)
+			for b := 0; b < batches; b++ {
+				retime(ps, b)
+				for r := range ps {
+					// A new field name per batch too: the rows' keys come
+					// from these maps.
+					clear(ps[r].Fields)
+					for f := 0; f < 8; f++ {
+						ps[r].Fields[fmt.Sprintf("f%d", (f+b)%10)] = value(w, b, r, f)
+					}
+					ps[r].Tags["host"] = fmt.Sprintf("h%d", b%3)
+				}
+				if errs[w] = db.WriteBatchContext(context.Background(), ps); errs[w] != nil {
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(db *DB, label string) {
+		for w := 0; w < writers; w++ {
+			res, err := db.ExecuteContext(context.Background(), QueryRequest{Statement: fmt.Sprintf(`SELECT * FROM "w%d"`, w)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != batches*rows {
+				t.Fatalf("%s: w%d holds %d rows, want %d", label, w, len(res.Rows), batches*rows)
+			}
+			for _, row := range res.Rows {
+				b, r := int(row.Time)/rows, int(row.Time)%rows
+				if len(row.Values) != 8 {
+					t.Fatalf("%s: w%d row %d has %d values, want 8: %v", label, w, row.Time, len(row.Values), row.Values)
+				}
+				for f := 0; f < 8; f++ {
+					name := fmt.Sprintf("f%d", (f+b)%10)
+					if got, want := row.Values[name], value(w, b, r, f); got != want {
+						t.Fatalf("%s: w%d row %d %s = %v, want %v", label, w, row.Time, name, got, want)
+					}
+				}
+			}
+		}
+	}
+	check(db, "live")
+	db.Close()
+	re, err := Open(dir, storage.FsyncNever)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	check(re, "replayed")
+}
+
+// TestWriteBatchAllocations: a warm embedded batch allocates the same
+// number of objects at 64 and at 256 rows — nothing per row or per
+// field between the points and the head — in memory and durable.
+func TestWriteBatchAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are held without the race detector")
+	}
+	for _, durable := range []bool{false, true} {
+		per := map[int]float64{}
+		for _, rows := range []int{64, 256} {
+			db := New()
+			if durable {
+				var err error
+				if db, err = Open(t.TempDir(), storage.FsyncNever); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// One row per series, so no series seals while measured: warm
+			// each past its first seal, after which its head keeps a
+			// block's capacity.
+			ps := bulkBatch(rand.New(rand.NewSource(1)), "bulk", rows)
+			for i := range ps {
+				ps[i].Tags["host"] = fmt.Sprintf("h%d", i)
+			}
+			n := 0
+			write := func() {
+				for i := range ps {
+					ps[i].Time = int64(n)
+				}
+				n++
+				if err := db.WriteBatchContext(context.Background(), ps); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for n < blockRows+1 {
+				write()
+			}
+			per[rows] = testing.AllocsPerRun(100, write)
+			db.Close()
+		}
+		t.Logf("durable=%v: %v objects a batch at 64 rows, %v at 256", durable, per[64], per[256])
+		if per[64] != per[256] || per[256] > 2 {
+			t.Errorf("durable=%v: a warm batch allocates %v objects at 64 rows, %v at 256; want the same, at most 2", durable, per[64], per[256])
+		}
+	}
+}
+
+// TestRejectedPointLeavesNoTrace: a batch refused at point k changes
+// neither the store nor its WAL, no spare scratch keeps anything of it or
+// of the accepted batch after it, and that batch stores what it says.
+func TestRejectedPointLeavesNoTrace(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(5))
+	first, next := bulkBatch(rng, "m", 32), bulkBatch(rng, "m", 32)
+	retime(next, 1)
+	for _, k := range []int{0, 17, 31} {
+		db, err := Open(t.TempDir(), storage.FsyncNever)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.WriteBatchContext(ctx, first); err != nil {
+			t.Fatal(err)
+		}
+		points, values := db.Stats()
+		size := walSize(t, db)
+		bad := bulkBatch(rng, "bad", 32)
+		for i := range bad {
+			bad[i].Tags["stale"] = "tag"
+		}
+		bad[k].Fields["nan"] = math.NaN()
+		err = db.WriteBatchContext(ctx, bad)
+		var be *BatchError
+		if !errors.As(err, &be) || be.Index != k || be.Applied != 0 {
+			t.Fatalf("k=%d: %v, want *BatchError{Index: %d, Applied: 0}", k, err, k)
+		}
+		if p, v := db.Stats(); p != points || v != values || walSize(t, db) != size || len(db.Measurements()) != 1 {
+			t.Fatalf("k=%d: the rejected batch left a trace: Stats %d/%d (was %d/%d), WAL %d bytes (was %d), measurements %q",
+				k, p, v, points, values, walSize(t, db), size, db.Measurements())
+		}
+		sparesHoldNothing(t, fmt.Sprintf("k=%d, after the rejected batch", k))
+		if err := db.WriteBatchContext(ctx, next); err != nil {
+			t.Fatal(err)
+		}
+		sparesHoldNothing(t, fmt.Sprintf("k=%d, after the next batch", k))
+		want := New()
+		want.WriteBatchContext(ctx, first)
+		want.WriteBatchContext(ctx, next)
+		if got, want := fmt.Sprint(rawRows(t, db, "m")), fmt.Sprint(rawRows(t, want, "m")); got != want {
+			t.Fatalf("k=%d: after the rejected batch the store reads\n%s\nwant\n%s", k, got, want)
+		}
+		db.Close()
+	}
+}
+
+// sparesHoldNothing fails unless every kept scratch is empty and zero to
+// its capacity: no name of a finished or rejected batch stays reachable.
+func sparesHoldNothing(t *testing.T, label string) {
+	t.Helper()
+	for s := range spares {
+		rb := spares[s].Swap(nil) // held, so no writer fills it meanwhile
+		if rb == nil {
+			continue
+		}
+		if len(rb.rows) != 0 || len(rb.rec) != 0 {
+			t.Fatalf("%s: a spare scratch is in use: %d rows, %d record bytes", label, len(rb.rows), len(rb.rec))
+		}
+		for i, r := range rb.rows[:cap(rb.rows)] {
+			if r.meas != "" || r.line != "" || r.tags != nil || r.fields != nil {
+				t.Fatalf("%s: a spare row scratch still holds %q at %d", label, r.meas, i)
+			}
+		}
+		for i, kv := range rb.kvs[:cap(rb.kvs)] {
+			if kv != (rowKV{}) {
+				t.Fatalf("%s: a spare key scratch still holds %+v at %d", label, kv, i)
+			}
+		}
+		spares[s].Store(rb)
+	}
+}
+
+func walSize(t *testing.T, db *DB) int64 {
+	t.Helper()
+	fi, err := os.Stat(db.WALPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// TestClientBodyAllocations: a skx tick of 5 points × 88 fields encodes
+// into its WRITEB body with the body and one key scratch for the batch.
+func TestClientBodyAllocations(t *testing.T) {
+	ps := make([]Point, 5)
+	for i := range ps {
+		ps[i] = codecRow(88)
+		ps[i].Time += int64(i)
+	}
+	var body []byte
+	if n := testing.AllocsPerRun(100, func() { body, _ = batchBody(ps) }); n > 2 {
+		t.Errorf("a 5×88 WRITEB body: %v allocations, want at most 2 (the body and one scratch)", n)
+	}
+	var want []byte
+	for i := range ps {
+		line, _ := EncodeLine(ps[i])
+		want = append(append(want, line...), '\n')
+	}
+	if !bytes.Equal(body, want) {
+		t.Fatalf("body differs from the lines EncodeLine prints")
+	}
+}
