@@ -248,7 +248,8 @@ func cmdMonitor(args []string) error {
 		defer sink.Close()
 		d.SetTelemetrySink(sink)
 	}
-	res, err := d.MonitorContext(context.Background(), pmove.MonitorRequest{Host: *host, FreqHz: *freq, DurationSeconds: *duration})
+	ctx := context.Background()
+	res, err := d.MonitorContext(ctx, pmove.MonitorRequest{Host: *host, FreqHz: *freq, DurationSeconds: *duration})
 	if err != nil {
 		return err
 	}
@@ -272,7 +273,7 @@ func cmdMonitor(args []string) error {
 		holdOpen()
 		return nil
 	}
-	out, err := pmove.RenderDashboard(d.TS, res.Dashboard, 60)
+	out, err := pmove.RenderDashboard(ctx, d.TS, res.Dashboard, 60)
 	if err != nil {
 		return err
 	}

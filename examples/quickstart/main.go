@@ -80,7 +80,7 @@ func main() {
 
 	// Render the dashboard (the terminal stand-in for Grafana).
 	fmt.Println()
-	out, err := pmove.RenderDashboard(d.TS, res.Dashboard, 64)
+	out, err := pmove.RenderDashboard(ctx, d.TS, res.Dashboard, 64)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -118,19 +118,14 @@ type Daemon struct {
 // SetTelemetrySink redirects all subsequent monitoring/observation
 // telemetry to sink instead of the embedded TS store — typically a
 // resilient tsdb.Client pointed at a remote host (Figure 3's "the host
-// runs ... InfluxDB"). Passing nil restores the embedded store.
+// runs ... InfluxDB"). Passing nil restores the embedded store. A
+// resilient remote sink's transport reports its retries, failures and
+// breaker transitions into the transport.tsdb.* self metrics and the
+// structured log ring.
 func (d *Daemon) SetTelemetrySink(sink telemetry.PointSink) {
 	d.mu.Lock()
 	d.sink = sink
 	d.mu.Unlock()
-	d.wireSinkIntrospection(sink)
-}
-
-// wireSinkIntrospection attaches the self-observability layer to a
-// resilient remote sink's transport, so its retries, failures and
-// breaker transitions land in the transport.tsdb.* self metrics and the
-// structured log ring.
-func (d *Daemon) wireSinkIntrospection(sink telemetry.PointSink) {
 	tc, ok := sink.(*tsdb.Client)
 	if !ok {
 		return
@@ -141,19 +136,26 @@ func (d *Daemon) wireSinkIntrospection(sink telemetry.PointSink) {
 	tc.Transport().SetLogger(d.Logs.With("transport.tsdb"))
 }
 
-// newCollector builds the collector for one session, honoring the
-// configured remote sink and the daemon's introspection layer. The sink
-// is read under d.mu so a concurrent SetTelemetrySink on a hot attach
-// path is always observed whole; the collector keeps its own immutable
-// copy afterwards.
-func (d *Daemon) newCollector(t *Target) *telemetry.Collector {
+// openCollector builds the collector for one session, honoring the
+// configured remote sink and the daemon's introspection layer, and opens
+// the target's opt-in durable spill journal (Pipeline.JournalDir):
+// backlog from a crashed predecessor is reloaded and replayed ahead of
+// fresh data. The caller closes the journal when the session ends, which
+// compacts it down to the backlog still unshipped. The sink is read
+// under d.mu so a concurrent SetTelemetrySink on a hot attach path is
+// always observed whole; the collector keeps its own immutable copy
+// afterwards.
+func (d *Daemon) openCollector(t *Target) (*telemetry.Collector, error) {
 	c := telemetry.NewCollector(d.TS, t.Pipeline)
 	d.mu.Lock()
 	c.Sink = d.sink
 	d.mu.Unlock()
 	c.Self = d.Introspection
 	c.Log = d.Logs.With("telemetry")
-	return c
+	if _, err := c.OpenJournal(); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // AttachTarget registers a target system with the daemon, building its
@@ -387,11 +389,8 @@ func (d *Daemon) monitor(ctx context.Context, req MonitorRequest) (*MonitorResul
 		return nil, err
 	}
 
-	collector := d.newCollector(t)
-	// Opt-in durable spill journal (Pipeline.JournalDir): backlog from a
-	// crashed predecessor is reloaded here and replayed ahead of fresh
-	// data; the journal is compacted and released when the run ends.
-	if _, err := collector.OpenJournal(); err != nil {
+	collector, err := d.openCollector(t)
+	if err != nil {
 		return nil, err
 	}
 	defer collector.CloseJournal()

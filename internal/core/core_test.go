@@ -467,5 +467,5 @@ func TestDashboardTargetsMatchStoredMeasurements(t *testing.T) {
 }
 
 func dashboardFetch(d *Daemon, tgt dashboard.Target) ([]int64, []float64, error) {
-	return dashboard.FetchSeries(d.TS, tgt)
+	return dashboard.FetchSeriesContext(context.Background(), d.TS, tgt)
 }

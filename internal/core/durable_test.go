@@ -2,12 +2,15 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"pmove/internal/kb"
+	"pmove/internal/kernels"
 	"pmove/internal/machine"
 	"pmove/internal/telemetry"
 	"pmove/internal/topo"
+	"pmove/internal/tsdb"
 )
 
 // durableDaemon builds a daemon on a data directory and attaches a
@@ -92,5 +95,52 @@ func TestDaemonCloseRefusesFurtherWrites(t *testing.T) {
 func TestDaemonBadDataDirConfig(t *testing.T) {
 	if _, err := NewWith(WithDataDir(t.TempDir(), "sometimes")); err == nil {
 		t.Error("unknown fsync policy accepted")
+	}
+}
+
+// downSink refuses every write: a remote sink in a lasting outage.
+type downSink struct{}
+
+func (downSink) WriteBatchContext(context.Context, []tsdb.Point) error {
+	return errors.New("sink down")
+}
+
+// TestObserveJournalsSpillBacklog: an observation on a target whose
+// degraded pipeline journals to disk leaves the backlog it could not
+// ship in that journal when the op returns, where a fresh collector
+// recovers it — the same durability a monitor run has.
+func TestObserveJournalsSpillBacklog(t *testing.T) {
+	pipe := telemetry.DefaultPipeline()
+	pipe.Degraded, pipe.JournalDir = true, t.TempDir()
+	d := testDaemon(t)
+	if _, err := d.AttachTarget(topo.MustPreset(topo.PresetICL), machine.Config{Seed: 9}, pipe); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.ProbeContext(context.Background(), topo.PresetICL); err != nil {
+		t.Fatal(err)
+	}
+	d.SetTelemetrySink(downSink{})
+	spec, err := kernels.Likwid("triad", topo.ISAAVX512, 1<<20, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := d.ObserveContext(context.Background(), ObserveRequest{
+		Host: topo.PresetICL, Workload: spec, Threads: 4,
+		SWMetrics: []string{machine.MetricCPUIdle}, FreqHz: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Spilled == 0 || res.Stats.Pending == 0 {
+		t.Fatalf("a down sink left nothing to journal: %+v", res.Stats)
+	}
+	fresh := telemetry.NewCollector(nil, pipe)
+	n, err := fresh.OpenJournal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.CloseJournal()
+	if n != int(res.Stats.Pending) {
+		t.Fatalf("fresh collector recovered %d journal entries, want the %d the observation left pending", n, res.Stats.Pending)
 	}
 }

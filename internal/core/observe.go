@@ -134,7 +134,11 @@ func (d *Daemon) observe(ctx context.Context, req ObserveRequest) (*ObserveResul
 	metrics = dedupe(metrics)
 
 	tag := d.nextTag(k)
-	collector := d.newCollector(t)
+	collector, err := d.openCollector(t)
+	if err != nil {
+		return nil, err
+	}
+	defer collector.CloseJournal()
 	sess, err := telemetry.NewSession(t.PMCD, collector, telemetry.SessionConfig{
 		Metrics: metrics, FreqHz: req.FreqHz, Tag: tag,
 	})

@@ -17,7 +17,6 @@ import (
 	"pmove/internal/kb"
 	"pmove/internal/resilience"
 	"pmove/internal/storage"
-	"pmove/internal/telemetry"
 	"pmove/internal/tsdb"
 )
 
@@ -29,27 +28,6 @@ type Option func(*Daemon)
 // WithEnv replaces the whole environment configuration.
 func WithEnv(env Env) Option {
 	return func(d *Daemon) { d.Env = env }
-}
-
-// WithInflux points the daemon's environment at an InfluxDB address.
-func WithInflux(addr string) Option {
-	return func(d *Daemon) { d.Env.InfluxAddr = addr }
-}
-
-// WithMongo points the daemon's environment at a MongoDB address.
-func WithMongo(addr string) Option {
-	return func(d *Daemon) { d.Env.MongoAddr = addr }
-}
-
-// WithGrafanaToken sets the visualization-layer token.
-func WithGrafanaToken(token string) Option {
-	return func(d *Daemon) { d.Env.GrafanaToken = token }
-}
-
-// WithTelemetrySink redirects monitoring/observation telemetry to sink
-// from the start (equivalent to calling SetTelemetrySink after New).
-func WithTelemetrySink(sink telemetry.PointSink) Option {
-	return func(d *Daemon) { d.sink = sink }
 }
 
 // WithDataDir backs the embedded databases with WAL+snapshot data
@@ -148,9 +126,6 @@ func NewWith(opts ...Option) (*Daemon, error) {
 		// default self-observability layer before anything wires to it.
 		WithIntrospection()(d)
 	}
-	// WithTelemetrySink and WithIntrospection compose in either order:
-	// wire the sink's transport after all options have run.
-	d.wireSinkIntrospection(d.sink)
 	if d.Introspection != nil {
 		// Embedded store self-observability: query-cache hit/miss/evict
 		// counters land in the same registry (pmove.self.query.cache.*).
@@ -302,5 +277,5 @@ func (d *Daemon) MetaDashboard() (*dashboard.Dashboard, error) {
 	if d.Introspection == nil {
 		return nil, fmt.Errorf("core: introspection disabled (construct with WithIntrospection)")
 	}
-	return selfexport.MetaDashboard(d.Gen.DatasourceUID, d.Introspection.Prefix(), d.SelfSnapshot())
+	return selfexport.MetaDashboard(d.Gen.DatasourceUID, d.SelfSnapshot())
 }

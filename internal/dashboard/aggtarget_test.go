@@ -106,7 +106,7 @@ func TestRenderAggregatedLabel(t *testing.T) {
 	d := &Dashboard{ID: 1, Title: "agg", Panels: []Panel{{ID: 1, Title: "p", Targets: []Target{
 		{Measurement: "m1", Params: "_cpu0", Tag: "t", Agg: "mean", Window: "10us"},
 	}}}, Time: TimeRange{From: "now-5m", To: "now"}}
-	out, err := RenderDashboardASCII(db, d, 40)
+	out, err := RenderDashboardASCII(context.Background(), db, d, 40)
 	if err != nil {
 		t.Fatal(err)
 	}

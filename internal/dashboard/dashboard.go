@@ -248,12 +248,6 @@ func (g *Generator) ForObservation(o *kb.Observation) (*Dashboard, error) {
 	return d, d.Validate()
 }
 
-// FetchSeries runs a panel target against the tsdb with a background
-// context, returning time-ordered (ns, value) pairs.
-func FetchSeries(db *tsdb.DB, t Target) ([]int64, []float64, error) {
-	return FetchSeriesContext(context.Background(), db, t)
-}
-
 // FetchSeriesContext runs a panel target against the tsdb, returning
 // time-ordered (ns, value) pairs. Aggregated targets (Agg set) read
 // their value from the aggregate column — one pair per GROUP BY

@@ -193,7 +193,7 @@ func TestFetchSeriesAndRender(t *testing.T) {
 		}})
 	}
 	tgt := Target{Datasource: Datasource{Type: "influxdb", UID: "u"}, Measurement: "m1", Params: "_cpu0", Tag: "t"}
-	ts, vs, err := FetchSeries(db, tgt)
+	ts, vs, err := FetchSeriesContext(context.Background(), db, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestFetchSeriesAndRender(t *testing.T) {
 	}
 	d := &Dashboard{ID: 1, Title: "test", Panels: []Panel{{ID: 1, Title: "p", Targets: []Target{tgt}}},
 		Time: TimeRange{From: "now-5m", To: "now"}}
-	out, err := RenderDashboardASCII(db, d, 40)
+	out, err := RenderDashboardASCII(context.Background(), db, d, 40)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package dashboard
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -8,10 +9,10 @@ import (
 	"pmove/internal/tsdb"
 )
 
-// RenderPanelASCII draws a panel's series as a terminal sparkline chart —
+// renderPanelASCII draws a panel's series as a terminal sparkline chart —
 // the stand-in for Grafana's graph panel. Each target becomes one row of
 // block characters scaled to the panel's global maximum.
-func RenderPanelASCII(db *tsdb.DB, p Panel, width int) (string, error) {
+func renderPanelASCII(ctx context.Context, db *tsdb.DB, p Panel, width int) (string, error) {
 	if width < 16 {
 		width = 16
 	}
@@ -23,7 +24,7 @@ func RenderPanelASCII(db *tsdb.DB, p Panel, width int) (string, error) {
 	var all []seriesData
 	globalMax := 0.0
 	for _, t := range p.Targets {
-		ts, vs, err := FetchSeries(db, t)
+		ts, vs, err := FetchSeriesContext(ctx, db, t)
 		if err != nil {
 			return "", err
 		}
@@ -74,11 +75,11 @@ func RenderPanelASCII(db *tsdb.DB, p Panel, width int) (string, error) {
 }
 
 // RenderDashboardASCII renders every panel of a dashboard.
-func RenderDashboardASCII(db *tsdb.DB, d *Dashboard, width int) (string, error) {
+func RenderDashboardASCII(ctx context.Context, db *tsdb.DB, d *Dashboard, width int) (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "### dashboard %d: %s (window %s..%s)\n", d.ID, d.Title, d.Time.From, d.Time.To)
 	for _, p := range d.Panels {
-		s, err := RenderPanelASCII(db, p, width)
+		s, err := renderPanelASCII(ctx, db, p, width)
 		if err != nil {
 			return "", err
 		}

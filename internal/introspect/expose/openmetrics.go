@@ -18,19 +18,19 @@ import (
 )
 
 // Source is one registry feeding the exposition: a snapshot function
-// (usually Introspector.Snapshot), the dotted name prefix to prepend
-// ("pmove.self"), and constant labels stamped on every sample (e.g.
-// process="daemon"). Multiple sources merge into one exposition;
-// samples of the same family coexist when their labels differ.
+// (usually Introspector.Snapshot) and constant labels stamped on every
+// sample (e.g. process="daemon"). Every metric is named under
+// introspect.DefaultPrefix ("pmove.self"). Multiple sources merge into
+// one exposition; samples of the same family coexist when their labels
+// differ.
 type Source struct {
-	Prefix   string
 	Labels   map[string]string
 	Snapshot func() introspect.Snapshot
 }
 
-// SourceFor adapts an introspector into a Source using its own prefix.
+// SourceFor adapts an introspector into a Source.
 func SourceFor(in *introspect.Introspector, labels map[string]string) Source {
-	return Source{Prefix: in.Prefix(), Labels: labels, Snapshot: in.Snapshot}
+	return Source{Labels: labels, Snapshot: in.Snapshot}
 }
 
 // family is one metric family being assembled: all samples sharing a
@@ -56,10 +56,7 @@ func WriteOpenMetrics(w io.Writer, sources ...Source) error {
 		}
 		labels := renderLabels(src.Labels)
 		for _, m := range src.Snapshot().Metrics {
-			dotted := m.Name
-			if src.Prefix != "" {
-				dotted = src.Prefix + "." + m.Name
-			}
+			dotted := introspect.DefaultPrefix + "." + m.Name
 			name := sanitizeName(dotted)
 			if m.Kind == introspect.KindCounter {
 				// A registry counter already named *.total must not

@@ -50,7 +50,6 @@ func fixtureSource() Source {
 	h.Observe(0.002)
 	h.Observe(5) // lands in +Inf
 	return Source{
-		Prefix:   "pmove.self",
 		Labels:   map[string]string{"process": "daemon"},
 		Snapshot: reg.Snapshot,
 	}
@@ -68,7 +67,6 @@ func TestOpenMetricsEscapingAndOrdering(t *testing.T) {
 	reg := introspect.NewRegistry()
 	reg.Gauge("weird metric-name").Set(1)
 	src := Source{
-		Prefix: "pmove.self",
 		Labels: map[string]string{
 			"zeta":    "last-key-sorts-first-no",
 			"alpha":   `quote " backslash \ newline` + "\n" + `end`,
@@ -88,8 +86,8 @@ func TestOpenMetricsMultiSourceMergesFamilies(t *testing.T) {
 	regA.Counter("requests.total").Add(3)
 	regB := introspect.NewRegistry()
 	regB.Counter("requests.total").Add(7)
-	a := Source{Prefix: "srv", Labels: map[string]string{"process": "tsdb"}, Snapshot: regA.Snapshot}
-	b := Source{Prefix: "srv", Labels: map[string]string{"process": "docdb"}, Snapshot: regB.Snapshot}
+	a := Source{Labels: map[string]string{"process": "tsdb"}, Snapshot: regA.Snapshot}
+	b := Source{Labels: map[string]string{"process": "docdb"}, Snapshot: regB.Snapshot}
 	var buf bytes.Buffer
 	if err := WriteOpenMetrics(&buf, a, b); err != nil {
 		t.Fatal(err)

@@ -41,10 +41,7 @@ func Vars(sources ...Source) map[string]any {
 			continue
 		}
 		for _, m := range src.Snapshot().Metrics {
-			name := m.Name
-			if src.Prefix != "" {
-				name = src.Prefix + "." + m.Name
-			}
+			name := introspect.DefaultPrefix + "." + m.Name
 			switch m.Kind {
 			case introspect.KindCounter:
 				out[name] = VarCounter{Kind: "counter", Value: uint64(m.Value)}

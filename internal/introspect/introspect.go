@@ -9,8 +9,8 @@
 // The package is stdlib-only and has three parts:
 //
 //   - a concurrent metrics registry (atomic counters, float gauges, and
-//     fixed-bucket histograms for operation latencies) with snapshot and
-//     delta semantics;
+//     fixed-bucket histograms for operation latencies) with snapshot
+//     semantics;
 //   - a distributed tracer: 128-bit trace ids with head-based sampling,
 //     spans with parent links carried through context.Context and across
 //     process boundaries via a traceparent wire field, finished spans
@@ -31,8 +31,9 @@ package introspect
 
 import "context"
 
-// DefaultPrefix is the metric-name prefix the exporter prepends: every
-// self-observability series lives under "pmove.self.*".
+// DefaultPrefix is the namespace of every self-observability series: the
+// TSDB export, the /metrics plane and the meta dashboard all name a
+// registry metric "pmove.self.<name>".
 const DefaultPrefix = "pmove.self"
 
 // DefaultSpanCapacity bounds the tracer's finished-span ring.
@@ -47,7 +48,6 @@ const DroppedSpansMetric = "trace.dropped"
 type Introspector struct {
 	metrics *Registry
 	tracer  *Tracer
-	prefix  string
 	cfg     TracerConfig
 }
 
@@ -58,16 +58,6 @@ type Option func(*Introspector)
 // DefaultSpanCapacity); older spans are dropped, and counted.
 func WithSpanCapacity(n int) Option {
 	return func(in *Introspector) { in.cfg.Capacity = n }
-}
-
-// WithPrefix overrides the exported metric namespace (default
-// DefaultPrefix). Tests use it to isolate namespaces.
-func WithPrefix(p string) Option {
-	return func(in *Introspector) {
-		if p != "" {
-			in.prefix = p
-		}
-	}
 }
 
 // WithProcess labels every span with the emitting process's name
@@ -90,10 +80,7 @@ func WithSampling(rate float64, seed uint64) Option {
 
 // New builds an enabled Introspector.
 func New(opts ...Option) *Introspector {
-	in := &Introspector{
-		metrics: NewRegistry(),
-		prefix:  DefaultPrefix,
-	}
+	in := &Introspector{metrics: NewRegistry()}
 	for _, o := range opts {
 		o(in)
 	}
@@ -123,14 +110,6 @@ func (in *Introspector) Tracer() *Tracer {
 		return nil
 	}
 	return in.tracer
-}
-
-// Prefix returns the exported namespace prefix.
-func (in *Introspector) Prefix() string {
-	if in == nil || in.prefix == "" {
-		return DefaultPrefix
-	}
-	return in.prefix
 }
 
 // StartSpan opens a span named name as a child of the span in ctx (if

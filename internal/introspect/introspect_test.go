@@ -60,44 +60,6 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 }
 
-// TestSnapshotDelta checks counter/histogram subtraction and gauge
-// pass-through semantics.
-func TestSnapshotDelta(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c").Add(10)
-	r.Gauge("g").Set(5)
-	r.Histogram("h", 1, 10).Observe(0.5)
-	before := r.Snapshot()
-
-	r.Counter("c").Add(7)
-	r.Gauge("g").Set(2)
-	r.Histogram("h").Observe(100)
-	r.Counter("fresh").Inc()
-	after := r.Snapshot()
-
-	d := after.Delta(before)
-	if got := d.CounterValue("c"); got != 7 {
-		t.Errorf("delta counter c = %d, want 7", got)
-	}
-	if got := d.GaugeValue("g"); got != 2 {
-		t.Errorf("delta gauge g = %g, want current value 2", got)
-	}
-	if got := d.CounterValue("fresh"); got != 1 {
-		t.Errorf("delta counter fresh = %d, want 1", got)
-	}
-	h, ok := d.Get("h")
-	if !ok || h.Count != 1 || h.Sum != 100 {
-		t.Errorf("delta histogram h = %+v, want count 1 sum 100", h)
-	}
-	// The 100 landed in the +Inf bucket; the 0.5 from before cancels.
-	if last := h.Buckets[len(h.Buckets)-1]; last.Count != 1 {
-		t.Errorf("delta +Inf bucket = %d, want 1", last.Count)
-	}
-	if first := h.Buckets[0]; first.Count != 0 {
-		t.Errorf("delta first bucket = %d, want 0", first.Count)
-	}
-}
-
 // TestNilSafety proves disabled introspection costs no conditionals at
 // call sites: every method on nil receivers is a no-op.
 func TestNilSafety(t *testing.T) {

@@ -204,36 +204,6 @@ func (s Snapshot) GaugeValue(name string) float64 {
 	return 0
 }
 
-// Delta returns s minus prev: counters and histogram counts subtract
-// (metrics absent from prev pass through); gauges keep their current
-// value, deltas being meaningless for level signals.
-func (s Snapshot) Delta(prev Snapshot) Snapshot {
-	prevBy := map[string]Metric{}
-	for _, m := range prev.Metrics {
-		prevBy[m.Name+"\x00"+string(m.Kind)] = m
-	}
-	out := Snapshot{Metrics: make([]Metric, 0, len(s.Metrics))}
-	for _, m := range s.Metrics {
-		p, ok := prevBy[m.Name+"\x00"+string(m.Kind)]
-		if ok {
-			switch m.Kind {
-			case KindCounter:
-				m.Value -= p.Value
-			case KindHistogram:
-				m.Count -= p.Count
-				m.Sum -= p.Sum
-				for i := range m.Buckets {
-					if i < len(p.Buckets) {
-						m.Buckets[i].Count -= p.Buckets[i].Count
-					}
-				}
-			}
-		}
-		out.Metrics = append(out.Metrics, m)
-	}
-	return out
-}
-
 // Registry is the concurrent metrics registry. Metric handles are
 // get-or-create by name and safe to cache; all mutation paths are atomic.
 // A nil *Registry hands out nil handles whose methods are no-ops.

@@ -21,11 +21,11 @@ import (
 const selfTag = "self"
 
 // MeasurementFor returns the TSDB measurement name a metric exports to:
-// the prefixed metric name through the same dots-to-underscores mapping
-// as every PCP metric, e.g. ("pmove.self", "op.monitor.total") ->
+// the metric name under pmove.self through the same dots-to-underscores
+// mapping as every PCP metric, e.g. "op.monitor.total" ->
 // "pmove_self_op_monitor_total".
-func MeasurementFor(prefix, name string) string {
-	return tsdb.MeasurementName(prefix + "." + name)
+func MeasurementFor(name string) string {
+	return tsdb.MeasurementName(introspect.DefaultPrefix + "." + name)
 }
 
 // bucketField names the field holding one histogram bucket's count.
@@ -37,8 +37,8 @@ func bucketField(le float64) string {
 }
 
 // Export writes a snapshot of the introspector's registry into sink at
-// nowNanos: one point per metric under the introspector's prefix, the
-// whole snapshot as one batch. Counters and gauges export a single
+// nowNanos: one point per metric under pmove.self, the whole snapshot as
+// one batch. Counters and gauges export a single
 // "_value" field; histograms export "_count", "_sum" and one "_le_*"
 // field per bucket. It returns how many points were written — all of
 // them or, on a write error, none (self-telemetry must never wedge the
@@ -48,16 +48,11 @@ func Export(ctx context.Context, in *introspect.Introspector, sink tsdb.BatchWri
 	if !in.Enabled() {
 		return 0, nil
 	}
-	return ExportSnapshot(ctx, sink, in.Prefix(), in.Snapshot(), nowNanos)
-}
-
-// ExportSnapshot writes an already-taken snapshot (Export's core; split
-// out so delta snapshots can be shipped too).
-func ExportSnapshot(ctx context.Context, sink tsdb.BatchWriter, prefix string, snap introspect.Snapshot, nowNanos int64) (int, error) {
+	snap := in.Snapshot()
 	pts := make([]tsdb.Point, 0, len(snap.Metrics))
 	for _, m := range snap.Metrics {
 		p := tsdb.Point{
-			Measurement: MeasurementFor(prefix, m.Name),
+			Measurement: MeasurementFor(m.Name),
 			Tags:        map[string]string{"tag": selfTag, "kind": string(m.Kind)},
 			Fields:      map[string]float64{},
 			Time:        nowNanos,
@@ -85,19 +80,19 @@ func ExportSnapshot(ctx context.Context, sink tsdb.BatchWriter, prefix string, s
 // measurements — the monitor's own health rendered through the same
 // dashboard substrate it generates for its targets. datasourceUID names
 // the registered tsdb connection (the daemon passes its generator's UID).
-func MetaDashboard(datasourceUID, prefix string, snap introspect.Snapshot) (*dashboard.Dashboard, error) {
+func MetaDashboard(datasourceUID string, snap introspect.Snapshot) (*dashboard.Dashboard, error) {
 	if len(snap.Metrics) == 0 {
 		return nil, fmt.Errorf("selfexport: no self-metrics to display")
 	}
 	d := &dashboard.Dashboard{
 		ID:    1,
-		Title: fmt.Sprintf("P-MoVE self-observability (%s.*)", prefix),
+		Title: "P-MoVE self-observability (" + introspect.DefaultPrefix + ".*)",
 		Time:  dashboard.TimeRange{From: "now-5m", To: "now"},
 	}
 	ds := dashboard.Datasource{Type: "influxdb", UID: datasourceUID}
 	for i, m := range snap.Metrics {
-		p := dashboard.Panel{ID: i + 1, Title: prefix + "." + m.Name}
-		meas := MeasurementFor(prefix, m.Name)
+		p := dashboard.Panel{ID: i + 1, Title: introspect.DefaultPrefix + "." + m.Name}
+		meas := MeasurementFor(m.Name)
 		switch m.Kind {
 		case introspect.KindHistogram:
 			for _, f := range []string{"_count", "_sum"} {

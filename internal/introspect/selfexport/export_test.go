@@ -62,19 +62,6 @@ func TestExportRoundTrip(t *testing.T) {
 	}
 }
 
-// TestExportPrefix checks WithPrefix isolates the namespace.
-func TestExportPrefix(t *testing.T) {
-	in := introspect.New(introspect.WithPrefix("test.self"))
-	in.Metrics().Counter("x").Inc()
-	db := tsdb.New()
-	if _, err := Export(context.Background(), in, db, 1); err != nil {
-		t.Fatal(err)
-	}
-	if ms := db.Measurements(); len(ms) != 1 || ms[0] != "test_self_x" {
-		t.Fatalf("measurements: %v", ms)
-	}
-}
-
 // TestMetaDashboard validates the generated panel set over a live
 // snapshot: every metric gets a panel, histograms expose count and sum.
 func TestMetaDashboard(t *testing.T) {
@@ -84,7 +71,7 @@ func TestMetaDashboard(t *testing.T) {
 	reg.Histogram("op.probe.seconds").Observe(0.01)
 	reg.Gauge("op.inflight").Set(0)
 
-	d, err := MetaDashboard("UUkm1881", in.Prefix(), in.Snapshot())
+	d, err := MetaDashboard("UUkm1881", in.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +96,7 @@ func TestMetaDashboard(t *testing.T) {
 		t.Errorf("histogram panel targets = %d, want _count and _sum", histTargets)
 	}
 
-	if _, err := MetaDashboard("uid", introspect.DefaultPrefix, introspect.Snapshot{}); err == nil {
+	if _, err := MetaDashboard("uid", introspect.Snapshot{}); err == nil {
 		t.Error("empty snapshot produced a dashboard")
 	}
 }

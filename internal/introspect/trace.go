@@ -39,12 +39,6 @@ func ContextWithSpanContext(ctx context.Context, sc SpanContext) context.Context
 	return context.WithValue(ctx, spanCtxKey{}, sc)
 }
 
-// SpanIDFromContext returns the active span id carried by ctx, 0 if none.
-func SpanIDFromContext(ctx context.Context) uint64 {
-	sc, _ := SpanContextFromContext(ctx)
-	return sc.Span
-}
-
 // ActiveSpan is an open span; End closes it into the tracer's ring.
 // Nil-safe: methods on a nil *ActiveSpan are no-ops.
 type ActiveSpan struct {

@@ -1,12 +1,10 @@
 package traceexport
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"pmove/internal/introspect"
-	"pmove/internal/tsdb"
 )
 
 // Attribution splits a trace's wire time across the pipeline hops the
@@ -170,29 +168,4 @@ func RecordAttribution(reg *introspect.Registry, a Attribution) {
 	reg.Gauge("trace.hop.server_parse.seconds").Set(a.ServerParseSeconds)
 	reg.Gauge("trace.hop.server_queue.seconds").Set(a.ServerQueueSeconds)
 	reg.Gauge("trace.hop.server_insert.seconds").Set(a.ServerInsertSecs)
-}
-
-// ExportAttribution writes one point holding every attribution component
-// under <prefix>.trace.hop.seconds, tagged "self" like all
-// self-telemetry, honoring ctx cancellation through the sink.
-func ExportAttribution(ctx context.Context, sink tsdb.BatchWriter, prefix string, a Attribution, nowNanos int64) error {
-	p := tsdb.Point{
-		Measurement: tsdb.MeasurementName(prefix + ".trace.hop.seconds"),
-		Tags:        map[string]string{"tag": "self"},
-		Fields: map[string]float64{
-			"wire":          a.EndToEndSeconds,
-			"client_queue":  a.ClientQueueSeconds,
-			"network":       a.NetworkSeconds,
-			"retry":         a.RetrySeconds,
-			"server_parse":  a.ServerParseSeconds,
-			"server_queue":  a.ServerQueueSeconds,
-			"server_insert": a.ServerInsertSecs,
-			"hops":          float64(a.Hops),
-		},
-		Time: nowNanos,
-	}
-	if err := sink.WriteBatchContext(ctx, []tsdb.Point{p}); err != nil {
-		return fmt.Errorf("traceexport: export attribution: %w", err)
-	}
-	return nil
 }

@@ -13,15 +13,6 @@ import (
 	"pmove/internal/introspect"
 )
 
-// ProcessSpans is one process's contribution to trace assembly: a label
-// and a snapshot of its tracer ring. Spans whose Process field is empty
-// inherit the label, so rings recorded before the tracer learned its
-// name still attribute correctly.
-type ProcessSpans struct {
-	Process string
-	Spans   []introspect.Span
-}
-
 // Collector gathers span rings from the tracers of every process in a
 // deployment (daemon, tsdb server, docdb server) and assembles them into
 // traces. Safe for concurrent use.
@@ -29,14 +20,14 @@ type Collector struct {
 	mu      sync.Mutex
 	tracers []*introspect.Tracer
 	labels  []string
-	extra   []ProcessSpans
 }
 
 // NewCollector builds an empty collector.
 func NewCollector() *Collector { return &Collector{} }
 
 // Add registers a live tracer; Collect snapshots it each time. label is
-// used for spans the tracer did not stamp with a process name.
+// used for spans the tracer did not stamp with a process name, so rings
+// recorded before the tracer learned its name still attribute correctly.
 func (c *Collector) Add(label string, t *introspect.Tracer) {
 	if t == nil {
 		return
@@ -47,34 +38,22 @@ func (c *Collector) Add(label string, t *introspect.Tracer) {
 	c.mu.Unlock()
 }
 
-// AddSpans registers an already-captured ring (e.g. spans shipped from a
-// remote process).
-func (c *Collector) AddSpans(ps ProcessSpans) {
-	c.mu.Lock()
-	c.extra = append(c.extra, ps)
-	c.mu.Unlock()
-}
-
 // Collect snapshots every registered source into one flat span list,
 // process labels filled in.
 func (c *Collector) Collect() []introspect.Span {
 	c.mu.Lock()
-	sources := make([]ProcessSpans, 0, len(c.tracers)+len(c.extra))
-	for i, t := range c.tracers {
-		label := c.labels[i]
-		if p := t.Process(); p != "" {
-			label = p
-		}
-		sources = append(sources, ProcessSpans{Process: label, Spans: t.Spans()})
-	}
-	sources = append(sources, c.extra...)
+	tracers, labels := c.tracers, c.labels
 	c.mu.Unlock()
 
 	var out []introspect.Span
-	for _, src := range sources {
-		for _, s := range src.Spans {
+	for i, t := range tracers {
+		label := labels[i]
+		if p := t.Process(); p != "" {
+			label = p
+		}
+		for _, s := range t.Spans() {
 			if s.Process == "" {
-				s.Process = src.Process
+				s.Process = label
 			}
 			out = append(out, s)
 		}

@@ -126,34 +126,12 @@ func TestAssembleAndAttribute(t *testing.T) {
 		t.Errorf("network time not attributed: %+v", a)
 	}
 
-	// The registry mirror and the sink export surface the same numbers.
+	// The registry mirror surfaces the same numbers.
 	RecordAttribution(clientIn.Metrics(), a)
 	snap := clientIn.Snapshot()
 	if v := snap.GaugeValue("trace.hop.wire.seconds"); v != a.EndToEndSeconds {
 		t.Errorf("trace.hop.wire.seconds gauge = %v, want %v", v, a.EndToEndSeconds)
 	}
-	sink := &memorySink{}
-	if err := ExportAttribution(context.Background(), sink, "pmove.self", a, 99); err != nil {
-		t.Fatal(err)
-	}
-	if len(sink.points) != 1 || sink.points[0].Measurement != "pmove_self_trace_hop_seconds" {
-		t.Fatalf("exported points: %+v", sink.points)
-	}
-	if sink.points[0].Fields["hops"] != 4 {
-		t.Errorf("exported hops = %v", sink.points[0].Fields["hops"])
-	}
-}
-
-type memorySink struct {
-	mu     sync.Mutex
-	points []tsdb.Point
-}
-
-func (m *memorySink) WriteBatchContext(_ context.Context, ps []tsdb.Point) error {
-	m.mu.Lock()
-	m.points = append(m.points, ps...)
-	m.mu.Unlock()
-	return nil
 }
 
 // TestChromeTraceExport checks the Chrome trace-event JSON is valid and

@@ -7,10 +7,10 @@ import (
 	"time"
 )
 
-// Faults is the deterministic fault plan a Proxy (or FaultConn) applies.
-// Counts are preferred over probabilities where exact repeatability
-// matters; the probabilistic knobs draw from the seeded RNG so a given
-// seed still replays the same schedule.
+// Faults is the deterministic fault plan a Proxy applies. Counts are
+// preferred over probabilities where exact repeatability matters; the
+// probabilistic knobs draw from the seeded RNG so a given seed still
+// replays the same schedule.
 type Faults struct {
 	// Latency is added before each forwarded chunk; LatencyJitter adds up
 	// to that much extra, seeded.
@@ -31,17 +31,17 @@ type Faults struct {
 
 // Proxy interposes the fault plan between clients and a backend server:
 // clients dial the proxy's address, the proxy pipes bytes to the real
-// tsdb/docdb listener through FaultConn semantics. The servers' logic is
-// untouched — exactly the interposition the chaos suite needs. Partition
-// and Heal flip a full network partition at runtime: accepted
+// tsdb/docdb listener and applies the plan to every chunk. The servers'
+// logic is untouched — exactly the interposition the chaos suite needs.
+// Partition and Heal flip a full network partition at runtime: accepted
 // connections black-hole (reads stall until the client's deadline fires)
 // and no new backend connections are made.
 type Proxy struct {
 	backend string
-	ln      net.Listener
+	faults  Faults // fixed at construction
 
 	mu          sync.Mutex
-	faults      Faults
+	ln          net.Listener
 	rng         *RNG
 	partitioned bool
 	conns       map[net.Conn]bool
@@ -79,13 +79,6 @@ func (p *Proxy) Addr() string {
 		return ""
 	}
 	return p.ln.Addr().String()
-}
-
-// SetFaults swaps the fault plan at runtime.
-func (p *Proxy) SetFaults(f Faults) {
-	p.mu.Lock()
-	p.faults = f
-	p.mu.Unlock()
 }
 
 // Partition cuts the network: existing connections stall, new ones are
@@ -200,15 +193,13 @@ func (p *Proxy) pump(dst, src net.Conn, total *int64, kill func()) {
 	defer p.wg.Done()
 	defer p.untrack(src)
 	defer kill()
+	f := p.faults
 	buf := make([]byte, 32<<10)
+	chunk := len(buf)
+	if f.SlowChunk > 0 && f.SlowChunk < chunk {
+		chunk = f.SlowChunk
+	}
 	for {
-		p.mu.Lock()
-		f := p.faults
-		p.mu.Unlock()
-		chunk := len(buf)
-		if f.SlowChunk > 0 && f.SlowChunk < chunk {
-			chunk = f.SlowChunk
-		}
 		n, err := src.Read(buf[:chunk])
 		if n > 0 {
 			if d := p.chunkDelay(f); d > 0 {
@@ -244,12 +235,6 @@ func (p *Proxy) pump(dst, src net.Conn, total *int64, kill func()) {
 	}
 }
 
-func (p *Proxy) isClosed() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.closed
-}
-
 func (p *Proxy) chunkDelay(f Faults) time.Duration {
 	d := f.Latency
 	if f.LatencyJitter > 0 {
@@ -258,118 +243,4 @@ func (p *Proxy) chunkDelay(f Faults) time.Duration {
 		p.mu.Unlock()
 	}
 	return d
-}
-
-// FaultConn wraps a single net.Conn with the latency/slow-chunk/reset
-// portion of a fault plan — for tests that build listeners directly
-// instead of interposing a Proxy.
-type FaultConn struct {
-	net.Conn
-	mu     sync.Mutex
-	faults Faults
-	rng    *RNG
-	bytes  int64
-}
-
-// NewFaultConn wraps conn with a seeded fault plan.
-func NewFaultConn(conn net.Conn, faults Faults, seed uint64) *FaultConn {
-	return &FaultConn{Conn: conn, faults: faults, rng: NewRNG(seed)}
-}
-
-func (f *FaultConn) delayAndBudget(n int) error {
-	f.mu.Lock()
-	d := f.faults.Latency
-	if f.faults.LatencyJitter > 0 {
-		d += time.Duration(f.rng.Float64() * float64(f.faults.LatencyJitter))
-	}
-	f.bytes += int64(n)
-	tripped := f.faults.ResetAfterBytes > 0 && f.bytes >= f.faults.ResetAfterBytes
-	f.mu.Unlock()
-	if d > 0 {
-		time.Sleep(d)
-	}
-	if tripped {
-		f.Conn.Close()
-		return fmt.Errorf("resilience: injected reset after %d bytes", f.bytes)
-	}
-	return nil
-}
-
-// Read applies latency, slow chunks and the reset budget.
-func (f *FaultConn) Read(p []byte) (int, error) {
-	f.mu.Lock()
-	chunk := f.faults.SlowChunk
-	f.mu.Unlock()
-	if chunk > 0 && chunk < len(p) {
-		p = p[:chunk]
-	}
-	n, err := f.Conn.Read(p)
-	if n > 0 {
-		if ferr := f.delayAndBudget(n); ferr != nil && err == nil {
-			err = ferr
-		}
-	}
-	return n, err
-}
-
-// Write applies latency, slow chunks and the reset budget.
-func (f *FaultConn) Write(p []byte) (int, error) {
-	f.mu.Lock()
-	chunk := f.faults.SlowChunk
-	f.mu.Unlock()
-	written := 0
-	for written < len(p) {
-		end := len(p)
-		if chunk > 0 && written+chunk < end {
-			end = written + chunk
-		}
-		n, err := f.Conn.Write(p[written:end])
-		written += n
-		if n > 0 {
-			if ferr := f.delayAndBudget(n); ferr != nil && err == nil {
-				return written, ferr
-			}
-		}
-		if err != nil {
-			return written, err
-		}
-	}
-	return written, nil
-}
-
-// FaultListener wraps a listener with flappy-accept semantics and wraps
-// accepted connections in FaultConn.
-type FaultListener struct {
-	net.Listener
-	mu       sync.Mutex
-	faults   Faults
-	rng      *RNG
-	accepted int
-}
-
-// NewFaultListener wraps ln with a seeded fault plan.
-func NewFaultListener(ln net.Listener, faults Faults, seed uint64) *FaultListener {
-	return &FaultListener{Listener: ln, faults: faults, rng: NewRNG(seed)}
-}
-
-// Accept applies the flap schedule and returns fault-wrapped conns.
-func (l *FaultListener) Accept() (net.Conn, error) {
-	for {
-		conn, err := l.Listener.Accept()
-		if err != nil {
-			return nil, err
-		}
-		l.mu.Lock()
-		l.accepted++
-		flap := l.accepted <= l.faults.FlapFirst ||
-			(l.faults.FlapProb > 0 && l.rng.Float64() < l.faults.FlapProb)
-		f := l.faults
-		seed := l.rng.Uint64()
-		l.mu.Unlock()
-		if flap {
-			conn.Close()
-			continue
-		}
-		return NewFaultConn(conn, f, seed), nil
-	}
 }

@@ -1,6 +1,9 @@
 package resilience
 
 import (
+	"bufio"
+	"fmt"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -102,17 +105,63 @@ func TestFaultFlappyAccept(t *testing.T) {
 	}
 }
 
-func TestFaultConnDirect(t *testing.T) {
-	// FaultConn in isolation: reset budget fires on a raw pipe-ish pair.
+// TestFaultFlapProb: a seeded FlapProb schedule is a replayable fault
+// plan. A transport retries through the flaps, and two proxies built
+// with the same seed close the same accepts.
+func TestFaultFlapProb(t *testing.T) {
 	srv := newEchoServer(t)
 	defer srv.close()
-	pol := testPolicy()
-	trRaw := NewTransport(srv.addr(), pol, nil)
-	defer trRaw.Close()
-	if err := trRaw.Connect(); err != nil {
+	flaps := func() []bool {
+		proxy := NewProxy(srv.addr(), Faults{FlapProb: 0.5}, 7)
+		addr, err := proxy.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer proxy.Close()
+		// One dial at a time, each waited out, so accept order is dial
+		// order: a flapped accept closes before the echo answers.
+		var out []bool
+		for i := 0; i < 24; i++ {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn.SetDeadline(time.Now().Add(2 * time.Second))
+			fmt.Fprintf(conn, "probe\n")
+			line, err := bufio.NewReader(conn).ReadString('\n')
+			conn.Close()
+			out = append(out, err != nil || line != "OK probe\n")
+		}
+		return out
+	}
+	a, b := flaps(), flaps()
+	if fmt.Sprint(a) != fmt.Sprint(b) {
+		t.Fatalf("same seed flapped different accepts:\n%v\n%v", a, b)
+	}
+	if !strings.Contains(fmt.Sprint(a), "true") || !strings.Contains(fmt.Sprint(a), "false") {
+		t.Fatalf("FlapProb 0.5 over 24 accepts flapped all or none: %v", a)
+	}
+
+	proxy := NewProxy(srv.addr(), Faults{FlapProb: 0.5}, 7)
+	addr, err := proxy.Listen("127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Deterministic RNG: same seed, same stream.
+	defer proxy.Close()
+	pol := testPolicy()
+	pol.MaxRetries = 8
+	pol.Breaker.Threshold = 0
+	tr := NewTransport(addr, pol, pingProbe)
+	defer tr.Close()
+	for i := 0; i < 5; i++ {
+		proxy.DropConns() // every op redials through the flap schedule
+		if resp, err := roundTrip(tr, "through"); err != nil || resp != "OK through" {
+			t.Fatalf("op %d never converged through probabilistic flaps: %q, %v", i, resp, err)
+		}
+	}
+}
+
+func TestRNGSeedDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 100; i++ {
 		if a.Uint64() != b.Uint64() {

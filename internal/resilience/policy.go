@@ -6,7 +6,7 @@
 // survives the faults it observes (Ciorba's requirement for HPC
 // monitoring). It has three parts:
 //
-//   - a deterministic, seedable fault injector (Proxy/FaultConn) that
+//   - a deterministic, seedable fault injector (Proxy) that
 //     interposes latency, slow reads, mid-stream resets, partitions and
 //     flappy accepts in front of the tsdb/docdb/superdb servers without
 //     touching their logic;
@@ -52,11 +52,4 @@ func DefaultPolicy() Policy {
 		Breaker:      BreakerConfig{Threshold: 5, Cooldown: 500 * time.Millisecond},
 		Seed:         1,
 	}
-}
-
-// NoRetry returns the pre-resilience behaviour: one attempt, no
-// deadlines, no breaker. Useful as the ablation baseline in chaos
-// experiments ("what the seed clients did").
-func NoRetry() Policy {
-	return Policy{MaxRetries: 0}
 }

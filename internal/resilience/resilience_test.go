@@ -338,7 +338,7 @@ func TestTransportDurationStats(t *testing.T) {
 	srv := newEchoServer(t)
 	tr := NewTransport(srv.addr(), testPolicy(), nil)
 	defer tr.Close()
-	in := introspect.New(introspect.WithPrefix("rt_test"))
+	in := introspect.New()
 	tr.SetIntrospection(in, "echo")
 
 	if _, err := roundTrip(tr, "hello"); err != nil {

@@ -270,7 +270,9 @@ func (h *harness) setup() error {
 	// Daemon with one attached, probed target. The KB, dashboards and
 	// observation entries flow through the same code paths production
 	// uses; only the session loop is driven tick by tick from here.
-	h.daemon, err = core.NewWith(core.WithInflux(tsdbProxyAddr), core.WithMongo(docdbProxyAddr))
+	env := core.EnvFromOS()
+	env.InfluxAddr, env.MongoAddr = tsdbProxyAddr, docdbProxyAddr
+	h.daemon, err = core.NewWith(core.WithEnv(env))
 	if err != nil {
 		return err
 	}

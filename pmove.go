@@ -14,6 +14,8 @@
 package pmove
 
 import (
+	"context"
+
 	"pmove/internal/abst"
 	"pmove/internal/anomaly"
 	"pmove/internal/carm"
@@ -29,7 +31,6 @@ import (
 	"pmove/internal/kernels"
 	"pmove/internal/machine"
 	"pmove/internal/ontology"
-	"pmove/internal/resilience"
 	"pmove/internal/spmv"
 	"pmove/internal/storage"
 	"pmove/internal/superdb"
@@ -70,21 +71,14 @@ type (
 )
 
 // NewDaemonWith creates a daemon from functional options (WithEnv,
-// WithInflux, WithMongo, WithTelemetrySink, WithIntrospection, ...).
+// WithDataDir, WithIntrospection, WithExpose). A remote telemetry sink
+// is set afterwards with Daemon.SetTelemetrySink.
 func NewDaemonWith(opts ...DaemonOption) (*Daemon, error) { return core.NewWith(opts...) }
 
 // Daemon construction options.
 var (
 	// WithEnv replaces the whole environment configuration.
 	WithEnv = core.WithEnv
-	// WithInflux points the daemon at an InfluxDB address.
-	WithInflux = core.WithInflux
-	// WithMongo points the daemon at a MongoDB address.
-	WithMongo = core.WithMongo
-	// WithGrafanaToken sets the visualization-layer token.
-	WithGrafanaToken = core.WithGrafanaToken
-	// WithTelemetrySink redirects telemetry to a remote sink.
-	WithTelemetrySink = core.WithTelemetrySink
 	// WithDataDir backs the embedded databases with WAL+snapshot data
 	// directories ("always"|"interval"|"never" fsync policy) so daemon
 	// state survives a crash; pair with Daemon.Close on shutdown.
@@ -94,9 +88,6 @@ var (
 	// Implies introspection and a structured log ring; the bound address
 	// is Daemon.ExposeAddr.
 	WithExpose = core.WithExpose
-	// WithLogBuffer enables the daemon's bounded structured log ring
-	// (Daemon.Logs) without the HTTP plane.
-	WithLogBuffer = core.WithLogBuffer
 )
 
 // WithIntrospection enables the self-observability layer (metrics,
@@ -133,10 +124,6 @@ const (
 var (
 	// WithSpanCapacity bounds the finished-span ring.
 	WithSpanCapacity = introspect.WithSpanCapacity
-	// WithSelfPrefix overrides the pmove.self export namespace.
-	WithSelfPrefix = introspect.WithPrefix
-	// WithProcess labels this process's spans for multi-process assembly.
-	WithProcess = introspect.WithProcess
 	// WithTraceSampling sets the head-based trace sampling rate (errored
 	// spans are always kept); seed 0 derives one from the clock.
 	WithTraceSampling = introspect.WithSampling
@@ -146,10 +133,8 @@ var (
 // OpenMetrics/health/vars/logs HTTP surface WithExpose serves, and the
 // trace-correlated structured log ring behind Daemon.Logs.
 type (
-	// ExposeServer is the observability-plane HTTP server (standalone
-	// form of what WithExpose wires into a daemon).
-	ExposeServer = expose.Server
-	// ExposeSource is one metrics registry an ExposeServer scrapes.
+	// ExposeSource is one metrics registry the observability plane
+	// scrapes.
 	ExposeSource = expose.Source
 	// LogBuffer is a bounded, concurrency-safe structured log ring.
 	LogBuffer = logbuf.Logger
@@ -173,16 +158,8 @@ const (
 
 // Observability-plane functions.
 var (
-	// NewExposeServer creates an empty observability-plane server; add
-	// sources/checks then Listen.
-	NewExposeServer = expose.NewServer
 	// ExposeSourceFor adapts an Introspector into an ExposeSource.
 	ExposeSourceFor = expose.SourceFor
-	// NewLogBuffer creates a structured log ring (capacity <= 0 selects
-	// the default).
-	NewLogBuffer = logbuf.New
-	// ParseLogLevel parses "debug"|"info"|"warn"|"error".
-	ParseLogLevel = logbuf.ParseLevel
 	// EncodeSelfVars writes registries as the /debug/vars JSON document
 	// (`pmove introspect -json` shares this encoder).
 	EncodeSelfVars = expose.EncodeVars
@@ -195,8 +172,6 @@ var (
 type (
 	// TraceID is a 128-bit distributed trace identifier.
 	TraceID = introspect.TraceID
-	// SpanContext is the wire-propagated (trace, span, sampled) triple.
-	SpanContext = introspect.SpanContext
 	// Trace is one assembled multi-process trace tree.
 	Trace = traceexport.Trace
 	// TraceNode is one span plus its children inside a Trace.
@@ -210,14 +185,8 @@ type (
 
 // Distributed-tracing functions.
 var (
-	// ParseTraceparent parses a W3C-style traceparent header field.
-	ParseTraceparent = introspect.ParseTraceparent
-	// FormatTraceparent renders a SpanContext as a traceparent field.
-	FormatTraceparent = introspect.FormatTraceparent
 	// NewTraceCollector creates an empty multi-process trace collector.
 	NewTraceCollector = traceexport.NewCollector
-	// AssembleTraces stitches finished spans into trace trees.
-	AssembleTraces = traceexport.Assemble
 	// AttributeTrace computes per-hop latency attribution for a trace.
 	AttributeTrace = traceexport.Attribute
 	// TraceWaterfall renders a trace as an indented text timeline.
@@ -348,35 +317,13 @@ type (
 // DefaultPipeline is the paper-calibrated shipment configuration.
 func DefaultPipeline() PipelineConfig { return telemetry.DefaultPipeline() }
 
-// Resilience: fault injection and fault-tolerant networking.
+// Telemetry sinks.
 type (
-	// ResiliencePolicy bundles the dial/retry/deadline/breaker knobs
-	// shared by every TCP client.
-	ResiliencePolicy = resilience.Policy
-	// Faults describes the impairments a FaultProxy injects.
-	Faults = resilience.Faults
-	// FaultProxy interposes a fault-injecting TCP proxy in front of a
-	// tsdb/docdb/superdb server.
-	FaultProxy = resilience.Proxy
 	// PointSink is where a telemetry collector lands points — the
 	// embedded TSDB or a resilient remote client; the same contract as
 	// BatchWriter.
 	PointSink = telemetry.PointSink
 )
-
-// DefaultResiliencePolicy is the production-shaped client policy.
-func DefaultResiliencePolicy() ResiliencePolicy { return resilience.DefaultPolicy() }
-
-// NewFaultProxy builds a fault-injecting proxy for the given backend.
-func NewFaultProxy(backend string, f Faults, seed uint64) *FaultProxy {
-	return resilience.NewProxy(backend, f, seed)
-}
-
-// DialTSDB connects a resilient time-series client (usable as a
-// Daemon telemetry sink via SetTelemetrySink).
-func DialTSDB(addr string, pol ResiliencePolicy) (*tsdb.Client, error) {
-	return tsdb.DialPolicy(addr, pol)
-}
 
 // Databases.
 type (
@@ -389,9 +336,6 @@ type (
 	// BatchWriter is the unified batched write surface (embedded TSDB,
 	// wire client, and superdb remote all satisfy it).
 	BatchWriter = tsdb.BatchWriter
-	// BatchError reports a rejected batch write: offending index and
-	// how many points applied (0 — batches are atomic).
-	BatchError = tsdb.BatchError
 	// QueryRequest is the request-struct form of a TSDB query.
 	QueryRequest = tsdb.QueryRequest
 	// Query is the parsed SELECT subset (raw fields or aggregates,
@@ -407,9 +351,6 @@ type (
 // ParseQuery parses a SELECT statement into its Query form; the
 // rendering Query.String is canonical (ParseQuery(q.String()) == q).
 func ParseQuery(stmt string) (*Query, error) { return tsdb.ParseQuery(stmt) }
-
-// NewTSDB constructs an in-memory embedded time-series store.
-func NewTSDB() *TSDB { return tsdb.New() }
 
 // OpenTSDB opens (or creates) a WAL-backed embedded time-series store
 // under dir. fsync is "always", "interval" or "never" — the same
@@ -449,8 +390,8 @@ type (
 )
 
 // RenderDashboard draws every panel of a dashboard as terminal text.
-func RenderDashboard(db *TSDB, d *Dashboard, width int) (string, error) {
-	return dashboard.RenderDashboardASCII(db, d, width)
+func RenderDashboard(ctx context.Context, db *TSDB, d *Dashboard, width int) (string, error) {
+	return dashboard.RenderDashboardASCII(ctx, db, d, width)
 }
 
 // Abstraction layer.
@@ -518,11 +459,6 @@ type (
 	WhatIfOutcome = whatif.Outcome
 	// Cluster is a multi-node simulated system with a batch scheduler.
 	Cluster = cluster.Cluster
-	// ClusterJob is one batch submission.
-	ClusterJob = cluster.Job
-	// JobRecord is the job metadata a completed job leaves in the
-	// cluster KB.
-	JobRecord = cluster.JobRecord
 )
 
 // DefaultAnomalyScanner returns the standard detector set (z-score,

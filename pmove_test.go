@@ -40,7 +40,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if mon.Stats.Inserted == 0 {
 		t.Fatal("no telemetry inserted")
 	}
-	dash, err := RenderDashboard(d.TS, mon.Dashboard, 48)
+	dash, err := RenderDashboard(context.Background(), d.TS, mon.Dashboard, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
