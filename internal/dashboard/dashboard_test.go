@@ -211,6 +211,36 @@ func TestFetchSeriesAndRender(t *testing.T) {
 	}
 }
 
+// TestFetchSeriesSelectAll: a target without a field reads one field —
+// the result's first column — on every call, not whichever field a map
+// iteration happens to visit first.
+func TestFetchSeriesSelectAll(t *testing.T) {
+	db := tsdb.New()
+	var pts []tsdb.Point
+	for i := int64(0); i < 64; i++ {
+		pts = append(pts, tsdb.Point{Measurement: "m", Time: i,
+			Fields: map[string]float64{"a": 1, "b": 2, "c": 3}})
+	}
+	if err := db.WriteBatchContext(context.Background(), pts); err != nil {
+		t.Fatal(err)
+	}
+	tgt := Target{Measurement: "m"}
+	for call := 0; call < 20; call++ {
+		ts, vs, err := FetchSeriesContext(context.Background(), db, tgt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ts) != 64 || len(vs) != 64 {
+			t.Fatalf("call %d: %d times, %d values, want 64 each", call, len(ts), len(vs))
+		}
+		for i, v := range vs {
+			if ts[i] != int64(i) || v != 1 {
+				t.Fatalf("call %d row %d: (%d, %v), want (%d, 1): field a, the first column", call, i, ts[i], v, i)
+			}
+		}
+	}
+}
+
 func TestKindDashboards(t *testing.T) {
 	k := testKB(t, topo.PresetICL)
 	g := NewGenerator("u")

@@ -25,12 +25,12 @@ import (
 //
 // Blocks give the scan two levels of shortcut: a block wholly inside the
 // query's time bounds whose rows share one GROUP BY window folds
-// straight from its footer (count/zeros/min/max/sum per field) — no
-// decompression at all — and every other block decodes ONCE into a
-// per-worker scratch buffer that is reused across units instead of
+// straight from its footer (count/zeros/min/max/sum per field), a
+// percentile's field decoding its present values alone, in place — and
+// every other block decodes ONCE into a pooled scratch buffer instead of
 // materializing []Point. A head is an open block: with no late rows it
 // takes the footer shortcut on the same terms, and otherwise decodes
-// like a block, its late rows merged in.
+// like a block, its late rows merged in. Only decoding takes a worker.
 //
 // The scan holds the data lock shared for its whole duration: writers
 // append to heads in place, so workers only read them, and not past the
@@ -75,8 +75,8 @@ func (fa *fieldAgg) observeRun(run []float64, keepSamples bool) {
 	fa.count, fa.sum, fa.min, fa.max = count, sum, lo, hi
 }
 
-// merge folds o into fa. Partials are merged in unit order, so the
-// fold order — and with it the floating-point sum — is deterministic.
+// merge folds o into fa, all but its samples (placeSamples moves them).
+// Partials merge in unit order, so the float sum is deterministic.
 func (fa *fieldAgg) merge(o *fieldAgg) {
 	if o.count == 0 {
 		return
@@ -93,13 +93,11 @@ func (fa *fieldAgg) merge(o *fieldAgg) {
 	}
 	fa.count += o.count
 	fa.sum += o.sum
-	fa.samples = append(fa.samples, o.samples...)
 }
 
 // aggPlan is the execution plan of an aggregate query: the distinct
 // fields to observe and, per field, whether percentiles force sample
-// retention. anySamples disables the footer fast path — percentiles
-// need the raw distribution.
+// retention — anySamples when any does.
 type aggPlan struct {
 	fields      []string
 	keepSamples []bool
@@ -208,6 +206,36 @@ func (p *partial) merge(o *partial, nf int) {
 		} else {
 			mergeStates(p.window(o.wins[j], nf), o.states[j*nf:])
 			j++
+		}
+	}
+}
+
+// placeSamples makes each of p's sample buffers once, at its merged
+// count, and lays the units' samples into it in unit order: a decoded
+// unit's copied, a footer unit's state pointed at its place to decode to.
+func (p *partial) placeSamples(parts []partial, units []unit, plan *aggPlan) {
+	nf := len(plan.fields)
+	for i := range parts {
+		o, w := &parts[i], 0
+		for j, win := range o.wins {
+			for p.wins[w] < win {
+				w++
+			}
+			for fi, keep := range plan.keepSamples {
+				src, dst := &o.states[j*nf+fi], &p.states[w*nf+fi]
+				if !keep || src.count == 0 {
+					continue
+				}
+				if dst.samples == nil {
+					dst.samples = make([]float64, 0, dst.count)
+				}
+				if n := len(dst.samples); units[i].footer {
+					dst.samples = dst.samples[:n+int(src.count)]
+					src.samples = dst.samples[n:]
+				} else {
+					dst.samples = append(dst.samples, src.samples...)
+				}
+			}
 		}
 	}
 }
@@ -409,98 +437,16 @@ const maxDefaultQueryWorkers = 16
 // execAggregate runs an aggregate query. The caller has validated that
 // q carries only aggregates.
 func (db *DB) execAggregate(ctx context.Context, q *Query, workers int) (*Result, error) {
-	if workers <= 0 {
-		workers = min(runtime.GOMAXPROCS(0), maxDefaultQueryWorkers)
-	}
 	plan := planAggregates(q)
 	res := &Result{Measurement: q.Measurement, Columns: aggColumns(q)}
 
 	db.data.RLock()
 	defer db.data.RUnlock()
-	units := db.units(q)
-	if len(units) == 0 {
-		return res, nil
+	merged, err := db.scanAggregate(ctx, q, plan, workers)
+	if err != nil {
+		return nil, err
 	}
-	var nFooter, nHead int
-	for i := range units {
-		u := &units[i]
-		// Percentiles need the distribution, which no footer holds, and a
-		// head's footers do not cover its late rows.
-		u.footer = !plan.anySamples && u.side == nil && footerOnly(u.minT, u.b.maxT, q)
-		if u.footer {
-			nFooter++
-		} else if u.head {
-			nHead++
-		}
-	}
-	if workers > len(units) {
-		workers = len(units)
-	}
-
 	nf := len(plan.fields)
-	var merged partial
-	if workers == 1 {
-		// Sequential path: one fold over the units, no pool, one partial.
-		var sc scratch
-		var part partial
-		for _, u := range units {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("tsdb: query: %w", err)
-			}
-			if err := scanUnit(u, q, plan, &sc, &part); err != nil {
-				return nil, err
-			}
-			merged.merge(&part, nf)
-		}
-	} else {
-		partials := make([]partial, len(units))
-		var next int64
-		var wg sync.WaitGroup
-		var errMu sync.Mutex
-		var firstErr error
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var sc scratch
-				for {
-					if ctx.Err() != nil {
-						return
-					}
-					errMu.Lock()
-					failed := firstErr != nil
-					errMu.Unlock()
-					if failed {
-						return
-					}
-					i := int(atomic.AddInt64(&next, 1) - 1)
-					if i >= len(units) {
-						return
-					}
-					if err := scanUnit(units[i], q, plan, &sc, &partials[i]); err != nil {
-						errMu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						errMu.Unlock()
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("tsdb: query: %w", err)
-		}
-		for i := range partials {
-			merged.merge(&partials[i], nf)
-		}
-	}
-	db.qcache.countUnits(nFooter, len(units)-nFooter-nHead, nHead)
-
 	for wi, win := range merged.wins {
 		states := merged.states[wi*nf : (wi+1)*nf]
 		if !slices.ContainsFunc(states, func(fa fieldAgg) bool { return fa.count > 0 }) {
@@ -525,4 +471,91 @@ func (db *DB) execAggregate(ctx context.Context, q *Query, workers int) (*Result
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
+}
+
+// scanAggregate folds each unit q reads into a partial — units that
+// decode rows on a pool of min(workers, such units) — and merges them in
+// unit order; then footer units decode a percentile's values into place
+// on a pool sized likewise. Callers hold db.data shared.
+func (db *DB) scanAggregate(ctx context.Context, q *Query, plan *aggPlan, workers int) (partial, error) {
+	units := db.units(q)
+	if len(units) == 0 {
+		return partial{}, nil
+	}
+	var nFooter, nHead int
+	for i := range units {
+		u := &units[i]
+		// A head's footers do not cover its late rows.
+		u.footer = u.side == nil && footerOnly(u.minT, u.b.maxT, q)
+		if u.footer {
+			nFooter++
+		} else if u.head {
+			nHead++
+		}
+	}
+	if workers <= 0 {
+		workers = min(runtime.GOMAXPROCS(0), maxDefaultQueryWorkers)
+	}
+	partials := make([]partial, len(units))
+	if err := runUnits(ctx, min(workers, len(units)-nFooter), len(units), func(i int, sc *scratch) error {
+		return scanUnit(units[i], q, plan, sc, &partials[i])
+	}); err != nil {
+		return partial{}, err
+	}
+	nf := len(plan.fields)
+	var merged partial
+	for i := range partials {
+		merged.merge(&partials[i], nf)
+	}
+	if plan.anySamples {
+		merged.placeSamples(partials, units, plan)
+		if err := runUnits(ctx, min(workers, nFooter), len(units), func(i int, _ *scratch) error {
+			for fi, st := range partials[i].states { // a footer unit's one window
+				if units[i].footer && len(st.samples) > 0 {
+					if _, err := units[i].b.decodeValues(units[i].b.fieldIndex(plan.fields[fi]), st.samples); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		}); err != nil {
+			return partial{}, err
+		}
+	}
+	db.qcache.countUnits(nFooter, len(units)-nFooter-nHead, nHead)
+	return merged, nil
+}
+
+// runUnits calls fn on units 0..n-1 from min(workers, n) goroutines, the
+// caller's one, each with its own scratch, until an error or ctx stops them.
+func runUnits(ctx context.Context, workers, n int, fn func(i int, sc *scratch) error) error {
+	var next atomic.Int64
+	var failed atomic.Pointer[error]
+	work := func() {
+		sc := scratchPool.Get().(*scratch)
+		defer scratchPool.Put(sc)
+		for i := int(next.Add(1) - 1); i < n && failed.Load() == nil && ctx.Err() == nil; i = int(next.Add(1) - 1) {
+			if err := fn(i, sc); err != nil {
+				e := err // escapes here, not on every unit
+				failed.CompareAndSwap(nil, &e)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	if err := failed.Load(); err != nil {
+		return *err
+	}
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("tsdb: query: %w", err)
+	}
+	return nil
 }

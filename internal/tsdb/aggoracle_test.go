@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"pmove/internal/introspect"
 )
 
 // Reference-oracle property suite: 1k seeded cases compare the
@@ -319,5 +321,125 @@ func TestAggregateWorkerEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		compareResults(t, w, q, got, base)
+	}
+}
+
+// TestPercentileOracle: percentiles with the mean and sum of the same
+// field agree bit for bit with the reference whichever way a unit is
+// read — from its footers with its values decoded alone (sealed blocks
+// and a head without late rows, in one window), or decoded row by row (a
+// head with late rows, windows narrower than a block, bounds that cut a
+// block) — over sparse fields, with one worker and four. Every merged
+// state of a field that keeps samples holds exactly count of them.
+func TestPercentileOracle(t *testing.T) {
+	const base = 1 << 20 // a multiple of every block-aligned window below
+	rng := rand.New(rand.NewSource(34))
+	var pts []Point
+	for _, tag := range []string{"a", "b", "c"} {
+		rows := 2*blockRows + 700
+		if tag == "c" {
+			rows = 900 // a head alone
+		}
+		series := make([]Point, rows)
+		t := int64(base)
+		for r := range series {
+			if r > 0 && rng.Intn(50) > 0 {
+				t++ // else a duplicate of the previous row's time
+			}
+			p := Point{Measurement: "m", Time: t, Tags: map[string]string{"tag": tag}, Fields: map[string]float64{}}
+			if rng.Intn(4) > 0 {
+				p.Fields["f"] = dyadic(rng)
+			}
+			if rng.Intn(2) > 0 || len(p.Fields) == 0 {
+				p.Fields["g"] = dyadic(rng)
+			}
+			series[r] = p
+		}
+		if tag == "b" {
+			// Rows of the head arrive up to 16 places late: a side run.
+			for i := 2*blockRows + 16; i < rows; i++ {
+				if rng.Intn(10) == 0 {
+					k := 1 + rng.Intn(16)
+					series[i], series[i-k] = series[i-k], series[i]
+				}
+			}
+		}
+		pts = append(pts, series...)
+	}
+	db := New()
+	in := introspect.New()
+	db.SetIntrospection(in)
+	if err := db.WriteBatchContext(context.Background(), pts); err != nil {
+		t.Fatal(err)
+	}
+	aggs := []Aggregate{
+		{Fn: "p", Field: "f", Pct: 0}, {Fn: "p", Field: "f", Pct: 50}, {Fn: "p", Field: "f", Pct: 99.9},
+		{Fn: "p", Field: "f", Pct: 100}, {Fn: "mean", Field: "f"}, {Fn: "sum", Field: "f"},
+		{Fn: "count", Field: "f"}, {Fn: "p", Field: "g", Pct: 50},
+	}
+	end := int64(base + 2*blockRows + 700)
+	bounds := []struct{ from, to int64 }{
+		{0, 0}, {base + 100, 0}, {0, base + blockRows + 300}, {base + 300, base + 2*blockRows + 50},
+		{base + blockRows, base + 2*blockRows - 1}, {base + 2*blockRows + 10, end - 10},
+	}
+	n := 0
+	for _, groupBy := range []int64{0, blockRows, 3 * blockRows, 1000, 4095} {
+		for _, b := range bounds {
+			for _, tag := range []string{"", "a", "b", "c"} {
+				for _, workers := range []int{1, 4} {
+					q := &Query{Measurement: "m", Aggregates: aggs, TagFilter: map[string]string{},
+						From: b.from, To: b.to, GroupBy: groupBy}
+					if tag != "" {
+						q.TagFilter["tag"] = tag
+					}
+					got, err := db.ExecuteContext(context.Background(), QueryRequest{Query: q, Workers: workers, SkipCache: true})
+					if err != nil {
+						t.Fatalf("%q: %v", q.String(), err)
+					}
+					compareBits(t, q, got, refExecute(pts, q))
+
+					plan := planAggregates(q)
+					db.data.RLock()
+					merged, err := db.scanAggregate(context.Background(), q, plan, workers)
+					db.data.RUnlock()
+					if err != nil {
+						t.Fatal(err)
+					}
+					for wi := range merged.wins {
+						for fi, keep := range plan.keepSamples {
+							if fa := &merged.states[wi*len(plan.fields)+fi]; keep && uint64(len(fa.samples)) != fa.count {
+								t.Fatalf("%q window %d field %s: %d samples, count %d", q.String(), merged.wins[wi], plan.fields[fi], len(fa.samples), fa.count)
+							}
+						}
+					}
+					n++
+				}
+			}
+		}
+	}
+	// Both ways of reading a unit were taken.
+	snap := in.Metrics().Snapshot()
+	if f, d, h := snap.CounterValue("query.units_footer"), snap.CounterValue("query.units_decoded"), snap.CounterValue("query.units_head"); f == 0 || d == 0 || h == 0 {
+		t.Fatalf("%d queries: units footer %d decoded %d head %d, want each > 0", n, f, d, h)
+	}
+}
+
+// compareBits asserts got equals the reference bit for bit: the same
+// rows, times and columns, every value the same float64.
+func compareBits(t *testing.T, q *Query, got, want *Result) {
+	t.Helper()
+	if len(got.Rows) != len(want.Rows) {
+		t.Fatalf("%q: %d rows, reference %d", q.String(), len(got.Rows), len(want.Rows))
+	}
+	for i, wr := range want.Rows {
+		gr := got.Rows[i]
+		if gr.Time != wr.Time || len(gr.Values) != len(wr.Values) {
+			t.Fatalf("%q row %d: %d %v, reference %d %v", q.String(), i, gr.Time, gr.Values, wr.Time, wr.Values)
+		}
+		for col, wv := range wr.Values {
+			if gv, ok := gr.Values[col]; !ok || math.Float64bits(gv) != math.Float64bits(wv) {
+				t.Fatalf("%q row %d col %s: %v (present %v), reference %v", q.String(), i, col, gv, ok, wv)
+			}
+		}
 	}
 }

@@ -66,7 +66,7 @@ func TestWindowEdges(t *testing.T) {
 				q := &Query{Measurement: "m", Aggregates: aggs[:4], TagFilter: map[string]string{},
 					From: b.from, To: b.to, GroupBy: groupBy}
 				if n%3 == 0 {
-					q.Aggregates = aggs // percentiles: no footer folds
+					q.Aggregates = aggs // percentiles: footer units decode their values
 				}
 				if n%4 == 0 {
 					q.TagFilter["tag"] = "x"
@@ -189,8 +189,8 @@ func TestQueryUnitCounters(t *testing.T) {
 	if f, d, h := exec(stmt, 1); f != 0 || d != 0 || h != 1 {
 		t.Fatalf("bound inside the head: footer %d decoded %d head %d, want 0 0 1", f, d, h)
 	}
-	if f, d, _ := exec(`SELECT p50("f") FROM "m" WHERE "tag"='a'`, blocks+1); f != 0 || d != blocks {
-		t.Fatalf("percentile: footer %d decoded %d, want 0 %d", f, d, blocks)
+	if f, d, h := exec(`SELECT p50("f") FROM "m" WHERE "tag"='a'`, blocks+1); f != blocks+1 || d != 0 || h != 0 {
+		t.Fatalf("percentile: footer %d decoded %d head %d, want %d 0 0", f, d, h, blocks+1)
 	}
 	// From inside block 0 to inside block 2: the middle block folds, the
 	// ends decode, the head is out of range.
@@ -206,6 +206,45 @@ func TestQueryUnitCounters(t *testing.T) {
 	}
 	if f, d, h := exec(`SELECT mean("f") FROM "m"`, 2*(blocks+1)); f != 2*blocks+1 || d != 0 || h != 1 {
 		t.Fatalf("head with a late row: footer %d decoded %d head %d, want %d 0 1", f, d, h, 2*blocks+1)
+	}
+}
+
+// TestQueryUnitTally pins query.units_* for three statement shapes. A
+// unit counts as footer when it folds from its footers, percentile
+// values decoded or not; as decoded (a sealed block) or head when its
+// time column decodes.
+func TestQueryUnitTally(t *testing.T) {
+	const base = 1 << 20
+	db := New()
+	in := introspect.New()
+	db.SetIntrospection(in)
+	var pts []Point
+	for _, tag := range []string{"a", "b"} {
+		for i := 0; i < 2*blockRows+100; i++ {
+			pts = append(pts, Point{Measurement: "m", Time: base + int64(i), Tags: map[string]string{"tag": tag},
+				Fields: map[string]float64{"f": float64(i % 13)}})
+		}
+	}
+	if err := db.WriteBatchContext(context.Background(), pts); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		stmt                  string
+		footer, decoded, head uint64
+	}{
+		{`SELECT p99("f") FROM "m"`, 6, 0, 0},
+		{`SELECT mean("f") FROM "m" GROUP BY time(50ns)`, 0, 4, 2},
+		{fmt.Sprintf(`SELECT sum("f") FROM "m" WHERE time >= %d`, base+2*blockRows+10), 0, 0, 2},
+	} {
+		before := in.Metrics().Snapshot()
+		if _, err := db.ExecuteContext(context.Background(), QueryRequest{Statement: c.stmt, SkipCache: true}); err != nil {
+			t.Fatalf("%s: %v", c.stmt, err)
+		}
+		after := in.Metrics().Snapshot()
+		delta := func(name string) uint64 { return after.CounterValue(name) - before.CounterValue(name) }
+		if f, d, h := delta("query.units_footer"), delta("query.units_decoded"), delta("query.units_head"); f != c.footer || d != c.decoded || h != c.head {
+			t.Errorf("%s: footer %d decoded %d head %d, want %d %d %d", c.stmt, f, d, h, c.footer, c.decoded, c.head)
+		}
 	}
 }
 

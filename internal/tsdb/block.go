@@ -481,9 +481,28 @@ func (b *block) decodeTimes(dst []int64) ([]int64, error) {
 	dst = dst[:b.rows]
 	data, p := b.ts, 0
 	var prevT, prevD int64
-	for i := range dst {
+	for i := 0; i < len(dst); i++ {
 		if p >= len(data) {
 			return nil, errBlockCorrupt
+		}
+		if data[p] == 0 && i > 0 {
+			// A run of 0x00s (regular ticks) repeats the last delta: filled
+			// arithmetically if sorted and ending at or below maxT, else checked.
+			k, n := 1, min(len(dst)-i, len(data)-p)
+			for k+8 <= n && binary.LittleEndian.Uint64(data[p+k:]) == 0 {
+				k += 8
+			}
+			for k < n && data[p+k] == 0 {
+				k++
+			}
+			if prevD >= 0 && prevT <= b.maxT && (prevD == 0 || uint64(k) <= uint64(b.maxT-prevT)/uint64(prevD)) {
+				run := dst[i : i+k]
+				for j := range run {
+					run[j] = prevT + int64(j+1)*prevD
+				}
+				prevT, i, p = run[k-1], i+k-1, p+k
+				continue
+			}
 		}
 		// A regular tick's delta-of-delta is the byte 0x00: one-byte
 		// zig-zag varints decode in line, longer ones in the library.
@@ -518,23 +537,38 @@ func (b *block) decodeTimes(dst []int64) ([]int64, error) {
 // capacity) aligned with the block's rows, spread by the presence bitmap
 // — bytes past its end are zero — with NaN where a row has none.
 func (b *block) decodeField(fi int, dst []float64) ([]float64, error) {
-	f := &b.fields[fi]
-	stream, bitmap, count, rows := f.stream, f.bitmap, int(f.count), b.rows
-	if cap(dst) < rows {
-		dst = make([]float64, rows)
+	if cap(dst) < b.rows {
+		dst = make([]float64, b.rows)
 	}
-	dst = dst[:rows]
-	if count == 0 {
-		for r := range dst {
+	dst = dst[:b.rows]
+	vals, err := b.decodeValues(fi, dst)
+	if err != nil {
+		return nil, err
+	}
+	// Spread a sparse column over its rows, back to front: a value moves
+	// before anything overwrites it, and once k > r the rest is in place.
+	bitmap := b.fields[fi].bitmap
+	for k, r := len(vals), len(dst)-1; k <= r; r-- {
+		if r>>3 >= len(bitmap) || bitmap[r>>3]>>(r&7)&1 == 0 {
 			dst[r] = math.NaN()
+		} else {
+			k--
+			dst[r] = dst[k]
 		}
-		return dst, nil
 	}
-	// The stream holds the present values back to back (decodeBlock held
-	// count to the bitmap's popcount): decode them bitmap-free into
-	// dst[:count].
-	vals := dst[:count]
-	prevBits, buf, acc, n, ok := readBits(stream, 0, 0, 64)
+	return dst, nil
+}
+
+// decodeValues decompresses field column fi's present values, back to
+// back in the stream (decodeBlock held count to the bitmap's popcount),
+// into dst[:count], which must have room, and returns that slice.
+func (b *block) decodeValues(fi int, dst []float64) ([]float64, error) {
+	f := &b.fields[fi]
+	vals := dst[:f.count]
+	if len(vals) == 0 {
+		return vals, nil
+	}
+	prevBits, buf, acc, n, ok := readBits(f.stream, 0, 0, 64)
 	vals[0] = math.Float64frombits(prevBits)
 	if !ok || vals[0] != vals[0] {
 		return nil, errBlockCorrupt
@@ -585,15 +619,5 @@ func (b *block) decodeField(fi int, dst []float64) ([]float64, error) {
 	if len(buf) > 0 || n >= 8 || (n > 0 && acc>>(64-n) != 0) {
 		return nil, errBlockCorrupt
 	}
-	// Spread a sparse column over its rows, back to front: a value moves
-	// before anything overwrites it, and once k > r the rest is in place.
-	for k, r := len(vals), len(dst)-1; k <= r; r-- {
-		if r>>3 >= len(bitmap) || bitmap[r>>3]>>(r&7)&1 == 0 {
-			dst[r] = math.NaN()
-		} else {
-			k--
-			dst[r] = dst[k]
-		}
-	}
-	return dst, nil
+	return vals, nil
 }

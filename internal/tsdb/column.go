@@ -3,6 +3,7 @@ package tsdb
 import (
 	"math"
 	"sort"
+	"sync"
 )
 
 // Columnar series storage. A series is identified by (measurement,
@@ -175,12 +176,14 @@ func (db *DB) units(q *Query) []unit {
 }
 
 // scratch holds a unit's decoded columns: one timestamp slice and one
-// value slice per selected field, reused unit after unit — decode
-// happens once per unit, allocation once per scratch.
+// value slice per selected field, reused unit after unit and, through
+// scratchPool, query after query.
 type scratch struct {
 	times []int64
 	cols  [][]float64
 }
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // columns decodes the unit's rows in scan order into sc: the times
 // first, then — unless no row lies in [from, to] (0 = unbounded), the

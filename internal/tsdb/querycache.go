@@ -82,7 +82,11 @@ func (c *queryCache) setIntrospection(in *introspect.Introspector) {
 	c.mu.Unlock()
 }
 
-// countUnits adds one aggregate scan's units, by how they were answered.
+// countUnits adds one aggregate scan's units, by how they were answered:
+// query.units_footer counts the units folded from their footers, with
+// or without their percentile values decoded; query.units_decoded the
+// sealed blocks and query.units_head the heads whose time column
+// decoded.
 func (c *queryCache) countUnits(footer, decoded, head int) {
 	c.mu.Lock()
 	c.unitsFooter.Add(uint64(footer))

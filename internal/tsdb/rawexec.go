@@ -11,7 +11,7 @@ import (
 // decoded unit's selected columns (names), and the span of its rows in
 // the query's time bounds.
 type rawRun struct {
-	scratch
+	*scratch
 	names    []string
 	pos, end int
 }
@@ -91,12 +91,12 @@ func (db *DB) execRaw(ctx context.Context, q *Query) (*Result, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("tsdb: query: %w", err)
 		}
-		run := rawRun{names: q.Fields}
+		run := rawRun{scratch: scratchPool.Get().(*scratch), names: q.Fields}
 		if selectAll {
 			run.names = u.b.fieldNames()
 		}
 		var err error
-		if run.pos, run.end, err = u.columns(run.names, q.From, q.To, &run.scratch); err != nil {
+		if run.pos, run.end, err = u.columns(run.names, q.From, q.To, run.scratch); err != nil {
 			return nil, err
 		}
 		// A unit holding none of the selected fields has no row to give.
@@ -137,6 +137,9 @@ func (db *DB) execRaw(ctx context.Context, q *Query) (*Result, error) {
 				runHeapDown(h, 0, runs)
 			}
 		}
+	}
+	for i := range runs { // their rows are out: the scratch goes back
+		scratchPool.Put(runs[i].scratch)
 	}
 	if selectAll {
 		// Stabilise the column list.

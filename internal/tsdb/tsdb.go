@@ -466,9 +466,10 @@ type QueryRequest struct {
 	Statement string
 	// Query is a pre-parsed query.
 	Query *Query
-	// Workers bounds the parallel scan pool of an aggregate query;
-	// <= 0 selects min(GOMAXPROCS, 16). 1 forces the sequential
-	// single-goroutine scan.
+	// Workers caps the parallel scan pool of an aggregate query;
+	// <= 0 selects min(GOMAXPROCS, 16). The pool never outnumbers the
+	// units that decode, and 1 — or a scan that folds from footers
+	// alone — runs on the caller's goroutine.
 	Workers int
 	// SkipCache bypasses the query-result cache (both lookup and
 	// fill) — benchmarking and freshness-critical reads.
