@@ -81,7 +81,11 @@ fi
 # the pooled scan scratch and the tick-run fill in decodeTimes cost
 # more than the sequential path's separate loop, the error mutex and
 # the merge's sample append gave back, for dash_cold ops_per_s
-# +25 % in medians, 9 of 10 pairs (percentile statements 48 % cheaper).)
+# +25 % in medians, 9 of 10 pairs (percentile statements 48 % cheaper).
+# -16 when WRITEB became the wire's only write: the one-line WRITE verb
+# and its span family gone, and the retry dedup's two structures — the
+# applied-token window and the in-flight map beside it — one token table
+# under one lock.)
 # The second line is the same ratchet over all non-test Go outside the
 # benchmark's frozen paths (BENCHMARK.json "paths"): 26 312 before the
 # two wire servers became one skeleton (internal/wire), 26 222 after,
@@ -110,7 +114,12 @@ fi
 # SpanIDFromContext), dashboard.FetchSeries and 25 facade names gone;
 # 26 498 (+66) with the scan that decodes only what its fold reads (+68,
 # above), net of the dashboard's select-all series read, which reads
-# the result's first column instead of a map's first entry (-2).
+# the result's first column instead of a map's first entry (-2); 26 397
+# (-101) with one write frame and one summary path: the WRITE verb and
+# resilience.DedupWindow (-16 in internal/tsdb, above, -54 in
+# resilience) and superdb's client-side summary fold (-31): aggregate,
+# its quantile and the per-field fold, a star list now summarised by the
+# engine over the raw result's columns.
 size_gate() { # $1: what is counted; $2: ceiling; stdin: the files
     size=$(xargs cat | wc -l)
     echo "size: $1 ${size} non-test lines (ceiling $2)"
@@ -119,9 +128,9 @@ size_gate() { # $1: what is counted; $2: ceiling; stdin: the files
         exit 1
     fi
 }
-find internal/tsdb -name '*.go' ! -name '*_test.go' | size_gate internal/tsdb 4734
+find internal/tsdb -name '*.go' ! -name '*_test.go' | size_gate internal/tsdb 4718
 find . -name '*.go' ! -name '*_test.go' ! -path './internal/bench/*' ! -path './cmd/pmovebench/*' |
-    size_gate 'outside the benchmark paths' 26498
+    size_gate 'outside the benchmark paths' 26397
 
 # One durable lifecycle: every durable byte goes through storage.Store
 # (store.go over wal.go), which owns closed and crashed. A bare WAL

@@ -29,14 +29,14 @@ type TraceStudyResult struct {
 	SumDeltaPct float64 // |attribution sum - end-to-end| as % of end-to-end
 	ChromeJSON  []byte
 	ChromeValid bool
-	UntaggedOK  bool // legacy untagged WRITE still accepted mid-run
+	UntaggedOK  bool // legacy untagged WRITEB still accepted mid-run
 	Waterfall   string
 }
 
 // TraceStudy reruns the chaos scenario with distributed tracing on: the
 // client process ("daemon" ring) and the tsdb server process
 // ("tsdb-server" ring) each keep their own spans, linked over the wire
-// by the traceparent field on every WRITE. The middle third of the run
+// by the traceparent field on every WRITEB. The middle third of the run
 // is partitioned, so the assembled trace contains healthy round trips,
 // failed attempts, backoff waits and post-heal replays — exactly the
 // mix per-hop attribution must explain. The study then checks the
@@ -169,12 +169,12 @@ func probeUntagged(addr string) bool {
 		return false
 	}
 	defer conn.Close()
-	if _, err := fmt.Fprintf(conn, "WRITE legacy,host=old v=1 123\n"); err != nil {
+	if _, err := fmt.Fprintf(conn, "WRITEB 1\nlegacy,host=old v=1 123\n"); err != nil {
 		return false
 	}
 	buf := make([]byte, 64)
 	n, err := conn.Read(buf)
-	return err == nil && strings.TrimSpace(string(buf[:n])) == "OK"
+	return err == nil && strings.TrimSpace(string(buf[:n])) == "OK 1"
 }
 
 // Render formats the study: a summary block, the per-hop attribution,

@@ -43,7 +43,7 @@ func tracedTSDB(t *testing.T) (*tsdb.Server, *introspect.Introspector, string) {
 	return srv, in, addr
 }
 
-// TestAssembleAndAttribute drives real WRITE/QUERY ops through a traced
+// TestAssembleAndAttribute drives real WRITEB/QUERY ops through a traced
 // client and server, assembles the two rings into one trace, and checks
 // the tree shape and that per-hop attribution partitions the measured
 // end-to-end wire time (the ≤5% acceptance criterion, exact here).
@@ -203,7 +203,7 @@ func TestChromeTraceExport(t *testing.T) {
 }
 
 // TestTraceThroughFaultProxy is the trace-context round-trip chaos test:
-// WRITE frames (with traceparent tags) cross a fault-injecting proxy
+// WRITEB frames (with traceparent tags) cross a fault-injecting proxy
 // that cuts connections mid-frame, partitions, and heals. Server spans
 // must never be mis-parented — every parented server span's parent must
 // be a client attempt span of the same trace — and the run must be
@@ -318,10 +318,10 @@ func TestUntaggedFramesAccepted(t *testing.T) {
 	}
 	defer conn.Close()
 	r := bufio.NewReader(conn)
-	fmt.Fprintf(conn, "WRITE legacy,host=a v=1 123\n")
+	fmt.Fprintf(conn, "WRITEB 1\nlegacy,host=a v=1 123\n")
 	resp, err := r.ReadString('\n')
-	if err != nil || strings.TrimSpace(resp) != "OK" {
-		t.Fatalf("untagged tsdb WRITE: %q, %v", resp, err)
+	if err != nil || strings.TrimSpace(resp) != "OK 1" {
+		t.Fatalf("untagged tsdb WRITEB: %q, %v", resp, err)
 	}
 	fmt.Fprintf(conn, "QUERY SELECT v FROM legacy\n")
 	resp, err = r.ReadString('\n')
@@ -329,7 +329,7 @@ func TestUntaggedFramesAccepted(t *testing.T) {
 		t.Fatalf("untagged tsdb QUERY: %q, %v", resp, err)
 	}
 	// The server opened local root spans for the untagged frames.
-	ws, ok := serverIn.Tracer().Find("tsdb.server.write")
+	ws, ok := serverIn.Tracer().Find("tsdb.server.writeb")
 	if !ok || ws.Parent != 0 {
 		t.Fatalf("untagged write span: %+v ok=%v (want local root)", ws, ok)
 	}

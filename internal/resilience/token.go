@@ -8,17 +8,14 @@ import (
 	"sync/atomic"
 )
 
-// Batched op retry semantics. Single-point writes are at-least-once
-// under this package's retry loop, and the reconnect-with-resync probe
-// guarantees a duplicate is at worst a re-applied point the dedup
-// oracle can see. A retried BATCH is worse: the whole frame is
-// re-applied, multiplying every point in it. The fix is an idempotency
-// token minted once per logical batch and carried on every retry of
-// it — the server remembers recently applied tokens in a bounded
-// window and acknowledges (without re-applying) a token it has already
-// committed. The window is bounded because retries are near-in-time by
-// construction: a token older than the window's capacity of subsequent
-// batches is no longer retryable by any live transport.
+// Batched op retry semantics. A retried write frame would re-apply
+// every point in it, so a tsdb batch carries an idempotency token minted
+// once per logical batch and sent on every retry of it; the tsdb server
+// remembers the tokens it has applied in a bounded table and acknowledges,
+// without re-applying, a token it has already committed — tsdb batches
+// are exactly-once under retry. docdb inserts carry no token and are
+// at-least-once: the reconnect-with-resync probe bounds a duplicate to a
+// re-applied document.
 
 // tokenPrefix makes tokens unique across processes (crypto/rand nonce);
 // the atomic counter makes them unique within one.
@@ -43,55 +40,4 @@ func NextOpToken() string {
 		tokenPrefix = hex.EncodeToString(b[:])
 	})
 	return fmt.Sprintf("%s-%x", tokenPrefix, tokenSeq.Add(1))
-}
-
-// DedupWindow is the server side of the token protocol: a bounded
-// set of recently applied op tokens. Seen/Record are split because a
-// token must only be recorded AFTER its batch is durably applied — a
-// failed apply must stay retryable.
-type DedupWindow struct {
-	mu   sync.Mutex
-	cap  int
-	seen map[string]struct{}
-	ring []string // insertion order; evicts oldest at capacity
-	next int
-}
-
-// NewDedupWindow creates a window remembering the last capacity tokens
-// (minimum 1; a typical server uses ~1024).
-func NewDedupWindow(capacity int) *DedupWindow {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &DedupWindow{
-		cap:  capacity,
-		seen: make(map[string]struct{}, capacity),
-		ring: make([]string, capacity),
-	}
-}
-
-// Seen reports whether a token was already recorded (and not yet
-// evicted): the batch is a retry of an applied op and must be
-// acknowledged without re-applying.
-func (d *DedupWindow) Seen(token string) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	_, ok := d.seen[token]
-	return ok
-}
-
-// Record remembers an applied token, evicting the oldest once the
-// window is full. Recording the same token twice is harmless.
-func (d *DedupWindow) Record(token string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, ok := d.seen[token]; ok {
-		return
-	}
-	if old := d.ring[d.next]; old != "" {
-		delete(d.seen, old)
-	}
-	d.ring[d.next] = token
-	d.next = (d.next + 1) % d.cap
-	d.seen[token] = struct{}{}
 }

@@ -1,7 +1,6 @@
 package resilience
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 )
@@ -32,52 +31,6 @@ func TestNextOpTokenUnique(t *testing.T) {
 				seen[tok] = true
 			}
 		}()
-	}
-	wg.Wait()
-}
-
-// TestDedupWindow: record-then-seen semantics and oldest-first eviction
-// at capacity.
-func TestDedupWindow(t *testing.T) {
-	d := NewDedupWindow(3)
-	if d.Seen("a") {
-		t.Fatal("empty window claims to have seen a token")
-	}
-	d.Record("a")
-	d.Record("a") // double record is harmless
-	d.Record("b")
-	d.Record("c")
-	for _, tok := range []string{"a", "b", "c"} {
-		if !d.Seen(tok) {
-			t.Fatalf("token %q lost before capacity", tok)
-		}
-	}
-	d.Record("d") // evicts "a", the oldest
-	if d.Seen("a") {
-		t.Fatal("oldest token survived eviction")
-	}
-	for _, tok := range []string{"b", "c", "d"} {
-		if !d.Seen(tok) {
-			t.Fatalf("token %q evicted out of order", tok)
-		}
-	}
-}
-
-// TestDedupWindowConcurrent: Seen/Record race-cleanly from many
-// goroutines (run under -race).
-func TestDedupWindowConcurrent(t *testing.T) {
-	d := NewDedupWindow(64)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				tok := fmt.Sprintf("w%d-%d", w, i)
-				d.Record(tok)
-				d.Seen(tok)
-			}
-		}(w)
 	}
 	wg.Wait()
 }

@@ -104,7 +104,7 @@ func TestDialRemoteFailures(t *testing.T) {
 
 // TestAggregateObservationRemote summarises an uploaded observation on
 // the server: the wire-level aggregate SELECT must reproduce the same
-// statistics the local fold computes, and the star/empty field shapes
+// statistics the embedded summary computes, and the star/empty field shapes
 // are rejected before touching the wire.
 func TestAggregateObservationRemote(t *testing.T) {
 	docAddr, tsAddr := startServers(t)

@@ -10,7 +10,6 @@ package superdb
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 
 	"pmove/internal/docdb"
@@ -51,26 +50,6 @@ type Aggregates struct {
 	P99         float64 `json:"p99"`
 }
 
-// aggregate computes summary statistics of a value series.
-func aggregate(measurement, field string, vs []float64) Aggregates {
-	a := Aggregates{Measurement: measurement, Field: field, Count: len(vs)}
-	if len(vs) == 0 {
-		return a
-	}
-	sorted := append([]float64(nil), vs...)
-	sort.Float64s(sorted)
-	a.Min = sorted[0]
-	a.Max = sorted[len(sorted)-1]
-	sum := 0.0
-	for _, v := range sorted {
-		sum += v
-	}
-	a.Mean = sum / float64(len(sorted))
-	a.P50 = quantile(sorted, 0.50)
-	a.P99 = quantile(sorted, 0.99)
-	return a
-}
-
 // hasStar reports whether a field list selects all fields — the one
 // shape the aggregate engine cannot plan, since it needs field names.
 func hasStar(fields []string) bool {
@@ -82,8 +61,8 @@ func hasStar(fields []string) bool {
 	return false
 }
 
-// dedupeSorted returns the distinct field names, sorted — the order the
-// legacy client-side fold reported aggregates in.
+// dedupeSorted returns the distinct field names, sorted — the order a
+// summary reports its fields in.
 func dedupeSorted(fields []string) []string {
 	seen := map[string]struct{}{}
 	out := make([]string, 0, len(fields))
@@ -99,8 +78,7 @@ func dedupeSorted(fields []string) []string {
 }
 
 // summaryQuery builds the one-shot aggregate query computing every
-// Aggregates column (count/min/max/mean/p50/p99 per field) — what the
-// legacy path fetched row by row and folded client-side.
+// Aggregates column (count/min/max/mean/p50/p99 per field).
 func summaryQuery(measurement string, tags map[string]string, fields []string) *tsdb.Query {
 	var aggs []tsdb.Aggregate
 	for _, f := range dedupeSorted(fields) {
@@ -117,8 +95,7 @@ func summaryQuery(measurement string, tags map[string]string, fields []string) *
 }
 
 // summaryFromResult maps the aggregate query's single row back into
-// Aggregates values, skipping fields with no samples (the legacy fold
-// never emitted a row for an absent field).
+// Aggregates values, skipping fields with no samples.
 func summaryFromResult(measurement string, fields []string, res *tsdb.Result) []Aggregates {
 	if res == nil || len(res.Rows) == 0 {
 		return nil
@@ -145,20 +122,6 @@ func summaryFromResult(measurement string, fields []string, res *tsdb.Result) []
 		})
 	}
 	return out
-}
-
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // kbSummary renders the document a KB upload stores, keyed by host so a
@@ -219,9 +182,14 @@ const reportBatchSize = 256
 // batch uploads.
 func reportObservation(ctx context.Context, o *kb.Observation, local *tsdb.DB, mode ReportMode,
 	ts tsdb.BatchWriter, upsert func(docdb.Doc) error) error {
-	kind := ontology.EntryTSObservation
-	if mode == ModeAGG {
+	var kind ontology.EntryKind
+	switch mode {
+	case ModeTS:
+		kind = ontology.EntryTSObservation
+	case ModeAGG:
 		kind = ontology.EntryAGGObservation
+	default:
+		return fmt.Errorf("superdb: unknown report mode %q", mode)
 	}
 	var aggs []Aggregates
 	rawPoints := 0
@@ -234,61 +202,62 @@ func reportObservation(ctx context.Context, o *kb.Observation, local *tsdb.DB, m
 		pending = pending[:0]
 		return nil
 	}
+	// summarise computes a metric's whole summary in one aggregate query
+	// on the engine.
+	summarise := func(measurement string, tags map[string]string, fields []string) error {
+		if len(fields) == 0 {
+			return nil
+		}
+		res, err := local.ExecuteContext(ctx, tsdb.QueryRequest{Query: summaryQuery(measurement, tags, fields)})
+		if err != nil {
+			return fmt.Errorf("superdb: aggregate %s: %w", measurement, err)
+		}
+		aggs = append(aggs, summaryFromResult(measurement, fields, res)...)
+		return nil
+	}
 	for _, m := range o.Metrics {
+		tags := map[string]string{"tag": o.Tag}
 		if mode == ModeAGG && !hasStar(m.Fields) {
-			// One aggregate query computes the whole summary on the
-			// engine instead of materializing raw rows to fold here.
-			sq := summaryQuery(m.Measurement, map[string]string{"tag": o.Tag}, m.Fields)
-			res, err := local.ExecuteContext(ctx, tsdb.QueryRequest{Query: sq})
-			if err != nil {
-				return fmt.Errorf("superdb: aggregate %s: %w", m.Measurement, err)
+			if err := summarise(m.Measurement, tags, m.Fields); err != nil {
+				return err
 			}
-			aggs = append(aggs, summaryFromResult(m.Measurement, m.Fields, res)...)
 			continue
 		}
+		fields := m.Fields
+		if mode == ModeAGG {
+			// The engine needs field names: a star stands for every field
+			// the observation's rows hold, the columns of a SELECT *.
+			fields = []string{"*"}
+		}
 		res, err := local.ExecuteContext(ctx, tsdb.QueryRequest{Query: &tsdb.Query{
-			Fields:      m.Fields,
+			Fields:      fields,
 			Measurement: m.Measurement,
-			TagFilter:   map[string]string{"tag": o.Tag},
+			TagFilter:   tags,
 		}})
 		if err != nil {
 			return fmt.Errorf("superdb: fetch %s: %w", m.Measurement, err)
 		}
-		switch mode {
-		case ModeTS:
-			for _, row := range res.Rows {
-				if len(row.Values) == 0 {
-					continue
-				}
-				pending = append(pending, tsdb.Point{
-					Measurement: m.Measurement,
-					Tags:        map[string]string{"tag": o.Tag, "host": o.Host},
-					Fields:      row.Values,
-					Time:        row.Time,
-				})
-				if len(pending) >= reportBatchSize {
-					if err := flush(); err != nil {
-						return err
-					}
-				}
+		if mode == ModeAGG {
+			if err := summarise(m.Measurement, tags, res.Columns); err != nil {
+				return err
 			}
-		case ModeAGG:
-			byField := map[string][]float64{}
-			for _, row := range res.Rows {
-				for f, v := range row.Values {
-					byField[f] = append(byField[f], v)
+			continue
+		}
+		for _, row := range res.Rows {
+			if len(row.Values) == 0 {
+				continue
+			}
+			pending = append(pending, tsdb.Point{
+				Measurement: m.Measurement,
+				Tags:        map[string]string{"tag": o.Tag, "host": o.Host},
+				Fields:      row.Values,
+				Time:        row.Time,
+			})
+			if len(pending) >= reportBatchSize {
+				if err := flush(); err != nil {
+					return err
 				}
 			}
-			var fields []string
-			for f := range byField {
-				fields = append(fields, f)
-			}
-			sort.Strings(fields)
-			for _, f := range fields {
-				aggs = append(aggs, aggregate(m.Measurement, f, byField[f]))
-			}
-		default:
-			return fmt.Errorf("superdb: unknown report mode %q", mode)
 		}
 	}
 	if err := flush(); err != nil {

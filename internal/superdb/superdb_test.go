@@ -148,34 +148,48 @@ func TestTSObservationsExcludedFromML(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	sorted := []float64{1, 2, 3, 4, 5}
-	if q := quantile(sorted, 0.5); q != 3 {
-		t.Errorf("p50 = %f", q)
+// TestReportObservationAGGStar: a field list holding a star stands for
+// every field of the observation's rows and is summarised by the same
+// engine query as those fields named, so the exports agree.
+func TestReportObservationAGGStar(t *testing.T) {
+	export := func(fields []string) []Aggregates {
+		t.Helper()
+		s := New()
+		local := tsdb.New()
+		obs := seedObservation(t, local, "skx", "t-star")
+		obs.Metrics[0].Fields = fields
+		if err := s.ReportObservation(obs, local, ModeAGG); err != nil {
+			t.Fatal(err)
+		}
+		rows, err := s.ExportML()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 1 {
+			t.Fatalf("ML rows for %v: %+v", fields, rows)
+		}
+		return rows[0].Aggs
 	}
-	if q := quantile(sorted, 0); q != 1 {
-		t.Errorf("p0 = %f", q)
+	named := export([]string{"_cpu1", "_cpu0"})
+	if len(named) != 2 {
+		t.Fatalf("named: %+v", named)
 	}
-	if q := quantile(sorted, 1); q != 5 {
-		t.Errorf("p100 = %f", q)
-	}
-	if q := quantile([]float64{}, 0.5); q != 0 {
-		t.Errorf("empty quantile = %f", q)
-	}
-	// Interpolation between ranks.
-	if q := quantile([]float64{0, 10}, 0.25); math.Abs(q-2.5) > 1e-9 {
-		t.Errorf("interpolated quantile = %f", q)
-	}
-}
-
-func TestAggregateStats(t *testing.T) {
-	a := aggregate("m", "f", []float64{5, 1, 3})
-	if a.Min != 1 || a.Max != 5 || math.Abs(a.Mean-3) > 1e-9 || a.P50 != 3 || a.Count != 3 {
-		t.Errorf("aggregate: %+v", a)
-	}
-	empty := aggregate("m", "f", nil)
-	if empty.Count != 0 {
-		t.Error("empty aggregate")
+	for _, fields := range [][]string{{"*"}, {"_cpu0", "*"}} {
+		star := export(fields)
+		if len(star) != len(named) {
+			t.Fatalf("%v: %+v, named %+v", fields, star, named)
+		}
+		for i, n := range named {
+			a := star[i]
+			if a.Measurement != n.Measurement || a.Field != n.Field || a.Count != n.Count {
+				t.Fatalf("%v field %d: %+v, named %+v", fields, i, a, n)
+			}
+			for _, d := range []float64{a.Min - n.Min, a.Max - n.Max, a.Mean - n.Mean, a.P50 - n.P50} {
+				if math.Abs(d) > 1e-9 {
+					t.Fatalf("%v field %s: %+v, named %+v", fields, n.Field, a, n)
+				}
+			}
+		}
 	}
 }
 

@@ -304,8 +304,7 @@ func scanUnit(u unit, q *Query, plan *aggPlan, sc *scratch, out *partial) error 
 }
 
 // quantile returns the q∈[0,1] quantile of sorted by linear
-// interpolation — the same estimator internal/superdb reports, so
-// engine percentiles and the legacy client-side fold agree.
+// interpolation between the two nearest ranks.
 func quantile(sorted []float64, q float64) float64 {
 	n := len(sorted)
 	if n == 0 {

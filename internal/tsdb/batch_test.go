@@ -417,11 +417,10 @@ func TestClientBatchTooLarge(t *testing.T) {
 	}
 }
 
-// TestWriteVerbContract: WRITE <line> is outside input (old clients, the
-// fuzz corpora) and keeps its replies now that a one-point batch serves
-// it: "OK", or "ERR <cause>" with the cause alone — no batch index — and
-// the stream in sync either way.
-func TestWriteVerbContract(t *testing.T) {
+// TestWriteVerbRetired: WRITEB is the wire's only write. A one-line
+// WRITE frame is an unknown verb: it gets "ERR unknown command", stores
+// nothing, and the stream stays in sync.
+func TestWriteVerbRetired(t *testing.T) {
 	db := New()
 	srv, addr := startServer(t, db)
 	defer srv.Close()
@@ -430,39 +429,83 @@ func TestWriteVerbContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
 	r := bufio.NewReader(conn)
-	cause := func(line string) string {
-		_, err := DecodeLine(line)
-		if err == nil {
-			t.Fatalf("DecodeLine(%q) accepted", line)
-		}
-		return "ERR " + err.Error()
+	fmt.Fprint(conn, "WRITE m,tag=t v=1 7\nPING\n")
+	if resp, err := r.ReadString('\n'); err != nil || !strings.HasPrefix(resp, "ERR unknown command") {
+		t.Fatalf("WRITE frame: %q, %v; want ERR unknown command", resp, err)
 	}
-	for _, tc := range []struct{ line, want string }{
-		{"m,tag=t v=1 7", "OK"},
-		{"not a valid line", cause("not a valid line")},
-		{"m v=NaN 8", cause("m v=NaN 8")},
-	} {
-		fmt.Fprintf(conn, "WRITE %s\n", tc.line)
-		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-		resp, err := r.ReadString('\n')
-		if err != nil {
-			t.Fatalf("WRITE %q: %v", tc.line, err)
-		}
-		if got := strings.TrimSpace(resp); got != tc.want {
-			t.Fatalf("WRITE %q: got %q, want %q", tc.line, got, tc.want)
-		}
-	}
-	if _, err := DecodeLine("m v=NaN 8"); !errors.Is(err, ErrNonFiniteField) {
-		t.Fatalf("non-finite field rejected as %v, want ErrNonFiniteField", err)
-	}
-	fmt.Fprintf(conn, "PING\n")
 	if resp, err := r.ReadString('\n'); err != nil || strings.TrimSpace(resp) != "PONG" {
-		t.Fatalf("ping after rejected writes: %q, %v", resp, err)
+		t.Fatalf("ping after WRITE: %q, %v", resp, err)
 	}
-	rows := rawRows(t, db, "m")
-	if len(rows) != 1 || rows[0].Time != 7 || rows[0].Values["v"] != 1 {
-		t.Fatalf("store holds %+v, want the one valid point", rows)
+	if points, _ := db.Stats(); points != 0 {
+		t.Fatalf("a WRITE frame stored %d points", points)
+	}
+}
+
+// TestWriteBatchDedupWindowEvicts: the server remembers the last
+// dedupWindowSize applied tokens. A resend of the oldest is a dedup until
+// that many newer batches have applied; after that it applies again.
+func TestWriteBatchDedupWindowEvicts(t *testing.T) {
+	db := New()
+	srv, addr := startServer(t, db)
+	defer srv.Close()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	r := bufio.NewReader(conn)
+	write := func(token string, ts int) {
+		t.Helper()
+		fmt.Fprintf(conn, "WRITEB 1 id=%s\nm v=1 %d\n", token, ts)
+		if resp, err := r.ReadString('\n'); err != nil || strings.TrimSpace(resp) != "OK 1" {
+			t.Fatalf("token %s: %q, %v; want OK 1", token, resp, err)
+		}
+	}
+	points := func() uint64 {
+		n, _ := db.Stats()
+		return n
+	}
+	write("first", 0)
+	for i := 1; i < dedupWindowSize; i++ {
+		write(fmt.Sprintf("tok-%d", i), i)
+	}
+	write("first", 0)
+	if got := points(); got != dedupWindowSize {
+		t.Fatalf("resend inside the window: store holds %d points, want %d", got, dedupWindowSize)
+	}
+	write("newest", dedupWindowSize)
+	write("first", 0)
+	if got := points(); got != dedupWindowSize+2 {
+		t.Fatalf("resend after eviction: store holds %d points, want %d", got, dedupWindowSize+2)
+	}
+	srv.tokensDone.L.Lock()
+	defer srv.tokensDone.L.Unlock()
+	if n := len(srv.tokens); n != dedupWindowSize {
+		t.Fatalf("token table holds %d tokens, want %d", n, dedupWindowSize)
+	}
+}
+
+// TestWriteBatchFailedApplyNotDeduped: a tokened batch whose apply failed
+// is not recorded, so its resend is applied afresh rather than
+// acknowledged as a dedup — on a closed durable store it fails again.
+func TestWriteBatchFailedApplyNotDeduped(t *testing.T) {
+	db, err := Open(t.TempDir(), storage.FsyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, addr := startServer(t, db)
+	defer srv.Close()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	frame := "WRITEB 1 id=tok-fail\nm v=1 1\n"
+	for attempt := 0; attempt < 2; attempt++ {
+		if got := <-sendFrame(t, addr, frame); !strings.HasPrefix(got, "ERR") {
+			t.Fatalf("attempt %d on a closed store: %q, want ERR", attempt, got)
+		}
 	}
 }
 

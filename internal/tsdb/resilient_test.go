@@ -52,8 +52,8 @@ func TestServerLineTooLong(t *testing.T) {
 	// every byte, hits bufio.ErrTooLong, and can answer cleanly (no unread
 	// bytes to trigger an RST on close).
 	w := bufio.NewWriterSize(conn, 1<<20)
-	w.WriteString("WRITE m v=")
-	w.WriteString(strings.Repeat("9", 8<<20-len("WRITE m v=")))
+	w.WriteString("QUERY ")
+	w.WriteString(strings.Repeat("x", 8<<20-len("QUERY ")))
 	if err := w.Flush(); err != nil {
 		t.Fatalf("flush oversized line: %v", err)
 	}
@@ -169,7 +169,7 @@ func TestClientNoDesyncAfterTimeout(t *testing.T) {
 	}
 	proxy.Heal()
 	// Every subsequent op must parse its own response. A QUERY after the
-	// failed WRITE is the historical misparse (it used to read "OK").
+	// failed write is the historical misparse (it used to read "OK").
 	res, err := c.QueryContext(context.Background(), `SELECT "v" FROM "m"`)
 	if err != nil {
 		t.Fatalf("query after failed write: %v", err)

@@ -34,12 +34,13 @@ var ErrBatchTooLarge = errors.New("tsdb: batch too large")
 var ErrLineBreak = errors.New("tsdb: line break in a name")
 
 // dedupWindowSize is how many applied batch tokens the server
-// remembers for retry dedup (see resilience.DedupWindow).
+// remembers for retry dedup. Retries are near in time by construction,
+// so a token older than this many later applied batches is no longer
+// retryable by any live client.
 const dedupWindowSize = 1024
 
 // Server exposes a DB over TCP with a line-oriented protocol:
 //
-//	WRITE <line protocol>     -> "OK" | "ERR <msg>"
 //	WRITEB <n> [id=<tok>]     -> (after n body lines) "OK <n>" | "ERR <msg>"
 //	QUERY <select statement>  -> one JSON document with the Result | "ERR"
 //	PING                      -> "PONG"
@@ -48,27 +49,31 @@ const dedupWindowSize = 1024
 // next n lines are one point of line protocol each, and the server
 // answers with ONE ack for the whole batch — a monitoring tick costs
 // one round-trip instead of |instance domain|. An optional id= token
-// makes the batch idempotent under client retry. The header's bounds
+// makes the batch exactly-once under client retry. The header's bounds
 // are load-bearing for stream sync: a header with a valid n (1..
 // MaxBatchPoints) ALWAYS consumes exactly n body lines before the ack,
 // even when a body line is rejected; an invalid header gets an ERR and
 // the connection is closed, because the server cannot know how many
-// lines the client will send next. Like WRITE/QUERY, the header may
-// carry a leading traceparent= token.
+// lines the client will send next. Like QUERY, the header may carry a
+// leading traceparent= token. Any other verb gets "ERR unknown command"
+// and leaves the stream in sync.
 //
 // The host runs one of these for the target's telemetry shippers (Figure
 // 3: "the host runs ... InfluxDB").
 type Server struct {
 	*skeleton
-	db    *DB
-	dedup *resilience.DedupWindow
-	// applying marks the batch tokens whose apply is under way. A retry
-	// racing its own first attempt on another connection waits on
-	// applied for that apply to end — then is acked as a dedup, or
-	// applies itself if the first failed — instead of applying twice.
-	// Guarded by applied.L.
-	applying map[string]bool
-	applied  *sync.Cond
+	db *DB
+	// tokens is the batch-token table: false while the token's apply is
+	// under way, true once it has applied. A retry racing its own first
+	// attempt on another connection waits on tokensDone for that apply to
+	// end — then is acked as a dedup, or applies itself if the first
+	// failed — instead of applying twice. ring holds the applied tokens
+	// oldest first from next; at dedupWindowSize the oldest is evicted.
+	// All of it is guarded by tokensDone.L.
+	tokens     map[string]bool
+	ring       []string
+	next       int
+	tokensDone *sync.Cond
 }
 
 // skeleton names wire.Server so that embedding it promotes Listen, Serve,
@@ -78,10 +83,10 @@ type skeleton = wire.Server
 // NewServer wraps a DB.
 func NewServer(db *DB) *Server {
 	s := &Server{
-		db:       db,
-		dedup:    resilience.NewDedupWindow(dedupWindowSize),
-		applying: map[string]bool{},
-		applied:  sync.NewCond(&sync.Mutex{}),
+		db:         db,
+		tokens:     make(map[string]bool, dedupWindowSize),
+		ring:       make([]string, dedupWindowSize),
+		tokensDone: sync.NewCond(&sync.Mutex{}),
 	}
 	s.skeleton = wire.NewServer(wire.Proto{
 		Name: "tsdb", OpKey: "cmd", MaxLine: 8 << 20,
@@ -96,7 +101,7 @@ func NewServer(db *DB) *Server {
 }
 
 // SetTracing attaches an introspector whose tracer records server-side
-// spans (tsdb.server.write with parse/queue/insert children, ...); see
+// spans (tsdb.server.writeb with queue/parse/insert children, ...); see
 // wire.Server.SetTracing.
 func (s *Server) SetTracing(in *introspect.Introspector) {
 	s.skeleton.SetTracing(in)
@@ -113,8 +118,6 @@ func (s *Server) serve(c *wire.Conn) bool {
 	switch strings.ToUpper(cmd) {
 	case "PING":
 		c.W.WriteString("PONG\n")
-	case "WRITE":
-		s.handleWrite(c, rest, arrival)
 	case "WRITEB":
 		// False is a fatal frame error: the server cannot trust how many
 		// body lines follow, so it answers (if it can) and hangs up rather
@@ -154,34 +157,6 @@ func frameContext(rest string) (context.Context, string) {
 		ctx = introspect.ContextWithSpanContext(ctx, remote)
 	}
 	return ctx, body
-}
-
-// handleWrite scans one WRITE frame and inserts it as a one-row batch
-// (the verb predates WRITEB; old clients still send it), tracing the
-// queue/parse/insert phases under a tsdb.server.write span backdated to
-// frame arrival so queue time (arrival → processing) is visible.
-func (s *Server) handleWrite(c *wire.Conn, rest string, arrivalNanos int64) {
-	ctx, body := frameContext(rest)
-	wctx, op := c.In.StartSpanAt(ctx, "tsdb.server.write", arrivalNanos)
-	_, qs := c.In.StartSpanAt(wctx, "tsdb.server.queue", arrivalNanos)
-	qs.End(nil)
-	_, ps := c.In.StartSpan(wctx, "tsdb.server.parse")
-	var rb rowBuf
-	err := rb.scan(body)
-	ps.End(err)
-	if err == nil {
-		_, is := c.In.StartSpan(wctx, "tsdb.server.insert")
-		err = s.db.writeFrame(&rb)
-		// The reply names the cause alone: a one-point frame has no
-		// batch index to report.
-		var be *BatchError
-		if errors.As(err, &be) {
-			err = be.Err
-		}
-		is.End(err)
-	}
-	op.End(err)
-	answer(c, wctx, ctx, "write", arrivalNanos, err, []byte("OK"))
 }
 
 // handleWriteBatch serves one WRITEB frame: header → n body lines →
@@ -266,28 +241,38 @@ func (s *Server) handleWriteBatch(c *wire.Conn, rest string, arrivalNanos int64)
 // apply and must end it with releaseToken; frames with other tokens do
 // not wait for it.
 func (s *Server) claimToken(token string) (applied bool) {
-	s.applied.L.Lock()
-	defer s.applied.L.Unlock()
-	for s.applying[token] {
-		s.applied.Wait()
+	s.tokensDone.L.Lock()
+	defer s.tokensDone.L.Unlock()
+	for {
+		applied, known := s.tokens[token]
+		if !known {
+			s.tokens[token] = false
+			return false
+		}
+		if applied {
+			return true
+		}
+		s.tokensDone.Wait()
 	}
-	if s.dedup.Seen(token) {
-		return true
-	}
-	s.applying[token] = true
-	return false
 }
 
-// releaseToken ends a claimed apply, recording the token only when the
-// apply succeeded: a failed batch must stay retryable.
+// releaseToken ends a claimed apply. A failed apply is forgotten, so the
+// batch stays retryable; an applied token takes the ring's oldest slot,
+// evicting the token there.
 func (s *Server) releaseToken(token string, ok bool) {
-	s.applied.L.Lock()
+	s.tokensDone.L.Lock()
 	if ok {
-		s.dedup.Record(token)
+		s.tokens[token] = true
+		if old := s.ring[s.next]; old != "" {
+			delete(s.tokens, old)
+		}
+		s.ring[s.next] = token
+		s.next = (s.next + 1) % dedupWindowSize
+	} else {
+		delete(s.tokens, token)
 	}
-	delete(s.applying, token)
-	s.applied.L.Unlock()
-	s.applied.Broadcast()
+	s.tokensDone.L.Unlock()
+	s.tokensDone.Broadcast()
 }
 
 // handleQuery parses and executes one QUERY frame with parse/exec child
