@@ -13,8 +13,8 @@
 //	pmove monitor -host icl -expose :9100 -hold 30s  monitor with the live observability plane up for scrapers
 //	pmove logs -addr 127.0.0.1:9100 -level warn      dump/filter a running daemon's structured log ring
 //
-// All state is embedded; -influx/-mongo accept external tsdb/docdb server
-// addresses started with cmd/superdb. `monitor -self-monitor` enables the
+// All state is embedded; `monitor -influx` ships the run's telemetry to an
+// external tsdb server started with cmd/superdb. `monitor -self-monitor` enables the
 // self-observability layer for a regular run: the daemon's own counters
 // land in the pmove.self.* series next to the target's telemetry.
 // `monitor -expose` additionally serves /metrics (OpenMetrics), /healthz,

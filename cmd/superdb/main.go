@@ -1,8 +1,9 @@
 // Command superdb runs the global performance database as network
 // services: the document store (MongoDB stand-in) and the time-series
 // store (InfluxDB stand-in), each on its own TCP port. Local P-MoVE
-// instances ship KBs and observations here for long-term, cross-system
-// analysis (§III-E).
+// instances ship their telemetry to the time-series store here
+// (`pmove monitor -influx`); KBs and observations are reported to an
+// embedded SUPERDB (internal/superdb) in process.
 //
 // With -expose the process also serves the live observability plane:
 // /metrics exposes both servers' registries (distinguished by a process

@@ -50,7 +50,7 @@ func main() {
 		if i == 1 {
 			mode = superdb.ModeAGG
 		}
-		if err := global.ReportObservation(res.Observation, d.TS, mode); err != nil {
+		if err := global.ReportObservation(ctx, res.Observation, d.TS, mode); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%s: reported KB (%d twins) and observation %s as %s\n",

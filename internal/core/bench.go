@@ -15,14 +15,9 @@ import (
 // codes to the target system … After the benchmark, P-MoVE parses the
 // results and creates a BenchmarkInterface with the corresponding
 // BenchmarkResult." Cancellation is honored between kernels.
-func (d *Daemon) RunSTREAMContext(ctx context.Context, host string, threads int) (*kb.Benchmark, error) {
+func (d *Daemon) RunSTREAMContext(ctx context.Context, host string, threads int) (_ *kb.Benchmark, err error) {
 	ctx, done := d.opStart(ctx, "stream")
-	b, err := d.runSTREAM(ctx, host, threads)
-	done(err)
-	return b, err
-}
-
-func (d *Daemon) runSTREAM(ctx context.Context, host string, threads int) (*kb.Benchmark, error) {
+	defer func() { done(err) }()
 	t, err := d.Target(host)
 	if err != nil {
 		return nil, err
@@ -68,14 +63,9 @@ func (d *Daemon) runSTREAM(ctx context.Context, host string, threads int) (*kb.B
 }
 
 // RunHPCGContext executes the HPCG proxy benchmark.
-func (d *Daemon) RunHPCGContext(ctx context.Context, host string, threads, n int) (*kb.Benchmark, error) {
+func (d *Daemon) RunHPCGContext(ctx context.Context, host string, threads, n int) (_ *kb.Benchmark, err error) {
 	ctx, done := d.opStart(ctx, "hpcg")
-	b, err := d.runHPCG(ctx, host, threads, n)
-	done(err)
-	return b, err
-}
-
-func (d *Daemon) runHPCG(ctx context.Context, host string, threads, n int) (*kb.Benchmark, error) {
+	defer func() { done(err) }()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: hpcg %s: %w", host, err)
 	}
@@ -116,14 +106,9 @@ func (d *Daemon) runHPCG(ctx context.Context, host string, threads, n int) (*kb.
 // the given ISA and thread count. The KB caches microbenchmark results,
 // "allowing for a re-construction of the CARM plot without the need to
 // re-run all the microbenchmarks".
-func (d *Daemon) ConstructCARMContext(ctx context.Context, host string, isa topo.ISA, threads int) (*carm.Model, error) {
+func (d *Daemon) ConstructCARMContext(ctx context.Context, host string, isa topo.ISA, threads int) (_ *carm.Model, err error) {
 	ctx, done := d.opStart(ctx, "carm_construct")
-	m, err := d.constructCARM(ctx, host, isa, threads)
-	done(err)
-	return m, err
-}
-
-func (d *Daemon) constructCARM(ctx context.Context, host string, isa topo.ISA, threads int) (*carm.Model, error) {
+	defer func() { done(err) }()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: carm %s: %w", host, err)
 	}

@@ -202,14 +202,9 @@ func (d *Daemon) Hosts() []string {
 // runs on the target, the probe document comes back to the host, the KB
 // is generated from it and inserted into the document database, where
 // it adopts the entries earlier runs stored for the host.
-func (d *Daemon) ProbeContext(ctx context.Context, host string) (*kb.KB, error) {
+func (d *Daemon) ProbeContext(ctx context.Context, host string) (_ *kb.KB, err error) {
 	ctx, done := d.opStart(ctx, "probe")
-	k, err := d.probe(ctx, host)
-	done(err)
-	return k, err
-}
-
-func (d *Daemon) probe(ctx context.Context, host string) (*kb.KB, error) {
+	defer func() { done(err) }()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: probe %s: %w", host, err)
 	}
@@ -326,14 +321,9 @@ type MonitorResult struct {
 // dashboards are already generated on the host when the target starts
 // reporting"). Cancelling ctx stops the session at the next tick and
 // returns the context's error wrapped.
-func (d *Daemon) MonitorContext(ctx context.Context, req MonitorRequest) (*MonitorResult, error) {
+func (d *Daemon) MonitorContext(ctx context.Context, req MonitorRequest) (_ *MonitorResult, err error) {
 	ctx, done := d.opStart(ctx, "monitor")
-	res, err := d.monitor(ctx, req)
-	done(err)
-	return res, err
-}
-
-func (d *Daemon) monitor(ctx context.Context, req MonitorRequest) (*MonitorResult, error) {
+	defer func() { done(err) }()
 	host, metrics := req.Host, req.Metrics
 	freqHz, durationSeconds := req.FreqHz, req.DurationSeconds
 	if err := ctx.Err(); err != nil {

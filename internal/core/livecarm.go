@@ -71,14 +71,9 @@ type LiveCARMRequest struct {
 // §IV-B2 feature: "PMU-based metrics are sampled on a time-stamp basis and
 // used to plot the application points in real time on the generated CARM."
 // Cancelling ctx stops between ticks and phases.
-func (d *Daemon) LiveCARMContext(ctx context.Context, req LiveCARMRequest) (*LiveCARMResult, error) {
+func (d *Daemon) LiveCARMContext(ctx context.Context, req LiveCARMRequest) (_ *LiveCARMResult, err error) {
 	ctx, done := d.opStart(ctx, "livecarm")
-	res, err := d.liveCARM(ctx, req)
-	done(err)
-	return res, err
-}
-
-func (d *Daemon) liveCARM(ctx context.Context, req LiveCARMRequest) (*LiveCARMResult, error) {
+	defer func() { done(err) }()
 	host, model := req.Host, req.Model
 	phases, threads, freqHz := req.Phases, req.Threads, req.FreqHz
 	if err := ctx.Err(); err != nil {
@@ -174,14 +169,9 @@ func (d *Daemon) liveCARM(ctx context.Context, req LiveCARMRequest) (*LiveCARMRe
 // record runtime HW performance events. Following these executions, it
 // analyzes the output from ncu, integrating these comprehensive
 // performance metrics into the KB through the ObservationInterface."
-func (d *Daemon) ObserveGPUKernelContext(ctx context.Context, host string, gpuID int, kernelName string, metrics map[string]float64) (*telemetry.Sample, error) {
+func (d *Daemon) ObserveGPUKernelContext(ctx context.Context, host string, gpuID int, kernelName string, metrics map[string]float64) (_ *telemetry.Sample, err error) {
 	ctx, done := d.opStart(ctx, "observe_gpu")
-	s, err := d.observeGPU(ctx, host, gpuID, kernelName, metrics)
-	done(err)
-	return s, err
-}
-
-func (d *Daemon) observeGPU(ctx context.Context, host string, gpuID int, kernelName string, metrics map[string]float64) (*telemetry.Sample, error) {
+	defer func() { done(err) }()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: observe-gpu %s: %w", host, err)
 	}

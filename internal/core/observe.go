@@ -63,14 +63,9 @@ type ObserveResult struct {
 // sampling, execute the kernel, stop sampling when it halts, and append an
 // ObservationInterface linking the metadata to the time-series rows.
 // Cancelling ctx stops the sampling loop at the next tick.
-func (d *Daemon) ObserveContext(ctx context.Context, req ObserveRequest) (*ObserveResult, error) {
+func (d *Daemon) ObserveContext(ctx context.Context, req ObserveRequest) (_ *ObserveResult, err error) {
 	ctx, done := d.opStart(ctx, "observe")
-	res, err := d.observe(ctx, req)
-	done(err)
-	return res, err
-}
-
-func (d *Daemon) observe(ctx context.Context, req ObserveRequest) (*ObserveResult, error) {
+	defer func() { done(err) }()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: observe %s: %w", req.Host, err)
 	}

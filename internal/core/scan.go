@@ -23,14 +23,9 @@ type ScanResult struct {
 // Hardware-counter measurements are scanned on the CPUs the observation
 // was pinned to (idle CPUs carry only baseline counts); software metrics
 // are scanned on their full instance domains.
-func (d *Daemon) ScanContext(ctx context.Context, host, tag string) (*ScanResult, error) {
+func (d *Daemon) ScanContext(ctx context.Context, host, tag string) (_ *ScanResult, err error) {
 	ctx, done := d.opStart(ctx, "scan")
-	res, err := d.scan(ctx, host, tag)
-	done(err)
-	return res, err
-}
-
-func (d *Daemon) scan(ctx context.Context, host, tag string) (*ScanResult, error) {
+	defer func() { done(err) }()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: scan %s: %w", host, err)
 	}

@@ -22,7 +22,6 @@ import (
 const (
 	CollKBs          = "super_kbs"
 	CollObservations = "super_observations"
-	CollJobs         = "super_jobs"
 )
 
 // SuperDB is the global instance: in the paper cloud-hosted MongoDB and
@@ -161,27 +160,17 @@ const (
 	ModeAGG ReportMode = "agg" // statistical summary only
 )
 
-// ReportObservation uploads one observation: its metadata document plus
-// either the raw series (ModeTS) or aggregates (ModeAGG) pulled from the
-// local time-series database.
-func (s *SuperDB) ReportObservation(o *kb.Observation, local *tsdb.DB, mode ReportMode) error {
-	return reportObservation(context.Background(), o, local, mode, s.TS, func(doc docdb.Doc) error {
-		_, err := s.Docs.Collection(CollObservations).Upsert(doc)
-		return err
-	})
-}
-
-// reportBatchSize chunks ModeTS uploads: a large observation ships as a
-// few full frames instead of |rows| round-trips, while staying
-// comfortably under the tsdb server's MaxBatchPoints bound.
+// reportBatchSize chunks ModeTS uploads: one batch write (one WAL record
+// on a durable store) per this many rows, not one per row, without
+// staging a whole observation.
 const reportBatchSize = 256
 
-// reportObservation is the upload the embedded SuperDB and the Remote
-// share; they differ only in where the rows (ts) and the metadata
-// document (upsert) land. Cancelling ctx aborts between (and inside)
-// batch uploads.
-func reportObservation(ctx context.Context, o *kb.Observation, local *tsdb.DB, mode ReportMode,
-	ts tsdb.BatchWriter, upsert func(docdb.Doc) error) error {
+// ReportObservation uploads one observation: its metadata document plus
+// either the raw series (ModeTS) or aggregates (ModeAGG) pulled from the
+// local time-series database. Cancelling ctx aborts between (and inside)
+// the engine queries and batch writes; the metadata document is written
+// last, so an upload cancelled before its first write leaves nothing.
+func (s *SuperDB) ReportObservation(ctx context.Context, o *kb.Observation, local *tsdb.DB, mode ReportMode) error {
 	var kind ontology.EntryKind
 	switch mode {
 	case ModeTS:
@@ -195,7 +184,7 @@ func reportObservation(ctx context.Context, o *kb.Observation, local *tsdb.DB, m
 	rawPoints := 0
 	var pending []tsdb.Point
 	flush := func() error {
-		if err := ts.WriteBatchContext(ctx, pending); err != nil {
+		if err := s.TS.WriteBatchContext(ctx, pending); err != nil {
 			return err
 		}
 		rawPoints += len(pending)
@@ -276,7 +265,7 @@ func reportObservation(ctx context.Context, o *kb.Observation, local *tsdb.DB, m
 	if err != nil {
 		return err
 	}
-	if err := upsert(doc); err != nil {
+	if _, err := s.Docs.Collection(CollObservations).Upsert(doc); err != nil {
 		return fmt.Errorf("superdb: report observation %s: %w", o.Tag, err)
 	}
 	return nil

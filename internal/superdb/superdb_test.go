@@ -2,6 +2,7 @@ package superdb
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -66,7 +67,7 @@ func TestReportObservationTS(t *testing.T) {
 	s := New()
 	local := tsdb.New()
 	obs := seedObservation(t, local, "skx", "t-ts")
-	if err := s.ReportObservation(obs, local, ModeTS); err != nil {
+	if err := s.ReportObservation(context.Background(), obs, local, ModeTS); err != nil {
 		t.Fatal(err)
 	}
 	// Raw rows are in the global TSDB, tagged with the host.
@@ -90,7 +91,7 @@ func TestReportObservationAGG(t *testing.T) {
 	s := New()
 	local := tsdb.New()
 	obs := seedObservation(t, local, "icl", "t-agg")
-	if err := s.ReportObservation(obs, local, ModeAGG); err != nil {
+	if err := s.ReportObservation(context.Background(), obs, local, ModeAGG); err != nil {
 		t.Fatal(err)
 	}
 	// No raw rows shipped.
@@ -128,15 +129,41 @@ func TestReportObservationBadMode(t *testing.T) {
 	s := New()
 	local := tsdb.New()
 	obs := seedObservation(t, local, "h", "t")
-	if err := s.ReportObservation(obs, local, ReportMode("raw")); err == nil {
+	if err := s.ReportObservation(context.Background(), obs, local, ReportMode("raw")); err == nil {
 		t.Error("unknown mode accepted")
+	}
+}
+
+// TestReportObservationCanceled: an upload under a cancelled context fails
+// with the context's error and writes nothing global, in either mode.
+func TestReportObservationCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, mode := range []ReportMode{ModeTS, ModeAGG} {
+		s := New()
+		local := tsdb.New()
+		obs := seedObservation(t, local, "skx", "t-cancel")
+		err := s.ReportObservation(ctx, obs, local, mode)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", mode, err)
+		}
+		if docs := s.Observations(""); len(docs) != 0 {
+			t.Errorf("%s: %d observation documents after a cancelled upload", mode, len(docs))
+		}
+		res, err := s.TS.ExecuteContext(context.Background(), tsdb.QueryRequest{Statement: `SELECT * FROM "perfevent_hwcounters_X"`})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 0 {
+			t.Errorf("%s: %d global rows after a cancelled upload", mode, len(res.Rows))
+		}
 	}
 }
 
 func TestTSObservationsExcludedFromML(t *testing.T) {
 	s := New()
 	local := tsdb.New()
-	if err := s.ReportObservation(seedObservation(t, local, "h", "t1"), local, ModeTS); err != nil {
+	if err := s.ReportObservation(context.Background(), seedObservation(t, local, "h", "t1"), local, ModeTS); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := s.ExportML()
@@ -158,7 +185,7 @@ func TestReportObservationAGGStar(t *testing.T) {
 		local := tsdb.New()
 		obs := seedObservation(t, local, "skx", "t-star")
 		obs.Metrics[0].Fields = fields
-		if err := s.ReportObservation(obs, local, ModeAGG); err != nil {
+		if err := s.ReportObservation(context.Background(), obs, local, ModeAGG); err != nil {
 			t.Fatal(err)
 		}
 		rows, err := s.ExportML()
@@ -204,7 +231,7 @@ func TestMultiInstanceGlobalView(t *testing.T) {
 		}
 		local := tsdb.New()
 		obs := seedObservation(t, local, host, "tag-"+host)
-		if err := s.ReportObservation(obs, local, ModeAGG); err != nil {
+		if err := s.ReportObservation(context.Background(), obs, local, ModeAGG); err != nil {
 			t.Fatal(err)
 		}
 	}

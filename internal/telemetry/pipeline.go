@@ -78,8 +78,8 @@ func DefaultPipeline() PipelineConfig {
 }
 
 // PointSink is where the collector lands points: the store's one write
-// contract, which the embedded tsdb.DB (group-committed WAL append), the
-// remote tsdb.Client (one WRITEB round-trip) and superdb.Remote provide.
+// contract, which the embedded tsdb.DB (group-committed WAL append) and
+// the remote tsdb.Client (one WRITEB round-trip) provide.
 // Each tick's report ships as one batch — one round-trip and one group
 // commit per tick instead of |instance domain|.
 type PointSink = tsdb.BatchWriter

@@ -284,8 +284,8 @@ func (e *BatchError) Error() string {
 
 func (e *BatchError) Unwrap() error { return e.Err }
 
-// BatchWriter is the unified batched write surface: the embedded *DB,
-// the wire *Client, and superdb.Remote all provide it, so code built
+// BatchWriter is the unified batched write surface: the embedded *DB
+// and the wire *Client both provide it, so code built
 // against it (the telemetry pipeline, the self-metrics and trace
 // exporters) runs unchanged embedded or remote.
 type BatchWriter interface {
