@@ -85,7 +85,14 @@ fi
 # -16 when WRITEB became the wire's only write: the one-line WRITE verb
 # and its span family gone, and the retry dedup's two structures — the
 # applied-token window and the in-flight map beside it — one token table
-# under one lock.)
+# under one lock. +59 when the query cache came to keep what is costly
+# to recompute: each entry's decode work per retained cell, its aging
+# priority and recency stamp, the one-pass victim rank with stale
+# entries first, the refusal of a newcomer that ranks lowest, the
+# per-scan cell tally and its two counters cost more than
+# container/list and the footer units' own partials, now folded at
+# merge time, gave back, for dash_cold ops_per_s +22 % in the issue's
+# prototype (the measured runs are in CHANGES.md).)
 # The second line is the same ratchet over all non-test Go outside the
 # benchmark's frozen paths (BENCHMARK.json "paths"): 26 312 before the
 # two wire servers became one skeleton (internal/wire), 26 222 after,
@@ -123,7 +130,9 @@ fi
 # SUPERDB's test-only wire client, its dialers and the cluster's report
 # over it gone, with the BatchWriter-and-callback helper it shared with
 # the embedded store, now ReportObservation's own body, and each daemon
-# op one function instead of a wrapper around a private twin.
+# op one function instead of a wrapper around a private twin; 26 156
+# (+59) with the query cache that keeps what is costly to recompute, all
+# of it in internal/tsdb (above).
 size_gate() { # $1: what is counted; $2: ceiling; stdin: the files
     size=$(xargs cat | wc -l)
     echo "size: $1 ${size} non-test lines (ceiling $2)"
@@ -132,9 +141,9 @@ size_gate() { # $1: what is counted; $2: ceiling; stdin: the files
         exit 1
     fi
 }
-find internal/tsdb -name '*.go' ! -name '*_test.go' | size_gate internal/tsdb 4718
+find internal/tsdb -name '*.go' ! -name '*_test.go' | size_gate internal/tsdb 4777
 find . -name '*.go' ! -name '*_test.go' ! -path './internal/bench/*' ! -path './cmd/pmovebench/*' |
-    size_gate 'outside the benchmark paths' 26097
+    size_gate 'outside the benchmark paths' 26156
 
 # One durable lifecycle: every durable byte goes through storage.Store
 # (store.go over wal.go), which owns closed and crashed. A bare WAL

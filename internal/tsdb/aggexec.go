@@ -213,7 +213,8 @@ func (p *partial) merge(o *partial, nf int) {
 // placeSamples makes each of p's sample buffers once, at its merged
 // count, and lays the units' samples into it in unit order: a decoded
 // unit's copied, a footer unit's state pointed at its place to decode to.
-func (p *partial) placeSamples(parts []partial, units []unit, plan *aggPlan) {
+// It returns how many values the footer units are to decode.
+func (p *partial) placeSamples(parts []partial, units []unit, plan *aggPlan) (footerValues int) {
 	nf := len(plan.fields)
 	for i := range parts {
 		o, w := &parts[i], 0
@@ -232,12 +233,14 @@ func (p *partial) placeSamples(parts []partial, units []unit, plan *aggPlan) {
 				if n := len(dst.samples); units[i].footer {
 					dst.samples = dst.samples[:n+int(src.count)]
 					src.samples = dst.samples[n:]
+					footerValues += int(src.count)
 				} else {
 					dst.samples = append(dst.samples, src.samples...)
 				}
 			}
 		}
 	}
+	return footerValues
 }
 
 // footerOnly reports whether rows spanning [minT, maxT] can fold from
@@ -275,24 +278,28 @@ func foldColumns(out *partial, times []int64, cols [][]float64, i, hi int, q *Qu
 	}
 }
 
+// foldFooter folds a footer unit's footers into out. A footer's sum was
+// accumulated in row order, as a decoded scan would associate it.
+func foldFooter(out *partial, u unit, q *Query, plan *aggPlan) {
+	var states []fieldAgg
+	for fi, name := range plan.fields {
+		if bi := u.b.fieldIndex(name); bi >= 0 && u.b.fields[bi].count > 0 {
+			if states == nil {
+				states = out.window(windowStart(u.minT, q.GroupBy), len(plan.fields))
+			}
+			f := &u.b.fields[bi]
+			states[fi].merge(&fieldAgg{count: f.count, sum: f.sum, min: f.min, max: f.max})
+		}
+	}
+}
+
 // scanUnit folds one unit into out (emptied first), its partial.
 func scanUnit(u unit, q *Query, plan *aggPlan, sc *scratch, out *partial) error {
 	out.wins = out.wins[:0]
 	clear(out.states) // drop the last unit's sample buffers
 	out.states = out.states[:0]
 	if u.footer {
-		// A footer's sum was accumulated in row order, so merging it is
-		// the association a decoded scan would produce.
-		var states []fieldAgg
-		for fi, name := range plan.fields {
-			if bi := u.b.fieldIndex(name); bi >= 0 && u.b.fields[bi].count > 0 {
-				if states == nil {
-					states = out.window(windowStart(u.minT, q.GroupBy), len(plan.fields))
-				}
-				f := &u.b.fields[bi]
-				states[fi].merge(&fieldAgg{count: f.count, sum: f.sum, min: f.min, max: f.max})
-			}
-		}
+		foldFooter(out, u, q, plan)
 		return nil
 	}
 	lo, hi, err := u.columns(plan.fields, q.From, q.To, sc)
@@ -433,17 +440,17 @@ func aggColumns(q *Query) []string {
 // pin one.
 const maxDefaultQueryWorkers = 16
 
-// execAggregate runs an aggregate query. The caller has validated that
-// q carries only aggregates.
-func (db *DB) execAggregate(ctx context.Context, q *Query, workers int) (*Result, error) {
+// execAggregate runs q, validated to carry only aggregates, and returns
+// its result and the cells its scan decoded.
+func (db *DB) execAggregate(ctx context.Context, q *Query, workers int) (*Result, int, error) {
 	plan := planAggregates(q)
 	res := &Result{Measurement: q.Measurement, Columns: aggColumns(q)}
 
 	db.data.RLock()
 	defer db.data.RUnlock()
-	merged, err := db.scanAggregate(ctx, q, plan, workers)
+	merged, cells, err := db.scanAggregate(ctx, q, plan, workers)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	nf := len(plan.fields)
 	for wi, win := range merged.wins {
@@ -469,45 +476,64 @@ func (db *DB) execAggregate(ctx context.Context, q *Query, workers int) (*Result
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	return res, nil
+	return res, cells, nil
 }
 
 // scanAggregate folds each unit q reads into a partial — units that
-// decode rows on a pool of min(workers, such units) — and merges them in
-// unit order; then footer units decode a percentile's values into place
-// on a pool sized likewise. Callers hold db.data shared.
-func (db *DB) scanAggregate(ctx context.Context, q *Query, plan *aggPlan, workers int) (partial, error) {
+// decode rows on a pool of min(workers, such units), a footer unit's
+// footers straight into the merged one unless a percentile needs its
+// own — merging in unit order; then footer units decode a percentile's
+// values into place on a pool sized likewise. It returns the merged
+// partial and the cells decoded: rows × (1 + fields) per unit that
+// decodes, 1 plus its percentile values per footer unit. Callers hold
+// db.data shared.
+func (db *DB) scanAggregate(ctx context.Context, q *Query, plan *aggPlan, workers int) (partial, int, error) {
 	units := db.units(q)
 	if len(units) == 0 {
-		return partial{}, nil
+		return partial{}, 0, nil
 	}
-	var nFooter, nHead int
+	nf := len(plan.fields)
+	var nFooter, nHead, cells int
 	for i := range units {
 		u := &units[i]
 		// A head's footers do not cover its late rows.
 		u.footer = u.side == nil && footerOnly(u.minT, u.b.maxT, q)
 		if u.footer {
 			nFooter++
-		} else if u.head {
+			cells++
+			continue
+		}
+		if u.head {
 			nHead++
 		}
+		rows := u.b.rows
+		if u.side != nil {
+			rows += len(u.side.times)
+		}
+		cells += rows * (1 + nf)
 	}
 	if workers <= 0 {
 		workers = min(runtime.GOMAXPROCS(0), maxDefaultQueryWorkers)
 	}
 	partials := make([]partial, len(units))
 	if err := runUnits(ctx, min(workers, len(units)-nFooter), len(units), func(i int, sc *scratch) error {
+		if units[i].footer && !plan.anySamples {
+			return nil // folded by the merge below
+		}
 		return scanUnit(units[i], q, plan, sc, &partials[i])
 	}); err != nil {
-		return partial{}, err
+		return partial{}, 0, err
 	}
-	nf := len(plan.fields)
 	var merged partial
 	for i := range partials {
-		merged.merge(&partials[i], nf)
+		if units[i].footer && !plan.anySamples {
+			foldFooter(&merged, units[i], q, plan)
+		} else {
+			merged.merge(&partials[i], nf)
+		}
 	}
 	if plan.anySamples {
-		merged.placeSamples(partials, units, plan)
+		cells += merged.placeSamples(partials, units, plan)
 		if err := runUnits(ctx, min(workers, nFooter), len(units), func(i int, _ *scratch) error {
 			for fi, st := range partials[i].states { // a footer unit's one window
 				if units[i].footer && len(st.samples) > 0 {
@@ -518,11 +544,11 @@ func (db *DB) scanAggregate(ctx context.Context, q *Query, plan *aggPlan, worker
 			}
 			return nil
 		}); err != nil {
-			return partial{}, err
+			return partial{}, 0, err
 		}
 	}
-	db.qcache.countUnits(nFooter, len(units)-nFooter-nHead, nHead)
-	return merged, nil
+	db.qcache.countScan(nFooter, len(units)-nFooter-nHead, nHead, cells)
+	return merged, cells, nil
 }
 
 // runUnits calls fn on units 0..n-1 from min(workers, n) goroutines, the

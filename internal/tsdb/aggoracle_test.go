@@ -400,7 +400,7 @@ func TestPercentileOracle(t *testing.T) {
 
 					plan := planAggregates(q)
 					db.data.RLock()
-					merged, err := db.scanAggregate(context.Background(), q, plan, workers)
+					merged, _, err := db.scanAggregate(context.Background(), q, plan, workers)
 					db.data.RUnlock()
 					if err != nil {
 						t.Fatal(err)

@@ -209,10 +209,11 @@ func TestQueryUnitCounters(t *testing.T) {
 	}
 }
 
-// TestQueryUnitTally pins query.units_* for three statement shapes. A
-// unit counts as footer when it folds from its footers, percentile
-// values decoded or not; as decoded (a sealed block) or head when its
-// time column decodes.
+// TestQueryUnitTally pins query.units_* and query.cells_decoded for
+// three statement shapes. A unit counts as footer when it folds from its
+// footers, percentile values decoded or not, and decodes 1 cell plus
+// those values; as decoded (a sealed block) or head when its time column
+// decodes, and decodes rows × (1 + fields) cells.
 func TestQueryUnitTally(t *testing.T) {
 	const base = 1 << 20
 	db := New()
@@ -228,13 +229,14 @@ func TestQueryUnitTally(t *testing.T) {
 	if err := db.WriteBatchContext(context.Background(), pts); err != nil {
 		t.Fatal(err)
 	}
+	const seriesRows = 2*blockRows + 100
 	for _, c := range []struct {
-		stmt                  string
-		footer, decoded, head uint64
+		stmt                         string
+		footer, decoded, head, cells uint64
 	}{
-		{`SELECT p99("f") FROM "m"`, 6, 0, 0},
-		{`SELECT mean("f") FROM "m" GROUP BY time(50ns)`, 0, 4, 2},
-		{fmt.Sprintf(`SELECT sum("f") FROM "m" WHERE time >= %d`, base+2*blockRows+10), 0, 0, 2},
+		{`SELECT p99("f") FROM "m"`, 6, 0, 0, 6 + 2*seriesRows},
+		{`SELECT mean("f") FROM "m" GROUP BY time(50ns)`, 0, 4, 2, 2 * 2 * seriesRows},
+		{fmt.Sprintf(`SELECT sum("f") FROM "m" WHERE time >= %d`, base+2*blockRows+10), 0, 0, 2, 2 * 2 * 100},
 	} {
 		before := in.Metrics().Snapshot()
 		if _, err := db.ExecuteContext(context.Background(), QueryRequest{Statement: c.stmt, SkipCache: true}); err != nil {
@@ -244,6 +246,9 @@ func TestQueryUnitTally(t *testing.T) {
 		delta := func(name string) uint64 { return after.CounterValue(name) - before.CounterValue(name) }
 		if f, d, h := delta("query.units_footer"), delta("query.units_decoded"), delta("query.units_head"); f != c.footer || d != c.decoded || h != c.head {
 			t.Errorf("%s: footer %d decoded %d head %d, want %d %d %d", c.stmt, f, d, h, c.footer, c.decoded, c.head)
+		}
+		if cells := delta("query.cells_decoded"); cells != c.cells {
+			t.Errorf("%s: %d cells decoded, want %d", c.stmt, cells, c.cells)
 		}
 	}
 }

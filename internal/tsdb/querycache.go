@@ -1,7 +1,6 @@
 package tsdb
 
 import (
-	"container/list"
 	"strings"
 	"sync"
 
@@ -23,22 +22,33 @@ import (
 // hit therefore never returns data older than the last acknowledged
 // write to that measurement.
 //
-// The cache is a bounded LRU; hit/miss/evict/invalidation counts are
-// exported as pmove.self.query.cache.* when introspection is attached.
+// The cache keeps what is costly to recompute: a fill's worth is the
+// cells its scan decoded per cell it retains, cells ÷ (rows·columns + 1).
+// A fill of a new statement into a full cache evicts a stale entry, else
+// the lowest priority, the least recently used among equals, or is
+// refused when it ranks lowest itself. A hit restores its entry's
+// priority to its worth, and every agingFills·cap fills halve them all,
+// so a costly result nobody reads gives its slot up. LRU would evict
+// each target of a dashboard larger than the cache before its next use.
+//
+// Hit/miss/evict/refused/invalidation counts are exported as
+// pmove.self.query.cache.* when introspection is attached.
 type queryCache struct {
 	mu      sync.Mutex
 	cap     int
-	lru     *list.List               // front = most recently used
-	entries map[string]*list.Element // canonical statement → element
+	entries map[string]*cacheEntry // canonical statement → entry
 	byMeas  map[string]map[string]struct{}
 	// versions counts acknowledged invalidations per measurement. A
 	// measurement is registered on first read so a later invalidation
 	// (including invalidateAll) always outruns an in-flight fill.
 	versions map[string]uint64
+	clock    uint64 // the last recency stamp handed out
+	fills    int    // fills since priorities last halved
 
-	hits, misses, evictions, invalidations *introspect.Counter
-	// Aggregate scan units by how they were answered (query.units_*).
-	unitsFooter, unitsDecoded, unitsHead *introspect.Counter
+	hits, misses, evictions, refused, invalidations *introspect.Counter
+	// Aggregate scan units by how they were answered (query.units_*),
+	// and the cells they decoded (query.cells_decoded).
+	unitsFooter, unitsDecoded, unitsHead, cellsDecoded *introspect.Counter
 }
 
 // cacheEntry holds a result nothing writes after put: get hands out res
@@ -48,11 +58,17 @@ type cacheEntry struct {
 	measurement string
 	version     uint64 // the measurement's version res was computed at
 	res         *Result
+	worth       float64 // decode work saved per retained cell
+	priority    float64 // worth, halved by each aging since the last hit or fill
+	used        uint64  // recency stamp of the last hit or fill
 }
 
 // defaultQueryCacheCap bounds the cache; dashboards re-issue a small
 // working set of canonical queries, so a few hundred entries suffice.
 const defaultQueryCacheCap = 256
+
+// agingFills·cap fills halve every priority: TinyLFU's reset period.
+const agingFills = 10
 
 func newQueryCache(capacity int) *queryCache {
 	if capacity <= 0 {
@@ -60,8 +76,7 @@ func newQueryCache(capacity int) *queryCache {
 	}
 	return &queryCache{
 		cap:      capacity,
-		lru:      list.New(),
-		entries:  map[string]*list.Element{},
+		entries:  map[string]*cacheEntry{},
 		byMeas:   map[string]map[string]struct{}{},
 		versions: map[string]uint64{},
 	}
@@ -75,23 +90,25 @@ func (c *queryCache) setIntrospection(in *introspect.Introspector) {
 	c.hits = m.Counter("query.cache.hits")
 	c.misses = m.Counter("query.cache.misses")
 	c.evictions = m.Counter("query.cache.evictions")
+	c.refused = m.Counter("query.cache.refused")
 	c.invalidations = m.Counter("query.cache.invalidations")
 	c.unitsFooter = m.Counter("query.units_footer")
 	c.unitsDecoded = m.Counter("query.units_decoded")
 	c.unitsHead = m.Counter("query.units_head")
+	c.cellsDecoded = m.Counter("query.cells_decoded")
 	c.mu.Unlock()
 }
 
-// countUnits adds one aggregate scan's units, by how they were answered:
-// query.units_footer counts the units folded from their footers, with
-// or without their percentile values decoded; query.units_decoded the
-// sealed blocks and query.units_head the heads whose time column
-// decoded.
-func (c *queryCache) countUnits(footer, decoded, head int) {
+// countScan adds one aggregate scan's units and decoded cells:
+// query.units_footer counts the units folded from their footers, with or
+// without their percentile values decoded; query.units_decoded the sealed
+// blocks and query.units_head the heads whose time column decoded.
+func (c *queryCache) countScan(footer, decoded, head, cells int) {
 	c.mu.Lock()
 	c.unitsFooter.Add(uint64(footer))
 	c.unitsDecoded.Add(uint64(decoded))
 	c.unitsHead.Add(uint64(head))
+	c.cellsDecoded.Add(uint64(cells))
 	c.mu.Unlock()
 }
 
@@ -112,65 +129,82 @@ func (c *queryCache) version(measurement string) uint64 {
 // get returns the cached result for key, if any, for reading only.
 func (c *queryCache) get(key string) (*Result, bool) {
 	c.mu.Lock()
-	el, ok := c.entries[key]
-	if !ok {
+	defer c.mu.Unlock()
+	e, ok := c.entries[key]
+	if !ok || e.version != c.versions[e.measurement] {
 		c.misses.Inc()
-		c.mu.Unlock()
 		return nil, false
 	}
-	e := el.Value.(*cacheEntry)
-	if e.version != c.versions[e.measurement] {
-		c.misses.Inc()
-		c.mu.Unlock()
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	res := e.res
+	c.clock++
+	e.priority, e.used = e.worth, c.clock
 	c.hits.Inc()
-	c.mu.Unlock()
-	return res, true
+	return e.res, true
 }
 
-// put caches res under key iff the measurement's version still equals
-// the pre-scan snapshot — otherwise a write landed mid-scan and the
-// fill is discarded. From here on res is read, never written.
-func (c *queryCache) put(key, measurement string, version uint64, res *Result) {
+// put caches res, whose scan decoded cells cells, under key iff the
+// measurement's version still equals the pre-scan snapshot — otherwise
+// a write landed mid-scan and the fill is discarded. From here on res
+// is read, never written.
+func (c *queryCache) put(key, measurement string, version uint64, res *Result, cells int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.versions[measurement] != version {
 		return
 	}
-	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*cacheEntry)
-		e.version, e.res = version, res
-		c.lru.MoveToFront(el)
-		return
-	}
-	set := c.byMeas[measurement]
-	for k := range set {
-		if el := c.entries[k]; el.Value.(*cacheEntry).version != version {
-			c.evictLocked(el)
+	if c.fills++; c.fills >= agingFills*c.cap {
+		c.fills = 0
+		for _, e := range c.entries {
+			e.priority /= 2
 		}
 	}
-	if set = c.byMeas[measurement]; set == nil {
+	c.clock++
+	worth := float64(cells) / float64(len(res.Rows)*len(res.Columns)+1)
+	if e, ok := c.entries[key]; ok {
+		e.version, e.res, e.worth, e.priority, e.used = version, res, worth, worth, c.clock
+		return
+	}
+	for k := range c.byMeas[measurement] {
+		if e := c.entries[k]; e.version != version {
+			c.removeLocked(e)
+		}
+	}
+	if len(c.entries) >= c.cap {
+		v, priority := c.victimLocked()
+		if priority > worth {
+			c.refused.Inc()
+			return
+		}
+		c.removeLocked(v)
+		c.evictions.Inc()
+	}
+	set := c.byMeas[measurement]
+	if set == nil {
 		set = map[string]struct{}{}
 		c.byMeas[measurement] = set
 	}
-	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, measurement: measurement, version: version, res: res})
+	c.entries[key] = &cacheEntry{key: key, measurement: measurement, version: version, res: res,
+		worth: worth, priority: worth, used: c.clock}
 	set[key] = struct{}{}
-	for c.lru.Len() > c.cap {
-		c.evictLocked(c.lru.Back())
-		c.evictions.Inc()
-	}
 }
 
-// evictLocked removes one element. Callers hold c.mu.
-func (c *queryCache) evictLocked(el *list.Element) {
-	if el == nil {
-		return
+// victimLocked returns the entry that leaves first and its priority:
+// a stale one, ranked -1, else the lowest priority, the least recently
+// used among equals. Callers hold c.mu and a non-empty cache.
+func (c *queryCache) victimLocked() (v *cacheEntry, vp float64) {
+	for _, e := range c.entries {
+		p := e.priority
+		if e.version != c.versions[e.measurement] {
+			p = -1 // it can never hit again
+		}
+		if v == nil || p < vp || (p == vp && e.used < v.used) {
+			v, vp = e, p
+		}
 	}
-	e := el.Value.(*cacheEntry)
-	c.lru.Remove(el)
+	return v, vp
+}
+
+// removeLocked removes one entry. Callers hold c.mu.
+func (c *queryCache) removeLocked(e *cacheEntry) {
 	delete(c.entries, e.key)
 	if set := c.byMeas[e.measurement]; set != nil {
 		delete(set, e.key)
@@ -206,9 +240,8 @@ func (c *queryCache) invalidateAll() {
 		c.versions[m]++
 	}
 	c.invalidations.Inc()
-	for c.lru.Len() > 0 {
-		c.evictLocked(c.lru.Back())
-	}
+	clear(c.entries)
+	clear(c.byMeas)
 }
 
 // len returns the count of entries a hit could return (tests).
@@ -216,8 +249,8 @@ func (c *queryCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
-	for _, el := range c.entries {
-		if e := el.Value.(*cacheEntry); e.version == c.versions[e.measurement] {
+	for _, e := range c.entries {
+		if e.version == c.versions[e.measurement] {
 			n++
 		}
 	}

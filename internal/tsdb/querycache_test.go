@@ -3,6 +3,7 @@ package tsdb
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -91,33 +92,151 @@ func TestQueryCacheHitMissCounters(t *testing.T) {
 	}
 }
 
-// TestQueryCacheLRUEviction exercises the bounded LRU directly: the
-// least recently used entry is evicted at capacity, and a get renews
-// recency.
-func TestQueryCacheLRUEviction(t *testing.T) {
+// TestQueryCacheEqualWorkEvictsLeastRecent pins the tie rule: among
+// entries of equal worth the least recently used leaves at capacity, a
+// get renews recency, and a newcomer of that worth is admitted.
+func TestQueryCacheEqualWorkEvictsLeastRecent(t *testing.T) {
 	c := newQueryCache(2)
 	in := introspect.New()
 	c.setIntrospection(in)
 	res := &Result{Measurement: "m", Columns: []string{"count(f)"}, Rows: []Row{{Time: 0, Values: map[string]float64{"count(f)": 1}}}}
 
 	v := c.version("m")
-	c.put("k1", "m", v, res)
-	c.put("k2", "m", v, res)
+	c.put("k1", "m", v, res, 1)
+	c.put("k2", "m", v, res, 1)
 	if _, ok := c.get("k1"); !ok { // renew k1 → k2 becomes LRU
 		t.Fatal("k1 missing before eviction")
 	}
-	c.put("k3", "m", v, res)
+	c.put("k3", "m", v, res, 1)
 	if c.len() != 2 {
 		t.Fatalf("len = %d, want 2", c.len())
 	}
 	if _, ok := c.get("k2"); ok {
-		t.Fatal("k2 survived eviction despite being LRU")
+		t.Fatal("k2 survived eviction despite being least recently used")
 	}
 	if _, ok := c.get("k1"); !ok {
 		t.Fatal("k1 evicted despite renewed recency")
 	}
 	if ev := in.Metrics().Snapshot().CounterValue("query.cache.evictions"); ev != 1 {
 		t.Fatalf("evictions = %d, want 1", ev)
+	}
+}
+
+// TestQueryCacheKeepsCostliest cycles 4 × cap statements of distinct
+// worth twice, as a generated dashboard's refreshes do: on the second
+// pass exactly the cap statements of highest work per cell hit, and
+// every other fill is refused. LRU, which evicts each entry before its
+// next use, hits none of them.
+func TestQueryCacheKeepsCostliest(t *testing.T) {
+	c := newQueryCache(0)
+	in := introspect.New()
+	c.setIntrospection(in)
+	res := &Result{Measurement: "m", Columns: []string{"count(f)"}, Rows: make([]Row, 1)}
+	n := 4 * c.cap
+	order := rand.New(rand.NewSource(37)).Perm(n) // statement i decodes i+1 cells
+	v := c.version("m")
+	var refused0 uint64
+	for pass := 0; pass < 2; pass++ {
+		refused0 = in.Metrics().Snapshot().CounterValue("query.cache.refused")
+		for _, i := range order {
+			key := fmt.Sprintf("s%d", i)
+			_, hit := c.get(key)
+			if pass == 1 && hit != (i >= n-c.cap) {
+				t.Fatalf("second pass: statement %d, rank %d of %d by worth, hit %v", i, n-i, n, hit)
+			}
+			if !hit {
+				c.put(key, "m", v, res, i+1)
+			}
+		}
+	}
+	snap := in.Metrics().Snapshot()
+	if h, r := snap.CounterValue("query.cache.hits"), snap.CounterValue("query.cache.refused")-refused0; h != uint64(c.cap) || r != uint64(n-c.cap) {
+		t.Fatalf("second pass: %d hits, %d refused; want %d and %d", h, r, c.cap, n-c.cap)
+	}
+}
+
+// TestQueryCacheStaleLeavesFirst pins the first victim: a stale entry,
+// however costly, leaves before a cheap current one, since it can never
+// hit again.
+func TestQueryCacheStaleLeavesFirst(t *testing.T) {
+	c := newQueryCache(2)
+	res := &Result{Measurement: "m"}
+	c.put("cheap", "n", c.version("n"), res, 1)
+	c.put("costly", "m", c.version("m"), res, 1000)
+	c.invalidate("m")
+	c.put("newcomer", "n", c.version("n"), res, 1)
+	if _, ok := c.entries["costly"]; ok {
+		t.Fatal("the stale costly entry outlived a cheap current one")
+	}
+	for _, k := range []string{"cheap", "newcomer"} {
+		if _, ok := c.get(k); !ok {
+			t.Fatalf("%s missing; want the stale entry evicted instead", k)
+		}
+	}
+}
+
+// TestQueryCacheRefusesCheapest fills a two-entry cache with two
+// decode-heavy statements, then runs one a footer answers: cheaper per
+// cell than every resident, its fill is refused and counted, and the
+// scan's decoded cells are tallied all the same.
+func TestQueryCacheRefusesCheapest(t *testing.T) {
+	db := New()
+	db.qcache = newQueryCache(2)
+	in := introspect.New()
+	db.SetIntrospection(in)
+	var pts []Point
+	for i := 0; i < 2*blockRows; i++ {
+		pts = append(pts, Point{Measurement: "m", Time: int64(i), Fields: map[string]float64{"f": float64(i % 7)}})
+	}
+	if err := db.WriteBatchContext(context.Background(), pts); err != nil {
+		t.Fatal(err)
+	}
+	exec := func(stmt string) (cells, refused uint64) {
+		t.Helper()
+		before := in.Metrics().Snapshot()
+		if _, err := db.ExecuteContext(context.Background(), QueryRequest{Statement: stmt}); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+		after := in.Metrics().Snapshot()
+		return after.CounterValue("query.cells_decoded") - before.CounterValue("query.cells_decoded"),
+			after.CounterValue("query.cache.refused") - before.CounterValue("query.cache.refused")
+	}
+	exec(`SELECT sum("f") FROM "m" WHERE time >= 10`)
+	exec(`SELECT p50("f") FROM "m"`)
+	// Two blocks fold from their footers: one cell each.
+	if cells, refused := exec(`SELECT mean("f") FROM "m"`); cells != 2 || refused != 1 {
+		t.Fatalf("footer-folded mean: %d cells decoded, %d refused; want 2 and 1", cells, refused)
+	}
+	if _, ok := db.qcache.entries[`SELECT mean("f") FROM "m"`]; ok || db.qcache.len() != 2 {
+		t.Fatalf("after the refusal: mean resident %v, %d entries; want false and 2", ok, db.qcache.len())
+	}
+}
+
+// TestQueryCacheAgingFreesIdleCostly pins aging: a costly entry nobody
+// reads again, on a measurement nobody writes, holds its slot at first
+// but gives it up within a few aging periods to a cheap panel set that
+// is read.
+func TestQueryCacheAgingFreesIdleCostly(t *testing.T) {
+	c := newQueryCache(4)
+	res := &Result{Measurement: "m", Columns: []string{"count(f)"}, Rows: make([]Row, 1)}
+	c.put("costly", "idle", c.version("idle"), res, 16) // worth 8: eight panels' worth
+	period := agingFills * c.cap
+	fills := 1
+	for refresh := 0; fills < 4*period; refresh++ {
+		for p := 0; p < 8; p++ {
+			key := fmt.Sprintf("panel%d", p)
+			if _, ok := c.get(key); !ok {
+				c.put(key, "m", c.version("m"), res, 2) // worth 1
+				fills++
+			}
+		}
+		_, resident := c.entries["costly"]
+		if fills < period && !resident {
+			t.Fatalf("costly entry evicted after %d fills, before the first aging", fills)
+		}
+		if fills >= 4*period && resident {
+			t.Fatalf("costly entry still resident after %d fills, four aging periods", fills)
+		}
 	}
 }
 
@@ -129,13 +248,13 @@ func TestQueryCachePutVersionRejected(t *testing.T) {
 	res := &Result{Measurement: "m"}
 	v := c.version("m")
 	c.invalidate("m") // write lands mid-scan
-	c.put("k", "m", v, res)
+	c.put("k", "m", v, res, 1)
 	if c.len() != 0 {
 		t.Fatal("stale fill was cached despite version bump")
 	}
 	// The fresh version is accepted.
 	v2 := c.version("m")
-	c.put("k", "m", v2, res)
+	c.put("k", "m", v2, res, 1)
 	if c.len() != 1 {
 		t.Fatal("current-version fill rejected")
 	}
@@ -256,20 +375,20 @@ func TestQueryCacheStaleEntries(t *testing.T) {
 	c := newQueryCache(8)
 	res := &Result{Measurement: "m"}
 	v := c.version("m")
-	c.put("k1", "m", v, res)
-	c.put("k2", "m", v, res)
-	c.put("q", "other", c.version("other"), res)
+	c.put("k1", "m", v, res, 1)
+	c.put("k2", "m", v, res, 1)
+	c.put("q", "other", c.version("other"), res, 1)
 	c.invalidate("m")
 	if _, ok := c.get("k1"); ok || c.len() != 1 {
 		t.Fatalf("after a write: k1 hit %v, %d current entries; want a miss and 1", ok, c.len())
 	}
 	v = c.version("m")
-	c.put("k1", "m", v, res)
-	if _, ok := c.get("k1"); !ok || c.lru.Len() != 3 {
-		t.Fatalf("refill: k1 hit %v, %d resident; want a hit and 3 (k2 stale)", ok, c.lru.Len())
+	c.put("k1", "m", v, res, 1)
+	if _, ok := c.get("k1"); !ok || len(c.entries) != 3 {
+		t.Fatalf("refill: k1 hit %v, %d resident; want a hit and 3 (k2 stale)", ok, len(c.entries))
 	}
-	c.put("k3", "m", v, res)
-	if _, ok := c.entries["k2"]; ok || c.lru.Len() != 3 || c.len() != 3 {
-		t.Fatalf("new statement: k2 resident %v, %d resident, %d current; want false, 3, 3", ok, c.lru.Len(), c.len())
+	c.put("k3", "m", v, res, 1)
+	if _, ok := c.entries["k2"]; ok || len(c.entries) != 3 || c.len() != 3 {
+		t.Fatalf("new statement: k2 resident %v, %d resident, %d current; want false, 3, 3", ok, len(c.entries), c.len())
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"pmove/internal/introspect"
 )
 
 // BenchmarkQueryClasses is the aggregate and raw read path by statement
@@ -21,7 +23,7 @@ import (
 //	raw     two fields over the last 256..1 280 rows
 //	head    windows inside the head
 func BenchmarkQueryClasses(b *testing.B) {
-	db, classes := queryClassStore(b)
+	db, classes, _ := queryClassStore(b)
 	for _, c := range classes {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -35,6 +37,37 @@ func BenchmarkQueryClasses(b *testing.B) {
 	}
 }
 
+// BenchmarkPanelCycle is a generated dashboard's refresh against the
+// result cache: 4 × cap distinct aggregate statements of the footer,
+// window, range, pctl and head classes, over BenchmarkQueryClasses'
+// store, cycled in a fixed order through a fresh cache after one pass
+// that fills it. hits/op is the share of statements the cache answers.
+func BenchmarkPanelCycle(b *testing.B) {
+	db, _, panels := queryClassStore(b)
+	saved := db.qcache
+	defer func() { db.qcache = saved }()
+	db.qcache = newQueryCache(0)
+	in := introspect.New()
+	db.qcache.setIntrospection(in)
+	ctx := context.Background()
+	run := func(i int) {
+		if _, err := db.ExecuteContext(ctx, QueryRequest{Query: panels[i%len(panels)]}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := range panels {
+		run(i)
+	}
+	hits0 := in.Metrics().Snapshot().CounterValue("query.cache.hits")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(i)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(in.Metrics().Snapshot().CounterValue("query.cache.hits")-hits0)/float64(b.N), "hits/op")
+}
+
 type queryClass struct {
 	name    string
 	queries []*Query
@@ -44,22 +77,23 @@ var queryClassOnce struct {
 	sync.Once
 	db      *DB
 	classes []queryClass
+	panels  []*Query
 	err     error
 }
 
-// queryClassStore builds BenchmarkQueryClasses' store and statements
-// once per process.
-func queryClassStore(tb testing.TB) (*DB, []queryClass) {
+// queryClassStore builds BenchmarkQueryClasses' store and statements,
+// and BenchmarkPanelCycle's, once per process.
+func queryClassStore(tb testing.TB) (*DB, []queryClass, []*Query) {
 	tb.Helper()
 	o := &queryClassOnce
-	o.Do(func() { o.db, o.classes, o.err = buildQueryClasses() })
+	o.Do(func() { o.db, o.classes, o.panels, o.err = buildQueryClasses() })
 	if o.err != nil {
 		tb.Fatal(o.err)
 	}
-	return o.db, o.classes
+	return o.db, o.classes, o.panels
 }
 
-func buildQueryClasses() (*DB, []queryClass, error) {
+func buildQueryClasses() (*DB, []queryClass, []*Query, error) {
 	const (
 		nMeas, nFields = 4, 8
 		headRows       = 1500
@@ -105,7 +139,7 @@ func buildQueryClasses() (*DB, []queryClass, error) {
 				}
 			}
 			if err := db.WriteBatchContext(context.Background(), s.pts); err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 		}
 	}
@@ -183,5 +217,16 @@ func buildQueryClasses() (*DB, []queryClass, error) {
 			classes[i].queries = append(classes[i].queries, g.make())
 		}
 	}
-	return db, classes, nil
+	// The panel set draws after the classes, which it leaves as they were.
+	var panels []*Query
+	seen := map[string]bool{}
+	for k := 0; len(panels) < 4*defaultQueryCacheCap; k++ {
+		if g := gens[k%len(gens)]; g.name != "raw" {
+			if q := g.make(); !seen[q.String()] {
+				seen[q.String()] = true
+				panels = append(panels, q)
+			}
+		}
+	}
+	return db, classes, panels, nil
 }

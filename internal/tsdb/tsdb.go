@@ -150,13 +150,13 @@ func New() *DB {
 	}
 }
 
-// SetIntrospection attaches the self-observability plane: query-cache
-// hit/miss/evict/invalidation counters and the aggregate scan's unit
-// tally land in the introspector's registry as query.cache.* and
-// query.units_*, the columnar engine's footprint gauges as storage.bytes
-// / storage.blocks / storage.compression.ratio / storage.head.samples,
-// and the rows of received wire frames as ingest.rows_verbatim /
-// ingest.rows_reencoded (all exported with the pmove.self. prefix).
+// SetIntrospection attaches the self-observability plane: the query
+// cache's hit/miss/evict/refused/invalidation counters and the scan's
+// unit and cell tallies as query.cache.*, query.units_* and
+// query.cells_decoded, the engine's footprints as storage.bytes /
+// storage.blocks / storage.compression.ratio / storage.head.samples, and
+// received wire frames' rows as ingest.rows_verbatim /
+// ingest.rows_reencoded (all in its registry, pmove.self.-prefixed).
 func (db *DB) SetIntrospection(in *introspect.Introspector) {
 	db.qcache.setIntrospection(in)
 	reg := in.Metrics()
@@ -510,12 +510,12 @@ func (db *DB) ExecuteContext(ctx context.Context, req QueryRequest) (*Result, er
 			}
 		}
 		ver := db.qcache.version(q.Measurement)
-		res, err := db.execAggregate(ctx, q, req.Workers)
+		res, cells, err := db.execAggregate(ctx, q, req.Workers)
 		if err != nil {
 			return nil, err
 		}
 		if !req.SkipCache {
-			db.qcache.put(key, q.Measurement, ver, res)
+			db.qcache.put(key, q.Measurement, ver, res, cells)
 		}
 		return res, nil
 	}
