@@ -91,8 +91,8 @@ fi
 # entries first, the refusal of a newcomer that ranks lowest, the
 # per-scan cell tally and its two counters cost more than
 # container/list and the footer units' own partials, now folded at
-# merge time, gave back, for dash_cold ops_per_s +22 % in the issue's
-# prototype (the measured runs are in CHANGES.md).)
+# merge time, gave back, for dash_cold ops_per_s +28 % in medians, 10
+# of 10 pairs, and its heap 2.58 -> 2.47 B/point.)
 # The second line is the same ratchet over all non-test Go outside the
 # benchmark's frozen paths (BENCHMARK.json "paths"): 26 312 before the
 # two wire servers became one skeleton (internal/wire), 26 222 after,

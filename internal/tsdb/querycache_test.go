@@ -203,7 +203,7 @@ func TestQueryCacheRefusesCheapest(t *testing.T) {
 	}
 	exec(`SELECT sum("f") FROM "m" WHERE time >= 10`)
 	exec(`SELECT p50("f") FROM "m"`)
-	// Two blocks fold from their footers: one cell each.
+	// Both of the series' 4 096-row units fold from their footers: a cell each.
 	if cells, refused := exec(`SELECT mean("f") FROM "m"`); cells != 2 || refused != 1 {
 		t.Fatalf("footer-folded mean: %d cells decoded, %d refused; want 2 and 1", cells, refused)
 	}
