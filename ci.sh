@@ -132,7 +132,12 @@ fi
 # the embedded store, now ReportObservation's own body, and each daemon
 # op one function instead of a wrapper around a private twin; 26 156
 # (+59) with the query cache that keeps what is costly to recompute, all
-# of it in internal/tsdb (above).
+# of it in internal/tsdb (above); 25 711 (-445) with one wire protocol:
+# the document store is embedded only, so docdb's TCP server, its
+# request/response frames, its resilient client, DB.Sync and
+# DB.Collections (whose only caller was that server), cmd/superdb's
+# -docs listener and the chaos harness's docdb leg (checkpoints, four
+# fault kinds, their oracle) are gone.
 size_gate() { # $1: what is counted; $2: ceiling; stdin: the files
     size=$(xargs cat | wc -l)
     echo "size: $1 ${size} non-test lines (ceiling $2)"
@@ -143,7 +148,7 @@ size_gate() { # $1: what is counted; $2: ceiling; stdin: the files
 }
 find internal/tsdb -name '*.go' ! -name '*_test.go' | size_gate internal/tsdb 4777
 find . -name '*.go' ! -name '*_test.go' ! -path './internal/bench/*' ! -path './cmd/pmovebench/*' |
-    size_gate 'outside the benchmark paths' 26156
+    size_gate 'outside the benchmark paths' 25711
 
 # One durable lifecycle: every durable byte goes through storage.Store
 # (store.go over wal.go), which owns closed and crashed. A bare WAL
@@ -157,8 +162,9 @@ if [ -n "$bare_wals" ]; then
     exit 1
 fi
 
-# One accept loop: tsdb and docdb serve through internal/wire. A second
-# loop is a second place for a close-vs-accept rule to be forgotten.
+# One accept loop: tsdb serves through internal/wire, and docdb, which
+# is embedded only, serves nothing. A second loop in either is a second
+# place for a close-vs-accept rule to be forgotten.
 accept_loops=$(grep -rln '\.Accept()' --include='*.go' --exclude='*_test.go' internal/tsdb internal/docdb || true)
 if [ -n "$accept_loops" ]; then
     echo "wire gate: serve through internal/wire, not a hand-rolled accept loop:" >&2
@@ -194,7 +200,6 @@ fuzz_smoke ./internal/tsdb FuzzBlockDecode
 fuzz_smoke ./internal/tsdb FuzzQueryReply
 fuzz_smoke ./internal/tsdb FuzzAppendFloat
 fuzz_smoke ./internal/introspect FuzzParseTraceparent
-fuzz_smoke ./internal/docdb FuzzDocdbFrame
 fuzz_smoke ./internal/docdb FuzzDocClone
 fuzz_smoke ./internal/storage FuzzWALRecord
 
@@ -205,7 +210,7 @@ fuzz_smoke ./internal/storage FuzzWALRecord
 go test -run NONE -bench . -benchtime 1x ./...
 
 # API gate: one name per operation, and that name is context-first. Every
-# exported method of the daemon, the wire clients (tsdb, docdb), the
+# exported method of the daemon, the wire client (tsdb), the
 # embedded SUPERDB, the embedded DB's Execute*/Query*/Write* entry points,
 # and every exported exporter function that writes through a
 # tsdb.BatchWriter, and every exported internal/dashboard function or
@@ -225,7 +230,7 @@ context_free() { # stdin: func declarations; $1: exempt method names
 }
 violations=$(
     grep -h 'func (d \*Daemon) [A-Z]' internal/core/*.go | context_free "$daemon_accessors"
-    grep -h 'func (c \*Client) [A-Z]' internal/tsdb/*.go internal/docdb/*.go | context_free "$client_accessors"
+    grep -h 'func (c \*Client) [A-Z]' internal/tsdb/*.go | context_free "$client_accessors"
     grep -h 'func (s \*SuperDB) [A-Z]' internal/superdb/*.go | context_free "$superdb_accessors"
     grep -hE 'func \(db \*DB\) (Execute|Query|Write)[A-Za-z]*\(' internal/tsdb/*.go | context_free -
     grep -h '^func [A-Z].*tsdb\.BatchWriter' internal/introspect/*export/*.go | context_free -

@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"reflect"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -347,21 +345,12 @@ func FuzzDocClone(f *testing.F) {
 	f.Add([]byte(`{"a":{"b":[1,"x",null,true,{"c":-0}]}," ":"<>"}`))
 	f.Add([]byte("{\"\xff\":1,\"\xfe\":2}"))
 	f.Add([]byte(`1e400`))
-	// The frames of the docdb wire corpus carry documents too.
-	frames, _ := filepath.Glob("testdata/fuzz/FuzzDocdbFrame/*")
-	for _, p := range frames {
-		b, err := os.ReadFile(p)
-		if err != nil {
-			f.Fatal(err)
-		}
-		lines := strings.Split(string(b), "\n")
-		if len(lines) < 2 {
-			continue
-		}
-		if s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")")); err == nil {
-			f.Add([]byte(s))
-		}
-	}
+	// Documents that once arrived as request frames: binary junk, an
+	// insert, a bare op and a truncated object.
+	f.Add([]byte("\x00\xff\xfe"))
+	f.Add([]byte(`{"op":"insert","collection":"c","doc":{"_id":"x","n":1}}`))
+	f.Add([]byte(`{"op":"ping"}`))
+	f.Add([]byte(`{"op":`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var d Doc
 		if json.Unmarshal(data, &d) != nil || d == nil {

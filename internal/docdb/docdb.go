@@ -249,18 +249,6 @@ func (db *DB) Collection(name string) *Collection {
 	return c
 }
 
-// Collections lists collection names, sorted.
-func (db *DB) Collections() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	var out []string
-	for n := range db.collections {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Insert stores a document, generating an _id when absent, and returns the
 // id. Inserting an id that already exists errors. On a durable DB the
 // fully resolved document (id assigned) is WAL-logged before the insert

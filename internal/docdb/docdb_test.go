@@ -1,7 +1,6 @@
 package docdb
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -242,17 +241,6 @@ func TestDelete(t *testing.T) {
 	}
 }
 
-func TestCollectionsListing(t *testing.T) {
-	db := New()
-	db.Collection("b")
-	db.Collection("a")
-	db.Collection("a") // idempotent
-	got := db.Collections()
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Errorf("collections = %v", got)
-	}
-}
-
 func TestFromValue(t *testing.T) {
 	type payload struct {
 		Host  string `json:"host"`
@@ -278,45 +266,5 @@ func TestFilterNumericEqualityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestServerClientEndToEnd(t *testing.T) {
-	db := New()
-	srv := NewServer(db)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	id, err := c.InsertContext(context.Background(), "kb", Doc{"host": "skx", "kind": "meta"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.GetContext(context.Background(), "kb", id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got["host"] != "skx" {
-		t.Errorf("remote get: %v", got)
-	}
-	docs, err := c.FindContext(context.Background(), "kb", &Filter{Eq: map[string]any{"kind": "meta"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(docs) != 1 {
-		t.Errorf("remote find: %d docs", len(docs))
-	}
-	n, err := c.CountContext(context.Background(), "kb", nil)
-	if err != nil || n != 1 {
-		t.Errorf("remote count: %d %v", n, err)
-	}
-	if _, err := c.GetContext(context.Background(), "kb", "missing"); err == nil {
-		t.Error("remote get of missing doc succeeded")
 	}
 }

@@ -146,9 +146,6 @@ func (db *DB) applyOp(op walOp) error {
 // WALPath returns the write-ahead log path ("" for in-memory DBs).
 func (db *DB) WALPath() string { return db.store.WALPath() }
 
-// Sync forces the WAL to stable storage. No-op in memory.
-func (db *DB) Sync() error { return db.store.Sync() }
-
 // Compact folds the current state into an atomic snapshot and resets
 // the WAL. The compaction barrier keeps mutations out while the
 // snapshot is cut, so it is a true quiescent point: every logged record

@@ -1,12 +1,10 @@
 package docdb
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"os"
 	"reflect"
-	"strings"
 	"testing"
 
 	"pmove/internal/storage"
@@ -189,8 +187,7 @@ func TestClosedDurableDBRefusesMutations(t *testing.T) {
 }
 
 // TestDeleteOnClosedDBReturnsErrClosed: a delete the WAL refused is an
-// error, not "nothing matched" — from Delete and from the server's
-// delete op — and deletes nothing.
+// error, not "nothing matched", and deletes nothing.
 func TestDeleteOnClosedDBReturnsErrClosed(t *testing.T) {
 	db, err := Open(t.TempDir(), storage.FsyncAlways)
 	if err != nil {
@@ -205,10 +202,6 @@ func TestDeleteOnClosedDBReturnsErrClosed(t *testing.T) {
 	}
 	if n, err := c.Delete(nil); n != 0 || !errors.Is(err, storage.ErrClosed) {
 		t.Fatalf("Delete on a closed DB = %d, %v; want 0, storage.ErrClosed", n, err)
-	}
-	resp := NewServer(db).dispatch(&request{Op: "delete", Collection: "col"})
-	if resp.OK || !strings.Contains(resp.Error, storage.ErrClosed.Error()) {
-		t.Fatalf("server delete on a closed DB replied %+v", resp)
 	}
 	if c.Count(nil) != 1 {
 		t.Fatal("a refused delete removed documents")
@@ -259,51 +252,6 @@ func TestDeepestStoredDocumentReplays(t *testing.T) {
 		}
 	}
 	db.Close()
-}
-
-// TestServerFlushOnClose: a wire-acknowledged insert survives server
-// Close + crash even under fsync=never, because Close drains handlers
-// and syncs before returning.
-func TestServerFlushOnClose(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(dir, storage.FsyncNever)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(db)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ids []string
-	for i := 0; i < 8; i++ {
-		id, err := cli.InsertContext(context.Background(), "acked", Doc{"i": i})
-		if err != nil {
-			t.Fatalf("insert %d: %v", i, err)
-		}
-		ids = append(ids, id)
-	}
-	cli.Close()
-	if err := srv.Close(); err != nil {
-		t.Fatalf("server Close: %v", err)
-	}
-	if err := db.Crash(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := Open(dir, storage.FsyncNever)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	for _, id := range ids {
-		if _, ok := re.Collection("acked").Get(id); !ok {
-			t.Fatalf("graceful shutdown lost acknowledged doc %q", id)
-		}
-	}
 }
 
 // TestDurableRecoveryDeterministic: recovery is a pure function of the

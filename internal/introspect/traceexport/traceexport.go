@@ -14,7 +14,7 @@ import (
 )
 
 // Collector gathers span rings from the tracers of every process in a
-// deployment (daemon, tsdb server, docdb server) and assembles them into
+// deployment (daemon, tsdb server) and assembles them into
 // traces. Safe for concurrent use.
 type Collector struct {
 	mu      sync.Mutex

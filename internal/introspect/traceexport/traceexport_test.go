@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"pmove/internal/docdb"
 	"pmove/internal/introspect"
 	"pmove/internal/resilience"
 	"pmove/internal/tsdb"
@@ -308,8 +307,8 @@ func TestTraceThroughFaultProxy(t *testing.T) {
 }
 
 // TestUntaggedFramesAccepted pins the backward-compatibility contract:
-// raw pre-traceparent frames — no tag at all — must be accepted by both
-// wire servers even with tracing enabled.
+// raw pre-traceparent frames — no tag at all — must be accepted by the
+// wire server even with tracing enabled.
 func TestUntaggedFramesAccepted(t *testing.T) {
 	_, serverIn, addr := tracedTSDB(t)
 	conn, err := net.Dial("tcp", addr)
@@ -332,80 +331,5 @@ func TestUntaggedFramesAccepted(t *testing.T) {
 	ws, ok := serverIn.Tracer().Find("tsdb.server.writeb")
 	if !ok || ws.Parent != 0 {
 		t.Fatalf("untagged write span: %+v ok=%v (want local root)", ws, ok)
-	}
-
-	dsrv := docdb.NewServer(docdb.New())
-	din := introspect.New(introspect.WithProcess("docdb-server"))
-	dsrv.SetTracing(din)
-	daddr, err := dsrv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dsrv.Close()
-	dconn, err := net.Dial("tcp", daddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dconn.Close()
-	dr := bufio.NewReader(dconn)
-	fmt.Fprintf(dconn, `{"op":"insert","collection":"jobs","doc":{"_id":"j1"}}`+"\n")
-	line, err := dr.ReadString('\n')
-	if err != nil || !strings.Contains(line, `"ok":true`) {
-		t.Fatalf("untagged docdb insert: %q, %v", line, err)
-	}
-	is, ok := din.Tracer().Find("docdb.server.insert")
-	if !ok {
-		t.Fatal("docdb server recorded no insert span for untagged request")
-	}
-	if op, ok := din.Tracer().Find("docdb.server.insert"); ok && op.Trace.IsZero() {
-		t.Fatalf("server span without trace id: %+v", is)
-	}
-}
-
-// TestDocdbTraceRoundTrip checks the JSON-frame protocol propagates the
-// traceparent: a traced InsertContext must yield server spans in the
-// client's trace.
-func TestDocdbTraceRoundTrip(t *testing.T) {
-	dsrv := docdb.NewServer(docdb.New())
-	din := introspect.New(introspect.WithProcess("docdb-server"))
-	dsrv.SetTracing(din)
-	daddr, err := dsrv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dsrv.Close()
-
-	clientIn := introspect.New(introspect.WithProcess("daemon"))
-	cl, err := docdb.DialPolicy(daddr, testPolicy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	cl.Transport().SetIntrospection(clientIn, "docdb")
-
-	ctx, root := clientIn.StartSpan(context.Background(), "test.op")
-	if _, err := cl.InsertContext(ctx, "jobs", docdb.Doc{"_id": "j1", "name": "x"}); err != nil {
-		t.Fatal(err)
-	}
-	root.End(nil)
-
-	col := NewCollector()
-	col.Add("daemon", clientIn.Tracer())
-	col.Add("docdb-server", din.Tracer())
-	rootSpan, _ := clientIn.Tracer().Find("test.op")
-	tr, ok := col.Trace(rootSpan.Trace)
-	if !ok {
-		t.Fatal("trace not assembled")
-	}
-	n, ok := tr.Find("docdb.server.insert")
-	if !ok {
-		t.Fatal("docdb server op span not in the client's trace")
-	}
-	if n.Span.Process != "docdb-server" {
-		t.Errorf("server span process = %q", n.Span.Process)
-	}
-	a := Attribute(tr)
-	if a.Hops != 1 || a.ServerInsertSecs <= 0 {
-		t.Errorf("docdb attribution: %+v", a)
 	}
 }

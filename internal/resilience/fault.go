@@ -31,7 +31,7 @@ type Faults struct {
 
 // Proxy interposes the fault plan between clients and a backend server:
 // clients dial the proxy's address, the proxy pipes bytes to the real
-// tsdb/docdb listener and applies the plan to every chunk. The servers'
+// tsdb listener and applies the plan to every chunk. The server's
 // logic is untouched — exactly the interposition the chaos suite needs.
 // Partition and Heal flip a full network partition at runtime: accepted
 // connections black-hole (reads stall until the client's deadline fires)

@@ -8,18 +8,18 @@
 //
 //   - a deterministic, seedable fault injector (Proxy) that
 //     interposes latency, slow reads, mid-stream resets, partitions and
-//     flappy accepts in front of the tsdb/docdb/superdb servers without
-//     touching their logic;
+//     flappy accepts in front of the tsdb server without touching its
+//     logic;
 //   - a shared dial/retry kit (Transport): per-op read/write deadlines,
 //     exponential backoff with seeded jitter, automatic reconnect with a
 //     connection-state resync probe, and a circuit breaker with half-open
 //     probing;
-//   - the Policy knobs the clients and cmd/pmove expose.
+//   - the Policy knobs the tsdb client and cmd/pmove expose.
 package resilience
 
 import "time"
 
-// Policy bundles the resilience knobs every network client shares.
+// Policy bundles the resilience knobs of a network client.
 type Policy struct {
 	// DialTimeout bounds connection establishment.
 	DialTimeout time.Duration

@@ -13,9 +13,7 @@ import (
 // once per logical batch and sent on every retry of it; the tsdb server
 // remembers the tokens it has applied in a bounded table and acknowledges,
 // without re-applying, a token it has already committed — tsdb batches
-// are exactly-once under retry. docdb inserts carry no token and are
-// at-least-once: the reconnect-with-resync probe bounds a duplicate to a
-// re-applied document.
+// are exactly-once under retry.
 
 // tokenPrefix makes tokens unique across processes (crypto/rand nonce);
 // the atomic counter makes them unique within one.

@@ -58,9 +58,9 @@ type TransportStats struct {
 }
 
 // Transport maintains one line-oriented TCP connection with deadlines,
-// retries, reconnect and a circuit breaker. Protocol packages (tsdb,
-// docdb) run their request/response exchanges through Do; the transport
-// owns when those exchanges happen and on which connection.
+// retries, reconnect and a circuit breaker. A protocol package (tsdb)
+// runs its request/response exchanges through Do; the transport owns
+// when those exchanges happen and on which connection.
 type Transport struct {
 	addr  string
 	pol   Policy
@@ -108,8 +108,8 @@ func NewTransport(addr string, pol Policy, probe func(*Wire) error) *Transport {
 func (t *Transport) Addr() string { return t.addr }
 
 // SetIntrospection attaches a self-observability introspector; name
-// becomes the transport.<name>.* metric namespace (e.g. "tsdb",
-// "docdb"). A nil introspector detaches.
+// becomes the transport.<name>.* metric namespace (e.g. "tsdb"). A nil
+// introspector detaches.
 func (t *Transport) SetIntrospection(in *introspect.Introspector, name string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -7,11 +7,10 @@ import (
 	"testing"
 	"time"
 
-	"pmove/internal/docdb"
 	"pmove/internal/tsdb"
 )
 
-// server is what the kill fault does to either store's server.
+// server is what the kill fault acts on.
 type server interface {
 	Listen(addr string) (string, error)
 	Serve(ln net.Listener)
@@ -23,7 +22,6 @@ var servers = []struct {
 	new  func() server
 }{
 	{"tsdb", func() server { return tsdb.NewServer(tsdb.New()) }},
-	{"docdb", func() server { return docdb.NewServer(docdb.New()) }},
 }
 
 // lateListener loses the close-vs-accept race on purpose: Accept hands

@@ -1,14 +1,9 @@
 package testkit
 
-import (
-	"context"
-	"testing"
+import "testing"
 
-	"pmove/internal/docdb"
-)
-
-// TestDurableKillRestartRecovery is the acceptance scenario: WAL-backed
-// servers with fsync=always, the tsdb killed mid-load (crashing the
+// TestDurableKillRestartRecovery is the acceptance scenario: a WAL-backed
+// server with fsync=always, the tsdb killed mid-load (crashing the
 // database, not just the listener) and restarted from its data
 // directory. The session spills through the outage, resyncs after the
 // restart, and the durable recovery oracle holds: every acknowledged
@@ -16,7 +11,7 @@ import (
 func TestDurableKillRestartRecovery(t *testing.T) {
 	sc := Scenario{
 		Seed:     0xD0,
-		Load:     Load{FreqHz: 25, Ticks: 16, CheckpointEvery: 4},
+		Load:     Load{FreqHz: 25, Ticks: 16},
 		Degraded: true,
 		Durable:  true,
 		Fsync:    "always",
@@ -98,16 +93,13 @@ func TestDurableTornWALFault(t *testing.T) {
 func TestDurableCorruptTailWALFault(t *testing.T) {
 	sc := Scenario{
 		Seed:     22,
-		Load:     Load{FreqHz: 25, Ticks: 14, CheckpointEvery: 3},
+		Load:     Load{FreqHz: 25, Ticks: 14},
 		Degraded: true,
 		Durable:  true,
 		Faults: []FaultEvent{
 			{AtTick: 4, Kind: FaultKillTSDB},
 			{AtTick: 6, Kind: FaultCorruptTailTSDBWAL},
 			{AtTick: 8, Kind: FaultRestartTSDB},
-			{AtTick: 5, Kind: FaultKillDocdb},
-			{AtTick: 6, Kind: FaultTornDocdbWAL},
-			{AtTick: 9, Kind: FaultRestartDocdb},
 		},
 	}
 	r, err := Run(sc)
@@ -116,9 +108,6 @@ func TestDurableCorruptTailWALFault(t *testing.T) {
 	}
 	if err := r.Verify(); err != nil {
 		t.Fatal(err)
-	}
-	if r.CheckpointsOK == 0 {
-		t.Error("no checkpoint survived to the recovered docdb")
 	}
 }
 
@@ -154,32 +143,5 @@ func TestDurableBadFsyncRejected(t *testing.T) {
 	sc := Scenario{Seed: 1, Load: Load{FreqHz: 25, Ticks: 4}, Durable: true, Fsync: "sometimes"}
 	if _, err := Run(sc); err == nil {
 		t.Error("unknown fsync policy accepted")
-	}
-}
-
-// TestCheckpointRetryAfterLostAck: a checkpoint attempt that timed out
-// after its write committed (the ack waits on the docdb WAL fsync, which
-// a loaded disk can stretch past the read deadline) leaves the document
-// stored; the retry must land on it and count the checkpoint as written,
-// not fail as a duplicate — the outcome the event log records may not
-// depend on how long an fsync took.
-func TestCheckpointRetryAfterLostAck(t *testing.T) {
-	h := &harness{
-		sc:  Scenario{Seed: 7, Load: Load{FreqHz: 25, Ticks: 1, CheckpointEvery: 1}, Durable: true},
-		res: &Result{Log: &EventLog{}},
-	}
-	defer h.close()
-	if err := h.setup(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.docdbDB.Collection(CheckpointCollection).Insert(docdb.Doc{"_id": "ck-001", "tick": 1}); err != nil {
-		t.Fatal(err)
-	}
-	h.checkpoint(context.Background(), 1)
-	if h.res.CheckpointsOK != 1 || h.res.CheckpointsFailed != 0 {
-		t.Fatalf("checkpoints ok %d failed %d, want 1 0", h.res.CheckpointsOK, h.res.CheckpointsFailed)
-	}
-	if n := h.docdbDB.Collection(CheckpointCollection).Count(nil); n != 1 {
-		t.Fatalf("%d checkpoint documents stored, want 1", n)
 	}
 }

@@ -8,13 +8,13 @@ import (
 
 // Event is one semantic observation of a simulation: a completed tick
 // with the session's cumulative accounting, a fault application, or a
-// checkpoint write outcome. Events carry only schedule-derived state —
-// never wall-clock time, span durations or retry counts — so two runs of
-// the same scenario produce identical logs.
+// note. Events carry only schedule-derived state — never wall-clock
+// time, span durations or retry counts — so two runs of the same
+// scenario produce identical logs.
 type Event struct {
 	Tick   uint64
-	Kind   string // "tick" | "fault" | "checkpoint" | "note"
-	Detail string // fault kind, checkpoint outcome, free text
+	Kind   string // "tick" | "fault" | "note"
+	Detail string // fault kind, free text
 
 	// Cumulative collector accounting at the end of the event's tick
 	// (data points / fields).

@@ -13,7 +13,7 @@ import (
 func TestReadyzFlipsUnderPartition(t *testing.T) {
 	sc := Scenario{
 		Seed: 0xc0ffee,
-		Load: Load{FreqHz: 25, Ticks: 8, CheckpointEvery: 0},
+		Load: Load{FreqHz: 25, Ticks: 8},
 		Faults: []FaultEvent{
 			{AtTick: 3, Kind: FaultPartitionTSDB},
 			{AtTick: 6, Kind: FaultHealTSDB},

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"pmove/internal/core"
-	"pmove/internal/docdb"
 	"pmove/internal/introspect"
 	"pmove/internal/introspect/expose"
 	"pmove/internal/introspect/logbuf"
@@ -23,13 +22,9 @@ import (
 	"pmove/internal/tsdb"
 )
 
-// CheckpointCollection is the docdb collection the harness writes its
-// per-tick session checkpoints into.
-const CheckpointCollection = "testkit_checkpoints"
-
 // Result is everything a simulation produced: the deterministic event
-// log, the live collector with its cumulative accounting, both
-// server-side databases, the per-tick breaker observations and (when
+// log, the live collector with its cumulative accounting, the
+// server-side database, the per-tick breaker observations and (when
 // tracing) the assembled distributed traces. Verify runs every
 // applicable invariant oracle over it.
 type Result struct {
@@ -37,9 +32,8 @@ type Result struct {
 	Log      *EventLog
 
 	Collector    *telemetry.Collector
-	ServerDB     *tsdb.DB  // the tsdb behind the fault proxy
-	DocdbDB      *docdb.DB // the docdb behind the fault proxy
-	Measurements []string  // measurements the session wrote
+	ServerDB     *tsdb.DB // the tsdb behind the fault proxy
+	Measurements []string // measurements the session wrote
 	KB           *kb.KB
 
 	// BreakerStates holds one tsdb-transport breaker snapshot per tick.
@@ -47,9 +41,6 @@ type Result struct {
 	// so these stay out of the event log and are only checked for machine
 	// legality.
 	BreakerStates []resilience.BreakerState
-
-	CheckpointsOK     int
-	CheckpointsFailed int
 
 	// Traces are the assembled end-to-end traces (Tracing scenarios).
 	Traces []*traceexport.Trace
@@ -95,36 +86,28 @@ type harness struct {
 	session *telemetry.Session
 	col     *telemetry.Collector
 
-	tsdbDB      *tsdb.DB
-	tsdbSrv     *tsdb.Server
-	tsdbAddr    string // backend address, stable across restarts
-	tsdbProxy   *resilience.Proxy
-	tsdbClient  *tsdb.Client
-	docdbDB     *docdb.DB
-	docdbSrv    *docdb.Server
-	docdbAddr   string
-	docdbProxy  *resilience.Proxy
-	docdbClient *docdb.Client
+	tsdbDB     *tsdb.DB
+	tsdbSrv    *tsdb.Server
+	tsdbAddr   string // backend address, stable across restarts
+	tsdbProxy  *resilience.Proxy
+	tsdbClient *tsdb.Client
 
-	// Durable-scenario state: the per-server data directories, their WAL
-	// paths (captured at open — a crashed DB no longer knows its path),
-	// the parsed fsync policy, and whether the harness owns (and so
-	// removes) the root directory.
-	fsync        storage.FsyncPolicy
-	dataDir      string
-	ownDataDir   bool
-	tsdbWALPath  string
-	docdbWALPath string
-	// tsdbDown/docdbDown track the kill/restart windows so WAL faults
-	// can insist the target is actually down.
-	tsdbDown  bool
-	docdbDown bool
+	// Durable-scenario state: the server's data directory, its WAL path
+	// (captured at open — a crashed DB no longer knows its path), the
+	// parsed fsync policy, and whether the harness owns (and so removes)
+	// the root directory.
+	fsync       storage.FsyncPolicy
+	dataDir     string
+	ownDataDir  bool
+	tsdbWALPath string
+	// tsdbDown tracks the kill/restart window so WAL faults can insist
+	// the server is actually down.
+	tsdbDown bool
 
 	// introspectors per process (Tracing scenarios; nil otherwise — every
 	// instrumented path is nil-safe).
-	daemonIn   *introspect.Introspector
-	tsdbSrvIn  *introspect.Introspector
-	docdbSrvIn *introspect.Introspector
+	daemonIn  *introspect.Introspector
+	tsdbSrvIn *introspect.Introspector
 
 	// Expose-scenario state: the structured log ring shared by the whole
 	// stack and the observability-plane HTTP server over the daemon-side
@@ -133,7 +116,7 @@ type harness struct {
 	exposeSrv *expose.Server
 }
 
-// policy is the fail-fast resilience policy the harness clients use:
+// policy is the fail-fast resilience policy the harness client uses:
 // refused connections and dead wires resolve in microseconds, a
 // black-holed read resolves at the read deadline, and the op outcome for
 // a given stack state is the same on every run.
@@ -168,7 +151,7 @@ func Run(sc Scenario) (*Result, error) {
 	return h.res, nil
 }
 
-// setup stands the stack up: servers, fault proxies, resilient clients,
+// setup stands the stack up: server, fault proxy, resilient client,
 // daemon with a probed target, and the telemetry session.
 func (h *harness) setup() error {
 	sc := h.sc
@@ -181,7 +164,6 @@ func (h *harness) setup() error {
 	if sc.Tracing {
 		h.daemonIn = introspect.New(introspect.WithProcess("daemon"), introspect.WithSpanCapacity(1<<15))
 		h.tsdbSrvIn = introspect.New(introspect.WithProcess("tsdb"), introspect.WithSpanCapacity(1<<15))
-		h.docdbSrvIn = introspect.New(introspect.WithProcess("docdb"), introspect.WithSpanCapacity(1<<15))
 	}
 	if sc.Expose {
 		// The plane exposes the daemon-side registry; bring it up even when
@@ -193,8 +175,8 @@ func (h *harness) setup() error {
 		h.res.Logs = h.logs
 	}
 
-	// Backends and their fault proxies. Clients dial the proxies, so every
-	// byte of both wire protocols crosses the fault-injection layer.
+	// Backend and its fault proxy. The client dials the proxy, so every
+	// byte of the wire protocol crosses the fault-injection layer.
 	if sc.Durable {
 		pol, err := storage.ParseFsyncPolicy(sc.Fsync)
 		if err != nil {
@@ -216,15 +198,8 @@ func (h *harness) setup() error {
 		}
 		h.tsdbDB = db
 		h.tsdbWALPath = db.WALPath()
-		ddb, err := docdb.Open(filepath.Join(h.dataDir, "docdb"), pol)
-		if err != nil {
-			return err
-		}
-		h.docdbDB = ddb
-		h.docdbWALPath = ddb.WALPath()
 	} else {
 		h.tsdbDB = tsdb.New()
-		h.docdbDB = docdb.New()
 	}
 	h.tsdbSrv = tsdb.NewServer(h.tsdbDB)
 	h.tsdbSrv.SetTracing(h.tsdbSrvIn)
@@ -239,39 +214,20 @@ func (h *harness) setup() error {
 		return err
 	}
 
-	h.docdbSrv = docdb.NewServer(h.docdbDB)
-	h.docdbSrv.SetTracing(h.docdbSrvIn)
-	addr, err = h.docdbSrv.Listen("127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	h.docdbAddr = addr
-	h.docdbProxy = resilience.NewProxy(addr, resilience.Faults{}, sc.Seed+1)
-	docdbProxyAddr, err := h.docdbProxy.Listen("127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-
 	h.tsdbClient, err = tsdb.DialPolicy(tsdbProxyAddr, sc.policy())
 	if err != nil {
 		return err
 	}
 	h.tsdbClient.Transport().SetIntrospection(h.daemonIn, "tsdb")
 	h.tsdbClient.Transport().SetLogger(h.logs.With("transport.tsdb"))
-	h.docdbClient, err = docdb.DialPolicy(docdbProxyAddr, sc.policy())
-	if err != nil {
-		return err
-	}
-	h.docdbClient.Transport().SetIntrospection(h.daemonIn, "docdb")
-	h.docdbClient.Transport().SetLogger(h.logs.With("transport.docdb"))
 	h.tsdbSrv.SetLogger(h.logs.With("tsdb.server"), 100*time.Millisecond)
-	h.docdbSrv.SetLogger(h.logs.With("docdb.server"), 100*time.Millisecond)
 
 	// Daemon with one attached, probed target. The KB, dashboards and
 	// observation entries flow through the same code paths production
-	// uses; only the session loop is driven tick by tick from here.
+	// uses; only the session loop is driven tick by tick from here. The
+	// daemon's document store is embedded, as in production.
 	env := core.EnvFromOS()
-	env.InfluxAddr, env.MongoAddr = tsdbProxyAddr, docdbProxyAddr
+	env.InfluxAddr, env.MongoAddr = tsdbProxyAddr, "embedded"
 	h.daemon, err = core.NewWith(core.WithEnv(env))
 	if err != nil {
 		return err
@@ -360,8 +316,7 @@ func (h *harness) ready() bool {
 }
 
 // drive runs the seeded schedule: faults at tick boundaries, one sampling
-// tick at a time, checkpoint writes over the docdb wire, and one event
-// log entry per observable step.
+// tick at a time, and one event log entry per observable step.
 func (h *harness) drive() error {
 	ctx := context.Background()
 	for tick := uint64(1); tick <= h.sc.Load.Ticks; tick++ {
@@ -381,9 +336,6 @@ func (h *harness) drive() error {
 			break
 		}
 		h.res.BreakerStates = append(h.res.BreakerStates, h.tsdbClient.Transport().BreakerState())
-		if ce := h.sc.Load.CheckpointEvery; ce > 0 && tick%ce == 0 {
-			h.checkpoint(ctx, tick)
-		}
 		if h.sc.Expose {
 			h.res.ReadyStates = append(h.res.ReadyStates, h.ready())
 		}
@@ -449,29 +401,6 @@ func (h *harness) tickEvent(tick uint64) Event {
 	}
 }
 
-// checkpoint writes one session-progress document through the docdb wire
-// and records the semantic outcome (never the error text, which carries
-// run-specific addresses). The server acks only after the WAL fsync, so
-// on a loaded disk an attempt can time out after its write committed;
-// the write is an upsert by the tick's _id, so the retry lands on the
-// stored document instead of failing as a duplicate insert.
-func (h *harness) checkpoint(ctx context.Context, tick uint64) {
-	doc := docdb.Doc{
-		"_id":      fmt.Sprintf("ck-%03d", tick),
-		"tick":     int(tick),
-		"inserted": int(h.col.Inserted),
-		"lost":     int(h.col.Lost),
-		"pending":  int(h.col.PendingSpillFields()),
-	}
-	if _, err := h.docdbClient.UpsertContext(ctx, CheckpointCollection, doc); err != nil {
-		h.res.CheckpointsFailed++
-		h.res.Log.Append(Event{Tick: tick, Kind: "checkpoint", Detail: "failed"})
-		return
-	}
-	h.res.CheckpointsOK++
-	h.res.Log.Append(Event{Tick: tick, Kind: "checkpoint", Detail: "ok"})
-}
-
 // applyFault mutates the stack at a tick boundary.
 func (h *harness) applyFault(f FaultEvent) error {
 	switch f.Kind {
@@ -508,53 +437,27 @@ func (h *harness) applyFault(f FaultEvent) error {
 		h.tsdbProxy.Heal()
 	case FaultDropTSDBConns:
 		h.tsdbProxy.DropConns()
-	case FaultKillDocdb:
-		h.docdbDown = true
-		if h.sc.Durable {
-			if err := h.docdbDB.Crash(); err != nil {
-				return err
-			}
-		}
-		return h.docdbSrv.Close()
-	case FaultRestartDocdb:
-		if h.sc.Durable {
-			db, err := docdb.Open(filepath.Join(h.dataDir, "docdb"), h.fsync)
-			if err != nil {
-				return fmt.Errorf("testkit: docdb recovery: %w", err)
-			}
-			h.docdbDB = db
-		}
-		h.docdbDown = false
-		h.docdbSrv = docdb.NewServer(h.docdbDB)
-		h.docdbSrv.SetTracing(h.docdbSrvIn)
-		h.docdbSrv.SetLogger(h.logs.With("docdb.server"), 100*time.Millisecond)
-		_, err := h.docdbSrv.Listen(h.docdbAddr)
-		return err
-	case FaultDropDocdbConns:
-		h.docdbProxy.DropConns()
 	case FaultTornTSDBWAL:
-		return h.injectWALTail(h.tsdbWALPath, h.tsdbDown, false, f.Kind)
+		return h.injectWALTail(false, f.Kind)
 	case FaultCorruptTailTSDBWAL:
-		return h.injectWALTail(h.tsdbWALPath, h.tsdbDown, true, f.Kind)
-	case FaultTornDocdbWAL:
-		return h.injectWALTail(h.docdbWALPath, h.docdbDown, false, f.Kind)
+		return h.injectWALTail(true, f.Kind)
 	default:
 		return fmt.Errorf("testkit: unknown fault kind %q", f.Kind)
 	}
 	return nil
 }
 
-// injectWALTail appends crash residue to a WAL: a torn frame (header
-// promising more bytes than follow) or a complete final frame with a
-// mismatched checksum. Recovery must truncate either. Only legal in
-// Durable scenarios while the owning server is down — a live WAL appends
+// injectWALTail appends crash residue to the tsdb WAL: a torn frame
+// (header promising more bytes than follow) or a complete final frame
+// with a mismatched checksum. Recovery must truncate either. Only legal
+// in Durable scenarios while the server is down — a live WAL appends
 // past the residue, which would bury it mid-file and (correctly) turn
 // restart into a hard corruption error.
-func (h *harness) injectWALTail(path string, down, corrupt bool, kind FaultKind) error {
+func (h *harness) injectWALTail(corrupt bool, kind FaultKind) error {
 	if !h.sc.Durable {
 		return fmt.Errorf("testkit: %s requires a Durable scenario", kind)
 	}
-	if !down {
+	if !h.tsdbDown {
 		return fmt.Errorf("testkit: %s requires the server to be killed first", kind)
 	}
 	frame, err := storage.AppendRecord(nil, ^uint64(0), []byte("crash residue: this frame must not survive recovery"))
@@ -566,7 +469,7 @@ func (h *harness) injectWALTail(path string, down, corrupt bool, kind FaultKind)
 	} else {
 		frame = frame[:len(frame)-9] // header promises 9 missing bytes
 	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(h.tsdbWALPath, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("testkit: %s: %w", kind, err)
 	}
@@ -592,8 +495,7 @@ func (h *harness) finish() {
 	}
 	if h.res.KB != nil {
 		if err := h.res.KB.Attach(obs); err == nil {
-			// Best-effort embedded persist; wire-level docdb traffic is the
-			// checkpoints' job.
+			// Best-effort persist into the daemon's embedded store.
 			_ = h.res.KB.Persist(h.daemon.Docs)
 		}
 	}
@@ -601,10 +503,8 @@ func (h *harness) finish() {
 		c := traceexport.NewCollector()
 		c.Add("daemon", h.daemonIn.Tracer())
 		c.Add("tsdb", h.tsdbSrvIn.Tracer())
-		c.Add("docdb", h.docdbSrvIn.Tracer())
 		h.res.Traces = c.Traces()
 	}
-	h.res.DocdbDB = h.docdbDB
 	h.res.ServerDB = h.tsdbDB
 }
 
@@ -613,9 +513,9 @@ func (h *harness) note(tick uint64, detail string) {
 	h.res.Log.Append(Event{Tick: tick, Kind: "note", Detail: detail})
 }
 
-// close tears the stack down in dependency order. Durable databases are
-// closed (flushing their WALs) and a harness-owned data directory is
-// removed; the recovered in-memory images stay readable for the oracles,
+// close tears the stack down in dependency order. A durable database is
+// closed (flushing its WAL) and a harness-owned data directory is
+// removed; the recovered in-memory image stays readable for the oracles,
 // which run against the Result after close.
 func (h *harness) close() {
 	if h.exposeSrv != nil {
@@ -624,27 +524,15 @@ func (h *harness) close() {
 	if h.tsdbClient != nil {
 		h.tsdbClient.Close()
 	}
-	if h.docdbClient != nil {
-		h.docdbClient.Close()
-	}
 	if h.tsdbProxy != nil {
 		h.tsdbProxy.Close()
-	}
-	if h.docdbProxy != nil {
-		h.docdbProxy.Close()
 	}
 	if h.tsdbSrv != nil {
 		h.tsdbSrv.Close()
 	}
-	if h.docdbSrv != nil {
-		h.docdbSrv.Close()
-	}
 	if h.sc.Durable {
 		if h.tsdbDB != nil {
 			h.tsdbDB.Close()
-		}
-		if h.docdbDB != nil {
-			h.docdbDB.Close()
 		}
 		if h.ownDataDir {
 			os.RemoveAll(h.dataDir)

@@ -173,24 +173,6 @@ func CheckStoreStats(r *Result) error {
 	return nil
 }
 
-// CheckCheckpoints asserts the docdb leg's at-least-once accounting:
-// every acknowledged checkpoint is present server-side, and no more
-// documents exist than acknowledged plus failed attempts (a failed
-// attempt may still have landed — at-least-once, not exactly-once).
-func CheckCheckpoints(r *Result) error {
-	if r.Scenario.Load.CheckpointEvery == 0 {
-		return nil
-	}
-	n := r.DocdbDB.Collection(CheckpointCollection).Count(nil)
-	if n < r.CheckpointsOK {
-		return fmt.Errorf("checkpoint lost: %d acknowledged but only %d stored", r.CheckpointsOK, n)
-	}
-	if max := r.CheckpointsOK + r.CheckpointsFailed; n > max {
-		return fmt.Errorf("checkpoint surplus: %d stored but only %d attempted", n, max)
-	}
-	return nil
-}
-
 // Verify runs every applicable oracle and joins the violations. A nil
 // return means the run upheld all conservation laws; a non-nil return
 // plus ReproLine(seed) is the full bug report.
@@ -201,7 +183,6 @@ func (r *Result) Verify() error {
 		CheckNoDuplicateInserts(r),
 		CheckStoreStats(r),
 		CheckAttribution(r),
-		CheckCheckpoints(r),
 		CheckDurableRecovery(r),
 	)
 }

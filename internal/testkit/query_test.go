@@ -14,7 +14,7 @@ import (
 func TestQueryEveryTickPartitionChaos(t *testing.T) {
 	sc := Scenario{
 		Seed: 0x5eed9,
-		Load: Load{FreqHz: 25, Ticks: 10, CheckpointEvery: 0},
+		Load: Load{FreqHz: 25, Ticks: 10},
 		Faults: []FaultEvent{
 			{AtTick: 4, Kind: FaultPartitionTSDB},
 			{AtTick: 7, Kind: FaultHealTSDB},

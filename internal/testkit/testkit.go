@@ -1,10 +1,11 @@
 // Package testkit is the deterministic simulation harness for the whole
 // P-MoVE wire stack: a single Scenario descriptor stands up an in-process
-// daemon (probe → KB → dashboards), a telemetry session, resilient
-// tsdb/docdb clients, a fault proxy and real tsdb/docdb servers, then
-// drives the session tick by tick while injecting a seeded fault
-// schedule. Every semantic outcome (inserted/lost/spilled/replayed
-// counts, checkpoint results, fault applications) lands in an EventLog
+// daemon (probe → KB → dashboards), a telemetry session, a resilient tsdb
+// client, a fault proxy and a real tsdb server, then drives the session
+// tick by tick while injecting a seeded fault schedule. The document
+// store is embedded in the daemon, as in production, so it has no wire
+// leg here. Every semantic outcome (inserted/lost/spilled/replayed
+// counts, fault applications) lands in an EventLog
 // that replays byte-identically from the same seed — a failing chaos run
 // reduces to the one-line repro testkit.Replay(seed) instead of a flake.
 //
@@ -24,7 +25,7 @@ import (
 )
 
 // FaultKind names one injectable fault. Kill/Restart act on the backend
-// servers (connection refused — instantaneous, fully deterministic);
+// server (connection refused — instantaneous, fully deterministic);
 // Partition/Heal act on the fault proxy (black hole — deterministic
 // outcome, real-time cost of one read timeout per attempt); DropConns
 // resets every live proxied connection once.
@@ -34,24 +35,20 @@ type FaultKind string
 // so an acknowledged write is never in flight when the fault lands —
 // the precondition for the no-duplicate-insert oracle.
 const (
-	FaultKillTSDB       FaultKind = "kill-tsdb"
-	FaultRestartTSDB    FaultKind = "restart-tsdb"
-	FaultPartitionTSDB  FaultKind = "partition-tsdb"
-	FaultHealTSDB       FaultKind = "heal-tsdb"
-	FaultDropTSDBConns  FaultKind = "drop-tsdb-conns"
-	FaultKillDocdb      FaultKind = "kill-docdb"
-	FaultRestartDocdb   FaultKind = "restart-docdb"
-	FaultDropDocdbConns FaultKind = "drop-docdb-conns"
+	FaultKillTSDB      FaultKind = "kill-tsdb"
+	FaultRestartTSDB   FaultKind = "restart-tsdb"
+	FaultPartitionTSDB FaultKind = "partition-tsdb"
+	FaultHealTSDB      FaultKind = "heal-tsdb"
+	FaultDropTSDBConns FaultKind = "drop-tsdb-conns"
 
-	// WAL faults (Durable scenarios only, and only while the target
-	// server is down — between its kill and restart): they append the
+	// WAL faults (Durable scenarios only, and only while the server is
+	// down — between its kill and restart): they append the
 	// residue a crash mid-append leaves on disk, which the subsequent
 	// restart must truncate away. Torn writes a frame header promising
 	// more bytes than follow; corrupt-tail writes a complete final frame
 	// whose checksum does not match (indistinguishable from a partially
 	// flushed sector, so recovery treats it as torn).
 	FaultTornTSDBWAL        FaultKind = "torn-tsdb-wal"
-	FaultTornDocdbWAL       FaultKind = "torn-docdb-wal"
 	FaultCorruptTailTSDBWAL FaultKind = "corrupt-tail-tsdb-wal"
 )
 
@@ -70,9 +67,6 @@ type Load struct {
 	FreqHz float64
 	// Ticks is the total number of sampling ticks.
 	Ticks uint64
-	// CheckpointEvery inserts a session checkpoint document through the
-	// docdb wire every that many ticks; 0 disables the docdb leg.
-	CheckpointEvery uint64
 }
 
 // Scenario is the single descriptor a simulation runs from. Two runs of
@@ -109,22 +103,22 @@ type Scenario struct {
 	// wall-clock, so expose scenarios assert state transitions (ready →
 	// not-ready → ready), never tick-exact timing.
 	Expose bool
-	// Breaker enables the client circuit breakers. Breaker cooldowns are
+	// Breaker enables the client's circuit breaker. Breaker cooldowns are
 	// wall-clock, so recovery timing can shift semantic outcomes near
 	// fault boundaries; the deterministic-replay scenarios keep it off
 	// and the breaker machine is verified by its own oracle instead.
 	Breaker bool
-	// Durable backs the tsdb/docdb servers with WAL+snapshot data
-	// directories so kill/restart faults exercise crash recovery: a kill
-	// crashes the database (discarding whatever the fsync policy had not
-	// yet made stable) and a restart reopens it from the same directory.
+	// Durable backs the tsdb server with a WAL+snapshot data directory so
+	// kill/restart faults exercise crash recovery: a kill crashes the
+	// database (discarding whatever the fsync policy had not yet made
+	// stable) and a restart reopens it from the same directory.
 	// Filesystem paths never enter the event log, so determinism holds.
 	Durable bool
 	// Fsync is the durability policy for Durable scenarios: "always",
 	// "interval" or "never" ("" = always). With "always" the durable
 	// recovery oracle asserts zero acknowledged loss across kills.
 	Fsync string
-	// DataDir roots the server data directories; "" uses a fresh temp
+	// DataDir roots the server data directory; "" uses a fresh temp
 	// directory removed when the run ends. Set it to inspect the files a
 	// scenario leaves behind or to chain runs over one directory.
 	DataDir string
@@ -165,72 +159,64 @@ func (sc Scenario) pipeline() telemetry.PipelineConfig {
 }
 
 // FromSeed derives a complete chaos scenario from one seed: load,
-// sampling frequency, a kill/restart outage window on each wire and a
-// connection drop, all drawn from the seeded RNG. The same seed always
-// yields the same scenario — the printed repro is the whole bug report.
+// sampling frequency, a kill/restart outage window and a connection
+// drop, all drawn from the seeded RNG. The same seed always yields the
+// same scenario — the printed repro is the whole bug report.
 func FromSeed(seed uint64) Scenario {
 	rng := resilience.NewRNG(seed)
 	ticks := 18 + rng.Uint64()%12 // 18..29
 	freqs := []float64{10, 25, 50}
-	killAt := 3 + rng.Uint64()%4               // 3..6
-	restartAt := killAt + 3 + rng.Uint64()%4   // kill+3..kill+6
-	dKillAt := 2 + rng.Uint64()%5              // 2..6
-	dRestartAt := dKillAt + 2 + rng.Uint64()%4 // dkill+2..dkill+5
+	killAt := 3 + rng.Uint64()%4             // 3..6
+	restartAt := killAt + 3 + rng.Uint64()%4 // kill+3..kill+6
+	// Two draws once scheduled the retired docdb outage. They are still
+	// drawn so that every seed keeps the drop tick and frequency it had:
+	// a seed-pinned test goes on exercising the schedule it always did.
+	rng.Uint64()
+	rng.Uint64()
 	dropAt := restartAt + 2 + rng.Uint64()%3
-	sc := Scenario{
+	return Scenario{
 		Seed: seed,
 		Load: Load{
-			FreqHz:          freqs[rng.Uint64()%uint64(len(freqs))],
-			Ticks:           ticks,
-			CheckpointEvery: 3,
+			FreqHz: freqs[rng.Uint64()%uint64(len(freqs))],
+			Ticks:  ticks,
 		},
 		Degraded:   true,
 		JournalCap: 256,
 		Faults: []FaultEvent{
 			{AtTick: killAt, Kind: FaultKillTSDB},
 			{AtTick: restartAt, Kind: FaultRestartTSDB},
-			{AtTick: dKillAt, Kind: FaultKillDocdb},
-			{AtTick: dRestartAt, Kind: FaultRestartDocdb},
 			{AtTick: dropAt, Kind: FaultDropTSDBConns},
 		},
 		Tracing: true,
 	}
-	return sc
 }
 
 // DurableFromSeed derives the crash-recovery chaos scenario from one
-// seed: the FromSeed schedule re-rooted onto WAL-backed servers with
-// fsync=always, plus torn-WAL injections while each server is down —
-// the residue of dying mid-append — which the restarts must truncate
-// away. Under fsync=always the durable recovery oracle then demands
-// zero acknowledged loss and zero duplication across the kills.
+// seed: the FromSeed schedule re-rooted onto a WAL-backed server with
+// fsync=always, plus a bad WAL tail while the server is down — the
+// residue of dying mid-append — which the restart must truncate away.
+// Under fsync=always the durable recovery oracle then demands zero
+// acknowledged loss and zero duplication across the kill.
 func DurableFromSeed(seed uint64) Scenario {
 	sc := FromSeed(seed)
 	sc.Durable = true
 	sc.Fsync = "always"
-	var kill, dKill uint64
+	var kill uint64
 	for _, f := range sc.Faults {
-		switch f.Kind {
-		case FaultKillTSDB:
+		if f.Kind == FaultKillTSDB {
 			kill = f.AtTick
-		case FaultKillDocdb:
-			dKill = f.AtTick
 		}
 	}
-	// FromSeed guarantees restart >= kill+3 and docdb restart >= dKill+2,
-	// so kill+1 / dKill+1 always land inside the down windows. One bad
-	// tail per window: recovery truncates exactly one torn/corrupt tail;
-	// stacking two would bury the first mid-file, which is (correctly) a
-	// hard corruption error, not a recoverable crash residue. The seed
-	// picks which tail flavour the tsdb gets.
-	tsdbFault := FaultTornTSDBWAL
+	// FromSeed guarantees restart >= kill+3, so kill+1 always lands
+	// inside the down window. One bad tail per window: recovery truncates
+	// exactly one torn/corrupt tail; stacking two would bury the first
+	// mid-file, which is (correctly) a hard corruption error, not a
+	// recoverable crash residue. The seed picks the tail's flavour.
+	tailFault := FaultTornTSDBWAL
 	if seed%2 == 1 {
-		tsdbFault = FaultCorruptTailTSDBWAL
+		tailFault = FaultCorruptTailTSDBWAL
 	}
-	sc.Faults = append(sc.Faults,
-		FaultEvent{AtTick: kill + 1, Kind: tsdbFault},
-		FaultEvent{AtTick: dKill + 1, Kind: FaultTornDocdbWAL},
-	)
+	sc.Faults = append(sc.Faults, FaultEvent{AtTick: kill + 1, Kind: tailFault})
 	return sc
 }
 

@@ -1,5 +1,5 @@
-// Package wire is the one line-framed TCP server skeleton tsdb and docdb
-// serve through: listener, accept loop, tracked connections, the
+// Package wire is the line-framed TCP server skeleton the tsdb server
+// runs on: listener, accept loop, tracked connections, the
 // per-connection scanner and reply buffer, the tracing/logging settings,
 // the per-op log record and drain-then-flush on Close. A protocol plugs
 // in as a Proto — what it does with a request line is its own business;
@@ -19,10 +19,10 @@ import (
 	"pmove/internal/introspect/logbuf"
 )
 
-// Proto is what differs between two servers.
+// Proto is what a protocol brings to the skeleton.
 type Proto struct {
-	Name    string // prefixes Listen's error: "tsdb", "docdb"
-	OpKey   string // log field that names the op: "cmd", "op"
+	Name    string // prefixes Listen's error, e.g. "tsdb"
+	OpKey   string // log field that names the op, e.g. "cmd"
 	MaxLine int    // scanner cap; a longer line ends the session with an ErrorLine
 	// Handle serves the request whose line c.Sc holds, writing the reply
 	// to c.W (flushed when it returns). False hangs up after the flush:

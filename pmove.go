@@ -167,7 +167,7 @@ var (
 
 // Distributed tracing (internal/introspect + traceexport): 128-bit trace
 // IDs propagated over the wire as a traceparent field on the tsdb line
-// protocol and docdb request frames, assembled across processes into
+// protocol, assembled across processes into
 // trace trees with per-hop latency attribution and Chrome-trace export.
 type (
 	// TraceID is a 128-bit distributed trace identifier.
@@ -333,8 +333,8 @@ type (
 	DocDB = docdb.DB
 	// SuperDB is the global performance database (§III-E).
 	SuperDB = superdb.SuperDB
-	// BatchWriter is the unified batched write surface (embedded TSDB,
-	// wire client, and superdb remote all satisfy it).
+	// BatchWriter is the unified batched write surface (the embedded
+	// TSDB and its wire client both satisfy it).
 	BatchWriter = tsdb.BatchWriter
 	// QueryRequest is the request-struct form of a TSDB query.
 	QueryRequest = tsdb.QueryRequest
