@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"pmove/internal/docdb"
 	"pmove/internal/kb"
 	"pmove/internal/machine"
+	"pmove/internal/storage"
 	"pmove/internal/telemetry"
 	"pmove/internal/topo"
 )
@@ -160,12 +162,20 @@ func TestDurableAttachWritesOnlyItsEntry(t *testing.T) {
 	}
 }
 
-// walSize is the daemon's docdb WAL size in bytes.
+// walSize is the length in bytes of the daemon's docdb log: the clean
+// prefix of its wal.log, after which only the zero extent may follow.
 func walSize(tb testing.TB, d *Daemon) int64 {
 	tb.Helper()
-	fi, err := os.Stat(d.Docs.WALPath())
+	img, err := os.ReadFile(d.Docs.WALPath())
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return fi.Size()
+	_, n, err := storage.DecodeAll(img)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(bytes.TrimLeft(img[n:], "\x00")) != 0 {
+		tb.Fatalf("nonzero bytes after the %d-byte docdb log", n)
+	}
+	return int64(n)
 }

@@ -1,6 +1,7 @@
 package docdb
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -168,12 +169,16 @@ func TestUnencodableDocumentIsAnError(t *testing.T) {
 	if _, err := c.Insert(Doc{"_id": "a", "v": 1.0}); err != nil {
 		t.Fatal(err)
 	}
-	walSize := func() int64 {
-		fi, err := os.Stat(db.WALPath())
+	walSize := func() int {
+		img, err := os.ReadFile(db.WALPath())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fi.Size()
+		_, n, err := storage.DecodeAll(img)
+		if err != nil || len(bytes.TrimLeft(img[n:], "\x00")) != 0 {
+			t.Fatalf("wal.log is not a clean %d-byte log and its zero extent (%v)", n, err)
+		}
+		return n
 	}
 	size := walSize()
 	for name, v := range bad {

@@ -322,15 +322,6 @@ func (c *Collection) Find(f *Filter) []Doc {
 	return out
 }
 
-// FindOne returns the first match in id order.
-func (c *Collection) FindOne(f *Filter) (Doc, bool) {
-	docs := c.Find(f)
-	if len(docs) == 0 {
-		return nil, false
-	}
-	return docs[0], true
-}
-
 // Count returns the number of matching documents.
 func (c *Collection) Count(f *Filter) int {
 	c.mu.RLock()

@@ -121,20 +121,21 @@ func TestFilters(t *testing.T) {
 	}
 }
 
-func TestFindOneAndCount(t *testing.T) {
+// TestFindFirstAndCount: the first match of a filter is the lowest id,
+// and a filter that matches nothing finds nothing.
+func TestFindFirstAndCount(t *testing.T) {
 	db := New()
 	c := db.Collection("x")
 	c.Insert(Doc{"_id": "b", "v": 1.0})
 	c.Insert(Doc{"_id": "a", "v": 1.0})
-	d, ok := c.FindOne(&Filter{Eq: map[string]any{"v": 1}})
-	if !ok || d.ID() != "a" {
-		t.Errorf("findOne = %v %v", d, ok)
+	if got := c.Find(&Filter{Eq: map[string]any{"v": 1}}); len(got) != 2 || got[0].ID() != "a" {
+		t.Errorf("find = %v", got)
 	}
 	if c.Count(nil) != 2 {
 		t.Errorf("count = %d", c.Count(nil))
 	}
-	if _, ok := c.FindOne(&Filter{Eq: map[string]any{"v": 9}}); ok {
-		t.Error("findOne matched nothing")
+	if got := c.Find(&Filter{Eq: map[string]any{"v": 9}}); len(got) != 0 {
+		t.Errorf("find matched %v, want nothing", got)
 	}
 }
 

@@ -10,8 +10,10 @@ import (
 // by construction — a crash mid-append leaves one torn frame, which the
 // recovering reader truncates, discarding the whole batch rather than a
 // prefix of it. The envelope below frames the batch's sub-bodies inside
-// the record data; the caller's per-item codec (tsdb line protocol,
-// docdb JSON ops) is untouched.
+// the record data; the caller's per-item codec is untouched. Its callers
+// are tsdb (line-protocol batches) and the telemetry spill journal (its
+// snapshot of spilled lines); docdb logs one JSON op per record and
+// never uses the envelope.
 //
 // Layout, all varints unsigned LEB128 (encoding/binary):
 //

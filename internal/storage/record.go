@@ -14,6 +14,7 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -27,7 +28,9 @@ import (
 // The CRC covers the payload only (seq + data); the length prefix is
 // validated by range. A record is torn when the file ends before the
 // frame does — the signature of a crash mid-append — and corrupt when
-// the full frame is present but the CRC disagrees.
+// the full frame is present but the CRC disagrees. No frame has a zero
+// length, so a zero length field is where writing stopped: an
+// FsyncAlways log keeps zeros past its end (see WAL).
 const (
 	// frameHeaderSize is the fixed prefix: length + CRC.
 	frameHeaderSize = 8
@@ -106,18 +109,28 @@ func DecodeRecord(b []byte) (Record, int, error) {
 // DecodeAll walks a WAL image record by record. It returns the decoded
 // records, the byte offset of the clean prefix, and how the walk ended:
 //
-//   - nil error: the whole image decoded (cleanLen == len(b)).
+//   - nil error: the whole image decoded, or the records end at a zero
+//     length field and only zeros follow (an FsyncAlways log's extent):
+//     b[cleanLen:] is all zero.
 //   - ErrTornRecord: the tail is an incomplete frame — a crash
-//     mid-append; the records before cleanLen are intact.
-//   - ErrCorruptRecord at the tail (the bad frame is the last thing in
-//     the image): reported as ErrTornRecord too, since a partially
+//     mid-append; the records before cleanLen are intact. A zero length
+//     field with nonzero bytes after it is the same: the append in
+//     flight wrote later sectors of its frame but not the first.
+//   - ErrCorruptRecord at the tail (only zeros, or nothing, follow the
+//     bad frame): reported as ErrTornRecord too, since a partially
 //     flushed final sector is indistinguishable from a torn append.
-//   - ErrCorruptRecord mid-file (valid data demonstrably follows the bad
-//     frame): returned as-is. That is bit rot, not a crash artifact, and
+//   - ErrCorruptRecord mid-file (other bytes follow the bad frame):
+//     returned as-is. That is bit rot, not a crash artifact, and
 //     truncating would silently discard good acknowledged records.
 func DecodeAll(b []byte) (recs []Record, cleanLen int, err error) {
 	off := 0
 	for off < len(b) {
+		if allZero(b[off:min(off+4, len(b))]) {
+			if !allZero(b[off:]) {
+				return recs, off, fmt.Errorf("%w: zero frame length at offset %d with nonzero bytes after it", ErrTornRecord, off)
+			}
+			return recs, off, nil
+		}
 		rec, n, derr := DecodeRecord(b[off:])
 		if derr == nil {
 			recs = append(recs, rec)
@@ -136,18 +149,28 @@ func DecodeAll(b []byte) (recs []Record, cleanLen int, err error) {
 }
 
 // tailFrame reports whether the bad frame starting at b is the last
-// frame in the image — i.e. whether its declared extent reaches (or
-// overruns) the end of the buffer, leaving no bytes that could belong to
-// a later record.
+// frame in the image: whether nothing but zeros follows its declared
+// extent, leaving no bytes that could belong to a later record.
 func tailFrame(b []byte) bool {
-	if len(b) < frameHeaderSize {
-		return true
+	// A garbage length makes the frame's extent unknowable: only the
+	// header region counts as the frame.
+	end := frameHeaderSize + seqSize
+	if len(b) >= frameHeaderSize {
+		if payloadLen := int(binary.LittleEndian.Uint32(b[0:4])); payloadLen >= seqSize && payloadLen <= MaxRecord+seqSize {
+			end = frameHeaderSize + payloadLen
+		}
 	}
-	payloadLen := int(binary.LittleEndian.Uint32(b[0:4]))
-	if payloadLen < seqSize || payloadLen > MaxRecord+seqSize {
-		// The length itself is garbage: frame extent unknowable. Only
-		// treat it as the tail when nothing follows the header region.
-		return len(b) <= frameHeaderSize+seqSize
+	return len(b) <= end || allZero(b[end:])
+}
+
+// allZero reports whether every byte of b is zero.
+func allZero(b []byte) bool {
+	for len(b) > 0 {
+		n := min(len(b), len(zeroPage))
+		if !bytes.Equal(b[:n], zeroPage[:n]) {
+			return false
+		}
+		b = b[n:]
 	}
-	return len(b) <= frameHeaderSize+payloadLen
+	return true
 }

@@ -116,8 +116,28 @@ func TestWALAppendRecoverRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTornFinalRecord: truncating mid-frame (a crash during the last
-// append) recovers the clean prefix and reports the tear.
+// cleanPrefix decodes the WAL image at path and fails unless everything
+// after its clean prefix is zero; it returns the prefix.
+func cleanPrefix(t *testing.T, path string) []byte {
+	t.Helper()
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, n, err := DecodeAll(img)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	if !allZero(img[n:]) {
+		t.Fatalf("%s: nonzero bytes after the %d-byte log", path, n)
+	}
+	return img[:n]
+}
+
+// TestTornFinalRecord: a crash during the last append recovers the
+// clean prefix and reports the tear, whether the file ends inside the
+// frame (an extending append) or zeros follow its written part (an
+// append into the extent).
 func TestTornFinalRecord(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	w, _, _ := openWAL(t, path, FsyncAlways)
@@ -126,32 +146,36 @@ func TestTornFinalRecord(t *testing.T) {
 	goodLen := w.Size()
 	mustAppend(t, w, "torn-away-by-the-crash")
 	w.Close()
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, cut := range []int64{1, 3, 9, 12} { // into header, into payload
-		img, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
+		zeroed := append([]byte(nil), img...)
+		clear(zeroed[goodLen+cut:])
+		for name, torn := range map[string][]byte{"file-ends": img[:goodLen+cut], "zeros-follow": zeroed} {
+			path := filepath.Join(t.TempDir(), "torn.log")
+			if err := os.WriteFile(path, torn, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			w2, recs, info := openWAL(t, path, FsyncAlways)
+			if want := int64(len(torn)) - goodLen; !info.Torn || info.TornBytes != want {
+				t.Fatalf("cut=%d %s: info=%+v, want torn with %d bytes", cut, name, info, want)
+			}
+			if len(recs) != 2 || string(recs[1].Data) != "keep-2" {
+				t.Fatalf("cut=%d %s: recovered %d records", cut, name, len(recs))
+			}
+			// The file itself was truncated back to the clean prefix.
+			if st, _ := os.Stat(path); st.Size() != goodLen {
+				t.Fatalf("cut=%d %s: file %d bytes after recovery, want %d", cut, name, st.Size(), goodLen)
+			}
+			// And the log is immediately appendable with a coherent sequence.
+			if seq := mustAppend(t, w2, "resumed"); seq != 3 {
+				t.Fatalf("cut=%d %s: resumed seq=%d, want 3", cut, name, seq)
+			}
+			w2.Close()
 		}
-		torn := filepath.Join(t.TempDir(), "torn.log")
-		if err := os.WriteFile(torn, img[:goodLen+cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		w2, recs, info := openWAL(t, torn, FsyncAlways)
-		if !info.Torn || info.TornBytes != cut {
-			t.Fatalf("cut=%d: info=%+v, want torn with %d bytes", cut, info, cut)
-		}
-		if len(recs) != 2 || string(recs[1].Data) != "keep-2" {
-			t.Fatalf("cut=%d: recovered %d records", cut, len(recs))
-		}
-		// The file itself was truncated back to the clean prefix.
-		if st, _ := os.Stat(torn); st.Size() != goodLen {
-			t.Fatalf("cut=%d: file %d bytes after recovery, want %d", cut, st.Size(), goodLen)
-		}
-		// And the log is immediately appendable with a coherent sequence.
-		if seq := mustAppend(t, w2, "resumed"); seq != 3 {
-			t.Fatalf("cut=%d: resumed seq=%d, want 3", cut, seq)
-		}
-		w2.Close()
 	}
 }
 
@@ -194,12 +218,13 @@ func TestCorruptFinalRecord(t *testing.T) {
 	w, _, _ := openWAL(t, path, FsyncAlways)
 	mustAppend(t, w, "keep")
 	mustAppend(t, w, "corrupted-in-place")
+	logEnd := w.Size()
 	w.Close()
 	img, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	img[len(img)-1] ^= 0x01
+	img[logEnd-1] ^= 0x01 // the log's last byte; the zero extent follows
 	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)
 	}

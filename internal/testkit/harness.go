@@ -447,11 +447,13 @@ func (h *harness) applyFault(f FaultEvent) error {
 	return nil
 }
 
-// injectWALTail appends crash residue to the tsdb WAL: a torn frame
-// (header promising more bytes than follow) or a complete final frame
-// with a mismatched checksum. Recovery must truncate either. Only legal
-// in Durable scenarios while the server is down — a live WAL appends
-// past the residue, which would bury it mid-file and (correctly) turn
+// injectWALTail writes crash residue at the logical end of the tsdb WAL,
+// where the append in flight would have been: a torn frame (header
+// promising more bytes than follow) or a complete final frame with a
+// mismatched checksum. Zeros or the file's end follow it, so recovery
+// must truncate either. Only legal in Durable scenarios while the
+// server is down — a live WAL would write its next frame over part of
+// the residue and leave the rest after it, which (correctly) turns
 // restart into a hard corruption error.
 func (h *harness) injectWALTail(corrupt bool, kind FaultKind) error {
 	if !h.sc.Durable {
@@ -469,11 +471,19 @@ func (h *harness) injectWALTail(corrupt bool, kind FaultKind) error {
 	} else {
 		frame = frame[:len(frame)-9] // header promises 9 missing bytes
 	}
-	f, err := os.OpenFile(h.tsdbWALPath, os.O_APPEND|os.O_WRONLY, 0o644)
+	img, err := os.ReadFile(h.tsdbWALPath)
 	if err != nil {
 		return fmt.Errorf("testkit: %s: %w", kind, err)
 	}
-	if _, err := f.Write(frame); err != nil {
+	_, end, err := storage.DecodeAll(img)
+	if err != nil {
+		return fmt.Errorf("testkit: %s: %w", kind, err)
+	}
+	f, err := os.OpenFile(h.tsdbWALPath, os.O_WRONLY, 0o644)
+	if err != nil {
+		return fmt.Errorf("testkit: %s: %w", kind, err)
+	}
+	if _, err := f.WriteAt(frame, int64(end)); err != nil {
 		f.Close()
 		return err
 	}

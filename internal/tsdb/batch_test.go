@@ -321,13 +321,14 @@ func TestDurableBatchTornRecoversWholeOrNone(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Tear the batch record: cut the WAL mid-frame, as a crash mid-append
-	// would have.
+	// Tear the batch record: zero the last bytes of its frame, as a crash
+	// mid-append into the WAL's zero extent would have left them.
 	raw, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(walPath, raw[:len(raw)-5], 0o644); err != nil {
+	clear(raw[len(walLog(t, walPath))-5:])
+	if err := os.WriteFile(walPath, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	re, err := Open(dir, storage.FsyncAlways)

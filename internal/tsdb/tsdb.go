@@ -295,11 +295,11 @@ type BatchWriter interface {
 // WriteBatchContext inserts a batch atomically: every point is
 // validated up front (a rejection returns a *BatchError with Applied ==
 // 0 and no state change), a durable DB commits the whole batch as ONE
-// group-committed WAL record (a single fsync amortized over the batch;
-// recovery replays the batch frame entirely or — when the crash tore
-// it — not at all), and the in-memory insert is one exclusive hold of
-// the data lock: Stats and queries observe the whole batch or none of
-// it, and it is all-or-nothing against crashes.
+// group-committed WAL record (one fdatasync into the zero extent under
+// fsync=always, amortized over the batch; recovery replays the frame
+// entirely or — when the crash tore it — not at all), and the in-memory
+// insert is one exclusive hold of the data lock: Stats and queries
+// observe the whole batch or none of it, all-or-nothing against crashes.
 func (db *DB) WriteBatchContext(ctx context.Context, ps []Point) error {
 	if len(ps) == 0 {
 		return nil

@@ -90,14 +90,11 @@ func writeFixture(t *testing.T) []byte {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	img, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return img
+	return walLog(t, path)
 }
 
-// sameAsFixture fails unless got is the fixture's wal.log, byte for byte.
+// sameAsFixture fails unless got is the fixture's wal.log, byte for
+// byte. The fixture predates the zero extent, so it is a log alone.
 func sameAsFixture(t *testing.T, got []byte, writer string) {
 	t.Helper()
 	want, err := os.ReadFile(filepath.Join("testdata", "wal_pr12.bin"))
@@ -141,11 +138,7 @@ func TestWALFixtureSameBytesOverWire(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameAsFixture(t, got, "over the wire")
+	sameAsFixture(t, walLog(t, path), "over the wire")
 }
 
 func TestWALFixtureReplays(t *testing.T) {

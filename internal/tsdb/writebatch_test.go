@@ -153,18 +153,33 @@ func TestAppendFloatMatchesStrconv(t *testing.T) {
 	}
 }
 
-// walImage closes db and returns its wal.log.
+// walImage closes db and returns its log (see walLog).
 func walImage(t *testing.T, db *DB) []byte {
 	t.Helper()
 	path := db.WALPath()
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return walLog(t, path)
+}
+
+// walLog returns the log in the wal.log at path: the clean prefix
+// storage.DecodeAll finds. It fails unless only zeros follow, which is
+// the extent an always log keeps past its end.
+func walLog(t *testing.T, path string) []byte {
+	t.Helper()
 	img, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return img
+	_, n, err := storage.DecodeAll(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bytes.TrimLeft(img[n:], "\x00")) != 0 {
+		t.Fatalf("%s: nonzero bytes after the %d-byte log", path, n)
+	}
+	return img[:n]
 }
 
 // TestEmbeddedAndWireWriteSameBytes: the same batches — plain rows, rows
@@ -408,13 +423,9 @@ func sparesHoldNothing(t *testing.T, label string) {
 	}
 }
 
-func walSize(t *testing.T, db *DB) int64 {
+func walSize(t *testing.T, db *DB) int {
 	t.Helper()
-	fi, err := os.Stat(db.WALPath())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fi.Size()
+	return len(walLog(t, db.WALPath()))
 }
 
 // TestClientBodyAllocations: a skx tick of 5 points × 88 fields encodes
