@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -493,5 +494,51 @@ func TestParseFsyncPolicy(t *testing.T) {
 	}
 	if _, err := ParseFsyncPolicy("sometimes"); err == nil {
 		t.Error("ParseFsyncPolicy accepted junk")
+	}
+}
+
+// Open reads the snapshot and the log once each and hands out a snapshot
+// and records that alias those images: what it allocates is about the
+// two files' size, not twice it.
+func TestOpenAllocatesTheFilesOnce(t *testing.T) {
+	dir := t.TempDir()
+	st, _, err := Open(dir, FsyncNever)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Compact(bytes.Repeat([]byte{'s'}, 4<<20)); err != nil {
+		t.Fatal(err)
+	}
+	rec := bytes.Repeat([]byte{'r'}, 64<<10)
+	for i := 0; i < 64; i++ {
+		if _, err := st.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var files int64
+	for _, name := range []string{walFileName, snapshotFileName} {
+		fi, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files += fi.Size()
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	st, got, err := Open(dir, FsyncNever)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if len(got.Snapshot) != 4<<20 || len(got.Records) != 64 || !bytes.Equal(got.Records[63].Data, rec) {
+		t.Fatalf("recovered a %d-byte snapshot and %d records", len(got.Snapshot), len(got.Records))
+	}
+	if alloc := int64(after.TotalAlloc - before.TotalAlloc); alloc > files*11/10 {
+		t.Errorf("Open allocated %d bytes for %d bytes of files; want at most 1.1x", alloc, files)
 	}
 }

@@ -23,6 +23,7 @@ var ErrClosed = errors.New("storage: write to a closed store")
 // Recovered is everything Open found in a data directory.
 type Recovered struct {
 	// Snapshot is the last compacted state (nil when never compacted).
+	// It and Records' Data alias the files' images, read for them alone.
 	Snapshot []byte
 	// SnapshotSeq is the WAL sequence the snapshot covers through.
 	SnapshotSeq uint64
@@ -67,7 +68,7 @@ func Open(dir string, pol FsyncPolicy) (*Store, Recovered, error) {
 			}
 			return nil, rec, fmt.Errorf("storage: snapshot %s: %w", snapPath, derr)
 		}
-		rec.Snapshot = append([]byte(nil), r.Data...)
+		rec.Snapshot = r.Data
 		rec.SnapshotSeq = r.Seq
 	} else if !os.IsNotExist(err) {
 		return nil, rec, fmt.Errorf("storage: read snapshot: %w", err)

@@ -121,7 +121,8 @@ type WAL struct {
 // an error — bit rot must not be silently discarded. Under FsyncAlways
 // a clean zero tail stays as the log's extent; the other policies
 // truncate it, keeping their file append-only. The returned records'
-// Data slices are copies and safe to retain.
+// Data slices alias the file image read here, which nothing else holds:
+// safe to retain, though one retained slice keeps the whole image.
 func OpenWAL(path string, pol FsyncPolicy) (*WAL, []Record, RecoveryInfo, error) {
 	if _, err := ParseFsyncPolicy(string(pol)); err != nil {
 		return nil, nil, RecoveryInfo{}, err
@@ -138,10 +139,6 @@ func OpenWAL(path string, pol FsyncPolicy) (*WAL, []Record, RecoveryInfo, error)
 		}
 		info.Torn = true
 		info.TornBytes = int64(len(img) - cleanLen)
-	}
-	// Deep-copy record data out of the file image before it goes away.
-	for i := range recs {
-		recs[i].Data = append([]byte(nil), recs[i].Data...)
 	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {

@@ -395,18 +395,14 @@ func wireBytes(s Sample) int64 {
 	return b
 }
 
-// ToPoint converts a sample to a tsdb point.
+// ToPoint converts a sample to a tsdb point whose Fields is s.Values,
+// not a copy: every agent builds a fresh map per Sample and nothing
+// writes it once offered, so the point, the sink and the spill journal
+// share it.
 func ToPoint(s Sample, tag string, timeNanos int64) tsdb.Point {
-	p := tsdb.Point{
-		Measurement: tsdb.MeasurementName(s.Metric),
-		Fields:      make(map[string]float64, len(s.Values)),
-		Time:        timeNanos,
-	}
+	p := tsdb.Point{Measurement: tsdb.MeasurementName(s.Metric), Fields: s.Values, Time: timeNanos}
 	if tag != "" {
 		p.Tags = map[string]string{"tag": tag}
-	}
-	for f, v := range s.Values {
-		p.Fields[f] = v
 	}
 	return p
 }

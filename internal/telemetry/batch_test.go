@@ -134,3 +134,58 @@ func TestOfferBatchFailureSpillsWhole(t *testing.T) {
 		t.Fatal("non-degraded batch failure did not abort")
 	}
 }
+
+// TestOfferLeavesSamplesAsOffered: a point's fields are its sample's map,
+// not a copy, so the collector must never write one. A plain tick stores
+// the values offered, a tick spilled in an outage replays them, a
+// zero-batch tick stores zeros from a map of its own, and no tick leaves
+// a sample other than it was offered.
+func TestOfferLeavesSamplesAsOffered(t *testing.T) {
+	ctx := context.Background()
+	cfg := DefaultPipeline()
+	cfg.StallProb = 0
+	cfg.Degraded = true
+	col := NewCollector(nil, cfg)
+	sw := &switchSink{db: tsdb.New()}
+	col.Sink = sw
+	offered := make([][]Sample, 3)
+	for tick := range offered {
+		ss := make([]Sample, 5)
+		for i := range ss {
+			ss[i] = Sample{Metric: fmt.Sprintf("kernel.metric%d", i), Values: map[string]float64{}}
+			for c := 0; c < 4; c++ {
+				ss[i].Values[fmt.Sprintf("_cpu%d", c)] = float64(100*tick + 10*i + c + 1)
+			}
+		}
+		if p := ToPoint(ss[0], "t", 0); reflect.ValueOf(p.Fields).Pointer() != reflect.ValueOf(ss[0].Values).Pointer() {
+			t.Fatal("ToPoint copied the sample's map")
+		}
+		before := fmt.Sprint(ss) // fmt prints a map in key order
+		sw.down = tick == 1
+		if err := col.OfferContext(ctx, float64(tick), ss, "t", tick == 2); err != nil {
+			t.Fatal(err)
+		}
+		if after := fmt.Sprint(ss); after != before {
+			t.Fatalf("tick %d: offering wrote its samples:\n%s\nwas\n%s", tick, after, before)
+		}
+		offered[tick] = ss
+	}
+	if left := col.ReplayContext(ctx); left != 0 || col.Spilled != 20 || col.Replayed != 20 || col.Zeros != 20 {
+		t.Fatalf("%d points journalled, %d spilled, %d replayed, %d zeros; want 0, 20, 20, 20", left, col.Spilled, col.Replayed, col.Zeros)
+	}
+	for i, s := range offered[0] {
+		res, err := sw.db.ExecuteContext(ctx, tsdb.QueryRequest{Query: &tsdb.Query{Measurement: tsdb.MeasurementName(s.Metric), Fields: []string{"*"}}})
+		if err != nil || len(res.Rows) != len(offered) {
+			t.Fatalf("%s: %v, %d rows; want %d", s.Metric, err, len(res.Rows), len(offered))
+		}
+		for tick, row := range res.Rows {
+			want := offered[tick][i].Values
+			if tick == 2 {
+				want = map[string]float64{"_cpu0": 0, "_cpu1": 0, "_cpu2": 0, "_cpu3": 0}
+			}
+			if row.Time != int64(tick)*1e9 || !reflect.DeepEqual(row.Values, want) {
+				t.Fatalf("%s, tick %d: stored %d %v, want %v", s.Metric, tick, row.Time, row.Values, want)
+			}
+		}
+	}
+}

@@ -399,3 +399,37 @@ func BenchmarkSampleTick(b *testing.B) {
 		}
 	}
 }
+
+// discardSink takes every batch and keeps nothing.
+type discardSink struct{}
+
+func (discardSink) WriteBatchContext(context.Context, []tsdb.Point) error { return nil }
+
+// BenchmarkOffer: one skx tick, five metrics across 88 threads, offered
+// into a sink that discards it: what the collector itself costs a tick.
+func BenchmarkOffer(b *testing.B) {
+	p, metrics := tickMetrics(b)
+	var tick []Sample
+	for _, metric := range metrics {
+		s, err := p.Sample(metric)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tick = append(tick, s)
+	}
+	cfg := DefaultPipeline()
+	cfg.StallProb = 0
+	col := NewCollector(nil, cfg)
+	col.Sink = discardSink{}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := col.OfferContext(ctx, float64(i), tick, "t", false); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if col.Lost != 0 {
+		b.Fatalf("%d values lost: the pipeline was still busy", col.Lost)
+	}
+}

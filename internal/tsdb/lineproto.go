@@ -41,17 +41,17 @@ var (
 // the point has at most 16 tags and fields.
 func AppendLine(dst []byte, p *Point) ([]byte, error) {
 	var stack [16]rowKV
-	dst, _, err := appendLine(dst, p, stack[:0])
+	dst, _, err := appendLine(dst, p, stack[:0], nil)
 	return dst, err
 }
 
 // appendLine is AppendLine with its key scratch passed in, and handed
-// back grown to fit p, so the points of a batch share one.
-func appendLine(dst []byte, p *Point, kvs []rowKV) ([]byte, []rowKV, error) {
+// back grown to fit p, its sorted fields first, so a batch shares one.
+func appendLine(dst []byte, p *Point, kvs, prev []rowKV) ([]byte, []rowKV, error) {
 	if n := len(p.Tags) + len(p.Fields); n > cap(kvs) {
 		kvs = make([]rowKV, 0, n)
 	}
-	r, kvs, err := pointRow(p, kvs[:0])
+	r, kvs, err := pointRow(p, kvs[:0], prev)
 	if err != nil {
 		return dst, kvs, err
 	}
@@ -143,10 +143,12 @@ func putRowBuf(rb *rowBuf) {
 	}
 }
 
-// pointRow validates p — Point.Validate's checks, in its order — as it
+// pointRow validates p — Point.Validate's checks, in its order — and
 // collects it, tags and fields sorted as a line is encoded, into a row at
 // the end of kvs, which it returns too. A rejected point leaves kvs as it was.
-func pointRow(p *Point, kvs []rowKV) (row, []rowKV, error) {
+// prev is the batch's previous row's fields, which kvs may overlay: a p
+// with as many is read in their order, unsorted, unless a key is missing.
+func pointRow(p *Point, kvs, prev []rowKV) (row, []rowKV, error) {
 	f0 := len(kvs)
 	if p.Measurement == "" {
 		return row{}, kvs, errNoMeasurement
@@ -154,11 +156,22 @@ func pointRow(p *Point, kvs []rowKV) (row, []rowKV, error) {
 	if len(p.Fields) == 0 {
 		return row{}, kvs, fmt.Errorf("tsdb: point in %q has no fields", p.Measurement)
 	}
-	for k, v := range p.Fields {
-		if err := validField(p.Measurement, k, v); err != nil {
+	sorted := len(prev) == len(p.Fields)
+	for i := 0; sorted && i < len(prev); i++ {
+		v, ok := p.Fields[prev[i].key]
+		kvs, sorted = append(kvs, rowKV{key: prev[i].key, num: v}), ok
+	}
+	if !sorted {
+		kvs = kvs[:f0]
+		for k, v := range p.Fields {
+			kvs = append(kvs, rowKV{key: k, num: v})
+		}
+		sortKeys(kvs[f0:])
+	}
+	for _, f := range kvs[f0:] {
+		if err := validField(p.Measurement, f.key, f.num); err != nil {
 			return row{}, kvs[:f0], err
 		}
-		kvs = append(kvs, rowKV{key: k, num: v})
 	}
 	t0 := len(kvs)
 	for k, v := range p.Tags {
@@ -169,7 +182,6 @@ func pointRow(p *Point, kvs []rowKV) (row, []rowKV, error) {
 	}
 	r := row{meas: p.Measurement, tags: kvs[t0:], fields: kvs[f0:t0], time: p.Time}
 	sortKeys(r.tags)
-	sortKeys(r.fields)
 	return r, kvs, nil
 }
 

@@ -410,23 +410,24 @@ func (c *Client) WriteBatchContext(ctx context.Context, ps []Point) error {
 }
 
 // batchBody encodes a WRITEB body, a line and a newline per point, through
-// one key scratch, into room for names and numbers of the usual widths.
+// one key scratch, into room for names and numbers of the usual widths;
+// each point's fields are read in its predecessor's key order.
 func batchBody(ps []Point) ([]byte, error) {
 	size := 0
 	for i := range ps {
 		size += len(ps[i].Measurement) + 32*(len(ps[i].Tags)+len(ps[i].Fields)) + 24
 	}
 	body := make([]byte, 0, size)
-	var kvs []rowKV
+	var kvs, prev []rowKV
 	for i := range ps {
-		line, grown, err := appendLine(body, &ps[i], kvs)
+		line, grown, err := appendLine(body, &ps[i], kvs, prev)
 		if err == nil && bytes.IndexByte(line[len(body):], '\n') >= 0 {
 			err = fmt.Errorf("%w: point in %q", ErrLineBreak, ps[i].Measurement)
 		}
 		if err != nil {
 			return nil, &BatchError{Index: i, Err: err}
 		}
-		body, kvs = append(line, '\n'), grown
+		body, kvs, prev = append(line, '\n'), grown, grown[:len(ps[i].Fields)]
 	}
 	return body, nil
 }

@@ -309,12 +309,13 @@ func (db *DB) WriteBatchContext(ctx context.Context, ps []Point) error {
 	}
 	// Each point becomes a row once, before any lock, as a frame's lines do.
 	rb := getRowBuf()
+	var prev []rowKV // the key order the next point is read in
 	for i := range ps {
-		r, kvs, err := pointRow(&ps[i], rb.kvs)
+		r, kvs, err := pointRow(&ps[i], rb.kvs, prev)
 		if err != nil {
 			return &BatchError{Index: i, Err: err} // rb is not kept
 		}
-		rb.rows, rb.kvs = append(rb.rows, r), kvs
+		rb.rows, rb.kvs, prev = append(rb.rows, r), kvs, r.fields
 	}
 	err := db.commit(rb)
 	putRowBuf(rb)

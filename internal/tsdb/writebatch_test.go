@@ -64,6 +64,29 @@ func BenchmarkWriteBatch(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ps)), "ns/point")
 		})
 	}
+	// A monitoring tick on skx, five metrics across 88 threads, each row
+	// its own map as each sample is: the client's WRITEB body, then the
+	// same batch into memory.
+	b.Run("tick", func(b *testing.B) {
+		db, ctx := New(), context.Background()
+		ps := make([]Point, 5)
+		for i := range ps {
+			ps[i] = codecRow(88)
+			ps[i].Measurement += strconv.Itoa(i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for n := 0; n < b.N; n++ {
+			retime(ps, n)
+			if _, err := batchBody(ps); err != nil {
+				b.Fatal(err)
+			}
+			if err := db.WriteBatchContext(ctx, ps); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ps)), "ns/point")
+	})
 }
 
 // floatSets are the value sets the speller is measured and checked on:
@@ -447,5 +470,141 @@ func TestClientBodyAllocations(t *testing.T) {
 	}
 	if !bytes.Equal(body, want) {
 		t.Fatalf("body differs from the lines EncodeLine prints")
+	}
+}
+
+// keyedRow is the i-th point of measurement m, its fields keys with
+// values from rng, put into a fresh map in a shuffled order.
+func keyedRow(rng *rand.Rand, i int, keys []string) Point {
+	p := Point{Measurement: "m", Tags: map[string]string{"host": "h0"},
+		Fields: make(map[string]float64, len(keys)), Time: int64(i)}
+	for _, j := range rng.Perm(len(keys)) {
+		p.Fields[keys[j]] = float64(rng.Intn(65537)) / 8
+	}
+	return p
+}
+
+// walLines returns the lines of a durable store's log, record by record
+// and item by item, closing the store.
+func walLines(t *testing.T, db *DB) []string {
+	t.Helper()
+	recs, _, err := storage.DecodeAll(walImage(t, db))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for _, r := range recs {
+		items := [][]byte{r.Data}
+		if storage.IsBatchBody(r.Data) {
+			if items, err = storage.DecodeBatchBody(r.Data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, it := range items {
+			lines = append(lines, string(it))
+		}
+	}
+	return lines
+}
+
+// TestRememberedKeyOrder: a batch reads each point's fields in the key
+// order of the point before it, and sorts only a point whose key set
+// differs. Whatever the sets do from row to row, the client's WRITEB
+// body is the points' AppendLine lines, and the embedded batch stores —
+// in memory and in its WAL — what writing the points one by one stores.
+func TestRememberedKeyOrder(t *testing.T) {
+	ctx := context.Background()
+	for _, n := range []int{5, 20} { // an insertion sort, and slices.SortFunc
+		rng := rand.New(rand.NewSource(int64(n)))
+		keys := make([]string, n)
+		for i := range keys {
+			keys[i] = fmt.Sprintf("k%02d", i)
+		}
+		batch := func(keysOf func(i int) []string) []Point {
+			ps := make([]Point, 6)
+			for i := range ps {
+				ps[i] = keyedRow(rng, i, keysOf(i))
+			}
+			return ps
+		}
+		renamed := append(append([]string(nil), keys[:n-1]...), "a") // the miss is the last lookup
+		cases := map[string][]Point{
+			"same keys in other map orders": batch(func(int) []string { return keys }),
+			"a field added":                 batch(func(i int) []string { return append(keys[:n:n], "k99")[:n+min(i%3, 1)] }),
+			"a field removed":               batch(func(i int) []string { return keys[:n-i%2] }),
+			"the last key renamed": batch(func(i int) []string {
+				if i%3 == 1 {
+					return renamed
+				}
+				return keys
+			}),
+		}
+		varied := batch(func(int) []string { return keys })
+		for i := range varied {
+			varied[i].Tags = map[string]string{"host": fmt.Sprintf("h%d", i%2)}
+			if i%3 == 0 {
+				varied[i].Tags["rack"] = "r" + strconv.Itoa(i)
+			}
+		}
+		cases["tags that vary"] = varied
+		for name, ps := range cases {
+			label := fmt.Sprintf("%d keys, %s", n, name)
+			var want []byte
+			var lines []string
+			for i := range ps {
+				line, err := AppendLine(nil, &ps[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(append(want, line...), '\n')
+				lines = append(lines, string(line))
+			}
+			if body, err := batchBody(ps); err != nil || !bytes.Equal(body, want) {
+				t.Fatalf("%s: WRITEB body (%v)\n%s\nwant the lines\n%s", label, err, body, want)
+			}
+			batched, err := Open(t.TempDir(), storage.FsyncNever)
+			if err != nil {
+				t.Fatal(err)
+			}
+			single, err := Open(t.TempDir(), storage.FsyncNever)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := batched.WriteBatchContext(ctx, ps); err != nil {
+				t.Fatal(err)
+			}
+			for i := range ps {
+				if err := single.WriteBatchContext(ctx, ps[i:i+1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, want := fmt.Sprint(rawRows(t, batched, "m")), fmt.Sprint(rawRows(t, single, "m")); got != want {
+				t.Fatalf("%s: the batch stores\n%s\npoint by point\n%s", label, got, want)
+			}
+			bl, sl := walLines(t, batched), walLines(t, single)
+			if fmt.Sprint(bl) != fmt.Sprint(lines) || fmt.Sprint(sl) != fmt.Sprint(lines) {
+				t.Fatalf("%s: WAL lines\nbatched %q\nsingle  %q\nwant    %q", label, bl, sl, lines)
+			}
+		}
+
+		// A NaN partway through a row read in the remembered order fails
+		// the batch at that row, before anything lands.
+		ps := cases["same keys in other map orders"]
+		ps[3].Fields[keys[n/2]] = math.NaN()
+		var be *BatchError
+		if _, err := batchBody(ps); !errors.As(err, &be) || be.Index != 3 || !errors.Is(err, ErrNonFiniteField) {
+			t.Fatalf("%d keys: WRITEB body with a NaN in row 3: %v", n, err)
+		}
+		db, err := Open(t.TempDir(), storage.FsyncNever)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.WriteBatchContext(ctx, ps); !errors.As(err, &be) || be.Index != 3 || be.Applied != 0 {
+			t.Fatalf("%d keys: a batch with a NaN in row 3: %v, want *BatchError{Index: 3, Applied: 0}", n, err)
+		}
+		if p, v := db.Stats(); p != 0 || v != 0 || walSize(t, db) != 0 {
+			t.Fatalf("%d keys: the rejected batch left %d rows, %d values, %d WAL bytes", n, p, v, walSize(t, db))
+		}
+		db.Close()
 	}
 }
