@@ -405,15 +405,15 @@ type discardSink struct{}
 
 func (discardSink) WriteBatchContext(context.Context, []tsdb.Point) error { return nil }
 
-// BenchmarkOffer: one skx tick, five metrics across 88 threads, offered
-// into a sink that discards it: what the collector itself costs a tick.
-func BenchmarkOffer(b *testing.B) {
-	p, metrics := tickMetrics(b)
+// offerTick returns one skx tick, five metrics across 88 threads, and a
+// collector that offers it into a sink that discards it.
+func offerTick(tb testing.TB) (*Collector, []Sample) {
+	p, metrics := tickMetrics(tb)
 	var tick []Sample
 	for _, metric := range metrics {
 		s, err := p.Sample(metric)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		tick = append(tick, s)
 	}
@@ -421,6 +421,29 @@ func BenchmarkOffer(b *testing.B) {
 	cfg.StallProb = 0
 	col := NewCollector(nil, cfg)
 	col.Sink = discardSink{}
+	return col, tick
+}
+
+// TestOfferAllocations: a collector spells each metric's measurement name
+// and builds a tag's map once, so a tick allocates its batch and nothing
+// per sample.
+func TestOfferAllocations(t *testing.T) {
+	col, tick := offerTick(t)
+	ctx, now := context.Background(), 0.0
+	offer := func() {
+		now++
+		if err := col.OfferContext(ctx, now, tick, "t", false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, offer); n > 1 || col.Lost != 0 {
+		t.Errorf("offering a tick of %d samples: %v allocations, %d values lost; want 1 (the batch), none lost", len(tick), n, col.Lost)
+	}
+}
+
+// BenchmarkOffer: what the collector itself costs a tick (offerTick).
+func BenchmarkOffer(b *testing.B) {
+	col, tick := offerTick(b)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -196,10 +197,10 @@ func (u unit) columns(names []string, from, to int64, sc *scratch) (lo, hi int, 
 	if u.side != nil {
 		lateT = u.side.times
 	}
+	// The scratch grows geometrically: a head gains a row a tick, and a
+	// column sized to it exactly would not fit the next query's.
 	n := u.b.rows + len(lateT)
-	if cap(sc.times) < n {
-		sc.times = make([]int64, n)
-	}
+	sc.times = slices.Grow(sc.times[:0], n)[:n]
 	if sc.times, err = u.b.decodeTimes(sc.times); err != nil {
 		return 0, 0, err
 	}
@@ -221,10 +222,7 @@ func (u unit) columns(names []string, from, to int64, sc *scratch) (lo, hi int, 
 			sc.cols[i] = nil
 			continue
 		}
-		col := sc.cols[i]
-		if cap(col) < n {
-			col = make([]float64, n)
-		}
+		col := slices.Grow(sc.cols[i][:0], n)[:n]
 		if col, err = u.b.decodeField(fi, col); err != nil {
 			return 0, 0, err
 		}

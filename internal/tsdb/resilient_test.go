@@ -27,7 +27,7 @@ func testPolicy() resilience.Policy {
 	}
 }
 
-func startServer(t *testing.T, db *DB) (*Server, string) {
+func startServer(t testing.TB, db *DB) (*Server, string) {
 	t.Helper()
 	srv := NewServer(db)
 	addr, err := srv.Listen("127.0.0.1:0")

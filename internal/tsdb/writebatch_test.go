@@ -78,9 +78,12 @@ func BenchmarkWriteBatch(b *testing.B) {
 		b.ResetTimer()
 		for n := 0; n < b.N; n++ {
 			retime(ps, n)
-			if _, err := batchBody(ps); err != nil {
+			fb := getFrameBuf()
+			var err error
+			if fb.body, fb.kvs, err = batchBody(fb.body, fb.kvs, ps); err != nil {
 				b.Fatal(err)
 			}
+			putFrameBuf(fb)
 			if err := db.WriteBatchContext(ctx, ps); err != nil {
 				b.Fatal(err)
 			}
@@ -452,7 +455,7 @@ func walSize(t *testing.T, db *DB) int {
 }
 
 // TestClientBodyAllocations: a skx tick of 5 points × 88 fields encodes
-// into its WRITEB body with the body and one key scratch for the batch.
+// into its WRITEB body without allocating, in a pooled frame buffer.
 func TestClientBodyAllocations(t *testing.T) {
 	ps := make([]Point, 5)
 	for i := range ps {
@@ -460,8 +463,13 @@ func TestClientBodyAllocations(t *testing.T) {
 		ps[i].Time += int64(i)
 	}
 	var body []byte
-	if n := testing.AllocsPerRun(100, func() { body, _ = batchBody(ps) }); n > 2 {
-		t.Errorf("a 5×88 WRITEB body: %v allocations, want at most 2 (the body and one scratch)", n)
+	if n := testing.AllocsPerRun(100, func() {
+		fb := getFrameBuf()
+		fb.body, fb.kvs, _ = batchBody(fb.body, fb.kvs, ps)
+		body = append(body[:0], fb.body...)
+		putFrameBuf(fb)
+	}); n > 0 && !raceEnabled { // the race detector drops pooled objects at random
+		t.Errorf("a 5×88 WRITEB body: %v allocations, want none from a pooled buffer", n)
 	}
 	var want []byte
 	for i := range ps {
@@ -559,7 +567,7 @@ func TestRememberedKeyOrder(t *testing.T) {
 				want = append(append(want, line...), '\n')
 				lines = append(lines, string(line))
 			}
-			if body, err := batchBody(ps); err != nil || !bytes.Equal(body, want) {
+			if body, _, err := batchBody(nil, nil, ps); err != nil || !bytes.Equal(body, want) {
 				t.Fatalf("%s: WRITEB body (%v)\n%s\nwant the lines\n%s", label, err, body, want)
 			}
 			batched, err := Open(t.TempDir(), storage.FsyncNever)
@@ -592,7 +600,7 @@ func TestRememberedKeyOrder(t *testing.T) {
 		ps := cases["same keys in other map orders"]
 		ps[3].Fields[keys[n/2]] = math.NaN()
 		var be *BatchError
-		if _, err := batchBody(ps); !errors.As(err, &be) || be.Index != 3 || !errors.Is(err, ErrNonFiniteField) {
+		if _, _, err := batchBody(nil, nil, ps); !errors.As(err, &be) || be.Index != 3 || !errors.Is(err, ErrNonFiniteField) {
 			t.Fatalf("%d keys: WRITEB body with a NaN in row 3: %v", n, err)
 		}
 		db, err := Open(t.TempDir(), storage.FsyncNever)
