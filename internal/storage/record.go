@@ -68,15 +68,15 @@ func AppendRecord(buf []byte, seq uint64, data []byte) ([]byte, error) {
 	if len(data) > MaxRecord {
 		return buf, fmt.Errorf("storage: record data %d bytes exceeds MaxRecord %d", len(data), MaxRecord)
 	}
-	payloadLen := seqSize + len(data)
-	var hdr [frameHeaderSize + seqSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(payloadLen))
-	binary.LittleEndian.PutUint64(hdr[8:16], seq)
-	crc := crc32.Update(0, castagnoli, hdr[8:16])
-	crc = crc32.Update(crc, castagnoli, data)
-	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-	buf = append(buf, hdr[:]...)
-	return append(buf, data...), nil
+	// The frame goes into buf whole and its CRC is taken there: a header
+	// of its own would escape through crc32.Update, an allocation a record.
+	start := len(buf)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(seqSize+len(data)))
+	buf = binary.LittleEndian.AppendUint32(buf, 0) // the CRC, below
+	buf = binary.LittleEndian.AppendUint64(buf, seq)
+	buf = append(buf, data...)
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(buf[start+frameHeaderSize:], castagnoli))
+	return buf, nil
 }
 
 // DecodeRecord decodes the first record in b, returning it and the

@@ -65,6 +65,25 @@ func TestRecordRejectsOversize(t *testing.T) {
 	}
 }
 
+// TestAppendRecordAllocations: a frame appended into a buffer with room
+// for it allocates nothing, its header and CRC included, and its bytes
+// are those of the frame appended into an empty buffer.
+func TestAppendRecordAllocations(t *testing.T) {
+	data := bytes.Repeat([]byte("cpu,host=h0 f0=1.5 1\n"), 64)
+	want, err := AppendRecord(nil, 42, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, 2*len(want))
+	if n := testing.AllocsPerRun(100, func() { buf, _ = AppendRecord(buf[:0], 42, data) }); n != 0 {
+		t.Errorf("AppendRecord into a buffer with room: %v allocations, want 0", n)
+	}
+	prefixed, _ := AppendRecord([]byte("head"), 42, data)
+	if !bytes.Equal(buf, want) || !bytes.Equal(prefixed[4:], want) {
+		t.Fatalf("the frame's bytes depend on the buffer it is appended to")
+	}
+}
+
 // TestOpenEmptyWAL: a missing file and a zero-byte file both recover to
 // an empty, appendable log.
 func TestOpenEmptyWAL(t *testing.T) {

@@ -10,9 +10,9 @@ import (
 // Columnar series storage. A series is identified by (measurement,
 // canonical tag set) and holds its samples as a run of sealed compressed
 // blocks plus a head that takes new rows: an open block (block.go),
-// compressed as rows arrive in time order, and a side run holding the
-// rows that arrived late. The head seals into a block when it reaches
-// blockRows.
+// compressed as rows arrive in time order, and a side run holding late
+// rows — a batch lands in time order, so only those older than the
+// head's rows from an earlier batch. It seals at blockRows rows.
 //
 // The head's rows, in scan order, are the open block's merged with the
 // side run's by time, open rows first on equal times: a late row at time

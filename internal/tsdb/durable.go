@@ -85,7 +85,7 @@ func (db *DB) replay(rec storage.Recovered) error {
 				return err
 			}
 		}
-		db.insertBatch(rb.rows)
+		db.insertBatch(&rb)
 	}
 	return nil
 }

@@ -248,8 +248,8 @@ func frameOf(rows, fields int) (frame []byte, lines []string) {
 }
 
 // TestServerBatchAllocations: what a warm connection allocates for a
-// canonical frame — its header line, the written measurements, the WAL
-// frame's header and the ack, the body being a pooled buffer — does not
+// canonical frame — its header line and the ack, the body being a pooled
+// buffer and the written measurements and WAL frame scratch — does not
 // depend on how many fields a row has, and neither does a warm replay of
 // the record: no object per field anywhere between the socket and the head.
 func TestServerBatchAllocations(t *testing.T) {
@@ -314,10 +314,10 @@ func TestServerBatchAllocations(t *testing.T) {
 		perReplay[fields] = (testing.AllocsPerRun(5, replay(log51)) - testing.AllocsPerRun(5, replay(log1))) / 50
 	}
 	t.Logf("objects per 5-row frame: %v, per replayed record: %v", perFrame, perReplay)
-	if perFrame[8] != perFrame[88] || perFrame[8] > 4 {
+	if perFrame[8] != perFrame[88] || perFrame[8] > 2 {
 		t.Errorf("a 5-row frame allocates %v objects at 8 fields a row and %v at 88; want the same few", perFrame[8], perFrame[88])
 	}
-	if perReplay[8] != perReplay[88] || perReplay[8] > 8 {
+	if perReplay[8] != perReplay[88] || perReplay[8] > 6 {
 		t.Errorf("replaying a 5-row record allocates %v objects at 8 fields a row and %v at 88; want the same few", perReplay[8], perReplay[88])
 	}
 }

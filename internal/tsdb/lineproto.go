@@ -102,15 +102,17 @@ func sortKeys(kvs []rowKV) {
 	}
 }
 
-// rowBuf is the flat scratch the rows of a batch are built in: one header
-// per row over one slice of all their tags and fields, and the WAL record
-// printed from them. A row keeps slices of the backing array as it was
-// then, so a rowBuf is appended to, not edited.
+// rowBuf is the flat scratch a batch is built in: one header per row over
+// one slice of all their tags and fields, the WAL record printed from
+// them, and insertBatch's scratch. A row keeps slices of the backing
+// array as it was then, so a rowBuf is appended to, not edited.
 type rowBuf struct {
 	rows     []row
 	kvs      []rowKV
 	rec      []byte
-	verbatim int // rows scanned from a canonical line
+	order    []int    // rows' indices in time order, if they are out of it
+	written  []string // the distinct measurements of rows
+	verbatim int      // rows scanned from a canonical line
 }
 
 // spares keeps the rowBufs of finished batches for the next, one for each
@@ -137,7 +139,8 @@ func putRowBuf(rb *rowBuf) {
 	}
 	clear(rb.rows)
 	clear(rb.kvs)
-	*rb = rowBuf{rows: rb.rows[:0], kvs: rb.kvs[:0], rec: rb.rec[:0]}
+	clear(rb.written)
+	*rb = rowBuf{rows: rb.rows[:0], kvs: rb.kvs[:0], rec: rb.rec[:0], order: rb.order[:0], written: rb.written[:0]}
 	if !spares[0].CompareAndSwap(nil, rb) {
 		spares[1].CompareAndSwap(nil, rb)
 	}

@@ -24,6 +24,7 @@
 package tsdb
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -364,26 +365,45 @@ func (db *DB) commit(rb *rowBuf) error {
 			return &BatchError{Index: 0, Err: fmt.Errorf("tsdb: wal append: %w", err)}
 		}
 	}
-	for _, name := range db.insertBatch(rb.rows) {
+	db.insertBatch(rb)
+	for _, name := range rb.written {
 		db.qcache.invalidate(name)
 	}
 	return nil
 }
 
-// insertBatch lands validated rows in memory in input order under one
-// hold of the data lock, and returns the distinct measurements written.
-// Consecutive rows of the same measurement skip the map lookup. Live
+// insertBatch lands rb's validated rows in memory under one hold of the
+// data lock, in time order, stable — sorted before the lock through
+// rb.order — so only a row older than an earlier batch's is late; new
+// series still come to be in arrival order, the scan's order of equal
+// times across series. rb.written keeps the measurements written. Live
 // writes, wire frames and WAL replay share it.
-func (db *DB) insertBatch(rows []row) (written []string) {
+func (db *DB) insertBatch(rb *rowBuf) {
+	rows, order := rb.rows, rb.order[:0]
+	if !slices.IsSortedFunc(rows, func(a, b row) int { return cmp.Compare(a.time, b.time) }) {
+		for i := range rows {
+			order = append(order, i)
+		}
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(rows[a].time, rows[b].time) })
+	}
+	rb.order, rb.written = order, rb.written[:0]
 	db.data.Lock()
 	defer db.data.Unlock()
+	for i := range len(order) {
+		if r := &rows[i]; i == 0 || r.meas != rows[i-1].meas || !slices.Equal(r.tags, rows[i-1].tags) {
+			db.seriesFor(db.measurementFor(r.meas), r.tags)
+		}
+	}
 	var m *measurement
 	for i := range rows {
 		r := &rows[i]
+		if len(order) > 0 {
+			r = &rows[order[i]]
+		}
 		if m == nil || r.meas != m.name {
 			m = db.measurementFor(r.meas)
-			if !slices.Contains(written, m.name) {
-				written = append(written, m.name)
+			if !slices.Contains(rb.written, m.name) {
+				rb.written = append(rb.written, m.name)
 			}
 		}
 		db.insertSeriesRow(db.seriesFor(m, r.tags), r.time, r.fields)
@@ -391,7 +411,6 @@ func (db *DB) insertBatch(rows []row) (written []string) {
 	}
 	db.points += uint64(len(rows))
 	db.publishStorageGauges()
-	return written
 }
 
 // Measurements lists all measurement names, sorted.
