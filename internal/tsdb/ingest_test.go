@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -319,6 +320,54 @@ func TestServerBatchAllocations(t *testing.T) {
 	}
 	if perReplay[8] != perReplay[88] || perReplay[8] > 6 {
 		t.Errorf("replaying a 5-row record allocates %v objects at 8 fields a row and %v at 88; want the same few", perReplay[8], perReplay[88])
+	}
+}
+
+// TestServerQueryAllocations: what a warm connection allocates to answer
+// a cached aggregate shaped like a live_monitor panel refresh — count and
+// mean over 16 windows, a reply of more than a kilobyte — is a fixed few
+// objects: the reply is encoded into the connection's writer, not into a
+// buffer of its own.
+func TestServerQueryAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are held without the race detector")
+	}
+	db := New()
+	ps := make([]Point, 256)
+	for i := range ps {
+		ps[i] = Point{Measurement: "m", Tags: map[string]string{"host": "a"},
+			Fields: map[string]float64{"v": float64(i) / 3}, Time: int64(i+1) * int64(time.Second)}
+	}
+	if err := db.WriteBatchContext(context.Background(), ps); err != nil {
+		t.Fatal(err)
+	}
+	srv, addr := startServer(t, db)
+	defer srv.Close()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	stmt := []byte(`QUERY SELECT count("v"), mean("v") FROM "m" GROUP BY time(16s)` + "\n")
+	r := bufio.NewReaderSize(conn, 64<<10)
+	var reply []byte
+	send := func() {
+		if _, err := conn.Write(stmt); err != nil {
+			t.Fatal(err)
+		}
+		if reply, err = r.ReadSlice('\n'); err != nil || bytes.HasPrefix(reply, []byte("ERR")) {
+			t.Fatalf("reply %q, %v", reply, err)
+		}
+	}
+	send() // the first answer fills the cache
+	n := testing.AllocsPerRun(100, send)
+	t.Logf("objects per %d-byte reply: %v", len(reply), n)
+	if len(reply) < 1024 {
+		t.Fatalf("reply of %d bytes, want a panel refresh's kilobyte or more", len(reply))
+	}
+	if n > 30 {
+		t.Errorf("a cached aggregate's reply allocates %v objects; want at most 30", n)
 	}
 }
 

@@ -327,3 +327,52 @@ func TestClientSurvivesInjectedFaults(t *testing.T) {
 		})
 	}
 }
+
+// TestClientPingDropsDesyncedWire: a PING answered with anything but PONG
+// fails the call and drops the wire, as the resync probe does, so the
+// next op redials instead of reading its reply off a stream out of step.
+func TestClientPingDropsDesyncedWire(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for n := 0; ; n++ {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(first bool) {
+				defer conn.Close()
+				sc := bufio.NewScanner(conn)
+				for line := 0; sc.Scan(); line++ {
+					reply := "PONG\n"
+					if first && line == 1 {
+						reply = "OK 1\n" // the first wire's second PING
+					}
+					if _, err := conn.Write([]byte(reply)); err != nil {
+						return
+					}
+				}
+			}(n == 0)
+		}
+	}()
+	pol := testPolicy()
+	pol.MaxRetries = 0
+	c, err := DialPolicy(ln.Addr().String(), pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	if err := c.PingContext(ctx); err == nil || !strings.Contains(err.Error(), "unexpected ping response") {
+		t.Fatalf("PING answered out of step: %v, want the unexpected response", err)
+	}
+	if err := c.PingContext(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if d := c.Stats().Dials; d != 2 {
+		t.Fatalf("%d dials, want 2: the out-of-step wire is dropped, not reused", d)
+	}
+}

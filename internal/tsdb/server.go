@@ -6,6 +6,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"strconv"
 	"strings"
 	"sync"
@@ -13,8 +14,8 @@ import (
 	"unsafe"
 
 	"pmove/internal/introspect"
+	"pmove/internal/introspect/logbuf"
 	"pmove/internal/resilience"
-	"pmove/internal/wire"
 )
 
 // MaxBatchPoints bounds one WRITEB frame. The bound keeps a malicious
@@ -57,13 +58,23 @@ const dedupWindowSize = 1024
 // the connection is closed, because the server cannot know how many
 // lines the client will send next. Like QUERY, the header may carry a
 // leading traceparent= token. Any other verb gets "ERR unknown command"
-// and leaves the stream in sync.
+// and leaves the stream in sync. A line over maxLine gets "ERR line too
+// long" and the connection is closed.
 //
 // The host runs one of these for the target's telemetry shippers (Figure
 // 3: "the host runs ... InfluxDB").
 type Server struct {
-	*skeleton
 	db *DB
+
+	mu     sync.Mutex
+	ln     net.Listener
+	closed bool
+	conns  map[net.Conn]struct{}
+	wg     sync.WaitGroup
+	in     *introspect.Introspector
+	log    *logbuf.Logger
+	slow   time.Duration
+
 	// tokens is the batch-token table: false while the token's apply is
 	// under way, true once it has applied. A retry racing its own first
 	// attempt on another connection waits on tokensDone for that apply to
@@ -77,48 +88,167 @@ type Server struct {
 	tokensDone *sync.Cond
 }
 
-// skeleton names wire.Server so that embedding it promotes Listen, Serve,
-// Close and SetLogger without exporting a Server.Server field.
-type skeleton = wire.Server
+// maxLine caps a request or body line: a longer one ends the session.
+const maxLine = 8 << 20
 
-// NewServer wraps a DB.
+// NewServer wraps a DB; the server is not yet listening.
 func NewServer(db *DB) *Server {
-	s := &Server{
+	return &Server{
 		db:         db,
+		conns:      map[net.Conn]struct{}{},
 		tokens:     make(map[string]bool, dedupWindowSize),
 		ring:       make([]string, dedupWindowSize),
 		tokensDone: sync.NewCond(&sync.Mutex{}),
 	}
-	s.skeleton = wire.NewServer(wire.Proto{
-		Name: "tsdb", OpKey: "cmd", MaxLine: 8 << 20,
-		Handle:    s.serve,
-		ErrorLine: func(w *bufio.Writer, msg string) { fmt.Fprintf(w, "ERR %s\n", msg) },
-		// Flush-on-close barrier: every accepted write has completed its
-		// WAL append; one sync makes the whole accepted prefix durable
-		// even under fsync=interval/never.
-		Flush: db.Sync,
-	})
-	return s
 }
 
-// SetTracing attaches an introspector whose tracer records server-side
-// spans (tsdb.server.writeb with queue/parse/insert children, ...); see
-// wire.Server.SetTracing.
+// SetTracing attaches the introspector whose tracer records server-side
+// spans (tsdb.server.writeb with queue/parse/insert children, ...): a
+// request carrying a traceparent joins the caller's distributed trace,
+// an untagged one opens a local root. Nil (the default) disables server
+// tracing.
 func (s *Server) SetTracing(in *introspect.Introspector) {
-	s.skeleton.SetTracing(in)
+	s.mu.Lock()
+	s.in = in
+	s.mu.Unlock()
 	// The served DB's query-cache counters belong to the same
 	// self-observability plane (pmove.self.query.cache.*).
 	s.db.SetIntrospection(in)
 }
 
-// serve dispatches one request line to its verb.
-func (s *Server) serve(c *wire.Conn) bool {
-	line := c.Sc.Text()
+// SetLogger attaches a structured log ring (conventionally a
+// "tsdb.server" component child). Ops slower than slowThreshold emit a
+// warn record carrying the op's wire traceparent, so a slow server-side
+// op joins the client span that carried it on the same 128-bit trace
+// id; a zero threshold logs every op, a negative one disables the
+// slow-op path (failed ops are still logged). A nil logger disables
+// everything. A live connection reads the settings once per request.
+func (s *Server) SetLogger(lg *logbuf.Logger, slowThreshold time.Duration) {
+	s.mu.Lock()
+	s.log = lg
+	s.slow = slowThreshold
+	s.mu.Unlock()
+}
+
+// Listen starts serving on addr ("127.0.0.1:0" picks a free port) and
+// returns the bound address.
+func (s *Server) Listen(addr string) (string, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return "", fmt.Errorf("tsdb: listen: %w", err)
+	}
+	s.Serve(ln)
+	return ln.Addr().String(), nil
+}
+
+// Serve starts accepting on ln, which Close will close, and returns.
+func (s *Server) Serve(ln net.Listener) {
+	s.mu.Lock()
+	s.ln = ln
+	s.mu.Unlock()
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return // listener closed
+			}
+			if s.track(nc) {
+				go s.handle(nc)
+			}
+		}
+	}()
+}
+
+// track registers an accepted connection and its handler — unless Close
+// has begun. Accept can hand over a connection after Close swept the
+// set; served, it would never be closed and its handler would hold Close
+// until the peer left, so it is closed instead.
+func (s *Server) track(nc net.Conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		nc.Close()
+		return false
+	}
+	s.conns[nc] = struct{}{}
+	s.wg.Add(1)
+	return true
+}
+
+// handle runs one connection's session: a request line at a time, each
+// reply flushed before the next line is read.
+func (s *Server) handle(nc net.Conn) {
+	defer s.wg.Done()
+	defer func() {
+		nc.Close()
+		s.mu.Lock()
+		delete(s.conns, nc)
+		s.mu.Unlock()
+	}()
+	c := &conn{sc: bufio.NewScanner(nc), w: bufio.NewWriter(nc)}
+	c.sc.Buffer(make([]byte, 0, 64<<10), maxLine)
+	for c.sc.Scan() {
+		s.mu.Lock()
+		c.in, c.log, c.slow = s.in, s.log, s.slow
+		s.mu.Unlock()
+		if !s.serve(c) || c.w.Flush() != nil {
+			break
+		}
+	}
+	// A scanner error (most commonly a line over the cap) is answered
+	// before hanging up, whichever verb was reading when it struck, so the
+	// client sees a protocol error instead of a bare EOF.
+	if err := c.sc.Err(); errors.Is(err, bufio.ErrTooLong) {
+		c.w.WriteString("ERR line too long\n")
+	} else if err != nil {
+		fmt.Fprintf(c.w, "ERR %s\n", err)
+	}
+	c.w.Flush()
+}
+
+// Close stops the server: the listener and idle connections are torn
+// down, every in-flight handler drains (an accepted request finishes
+// before the store is considered final), then one sync makes the whole
+// accepted prefix durable even under fsync=interval/never — so a
+// graceful shutdown never loses an acknowledged write.
+func (s *Server) Close() error {
+	s.mu.Lock()
+	s.closed = true
+	if s.ln != nil {
+		s.ln.Close()
+		s.ln = nil
+	}
+	for nc := range s.conns {
+		nc.Close()
+	}
+	s.mu.Unlock()
+	s.wg.Wait()
+	return s.db.Sync()
+}
+
+// conn is one connection as a verb sees it: sc holds the request line (a
+// verb with a body scans on), w takes the reply, and in, log and slow are
+// the server's settings as they stood when the request arrived.
+type conn struct {
+	sc   *bufio.Scanner
+	w    *bufio.Writer
+	in   *introspect.Introspector // nil when the server is untraced
+	log  *logbuf.Logger
+	slow time.Duration
+}
+
+// serve dispatches one request line to its verb. False hangs up after
+// the reply is flushed: the stream can no longer be trusted to be in
+// sync.
+func (s *Server) serve(c *conn) bool {
+	line := c.sc.Text()
 	arrival := time.Now().UnixNano()
 	cmd, rest, _ := strings.Cut(line, " ")
 	switch strings.ToUpper(cmd) {
 	case "PING":
-		c.W.WriteString("PONG\n")
+		c.w.WriteString("PONG\n")
 	case "WRITEB":
 		// False is a fatal frame error: the server cannot trust how many
 		// body lines follow, so it answers (if it can) and hangs up rather
@@ -129,21 +259,46 @@ func (s *Server) serve(c *wire.Conn) bool {
 		s.handleQuery(c, rest, arrival)
 	default:
 		ctx := context.Background()
-		answer(c, ctx, ctx, "unknown", arrival, fmt.Errorf("unknown command %q", cmd), nil)
+		c.answer(ctx, ctx, "unknown", arrival, fmt.Errorf("unknown command %q", cmd), nil)
 	}
 	return true
 }
 
 // answer is a verb's last step once its op span has ended (the reply is
 // rendered outside the span): the line ok, or "ERR <err>", then the log.
-func answer(c *wire.Conn, sctx, wireCtx context.Context, cmd string, arrivalNanos int64, err error, ok []byte, extra ...string) {
+func (c *conn) answer(sctx, wireCtx context.Context, cmd string, arrivalNanos int64, err error, ok []byte, extra ...string) {
 	if err != nil {
-		fmt.Fprintf(c.W, "ERR %v\n", err)
+		fmt.Fprintf(c.w, "ERR %v\n", err)
 	} else {
-		c.W.Write(ok)
-		c.W.WriteByte('\n')
+		c.w.Write(ok)
+		c.w.WriteByte('\n')
 	}
-	c.LogOp(sctx, wireCtx, cmd, arrivalNanos, err, extra...)
+	c.logOp(sctx, wireCtx, cmd, arrivalNanos, err, extra...)
+}
+
+// logOp emits the request's structured record: errors always, slow ops
+// when the threshold is met, "ping" never. sctx is the span-carrying
+// context (the record's trace identity); wireCtx is the frame's context,
+// whose traceparent ties a slow-op record back to the bytes on the wire;
+// arrivalNanos is when the verb took the frame to have arrived (where it
+// backdates its spans to); extra key/value pairs join a slow-op record.
+func (c *conn) logOp(sctx, wireCtx context.Context, cmd string, arrivalNanos int64, err error, extra ...string) {
+	if c.log == nil || cmd == "ping" {
+		return
+	}
+	elapsed := time.Duration(time.Now().UnixNano() - arrivalNanos)
+	if err != nil {
+		c.log.Error(sctx, "op failed", "cmd", cmd, "duration", elapsed.String(), "error", err.Error())
+		return
+	}
+	if c.slow < 0 || elapsed < c.slow {
+		return
+	}
+	kv := append([]string{"cmd", cmd, "duration", elapsed.String()}, extra...)
+	if tp := introspect.TraceparentFromContext(wireCtx); tp != "" {
+		kv = append(kv, "traceparent", tp)
+	}
+	c.log.Warn(sctx, "slow op", kv...)
 }
 
 // frameContext strips an optional leading "traceparent=<tp> " token off
@@ -168,10 +323,10 @@ func frameContext(rest string) (context.Context, string) {
 // backdated to header arrival: parse is the row scan (and the
 // validation), insert the WAL record built from the received lines and
 // the head append — no Point on the way.
-func (s *Server) handleWriteBatch(c *wire.Conn, rest string, arrivalNanos int64) bool {
+func (s *Server) handleWriteBatch(c *conn, rest string, arrivalNanos int64) bool {
 	ctx, body := frameContext(rest)
-	wctx, op := c.In.StartSpanAt(ctx, "tsdb.server.writeb", arrivalNanos)
-	_, qs := c.In.StartSpanAt(wctx, "tsdb.server.queue", arrivalNanos)
+	wctx, op := c.in.StartSpanAt(ctx, "tsdb.server.writeb", arrivalNanos)
+	_, qs := c.in.StartSpanAt(wctx, "tsdb.server.queue", arrivalNanos)
 	qs.End(nil)
 
 	nStr, opts, _ := strings.Cut(body, " ")
@@ -179,7 +334,7 @@ func (s *Server) handleWriteBatch(c *wire.Conn, rest string, arrivalNanos int64)
 	if err != nil || n <= 0 || n > MaxBatchPoints {
 		err = fmt.Errorf("tsdb: bad batch header %q (want 1..%d points)", body, MaxBatchPoints)
 		op.End(err)
-		answer(c, wctx, ctx, "writeb", arrivalNanos, err, nil)
+		c.answer(wctx, ctx, "writeb", arrivalNanos, err, nil)
 		return false
 	}
 	var token string
@@ -192,18 +347,18 @@ func (s *Server) handleWriteBatch(c *wire.Conn, rest string, arrivalNanos int64)
 	fb := getFrameBuf()
 	defer putFrameBuf(fb)
 	for i := 0; i < n; i++ {
-		if !c.Sc.Scan() {
+		if !c.sc.Scan() {
 			// No reply from here: the peer is gone, or the scanner failed
-			// (a body line over the cap) and the skeleton answers that.
+			// (a body line over the cap) and handle answers that.
 			err = fmt.Errorf("tsdb: connection lost %d/%d lines into batch body", i, n)
-			if serr := c.Sc.Err(); serr != nil {
+			if serr := c.sc.Err(); serr != nil {
 				err = fmt.Errorf("tsdb: batch body line %d/%d: %w", i, n, serr)
 			}
 			op.End(err)
-			c.LogOp(wctx, ctx, "writeb", arrivalNanos, err)
+			c.logOp(wctx, ctx, "writeb", arrivalNanos, err)
 			return false
 		}
-		fb.body = append(append(fb.body, c.Sc.Bytes()...), '\n')
+		fb.body = append(append(fb.body, c.sc.Bytes()...), '\n')
 	}
 	// The rows are scanned from the pooled body in place, and fb goes back
 	// to the pool, to be overwritten, once the frame is answered. Sound
@@ -212,7 +367,7 @@ func (s *Server) handleWriteBatch(c *wire.Conn, rest string, arrivalNanos int64)
 	// and a rejection's error formats its own.
 	lines := unsafe.String(unsafe.SliceData(fb.body), len(fb.body))
 
-	_, ps := c.In.StartSpan(wctx, "tsdb.server.parse")
+	_, ps := c.in.StartSpan(wctx, "tsdb.server.parse")
 	rb := getRowBuf()
 	for i := 0; i < n; i++ {
 		var line string
@@ -232,7 +387,7 @@ func (s *Server) handleWriteBatch(c *wire.Conn, rest string, arrivalNanos int64)
 		extra = []string{"dedup", "true"}
 		putRowBuf(rb)
 	} else if err == nil {
-		_, is := c.In.StartSpan(wctx, "tsdb.server.insert")
+		_, is := c.in.StartSpan(wctx, "tsdb.server.insert")
 		err = s.db.writeFrame(rb)
 		putRowBuf(rb)
 		is.End(err)
@@ -241,7 +396,7 @@ func (s *Server) handleWriteBatch(c *wire.Conn, rest string, arrivalNanos int64)
 		}
 	}
 	op.End(err)
-	answer(c, wctx, ctx, "writeb", arrivalNanos, err, fmt.Appendf(nil, "OK %d", n), extra...)
+	c.answer(wctx, ctx, "writeb", arrivalNanos, err, fmt.Appendf(nil, "OK %d", n), extra...)
 	return true
 }
 
@@ -287,15 +442,15 @@ func (s *Server) releaseToken(token string, ok bool) {
 
 // handleQuery parses and executes one QUERY frame with parse/exec child
 // spans under tsdb.server.query.
-func (s *Server) handleQuery(c *wire.Conn, rest string, arrivalNanos int64) {
+func (s *Server) handleQuery(c *conn, rest string, arrivalNanos int64) {
 	ctx, body := frameContext(rest)
-	qctx, op := c.In.StartSpanAt(ctx, "tsdb.server.query", arrivalNanos)
-	_, ps := c.In.StartSpan(qctx, "tsdb.server.parse")
+	qctx, op := c.in.StartSpanAt(ctx, "tsdb.server.query", arrivalNanos)
+	_, ps := c.in.StartSpan(qctx, "tsdb.server.parse")
 	q, err := ParseQuery(body)
 	ps.End(err)
 	var res *Result
 	if err == nil {
-		ectx, es := c.In.StartSpan(qctx, "tsdb.server.exec")
+		ectx, es := c.in.StartSpan(qctx, "tsdb.server.exec")
 		// A cached aggregate is the cache's own result: read, not copied.
 		res, err = s.db.ExecuteContext(ectx, QueryRequest{Query: q})
 		es.End(err)
@@ -306,11 +461,12 @@ func (s *Server) handleQuery(c *wire.Conn, rest string, arrivalNanos int64) {
 	var reply []byte
 	var extra []string
 	if err == nil {
-		// A buffer for this request only: an idle connection keeps nothing.
-		reply, err = appendResult(nil, res)
+		// Encoded into the writer's free space, which answer's Write then
+		// copies onto itself: a reply that fits takes no buffer of its own.
+		reply, err = appendResult(c.w.AvailableBuffer(), res)
 		extra = []string{"rows", strconv.Itoa(len(res.Rows)), "bytes", strconv.Itoa(len(reply))}
 	}
-	answer(c, qctx, ctx, "query", arrivalNanos, err, reply, extra...)
+	c.answer(qctx, ctx, "query", arrivalNanos, err, reply, extra...)
 }
 
 // Client talks to a Server through a resilient transport: per-op
@@ -337,7 +493,8 @@ func wireTag(ctx context.Context) string {
 	return introspect.WireField + tp + " "
 }
 
-// pingResync is the resync/half-open probe run on every fresh connection.
+// pingResync is the resync/half-open probe run on every fresh connection,
+// and PingContext's exchange.
 func pingResync(w *resilience.Wire) error {
 	if _, err := fmt.Fprintln(w.Conn, "PING"); err != nil {
 		return err
@@ -507,21 +664,10 @@ func (c *Client) QueryContext(ctx context.Context, stmt string) (*Result, error)
 	return res, nil
 }
 
-// PingContext checks liveness.
+// PingContext checks liveness with the same exchange that resyncs a
+// fresh connection: a reply other than PONG drops the wire and retries.
 func (c *Client) PingContext(ctx context.Context) error {
-	return c.tr.DoContext(ctx, func(ctx context.Context, w *resilience.Wire) error {
-		if _, err := fmt.Fprintln(w.Conn, "PING"); err != nil {
-			return err
-		}
-		resp, err := w.R.ReadString('\n')
-		if err != nil {
-			return err
-		}
-		if strings.TrimSpace(resp) != "PONG" {
-			return resilience.Permanent(fmt.Errorf("tsdb: unexpected ping response %q", resp))
-		}
-		return nil
-	})
+	return c.tr.DoContext(ctx, func(_ context.Context, w *resilience.Wire) error { return pingResync(w) })
 }
 
 // Close closes the connection.
