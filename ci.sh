@@ -188,7 +188,12 @@ fi
 # time-ordered batch (+22 in internal/tsdb, above), storage.AppendRecord
 # building its frame in place at no line cost; 25 865 (-67) with one
 # TCP server and no skeleton under it: internal/wire gone (-213), its
-# rules owned by tsdb's server (+146 in internal/tsdb, above).
+# rules owned by tsdb's server (+146 in internal/tsdb, above); 25 712
+# (-153) when the document store came to do what its callers do, all of
+# it in internal/docdb (614 -> 461): Insert, Replace, SetField, Delete,
+# Count, the Exists and Prefix filters, the id generator and the
+# setfield and delete WAL ops gone, every write an Upsert by _id logged
+# as one record shape; parseGroupBy's all-digit check net 0.
 size_gate() { # $1: what is counted; $2: ceiling; stdin: the files
     size=$(xargs cat | wc -l)
     echo "size: $1 ${size} non-test lines (ceiling $2)"
@@ -199,7 +204,7 @@ size_gate() { # $1: what is counted; $2: ceiling; stdin: the files
 }
 find internal/tsdb -name '*.go' ! -name '*_test.go' | size_gate internal/tsdb 4995
 find . -name '*.go' ! -name '*_test.go' ! -path './internal/bench/*' ! -path './cmd/pmovebench/*' |
-    size_gate 'outside the benchmark paths' 25865
+    size_gate 'outside the benchmark paths' 25712
 
 # One durable lifecycle: every durable byte goes through storage.Store
 # (store.go over wal.go), which owns closed and crashed. A bare WAL

@@ -30,7 +30,7 @@ func monitorOnce(t *testing.T, d *Daemon, host string) string {
 
 // storedEntries counts the entry documents stored for host.
 func storedEntries(d *Daemon, host string) int {
-	return d.Docs.Collection(kb.CollEntries).Count(&docdb.Filter{Eq: map[string]any{"host": host}})
+	return len(d.Docs.Collection(kb.CollEntries).Find(&docdb.Filter{Eq: map[string]any{"host": host}}))
 }
 
 // TestFreshDaemonTagsAreSequential: a fresh daemon issues

@@ -1,12 +1,10 @@
 package docdb
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"reflect"
 	"strings"
 	"sync"
@@ -148,8 +146,8 @@ func TestCloneMatchesJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestUnencodableDocumentIsAnError: a document or value with no JSON
-// form is refused by Insert, Replace, Upsert and SetField with an error
+// TestUnencodableDocumentIsAnError: a document with no JSON form is
+// refused by Upsert, whether it would insert or replace, with an error
 // naming the collection — not a panic — and leaves the store and its
 // WAL as they were.
 func TestUnencodableDocumentIsAnError(t *testing.T) {
@@ -166,43 +164,29 @@ func TestUnencodableDocumentIsAnError(t *testing.T) {
 	}
 	defer db.Close()
 	c := db.Collection("kb")
-	if _, err := c.Insert(Doc{"_id": "a", "v": 1.0}); err != nil {
+	if _, err := c.Upsert(Doc{"_id": "a", "v": 1.0}); err != nil {
 		t.Fatal(err)
 	}
-	walSize := func() int {
-		img, err := os.ReadFile(db.WALPath())
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, n, err := storage.DecodeAll(img)
-		if err != nil || len(bytes.TrimLeft(img[n:], "\x00")) != 0 {
-			t.Fatalf("wal.log is not a clean %d-byte log and its zero extent (%v)", n, err)
-		}
-		return n
-	}
-	size := walSize()
+	size := walSize(t, db)
 	for name, v := range bad {
-		ops := map[string]func() error{
-			"insert":      func() error { _, err := c.Insert(Doc{"x": v}); return err },
-			"insert id":   func() error { _, err := c.Insert(Doc{"_id": "b", "x": v}); return err },
-			"replace":     func() error { return c.Replace("a", Doc{"x": v}) },
-			"upsert":      func() error { _, err := c.Upsert(Doc{"_id": "a", "x": []any{v}}); return err },
-			"upsert new":  func() error { _, err := c.Upsert(Doc{"_id": "b", "x": v}); return err },
-			"setfield":    func() error { return c.SetField("a", "m.x", v) },
-			"setfield in": func() error { return c.SetField("a", "m", map[string]any{"x": v}) },
+		docs := map[string]Doc{
+			"upsert":        {"_id": "a", "x": []any{v}},
+			"upsert nested": {"_id": "a", "m": map[string]any{"x": v}},
+			"upsert new":    {"_id": "b", "x": v},
+			"upsert no id":  {"x": v},
 		}
-		for op, call := range ops {
-			err := call()
+		for op, d := range docs {
+			_, err := c.Upsert(d)
 			if !errors.Is(err, ErrUnencodable) || !strings.Contains(err.Error(), " in kb") {
 				t.Errorf("%s of %s: err = %v, want ErrUnencodable naming kb", op, name, err)
 			}
 		}
 	}
-	if got, _ := c.Get("a"); !reflect.DeepEqual(got, Doc{"_id": "a", "v": 1.0}) || c.Count(nil) != 1 {
-		t.Errorf("refused writes changed the store: %v, %d docs", got, c.Count(nil))
+	if got, _ := c.Get("a"); !reflect.DeepEqual(got, Doc{"_id": "a", "v": 1.0}) || len(c.Find(nil)) != 1 {
+		t.Errorf("refused writes changed the store: %v, %d docs", got, len(c.Find(nil)))
 	}
-	if walSize() != size {
-		t.Errorf("refused writes reached the WAL: %d -> %d bytes", size, walSize())
+	if n := walSize(t, db); n != size {
+		t.Errorf("refused writes reached the WAL: %d -> %d bytes", size, n)
 	}
 	if _, err := FromValue(Doc{"x": math.NaN()}); !errors.Is(err, ErrUnencodable) {
 		t.Errorf("FromValue(NaN) err = %v, want ErrUnencodable", err)
@@ -216,40 +200,19 @@ func TestUnencodableDocumentIsAnError(t *testing.T) {
 // the same value in the document, whatever its Go type, and a value
 // with no JSON form matches nothing.
 func TestFilterComparesAsStored(t *testing.T) {
-	vals := map[string]any{"f32": float32(0.1), "int": 3, "list": []int{1, 2},
+	vals := map[string]any{"_id": "a", "f32": float32(0.1), "int": 3, "list": []int{1, 2},
 		"map": map[string]uint8{"a": 1}, "bad": "x\xff", "doc": Doc{"k": nil}}
 	c := New().Collection("kb")
-	if _, err := c.Insert(Doc(vals)); err != nil {
+	if _, err := c.Upsert(Doc(vals)); err != nil {
 		t.Fatal(err)
 	}
 	for path, v := range vals {
-		if n := c.Count(&Filter{Eq: map[string]any{path: v}}); n != 1 {
+		if n := len(c.Find(&Filter{Eq: map[string]any{path: v}})); n != 1 {
 			t.Errorf("Eq %s = %#v matched %d documents", path, v, n)
 		}
 	}
-	if n := c.Count(&Filter{Eq: map[string]any{"f32": math.NaN()}}); n != 0 {
+	if n := len(c.Find(&Filter{Eq: map[string]any{"f32": math.NaN()}})); n != 0 {
 		t.Errorf("Eq NaN matched %d documents", n)
-	}
-}
-
-// TestSetFieldBoundsDocumentDepth: a value set at a path is bounded by
-// where it sits, so no stored document is nested past what the store's
-// records and json.Unmarshal accept, and Get never meets one.
-func TestSetFieldBoundsDocumentDepth(t *testing.T) {
-	c := New().Collection("kb")
-	if _, err := c.Insert(Doc{"_id": "a"}); err != nil {
-		t.Fatal(err)
-	}
-	deep := nest(1.0, maxDepth-storeDepth-2) // fits one level down, not two
-	if err := c.SetField("a", "x", deep); err != nil {
-		t.Fatalf("value that fits refused: %v", err)
-	}
-	if err := c.SetField("a", "y.z", deep); !errors.Is(err, ErrUnencodable) {
-		t.Fatalf("value past the depth bound: err = %v", err)
-	}
-	got, _ := c.Get("a")
-	if _, err := roundTrip(got); err != nil {
-		t.Fatalf("stored document fails the round trip: %v", err)
 	}
 }
 
@@ -264,7 +227,7 @@ func TestCompactBesideReadsAndWrites(t *testing.T) {
 	}
 	c := db.Collection("kb")
 	for i := 0; i < 20; i++ {
-		if _, err := c.Insert(Doc{"_id": fmt.Sprint(i), "n": float64(i), "m": map[string]any{"l": []any{"x"}}}); err != nil {
+		if _, err := c.Upsert(Doc{"_id": fmt.Sprint(i), "n": float64(i), "m": map[string]any{"l": []any{"x"}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -283,11 +246,11 @@ func TestCompactBesideReadsAndWrites(t *testing.T) {
 				id := fmt.Sprint(i % 20)
 				switch w {
 				case 0:
-					c.Find(&Filter{Exists: []string{"m.l"}})
+					c.Find(&Filter{Eq: map[string]any{"m.l.0": "x"}})
 				case 1:
 					c.Get(id)
 				default:
-					if err := c.SetField(id, "m.l", []any{fmt.Sprint(i)}); err != nil {
+					if _, err := c.Upsert(Doc{"_id": id, "n": float64(i), "m": map[string]any{"l": []any{fmt.Sprint(i)}}}); err != nil {
 						t.Error(err)
 						return
 					}

@@ -1,6 +1,6 @@
 // Package docdb is the document-database substrate standing in for
-// MongoDB 6: named collections of JSON documents with generated ids,
-// nested-path query filters, updates and deletes. P-MoVE stores the
+// MongoDB 6: named collections of JSON documents, each put by its _id
+// and found by id or by nested-path equality filters. P-MoVE stores the
 // Knowledge Base here "as JSON-LD extended with entries for each
 // computation", with pointer fields linking to time-series data in the
 // tsdb (paper §III-A).
@@ -169,11 +169,6 @@ type Filter struct {
 	// Eq maps dot paths to required values, compared as Clone stores
 	// them (so ints match float64s).
 	Eq map[string]any
-	// Exists lists dot paths that must be present.
-	Exists []string
-	// Prefix maps dot paths to required string prefixes (used for DTMI
-	// subtree scans).
-	Prefix map[string]string
 }
 
 // Matches reports whether the document satisfies the filter.
@@ -185,21 +180,6 @@ func (f *Filter) Matches(d Doc) bool {
 			return false
 		}
 	}
-	for _, path := range f.Exists {
-		if _, ok := d.Lookup(path); !ok {
-			return false
-		}
-	}
-	for path, pre := range f.Prefix {
-		got, ok := d.Lookup(path)
-		if !ok {
-			return false
-		}
-		s, ok := got.(string)
-		if !ok || !strings.HasPrefix(s, pre) {
-			return false
-		}
-	}
 	return true
 }
 
@@ -208,7 +188,6 @@ type Collection struct {
 	mu   sync.RWMutex
 	name string
 	docs map[string]Doc
-	seq  uint64
 	// db points back at the owning database so mutations reach its
 	// write-ahead log; nil only in the zero value (never via DB).
 	db *DB
@@ -249,45 +228,24 @@ func (db *DB) Collection(name string) *Collection {
 	return c
 }
 
-// Insert stores a document, generating an _id when absent, and returns the
-// id. Inserting an id that already exists errors. On a durable DB the
-// fully resolved document (id assigned) is WAL-logged before the insert
-// commits, so replay regenerates identical state including the id.
-func (c *Collection) Insert(d Doc) (string, error) { return c.put("insert", "", d) }
-
-// put is where a document enters the store, for op "insert", "replace"
-// or "upsert": it admits d, then decides, logs and applies the resolved
-// insert or replace of d under one hold of the collection lock. A
-// replace is of id; an insert or upsert is of the admitted document's
-// own _id, or of a fresh one when it has none.
-func (c *Collection) put(op, id string, d Doc) (string, error) {
-	if d == nil {
-		return "", fmt.Errorf("docdb: cannot %s nil document into %s", op, c.name)
-	}
+// Upsert stores d under its _id, inserting or replacing, and returns
+// the id. The document is admitted, logged and stored under one hold of
+// the collection lock, so concurrent upserts of one id all succeed and
+// the last one logged is the one stored. A document without an _id is
+// refused and changes nothing.
+func (c *Collection) Upsert(d Doc) (string, error) {
 	stored, err := admit(d)
 	if err != nil {
 		return "", fmt.Errorf("%w in %s", err, c.name)
 	}
+	id := stored.ID()
+	if id == "" {
+		return "", fmt.Errorf("docdb: upsert of a document without _id into %s", c.name)
+	}
 	defer c.beginMutation()()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if op != "replace" {
-		if id = stored.ID(); id == "" {
-			c.seq++
-			id = fmt.Sprintf("%s-%08d", c.name, c.seq)
-		}
-	}
-	stored["_id"] = id
-	logged := walOp{Op: "insert", Collection: c.name, Doc: stored, Seq: c.seq}
-	switch _, exists := c.docs[id]; {
-	case exists && op == "insert":
-		return "", fmt.Errorf("docdb: duplicate _id %q in %s", id, c.name)
-	case !exists && op == "replace":
-		return "", fmt.Errorf("docdb: no document %q in %s", id, c.name)
-	case exists:
-		logged = walOp{Op: "replace", Collection: c.name, ID: id, Doc: stored}
-	}
-	if err := c.logLocked(logged); err != nil {
+	if err := c.logLocked(walOp{Op: "replace", Collection: c.name, ID: id, Doc: stored}); err != nil {
 		return "", err
 	}
 	c.docs[id] = stored
@@ -320,94 +278,6 @@ func (c *Collection) Find(f *Filter) []Doc {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
 	return out
-}
-
-// Count returns the number of matching documents.
-func (c *Collection) Count(f *Filter) int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	n := 0
-	for _, d := range c.docs {
-		if f == nil || f.Matches(d) {
-			n++
-		}
-	}
-	return n
-}
-
-// Replace overwrites the document with the given id. Errors if absent.
-func (c *Collection) Replace(id string, d Doc) error {
-	_, err := c.put("replace", id, d)
-	return err
-}
-
-// Upsert inserts or replaces by id; an empty id inserts fresh. Which of
-// the two it is gets decided, logged and applied under one hold of the
-// collection lock, so concurrent upserts of one fresh id all succeed:
-// the first inserts, the rest replace.
-func (c *Collection) Upsert(d Doc) (string, error) { return c.put("upsert", "", d) }
-
-// SetField sets a top-level or nested field (dot path; intermediate maps
-// are created) on the document with the given id. The value is stored
-// as Clone stores a document, and is nested where the path puts it, so
-// the document as a whole stays within the store's depth bound.
-func (c *Collection) SetField(id, path string, value any) error {
-	norm, err := clone(value, storeDepth+strings.Count(path, ".")+1)
-	if err != nil {
-		return fmt.Errorf("%w at %s in %s", err, path, c.name)
-	}
-	defer c.beginMutation()()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.docs[id]; !ok {
-		return fmt.Errorf("docdb: no document %q in %s", id, c.name)
-	}
-	if err := c.logLocked(walOp{Op: "setfield", Collection: c.name, ID: id, Path: path, Value: norm}); err != nil {
-		return err
-	}
-	c.setFieldLocked(id, path, norm)
-	return nil
-}
-
-// setFieldLocked applies a normalised field write. Callers hold c.mu.
-func (c *Collection) setFieldLocked(id, path string, norm any) {
-	parts := strings.Split(path, ".")
-	var cur map[string]any = c.docs[id]
-	for _, p := range parts[:len(parts)-1] {
-		next, ok := cur[p].(map[string]any)
-		if !ok {
-			next = map[string]any{}
-			cur[p] = next
-		}
-		cur = next
-	}
-	cur[parts[len(parts)-1]] = norm
-}
-
-// Delete removes documents matching the filter, returning how many.
-// Durable DBs log the filter, not the victims: replaying it against the
-// identically reconstructed state deletes the same documents. A failed
-// WAL append deletes nothing and is returned.
-func (c *Collection) Delete(f *Filter) (int, error) {
-	defer c.beginMutation()()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.logLocked(walOp{Op: "delete", Collection: c.name, Filter: f}); err != nil {
-		return 0, err
-	}
-	return c.deleteLocked(f), nil
-}
-
-// deleteLocked removes matching documents. Callers hold c.mu.
-func (c *Collection) deleteLocked(f *Filter) int {
-	n := 0
-	for id, d := range c.docs {
-		if f == nil || f.Matches(d) {
-			delete(c.docs, id)
-			n++
-		}
-	}
-	return n
 }
 
 // FromValue converts any JSON-able Go value into a Doc: what

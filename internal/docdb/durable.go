@@ -8,26 +8,21 @@ import (
 )
 
 // Durability for the embedded docdb: Open binds a DB to a data
-// directory managed by internal/storage. Every mutating op (insert,
-// replace, setfield, delete — upsert decomposes into the first two) is
-// WAL-logged as one JSON record before it commits, in its fully
-// resolved form: inserts carry the assigned _id and the collection's id
-// sequence, setfields the JSON-normalised value. Replaying
-// snapshot+WAL therefore reconstructs byte-identical state, including
-// the generator state future inserts draw ids from.
+// directory managed by internal/storage. Every upsert is WAL-logged as
+// one JSON record before it commits, in one shape whether it inserts or
+// replaces: {"op":"replace","c":<collection>,"doc":<the admitted
+// document>,"id":<_id>}. Replaying snapshot+WAL therefore reconstructs
+// byte-identical state. Replay also reads a data directory written when
+// the store generated ids: its "insert" records ({"op","c","doc","seq"})
+// are puts by the document's own _id, and the id sequence they and the
+// snapshot's collections carry is ignored.
 
-// walOp is one logged mutation. Seq is the collection's id-generation
-// sequence after the op (inserts only), restored on replay so recovered
-// stores never re-issue an id.
+// walOp is one logged upsert.
 type walOp struct {
-	Op         string  `json:"op"`
-	Collection string  `json:"c"`
-	Doc        Doc     `json:"doc,omitempty"`
-	ID         string  `json:"id,omitempty"`
-	Path       string  `json:"path,omitempty"`
-	Value      any     `json:"value,omitempty"`
-	Filter     *Filter `json:"filter,omitempty"`
-	Seq        uint64  `json:"seq,omitempty"`
+	Op         string `json:"op"`
+	Collection string `json:"c"`
+	Doc        Doc    `json:"doc,omitempty"`
+	ID         string `json:"id,omitempty"`
 }
 
 // snapshotImage is the compacted whole-database encoding.
@@ -36,15 +31,14 @@ type snapshotImage struct {
 }
 
 type snapshotCollection struct {
-	Seq  uint64         `json:"seq"`
 	Docs map[string]Doc `json:"docs"`
 }
 
 // beginMutation enters the mutation side of the compaction barrier and
-// returns the release hook — called by every mutating Collection method
-// BEFORE taking c.mu (lock order: compactMu, c.mu, DB.mu). While held,
-// Compact/Close/Crash cannot run, so a WAL append and its in-memory
-// commit are atomic with respect to snapshots.
+// returns the release hook — called by Upsert BEFORE taking c.mu (lock
+// order: compactMu, c.mu, DB.mu). While held, Compact/Close/Crash cannot
+// run, so a WAL append and its in-memory commit are atomic with respect
+// to snapshots.
 func (c *Collection) beginMutation() func() {
 	if c.db == nil {
 		return func() {}
@@ -53,9 +47,9 @@ func (c *Collection) beginMutation() func() {
 	return c.db.compactMu.RUnlock
 }
 
-// logLocked appends one mutation to the owning DB's WAL (no-op in
+// logLocked appends one upsert to the owning DB's WAL (no-op in
 // memory). Callers hold c.mu; a failed append — storage.ErrClosed on a
-// closed DB among them — aborts the mutation so memory never runs ahead
+// closed DB among them — aborts the upsert so memory never runs ahead
 // of what recovery can reconstruct.
 func (c *Collection) logLocked(op walOp) error {
 	if c.db == nil || c.db.store == nil {
@@ -89,7 +83,6 @@ func Open(dir string, pol storage.FsyncPolicy) (*DB, error) {
 		}
 		for name, sc := range img.Collections {
 			c := db.Collection(name)
-			c.seq = sc.Seq
 			for id, d := range sc.Docs {
 				c.docs[id] = d
 			}
@@ -110,36 +103,20 @@ func Open(dir string, pol storage.FsyncPolicy) (*DB, error) {
 	return db, nil
 }
 
-// applyOp replays one logged mutation without re-logging it.
+// applyOp replays one logged upsert without re-logging it. Open runs it
+// before the DB is shared, so it takes no lock.
 func (db *DB) applyOp(op walOp) error {
-	c := db.Collection(op.Collection)
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	switch op.Op {
-	case "insert":
-		id := op.Doc.ID()
-		if id == "" {
-			return fmt.Errorf("logged insert without _id")
-		}
-		if _, exists := c.docs[id]; exists {
-			return fmt.Errorf("logged insert of duplicate _id %q", id)
-		}
-		c.docs[id] = op.Doc
-		if op.Seq > c.seq {
-			c.seq = op.Seq
-		}
+	case "insert": // a put logged when the store generated ids
+		op.ID = op.Doc.ID()
 	case "replace":
-		c.docs[op.ID] = op.Doc
-	case "setfield":
-		if _, ok := c.docs[op.ID]; !ok {
-			return fmt.Errorf("logged setfield on missing _id %q", op.ID)
-		}
-		c.setFieldLocked(op.ID, op.Path, op.Value)
-	case "delete":
-		c.deleteLocked(op.Filter)
 	default:
 		return fmt.Errorf("unknown logged op %q", op.Op)
 	}
+	if op.ID == "" {
+		return fmt.Errorf("logged %s without _id", op.Op)
+	}
+	db.Collection(op.Collection).docs[op.ID] = op.Doc
 	return nil
 }
 
@@ -163,7 +140,7 @@ func (db *DB) Compact() error {
 	img := snapshotImage{Collections: map[string]snapshotCollection{}}
 	db.mu.RLock()
 	for n, c := range db.collections {
-		img.Collections[n] = snapshotCollection{Seq: c.seq, Docs: c.docs}
+		img.Collections[n] = snapshotCollection{Docs: c.docs}
 	}
 	db.mu.RUnlock()
 	b, err := json.Marshal(img)

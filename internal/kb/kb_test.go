@@ -319,11 +319,11 @@ func TestPersistIsIdempotent(t *testing.T) {
 	if err := k.Persist(db); err != nil {
 		t.Fatal(err)
 	}
-	n1 := db.Collection(CollInterfaces).Count(nil)
+	n1 := len(db.Collection(CollInterfaces).Find(nil))
 	if err := k.Persist(db); err != nil {
 		t.Fatal(err)
 	}
-	n2 := db.Collection(CollInterfaces).Count(nil)
+	n2 := len(db.Collection(CollInterfaces).Find(nil))
 	if n1 != n2 {
 		t.Errorf("persist not idempotent: %d then %d interface docs", n1, n2)
 	}

@@ -78,11 +78,11 @@ func TestProbeKBRoundTrip(t *testing.T) {
 	}
 
 	// Idempotency: persisting the same KB again must not grow the store.
-	before := db.Collection(kb.CollInterfaces).Count(nil)
+	before := len(db.Collection(kb.CollInterfaces).Find(nil))
 	if err := k.Persist(db); err != nil {
 		t.Fatalf("re-persist: %v", err)
 	}
-	if after := db.Collection(kb.CollInterfaces).Count(nil); after != before {
+	if after := len(db.Collection(kb.CollInterfaces).Find(nil)); after != before {
 		t.Errorf("re-persist grew interface docs %d -> %d", before, after)
 	}
 }

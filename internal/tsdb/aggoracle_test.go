@@ -331,10 +331,14 @@ func TestAggregateWorkerEquivalence(t *testing.T) {
 // head with late rows, windows narrower than a block, bounds that cut a
 // block) — over sparse fields, with one worker and four. Every merged
 // state of a field that keeps samples holds exactly count of them.
+// Series "b"'s head is written in batches after the rest, each starting
+// up to 16 places before the previous one's end: a batch lands in time
+// order, so only rows older than an earlier batch's reach the side run.
 func TestPercentileOracle(t *testing.T) {
 	const base = 1 << 20 // a multiple of every block-aligned window below
 	rng := rand.New(rand.NewSource(34))
 	var pts []Point
+	var late [][]Point // "b"'s head, batch by batch
 	for _, tag := range []string{"a", "b", "c"} {
 		rows := 2*blockRows + 700
 		if tag == "c" {
@@ -363,14 +367,25 @@ func TestPercentileOracle(t *testing.T) {
 					series[i], series[i-k] = series[i-k], series[i]
 				}
 			}
+			for lo := 2*blockRows + 16; lo < rows; {
+				hi := min(lo+1+rng.Intn(64), rows)
+				late = append(late, series[lo:hi])
+				lo = hi
+			}
+			series = series[:2*blockRows+16]
 		}
 		pts = append(pts, series...)
 	}
 	db := New()
 	in := introspect.New()
 	db.SetIntrospection(in)
-	if err := db.WriteBatchContext(context.Background(), pts); err != nil {
-		t.Fatal(err)
+	for _, batch := range append([][]Point{pts}, late...) {
+		if err := db.WriteBatchContext(context.Background(), batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, batch := range late {
+		pts = append(pts, batch...)
 	}
 	aggs := []Aggregate{
 		{Fn: "p", Field: "f", Pct: 0}, {Fn: "p", Field: "f", Pct: 50}, {Fn: "p", Field: "f", Pct: 99.9},
@@ -382,7 +397,7 @@ func TestPercentileOracle(t *testing.T) {
 		{0, 0}, {base + 100, 0}, {0, base + blockRows + 300}, {base + 300, base + 2*blockRows + 50},
 		{base + blockRows, base + 2*blockRows - 1}, {base + 2*blockRows + 10, end - 10},
 	}
-	n := 0
+	n, sideRuns := 0, 0
 	for _, groupBy := range []int64{0, blockRows, 3 * blockRows, 1000, 4095} {
 		for _, b := range bounds {
 			for _, tag := range []string{"", "a", "b", "c"} {
@@ -400,6 +415,11 @@ func TestPercentileOracle(t *testing.T) {
 
 					plan := planAggregates(q)
 					db.data.RLock()
+					for _, u := range db.units(q) {
+						if u.side != nil {
+							sideRuns++
+						}
+					}
 					merged, _, err := db.scanAggregate(context.Background(), q, plan, workers)
 					db.data.RUnlock()
 					if err != nil {
@@ -417,10 +437,11 @@ func TestPercentileOracle(t *testing.T) {
 			}
 		}
 	}
-	// Both ways of reading a unit were taken.
+	// Both ways of reading a unit were taken, and a head with a side run
+	// was read.
 	snap := in.Metrics().Snapshot()
-	if f, d, h := snap.CounterValue("query.units_footer"), snap.CounterValue("query.units_decoded"), snap.CounterValue("query.units_head"); f == 0 || d == 0 || h == 0 {
-		t.Fatalf("%d queries: units footer %d decoded %d head %d, want each > 0", n, f, d, h)
+	if f, d, h := snap.CounterValue("query.units_footer"), snap.CounterValue("query.units_decoded"), snap.CounterValue("query.units_head"); f == 0 || d == 0 || h == 0 || sideRuns == 0 {
+		t.Fatalf("%d queries: units footer %d decoded %d head %d, with a side run %d, want each > 0", n, f, d, h, sideRuns)
 	}
 }
 

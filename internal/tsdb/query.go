@@ -289,16 +289,16 @@ func parseGroupBy(tz *tokenizer) (int64, error) {
 	if ival == "" && !iq {
 		return 0, fmt.Errorf("tsdb: GROUP BY time() has no interval")
 	}
+	// Only an all-digit interval is read by strconv, so "16s" costs no error.
 	var ns int64
-	if v, perr := strconv.ParseInt(ival, 10, 64); perr == nil {
-		ns = v
-	} else if d, derr := time.ParseDuration(ival); derr == nil {
-		ns = int64(d)
+	if strings.Trim(ival, "0123456789") == "" {
+		ns, err = strconv.ParseInt(ival, 10, 64)
 	} else {
-		return 0, fmt.Errorf("tsdb: bad GROUP BY interval %q", ival)
+		d, derr := time.ParseDuration(ival)
+		ns, err = int64(d), derr
 	}
-	if ns <= 0 {
-		return 0, fmt.Errorf("tsdb: GROUP BY interval must be positive, got %q", ival)
+	if err != nil || ns <= 0 {
+		return 0, fmt.Errorf("tsdb: GROUP BY interval must be a positive duration or nanosecond count, got %q", ival)
 	}
 	closeTok, cq, err := tz.next()
 	if err != nil {
