@@ -124,7 +124,17 @@ fi
 # loop with its in-place "line too long", the settings, the slow-op log
 # and the drain-then-sync Close came back from the 213-line skeleton
 # without its Proto, its three callbacks and the alias that embedded it,
-# net of PingContext's copy of the resync probe's exchange (-11).)
+# net of PingContext's copy of the resync probe's exchange (-11). +24
+# when the query cache stopped walking maps, within the +25 its change
+# allowed: the entries' slice beside the key map, each entry's index and
+# its measurement's version cell, and one walk that sweeps the stale and
+# ranks the victim cost less than victimLocked and the per-measurement
+# sets gave back (-5); the per-window partials made once at the windows
+# their rows can touch (windowsIn, +21), the client's kept reply buffer
+# read with ReadSlice under a 1 MiB cap (+9) and Query.String's appends
+# in place of fmt (-1) cost the rest, for BenchmarkQueryCacheFill
+# 11 -> 1.5 us, TestServerQueryAllocations 27 -> 16 objects and an
+# uncached panel refresh 104 -> 61.)
 # The second line is the same ratchet over all non-test Go outside the
 # benchmark's frozen paths (BENCHMARK.json "paths"): 26 312 before the
 # two wire servers became one skeleton (internal/wire), 26 222 after,
@@ -193,7 +203,10 @@ fi
 # it in internal/docdb (614 -> 461): Insert, Replace, SetField, Delete,
 # Count, the Exists and Prefix filters, the id generator and the
 # setfield and delete WAL ops gone, every write an Upsert by _id logged
-# as one record shape; parseGroupBy's all-digit check net 0.
+# as one record shape; parseGroupBy's all-digit check net 0; 25 734
+# (+22) with the query cache that walks no map (+24 in internal/tsdb,
+# above), net of docdb's record id, which repeated the document's _id
+# (-2).
 size_gate() { # $1: what is counted; $2: ceiling; stdin: the files
     size=$(xargs cat | wc -l)
     echo "size: $1 ${size} non-test lines (ceiling $2)"
@@ -202,9 +215,9 @@ size_gate() { # $1: what is counted; $2: ceiling; stdin: the files
         exit 1
     fi
 }
-find internal/tsdb -name '*.go' ! -name '*_test.go' | size_gate internal/tsdb 4995
+find internal/tsdb -name '*.go' ! -name '*_test.go' | size_gate internal/tsdb 5019
 find . -name '*.go' ! -name '*_test.go' ! -path './internal/bench/*' ! -path './cmd/pmovebench/*' |
-    size_gate 'outside the benchmark paths' 25712
+    size_gate 'outside the benchmark paths' 25734
 
 # One durable lifecycle: every durable byte goes through storage.Store
 # (store.go over wal.go), which owns closed and crashed. A bare WAL

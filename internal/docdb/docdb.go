@@ -245,7 +245,7 @@ func (c *Collection) Upsert(d Doc) (string, error) {
 	defer c.beginMutation()()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.logLocked(walOp{Op: "replace", Collection: c.name, ID: id, Doc: stored}); err != nil {
+	if err := c.logLocked(walOp{Op: "replace", Collection: c.name, Doc: stored}); err != nil {
 		return "", err
 	}
 	c.docs[id] = stored

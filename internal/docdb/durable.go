@@ -11,18 +11,19 @@ import (
 // directory managed by internal/storage. Every upsert is WAL-logged as
 // one JSON record before it commits, in one shape whether it inserts or
 // replaces: {"op":"replace","c":<collection>,"doc":<the admitted
-// document>,"id":<_id>}. Replaying snapshot+WAL therefore reconstructs
-// byte-identical state. Replay also reads a data directory written when
-// the store generated ids: its "insert" records ({"op","c","doc","seq"})
-// are puts by the document's own _id, and the id sequence they and the
-// snapshot's collections carry is ignored.
+// document>}, replayed as a put by the document's own _id. Replaying
+// snapshot+WAL therefore reconstructs byte-identical state. Replay also
+// reads the records of older stores: "replace" records that repeat the
+// _id as "id", and "insert" records ({"op","c","doc","seq"}) from when the
+// store generated ids. The "id" and the id sequence those records and
+// the snapshot's collections carry are ignored; the _id was always the
+// same id.
 
 // walOp is one logged upsert.
 type walOp struct {
 	Op         string `json:"op"`
 	Collection string `json:"c"`
 	Doc        Doc    `json:"doc,omitempty"`
-	ID         string `json:"id,omitempty"`
 }
 
 // snapshotImage is the compacted whole-database encoding.
@@ -106,17 +107,14 @@ func Open(dir string, pol storage.FsyncPolicy) (*DB, error) {
 // applyOp replays one logged upsert without re-logging it. Open runs it
 // before the DB is shared, so it takes no lock.
 func (db *DB) applyOp(op walOp) error {
-	switch op.Op {
-	case "insert": // a put logged when the store generated ids
-		op.ID = op.Doc.ID()
-	case "replace":
-	default:
+	if op.Op != "replace" && op.Op != "insert" { // insert: logged when the store generated ids
 		return fmt.Errorf("unknown logged op %q", op.Op)
 	}
-	if op.ID == "" {
+	id := op.Doc.ID()
+	if id == "" {
 		return fmt.Errorf("logged %s without _id", op.Op)
 	}
-	db.Collection(op.Collection).docs[op.ID] = op.Doc
+	db.Collection(op.Collection).docs[id] = op.Doc
 	return nil
 }
 

@@ -338,3 +338,60 @@ func TestOpensDataDirOfGeneratedIDs(t *testing.T) {
 		}
 	}
 }
+
+// TestOpensWALWithRepeatedIDs: a WAL whose replace records repeat the
+// document's _id as "id", as every upsert logged it before the record
+// dropped it, opens with exactly its documents; an upsert on top of it
+// logs the record without the "id", and the mixed log replays.
+func TestOpensWALWithRepeatedIDs(t *testing.T) {
+	dir := t.TempDir()
+	st, _, err := storage.Open(dir, storage.FsyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []string{
+		`{"op":"replace","c":"entries","doc":{"_id":"e1","host":"skx","n":1},"id":"e1"}`,
+		`{"op":"replace","c":"entries","doc":{"_id":"e2","host":"icl"},"id":"e2"}`,
+		`{"op":"replace","c":"entries","doc":{"_id":"e1","host":"skx","n":2},"id":"e1"}`,
+	} {
+		if _, err := st.Append([]byte(r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := []Doc{{"_id": "e1", "host": "skx", "n": 2.0}, {"_id": "e2", "host": "icl"}}
+	db, err := Open(dir, storage.FsyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Collection("entries").Find(nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("opened as %v, want %v", got, want)
+	}
+	if _, err := db.Collection("entries").Upsert(Doc{"_id": "e3", "host": "zen"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, rec, err := storage.Open(dir, storage.FsyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := string(rec.Records[len(rec.Records)-1].Data)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rec := `{"op":"replace","c":"entries","doc":{"_id":"e3","host":"zen"}}`; last != rec {
+		t.Fatalf("an upsert logged %s, want %s", last, rec)
+	}
+	if db, err = Open(dir, storage.FsyncAlways); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	want = append(want, Doc{"_id": "e3", "host": "zen"})
+	if got := db.Collection("entries").Find(nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened as %v, want %v", got, want)
+	}
+}

@@ -243,6 +243,22 @@ func (p *partial) placeSamples(parts []partial, units []unit, plan *aggPlan) (fo
 	return footerValues
 }
 
+// windowsIn bounds the GROUP BY windows that rows in [lo, hi], which
+// meets q's bounds, touch there, by most: a partial is made at that size.
+func windowsIn(lo, hi int64, most int, q *Query) int {
+	if q.GroupBy <= 0 {
+		return 1
+	}
+	if q.From != 0 {
+		lo = max(lo, q.From)
+	}
+	if q.To != 0 {
+		hi = min(hi, q.To)
+	}
+	n := (uint64(windowStart(hi, q.GroupBy))-uint64(windowStart(lo, q.GroupBy)))/uint64(q.GroupBy) + 1
+	return int(min(n, uint64(most)))
+}
+
 // footerOnly reports whether rows spanning [minT, maxT] can fold from
 // their footers alone: every row inside the time bounds (0 = unbounded)
 // and every row in the same GROUP BY window.
@@ -493,9 +509,17 @@ func (db *DB) scanAggregate(ctx context.Context, q *Query, plan *aggPlan, worker
 		return partial{}, 0, nil
 	}
 	nf := len(plan.fields)
-	var nFooter, nHead, cells int
+	partials := make([]partial, len(units))
+	var nFooter, nHead, cells, wins int
+	lo, hi := units[0].minT, units[0].b.maxT
 	for i := range units {
 		u := &units[i]
+		rows := u.b.rows
+		if u.side != nil {
+			rows += len(u.side.times)
+		}
+		n := windowsIn(u.minT, u.b.maxT, rows, q)
+		lo, hi, wins = min(lo, u.minT), max(hi, u.b.maxT), wins+n
 		// A head's footers do not cover its late rows.
 		u.footer = u.side == nil && footerOnly(u.minT, u.b.maxT, q)
 		if u.footer {
@@ -506,16 +530,12 @@ func (db *DB) scanAggregate(ctx context.Context, q *Query, plan *aggPlan, worker
 		if u.head {
 			nHead++
 		}
-		rows := u.b.rows
-		if u.side != nil {
-			rows += len(u.side.times)
-		}
 		cells += rows * (1 + nf)
+		partials[i] = partial{make([]int64, 0, n), make([]fieldAgg, 0, n*nf)}
 	}
 	if workers <= 0 {
 		workers = min(runtime.GOMAXPROCS(0), maxDefaultQueryWorkers)
 	}
-	partials := make([]partial, len(units))
 	if err := runUnits(ctx, min(workers, len(units)-nFooter), len(units), func(i int, sc *scratch) error {
 		if units[i].footer && !plan.anySamples {
 			return nil // folded by the merge below
@@ -524,7 +544,8 @@ func (db *DB) scanAggregate(ctx context.Context, q *Query, plan *aggPlan, worker
 	}); err != nil {
 		return partial{}, 0, err
 	}
-	var merged partial
+	n := windowsIn(lo, hi, wins, q)
+	merged := partial{make([]int64, 0, n), make([]fieldAgg, 0, n*nf)}
 	for i := range partials {
 		if units[i].footer && !plan.anySamples {
 			foldFooter(&merged, units[i], q, plan)

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"pmove/internal/introspect"
 )
@@ -328,5 +329,45 @@ func BenchmarkFoldColumns(b *testing.B) {
 				foldColumns(&out, times, cols, 0, len(times), bc.q, plan)
 			}
 		})
+	}
+}
+
+// TestUncachedRefreshAllocations: an uncached count and mean over 16
+// windows of two series, a live_monitor panel refresh, makes each
+// partial once at the windows its rows can touch — the merged one and
+// each unit's — instead of growing it a window at a time.
+func TestUncachedRefreshAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are held without the race detector")
+	}
+	db := New()
+	var ps []Point
+	for _, host := range []string{"a", "b"} {
+		for i := 16; i < 272; i++ {
+			ps = append(ps, Point{Measurement: "m", Tags: map[string]string{"host": host},
+				Fields: map[string]float64{"v": float64(i) / 3}, Time: int64(i) * int64(time.Second)})
+		}
+	}
+	if err := db.WriteBatchContext(context.Background(), ps); err != nil {
+		t.Fatal(err)
+	}
+	q, err := ParseQuery(`SELECT count("v"), mean("v") FROM "m" WHERE time >= 16000000000 AND time <= 271000000000 GROUP BY time(16s)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res *Result
+	refresh := func() {
+		if res, err = db.ExecuteContext(context.Background(), QueryRequest{Query: q, Workers: 1, SkipCache: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refresh()
+	n := testing.AllocsPerRun(50, refresh)
+	t.Logf("objects per %d-window refresh: %v", len(res.Rows), n)
+	if len(res.Rows) != 16 {
+		t.Fatalf("%d windows, want 16", len(res.Rows))
+	}
+	if n > 61 {
+		t.Errorf("an uncached refresh allocates %v objects; want at most 61", n)
 	}
 }

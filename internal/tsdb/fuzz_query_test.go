@@ -33,6 +33,27 @@ func queriesEqual(a, b *Query) bool {
 	return true
 }
 
+// parseQuerySeeds are FuzzParseQuery's seeds.
+var parseQuerySeeds = []string{
+	`SELECT "_cpu0", "_cpu1" FROM "kernel_percpu_cpu_idle" WHERE tag="278e26c2"`,
+	`SELECT * FROM "m"`,
+	`SELECT mean("_cpu0") FROM "m" GROUP BY time(5s)`,
+	`SELECT p99("f"), count("f") FROM "m" WHERE tag="x" AND time >= 5 AND time <= 99 GROUP BY time(250ms)`,
+	`SELECT p99.9("f") FROM "m"`,
+	`SELECT sum("f") FROM "m" GROUP BY time(300000000000)`,
+	`select min("f"), max("f") from "m" where "time"="tagval"`,
+	`SELECT "f" FROM "m" WHERE k='raw val' AND time = 7`,
+	`SELECT "a\"b" FROM "m\\n"`,
+	`SELECT count("f") FROM "m" WHERE "and"="x" AND "group"="y"`,
+	`SELECT mean("f") FROM "m" WHERE time >= -5 GROUP BY time(1h30m)`,
+	`SELECT "f" FROM "m" WHERE tag<"x"`,
+	`SELECT FROM "m"`,
+	`SELECT mean("f"), "g" FROM "m"`,
+	`SELECT pNaN("f") FROM "m"`,
+	``,
+	"SELECT mean(v)\nFROM m WHERE k='a\nb' AND \"k\n2\"=\"x\"",
+}
+
 // FuzzParseQuery asserts the query parser's contract over arbitrary
 // statements: never panic, and every accepted statement renders to a
 // canonical form (Query.String — the query-cache key) that parses back
@@ -40,29 +61,18 @@ func queriesEqual(a, b *Query) bool {
 // point: parse → String → parse → String yields identical text, or the
 // cache would key the same plan under different strings.
 func FuzzParseQuery(f *testing.F) {
-	f.Add(`SELECT "_cpu0", "_cpu1" FROM "kernel_percpu_cpu_idle" WHERE tag="278e26c2"`)
-	f.Add(`SELECT * FROM "m"`)
-	f.Add(`SELECT mean("_cpu0") FROM "m" GROUP BY time(5s)`)
-	f.Add(`SELECT p99("f"), count("f") FROM "m" WHERE tag="x" AND time >= 5 AND time <= 99 GROUP BY time(250ms)`)
-	f.Add(`SELECT p99.9("f") FROM "m"`)
-	f.Add(`SELECT sum("f") FROM "m" GROUP BY time(300000000000)`)
-	f.Add(`select min("f"), max("f") from "m" where "time"="tagval"`)
-	f.Add(`SELECT "f" FROM "m" WHERE k='raw val' AND time = 7`)
-	f.Add(`SELECT "a\"b" FROM "m\\n"`)
-	f.Add(`SELECT count("f") FROM "m" WHERE "and"="x" AND "group"="y"`)
-	f.Add(`SELECT mean("f") FROM "m" WHERE time >= -5 GROUP BY time(1h30m)`)
-	f.Add(`SELECT "f" FROM "m" WHERE tag<"x"`)
-	f.Add(`SELECT FROM "m"`)
-	f.Add(`SELECT mean("f"), "g" FROM "m"`)
-	f.Add(`SELECT pNaN("f") FROM "m"`)
-	f.Add(``)
-	f.Add("SELECT mean(v)\nFROM m WHERE k='a\nb' AND \"k\n2\"=\"x\"")
+	for _, stmt := range parseQuerySeeds {
+		f.Add(stmt)
+	}
 	f.Fuzz(func(t *testing.T, stmt string) {
 		q, err := ParseQuery(stmt)
 		if err != nil {
 			return // rejection is a valid outcome; panics are not
 		}
 		canon := q.String()
+		if ref := fmtQueryString(q); canon != ref {
+			t.Fatalf("%q renders %q; the fmt-built renderer gave %q", stmt, canon, ref)
+		}
 		// The client sends this text as one wire line (QueryContext).
 		if strings.Contains(canon, "\n") {
 			t.Fatalf("canonical form %q of %q holds a line break", canon, stmt)

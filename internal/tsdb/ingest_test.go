@@ -383,7 +383,8 @@ func checkSideRun(t *testing.T, db *DB, want bool) {
 // a cached aggregate shaped like a live_monitor panel refresh — count and
 // mean over 16 windows, a reply of more than a kilobyte — is a fixed few
 // objects: the reply is encoded into the connection's writer, not into a
-// buffer of its own, and parsing time(16s) makes no strconv error.
+// buffer of its own, parsing time(16s) makes no strconv error, and the
+// cache key is rendered into one buffer, not through fmt.
 func TestServerQueryAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are held without the race detector")
@@ -422,8 +423,8 @@ func TestServerQueryAllocations(t *testing.T) {
 	if len(reply) < 1024 {
 		t.Fatalf("reply of %d bytes, want a panel refresh's kilobyte or more", len(reply))
 	}
-	if n > 27 {
-		t.Errorf("a cached aggregate's reply allocates %v objects; want at most 27", n)
+	if n > 16 {
+		t.Errorf("a cached aggregate's reply allocates %v objects; want at most 16", n)
 	}
 }
 

@@ -2,7 +2,7 @@ package tsdb
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -18,17 +18,19 @@ type Aggregate struct {
 	Pct float64
 }
 
-// fnLabel renders the function name ("mean", "p99", "p99.9", …).
-func (a Aggregate) fnLabel() string {
+// appendFnLabel appends the function name ("mean", "p99", "p99.9", …).
+func (a Aggregate) appendFnLabel(b []byte) []byte {
+	b = append(b, a.Fn...)
 	if a.Fn == "p" {
-		return "p" + strconv.FormatFloat(a.Pct, 'f', -1, 64)
+		b = strconv.AppendFloat(b, a.Pct, 'f', -1, 64)
 	}
-	return a.Fn
+	return b
 }
 
 // Column is the result-column name of the aggregate, e.g. "mean(_cpu0)".
 func (a Aggregate) Column() string {
-	return a.fnLabel() + "(" + a.Field + ")"
+	var buf [64]byte
+	return string(append(append(append(a.appendFnLabel(buf[:0]), '('), a.Field...), ')'))
 }
 
 // Query is the SELECT subset P-MoVE auto-generates (Listing 3), plus
@@ -78,55 +80,52 @@ func bareKeySafe(k string) bool {
 // time bounds last, then GROUP BY. ParseQuery(q.String()) reproduces q
 // exactly, and the rendering is the query-cache key.
 func (q *Query) String() string {
-	var b strings.Builder
-	b.WriteString("SELECT ")
-	n := 0
-	for _, a := range q.Aggregates {
-		if n > 0 {
-			b.WriteString(", ")
+	var buf [256]byte
+	b := append(buf[:0], "SELECT "...)
+	for i, a := range q.Aggregates {
+		if i > 0 {
+			b = append(b, ", "...)
 		}
-		fmt.Fprintf(&b, "%s(%q)", a.fnLabel(), a.Field)
-		n++
+		b = append(strconv.AppendQuote(append(a.appendFnLabel(b), '('), a.Field), ')')
 	}
-	for _, f := range q.Fields {
-		if n > 0 {
-			b.WriteString(", ")
+	for i, f := range q.Fields {
+		if i > 0 || len(q.Aggregates) > 0 {
+			b = append(b, ", "...)
 		}
 		if f == "*" {
-			b.WriteString("*")
+			b = append(b, '*')
 		} else {
-			fmt.Fprintf(&b, "%q", f)
+			b = strconv.AppendQuote(b, f)
 		}
-		n++
 	}
-	fmt.Fprintf(&b, " FROM %q", q.Measurement)
-	keys := make([]string, 0, len(q.TagFilter))
+	b = strconv.AppendQuote(append(b, " FROM "...), q.Measurement)
+	var keyBuf [8]string
+	keys := keyBuf[:0]
 	for k := range q.TagFilter {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	var conds []string
+	slices.Sort(keys)
+	sep := " WHERE "
 	for _, k := range keys {
-		kk := k
-		if !bareKeySafe(k) {
-			kk = strconv.Quote(k)
+		if b = append(b, sep...); bareKeySafe(k) {
+			b = append(b, k...)
+		} else {
+			b = strconv.AppendQuote(b, k)
 		}
-		conds = append(conds, fmt.Sprintf("%s=%q", kk, q.TagFilter[k]))
+		b = strconv.AppendQuote(append(b, '='), q.TagFilter[k])
+		sep = " AND "
 	}
 	if q.From != 0 {
-		conds = append(conds, fmt.Sprintf("time >= %d", q.From))
+		b = strconv.AppendInt(append(append(b, sep...), "time >= "...), q.From, 10)
+		sep = " AND "
 	}
 	if q.To != 0 {
-		conds = append(conds, fmt.Sprintf("time <= %d", q.To))
-	}
-	if len(conds) > 0 {
-		b.WriteString(" WHERE ")
-		b.WriteString(strings.Join(conds, " AND "))
+		b = strconv.AppendInt(append(append(b, sep...), "time <= "...), q.To, 10)
 	}
 	if q.GroupBy > 0 {
-		fmt.Fprintf(&b, " GROUP BY time(%s)", time.Duration(q.GroupBy))
+		b = append(append(append(b, " GROUP BY time("...), time.Duration(q.GroupBy).String()...), ')')
 	}
-	return b.String()
+	return string(b)
 }
 
 // tokenStops are the bytes that terminate a bare word.

@@ -37,11 +37,10 @@ type queryCache struct {
 	mu      sync.Mutex
 	cap     int
 	entries map[string]*cacheEntry // canonical statement → entry
-	byMeas  map[string]map[string]struct{}
-	// versions counts acknowledged invalidations per measurement. A
-	// measurement is registered on first read so a later invalidation
-	// (including invalidateAll) always outruns an in-flight fill.
-	versions map[string]uint64
+	slots   []*cacheEntry          // the same entries, each at its idx
+	// versions counts acknowledged invalidations per measurement in one
+	// cell each, which its entries point at (cellLocked registers them).
+	versions map[string]*uint64
 	clock    uint64 // the last recency stamp handed out
 	fills    int    // fills since priorities last halved
 
@@ -54,13 +53,14 @@ type queryCache struct {
 // cacheEntry holds a result nothing writes after put: get hands out res
 // itself, which every caller that hits it reads concurrently.
 type cacheEntry struct {
-	key         string
-	measurement string
-	version     uint64 // the measurement's version res was computed at
-	res         *Result
-	worth       float64 // decode work saved per retained cell
-	priority    float64 // worth, halved by each aging since the last hit or fill
-	used        uint64  // recency stamp of the last hit or fill
+	key      string
+	idx      int     // its index in slots
+	cur      *uint64 // its measurement's version cell
+	version  uint64  // the measurement's version res was computed at
+	res      *Result
+	worth    float64 // decode work saved per retained cell
+	priority float64 // worth, halved by each aging since the last hit or fill
+	used     uint64  // recency stamp of the last hit or fill
 }
 
 // defaultQueryCacheCap bounds the cache; dashboards re-issue a small
@@ -77,8 +77,7 @@ func newQueryCache(capacity int) *queryCache {
 	return &queryCache{
 		cap:      capacity,
 		entries:  map[string]*cacheEntry{},
-		byMeas:   map[string]map[string]struct{}{},
-		versions: map[string]uint64{},
+		versions: map[string]*uint64{},
 	}
 }
 
@@ -112,18 +111,26 @@ func (c *queryCache) countScan(footer, decoded, head, cells int) {
 	c.mu.Unlock()
 }
 
+// cellLocked returns the measurement's version cell, registering it at
+// version 0 on first read or write, so that a later invalidation —
+// invalidateAll's too, which no targeted write may precede (retention
+// drops) — always outruns an in-flight fill. Callers hold c.mu.
+func (c *queryCache) cellLocked(measurement string) *uint64 {
+	cur := c.versions[measurement]
+	if cur == nil {
+		// A new key outlives the call: do not pin the text it was cut from.
+		cur = new(uint64)
+		c.versions[strings.Clone(measurement)] = cur
+	}
+	return cur
+}
+
 // version snapshots (registering if new) the measurement's version.
 // Callers take it before scanning and hand it back to put.
 func (c *queryCache) version(measurement string) uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	v, ok := c.versions[measurement]
-	if !ok {
-		// Register so invalidateAll bumps this measurement too, even if
-		// no targeted write ever touches it (retention drops).
-		c.versions[measurement] = 0
-	}
-	return v
+	return *c.cellLocked(measurement)
 }
 
 // get returns the cached result for key, if any, for reading only.
@@ -131,7 +138,7 @@ func (c *queryCache) get(key string) (*Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
-	if !ok || e.version != c.versions[e.measurement] {
+	if !ok || e.version != *e.cur {
 		c.misses.Inc()
 		return nil, false
 	}
@@ -148,12 +155,13 @@ func (c *queryCache) get(key string) (*Result, bool) {
 func (c *queryCache) put(key, measurement string, version uint64, res *Result, cells int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.versions[measurement] != version {
+	cur := c.cellLocked(measurement)
+	if *cur != version {
 		return
 	}
 	if c.fills++; c.fills >= agingFills*c.cap {
 		c.fills = 0
-		for _, e := range c.entries {
+		for _, e := range c.slots {
 			e.priority /= 2
 		}
 	}
@@ -163,55 +171,47 @@ func (c *queryCache) put(key, measurement string, version uint64, res *Result, c
 		e.version, e.res, e.worth, e.priority, e.used = version, res, worth, worth, c.clock
 		return
 	}
-	for k := range c.byMeas[measurement] {
-		if e := c.entries[k]; e.version != version {
-			c.removeLocked(e)
+	// One walk drops the measurement's stale entries and ranks the rest:
+	// a stale entry leaves first, ranked -1, then the lowest priority,
+	// the least recently used among equals.
+	var v *cacheEntry
+	var vp float64
+	for i := 0; i < len(c.slots); {
+		e := c.slots[i]
+		p := e.priority
+		if e.version != *e.cur {
+			if e.cur == cur {
+				c.removeLocked(e) // slots[i] is now the last entry
+				continue
+			}
+			p = -1 // it can never hit again
 		}
+		if v == nil || p < vp || (p == vp && e.used < v.used) {
+			v, vp = e, p
+		}
+		i++
 	}
-	if len(c.entries) >= c.cap {
-		v, priority := c.victimLocked()
-		if priority > worth {
+	if len(c.slots) >= c.cap {
+		if vp > worth {
 			c.refused.Inc()
 			return
 		}
 		c.removeLocked(v)
 		c.evictions.Inc()
 	}
-	set := c.byMeas[measurement]
-	if set == nil {
-		set = map[string]struct{}{}
-		c.byMeas[measurement] = set
-	}
-	c.entries[key] = &cacheEntry{key: key, measurement: measurement, version: version, res: res,
+	e := &cacheEntry{key: key, idx: len(c.slots), cur: cur, version: version, res: res,
 		worth: worth, priority: worth, used: c.clock}
-	set[key] = struct{}{}
+	c.entries[key] = e
+	c.slots = append(c.slots, e)
 }
 
-// victimLocked returns the entry that leaves first and its priority:
-// a stale one, ranked -1, else the lowest priority, the least recently
-// used among equals. Callers hold c.mu and a non-empty cache.
-func (c *queryCache) victimLocked() (v *cacheEntry, vp float64) {
-	for _, e := range c.entries {
-		p := e.priority
-		if e.version != c.versions[e.measurement] {
-			p = -1 // it can never hit again
-		}
-		if v == nil || p < vp || (p == vp && e.used < v.used) {
-			v, vp = e, p
-		}
-	}
-	return v, vp
-}
-
-// removeLocked removes one entry. Callers hold c.mu.
+// removeLocked swap-removes one entry. Callers hold c.mu.
 func (c *queryCache) removeLocked(e *cacheEntry) {
+	last := c.slots[len(c.slots)-1]
+	c.slots[e.idx], last.idx = last, e.idx
+	c.slots[len(c.slots)-1] = nil
+	c.slots = c.slots[:len(c.slots)-1]
 	delete(c.entries, e.key)
-	if set := c.byMeas[e.measurement]; set != nil {
-		delete(set, e.key)
-		if len(set) == 0 {
-			delete(c.byMeas, e.measurement)
-		}
-	}
 }
 
 // invalidate bumps the measurement's version, which makes every cached
@@ -221,12 +221,7 @@ func (c *queryCache) removeLocked(e *cacheEntry) {
 func (c *queryCache) invalidate(measurement string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	v, ok := c.versions[measurement]
-	if !ok {
-		// A new key outlives the write: do not pin the line it was cut from.
-		measurement = strings.Clone(measurement)
-	}
-	c.versions[measurement] = v + 1
+	*c.cellLocked(measurement)++
 	c.invalidations.Inc()
 }
 
@@ -236,12 +231,12 @@ func (c *queryCache) invalidate(measurement string) {
 func (c *queryCache) invalidateAll() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for m := range c.versions {
-		c.versions[m]++
+	for _, cur := range c.versions {
+		*cur++
 	}
 	c.invalidations.Inc()
 	clear(c.entries)
-	clear(c.byMeas)
+	c.slots = nil
 }
 
 // len returns the count of entries a hit could return (tests).
@@ -249,8 +244,8 @@ func (c *queryCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
-	for _, e := range c.entries {
-		if e.version == c.versions[e.measurement] {
+	for _, e := range c.slots {
+		if e.version == *e.cur {
 			n++
 		}
 	}

@@ -392,3 +392,226 @@ func TestQueryCacheStaleEntries(t *testing.T) {
 		t.Fatalf("new statement: k2 resident %v, %d resident, %d current; want false, 3, 3", ok, len(c.entries), c.len())
 	}
 }
+
+// mapScanCache is the map-walking cache the slice-and-cells one
+// replaced: entries and a per-measurement index in maps, versions by
+// name. It is kept as the reference its decisions must match.
+type mapScanCache struct {
+	cap                 int
+	entries             map[string]*cacheEntry
+	byMeas              map[string]map[string]struct{}
+	meas                map[*cacheEntry]string
+	versions            map[string]uint64
+	clock               uint64
+	fills               int
+	evictions, refused  int
+	hits, invalidations int
+}
+
+func newMapScanCache(capacity int) *mapScanCache {
+	return &mapScanCache{cap: capacity, entries: map[string]*cacheEntry{}, byMeas: map[string]map[string]struct{}{},
+		meas: map[*cacheEntry]string{}, versions: map[string]uint64{}}
+}
+
+func (c *mapScanCache) version(m string) uint64 {
+	v, ok := c.versions[m]
+	if !ok {
+		c.versions[m] = 0
+	}
+	return v
+}
+
+func (c *mapScanCache) get(key string) bool {
+	e, ok := c.entries[key]
+	if !ok || e.version != c.versions[c.meas[e]] {
+		return false
+	}
+	c.clock++
+	e.priority, e.used = e.worth, c.clock
+	c.hits++
+	return true
+}
+
+func (c *mapScanCache) put(key, m string, version uint64, res *Result, cells int) {
+	if c.versions[m] != version {
+		return
+	}
+	if c.fills++; c.fills >= agingFills*c.cap {
+		c.fills = 0
+		for _, e := range c.entries {
+			e.priority /= 2
+		}
+	}
+	c.clock++
+	worth := float64(cells) / float64(len(res.Rows)*len(res.Columns)+1)
+	if e, ok := c.entries[key]; ok {
+		e.version, e.res, e.worth, e.priority, e.used = version, res, worth, worth, c.clock
+		return
+	}
+	for k := range c.byMeas[m] {
+		if e := c.entries[k]; e.version != version {
+			c.remove(e)
+		}
+	}
+	if len(c.entries) >= c.cap {
+		var v *cacheEntry
+		var vp float64
+		for _, e := range c.entries {
+			p := e.priority
+			if e.version != c.versions[c.meas[e]] {
+				p = -1
+			}
+			if v == nil || p < vp || (p == vp && e.used < v.used) {
+				v, vp = e, p
+			}
+		}
+		if vp > worth {
+			c.refused++
+			return
+		}
+		c.remove(v)
+		c.evictions++
+	}
+	if c.byMeas[m] == nil {
+		c.byMeas[m] = map[string]struct{}{}
+	}
+	e := &cacheEntry{key: key, version: version, res: res, worth: worth, priority: worth, used: c.clock}
+	c.entries[key], c.meas[e] = e, m
+	c.byMeas[m][key] = struct{}{}
+}
+
+func (c *mapScanCache) remove(e *cacheEntry) {
+	m := c.meas[e]
+	delete(c.entries, e.key)
+	delete(c.meas, e)
+	if delete(c.byMeas[m], e.key); len(c.byMeas[m]) == 0 {
+		delete(c.byMeas, m)
+	}
+}
+
+func (c *mapScanCache) invalidate(m string) { c.versions[m]++; c.invalidations++ }
+
+func (c *mapScanCache) invalidateAll() {
+	for m := range c.versions {
+		c.versions[m]++
+	}
+	c.invalidations++
+	clear(c.entries)
+	clear(c.byMeas)
+	clear(c.meas)
+}
+
+// TestQueryCacheSameDecisions drives the cache and the map-walking
+// reference through one seeded sequence of fills (some outrun by a
+// write mid-scan), hits, invalidations, invalidateAll and the agings
+// the fills bring, at capacities 8 and 256. After every step both hold
+// the same entries with the same version, priority and recency, and
+// agree on every hit, eviction and refusal — so every victim and every
+// refusal was the reference's.
+func TestQueryCacheSameDecisions(t *testing.T) {
+	for _, capacity := range []int{8, 256} {
+		t.Run(fmt.Sprint(capacity), func(t *testing.T) {
+			c, ref := newQueryCache(capacity), newMapScanCache(capacity)
+			in := introspect.New()
+			c.setIntrospection(in)
+			rng := rand.New(rand.NewSource(int64(capacity)))
+			res := &Result{Measurement: "m", Columns: []string{"count(f)"}, Rows: make([]Row, 1)}
+			nMeas := capacity/8 + 2
+			keys, meas := make([]string, 4*capacity), make([]string, 4*capacity)
+			for i := range keys {
+				keys[i], meas[i] = fmt.Sprintf("s%d", i), fmt.Sprintf("m%d", rng.Intn(nMeas))
+			}
+			steps := 12 * agingFills * capacity
+			for step := 0; step < steps; step++ {
+				i := rng.Intn(len(keys))
+				switch op := rng.Intn(1000); {
+				case op < 950: // a refresh: a hit, or a fill at one of a few worths
+					_, hit := c.get(keys[i])
+					if want := ref.get(keys[i]); hit != want {
+						t.Fatalf("step %d: get %s hit %v, reference %v", step, keys[i], hit, want)
+					}
+					if !hit {
+						cells := 1 << rng.Intn(6)
+						v, rv := c.version(meas[i]), ref.version(meas[i])
+						if rng.Intn(20) == 0 { // a write lands mid-scan
+							c.invalidate(meas[i])
+							ref.invalidate(meas[i])
+						}
+						c.put(keys[i], meas[i], v, res, cells)
+						ref.put(keys[i], meas[i], rv, res, cells)
+					}
+				case op < 999:
+					m := fmt.Sprintf("m%d", rng.Intn(nMeas))
+					c.invalidate(m)
+					ref.invalidate(m)
+				default:
+					c.invalidateAll()
+					ref.invalidateAll()
+				}
+				compareCaches(t, step, c, ref, in)
+			}
+			snap := in.Metrics().Snapshot()
+			t.Logf("%d steps: %d hits, %d evictions, %d refused", steps, snap.CounterValue("query.cache.hits"),
+				snap.CounterValue("query.cache.evictions"), snap.CounterValue("query.cache.refused"))
+			if ref.evictions == 0 || ref.refused == 0 || ref.hits == 0 {
+				t.Fatalf("sequence too tame: %d evictions, %d refused, %d hits", ref.evictions, ref.refused, ref.hits)
+			}
+		})
+	}
+}
+
+// compareCaches fails unless c holds what ref holds and counted what
+// ref counted.
+func compareCaches(t *testing.T, step int, c *queryCache, ref *mapScanCache, in *introspect.Introspector) {
+	t.Helper()
+	if len(c.entries) != len(ref.entries) || len(c.slots) != len(c.entries) {
+		t.Fatalf("step %d: %d entries in %d slots, reference %d", step, len(c.entries), len(c.slots), len(ref.entries))
+	}
+	for i, e := range c.slots {
+		r := ref.entries[e.key]
+		switch {
+		case e.idx != i || c.entries[e.key] != e:
+			t.Fatalf("step %d: %s in slot %d records %d", step, e.key, i, e.idx)
+		case r == nil:
+			t.Fatalf("step %d: %s resident, not in the reference", step, e.key)
+		case e.version != r.version || e.priority != r.priority || e.used != r.used || *e.cur != ref.versions[ref.meas[r]]:
+			t.Fatalf("step %d: %s at version %d of %d, priority %v, used %d; reference %d of %d, %v, %d", step, e.key,
+				e.version, *e.cur, e.priority, e.used, r.version, ref.versions[ref.meas[r]], r.priority, r.used)
+		}
+	}
+	snap := in.Metrics().Snapshot()
+	for name, want := range map[string]int{"evictions": ref.evictions, "refused": ref.refused,
+		"hits": ref.hits, "invalidations": ref.invalidations} {
+		if got := snap.CounterValue("query.cache." + name); got != uint64(want) {
+			t.Fatalf("step %d: %s %d, reference %d", step, name, got, want)
+		}
+	}
+}
+
+// BenchmarkQueryCacheFill puts new statements into a full 256-entry
+// cache, a dashboard larger than the cache refreshing: each fill sweeps
+// its measurement's stale entries and evicts a victim, and every
+// 10·cap fills age every priority.
+func BenchmarkQueryCacheFill(b *testing.B) {
+	c := newQueryCache(defaultQueryCacheCap)
+	res := &Result{Measurement: "m", Columns: []string{"mean(f)"}, Rows: make([]Row, 16)}
+	keys, meas := make([]string, 4096), make([]string, 64)
+	for i := range meas {
+		meas[i] = fmt.Sprintf("m%d", i)
+	}
+	for i := range keys {
+		keys[i] = fmt.Sprintf(`SELECT mean("f") FROM "m%d" WHERE time >= %d GROUP BY time(16s)`, i%len(meas), i)
+	}
+	fill := func(i int) {
+		m := meas[i%len(meas)]
+		c.put(keys[i%len(keys)], m, c.version(m), res, 1000)
+	}
+	for i := 0; i < defaultQueryCacheCap; i++ {
+		fill(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fill(defaultQueryCacheCap + i)
+	}
+}

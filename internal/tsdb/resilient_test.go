@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -374,5 +375,57 @@ func TestClientPingDropsDesyncedWire(t *testing.T) {
 	}
 	if d := c.Stats().Dials; d != 2 {
 		t.Fatalf("%d dials, want 2: the out-of-step wire is dropped, not reused", d)
+	}
+}
+
+// TestClientLongReplyDecodes: a QUERY reply longer than the wire's
+// 4 KiB read buffer, read in fragments into the client's reply buffer,
+// decodes to the result the store computed — and so does a short reply
+// after it and a long one again, through the reused buffer. A reply over
+// 1 MiB decodes as well, and its buffer is not kept.
+func TestClientLongReplyDecodes(t *testing.T) {
+	db := New()
+	var ps []Point
+	for i := 0; i < 14000; i++ {
+		ps = append(ps, Point{Measurement: "wide", Tags: map[string]string{"host": "a"},
+			Fields: map[string]float64{"value_with_a_long_field_name": float64(i) / 7, "second": float64(i)}, Time: int64(i + 1)})
+	}
+	if err := db.WriteBatchContext(context.Background(), ps); err != nil {
+		t.Fatal(err)
+	}
+	srv, addr := startServer(t, db)
+	defer srv.Close()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, tc := range []struct {
+		stmt      string
+		minBytes  int
+		keepsLine bool
+	}{
+		{`SELECT * FROM "wide" WHERE time <= 100`, 4 << 10, true},
+		{`SELECT count("second") FROM "wide"`, 0, true},
+		{`SELECT "value_with_a_long_field_name" FROM "wide" WHERE time <= 200`, 8 << 10, true},
+		{`SELECT * FROM "wide"`, 1 << 20, false},
+	} {
+		want, err := db.ExecuteContext(context.Background(), QueryRequest{Statement: tc.stmt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reply, err := appendResult(nil, want); err != nil || len(reply) < tc.minBytes {
+			t.Fatalf("%s: a %d-byte reply (%v), want at least %d", tc.stmt, len(reply), err, tc.minBytes)
+		}
+		got, err := c.QueryContext(context.Background(), tc.stmt)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.stmt, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the client decoded %d rows, the store computed %d, and they differ", tc.stmt, len(got.Rows), len(want.Rows))
+		}
+		if kept := c.reply != nil; tc.minBytes > 4<<10 && kept != tc.keepsLine {
+			t.Fatalf("%s: reply buffer of %d bytes kept %v, want %v", tc.stmt, cap(c.reply), kept, tc.keepsLine)
+		}
 	}
 }

@@ -478,7 +478,8 @@ func (s *Server) handleQuery(c *conn, rest string, arrivalNanos int64) {
 // read off the wire and never retried. Writes are exactly-once under
 // retry (see WriteBatchContext).
 type Client struct {
-	tr *resilience.Transport
+	tr    *resilience.Transport
+	reply []byte // a QUERY reply longer than the wire's read buffer; ops run one at a time
 }
 
 // wireTag renders the optional "traceparent=<tp> " frame token for the
@@ -645,7 +646,17 @@ func (c *Client) QueryContext(ctx context.Context, stmt string) (*Result, error)
 		if _, err := fmt.Fprintf(w.Conn, "QUERY %s%s\n", wireTag(ctx), text); err != nil {
 			return err
 		}
-		line, err := w.R.ReadBytes('\n')
+		line, err := w.R.ReadSlice('\n')
+		if errors.Is(err, bufio.ErrBufferFull) {
+			c.reply = append(c.reply[:0], line...)
+			for errors.Is(err, bufio.ErrBufferFull) {
+				line, err = w.R.ReadSlice('\n')
+				c.reply = append(c.reply, line...)
+			}
+			if line = c.reply; cap(c.reply) > 1<<20 {
+				c.reply = nil // kept up to 1 MiB, as putRowBuf keeps a rowBuf
+			}
+		}
 		if err != nil {
 			return err
 		}
@@ -654,14 +665,12 @@ func (c *Client) QueryContext(ctx context.Context, stmt string) (*Result, error)
 			return resilience.Permanent(fmt.Errorf("tsdb: query rejected: %s", bytes.TrimSpace(line)))
 		}
 		// The line was fully read, so the stream is in sync; a malformed
-		// body will not get better on retry.
+		// body will not get better on retry. The result copies what it
+		// keeps of the line.
 		res, err = decodeResult(line)
 		return resilience.Permanent(err)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return res, err // res is nil unless the reply decoded
 }
 
 // PingContext checks liveness with the same exchange that resyncs a
