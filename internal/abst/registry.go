@@ -34,16 +34,6 @@ func (r *Registry) Register(cfg *Config) error {
 	return nil
 }
 
-// PMUs lists registered PMU names (including aliases), sorted.
-func (r *Registry) PMUs() []string {
-	var out []string
-	for n := range r.byPMU {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Get is the paper's pmu_utils.get(HW_PMU_NAME, COMMON_EVENT_NAME): it
 // returns the formula token list for a generic event on a PMU, e.g.
 //

@@ -28,9 +28,6 @@ type Roof struct {
 	GFLOPS  float64         `json:"gflops,omitempty"`
 }
 
-// IsCompute reports whether this is the FP-throughput roof.
-func (r Roof) IsCompute() bool { return r.GFLOPS > 0 && r.GBps == 0 }
-
 // Model is a constructed CARM for one system / ISA / thread count.
 type Model struct {
 	Host    string   `json:"host"`
@@ -154,21 +151,6 @@ func Construct(m *machine.Machine, isa topo.ISA, threads int, pin topo.PinStrate
 		return nil, err
 	}
 	return model, nil
-}
-
-// ConstructAll builds models for the representative thread counts of the
-// system (paper: "P-MoVE generates a subset of the most representative
-// thread counts"), returning them keyed by thread count.
-func ConstructAll(m *machine.Machine, isa topo.ISA, pin topo.PinStrategy) (map[int]*Model, error) {
-	out := map[int]*Model{}
-	for _, n := range kernels.RepresentativeThreadCounts(m.System()) {
-		model, err := Construct(m, isa, n, pin)
-		if err != nil {
-			return nil, err
-		}
-		out[n] = model
-	}
-	return out, nil
 }
 
 // ToBenchmark serialises the model as a KB BenchmarkInterface entry, so

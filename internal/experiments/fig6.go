@@ -89,7 +89,7 @@ func Fig6(freqs []float64, durationSeconds float64) (*Fig6Result, error) {
 			if !ok {
 				continue
 			}
-			cpu, mem, _, _, _ := ua.Usage().Snapshot()
+			cpu, mem, _ := ua.Usage().Snapshot()
 			res.Rows = append(res.Rows, Fig6Row{
 				Agent: a.Name(), IntervalSec: 1 / freq,
 				CPUPct:   cpu / durationSeconds * 100,
@@ -98,7 +98,7 @@ func Fig6(freqs []float64, durationSeconds float64) (*Fig6Result, error) {
 			})
 		}
 		// pmcd carries the shipment totals.
-		cpu, mem, _, _, _ := pm.Usage().Snapshot()
+		cpu, mem, _ := pm.Usage().Snapshot()
 		res.Rows = append(res.Rows, Fig6Row{
 			Agent: telemetry.AgentPMCD, IntervalSec: 1 / freq,
 			CPUPct:   cpu / durationSeconds * 100,

@@ -123,18 +123,6 @@ func (s *Store) Query(p Pattern) []Triple {
 	return out
 }
 
-// Subjects returns all distinct subjects, sorted.
-func (s *Store) Subjects() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.bySubject))
-	for k := range s.bySubject {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Neighbors returns the object IRIs reachable from a subject via any
 // predicate — the link-following primitive for KB navigation.
 func (s *Store) Neighbors(subject string) []string {

@@ -64,15 +64,6 @@ func DTMI(version int, segments ...string) (string, error) {
 	return id, nil
 }
 
-// MustDTMI is DTMI for compile-time-known segments; panics on error.
-func MustDTMI(version int, segments ...string) string {
-	id, err := DTMI(version, segments...)
-	if err != nil {
-		panic(err)
-	}
-	return id
-}
-
 // Content is one entry of an Interface's contents: a Property, Telemetry,
 // Command, Relationship or Component, discriminated by Type.
 type Content struct {

@@ -52,8 +52,6 @@ type ResourceUsage struct {
 	mu          sync.Mutex
 	CPUSeconds  float64
 	MemoryBytes int64 // constant per agent ("all agents maintain constant memory usage")
-	NetBytes    int64
-	DiskBytes   int64
 	SampleCalls int64
 }
 
@@ -65,18 +63,11 @@ func (r *ResourceUsage) AddCPU(s float64) {
 	r.mu.Unlock()
 }
 
-// AddNet accumulates shipped bytes.
-func (r *ResourceUsage) AddNet(b int64) {
-	r.mu.Lock()
-	r.NetBytes += b
-	r.mu.Unlock()
-}
-
 // Snapshot returns a copy of the counters.
-func (r *ResourceUsage) Snapshot() (cpu float64, mem, net, disk int64, calls int64) {
+func (r *ResourceUsage) Snapshot() (cpu float64, mem int64, calls int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.CPUSeconds, r.MemoryBytes, r.NetBytes, r.DiskBytes, r.SampleCalls
+	return r.CPUSeconds, r.MemoryBytes, r.SampleCalls
 }
 
 // cpuCostPerValue is the CPU time one value read/encode costs an agent.

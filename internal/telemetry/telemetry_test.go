@@ -301,13 +301,13 @@ func TestAgentResourceAccounting(t *testing.T) {
 	// Memory is constant; CPU accrues per sample.
 	la, _ := p.Agent(AgentLinux)
 	lu := la.(*LinuxAgent).Usage()
-	cpu0, mem0, _, _, _ := lu.Snapshot()
+	cpu0, mem0, _ := lu.Snapshot()
 	for i := 0; i < 100; i++ {
 		if _, err := p.Sample(machine.MetricCPUIdle); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cpu1, mem1, _, _, calls := lu.Snapshot()
+	cpu1, mem1, calls := lu.Snapshot()
 	if cpu1 <= cpu0 {
 		t.Error("CPU accounting did not accrue")
 	}
@@ -319,7 +319,7 @@ func TestAgentResourceAccounting(t *testing.T) {
 	}
 	// pmdaproc has the largest footprint.
 	pa, _ := p.Agent(AgentProc)
-	_, memProc, _, _, _ := pa.(*ProcAgent).Usage().Snapshot()
+	_, memProc, _ := pa.(*ProcAgent).Usage().Snapshot()
 	if memProc <= mem1 {
 		t.Error("pmdaproc should have the larger instance-domain memory")
 	}

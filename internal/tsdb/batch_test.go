@@ -197,8 +197,8 @@ func TestWriteBatchAtomicRejection(t *testing.T) {
 	if !errors.As(err, &be) {
 		t.Fatalf("want *BatchError, got %v", err)
 	}
-	if be.Index != 2 || be.Applied != 0 {
-		t.Fatalf("BatchError{Index: %d, Applied: %d}, want {2, 0}", be.Index, be.Applied)
+	if be.Index != 2 {
+		t.Fatalf("BatchError{Index: %d}, want {2}", be.Index)
 	}
 	if points, _ := db.Stats(); points != 0 {
 		t.Fatalf("rejected batch left %d points behind (atomicity violated)", points)
@@ -400,8 +400,8 @@ func TestClientBatchTooLarge(t *testing.T) {
 	before := c.Stats()
 	err = c.WriteBatchContext(context.Background(), ps)
 	var be *BatchError
-	if !errors.Is(err, ErrBatchTooLarge) || !errors.As(err, &be) || be.Index != MaxBatchPoints || be.Applied != 0 {
-		t.Fatalf("over-limit batch: got %v, want *BatchError{Index: %d, Applied: 0} wrapping ErrBatchTooLarge", err, MaxBatchPoints)
+	if !errors.Is(err, ErrBatchTooLarge) || !errors.As(err, &be) || be.Index != MaxBatchPoints {
+		t.Fatalf("over-limit batch: got %v, want *BatchError{Index: %d} wrapping ErrBatchTooLarge", err, MaxBatchPoints)
 	}
 	if err := c.PingContext(context.Background()); err != nil {
 		t.Fatalf("ping after refused batch: %v", err)

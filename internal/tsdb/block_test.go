@@ -103,81 +103,66 @@ func TestBlockRoundTrip1k(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: encode: %v", c, err)
 		}
-		if b.minT != times[0] || b.maxT != times[len(times)-1] {
-			t.Fatalf("case %d: time range [%d,%d], want [%d,%d]", c, b.minT, b.maxT, times[0], times[len(times)-1])
-		}
-		// decodeBlock of the blob must agree with the encoder's view.
-		b2, err := decodeBlock(b.blob)
-		if err != nil {
-			t.Fatalf("case %d: re-decode: %v", c, err)
-		}
-		if b2.rows != len(times) || b2.values != b.values {
-			t.Fatalf("case %d: re-decode rows/values %d/%d, want %d/%d", c, b2.rows, b2.values, len(times), b.values)
-		}
-		gotT, err := b.decodeTimes(nil)
-		if err != nil {
-			t.Fatalf("case %d: decodeTimes: %v", c, err)
-		}
-		for i := range times {
-			if gotT[i] != times[i] {
-				t.Fatalf("case %d: time[%d] = %d, want %d", c, i, gotT[i], times[i])
-			}
-		}
-		for fi, name := range names {
-			// Recount the source column.
-			var count, zeros uint64
-			var minV, maxV, sum float64
-			for _, v := range cols[fi] {
-				if math.IsNaN(v) {
-					continue
-				}
-				if count == 0 {
-					minV, maxV = v, v
-				} else {
-					if v < minV {
-						minV = v
-					}
-					if v > maxV {
-						maxV = v
-					}
-				}
-				count++
-				sum += v
-				if v == 0 {
-					zeros++
-				}
-			}
-			bi := b.fieldIndex(name)
-			if count == 0 {
-				if bi >= 0 {
-					t.Fatalf("case %d field %s: all-absent column not dropped", c, name)
-				}
+		checkRoundTrip(t, fmt.Sprintf("case %d", c), b, times, names, cols)
+	}
+}
+
+// checkRoundTrip holds a block to the source columns it was encoded
+// from: the time range, decodeBlock's rows and values, times and values
+// bit-exact (-0.0 included, NaN as absence), footers equal to a
+// recount, and all-absent columns dropped.
+func checkRoundTrip(t *testing.T, label string, b *block, times []int64, names []string, cols [][]float64) {
+	t.Helper()
+	if b.minT != times[0] || b.maxT != times[len(times)-1] {
+		t.Fatalf("%s: time range [%d,%d], want [%d,%d]", label, b.minT, b.maxT, times[0], times[len(times)-1])
+	}
+	// decodeBlock of the blob must agree with the encoder's view.
+	b2, err := decodeBlock(b.blob)
+	if err != nil {
+		t.Fatalf("%s: re-decode: %v", label, err)
+	}
+	if b2.rows != len(times) || b2.values != b.values {
+		t.Fatalf("%s: re-decode rows/values %d/%d, want %d/%d", label, b2.rows, b2.values, len(times), b.values)
+	}
+	if gotT, err := b.decodeTimes(nil); err != nil || !slices.Equal(gotT, times) {
+		t.Fatalf("%s: decodeTimes: %v, or times differ from the source", label, err)
+	}
+	for fi, name := range names {
+		var count, zeros uint64
+		minV, maxV, sum := math.Inf(1), math.Inf(-1), 0.0
+		for _, v := range cols[fi] {
+			if math.IsNaN(v) {
 				continue
 			}
-			if bi < 0 {
-				t.Fatalf("case %d field %s: missing from block", c, name)
+			count++
+			sum += v
+			minV, maxV = min(minV, v), max(maxV, v)
+			if v == 0 {
+				zeros++
 			}
-			f := &b.fields[bi]
-			if f.count != count || f.zeros != zeros || f.min != minV || f.max != maxV || f.sum != sum {
-				t.Fatalf("case %d field %s: footer {%d %d %v %v %v}, want {%d %d %v %v %v}",
-					c, name, f.count, f.zeros, f.min, f.max, f.sum, count, zeros, minV, maxV, sum)
+		}
+		bi := b.fieldIndex(name)
+		if count == 0 {
+			if bi >= 0 {
+				t.Fatalf("%s field %s: all-absent column not dropped", label, name)
 			}
-			got, err := b.decodeField(bi, nil)
-			if err != nil {
-				t.Fatalf("case %d field %s: decodeField: %v", c, name, err)
-			}
-			for i, want := range cols[fi] {
-				if math.IsNaN(want) {
-					if !math.IsNaN(got[i]) {
-						t.Fatalf("case %d field %s row %d: got %v, want absent", c, name, i, got[i])
-					}
-					continue
-				}
-				// Bit-exact round trip, -0.0 included.
-				if math.Float64bits(got[i]) != math.Float64bits(want) {
-					t.Fatalf("case %d field %s row %d: got %x, want %x", c, name, i,
-						math.Float64bits(got[i]), math.Float64bits(want))
-				}
+			continue
+		}
+		if bi < 0 {
+			t.Fatalf("%s field %s: missing from block", label, name)
+		}
+		f := &b.fields[bi]
+		if f.count != count || f.zeros != zeros || f.min != minV || f.max != maxV || f.sum != sum {
+			t.Fatalf("%s field %s: footer {%d %d %v %v %v}, want {%d %d %v %v %v}",
+				label, name, f.count, f.zeros, f.min, f.max, f.sum, count, zeros, minV, maxV, sum)
+		}
+		got, err := b.decodeField(bi, nil)
+		if err != nil {
+			t.Fatalf("%s field %s: decodeField: %v", label, name, err)
+		}
+		for i, want := range cols[fi] {
+			if math.IsNaN(want) != math.IsNaN(got[i]) || !math.IsNaN(want) && math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("%s field %s row %d: got %x, want %x", label, name, i, math.Float64bits(got[i]), math.Float64bits(want))
 			}
 		}
 	}

@@ -98,7 +98,7 @@ func TestClientRefusesLineBreak(t *testing.T) {
 	} {
 		err := c.WriteBatchContext(ctx, []Point{good, bad})
 		var be *BatchError
-		if !errors.Is(err, ErrLineBreak) || !errors.As(err, &be) || be.Index != 1 || be.Applied != 0 {
+		if !errors.Is(err, ErrLineBreak) || !errors.As(err, &be) || be.Index != 1 {
 			t.Fatalf("newline in a %s: got %v, want *BatchError{Index: 1} wrapping ErrLineBreak", name, err)
 		}
 		if err := c.PingContext(ctx); err != nil {

@@ -265,22 +265,17 @@ func (db *DB) SetRetention(rp RetentionPolicy) {
 }
 
 // BatchError reports a rejected batch write: the offending point's
-// index and how many points of the batch were applied. The engine
-// validates the whole batch before touching the log or memory, so
-// Applied is always 0 — a batch lands atomically or not at all — but
-// the field is part of the contract so callers never have to assume it.
+// index. The engine validates the whole batch before touching the log
+// or memory, so a refused batch lands nothing.
 type BatchError struct {
 	// Index is the position of the offending point in the batch.
 	Index int
-	// Applied is how many points of the batch landed before the
-	// failure (0 under the validate-first engine).
-	Applied int
 	// Err is the underlying rejection.
 	Err error
 }
 
 func (e *BatchError) Error() string {
-	return fmt.Sprintf("tsdb: batch point %d (%d applied): %v", e.Index, e.Applied, e.Err)
+	return fmt.Sprintf("tsdb: batch point %d: %v", e.Index, e.Err)
 }
 
 func (e *BatchError) Unwrap() error { return e.Err }
@@ -294,8 +289,8 @@ type BatchWriter interface {
 }
 
 // WriteBatchContext inserts a batch atomically: every point is
-// validated up front (a rejection returns a *BatchError with Applied ==
-// 0 and no state change), a durable DB commits the whole batch as ONE
+// validated up front (a rejection returns a *BatchError and changes no
+// state), a durable DB commits the whole batch as ONE
 // group-committed WAL record (one fdatasync into the zero extent under
 // fsync=always, amortized over the batch; recovery replays the frame
 // entirely or — when the crash tore it — not at all), and the in-memory
