@@ -119,7 +119,7 @@ type Daemon struct {
 // telemetry to sink instead of the embedded TS store — typically a
 // resilient tsdb.Client pointed at a remote host (Figure 3's "the host
 // runs ... InfluxDB"). Passing nil restores the embedded store. A
-// resilient remote sink's transport reports its retries, failures and
+// resilient remote sink reports its retries, failures and
 // breaker transitions into the transport.tsdb.* self metrics and the
 // structured log ring.
 func (d *Daemon) SetTelemetrySink(sink telemetry.PointSink) {
@@ -131,9 +131,9 @@ func (d *Daemon) SetTelemetrySink(sink telemetry.PointSink) {
 		return
 	}
 	if d.Introspection != nil {
-		tc.Transport().SetIntrospection(d.Introspection, "tsdb")
+		tc.SetIntrospection(d.Introspection, "tsdb")
 	}
-	tc.Transport().SetLogger(d.Logs.With("transport.tsdb"))
+	tc.SetLogger(d.Logs.With("transport.tsdb"))
 }
 
 // openCollector builds the collector for one session, honoring the

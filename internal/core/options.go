@@ -161,7 +161,7 @@ func (d *Daemon) startExpose() error {
 		sink := d.sink
 		d.mu.Unlock()
 		if tc, ok := sink.(*tsdb.Client); ok {
-			if st := tc.Transport().BreakerState(); st == resilience.BreakerOpen {
+			if st := tc.BreakerState(); st == resilience.BreakerOpen {
 				return fmt.Errorf("sink breaker %s", st)
 			}
 		}

@@ -76,7 +76,7 @@ func TraceStudy(ticks uint64, freqHz float64) (*TraceStudyResult, error) {
 		introspect.WithSampling(1, 29),
 		introspect.WithSpanCapacity(1<<14),
 	)
-	client.Transport().SetIntrospection(clientIn, "tsdb")
+	client.SetIntrospection(clientIn, "tsdb")
 
 	_, pm, err := newTarget("icl", 7)
 	if err != nil {

@@ -54,7 +54,7 @@ func TestAssembleAndAttribute(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	cl.Transport().SetIntrospection(clientIn, "tsdb")
+	cl.SetIntrospection(clientIn, "tsdb")
 
 	ctx, root := clientIn.StartSpan(context.Background(), "test.op")
 	for i := 0; i < 3; i++ {
@@ -143,7 +143,7 @@ func TestChromeTraceExport(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	cl.Transport().SetIntrospection(clientIn, "tsdb")
+	cl.SetIntrospection(clientIn, "tsdb")
 	ctx, root := clientIn.StartSpan(context.Background(), "test.op")
 	if err := cl.WriteBatchContext(ctx, []tsdb.Point{{Measurement: "m", Fields: map[string]float64{"v": 1}, Time: 1}}); err != nil {
 		t.Fatal(err)
@@ -224,7 +224,7 @@ func TestTraceThroughFaultProxy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	cl.Transport().SetIntrospection(clientIn, "tsdb")
+	cl.SetIntrospection(clientIn, "tsdb")
 
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

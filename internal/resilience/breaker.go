@@ -1,6 +1,13 @@
 package resilience
 
-import "time"
+import (
+	"errors"
+	"time"
+)
+
+// ErrCircuitOpen is returned (wrapped) when the breaker fast-fails an
+// operation without touching the network.
+var ErrCircuitOpen = errors.New("resilience: circuit open")
 
 // BreakerState is the circuit breaker's tri-state.
 type BreakerState string
@@ -26,7 +33,7 @@ type BreakerConfig struct {
 // fast-fails callers instead of burning deadlines against a dead server;
 // after Cooldown one probe (the client's PING resync) is let through, and
 // its outcome closes or re-opens the circuit. Callers must serialise
-// access (Transport holds its own mutex).
+// access (tsdb.Client holds its own mutex).
 type Breaker struct {
 	cfg      BreakerConfig
 	state    BreakerState

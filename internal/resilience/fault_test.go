@@ -1,136 +1,141 @@
-package resilience
+package resilience_test
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"net"
 	"strings"
 	"testing"
 	"time"
+
+	"pmove/internal/resilience"
+	"pmove/internal/tsdb"
 )
 
-// Each fault type from the issue gets its own test: latency, jittered
-// slow reads/writes, mid-stream reset, full partition, flappy accept.
+// Each fault type gets its own test: latency, jittered slow
+// reads/writes, mid-stream reset, full partition, flappy accept.
 
 func TestFaultLatency(t *testing.T) {
-	srv := newEchoServer(t)
-	defer srv.close()
-	proxy := NewProxy(srv.addr(), Faults{Latency: 30 * time.Millisecond}, 1)
-	addr, err := proxy.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := tsdb.New()
+	srv, addr := startServer(t, db)
+	defer srv.Close()
+	proxy, paddr := startProxy(t, addr, resilience.Faults{Latency: 30 * time.Millisecond}, 1)
 	defer proxy.Close()
 	pol := testPolicy()
 	pol.ReadTimeout = 2 * time.Second
-	tr := NewTransport(addr, pol, nil)
-	defer tr.Close()
+	c := dial(t, paddr, pol)
+	defer c.Close()
 	start := time.Now()
-	if resp, err := roundTrip(tr, "slow"); err != nil || resp != "OK slow" {
-		t.Fatalf("latency round trip: %q, %v", resp, err)
+	if err := write(c, 1); err != nil {
+		t.Fatalf("latency round trip: %v", err)
 	}
 	if d := time.Since(start); d < 50*time.Millisecond {
 		t.Fatalf("round trip took %v, latency not injected (want >= 2×30ms-ish)", d)
 	}
+	wantPoints(t, db, 1)
 }
 
 func TestFaultSlowChunk(t *testing.T) {
-	srv := newEchoServer(t)
-	defer srv.close()
-	proxy := NewProxy(srv.addr(), Faults{SlowChunk: 2, Latency: time.Millisecond}, 1)
-	addr, err := proxy.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv, addr := startServer(t, tsdb.New())
+	defer srv.Close()
+	proxy, paddr := startProxy(t, addr, resilience.Faults{SlowChunk: 2, Latency: time.Millisecond}, 1)
 	defer proxy.Close()
 	pol := testPolicy()
 	pol.ReadTimeout = 5 * time.Second
 	pol.WriteTimeout = 5 * time.Second
-	tr := NewTransport(addr, pol, nil)
-	defer tr.Close()
+	c := dial(t, paddr, pol)
+	defer c.Close()
+	ctx := context.Background()
 	payload := strings.Repeat("x", 64)
-	if resp, err := roundTrip(tr, payload); err != nil || resp != "OK "+payload {
-		t.Fatalf("trickled payload corrupted: %q, %v", resp, err)
+	if err := c.WriteBatchContext(ctx, []tsdb.Point{{Measurement: payload, Fields: map[string]float64{"v": 7}, Time: 1}}); err != nil {
+		t.Fatalf("trickled write: %v", err)
+	}
+	res, err := c.QueryContext(ctx, `SELECT "v" FROM "`+payload+`"`)
+	if err != nil || res.Measurement != payload || len(res.Rows) != 1 || res.Rows[0].Values["v"] != 7 {
+		t.Fatalf("trickled payload corrupted: %+v, %v", res, err)
 	}
 }
 
 func TestFaultMidStreamReset(t *testing.T) {
-	srv := newEchoServer(t)
-	defer srv.close()
+	db := tsdb.New()
+	srv, addr := startServer(t, db)
+	defer srv.Close()
 	// Reset every connection after 64 bytes: individual ops succeed but
 	// the wire keeps dying; retries must reconnect through it.
-	proxy := NewProxy(srv.addr(), Faults{ResetAfterBytes: 64}, 1)
-	addr, err := proxy.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	proxy, paddr := startProxy(t, addr, resilience.Faults{ResetAfterBytes: 64}, 1)
 	defer proxy.Close()
 	pol := testPolicy()
 	pol.MaxRetries = 4
 	pol.Breaker.Threshold = 0 // resets are frequent; do not trip the breaker
-	tr := NewTransport(addr, pol, nil)
-	defer tr.Close()
+	c := dial(t, paddr, pol)
+	defer c.Close()
 	ok := 0
 	for i := 0; i < 10; i++ {
-		if resp, err := roundTrip(tr, "abcdefghij"); err == nil && resp == "OK abcdefghij" {
+		if err := write(c, i+1); err == nil {
 			ok++
 		}
 	}
 	if ok < 8 {
 		t.Fatalf("only %d/10 ops survived injected resets", ok)
 	}
-	if tr.Stats().Dials < 3 {
-		t.Fatalf("expected repeated reconnects, stats %+v", tr.Stats())
+	if c.Stats().Dials < 3 {
+		t.Fatalf("expected repeated reconnects, stats %+v", c.Stats())
+	}
+	if pts, _ := db.Stats(); pts < uint64(ok) {
+		t.Fatalf("store holds %d points, client acked %d", pts, ok)
 	}
 }
 
 func TestFaultFlappyAccept(t *testing.T) {
-	srv := newEchoServer(t)
-	defer srv.close()
-	proxy := NewProxy(srv.addr(), Faults{FlapFirst: 3}, 1)
-	addr, err := proxy.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
+	srv, addr := startServer(t, tsdb.New())
+	defer srv.Close()
+	// Dial is a single attempt, so the client connects through a proxy
+	// without faults, which then hands its port to one that closes its
+	// first three accepts on the spot: the retry loop must push through
+	// to the fourth.
+	clean, paddr := startProxy(t, addr, resilience.Faults{}, 1)
 	pol := testPolicy()
 	pol.MaxRetries = 5
 	pol.Breaker.Threshold = 0
-	tr := NewTransport(addr, pol, pingProbe)
-	defer tr.Close()
-	// The first three accepts are closed on the spot; the retry loop must
-	// push through to the fourth.
-	if resp, err := roundTrip(tr, "through"); err != nil || resp != "OK through" {
-		t.Fatalf("flappy accept never converged: %q, %v", resp, err)
+	c := dial(t, paddr, pol)
+	defer c.Close()
+	clean.Close()
+	proxy := resilience.NewProxy(addr, resilience.Faults{FlapFirst: 3}, 1)
+	if _, err := proxy.Listen(paddr); err != nil {
+		t.Skipf("port %s not immediately reusable: %v", paddr, err)
+	}
+	defer proxy.Close()
+	if err := write(c, 1); err != nil {
+		t.Fatalf("flappy accept never converged: %v", err)
+	}
+	if d := c.Stats().Dials; d != 2 {
+		t.Fatalf("%d dials, want 2: the first proxy's and the fourth accept", d)
 	}
 }
 
 // TestFaultFlapProb: a seeded FlapProb schedule is a replayable fault
-// plan. A transport retries through the flaps, and two proxies built
+// plan. A client retries through the flaps, and two proxies built
 // with the same seed close the same accepts.
 func TestFaultFlapProb(t *testing.T) {
-	srv := newEchoServer(t)
-	defer srv.close()
+	srv, addr := startServer(t, tsdb.New())
+	defer srv.Close()
 	flaps := func() []bool {
-		proxy := NewProxy(srv.addr(), Faults{FlapProb: 0.5}, 7)
-		addr, err := proxy.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
+		proxy, paddr := startProxy(t, addr, resilience.Faults{FlapProb: 0.5}, 7)
 		defer proxy.Close()
 		// One dial at a time, each waited out, so accept order is dial
-		// order: a flapped accept closes before the echo answers.
+		// order: a flapped accept closes before the server answers.
 		var out []bool
 		for i := 0; i < 24; i++ {
-			conn, err := net.Dial("tcp", addr)
+			conn, err := net.Dial("tcp", paddr)
 			if err != nil {
 				t.Fatal(err)
 			}
 			conn.SetDeadline(time.Now().Add(2 * time.Second))
-			fmt.Fprintf(conn, "probe\n")
+			fmt.Fprintf(conn, "PING\n")
 			line, err := bufio.NewReader(conn).ReadString('\n')
 			conn.Close()
-			out = append(out, err != nil || line != "OK probe\n")
+			out = append(out, err != nil || line != "PONG\n")
 		}
 		return out
 	}
@@ -142,33 +147,37 @@ func TestFaultFlapProb(t *testing.T) {
 		t.Fatalf("FlapProb 0.5 over 24 accepts flapped all or none: %v", a)
 	}
 
-	proxy := NewProxy(srv.addr(), Faults{FlapProb: 0.5}, 7)
-	addr, err := proxy.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	proxy, paddr := startProxy(t, addr, resilience.Faults{FlapProb: 0.5}, 7)
 	defer proxy.Close()
 	pol := testPolicy()
 	pol.MaxRetries = 8
 	pol.Breaker.Threshold = 0
-	tr := NewTransport(addr, pol, pingProbe)
-	defer tr.Close()
+	// Dial is a single attempt: it takes the schedule's first accept
+	// that is not flapped.
+	var c *tsdb.Client
+	for i := 0; c == nil && i < len(a); i++ {
+		c, _ = tsdb.DialPolicy(paddr, pol)
+	}
+	if c == nil {
+		t.Fatal("no dial got through the flaps")
+	}
+	defer c.Close()
 	for i := 0; i < 5; i++ {
 		proxy.DropConns() // every op redials through the flap schedule
-		if resp, err := roundTrip(tr, "through"); err != nil || resp != "OK through" {
-			t.Fatalf("op %d never converged through probabilistic flaps: %q, %v", i, resp, err)
+		if err := write(c, i+1); err != nil {
+			t.Fatalf("op %d never converged through probabilistic flaps: %v", i, err)
 		}
 	}
 }
 
 func TestRNGSeedDeterminism(t *testing.T) {
-	a, b := NewRNG(42), NewRNG(42)
+	a, b := resilience.NewRNG(42), resilience.NewRNG(42)
 	for i := 0; i < 100; i++ {
 		if a.Uint64() != b.Uint64() {
 			t.Fatal("RNG streams diverged for equal seeds")
 		}
 	}
-	if NewRNG(1).Uint64() == NewRNG(2).Uint64() {
+	if resilience.NewRNG(1).Uint64() == resilience.NewRNG(2).Uint64() {
 		t.Fatal("different seeds produced identical first draws")
 	}
 }

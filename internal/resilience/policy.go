@@ -4,17 +4,16 @@
 // package handles the degradations the paper never intends — stalled
 // servers, dropped links, flapping listeners — so the monitoring plane
 // survives the faults it observes (Ciorba's requirement for HPC
-// monitoring). It has three parts:
+// monitoring). It has two parts:
 //
 //   - a deterministic, seedable fault injector (Proxy) that
 //     interposes latency, slow reads, mid-stream resets, partitions and
 //     flappy accepts in front of the tsdb server without touching its
 //     logic;
-//   - a shared dial/retry kit (Transport): per-op read/write deadlines,
-//     exponential backoff with seeded jitter, automatic reconnect with a
-//     connection-state resync probe, and a circuit breaker with half-open
-//     probing;
-//   - the Policy knobs the tsdb client and cmd/pmove expose.
+//   - the Policy the tsdb client runs its connection under and
+//     cmd/pmove exposes: per-op read/write deadlines, exponential
+//     Backoff with seeded jitter (RNG), retries, and a circuit Breaker
+//     with half-open probing.
 package resilience
 
 import "time"
@@ -28,8 +27,8 @@ type Policy struct {
 	ReadTimeout  time.Duration
 	WriteTimeout time.Duration
 	// MaxRetries is how many times an operation is retried after its
-	// first attempt fails with an I/O error. Protocol-level rejections
-	// (see Permanent) are never retried.
+	// first attempt fails with an I/O error. Protocol-level rejections,
+	// replies read whole, are never retried.
 	MaxRetries int
 	// Backoff paces the retries.
 	Backoff Backoff

@@ -218,8 +218,8 @@ func (h *harness) setup() error {
 	if err != nil {
 		return err
 	}
-	h.tsdbClient.Transport().SetIntrospection(h.daemonIn, "tsdb")
-	h.tsdbClient.Transport().SetLogger(h.logs.With("transport.tsdb"))
+	h.tsdbClient.SetIntrospection(h.daemonIn, "tsdb")
+	h.tsdbClient.SetLogger(h.logs.With("transport.tsdb"))
 	h.tsdbSrv.SetLogger(h.logs.With("tsdb.server"), 100*time.Millisecond)
 
 	// Daemon with one attached, probed target. The KB, dashboards and
@@ -286,7 +286,7 @@ func (h *harness) startExpose() error {
 	srv.SetLogs(h.logs)
 	srv.OnScrape(func() { expose.CollectRuntime(h.daemonIn) })
 	srv.AddCheck("telemetry-sink", func() error {
-		if st := h.tsdbClient.Transport().BreakerState(); st == resilience.BreakerOpen {
+		if st := h.tsdbClient.BreakerState(); st == resilience.BreakerOpen {
 			return fmt.Errorf("sink breaker %s", st)
 		}
 		return nil
@@ -335,7 +335,7 @@ func (h *harness) drive() error {
 			h.res.Log.Append(Event{Tick: tick, Kind: "note", Detail: "session-error"})
 			break
 		}
-		h.res.BreakerStates = append(h.res.BreakerStates, h.tsdbClient.Transport().BreakerState())
+		h.res.BreakerStates = append(h.res.BreakerStates, h.tsdbClient.BreakerState())
 		if h.sc.Expose {
 			h.res.ReadyStates = append(h.res.ReadyStates, h.ready())
 		}

@@ -2,7 +2,6 @@ package tsdb
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -15,7 +14,6 @@ import (
 
 	"pmove/internal/introspect"
 	"pmove/internal/introspect/logbuf"
-	"pmove/internal/resilience"
 )
 
 // MaxBatchPoints bounds one WRITEB frame. The bound keeps a malicious
@@ -396,7 +394,10 @@ func (s *Server) handleWriteBatch(c *conn, rest string, arrivalNanos int64) bool
 		}
 	}
 	op.End(err)
-	c.answer(wctx, ctx, "writeb", arrivalNanos, err, fmt.Appendf(nil, "OK %d", n), extra...)
+	// The ack is appended into the writer's free space, as handleQuery's
+	// reply is: a frame takes no buffer for it.
+	ack := strconv.AppendInt(append(c.w.AvailableBuffer(), "OK "...), int64(n), 10)
+	c.answer(wctx, ctx, "writeb", arrivalNanos, err, ack, extra...)
 	return true
 }
 
@@ -468,216 +469,3 @@ func (s *Server) handleQuery(c *conn, rest string, arrivalNanos int64) {
 	}
 	c.answer(qctx, ctx, "query", arrivalNanos, err, reply, extra...)
 }
-
-// Client talks to a Server through a resilient transport: per-op
-// deadlines, retried reconnects with backoff, and a circuit breaker whose
-// half-open probe is the protocol's own PING (which doubles as the
-// connection-state resync — a fresh wire is verified in-sync before any
-// op uses it, so a half-read response from a previous failure can never
-// desynchronise later calls). Protocol rejections ("ERR ...") are fully
-// read off the wire and never retried. Writes are exactly-once under
-// retry (see WriteBatchContext).
-type Client struct {
-	tr    *resilience.Transport
-	reply []byte // a QUERY reply longer than the wire's read buffer; ops run one at a time
-}
-
-// wireTag renders the optional "traceparent=<tp> " frame token for the
-// span context in ctx ("" when untraced). Built inside the transport's
-// per-attempt closure, so each retry stamps its own attempt span and the
-// server subtree parents under the exact attempt that carried it.
-func wireTag(ctx context.Context) string {
-	tp := introspect.TraceparentFromContext(ctx)
-	if tp == "" {
-		return ""
-	}
-	return introspect.WireField + tp + " "
-}
-
-// pingResync is the resync/half-open probe run on every fresh connection,
-// and PingContext's exchange.
-func pingResync(w *resilience.Wire) error {
-	if _, err := fmt.Fprintln(w.Conn, "PING"); err != nil {
-		return err
-	}
-	resp, err := w.R.ReadString('\n')
-	if err != nil {
-		return err
-	}
-	if strings.TrimSpace(resp) != "PONG" {
-		return fmt.Errorf("tsdb: unexpected ping response %q", resp)
-	}
-	return nil
-}
-
-// Dial connects to a Server with the default resilience policy. The
-// initial connect is a single attempt so a bad address fails fast.
-func Dial(addr string) (*Client, error) {
-	return DialPolicy(addr, resilience.DefaultPolicy())
-}
-
-// DialPolicy connects with an explicit resilience policy.
-func DialPolicy(addr string, pol resilience.Policy) (*Client, error) {
-	c := &Client{tr: resilience.NewTransport(addr, pol, pingResync)}
-	if err := c.tr.Connect(); err != nil {
-		c.tr.Close()
-		return nil, fmt.Errorf("tsdb: dial %s: %w", addr, err)
-	}
-	return c, nil
-}
-
-// Stats exposes the transport's fault counters.
-func (c *Client) Stats() resilience.TransportStats { return c.tr.Stats() }
-
-// Transport exposes the underlying resilient transport, letting callers
-// attach self-observability (Transport.SetIntrospection) without tsdb
-// importing the introspect package (which imports tsdb).
-func (c *Client) Transport() *resilience.Transport { return c.tr }
-
-// WriteBatchContext ships a whole batch in ONE round-trip (a WRITEB
-// frame: header + n body lines + one ack). The batch is encoded — and
-// thereby validated — up front; an unencodable point, or one whose line
-// would hold a newline (ErrLineBreak), returns a *BatchError before
-// anything touches the wire, and so does a batch of
-// more than MaxBatchPoints points (Index: MaxBatchPoints, wrapping
-// ErrBatchTooLarge). An idempotency token is minted once per call and
-// carried on every retry attempt, so a batch whose ack was lost is
-// acknowledged (not re-applied) by the server's dedup window: writes are
-// exactly-once under retry. Server-side rejections are permanent (fully
-// read, never retried).
-func (c *Client) WriteBatchContext(ctx context.Context, ps []Point) error {
-	if len(ps) == 0 {
-		return nil
-	}
-	if len(ps) > MaxBatchPoints {
-		return &BatchError{Index: MaxBatchPoints, Err: fmt.Errorf("%w: %d points (limit %d)", ErrBatchTooLarge, len(ps), MaxBatchPoints)}
-	}
-	// The body is encoded once, whatever the number of attempts, and its
-	// buffer goes back only when no attempt can send it again.
-	fb := getFrameBuf()
-	defer putFrameBuf(fb)
-	var err error
-	if fb.body, fb.kvs, err = batchBody(fb.body, fb.kvs, ps); err != nil {
-		return err
-	}
-	token := resilience.NextOpToken()
-	return c.tr.DoContext(ctx, func(ctx context.Context, w *resilience.Wire) error {
-		// One write for the whole frame: header and body reach the kernel
-		// together, so a monitoring tick is one syscall + one RTT.
-		fb.frame = append(append(fb.frame[:0], "WRITEB "...), wireTag(ctx)...)
-		fb.frame = append(strconv.AppendInt(fb.frame, int64(len(ps)), 10), " id="...)
-		fb.frame = append(append(append(fb.frame, token...), '\n'), fb.body...)
-		if _, err := w.Conn.Write(fb.frame); err != nil {
-			return err
-		}
-		resp, err := w.R.ReadString('\n')
-		if err != nil {
-			return err
-		}
-		resp = strings.TrimSpace(resp)
-		if !strings.HasPrefix(resp, "OK") {
-			return resilience.Permanent(fmt.Errorf("tsdb: batch write rejected: %s", resp))
-		}
-		return nil
-	})
-}
-
-// batchBody appends a WRITEB body to dst, a line and a newline per point,
-// through the key scratch kvs, and returns both grown; each point's
-// fields are read in its predecessor's key order.
-func batchBody(dst []byte, kvs []rowKV, ps []Point) ([]byte, []rowKV, error) {
-	var prev []rowKV
-	for i := range ps {
-		line, grown, err := appendLine(dst, &ps[i], kvs, prev)
-		if err == nil && bytes.IndexByte(line[len(dst):], '\n') >= 0 {
-			err = fmt.Errorf("%w: point in %q", ErrLineBreak, ps[i].Measurement)
-		}
-		if err != nil {
-			return dst, grown, &BatchError{Index: i, Err: err}
-		}
-		dst, kvs, prev = append(line, '\n'), grown, grown[:len(ps[i].Fields)]
-	}
-	return dst, kvs, nil
-}
-
-// frameBuf is a WRITEB body in flight, the batch's lines each with its
-// '\n', at either end of the wire, with the key scratch it is encoded
-// through and the frame, header and body, a client sends it in. It is
-// pooled, not kept per connection or per client: a writer that next
-// writes after a collection finds the pool empty and holds nothing
-// meanwhile, where a buffer per connection stays as large as its biggest
-// frame (mixed_rw heap_bytes_per_point +19 %).
-type frameBuf struct {
-	body  []byte
-	kvs   []rowKV
-	frame []byte
-}
-
-var frameBufs = sync.Pool{New: func() any { return new(frameBuf) }}
-
-func getFrameBuf() *frameBuf { return frameBufs.Get().(*frameBuf) }
-
-// putFrameBuf pools fb, emptied so no batch's names stay reachable, up to
-// a 1 MiB body or frame and 4 096 keys, as putRowBuf keeps a rowBuf.
-func putFrameBuf(fb *frameBuf) {
-	if max(cap(fb.body), cap(fb.frame)) > 1<<20 || cap(fb.kvs) > 1<<12 {
-		return
-	}
-	clear(fb.kvs[:cap(fb.kvs)])
-	fb.body, fb.kvs, fb.frame = fb.body[:0], fb.kvs[:0], fb.frame[:0]
-	frameBufs.Put(fb)
-}
-
-// QueryContext runs a SELECT statement remotely. The statement is parsed
-// here and sent in its canonical form (Query.String), which is one line
-// whatever the text's layout — the wire frames by lines — so a statement
-// that does not parse returns its error before anything is sent.
-func (c *Client) QueryContext(ctx context.Context, stmt string) (*Result, error) {
-	q, err := ParseQuery(stmt)
-	if err != nil {
-		return nil, err
-	}
-	text := q.String()
-	if strings.Contains(text, "\n") {
-		return nil, fmt.Errorf("%w: query %q", ErrLineBreak, text)
-	}
-	var res *Result
-	err = c.tr.DoContext(ctx, func(ctx context.Context, w *resilience.Wire) error {
-		if _, err := fmt.Fprintf(w.Conn, "QUERY %s%s\n", wireTag(ctx), text); err != nil {
-			return err
-		}
-		line, err := w.R.ReadSlice('\n')
-		if errors.Is(err, bufio.ErrBufferFull) {
-			c.reply = append(c.reply[:0], line...)
-			for errors.Is(err, bufio.ErrBufferFull) {
-				line, err = w.R.ReadSlice('\n')
-				c.reply = append(c.reply, line...)
-			}
-			if line = c.reply; cap(c.reply) > 1<<20 {
-				c.reply = nil // kept up to 1 MiB, as putRowBuf keeps a rowBuf
-			}
-		}
-		if err != nil {
-			return err
-		}
-		line = line[:len(line)-1]
-		if bytes.HasPrefix(line, []byte("ERR")) {
-			return resilience.Permanent(fmt.Errorf("tsdb: query rejected: %s", bytes.TrimSpace(line)))
-		}
-		// The line was fully read, so the stream is in sync; a malformed
-		// body will not get better on retry. The result copies what it
-		// keeps of the line.
-		res, err = decodeResult(line)
-		return resilience.Permanent(err)
-	})
-	return res, err // res is nil unless the reply decoded
-}
-
-// PingContext checks liveness with the same exchange that resyncs a
-// fresh connection: a reply other than PONG drops the wire and retries.
-func (c *Client) PingContext(ctx context.Context) error {
-	return c.tr.DoContext(ctx, func(_ context.Context, w *resilience.Wire) error { return pingResync(w) })
-}
-
-// Close closes the connection.
-func (c *Client) Close() error { return c.tr.Close() }

@@ -39,7 +39,7 @@ func TestSlowOpLogCarriesClientTraceID(t *testing.T) {
 	}
 	defer c.Close()
 	clientIn := introspect.New(introspect.WithProcess("client"))
-	c.Transport().SetIntrospection(clientIn, "tsdb")
+	c.SetIntrospection(clientIn, "tsdb")
 
 	ctx, span := clientIn.StartSpan(context.Background(), "client.monitor.tick")
 	clientSC, ok := introspect.SpanContextFromContext(ctx)
@@ -241,7 +241,7 @@ func TestSlowOpConcurrentWriters(t *testing.T) {
 			}
 			defer c.Close()
 			in := introspect.New(introspect.WithProcess("client"))
-			c.Transport().SetIntrospection(in, "tsdb")
+			c.SetIntrospection(in, "tsdb")
 			ctx, span := in.StartSpan(context.Background(), "tick")
 			sc, _ := introspect.SpanContextFromContext(ctx)
 			traces[i] = sc.Trace
