@@ -257,27 +257,13 @@ func FetchSeriesContext(ctx context.Context, db *tsdb.DB, t Target) ([]int64, []
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := db.ExecuteContext(ctx, tsdb.QueryRequest{Query: q})
-	if err != nil {
-		return nil, nil, err
-	}
 	// A target without a field selects *: its series is the result's
 	// first column, which is sorted, so every call reads the same field.
 	col := t.Params
 	if len(q.Aggregates) > 0 {
 		col = q.Aggregates[0].Column()
-	} else if col == "" && len(res.Columns) > 0 {
-		col = res.Columns[0]
 	}
-	var ts []int64
-	var vs []float64
-	for _, row := range res.Rows {
-		if v, ok := row.Values[col]; ok {
-			ts = append(ts, row.Time)
-			vs = append(vs, v)
-		}
-	}
-	return ts, vs, nil
+	return db.SeriesContext(ctx, tsdb.QueryRequest{Query: q}, col)
 }
 
 // KindDashboards generates the standard dashboard set for a KB: a subtree

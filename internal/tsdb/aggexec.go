@@ -457,42 +457,40 @@ func aggColumns(q *Query) []string {
 const maxDefaultQueryWorkers = 16
 
 // execAggregate runs q, validated to carry only aggregates, and returns
-// its result and the cells its scan decoded.
-func (db *DB) execAggregate(ctx context.Context, q *Query, workers int) (*Result, int, error) {
+// its table, a row per window any field has values in, and the cells its
+// scan decoded.
+func (db *DB) execAggregate(ctx context.Context, q *Query, workers int) (table, int, error) {
 	plan := planAggregates(q)
-	res := &Result{Measurement: q.Measurement, Columns: aggColumns(q)}
-
 	db.data.RLock()
 	defer db.data.RUnlock()
 	merged, cells, err := db.scanAggregate(ctx, q, plan, workers)
 	if err != nil {
-		return nil, 0, err
+		return table{}, 0, err
 	}
 	nf := len(plan.fields)
+	t := newTable(q.Measurement, aggColumns(q), len(merged.wins))
 	for wi, win := range merged.wins {
 		states := merged.states[wi*nf : (wi+1)*nf]
 		if !slices.ContainsFunc(states, func(fa fieldAgg) bool { return fa.count > 0 }) {
 			continue
 		}
-		t := win
 		if q.GroupBy <= 0 {
-			t = q.From
+			win = q.From
 		}
-		row := Row{Time: t, Values: make(map[string]float64, len(q.Aggregates))}
+		t.Times = append(t.Times, win)
 		for ai, a := range q.Aggregates {
-			fa := &states[plan.fieldIdx[a.Field]]
-			if a.Fn == "count" {
-				row.Values[res.Columns[ai]] = float64(fa.count)
-				continue
+			// count is 0, not absent, where only another field has values.
+			v, fa := absent, &states[plan.fieldIdx[a.Field]]
+			if a.Fn == "count" || fa.count > 0 {
+				v = a.value(fa)
 			}
-			if fa.count == 0 {
-				continue
-			}
-			row.Values[res.Columns[ai]] = a.value(fa)
+			t.Cols[ai] = append(t.Cols[ai], v)
 		}
-		res.Rows = append(res.Rows, row)
 	}
-	return res, cells, nil
+	if len(t.Times) == 0 {
+		t.Times = nil // no rows: Rows null, not []
+	}
+	return t, cells, nil
 }
 
 // scanAggregate folds each unit q reads into a partial — units that

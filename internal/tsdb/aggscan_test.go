@@ -335,7 +335,8 @@ func BenchmarkFoldColumns(b *testing.B) {
 // TestUncachedRefreshAllocations: an uncached count and mean over 16
 // windows of two series, a live_monitor panel refresh, makes each
 // partial once at the windows its rows can touch — the merged one and
-// each unit's — instead of growing it a window at a time.
+// each unit's — instead of growing it a window at a time; the table the
+// server encodes takes one array for its cells and no map per row.
 func TestUncachedRefreshAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are held without the race detector")
@@ -369,5 +370,15 @@ func TestUncachedRefreshAllocations(t *testing.T) {
 	}
 	if n > 61 {
 		t.Errorf("an uncached refresh allocates %v objects; want at most 61", n)
+	}
+	// The server's path stops at the table: no Result, no map per row.
+	n = testing.AllocsPerRun(50, func() {
+		if _, err := db.execute(context.Background(), QueryRequest{Query: q, Workers: 1, SkipCache: true}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("objects per %d-window refresh to its table: %v", len(res.Rows), n)
+	if n > 26 {
+		t.Errorf("an uncached refresh to its table allocates %v objects; want at most 26", n)
 	}
 }

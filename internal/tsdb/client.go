@@ -484,21 +484,30 @@ func putFrameBuf(fb *frameBuf) {
 }
 
 // QueryContext runs a SELECT statement remotely. The statement is parsed
-// here and sent in its canonical form (Query.String), which is one line
-// whatever the text's layout — the wire frames by lines — so a statement
-// that does not parse returns its error before anything is sent.
+// here, so one that does not parse returns its error before anything is
+// sent, and sent as written: the server parses it again, to the same
+// cache key. The wire frames by lines, and the server's line reader
+// drops a '\r' before the '\n', so a statement with either in it is sent
+// in its canonical form (Query.String), which quotes a name that holds
+// one.
 func (c *Client) QueryContext(ctx context.Context, stmt string) (*Result, error) {
 	q, err := ParseQuery(stmt)
 	if err != nil {
 		return nil, err
 	}
-	text := q.String()
-	if strings.Contains(text, "\n") {
-		return nil, fmt.Errorf("%w: query %q", ErrLineBreak, text)
+	text := stmt
+	if strings.ContainsAny(text, "\r\n") {
+		if text = q.String(); strings.Contains(text, "\n") {
+			return nil, fmt.Errorf("%w: query %q", ErrLineBreak, text)
+		}
 	}
 	var res *Result
 	err = c.do(ctx, func(ctx context.Context) error {
-		if _, err := fmt.Fprintf(c.conn, "QUERY %s%s\n", wireTag(ctx), text); err != nil {
+		fb := getFrameBuf()
+		fb.frame = append(append(append(append(fb.frame, "QUERY "...), wireTag(ctx)...), text...), '\n')
+		_, err := c.conn.Write(fb.frame)
+		putFrameBuf(fb)
+		if err != nil {
 			return err
 		}
 		line, err := c.r.ReadSlice('\n')

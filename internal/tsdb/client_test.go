@@ -10,9 +10,10 @@ import (
 	"testing"
 )
 
-// stubServer answers a client as a Server does, with PONG to a PING and
-// "OK 5" to a WRITEB of 5 points once its body is read, and hands each
-// WRITEB header line to header, when it is not nil. It reads with one
+// stubServer answers a client as a Server does, with PONG to a PING,
+// "OK 5" to a WRITEB of 5 points once its body is read and stubQueryReply
+// to a QUERY, and hands each WRITEB header line and QUERY line to header,
+// when it is not nil. It reads with one
 // kept reader per connection and writes constant replies, so it
 // allocates nothing per request: testing.AllocsPerRun counts the client
 // alone.
@@ -38,6 +39,12 @@ func stubServer(t *testing.T, header func(line []byte)) string {
 				return
 			}
 			reply := pong
+			if bytes.HasPrefix(line, []byte("QUERY ")) {
+				if header != nil {
+					header(line)
+				}
+				reply = stubQueryReply
+			}
 			if bytes.HasPrefix(line, []byte("WRITEB 5 ")) {
 				if header != nil {
 					header(line)
@@ -69,10 +76,24 @@ func stubServer(t *testing.T, header func(line []byte)) string {
 	return ln.Addr().String()
 }
 
+// stubQueryReply is a cached live_monitor panel's reply: count and mean
+// over 16 windows.
+var stubQueryReply = func() []byte {
+	res := &Result{Measurement: "m", Columns: []string{"count(v)", "mean(v)"}}
+	for i := range 16 {
+		res.Rows = append(res.Rows, Row{Time: int64(i) * 16e9,
+			Values: map[string]float64{"count(v)": 16, "mean(v)": float64(i*16) + 7.5}})
+	}
+	return append(replyLine(res), '\n')
+}()
+
 // TestClientOpAllocations: a warm client op allocates nothing of its
 // own — no span or metric name rendered per op, no token formatted, no
 // reply line copied — for a WriteBatchContext of BenchmarkClientWriteBatch's
-// tick and for a PingContext.
+// tick and for a PingContext. A QueryContext of a cached panel refresh
+// sends the statement as written, in a pooled frame: beside the
+// Result's row maps, which the exported Row costs, it allocates what
+// parsing the statement and decoding the reply take.
 func TestClientOpAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are held without the race detector")
@@ -94,10 +115,31 @@ func TestClientOpAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	const stmt = `SELECT count("v"), mean("v") FROM "m" WHERE time >= 0 GROUP BY time(16s)`
+	var res *Result
+	query := func() {
+		var err error
+		if res, err = c.QueryContext(ctx, stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
 	write()
 	ping()
-	w, p := testing.AllocsPerRun(100, write), testing.AllocsPerRun(100, ping)
-	t.Logf("objects per write of 5×88: %v, per ping: %v", w, p)
+	query()
+	w, p, q := testing.AllocsPerRun(100, write), testing.AllocsPerRun(100, ping), testing.AllocsPerRun(100, query)
+	perMap := testing.AllocsPerRun(20, func() {
+		m := make(map[string]float64, 2)
+		m["count(v)"], m["mean(v)"] = 1, 2
+		sinkResult = &Result{Rows: []Row{{Values: m}}}
+	}) - 2 // the Result and its one-row slice
+	maps := float64(len(res.Rows)) * perMap
+	t.Logf("objects per write of 5×88: %v, per ping: %v, per %d-row query: %v, %v of them row maps", w, p, len(res.Rows), q, maps)
+	if len(res.Rows) != 16 {
+		t.Fatalf("query decoded %d rows, want 16", len(res.Rows))
+	}
+	if q-maps > 22 {
+		t.Errorf("a warm QueryContext allocates %v objects beside its row maps; want at most 22", q-maps)
+	}
 	if w > 0 {
 		t.Errorf("a warm WriteBatchContext allocates %v objects; want none", w)
 	}
@@ -154,6 +196,30 @@ func TestBatchTokenUnique(t *testing.T) {
 	for tok := range seen {
 		if !strings.HasPrefix(tok, tokenNonce+"-") {
 			t.Fatalf("token %q lacks the process nonce %q", tok, tokenNonce)
+		}
+	}
+}
+
+// TestClientSendsStatementAsWritten: a statement goes out byte for byte as
+// the caller wrote it, and only one with a line break or a carriage return,
+// which the server's line reader would drop, in its canonical form.
+func TestClientSendsStatementAsWritten(t *testing.T) {
+	sent := make(chan string, 1)
+	c, err := Dial(stubServer(t, func(line []byte) { sent <- string(line) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for stmt, want := range map[string]string{
+		`SELECT mean(v) FROM m GROUP BY time(16s)`: "QUERY SELECT mean(v) FROM m GROUP BY time(16s)\n",
+		"SELECT mean(v)\nFROM m":                   "QUERY SELECT mean(\"v\") FROM \"m\"\n",
+		"SELECT mean(v) FROM m\r":                  `QUERY SELECT mean("v") FROM "m\r"` + "\n",
+	} {
+		if _, err := c.QueryContext(context.Background(), stmt); err != nil {
+			t.Fatal(err)
+		}
+		if got := <-sent; got != want {
+			t.Errorf("%q went out as %q, want %q", stmt, got, want)
 		}
 	}
 }

@@ -7,24 +7,14 @@ import (
 )
 
 // appendFloat appends f exactly as strconv.AppendFloat(dst, f, 'g', -1,
-// 64) does. A value whose exact decimal has at most 15 significant
-// digits — zero, an integer below 1e15, a fraction with few binary
-// places from 1e-4 to 1e6, such as 1234.625 — is spelled from those
-// digits: no other decimal of 15 digits or fewer reads back to it, so
-// they are the shortest spelling strconv would search for. Any other
-// value is strconv's.
+// 64) does: an integer from 1e6 below 1e15 in strconv's 'e' form from its
+// digits, other values as appendDecimal spells them, and the rest by
+// strconv.
 func appendFloat(dst []byte, f float64) []byte {
-	a := math.Abs(f)
-	if a >= 1e15 || a < 1e-4 && (a != 0 || math.Signbit(f)) || a != a { // -0 and NaN among them
-		return strconv.AppendFloat(dst, f, 'g', -1, 64)
-	}
-	if u := uint64(a); float64(u) == a {
-		if u < 1e6 {
-			return strconv.AppendInt(dst, int64(f), 10)
-		}
+	if a := math.Abs(f); a >= 1e6 && a < 1e15 && float64(uint64(a)) == a {
 		// strconv's 'e' form from 1e6 on: the digits without their
 		// trailing zeros, the point after the first, two exponent digits.
-		x := 0
+		u, x := uint64(a), 0
 		for ; u%10 == 0; u /= 10 {
 			x++
 		}
@@ -39,6 +29,27 @@ func appendFloat(dst []byte, f float64) []byte {
 		}
 		return append(dst, 'e', '+', byte('0'+x/10), byte('0'+x%10))
 	}
+	if out, ok := appendDecimal(dst, f); ok {
+		return out
+	}
+	return strconv.AppendFloat(dst, f, 'g', -1, 64)
+}
+
+// appendDecimal appends f in plain digits when its exact decimal has at
+// most 15 significant digits and it is zero, an integer below 1e15 or a
+// fraction with few binary places from 1e-4 to 1e6, such as 1234.625: no
+// other decimal of 15 digits or fewer reads back to it, so they are the
+// shortest spelling strconv would search for, in the 'f' form both
+// strconv's 'g' (below 1e6) and encoding/json write. It reports false,
+// dst unchanged, for any other value, -0 and NaN among them.
+func appendDecimal(dst []byte, f float64) ([]byte, bool) {
+	a := math.Abs(f)
+	if !(a < 1e15) || a < 1e-4 && (a != 0 || math.Signbit(f)) {
+		return dst, false
+	}
+	if u := uint64(a); float64(u) == a {
+		return strconv.AppendInt(dst, int64(f), 10), true
+	}
 	// a = m × 2^-k with m odd, so its decimal is m×5^k / 10^k: k places
 	// after the point, the last not a zero. 5^22 is past 1e15, so a
 	// larger k is not raised beyond it.
@@ -51,17 +62,17 @@ func appendFloat(dst []byte, f float64) []byte {
 		p *= 5
 	}
 	if hi, d := bits.Mul64(m, p); hi != 0 || d >= 1e15 || a >= 1e6 {
-		return strconv.AppendFloat(dst, f, 'g', -1, 64)
+		return dst, false
 	}
 	if f < 0 {
 		dst = append(dst, '-')
 	}
-	// 'f' form below 1e6. a >= 1e-4 puts 10^k below 1e19: the places
-	// go down as 10^k plus them, whose leading '1' becomes the point.
+	// a >= 1e-4 puts 10^k below 1e19: the places go down as 10^k plus
+	// them, whose leading '1' becomes the point.
 	d, q := m*p, p<<k
 	dst = strconv.AppendUint(dst, d/q, 10)
 	i := len(dst)
 	dst = strconv.AppendUint(dst, q+d%q, 10)
 	dst[i] = '.'
-	return dst
+	return dst, true
 }

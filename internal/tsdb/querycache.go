@@ -7,8 +7,8 @@ import (
 	"pmove/internal/introspect"
 )
 
-// queryCache memoizes aggregate query results keyed on the canonical
-// Query.String() rendering. Correctness is version-based: a reader
+// queryCache memoizes aggregate query results, as tables, keyed on the
+// canonical Query.String() rendering. Correctness is version-based: a reader
 // snapshots the queried measurement's version BEFORE scanning, and the
 // fill is accepted only if the version is unchanged when the scan
 // completes — a write that lands mid-scan bumps the version (before
@@ -50,14 +50,14 @@ type queryCache struct {
 	unitsFooter, unitsDecoded, unitsHead, cellsDecoded *introspect.Counter
 }
 
-// cacheEntry holds a result nothing writes after put: get hands out res
-// itself, which every caller that hits it reads concurrently.
+// cacheEntry holds a table nothing writes after put: get hands out a copy
+// of res, whose columns every caller that hits it reads concurrently.
 type cacheEntry struct {
 	key      string
 	idx      int     // its index in slots
 	cur      *uint64 // its measurement's version cell
 	version  uint64  // the measurement's version res was computed at
-	res      *Result
+	res      table
 	worth    float64 // decode work saved per retained cell
 	priority float64 // worth, halved by each aging since the last hit or fill
 	used     uint64  // recency stamp of the last hit or fill
@@ -133,14 +133,14 @@ func (c *queryCache) version(measurement string) uint64 {
 	return *c.cellLocked(measurement)
 }
 
-// get returns the cached result for key, if any, for reading only.
-func (c *queryCache) get(key string) (*Result, bool) {
+// get returns the cached table for key, if any, for reading only.
+func (c *queryCache) get(key string) (table, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
 	if !ok || e.version != *e.cur {
 		c.misses.Inc()
-		return nil, false
+		return table{}, false
 	}
 	c.clock++
 	e.priority, e.used = e.worth, c.clock
@@ -152,7 +152,7 @@ func (c *queryCache) get(key string) (*Result, bool) {
 // measurement's version still equals the pre-scan snapshot — otherwise
 // a write landed mid-scan and the fill is discarded. From here on res
 // is read, never written.
-func (c *queryCache) put(key, measurement string, version uint64, res *Result, cells int) {
+func (c *queryCache) put(key, measurement string, version uint64, res table, cells int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cur := c.cellLocked(measurement)
@@ -166,7 +166,7 @@ func (c *queryCache) put(key, measurement string, version uint64, res *Result, c
 		}
 	}
 	c.clock++
-	worth := float64(cells) / float64(len(res.Rows)*len(res.Columns)+1)
+	worth := float64(cells) / float64(len(res.Times)*len(res.Columns)+1)
 	if e, ok := c.entries[key]; ok {
 		e.version, e.res, e.worth, e.priority, e.used = version, res, worth, worth, c.clock
 		return

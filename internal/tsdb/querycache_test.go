@@ -99,7 +99,7 @@ func TestQueryCacheEqualWorkEvictsLeastRecent(t *testing.T) {
 	c := newQueryCache(2)
 	in := introspect.New()
 	c.setIntrospection(in)
-	res := &Result{Measurement: "m", Columns: []string{"count(f)"}, Rows: []Row{{Time: 0, Values: map[string]float64{"count(f)": 1}}}}
+	res := table{Measurement: "m", Columns: []string{"count(f)"}, Times: []int64{0}, Cols: [][]float64{{1}}}
 
 	v := c.version("m")
 	c.put("k1", "m", v, res, 1)
@@ -131,7 +131,7 @@ func TestQueryCacheKeepsCostliest(t *testing.T) {
 	c := newQueryCache(0)
 	in := introspect.New()
 	c.setIntrospection(in)
-	res := &Result{Measurement: "m", Columns: []string{"count(f)"}, Rows: make([]Row, 1)}
+	res := table{Measurement: "m", Columns: []string{"count(f)"}, Times: make([]int64, 1)}
 	n := 4 * c.cap
 	order := rand.New(rand.NewSource(37)).Perm(n) // statement i decodes i+1 cells
 	v := c.version("m")
@@ -160,7 +160,7 @@ func TestQueryCacheKeepsCostliest(t *testing.T) {
 // hit again.
 func TestQueryCacheStaleLeavesFirst(t *testing.T) {
 	c := newQueryCache(2)
-	res := &Result{Measurement: "m"}
+	res := table{Measurement: "m"}
 	c.put("cheap", "n", c.version("n"), res, 1)
 	c.put("costly", "m", c.version("m"), res, 1000)
 	c.invalidate("m")
@@ -218,7 +218,7 @@ func TestQueryCacheRefusesCheapest(t *testing.T) {
 // is read.
 func TestQueryCacheAgingFreesIdleCostly(t *testing.T) {
 	c := newQueryCache(4)
-	res := &Result{Measurement: "m", Columns: []string{"count(f)"}, Rows: make([]Row, 1)}
+	res := table{Measurement: "m", Columns: []string{"count(f)"}, Times: make([]int64, 1)}
 	c.put("costly", "idle", c.version("idle"), res, 16) // worth 8: eight panels' worth
 	period := agingFills * c.cap
 	fills := 1
@@ -245,7 +245,7 @@ func TestQueryCacheAgingFreesIdleCostly(t *testing.T) {
 // is discarded, never cached.
 func TestQueryCachePutVersionRejected(t *testing.T) {
 	c := newQueryCache(8)
-	res := &Result{Measurement: "m"}
+	res := table{Measurement: "m"}
 	v := c.version("m")
 	c.invalidate("m") // write lands mid-scan
 	c.put("k", "m", v, res, 1)
@@ -373,7 +373,7 @@ func TestQueryCacheTortureNeverStale(t *testing.T) {
 // (a sliding window) hold one entry, not the cache's capacity.
 func TestQueryCacheStaleEntries(t *testing.T) {
 	c := newQueryCache(8)
-	res := &Result{Measurement: "m"}
+	res := table{Measurement: "m"}
 	v := c.version("m")
 	c.put("k1", "m", v, res, 1)
 	c.put("k2", "m", v, res, 1)
@@ -432,7 +432,7 @@ func (c *mapScanCache) get(key string) bool {
 	return true
 }
 
-func (c *mapScanCache) put(key, m string, version uint64, res *Result, cells int) {
+func (c *mapScanCache) put(key, m string, version uint64, res table, cells int) {
 	if c.versions[m] != version {
 		return
 	}
@@ -443,7 +443,7 @@ func (c *mapScanCache) put(key, m string, version uint64, res *Result, cells int
 		}
 	}
 	c.clock++
-	worth := float64(cells) / float64(len(res.Rows)*len(res.Columns)+1)
+	worth := float64(cells) / float64(len(res.Times)*len(res.Columns)+1)
 	if e, ok := c.entries[key]; ok {
 		e.version, e.res, e.worth, e.priority, e.used = version, res, worth, worth, c.clock
 		return
@@ -515,7 +515,7 @@ func TestQueryCacheSameDecisions(t *testing.T) {
 			in := introspect.New()
 			c.setIntrospection(in)
 			rng := rand.New(rand.NewSource(int64(capacity)))
-			res := &Result{Measurement: "m", Columns: []string{"count(f)"}, Rows: make([]Row, 1)}
+			res := table{Measurement: "m", Columns: []string{"count(f)"}, Times: make([]int64, 1)}
 			nMeas := capacity/8 + 2
 			keys, meas := make([]string, 4*capacity), make([]string, 4*capacity)
 			for i := range keys {
@@ -594,7 +594,7 @@ func compareCaches(t *testing.T, step int, c *queryCache, ref *mapScanCache, in 
 // 10·cap fills age every priority.
 func BenchmarkQueryCacheFill(b *testing.B) {
 	c := newQueryCache(defaultQueryCacheCap)
-	res := &Result{Measurement: "m", Columns: []string{"mean(f)"}, Rows: make([]Row, 16)}
+	res := table{Measurement: "m", Columns: []string{"mean(f)"}, Times: make([]int64, 16)}
 	keys, meas := make([]string, 4096), make([]string, 64)
 	for i := range meas {
 		meas[i] = fmt.Sprintf("m%d", i)

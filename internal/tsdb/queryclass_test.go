@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -41,7 +42,9 @@ func BenchmarkQueryClasses(b *testing.B) {
 // result cache: 4 × cap distinct aggregate statements of the footer,
 // window, range, pctl and head classes, over BenchmarkQueryClasses'
 // store, cycled in a fixed order through a fresh cache after one pass
-// that fills it. hits/op is the share of statements the cache answers.
+// that fills it. hits/op is the share of statements the cache answers;
+// resident-B what the full cache holds (the live heap after collection
+// with it full, less that with it empty), over cached-rows rows.
 func BenchmarkPanelCycle(b *testing.B) {
 	db, _, panels := queryClassStore(b)
 	saved := db.qcache
@@ -55,8 +58,13 @@ func BenchmarkPanelCycle(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	empty := liveHeap()
 	for i := range panels {
 		run(i)
+	}
+	resident, rows := liveHeap()-empty, 0
+	for _, e := range db.qcache.slots {
+		rows += len(e.res.Times)
 	}
 	hits0 := in.Metrics().Snapshot().CounterValue("query.cache.hits")
 	b.ReportAllocs()
@@ -66,6 +74,17 @@ func BenchmarkPanelCycle(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(in.Metrics().Snapshot().CounterValue("query.cache.hits")-hits0)/float64(b.N), "hits/op")
+	b.ReportMetric(float64(resident), "resident-B")
+	b.ReportMetric(float64(rows), "cached-rows")
+}
+
+// liveHeap is the heap in use after two collections: what live data holds.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
 }
 
 type queryClass struct {

@@ -8,11 +8,10 @@ import (
 )
 
 // rawRun is one time-sorted source of rows for the raw SELECT merge: a
-// decoded unit's selected columns (names), and the span of its rows in
-// the query's time bounds.
+// decoded unit's columns, aligned with the table's, and the span of its
+// rows in the query's time bounds.
 type rawRun struct {
 	*scratch
-	names    []string
 	pos, end int
 }
 
@@ -32,21 +31,22 @@ func timeBounds(times []int64, from, to int64) (lo, hi int) {
 	return lo, hi
 }
 
-// appendRawRow renders the run's current row (skipping it when no
-// selected field is present) and advances the cursor.
-func appendRawRow(res *Result, r *rawRun) {
-	t := r.times[r.pos]
-	vals := make(map[string]float64, len(r.names))
-	for ci, name := range r.names {
-		if col := r.cols[ci]; col != nil && col[r.pos] == col[r.pos] {
-			vals[name] = col[r.pos]
-		}
-	}
+// appendRawRow appends the run's current row unless none of its cells
+// is present, and advances the cursor.
+func appendRawRow(t *table, r *rawRun) {
+	i := r.pos
 	r.pos++
-	if len(vals) == 0 {
+	if !slices.ContainsFunc(r.cols, func(c []float64) bool { return c != nil && c[i] == c[i] }) {
 		return
 	}
-	res.Rows = append(res.Rows, Row{Time: t, Values: vals})
+	t.Times = append(t.Times, r.times[i])
+	for ci, c := range r.cols {
+		v := absent
+		if c != nil && c[i] == c[i] {
+			v = c[i]
+		}
+		t.Cols[ci] = append(t.Cols[ci], v)
+	}
 }
 
 // runHeapDown restores the min-heap property from index i. The heap
@@ -76,47 +76,52 @@ func runLess(runs []rawRun, a, b int) bool {
 	return ta < tb || (ta == tb && a < b)
 }
 
-// execRaw materializes a raw SELECT: every unit decodes its selected
-// fields into a sorted run, and a k-way merge emits rows in (time,
-// series, ingest) order — the same order the row store produced. Like
-// the aggregate scan it observes cancellation between units, never
-// mid-unit.
-func (db *DB) execRaw(ctx context.Context, q *Query) (*Result, error) {
+// execRaw materializes a raw SELECT: every unit decodes the selected
+// fields — SELECT *'s the sorted union of its units' — into a sorted run,
+// and a k-way merge emits rows in (time, series, ingest) order — the same
+// order the row store produced. Like the aggregate scan it observes
+// cancellation between units, never mid-unit.
+func (db *DB) execRaw(ctx context.Context, q *Query) (table, error) {
 	db.data.RLock()
 	defer db.data.RUnlock()
-	res := &Result{Measurement: q.Measurement, Columns: q.Fields}
+	units := db.units(q)
+	names := q.Fields
 	selectAll := len(q.Fields) == 1 && q.Fields[0] == "*"
+	if selectAll {
+		// A fresh slice: the caller's query must come back unchanged.
+		names = []string{}
+		for _, u := range units {
+			for _, f := range u.b.fieldNames() {
+				if i, found := slices.BinarySearch(names, f); !found {
+					names = slices.Insert(names, i, f)
+				}
+			}
+		}
+	}
 	var runs []rawRun
-	for _, u := range db.units(q) {
+	total := 0
+	for _, u := range units {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("tsdb: query: %w", err)
+			return table{}, fmt.Errorf("tsdb: query: %w", err)
 		}
-		run := rawRun{scratch: scratchPool.Get().(*scratch), names: q.Fields}
-		if selectAll {
-			run.names = u.b.fieldNames()
-		}
+		run := rawRun{scratch: scratchPool.Get().(*scratch)}
 		var err error
-		if run.pos, run.end, err = u.columns(run.names, q.From, q.To, run.scratch); err != nil {
-			return nil, err
+		if run.pos, run.end, err = u.columns(names, q.From, q.To, run.scratch); err != nil {
+			return table{}, err
 		}
 		// A unit holding none of the selected fields has no row to give.
 		if run.end > run.pos && slices.ContainsFunc(run.cols, func(c []float64) bool { return c != nil }) {
 			runs = append(runs, run)
+			total += run.end - run.pos
 		}
 	}
-	total := 0
-	for i := range runs {
-		total += runs[i].end - runs[i].pos
-	}
-	if total > 0 {
-		res.Rows = make([]Row, 0, total)
-	}
+	t := newTable(q.Measurement, names, total)
 	switch len(runs) {
 	case 0:
 	case 1:
 		r := &runs[0]
 		for r.pos < r.end {
-			appendRawRow(res, r)
+			appendRawRow(&t, r)
 		}
 	default:
 		h := make([]int, len(runs))
@@ -128,7 +133,7 @@ func (db *DB) execRaw(ctx context.Context, q *Query) (*Result, error) {
 		}
 		for len(h) > 0 {
 			r := &runs[h[0]]
-			appendRawRow(res, r)
+			appendRawRow(&t, r)
 			if r.pos >= r.end {
 				h[0] = h[len(h)-1]
 				h = h[:len(h)-1]
@@ -142,20 +147,15 @@ func (db *DB) execRaw(ctx context.Context, q *Query) (*Result, error) {
 		scratchPool.Put(runs[i].scratch)
 	}
 	if selectAll {
-		// Stabilise the column list.
-		cols := map[string]bool{}
-		for _, r := range res.Rows {
-			for f := range r.Values {
-				cols[f] = true
+		// SELECT * lists the fields its rows hold a value of.
+		kept := 0
+		for ci, col := range t.Cols {
+			if slices.ContainsFunc(col, func(v float64) bool { return !isAbsent(v) }) {
+				t.Columns[kept], t.Cols[kept] = t.Columns[ci], col
+				kept++
 			}
 		}
-		// A fresh slice: Columns aliased q.Fields until here, and the
-		// caller's query must come back unchanged.
-		res.Columns = make([]string, 0, len(cols))
-		for f := range cols {
-			res.Columns = append(res.Columns, f)
-		}
-		sort.Strings(res.Columns)
+		t.Columns, t.Cols = t.Columns[:kept], t.Cols[:kept]
 	}
-	return res, nil
+	return t, nil
 }

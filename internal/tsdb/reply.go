@@ -12,11 +12,12 @@ import (
 )
 
 // A QUERY reply is one line of JSON: exactly what encoding/json's Marshal
-// writes for a *Result — field order, null for a nil slice or map, map
-// keys in byte order, its string escaping and its float spelling — so the
-// wire format is the one it always was. appendResult writes it without
-// reflection, decodeResult reads that grammar back in one pass, and
-// encoding/json stays in the tests as the reference both are held to.
+// writes for the *Result a table builds — field order, null for a nil
+// slice, map keys in byte order, its string escaping and its float
+// spelling — so the wire format is the one it always was. appendTable
+// writes it from the table without reflection, decodeResult reads that
+// grammar back in one pass, and encoding/json stays in the tests as the
+// reference both are held to.
 
 const hexDigits = "0123456789abcdef"
 
@@ -33,16 +34,20 @@ var asciiEscape = func() (t [utf8.RuneSelf]byte) {
 	return t
 }()
 
-// appendResult appends the reply for res to dst. A value JSON cannot
-// spell (NaN, ±Inf) fails the whole reply with encoding/json's error text.
-func appendResult(dst []byte, res *Result) ([]byte, error) {
-	dst = appendJSONString(append(dst, `{"Measurement":`...), res.Measurement)
+// appendTable appends the reply for t to dst. The columns are sorted by
+// name and their names escaped once per result, not once per row; a row
+// writes its present cells in that order, a repeated name once (the
+// engine repeats a column only as a repeated expression, with the same
+// cells). A value JSON cannot spell (NaN, ±Inf) fails the whole reply
+// with encoding/json's error text.
+func appendTable(dst []byte, t *table) ([]byte, error) {
+	dst = appendJSONString(append(dst, `{"Measurement":`...), t.Measurement)
 	dst = append(dst, `,"Columns":`...)
-	if res.Columns == nil {
+	if t.Columns == nil {
 		dst = append(dst, "null"...)
 	} else {
 		dst = append(dst, '[')
-		for i, c := range res.Columns {
+		for i, c := range t.Columns {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
@@ -51,54 +56,67 @@ func appendResult(dst []byte, res *Result) ([]byte, error) {
 		dst = append(dst, ']')
 	}
 	dst = append(dst, `,"Rows":`...)
-	if res.Rows == nil {
+	if t.Times == nil {
 		return append(dst, "null}"...), nil
 	}
-	// A row's entries, sorted by key in a scratch that lives on the stack
-	// up to 16 and is reused row after row.
-	var stack [16]replyEntry
-	ents := stack[:0]
+	// The keys in byte order, each `"name":` spelled in keys up to its
+	// end; scratch on the stack up to 16 columns and 512 bytes of names.
+	var stack [16]replyKey
+	var names [512]byte
+	order, keys := stack[:0], names[:0]
+	for ci := range t.Columns {
+		order = append(order, replyKey{col: ci})
+	}
+	slices.SortStableFunc(order, func(a, b replyKey) int { return strings.Compare(t.Columns[a.col], t.Columns[b.col]) })
+	kept := 0
+	for i, k := range order {
+		if i+1 < len(order) && t.Columns[order[i+1].col] == t.Columns[k.col] {
+			continue
+		}
+		keys = append(appendJSONString(keys, t.Columns[k.col]), ':')
+		order[kept] = replyKey{k.col, len(keys)}
+		kept++
+	}
+	order = order[:kept]
 	dst = append(dst, '[')
 	start := len(dst)
-	for i, row := range res.Rows {
+	for i, ts := range t.Times {
 		if i == 1 {
 			// The rows of one result are alike: size for the rest from the
 			// first, with room for longer numbers.
-			n := (len(dst) - start + 1) * (len(res.Rows) - 1)
+			n := (len(dst) - start + 1) * (len(t.Times) - 1)
 			dst = slices.Grow(dst, n+n/4)
 		}
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = strconv.AppendInt(append(dst, `{"Time":`...), row.Time, 10)
-		dst = append(dst, `,"Values":`...)
-		if row.Values == nil {
-			dst = append(dst, "null}"...)
-			continue
-		}
-		ents = ents[:0]
-		for k, v := range row.Values {
-			ents = append(ents, replyEntry{k, v})
-		}
-		slices.SortFunc(ents, func(a, b replyEntry) int { return strings.Compare(a.key, b.key) })
-		dst = append(dst, '{')
-		for j, e := range ents {
-			if j > 0 {
+		dst = strconv.AppendInt(append(dst, `{"Time":`...), ts, 10)
+		dst = append(dst, `,"Values":{`...)
+		from, sep := 0, false
+		for _, k := range order {
+			key := keys[from:k.end]
+			from = k.end
+			v := t.Cols[k.col][i]
+			if isAbsent(v) {
+				continue
+			}
+			if sep {
 				dst = append(dst, ',')
 			}
 			var err error
-			if dst, err = appendJSONFloat(append(appendJSONString(dst, e.key), ':'), e.v); err != nil {
+			if dst, err = appendJSONFloat(append(dst, key...), v); err != nil {
 				return nil, err
 			}
+			sep = true
 		}
 		dst = append(dst, "}}"...)
 	}
 	return append(dst, "]}"...), nil
 }
 
-type replyEntry struct {
-	key string
-	v   float64
+// replyKey is a column in key order and where its spelled key ends.
+type replyKey struct {
+	col, end int
 }
 
 // appendJSONString writes s quoted as encoding/json does, HTML escaping
@@ -137,8 +155,12 @@ func appendU(dst []byte, r rune) []byte {
 
 // appendJSONFloat writes f as encoding/json does: 'f' format unless
 // |f| < 1e-6 or |f| >= 1e21, then 'e' with a one-digit negative exponent
-// not padded (1e-7, not 1e-07).
+// not padded (1e-7, not 1e-07). A value of at most 15 significant digits
+// that is an integer or lies in [1e-4, 1e6) is spelled from its digits.
 func appendJSONFloat(dst []byte, f float64) ([]byte, error) {
+	if out, ok := appendDecimal(dst, f); ok {
+		return out, nil
+	}
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return dst, fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
 	}

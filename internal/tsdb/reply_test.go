@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -18,8 +19,8 @@ import (
 )
 
 // The reference for the QUERY reply is encoding/json, used here exactly as
-// the parent commit's server and client used it: json.Marshal of the
-// *Result ("ERR <error>" when it fails), json.Unmarshal into a fresh Result.
+// the server and client once used it: json.Marshal of the *Result ("ERR
+// <error>" when it fails), json.Unmarshal into a fresh Result.
 // testdata/reply_pr19.bin is what that server wrote for replyFixture().
 
 func refReply(res *Result) []byte {
@@ -38,13 +39,92 @@ func refDecode(line []byte) (*Result, error) {
 	return &res, nil
 }
 
-// replyLine is the line the server writes for res, without its newline.
-func replyLine(res *Result) []byte {
-	b, err := appendResult(nil, res)
+// appendResult appends encoding/json's reply for res: the line a server
+// encoding the exported Result wrote, for shapes no table holds.
+func appendResult(dst []byte, res *Result) ([]byte, error) {
+	b, err := json.Marshal(res)
+	return append(dst, b...), err
+}
+
+// computedNaN is a NaN as arithmetic makes it, not absent.
+var computedNaN = math.Float64frombits(0x7FF8000000000000)
+
+// tableOf is res as a table, when it is one's result: every row's Values
+// non-empty and keyed by columns alone. A NaN value is present, so it
+// takes computedNaN's bits.
+func tableOf(res *Result) (*table, bool) {
+	t := &table{Measurement: res.Measurement, Columns: res.Columns, Cols: make([][]float64, len(res.Columns))}
+	if res.Rows != nil {
+		t.Times = []int64{}
+	}
+	for _, row := range res.Rows {
+		n := 0
+		for ci, c := range res.Columns {
+			v, ok := row.Values[c]
+			if !ok {
+				v = absent
+			} else if isAbsent(v) {
+				v = computedNaN
+			}
+			if ok && !slices.Contains(res.Columns[:ci], c) {
+				n++
+			}
+			t.Cols[ci] = append(t.Cols[ci], v)
+		}
+		if n == 0 || n != len(row.Values) {
+			return nil, false
+		}
+		t.Times = append(t.Times, row.Time)
+	}
+	return t, true
+}
+
+// tableLine is the line the server writes for t, without its newline.
+func tableLine(t *table) []byte {
+	b, err := appendTable(nil, t)
 	if err != nil {
 		return []byte("ERR " + err.Error())
 	}
 	return b
+}
+
+// replyLine is the line the server writes for a table whose result is
+// res, and encoding/json's for a shape no table holds, without its newline.
+func replyLine(res *Result) []byte {
+	if t, ok := tableOf(res); ok {
+		return tableLine(t)
+	}
+	return refReply(res)
+}
+
+// refFloat is encoding/json's spelling of v, or its error text.
+func refFloat(v float64) []byte {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return []byte(err.Error())
+	}
+	return b
+}
+
+// FuzzAppendJSONFloat: for any bit pattern the reply's speller writes
+// encoding/json's spelling, byte for byte, or fails with its error text.
+func FuzzAppendJSONFloat(f *testing.F) {
+	for _, v := range replyValues {
+		f.Add(math.Float64bits(v))
+	}
+	for _, v := range []float64{999999.5, 1e6 + 0.5, 1e15 - 1, 1e15, 1e-4, 1e-4 + 1.0/(1<<20), 1234.625, math.NaN(), math.Inf(-1)} {
+		f.Add(math.Float64bits(v))
+	}
+	f.Fuzz(func(t *testing.T, b uint64) {
+		v := math.Float64frombits(b)
+		got, err := appendJSONFloat([]byte("x"), v)
+		if err != nil {
+			got = []byte("x" + err.Error())
+		}
+		if want := append([]byte("x"), refFloat(v)...); !bytes.Equal(got, want) {
+			t.Fatalf("appendJSONFloat(%#x) = %q, encoding/json %q", b, got, want)
+		}
+	})
 }
 
 // replyNames spans every escape class of encoding/json's strings: quote,
@@ -172,21 +252,35 @@ func readReplyFixture(t *testing.T) []byte {
 	return b
 }
 
-// TestReplyFixtureSameBytes: the server's reply to each fixture result —
-// the JSON line, or the ERR line for an unencodable one — is byte for byte
-// what the parent's json.Marshal-based server wrote.
+// notTables are the fixture results no table holds, by index: a row
+// with nil or empty Values, or a key outside Columns. No engine makes
+// them; the decoder still reads their lines (TestReplyFixtureDecodes).
+var notTables = []int{2, 3, 27, 28, 29, 30, 31, 32, 33, 34, 36, 37, 39, 40, 42, 44, 46, 48, 49, 52,
+	55, 56, 57, 59, 60, 63, 64, 65, 67, 70, 72, 75, 76, 77, 79, 80, 82, 83, 84, 85, 86, 87}
+
+// TestReplyFixtureSameBytes: the server's reply to each fixture result
+// that a table holds — the JSON line, or the ERR line for an unencodable
+// one — encoded from the table, is byte for byte the line the
+// json.Marshal-based server wrote.
 func TestReplyFixtureSameBytes(t *testing.T) {
-	want := readReplyFixture(t)
-	var got []byte
-	for _, res := range replyFixture() {
-		got = append(append(got, replyLine(res)...), '\n')
-	}
-	if !bytes.Equal(got, want) {
-		n := 0
-		for n < len(got) && n < len(want) && got[n] == want[n] {
-			n++
+	want := bytes.SplitAfter(readReplyFixture(t), []byte("\n"))
+	var skipped []int
+	for i, res := range replyFixture() {
+		tab, ok := tableOf(res)
+		if !ok {
+			skipped = append(skipped, i)
+			continue
 		}
-		t.Fatalf("replies differ from the PR 19 server's: %d bytes vs %d, first difference at offset %d: %q", len(got), len(want), n, got[max(0, n-40):min(len(got), n+40)])
+		if got := append(tableLine(tab), '\n'); !bytes.Equal(got, want[i]) {
+			n := 0
+			for n < len(got) && n < len(want[i]) && got[n] == want[i][n] {
+				n++
+			}
+			t.Fatalf("result %d: reply differs from the json.Marshal server's: %d bytes vs %d, first difference at offset %d: %q", i, len(got), len(want[i]), n, got[max(0, n-40):min(len(got), n+40)])
+		}
+	}
+	if !slices.Equal(skipped, notTables) {
+		t.Fatalf("results no table holds: %v, want %v", skipped, notTables)
 	}
 }
 
@@ -238,6 +332,58 @@ func TestReplyMatchesEncodingJSON(t *testing.T) {
 	if errs == 0 {
 		t.Fatal("no drawn result held an unencodable value")
 	}
+	errs = 0
+	for i := 0; i < 3000; i++ {
+		tab := genTable(rng)
+		want, got := refReply(tab.result()), tableLine(tab)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("table %d: encoded\n%s\nencoding/json\n%s", i, got, want)
+		}
+		if bytes.HasPrefix(got, []byte("ERR ")) {
+			errs++
+		}
+	}
+	if errs == 0 {
+		t.Fatal("no drawn table held an unencodable value")
+	}
+}
+
+// genTable draws a table as the engines make them: names that may repeat
+// (a repeated expression), whose columns then hold the same cells, rows
+// with at least one present cell, wide (> 16) column lists now and then,
+// and a computed NaN or ±Inf among the values now and then.
+func genTable(rng *rand.Rand) *table {
+	pick := func(p int) bool { return rng.Intn(100) < p }
+	n := 1 + rng.Intn(5)
+	if pick(10) {
+		n = 17 + rng.Intn(8)
+	}
+	tab := &table{Measurement: replyNames[rng.Intn(len(replyNames))], Times: []int64{}, Cols: make([][]float64, n)}
+	for range n {
+		tab.Columns = append(tab.Columns, replyNames[rng.Intn(len(replyNames))])
+	}
+	for r := rng.Intn(12); r > 0; r-- {
+		tab.Times = append(tab.Times, rng.Int63()-rng.Int63())
+		present := false
+		for ci, c := range tab.Columns {
+			v := absent
+			if j := slices.Index(tab.Columns, c); j < ci {
+				v = tab.Cols[j][len(tab.Times)-1]
+			} else if pick(70) || ci == n-1 && !present {
+				switch {
+				case pick(2):
+					v = []float64{math.Inf(1), math.Inf(-1), computedNaN}[rng.Intn(3)]
+				case pick(40):
+					v = replyValues[rng.Intn(len(replyValues))]
+				default:
+					v = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(30)-15))
+				}
+			}
+			present = present || !isAbsent(v)
+			tab.Cols[ci] = append(tab.Cols[ci], v)
+		}
+	}
+	return tab
 }
 
 // TestPlainDecimalIsTheSpelling: a number the decoder takes as spelled
@@ -356,11 +502,11 @@ func panelReply(rows int, full bool) *Result {
 	return res
 }
 
-// TestReplyAllocations: encoding allocates nothing given room; decoding
-// allocates per row only that row's Values map — the floor the exported
-// Row sets — plus 7 for the result: itself, its measurement, its columns
-// slice and string, the decoder's string scratch, and the rows slice
-// before and after it is sized from the first row.
+// TestReplyAllocations: encoding a table allocates nothing given room;
+// decoding allocates per row only that row's Values map — the floor the
+// exported Row sets — plus 7 for the result: itself, its measurement, its
+// columns slice and string, the decoder's string scratch, and the rows
+// slice before and after it is sized from the first row.
 func TestReplyAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are held without the race detector")
@@ -368,8 +514,12 @@ func TestReplyAllocations(t *testing.T) {
 	panel := panelReply(2048, true)
 	buf := make([]byte, 0, 1<<20)
 	for name, res := range map[string]*Result{"2048-row panel": panel, "escaped names": replyFixture()[9]} {
-		if n := testing.AllocsPerRun(20, func() { buf, _ = appendResult(buf[:0], res) }); n != 0 {
-			t.Errorf("appendResult of the %s into a buffer with room: %v allocations, want 0", name, n)
+		tab, ok := tableOf(res)
+		if !ok {
+			t.Fatalf("the %s is no table", name)
+		}
+		if n := testing.AllocsPerRun(20, func() { buf, _ = appendTable(buf[:0], tab) }); n != 0 {
+			t.Errorf("appendTable of the %s into a buffer with room: %v allocations, want 0", name, n)
 		}
 	}
 	perMap := testing.AllocsPerRun(20, func() {
@@ -388,17 +538,19 @@ var (
 	sinkResult *Result
 )
 
-// BenchmarkQueryReply: a 2 560-row panel each way, beside the
-// encoding/json path the wire used before, for both value shapes.
+// BenchmarkQueryReply: a 2 560-row panel each way — encoded from its
+// table, decoded to the exported Result — beside the encoding/json path
+// the wire used before, for both value shapes.
 func BenchmarkQueryReply(b *testing.B) {
 	for _, values := range []string{"steps", "full"} {
 		panel := panelReply(2560, values == "full")
+		tab, _ := tableOf(panel)
 		line := replyLine(panel)
 		for _, bc := range []struct {
 			name string
 			run  func()
 		}{
-			{"encode", func() { sinkReply, _ = appendResult(nil, panel) }},
+			{"encode", func() { sinkReply, _ = appendTable(nil, tab) }},
 			{"decode", func() { sinkResult, _ = decodeResult(line) }},
 			{"json.Marshal", func() { sinkReply, _ = json.Marshal(panel) }},
 			{"json.Unmarshal", func() { sinkResult, _ = refDecode(line) }},
@@ -414,11 +566,11 @@ func BenchmarkQueryReply(b *testing.B) {
 }
 
 // TestWireReadersShareCachedResult: wire readers encode one cache-resident
-// result at once, and embedded ExecuteContext callers read it, while a
-// writer invalidates it and readers refill it. Every reply must be the
-// SkipCache answer at some batch boundary, embedded hits must return the
-// one resident *Result, and under -race any write to a shared result is
-// reported.
+// table at once, and embedded ExecuteContext callers build their results
+// from it, while a writer invalidates it and readers refill it. Every
+// reply must be the SkipCache answer at some batch boundary, embedded
+// hits must be equal results of their own, and under -race any write to
+// the shared table is reported.
 func TestWireReadersShareCachedResult(t *testing.T) {
 	db := New()
 	srv, addr := startServer(t, db)
@@ -525,12 +677,12 @@ func TestWireReadersShareCachedResult(t *testing.T) {
 	if n < readers*len(stmts) {
 		t.Fatalf("readers made only %d queries", n)
 	}
-	// Concurrent embedded hits share the one resident result.
-	resident, err := db.ExecuteContext(ctx, QueryRequest{Statement: stmts[0]})
+	// Concurrent embedded hits read the one resident table, each into an
+	// equal result of its own.
+	first, err := db.ExecuteContext(ctx, QueryRequest{Statement: stmts[0]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := string(replyLine(resident))
 	var hits sync.WaitGroup
 	for r := 0; r < 4; r++ {
 		hits.Add(1)
@@ -538,12 +690,140 @@ func TestWireReadersShareCachedResult(t *testing.T) {
 			defer hits.Done()
 			for i := 0; i < 20; i++ {
 				res, err := db.ExecuteContext(ctx, QueryRequest{Statement: stmts[0]})
-				if err != nil || res != resident || string(replyLine(res)) != want {
-					t.Errorf("hit %d: error %v, resident result %v", i, err, res == resident)
+				if err != nil || !reflect.DeepEqual(res, first) || res == first || &res.Rows[0] == &first.Rows[0] {
+					t.Errorf("hit %d: error %v, equal %v, shared %v", i, err, reflect.DeepEqual(res, first), res == first)
 					return
 				}
 			}
 		}()
 	}
 	hits.Wait()
+}
+
+// TestEmbeddedHitBelongsToCaller: a caller that writes into the Result of
+// a cache hit — a value, a row, a column name — changes neither the
+// resident table nor what the next hit or a wire reader gets.
+func TestEmbeddedHitBelongsToCaller(t *testing.T) {
+	db := New()
+	srv, addr := startServer(t, db)
+	defer srv.Close()
+	ctx := context.Background()
+	var ps []Point
+	for i := range 64 {
+		ps = append(ps, Point{Measurement: "m", Tags: map[string]string{"host": "h"},
+			Fields: map[string]float64{"v": float64(i % 5)}, Time: int64(i)})
+	}
+	if err := db.WriteBatchContext(ctx, ps); err != nil {
+		t.Fatal(err)
+	}
+	const stmt = `SELECT count("v"), mean("v") FROM "m" GROUP BY time(16)`
+	want, err := db.ExecuteContext(ctx, QueryRequest{Statement: stmt, SkipCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLine := string(replyLine(want))
+	c, err := DialPolicy(addr, testPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := range 3 { // a fill, then hits
+		res, err := db.ExecuteContext(ctx, QueryRequest{Statement: stmt})
+		if err != nil || !reflect.DeepEqual(res, want) {
+			t.Fatalf("execution %d: %+v, %v; want %+v", i, res, err, want)
+		}
+		res.Rows[0].Values["mean(v)"] = -1
+		delete(res.Rows[1].Values, "count(v)")
+		res.Rows[2].Time = 7
+		res.Rows = res.Rows[:1]
+		res.Columns[0] = "scribbled"
+		got, err := c.QueryContext(ctx, stmt)
+		if err != nil || string(replyLine(got)) != wantLine {
+			t.Fatalf("wire reader after write %d: %+v, %v; want\n%s", i, got, err, wantLine)
+		}
+	}
+}
+
+// TestNonFiniteAggregateAtTheEdges: an aggregate that overflows is a
+// value. Two values of 1.7e308 sum to +Inf, and a series summing to
+// +Inf beside one summing to -Inf merges to NaN. The embedded caller
+// gets each in its Result; a wire reader gets encoding/json's error
+// for the value, as an ERR reply.
+func TestNonFiniteAggregateAtTheEdges(t *testing.T) {
+	db := New()
+	ctx := context.Background()
+	var ps []Point
+	for i, v := range []float64{1.7e308, 1.7e308, -1.7e308, -1.7e308} {
+		host := []string{"up", "down"}[i/2]
+		ps = append(ps, Point{Measurement: "m", Tags: map[string]string{"host": host},
+			Fields: map[string]float64{"v": v}, Time: int64(i + 1)})
+	}
+	if err := db.WriteBatchContext(ctx, ps); err != nil {
+		t.Fatal(err)
+	}
+	srv, addr := startServer(t, db)
+	defer srv.Close()
+	c, err := DialPolicy(addr, testPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, tc := range []struct {
+		stmt, text string
+		isWant     func(float64) bool
+	}{
+		{`SELECT sum("v") FROM "m" WHERE host = 'up'`, "+Inf", func(v float64) bool { return math.IsInf(v, 1) }},
+		{`SELECT sum("v") FROM "m"`, "NaN", math.IsNaN},
+	} {
+		for pass := 0; pass < 2; pass++ { // a fill, then a hit
+			res, err := db.ExecuteContext(ctx, QueryRequest{Statement: tc.stmt})
+			if err != nil || len(res.Rows) != 1 {
+				t.Fatalf("%s: embedded %+v, %v; want one row", tc.stmt, res, err)
+			}
+			if v, ok := res.Rows[0].Values[`sum(v)`]; !ok || !tc.isWant(v) {
+				t.Fatalf("%s: embedded sum %v (present %v), want %s", tc.stmt, v, ok, tc.text)
+			}
+			_, err = c.QueryContext(ctx, tc.stmt)
+			if want := "ERR json: unsupported value: " + tc.text; err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: wire error %v, want one holding %q", tc.stmt, err, want)
+			}
+		}
+	}
+}
+
+// TestEmptyRowsNullOrEmpty: a result without rows keeps the shape it had
+// as rows of maps. An aggregate whose windows hold no value of its field
+// has Rows null; a raw scan whose candidate rows all lack the field has
+// Rows [], embedded and on the wire.
+func TestEmptyRowsNullOrEmpty(t *testing.T) {
+	db := New()
+	ctx := context.Background()
+	ps := []Point{
+		{Measurement: "m", Fields: map[string]float64{"a": 1, "x": 2}, Time: 1},
+		{Measurement: "m", Fields: map[string]float64{"a": 1}, Time: 2},
+		{Measurement: "m", Fields: map[string]float64{"a": 1}, Time: 3},
+	}
+	if err := db.WriteBatchContext(ctx, ps); err != nil {
+		t.Fatal(err)
+	}
+	srv, addr := startServer(t, db)
+	defer srv.Close()
+	c, err := DialPolicy(addr, testPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for stmt, rows := range map[string]string{
+		`SELECT mean("x") FROM "m" WHERE time >= 2 GROUP BY time(1)`: `"Rows":null`,
+		`SELECT "x" FROM "m" WHERE time >= 2`:                        `"Rows":[]`,
+	} {
+		res, err := db.ExecuteContext(ctx, QueryRequest{Statement: stmt})
+		if err != nil || len(res.Rows) != 0 || (res.Rows == nil) != (rows == `"Rows":null`) {
+			t.Fatalf("%s: embedded %+v, %v; want %s", stmt, res, err, rows)
+		}
+		got, err := c.QueryContext(ctx, stmt)
+		if err != nil || !strings.Contains(string(replyLine(got)), rows) {
+			t.Fatalf("%s: wire %+v, %v; want %s", stmt, got, err, rows)
+		}
+	}
 }

@@ -449,11 +449,11 @@ func (s *Server) handleQuery(c *conn, rest string, arrivalNanos int64) {
 	_, ps := c.in.StartSpan(qctx, "tsdb.server.parse")
 	q, err := ParseQuery(body)
 	ps.End(err)
-	var res *Result
+	var t table
 	if err == nil {
 		ectx, es := c.in.StartSpan(qctx, "tsdb.server.exec")
-		// A cached aggregate is the cache's own result: read, not copied.
-		res, err = s.db.ExecuteContext(ectx, QueryRequest{Query: q})
+		// A cached aggregate is the cache's own table: read, not copied.
+		t, err = s.db.execute(ectx, QueryRequest{Query: q})
 		es.End(err)
 	}
 	// A result that will not encode fails the reply and the record, not
@@ -464,8 +464,8 @@ func (s *Server) handleQuery(c *conn, rest string, arrivalNanos int64) {
 	if err == nil {
 		// Encoded into the writer's free space, which answer's Write then
 		// copies onto itself: a reply that fits takes no buffer of its own.
-		reply, err = appendResult(c.w.AvailableBuffer(), res)
-		extra = []string{"rows", strconv.Itoa(len(res.Rows)), "bytes", strconv.Itoa(len(reply))}
+		reply, err = appendTable(c.w.AvailableBuffer(), &t)
+		extra = []string{"rows", strconv.Itoa(len(t.Times)), "bytes", strconv.Itoa(len(reply))}
 	}
 	c.answer(qctx, ctx, "query", arrivalNanos, err, reply, extra...)
 }

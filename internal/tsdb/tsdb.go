@@ -27,6 +27,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -463,14 +464,64 @@ type Row struct {
 	Values map[string]float64
 }
 
-// Result is a query result: the selected field columns and the rows. A
-// result is shared and read-only: a cached aggregate's is the
-// cache-resident one, read by every caller that hits it, so no caller
-// may write its rows, value maps or columns.
+// Result is a query result: the selected field columns and the rows.
+// A Result belongs to its caller, who may keep or write it: each call
+// builds its own, a cached aggregate's too.
 type Result struct {
 	Measurement string
 	Columns     []string
 	Rows        []Row
+}
+
+// table is a query result as the engine makes it, the cache keeps it and
+// the server encodes it: one time column and one value column per name
+// in Columns. A cell its row lacks is absent, math.NaN()'s exact bits;
+// any other value is present, a NaN that an aggregate computes too (a
+// sum of +Inf and -Inf partials). Times is nil when there are no rows.
+type table struct {
+	Measurement string
+	Columns     []string
+	Times       []int64
+	Cols        [][]float64
+}
+
+// absent is a cell its row lacks: math.NaN(), whose bits no arithmetic on
+// stored (finite) values yields, so they mark an absent cell unambiguously.
+var absent = math.NaN()
+
+func isAbsent(v float64) bool { return math.Float64bits(v) == math.Float64bits(math.NaN()) }
+
+// newTable makes an empty table with room for n rows, its columns cut
+// from one array; Times stays nil when n is 0.
+func newTable(measurement string, columns []string, n int) table {
+	t := table{Measurement: measurement, Columns: columns, Cols: make([][]float64, len(columns))}
+	if n > 0 {
+		t.Times = make([]int64, 0, n)
+	}
+	cells := make([]float64, len(columns)*n)
+	for ci := range t.Cols {
+		t.Cols[ci] = cells[ci*n : ci*n : (ci+1)*n]
+	}
+	return t
+}
+
+// result builds the exported form of t, a Values map per row holding its
+// present cells: the one place the engine's results turn into rows.
+func (t *table) result() *Result {
+	res := &Result{Measurement: t.Measurement, Columns: slices.Clone(t.Columns)}
+	if t.Times != nil {
+		res.Rows = make([]Row, len(t.Times))
+	}
+	for i, ts := range t.Times {
+		vals := make(map[string]float64, len(t.Cols))
+		for ci, col := range t.Cols {
+			if !isAbsent(col[i]) {
+				vals[t.Columns[ci]] = col[i]
+			}
+		}
+		res.Rows[i] = Row{Time: ts, Values: vals}
+	}
+	return res
 }
 
 // QueryRequest is the request-struct form of a query, mirroring the
@@ -494,45 +545,80 @@ type QueryRequest struct {
 // ExecuteContext runs one query from its request form, holding the data
 // lock shared for the scan. Aggregate queries run on the parallel
 // block-aware engine (aggexec.go) behind the invalidation-correct result
-// cache (querycache.go), whose resident result a hit or a fill returns;
-// raw SELECTs merge the sorted runs (sealed blocks + heads) of every
-// matching series (rawexec.go).
+// cache (querycache.go); raw SELECTs merge the sorted runs (sealed blocks
+// + heads) of every matching series (rawexec.go). Each call returns a
+// Result of its own, a cache hit's built from the resident table.
 func (db *DB) ExecuteContext(ctx context.Context, req QueryRequest) (*Result, error) {
+	t, err := db.execute(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	return t.result(), nil
+}
+
+// SeriesContext runs one query and returns one of its columns as the
+// times and values of its present cells, in fresh slices: column names
+// a result column, "" the first. A panel target reads its series so,
+// without a map per row.
+func (db *DB) SeriesContext(ctx context.Context, req QueryRequest, column string) ([]int64, []float64, error) {
+	t, err := db.execute(ctx, req)
+	if err != nil {
+		return nil, nil, err
+	}
+	ci := slices.Index(t.Columns, column)
+	if column == "" && len(t.Cols) > 0 {
+		ci = 0
+	}
+	if ci < 0 {
+		return nil, nil, nil
+	}
+	ts, vs := make([]int64, 0, len(t.Times)), make([]float64, 0, len(t.Times))
+	for i, v := range t.Cols[ci] {
+		if !isAbsent(v) {
+			ts, vs = append(ts, t.Times[i]), append(vs, v)
+		}
+	}
+	return ts, vs, nil
+}
+
+// execute runs one query to its table. A cached aggregate's columns are
+// the cache-resident ones, which callers read and never write.
+func (db *DB) execute(ctx context.Context, req QueryRequest) (table, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("tsdb: query: %w", err)
+		return table{}, fmt.Errorf("tsdb: query: %w", err)
 	}
 	q := req.Query
 	if q == nil {
 		var err error
 		q, err = ParseQuery(req.Statement)
 		if err != nil {
-			return nil, err
+			return table{}, err
 		}
 	}
 	// Pre-parsed queries arrive unvalidated; hold them to the same
 	// shape rules ParseQuery enforces.
 	if len(q.Aggregates) > 0 && len(q.Fields) > 0 {
-		return nil, fmt.Errorf("tsdb: cannot mix raw fields and aggregates in one SELECT")
+		return table{}, fmt.Errorf("tsdb: cannot mix raw fields and aggregates in one SELECT")
 	}
 	if q.GroupBy > 0 && len(q.Aggregates) == 0 {
-		return nil, fmt.Errorf("tsdb: GROUP BY time requires aggregate fields")
+		return table{}, fmt.Errorf("tsdb: GROUP BY time requires aggregate fields")
 	}
 	if len(q.Aggregates) > 0 {
 		key := q.String()
 		if !req.SkipCache {
-			if res, ok := db.qcache.get(key); ok {
-				return res, nil
+			if t, ok := db.qcache.get(key); ok {
+				return t, nil
 			}
 		}
 		ver := db.qcache.version(q.Measurement)
-		res, cells, err := db.execAggregate(ctx, q, req.Workers)
+		t, cells, err := db.execAggregate(ctx, q, req.Workers)
 		if err != nil {
-			return nil, err
+			return table{}, err
 		}
 		if !req.SkipCache {
-			db.qcache.put(key, q.Measurement, ver, res, cells)
+			db.qcache.put(key, q.Measurement, ver, t, cells)
 		}
-		return res, nil
+		return t, nil
 	}
 	return db.execRaw(ctx, q)
 }

@@ -155,6 +155,8 @@ func floatSets() map[string][]float64 {
 	return sets
 }
 
+// BenchmarkAppendFloat: the line speller and the reply's (json) beside
+// strconv's.
 func BenchmarkAppendFloat(b *testing.B) {
 	for _, set := range []string{"dyadic", "integer", "random"} {
 		vs := floatSets()[set]
@@ -163,6 +165,7 @@ func BenchmarkAppendFloat(b *testing.B) {
 			fn   func([]byte, float64) []byte
 		}{
 			{"spell", appendFloat},
+			{"json", func(dst []byte, f float64) []byte { dst, _ = appendJSONFloat(dst, f); return dst }},
 			{"strconv", func(dst []byte, f float64) []byte { return strconv.AppendFloat(dst, f, 'g', -1, 64) }},
 		} {
 			b.Run(set+"/"+speller.name, func(b *testing.B) {
@@ -213,8 +216,12 @@ func TestAppendFloatMatchesStrconv(t *testing.T) {
 	}
 	for _, v := range vs {
 		for _, v := range []float64{v, -v} {
-			if got, want := appendFloat(nil, v), strconv.AppendFloat(nil, v, 'g', -1, 64); !bytes.Equal(got, want) {
+			got, want := appendFloat(nil, v), strconv.AppendFloat(nil, v, 'g', -1, 64)
+			if !bytes.Equal(got, want) {
 				t.Errorf("appendFloat(%v) = %q, strconv %q", v, got, want)
+			}
+			if j, _ := appendJSONFloat(nil, v); !bytes.Equal(j, refFloat(v)) {
+				t.Errorf("appendJSONFloat(%v) = %q, encoding/json %q", v, j, refFloat(v))
 			}
 		}
 	}
