@@ -6,7 +6,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -28,9 +27,10 @@ import (
 // straight from its footer (count/zeros/min/max/sum per field), a
 // percentile's field decoding its present values alone, in place — and
 // every other block decodes ONCE into a pooled scratch buffer instead of
-// materializing []Point. A head is an open block: with no late rows it
-// takes the footer shortcut on the same terms, and otherwise decodes
-// like a block, its late rows merged in. Only decoding takes a worker.
+// materializing []Point. A head is an open block: while its rows
+// arrive in time order it takes the footer shortcut on the same terms,
+// and once one arrives late it decodes like a block, its rows put in
+// time order. Only decoding takes a worker.
 //
 // The scan holds the data lock shared for its whole duration: writers
 // append to heads in place, so workers only read them, and not past the
@@ -301,7 +301,7 @@ func foldFooter(out *partial, u unit, q *Query, plan *aggPlan) {
 	for fi, name := range plan.fields {
 		if bi := u.b.fieldIndex(name); bi >= 0 && u.b.fields[bi].count > 0 {
 			if states == nil {
-				states = out.window(windowStart(u.minT, q.GroupBy), len(plan.fields))
+				states = out.window(windowStart(u.b.minT, q.GroupBy), len(plan.fields))
 			}
 			f := &u.b.fields[bi]
 			states[fi].merge(&fieldAgg{count: f.count, sum: f.sum, min: f.min, max: f.max})
@@ -326,31 +326,11 @@ func scanUnit(u unit, q *Query, plan *aggPlan, sc *scratch, out *partial) error 
 	return nil
 }
 
-// quantile returns the q∈[0,1] quantile of sorted by linear
-// interpolation between the two nearest ranks.
-func quantile(sorted []float64, q float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return math.NaN()
-	}
-	if n == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(n-1)
-	i := int(pos)
-	if i >= n-1 {
-		return sorted[n-1]
-	}
-	frac := pos - float64(i)
-	return sorted[i]*(1-frac) + sorted[i+1]*frac
-}
-
 // selectKth partially reorders s so s[k] holds its sorted-order value,
 // everything left of k is <= it and everything right is >= it —
 // Hoare quickselect with median-of-three pivoting, O(n) expected. The
-// order statistics it produces are exactly the sorted ones, so the
-// quantile estimate is unchanged; only the full O(n log n) sort per
-// window is gone.
+// order statistics it produces are exactly the sorted ones, without
+// an O(n log n) sort per window.
 func selectKth(s []float64, k int) float64 {
 	lo, hi := 0, len(s)-1
 	for lo < hi {
@@ -390,8 +370,8 @@ func selectKth(s []float64, k int) float64 {
 	return s[k]
 }
 
-// quantileSelect computes the same linear-interpolation estimate as
-// quantile, but via selection instead of a full sort.
+// quantileSelect returns the q∈[0,1] quantile of s by linear
+// interpolation between the two nearest ranks, selected in place.
 func quantileSelect(s []float64, q float64) float64 {
 	n := len(s)
 	if n == 0 {
@@ -434,10 +414,6 @@ func (a Aggregate) value(fa *fieldAgg) float64 {
 	case "mean":
 		return fa.sum / float64(fa.count)
 	case "p":
-		if len(fa.samples) <= 64 {
-			sort.Float64s(fa.samples)
-			return quantile(fa.samples, a.Pct/100)
-		}
 		return quantileSelect(fa.samples, a.Pct/100)
 	}
 	return math.NaN()
@@ -509,17 +485,14 @@ func (db *DB) scanAggregate(ctx context.Context, q *Query, plan *aggPlan, worker
 	nf := len(plan.fields)
 	partials := make([]partial, len(units))
 	var nFooter, nHead, cells, wins int
-	lo, hi := units[0].minT, units[0].b.maxT
+	lo, hi := units[0].b.minT, units[0].b.maxT
 	for i := range units {
 		u := &units[i]
-		rows := u.b.rows
-		if u.side != nil {
-			rows += len(u.side.times)
-		}
-		n := windowsIn(u.minT, u.b.maxT, rows, q)
-		lo, hi, wins = min(lo, u.minT), max(hi, u.b.maxT), wins+n
-		// A head's footers do not cover its late rows.
-		u.footer = u.side == nil && footerOnly(u.minT, u.b.maxT, q)
+		n := windowsIn(u.b.minT, u.b.maxT, u.b.rows, q)
+		lo, hi, wins = min(lo, u.b.minT), max(hi, u.b.maxT), wins+n
+		// An unsorted head's footer sums ran in arrival order, not scan
+		// order.
+		u.footer = !u.b.unsorted && footerOnly(u.b.minT, u.b.maxT, q)
 		if u.footer {
 			nFooter++
 			cells++
@@ -528,7 +501,7 @@ func (db *DB) scanAggregate(ctx context.Context, q *Query, plan *aggPlan, worker
 		if u.head {
 			nHead++
 		}
-		cells += rows * (1 + nf)
+		cells += u.b.rows * (1 + nf)
 		partials[i] = partial{make([]int64, 0, n), make([]fieldAgg, 0, n*nf)}
 	}
 	if workers <= 0 {

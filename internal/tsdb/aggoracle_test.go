@@ -333,7 +333,8 @@ func TestAggregateWorkerEquivalence(t *testing.T) {
 // state of a field that keeps samples holds exactly count of them.
 // Series "b"'s head is written in batches after the rest, each starting
 // up to 16 places before the previous one's end: a batch lands in time
-// order, so only rows older than an earlier batch's reach the side run.
+// order, so only rows older than an earlier batch's arrive late and
+// leave the head unsorted.
 func TestPercentileOracle(t *testing.T) {
 	const base = 1 << 20 // a multiple of every block-aligned window below
 	rng := rand.New(rand.NewSource(34))
@@ -360,7 +361,7 @@ func TestPercentileOracle(t *testing.T) {
 			series[r] = p
 		}
 		if tag == "b" {
-			// Rows of the head arrive up to 16 places late: a side run.
+			// Rows of the head arrive up to 16 places late: an unsorted head.
 			for i := 2*blockRows + 16; i < rows; i++ {
 				if rng.Intn(10) == 0 {
 					k := 1 + rng.Intn(16)
@@ -397,7 +398,7 @@ func TestPercentileOracle(t *testing.T) {
 		{0, 0}, {base + 100, 0}, {0, base + blockRows + 300}, {base + 300, base + 2*blockRows + 50},
 		{base + blockRows, base + 2*blockRows - 1}, {base + 2*blockRows + 10, end - 10},
 	}
-	n, sideRuns := 0, 0
+	n, unsorted := 0, 0
 	for _, groupBy := range []int64{0, blockRows, 3 * blockRows, 1000, 4095} {
 		for _, b := range bounds {
 			for _, tag := range []string{"", "a", "b", "c"} {
@@ -416,8 +417,8 @@ func TestPercentileOracle(t *testing.T) {
 					plan := planAggregates(q)
 					db.data.RLock()
 					for _, u := range db.units(q) {
-						if u.side != nil {
-							sideRuns++
+						if u.head && u.b.unsorted {
+							unsorted++
 						}
 					}
 					merged, _, err := db.scanAggregate(context.Background(), q, plan, workers)
@@ -437,11 +438,11 @@ func TestPercentileOracle(t *testing.T) {
 			}
 		}
 	}
-	// Both ways of reading a unit were taken, and a head with a side run
-	// was read.
+	// Both ways of reading a unit were taken, and an unsorted head was
+	// read.
 	snap := in.Metrics().Snapshot()
-	if f, d, h := snap.CounterValue("query.units_footer"), snap.CounterValue("query.units_decoded"), snap.CounterValue("query.units_head"); f == 0 || d == 0 || h == 0 || sideRuns == 0 {
-		t.Fatalf("%d queries: units footer %d decoded %d head %d, with a side run %d, want each > 0", n, f, d, h, sideRuns)
+	if f, d, h := snap.CounterValue("query.units_footer"), snap.CounterValue("query.units_decoded"), snap.CounterValue("query.units_head"); f == 0 || d == 0 || h == 0 || unsorted == 0 {
+		t.Fatalf("%d queries: units footer %d decoded %d head %d, unsorted heads read %d, want each > 0", n, f, d, h, unsorted)
 	}
 }
 

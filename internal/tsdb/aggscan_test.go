@@ -92,7 +92,7 @@ func TestScanUnitAllocations(t *testing.T) {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	blk := telemetryBlock(t)
-	u := unit{b: blk, minT: blk.minT}
+	u := unit{b: blk}
 	const step = telemetryStep
 	scan := func(q *Query, fresh bool) float64 {
 		plan := planAggregates(q)
@@ -199,8 +199,8 @@ func TestQueryUnitCounters(t *testing.T) {
 	if f, d, h := exec(stmt, 3); f != 1 || d != 2 || h != 0 {
 		t.Fatalf("partial range: footer %d decoded %d head %d, want 1 2 0", f, d, h)
 	}
-	// A late row puts the head off the footer path: its footers do not
-	// cover the side run.
+	// A late row puts the head off the footer path: its footer sums ran
+	// in arrival order, not time order.
 	late := Point{Measurement: "m", Time: blocks*blockRows + 5, Tags: map[string]string{"tag": "a"}, Fields: map[string]float64{"f": 1}}
 	if err := db.WriteBatchContext(context.Background(), []Point{late}); err != nil {
 		t.Fatal(err)

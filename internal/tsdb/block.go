@@ -63,6 +63,7 @@ type block struct {
 	rows       int
 	values     int // present field values across all columns
 	minT, maxT int64
+	unsorted   bool // an open block's rows did not arrive in time order
 	blob       []byte
 	ts         []byte // the timestamp stream
 	fields     []blockField
@@ -134,10 +135,13 @@ func readBits(buf []byte, acc uint64, n, nb uint) (v uint64, _ []byte, _ uint64,
 // kept running in row order. The embedded block's rows, time range,
 // footers and stream slices stay current, so &o.block reads as any
 // block does; a field with no value yet reads as one the block lacks.
-// Rows arrive in time order; close writes the sealed blob around the
-// streams without encoding anything again.
+// Rows arrive in any order, deltas taken from the last row's time; a
+// row before maxT marks the block unsorted. close writes a sorted
+// block's sealed blob around the streams without encoding anything
+// again.
 type openBlock struct {
 	block           // ts: first time, first delta, then delta-of-deltas, as zig-zag varints
+	lastT int64     // the last row's time
 	prevD int64     // the last time delta
 	cols  []openCol // the XOR writers, aligned with fields
 	bytes int       // ts, bitmap and stream bytes: what the head holds
@@ -183,18 +187,20 @@ func (o *openBlock) addField(name string) {
 	o.cols = append(o.cols, openCol{})
 }
 
-// appendTime appends a row at time t >= maxT and returns its index.
+// appendTime appends a row at time t and returns its index.
 func (o *openBlock) appendTime(t int64) int {
 	n := len(o.ts)
 	if o.rows == 0 {
 		o.ts = binary.AppendVarint(o.ts, t)
-		o.minT = t
+		o.minT, o.maxT = t, t
 	} else { // the first delta is a delta-of-delta from 0
-		d := t - o.maxT
+		d := t - o.lastT
 		o.ts = binary.AppendVarint(o.ts, d-o.prevD)
 		o.prevD = d
+		o.unsorted = o.unsorted || t < o.maxT
+		o.minT, o.maxT = min(o.minT, t), max(o.maxT, t)
 	}
-	o.maxT = t
+	o.lastT = t
 	o.rows++
 	o.bytes += len(o.ts) - n
 	return o.rows - 1
@@ -473,7 +479,8 @@ func decodeBlock(blob []byte) (*block, error) {
 }
 
 // decodeTimes decompresses the timestamp column into dst (reused when
-// it has capacity), verifying it is sorted and matches the footer range.
+// it has capacity), verifying it is sorted and matches the footer range
+// unless the block is an unsorted head, in memory.
 func (b *block) decodeTimes(dst []int64) ([]int64, error) {
 	if cap(dst) < b.rows {
 		dst = make([]int64, b.rows)
@@ -487,7 +494,8 @@ func (b *block) decodeTimes(dst []int64) ([]int64, error) {
 		}
 		if data[p] == 0 && i > 0 {
 			// A run of 0x00s (regular ticks) repeats the last delta: filled
-			// arithmetically if sorted and ending at or below maxT, else checked.
+			// arithmetically if unsorted, or sorted and ending at or below
+			// maxT, else checked.
 			k, n := 1, min(len(dst)-i, len(data)-p)
 			for k+8 <= n && binary.LittleEndian.Uint64(data[p+k:]) == 0 {
 				k += 8
@@ -495,7 +503,7 @@ func (b *block) decodeTimes(dst []int64) ([]int64, error) {
 			for k < n && data[p+k] == 0 {
 				k++
 			}
-			if prevD >= 0 && prevT <= b.maxT && (prevD == 0 || uint64(k) <= uint64(b.maxT-prevT)/uint64(prevD)) {
+			if b.unsorted || prevD >= 0 && prevT <= b.maxT && (prevD == 0 || uint64(k) <= uint64(b.maxT-prevT)/uint64(prevD)) {
 				run := dst[i : i+k]
 				for j := range run {
 					run[j] = prevT + int64(j+1)*prevD
@@ -522,12 +530,12 @@ func (b *block) decodeTimes(dst []int64) ([]int64, error) {
 			prevD += v
 			prevT += prevD
 		}
-		if i > 0 && prevT < dst[i-1] {
+		if i > 0 && prevT < dst[i-1] && !b.unsorted {
 			return nil, errBlockCorrupt
 		}
 		dst[i] = prevT
 	}
-	if p != len(data) || dst[0] != b.minT || dst[b.rows-1] != b.maxT {
+	if p != len(data) || !b.unsorted && (dst[0] != b.minT || dst[b.rows-1] != b.maxT) {
 		return nil, errBlockCorrupt
 	}
 	return dst, nil

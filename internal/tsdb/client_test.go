@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -213,13 +214,56 @@ func TestClientSendsStatementAsWritten(t *testing.T) {
 	for stmt, want := range map[string]string{
 		`SELECT mean(v) FROM m GROUP BY time(16s)`: "QUERY SELECT mean(v) FROM m GROUP BY time(16s)\n",
 		"SELECT mean(v)\nFROM m":                   "QUERY SELECT mean(\"v\") FROM \"m\"\n",
-		"SELECT mean(v) FROM m\r":                  `QUERY SELECT mean("v") FROM "m\r"` + "\n",
+		"SELECT mean(v) FROM m\r":                  `QUERY SELECT mean("v") FROM "m"` + "\n",
+		"SELECT mean(v) FROM \"m\r\"":              `QUERY SELECT mean("v") FROM "m\r"` + "\n",
 	} {
 		if _, err := c.QueryContext(context.Background(), stmt); err != nil {
 			t.Fatal(err)
 		}
 		if got := <-sent; got != want {
 			t.Errorf("%q went out as %q, want %q", stmt, got, want)
+		}
+	}
+}
+
+// TestCRLFStatement: a carriage return is whitespace to the parser, so
+// a statement written with CRLF line ends is the one written with LF,
+// parsed and answered the same embedded and through Client.
+func TestCRLFStatement(t *testing.T) {
+	const lf, crlf = "SELECT mean(v)\nFROM m\nWHERE host='a'", "SELECT mean(v)\r\nFROM m\r\nWHERE host='a'\r\n"
+	want, err := ParseQuery(lf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ParseQuery(crlf); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("%q parses to %+v (%v), want %+v", crlf, got, err, want)
+	}
+	db := New()
+	if err := db.WriteBatchContext(context.Background(), []Point{
+		{Measurement: "m", Tags: map[string]string{"host": "a"}, Fields: map[string]float64{"v": 1}, Time: 1},
+		{Measurement: "m", Tags: map[string]string{"host": "a"}, Fields: map[string]float64{"v": 2}, Time: 2},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	srv, addr := startServer(t, db)
+	defer srv.Close()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for label, query := range map[string]func(string) (*Result, error){
+		"embedded": func(stmt string) (*Result, error) {
+			return db.ExecuteContext(context.Background(), QueryRequest{Statement: stmt, SkipCache: true})
+		},
+		"client": func(stmt string) (*Result, error) { return c.QueryContext(context.Background(), stmt) },
+	} {
+		exp, err := query(lf)
+		if err != nil || len(exp.Rows) != 1 || exp.Rows[0].Values["mean(v)"] != 1.5 {
+			t.Fatalf("%s: %q answers %+v (%v), want one row of mean 1.5", label, lf, exp, err)
+		}
+		if got, err := query(crlf); err != nil || !reflect.DeepEqual(got, exp) {
+			t.Fatalf("%s: %q answers %+v (%v), want %+v", label, crlf, got, err, exp)
 		}
 	}
 }

@@ -136,7 +136,7 @@ func (db *DB) snapshotLocked() ([]byte, error) {
 			out = append(out, s.key[id:]...)
 			chunks := len(s.blocks)
 			var headBlob []byte
-			if s.headRows() > 0 {
+			if s.open.rows > 0 {
 				hb, err := s.closeHead()
 				if err != nil {
 					return nil, fmt.Errorf("tsdb: snapshot %s: %w", m.name, err)
@@ -274,7 +274,7 @@ func (db *DB) adoptBlock(s *memSeries, b *block) {
 // adoptHead appends a head chunk's rows into the series' open block,
 // which must be empty: a snapshot holds one head chunk per series.
 func (db *DB) adoptHead(s *memSeries, b *block) error {
-	if s.headRows() > 0 {
+	if s.open.rows > 0 {
 		return errBlockCorrupt
 	}
 	db.adoptFields(s, b)
@@ -285,7 +285,7 @@ func (db *DB) adoptHead(s *memSeries, b *block) error {
 	s.open.appendRows(sc.times, sc.cols)
 	st := &db.stats
 	st.headRows += int64(b.rows)
-	st.headBytes += s.headBytes()
+	st.headBytes += int64(s.open.bytes)
 	db.points += uint64(b.rows)
 	db.values += uint64(b.values)
 	return nil

@@ -273,7 +273,7 @@ var codecTime = []byte(strconv.FormatInt(codecRow(0).Time, 10))
 // head. Each count is pinned twice: for frames and records whose times
 // advance on each send, as a live tick's do, whose rows all land in the
 // open block; and for one frame sent again and again, whose rows but the
-// last are older than the head's and land in the side run.
+// last are older than the head's and leave the head unsorted.
 func TestServerBatchAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are held without the race detector")
@@ -322,7 +322,7 @@ func TestServerBatchAllocations(t *testing.T) {
 				perFrame[fields] = testing.AllocsPerRun(100, send)
 				conn.Close()
 				srv.Close()
-				checkSideRun(t, db, !c.advance)
+				checkUnsorted(t, db, !c.advance)
 				db.Close()
 
 				bodies := make([][]byte, len(lines))
@@ -355,7 +355,7 @@ func TestServerBatchAllocations(t *testing.T) {
 					replay(log51)()
 				}
 				perReplay[fields] = (testing.AllocsPerRun(5, replay(log51)) - testing.AllocsPerRun(5, replay(log1))) / 50
-				checkSideRun(t, mem, !c.advance)
+				checkUnsorted(t, mem, !c.advance)
 			}
 			t.Logf("objects per 5-row frame: %v, per replayed record: %v", perFrame, perReplay)
 			if perFrame[8] != perFrame[88] || perFrame[8] > c.frame {
@@ -368,15 +368,15 @@ func TestServerBatchAllocations(t *testing.T) {
 	}
 }
 
-// checkSideRun asserts whether the one series of frameOf's rows in db
+// checkUnsorted asserts whether the one series of frameOf's rows in db
 // has late rows in its head.
-func checkSideRun(t *testing.T, db *DB, want bool) {
+func checkUnsorted(t *testing.T, db *DB, want bool) {
 	t.Helper()
 	db.data.RLock()
 	defer db.data.RUnlock()
 	s := db.measurements[codecRow(0).Measurement].series[0]
-	if got := len(s.side.times) > 0; got != want {
-		t.Fatalf("head has %d late rows of %d; want a side run %v", len(s.side.times), s.headRows(), want)
+	if got := s.open.unsorted; got != want {
+		t.Fatalf("head of %d rows unsorted %v; want %v", s.open.rows, got, want)
 	}
 }
 

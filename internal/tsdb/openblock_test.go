@@ -16,8 +16,8 @@ import (
 	"pmove/internal/introspect"
 )
 
-// Head tests: a head compresses rows into an open block as they arrive
-// and keeps late rows in a side run. Sealed, it must write exactly what
+// Head tests: a head compresses rows into an open block as they arrive,
+// late rows too, in arrival order. Sealed, it must write exactly what
 // the column-at-a-time encoder (refEncodeBlock) writes for the same rows
 // in today's order; read, it must give those rows; and reading it must
 // not write to it.
@@ -110,21 +110,23 @@ func readerAnswers(t *testing.T, db *DB, names []string) []string {
 	return append(out, fmt.Sprint(total, zeros))
 }
 
-// TestOpenBlockMatchesEncodeBlock seals 2 000 generated heads, one series
+// TestOpenBlockMatchesEncodeBlock seals 2 500 generated heads, one series
 // reused so every seal also tests the reset before it, and holds each
 // to the reference encoder's bytes for the stably sorted rows: rows in
-// order, rows up to 16 places late, rows in any order (duplicate times
-// arriving split between open block and side run), and a field first
-// seen mid-head. Before the seal the head must read back those rows, and
-// every reader — an aggregate from footers and decoded, a raw SELECT *,
-// CountValues and a retention cut — must answer over the head as over
-// the same rows sealed.
+// order, rows up to 16 places late, rows in any order (equal times on
+// both sides of a late row: some arriving in order, some late), a field
+// first seen mid-head, and regular ticks in reverse, whose zero
+// delta-of-deltas the decoder fills with a negative delta. Before the
+// seal the head must read back those rows, and every reader — an
+// aggregate from footers and decoded, a raw SELECT *, CountValues and a
+// retention cut — must answer over the head as over the same rows
+// sealed.
 func TestOpenBlockMatchesEncodeBlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x0be7b10c))
 	s, sealed := &memSeries{fields: map[string]int{}}, &memSeries{}
 	headDB, sealedDB := seriesDB(s), seriesDB(sealed)
-	var withLate, splitDup, midField, cut int
-	for c := 0; c < 2000; c++ {
+	var withLate, splitDup, midField, reversed, cut int
+	for c := 0; c < 2500; c++ {
 		s.blocks = nil // the last case's seal
 		times, names, cols := genBlockCase(rng)
 		rows := len(times)
@@ -132,7 +134,7 @@ func TestOpenBlockMatchesEncodeBlock(t *testing.T) {
 		for r := range key {
 			key[r] = r
 		}
-		switch c % 4 {
+		switch c % 5 {
 		case 1: // a tenth of the rows arrive up to 16 places late
 			for r := range key {
 				if rng.Intn(10) == 0 {
@@ -147,6 +149,13 @@ func TestOpenBlockMatchesEncodeBlock(t *testing.T) {
 				cols[f][r] = math.NaN()
 			}
 			midField++
+		case 4: // regular ticks, newest first
+			step := int64(1 + rng.Intn(10))
+			for r := range times {
+				times[r] = times[0] + int64(r)*step
+				key[r] = rows - r
+			}
+			reversed++
 		}
 		order := make([]int, rows)
 		for r := range order {
@@ -157,17 +166,29 @@ func TestOpenBlockMatchesEncodeBlock(t *testing.T) {
 		stored := s.open.fieldNames()
 
 		label := fmt.Sprintf("case %d", c)
-		if s.headRows() != rows {
-			t.Fatalf("%s: head holds %d rows, want %d", label, s.headRows(), rows)
+		if s.open.rows != rows {
+			t.Fatalf("%s: head holds %d rows, want %d", label, s.open.rows, rows)
 		}
-		if len(s.side.times) > 0 {
+		if s.open.unsorted {
 			withLate++
-			openT, err := s.open.decodeTimes(nil)
+			arrived, err := s.open.decodeTimes(nil)
 			if err != nil {
 				t.Fatalf("%s: open block times: %v", label, err)
 			}
-			if slices.ContainsFunc(s.side.times, func(ts int64) bool { _, ok := slices.BinarySearch(openT, ts); return ok }) {
-				splitDup++
+			inOrder, late := map[int64]bool{}, map[int64]bool{}
+			maxT := arrived[0]
+			for _, ts := range arrived {
+				if ts < maxT {
+					late[ts] = true
+				} else {
+					inOrder[ts], maxT = true, ts
+				}
+			}
+			for ts := range late {
+				if inOrder[ts] {
+					splitDup++
+					break
+				}
 			}
 		}
 		var sc scratch
@@ -222,12 +243,12 @@ func TestOpenBlockMatchesEncodeBlock(t *testing.T) {
 		if !bytes.Equal(got.blob, sealed.blocks[0].blob) {
 			t.Fatalf("%s: the cut head seals to %d bytes, the cut block is %d; they differ", label, len(got.blob), len(sealed.blocks[0].blob))
 		}
-		if s.headRows() != 0 || s.headBytes() != 0 {
-			t.Fatalf("%s: seal left %d rows, %d bytes in the head", label, s.headRows(), s.headBytes())
+		if s.open.rows != 0 || s.open.bytes != 0 {
+			t.Fatalf("%s: seal left %d rows, %d bytes in the head", label, s.open.rows, s.open.bytes)
 		}
 	}
-	if withLate < 500 || splitDup == 0 || midField < 500 || cut < 1000 {
-		t.Fatalf("generator coverage: late rows %d, equal times split %d, mid-head field %d, retention cut %d", withLate, splitDup, midField, cut)
+	if withLate < 500 || splitDup == 0 || midField < 500 || reversed < 500 || cut < 1000 {
+		t.Fatalf("generator coverage: late rows %d, equal times split %d, mid-head field %d, reversed ticks %d, retention cut %d", withLate, splitDup, midField, reversed, cut)
 	}
 }
 
@@ -293,12 +314,9 @@ func TestHeadReadersDoNotMutate(t *testing.T) {
 // headCapBytes is what a series head holds on the heap: the capacity of
 // every buffer it appended into, and its column array.
 func headCapBytes(s *memSeries) int {
-	n := cap(s.open.ts) + cap(s.open.cols)*int(unsafe.Sizeof(openCol{})) + cap(s.open.fields)*int(unsafe.Sizeof(blockField{})) + 8*cap(s.side.times)
+	n := cap(s.open.ts) + cap(s.open.cols)*int(unsafe.Sizeof(openCol{})) + cap(s.open.fields)*int(unsafe.Sizeof(blockField{}))
 	for i := range s.open.cols {
 		n += cap(s.open.fields[i].bitmap) + cap(s.open.fields[i].stream)
-	}
-	for _, col := range s.side.cols {
-		n += 8 * cap(col)
 	}
 	return n
 }
@@ -345,6 +363,29 @@ func TestHeadBytesPerPoint(t *testing.T) {
 	}
 }
 
+// TestLateHeadBytesPerValue: late rows cost the head what rows in order
+// do. 4 000 one-row batches of the 88-field row, each a step older than
+// the last, leave under 2 B a value in the head, as compressed as the
+// open block keeps any row — not 8 B a cell.
+func TestLateHeadBytesPerValue(t *testing.T) {
+	db, ctx := New(), context.Background()
+	ps := []Point{codecRow(88)}
+	base := ps[0].Time
+	for n := 0; n < 4000; n++ {
+		ps[0].Time = base - int64(n)
+		if err := db.WriteBatchContext(ctx, ps); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := db.measurements[ps[0].Measurement].series[0]
+	if !s.open.unsorted || s.open.rows != 4000 {
+		t.Fatalf("head of %d rows, unsorted %v; want 4000 late rows", s.open.rows, s.open.unsorted)
+	}
+	if perValue := float64(s.open.bytes) / (4000 * 88); perValue >= 2 {
+		t.Fatalf("head holds %.2f B a value, want under 2", perValue)
+	}
+}
+
 // TestStorageBytesGauge: storage.bytes counts a head by the bytes it
 // holds — the timestamp and value streams its sealed block carries; a
 // series without gaps holds no bitmap — then by the blob once it seals.
@@ -370,8 +411,8 @@ func TestStorageBytesGauge(t *testing.T) {
 	if err := liveRows(db, 266, blockRows-266); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.blocks) != 1 || s.headRows() != 0 {
-		t.Fatalf("%d blocks, %d head rows after blockRows rows; want 1 and 0", len(s.blocks), s.headRows())
+	if len(s.blocks) != 1 || s.open.rows != 0 {
+		t.Fatalf("%d blocks, %d head rows after blockRows rows; want 1 and 0", len(s.blocks), s.open.rows)
 	}
 	if got := in.Metrics().Snapshot().GaugeValue("storage.bytes"); got != float64(len(s.blocks[0].blob)) {
 		t.Fatalf("storage.bytes = %v once sealed, want the blob's %d", got, len(s.blocks[0].blob))

@@ -129,7 +129,7 @@ func (q *Query) String() string {
 }
 
 // tokenStops are the bytes that terminate a bare word.
-const tokenStops = " \t\n,=<>*\"'()"
+const tokenStops = " \t\r\n,=<>*\"'()"
 
 // tokenizer for the query text.
 type tokenizer struct {
@@ -138,7 +138,7 @@ type tokenizer struct {
 }
 
 func (t *tokenizer) skipSpace() {
-	for t.pos < len(t.s) && (t.s[t.pos] == ' ' || t.s[t.pos] == '\t' || t.s[t.pos] == '\n') {
+	for t.pos < len(t.s) && strings.IndexByte(" \t\r\n", t.s[t.pos]) >= 0 {
 		t.pos++
 	}
 }

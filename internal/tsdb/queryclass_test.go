@@ -23,6 +23,12 @@ import (
 //	pctl    p50..p99 over whole-block windows or a two-to-three-block range
 //	raw     two fields over the last 256..1 280 rows
 //	head    windows inside the head
+//
+// and, over a store of its own — one series whose head took 4 000
+// one-row batches of 88 varying fields, each a step older than the last:
+//
+//	late/agg   the mean of one field, windows of 64 rows
+//	late/raw   SELECT *
 func BenchmarkQueryClasses(b *testing.B) {
 	db, classes, _ := queryClassStore(b)
 	for _, c := range classes {
@@ -31,6 +37,33 @@ func BenchmarkQueryClasses(b *testing.B) {
 			ctx := context.Background()
 			for i := 0; i < b.N; i++ {
 				if _, err := db.ExecuteContext(ctx, QueryRequest{Query: c.queries[i%len(c.queries)], SkipCache: true}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	late, ctx := New(), context.Background()
+	rows := variedRows(64)
+	base := rows[0].Time
+	for n := 0; n < 4000; n++ {
+		ps := rows[n%len(rows):][:1]
+		ps[0].Time = base - int64(n)
+		if err := late.WriteBatchContext(ctx, ps); err != nil {
+			b.Fatal(err)
+		}
+	}
+	m := rows[0].Measurement
+	for _, c := range []struct {
+		name string
+		q    *Query
+	}{
+		{"late/agg", &Query{Measurement: m, Aggregates: []Aggregate{{Fn: "mean", Field: "_cpu7"}}, GroupBy: 64}},
+		{"late/raw", &Query{Measurement: m, Fields: []string{"*"}}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := late.ExecuteContext(ctx, QueryRequest{Query: c.q, SkipCache: true}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -18,7 +18,7 @@ func (db *DB) EnforceRetention(now int64) int {
 		kept := m.series[:0]
 		for _, s := range m.series {
 			dropped += db.retainSeries(s, cutoff)
-			if len(s.blocks) == 0 && s.headRows() == 0 {
+			if len(s.blocks) == 0 && s.open.rows == 0 {
 				delete(m.byKey, s.key)
 				continue
 			}
@@ -77,17 +77,17 @@ func (db *DB) retainSeries(s *memSeries, cutoff int64) int {
 		s.blocks[i] = nil
 	}
 	s.blocks = kept
-	if h := s.head(); s.open.rows > 0 && h.minT < cutoff {
-		times, cols, n, err := h.since(s.open.fieldNames(), cutoff)
+	if s.open.rows > 0 && s.open.minT < cutoff {
+		times, cols, n, err := s.head().since(s.open.fieldNames(), cutoff)
 		if err != nil {
 			return dropped // an engine bug; keep the data
 		}
-		pre := s.headBytes()
-		s.resetHead()
+		pre := s.open.bytes
+		s.open.reset()
 		s.open.appendRows(times, cols)
 		dropped += n
 		st.headRows -= int64(n)
-		st.headBytes += s.headBytes() - pre
+		st.headBytes += int64(s.open.bytes - pre)
 	}
 	return dropped
 }

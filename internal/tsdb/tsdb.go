@@ -87,7 +87,7 @@ type RetentionPolicy struct {
 // data size in bytes.
 type storageStats struct {
 	headRows     int64 // rows currently in heads
-	headBytes    int64 // memSeries.headBytes across heads
+	headBytes    int64 // open block bytes across heads
 	sealedBytes  int64 // compressed bytes across sealed blocks
 	sealedRows   int64 // rows across sealed blocks
 	sealedValues int64 // present field values across sealed blocks
@@ -177,8 +177,8 @@ func (db *DB) SetIntrospection(in *introspect.Introspector) {
 }
 
 // publishStorageGauges pushes the current footprint accounting into the
-// introspection gauges: resident bytes (heads' compressed bytes and
-// late cells at 8 bytes + sealed blocks), sealed block count, sealed compression ratio
+// introspection gauges: resident bytes (heads' and sealed blocks'
+// compressed bytes), sealed block count, sealed compression ratio
 // (uncompressed row bytes ÷ compressed bytes; 0 before the first seal),
 // and head sample count. No-op until SetIntrospection attaches gauges.
 // Callers hold db.data.
@@ -237,12 +237,12 @@ func (db *DB) seriesFor(m *measurement, tags []rowKV) *memSeries {
 // compressed block when it reaches blockRows, with footprint accounting.
 func (db *DB) insertSeriesRow(s *memSeries, t int64, fields []rowKV) {
 	st := &db.stats
-	pre := s.headBytes()
+	pre := s.open.bytes
 	s.insertRow(t, fields, db.intern)
 	st.headRows++
-	st.headBytes += s.headBytes() - pre
-	if rows := s.headRows(); rows >= blockRows {
-		pre = s.headBytes()
+	st.headBytes += int64(s.open.bytes - pre)
+	if rows := s.open.rows; rows >= blockRows {
+		pre = s.open.bytes
 		b, err := s.seal()
 		if err != nil {
 			// Can only mean an engine bug; keep the rows in the head (the
@@ -250,7 +250,7 @@ func (db *DB) insertSeriesRow(s *memSeries, t int64, fields []rowKV) {
 			return
 		}
 		st.headRows -= int64(rows)
-		st.headBytes -= pre
+		st.headBytes -= int64(pre)
 		st.sealedBytes += int64(len(b.blob))
 		st.sealedRows += int64(b.rows)
 		st.sealedValues += int64(b.values)
@@ -431,8 +431,8 @@ func (db *DB) Stats() (points, values uint64) {
 
 // CountValues returns the number of stored field values in a measurement,
 // and how many of them are zero — the accounting Table III reports
-// ("Inserted" and "Zeros" columns). Units answer from their footers
-// without decompression; only late rows are scanned.
+// ("Inserted" and "Zeros" columns). Units answer from their footers,
+// which do not depend on row order, without decompression.
 func (db *DB) CountValues(measurement string) (total, zeros uint64) {
 	db.data.RLock()
 	defer db.data.RUnlock()
@@ -440,19 +440,6 @@ func (db *DB) CountValues(measurement string) (total, zeros uint64) {
 		for i := range u.b.fields {
 			total += u.b.fields[i].count
 			zeros += u.b.fields[i].zeros
-		}
-		if u.side == nil {
-			continue
-		}
-		for _, col := range u.side.cols {
-			for _, v := range col {
-				if v == v { // non-NaN: a present value
-					total++
-					if v == 0 {
-						zeros++
-					}
-				}
-			}
 		}
 	}
 	return total, zeros

@@ -119,7 +119,7 @@ func BenchmarkWriteBatch(b *testing.B) {
 	})
 	// Late rows: one-row batches of the 88-field row into memory, each
 	// one time step older than the last, so every row after the first
-	// lands in the head's side run ahead of all the rows it holds.
+	// arrives late, older than all the rows the head holds.
 	b.Run("late", func(b *testing.B) {
 		db, ctx := New(), context.Background()
 		ps := []Point{codecRow(88)}
@@ -134,6 +134,39 @@ func BenchmarkWriteBatch(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/point")
 	})
+	// late with values that change every row, as a sampler's do: late's
+	// repeat theirs, which the head compresses to a bit a value.
+	b.Run("late_vary", func(b *testing.B) {
+		db, ctx := New(), context.Background()
+		rows := variedRows(64)
+		base := rows[0].Time
+		b.ReportAllocs()
+		b.ResetTimer()
+		for n := 0; n < b.N; n++ {
+			ps := rows[n%len(rows):][:1]
+			ps[0].Time = base - int64(n)
+			if err := db.WriteBatchContext(ctx, ps); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/point")
+	})
+}
+
+// variedRows returns n copies of the 88-field row, each field moving by
+// a random step of 1/8 from one row to the next.
+func variedRows(n int) []Point {
+	rng := rand.New(rand.NewSource(88))
+	rows := make([]Point, n)
+	prev := codecRow(88)
+	for i := range rows {
+		rows[i] = Point{Measurement: prev.Measurement, Tags: prev.Tags, Fields: make(map[string]float64, 88), Time: prev.Time}
+		for k, v := range prev.Fields {
+			rows[i].Fields[k] = v + float64(rng.Intn(17)-8)/8
+		}
+		prev = rows[i]
+	}
+	return rows
 }
 
 // floatSets are the value sets the speller is measured and checked on:
