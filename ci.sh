@@ -258,7 +258,14 @@ fi
 # that stay columns until the embedded API (+126 in internal/tsdb,
 # above), net of the dashboard's row walk, now DB.SeriesContext (-14);
 # 25 611 (-75) with one head and one append path, all of it in
-# internal/tsdb (above).
+# internal/tsdb (above); 25 431 (-180) with an observability plane fixed
+# when it is built: expose.NewServer takes the registry, labels, log
+# ring and checks, so its five setters, their mutex and snapshotConfig
+# went, with the runtime sampler's goroutine (the runtime is sampled
+# where it is read: each render and the daemon's self-export), Source,
+# SourceFor and the multi-source loops, core.WithLogBuffer and the log
+# ring's minimum level; the QUERY reply encoded into a pooled frame
+# cost internal/tsdb nothing.
 size_gate() { # $1: what is counted; $2: ceiling; stdin: the files
     size=$(xargs cat | wc -l)
     echo "size: $1 ${size} non-test lines (ceiling $2)"
@@ -269,7 +276,7 @@ size_gate() { # $1: what is counted; $2: ceiling; stdin: the files
 }
 find internal/tsdb -name '*.go' ! -name '*_test.go' | size_gate internal/tsdb 5384
 find . -name '*.go' ! -name '*_test.go' ! -path './internal/bench/*' ! -path './cmd/pmovebench/*' |
-    size_gate 'outside the benchmark paths' 25611
+    size_gate 'outside the benchmark paths' 25431
 
 # One durable lifecycle: every durable byte goes through storage.Store
 # (store.go over wal.go), which owns closed and crashed. A bare WAL
@@ -312,7 +319,7 @@ fi
 # Row built anywhere else turns results sideways again.
 row_builders=$(awk '
     /^func / { fn = $0 }
-    /Row\{/ && fn !~ /^func \(t \*table\) result\(/ && fn !~ /^func \(d \*replyDecoder\) / { print FILENAME ":" FNR ": " $0 }
+    /(^|[^A-Za-z0-9_])Row\{/ && fn !~ /^func \(t \*table\) result\(/ && fn !~ /^func \(d \*replyDecoder\) / { print FILENAME ":" FNR ": " $0 }
 ' $(find internal/tsdb -name '*.go' ! -name '*_test.go'))
 if [ -n "$row_builders" ]; then
     echo "row gate: build a Row only in (*table).result and replyDecoder (internal/tsdb):" >&2

@@ -39,7 +39,7 @@ func cmdIntrospect(args []string) error {
 	if *jsonOut {
 		// Same encoder the /debug/vars endpoint serves, so tooling can
 		// consume either interchangeably.
-		return pmove.EncodeSelfVars(os.Stdout, pmove.ExposeSourceFor(d.Introspection, nil))
+		return pmove.EncodeSelfVars(os.Stdout, d.SelfSnapshot())
 	}
 	fmt.Printf("%s\n", res.Observation.Report)
 

@@ -60,9 +60,7 @@ func TestCmdLogs(t *testing.T) {
 	logs := logbuf.New(16)
 	logs.With("telemetry").Warn(context.Background(), "sink unreachable", "journal_cap", "256")
 	logs.With("daemon").Info(context.Background(), "op complete", "op", "monitor")
-	srv := expose.NewServer()
-	srv.AddSource(expose.SourceFor(introspect.New(), nil))
-	srv.SetLogs(logs)
+	srv := expose.NewServer(introspect.New(), nil, logs)
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

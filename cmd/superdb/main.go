@@ -39,22 +39,16 @@ func main() {
 	tsSrv := tsdb.NewServer(ts)
 
 	var exposeSrv *expose.Server
-	var stopSampler func()
 	if *exposeAddr != "" {
 		tsIn := introspect.New(introspect.WithProcess("superdb_ts"))
 		logs := logbuf.New(0)
 		tsSrv.SetTracing(tsIn)
 		tsSrv.SetLogger(logs.With("tsdb.server"), *slow)
 
-		exposeSrv = expose.NewServer()
-		exposeSrv.AddSource(expose.SourceFor(tsIn, map[string]string{"process": "superdb_ts"}))
-		exposeSrv.SetLogs(logs)
-		exposeSrv.OnScrape(func() { expose.CollectRuntime(tsIn) })
-		exposeSrv.TrackConns(tsIn.Metrics().Gauge(expose.GaugeConns))
+		exposeSrv = expose.NewServer(tsIn, map[string]string{"process": "superdb_ts"}, logs)
 		if err := exposeSrv.Listen(*exposeAddr); err != nil {
 			log.Fatal(err)
 		}
-		stopSampler = expose.StartRuntimeSampler(tsIn, 10*time.Second)
 		fmt.Printf("superdb: observability plane on %s\n", exposeSrv.Addr())
 	}
 
@@ -72,9 +66,6 @@ func main() {
 	<-sig
 	fmt.Println("superdb: shutting down")
 	tsSrv.Close()
-	if stopSampler != nil {
-		stopSampler()
-	}
 	if exposeSrv != nil {
 		exposeSrv.Close()
 	}

@@ -85,8 +85,8 @@ type Daemon struct {
 	// Introspection is the self-observability layer; nil when disabled
 	// (every instrumented path is nil-safe and near-free then).
 	Introspection *introspect.Introspector
-	// Logs is the daemon's bounded structured log ring, non-nil once
-	// WithLogBuffer or WithExpose enables it. Components append through
+	// Logs is the daemon's bounded structured log ring, non-nil exactly
+	// when WithExpose brings up the plane. Components append through
 	// component children (Logs.With); every logbuf method is nil-safe,
 	// so disabled logging costs nothing.
 	Logs *logbuf.Logger
@@ -103,13 +103,11 @@ type Daemon struct {
 	dataDir string
 	fsync   string
 
-	// exposeAddr/logCap hold the WithExpose / WithLogBuffer requests
-	// until NewWith materializes them; exposeSrv and stopSampler are the
-	// running observability plane, released by Close.
-	exposeAddr  string
-	logCap      int
-	exposeSrv   *expose.Server
-	stopSampler func()
+	// exposeAddr holds the WithExpose request until NewWith materializes
+	// it; exposeSrv is the running observability plane, released by
+	// Close.
+	exposeAddr string
+	exposeSrv  *expose.Server
 
 	// kbMu serializes Attach+Persist on the per-host KBs.
 	kbMu sync.Mutex

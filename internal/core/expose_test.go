@@ -6,13 +6,16 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"pmove/internal/introspect/expose"
 	"pmove/internal/machine"
 	"pmove/internal/telemetry"
 	"pmove/internal/topo"
+	"pmove/internal/tsdb"
 )
 
 func httpGet(t *testing.T, url string) (int, string) {
@@ -139,15 +142,15 @@ func TestDaemonExposePlane(t *testing.T) {
 // TestExposeAddrLifecycle covers the accessor before/after Close and a
 // bind failure surfacing from NewWith.
 func TestExposeAddrLifecycle(t *testing.T) {
-	d, err := NewWith(WithIntrospection(), WithLogBuffer(32))
+	d, err := NewWith(WithIntrospection())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.ExposeAddr() != "" {
 		t.Fatal("ExposeAddr should be empty without WithExpose")
 	}
-	if d.Logs == nil {
-		t.Fatal("WithLogBuffer alone should enable the ring")
+	if d.Logs != nil {
+		t.Fatal("the log ring should exist only with the plane")
 	}
 	d.Close()
 
@@ -165,5 +168,53 @@ func TestExposeAddrLifecycle(t *testing.T) {
 
 	if _, err := NewWith(WithExpose("256.0.0.1:bogus")); err == nil {
 		t.Fatal("bogus expose address should fail NewWith")
+	}
+}
+
+// TestExposeExportsRuntimeUnscraped: a plane nobody scrapes still
+// samples the runtime into the self-export of each op, the daemon keeps
+// no goroutine of its own beside net/http's serve loop, and Close leaves
+// none behind.
+func TestExposeExportsRuntimeUnscraped(t *testing.T) {
+	before := runtime.NumGoroutine()
+	d, err := NewWith(
+		WithEnv(Env{InfluxAddr: "embedded", MongoAddr: "embedded"}),
+		WithExpose("127.0.0.1:0"),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.AttachTarget(topo.MustPreset(topo.PresetICL), machine.Config{Seed: 9}, telemetry.DefaultPipeline()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.ProbeContext(context.Background(), "icl"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := d.TS.ExecuteContext(context.Background(), tsdb.QueryRequest{
+		Statement: `SELECT "_value" FROM "pmove_self_runtime_goroutines" WHERE "tag" = 'self'`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) == 0 || res.Rows[len(res.Rows)-1].Values["_value"] <= 0 {
+		t.Fatalf("runtime goroutines not exported after one op: %+v", res.Rows)
+	}
+	// While the plane is up and unscraped, net/http's serve goroutine is
+	// the only one the daemon keeps; any the op started end shortly.
+	settle := func(limit int) int {
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > limit && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		return runtime.NumGoroutine()
+	}
+	if n := settle(before + 1); n > before+1 {
+		t.Fatalf("%d goroutines with the plane up, %d before NewWith", n, before)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The serve goroutine ends shortly after its listener closes.
+	if n := settle(before); n > before {
+		t.Fatalf("%d goroutines after Close, %d before NewWith", n, before)
 	}
 }

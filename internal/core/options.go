@@ -61,26 +61,12 @@ func WithIntrospection(opts ...introspect.Option) Option {
 // "127.0.0.1:0", ...): /metrics (OpenMetrics text over the self
 // registry incl. pmove.self.runtime.* gauges), /healthz, /readyz
 // (breaker/backlog-aware), /debug/vars and /logs. Implies a structured
-// log ring (WithLogBuffer's default capacity unless set explicitly) and
-// auto-enables introspection when WithIntrospection was not given —
-// an exposition over an empty registry would be useless. The bound
-// address is available from Daemon.ExposeAddr; Close stops the server.
+// log ring (logbuf.DefaultCapacity records) and auto-enables
+// introspection when WithIntrospection was not given — an exposition
+// over an empty registry would be useless. The bound address is
+// available from Daemon.ExposeAddr; Close stops the server.
 func WithExpose(addr string) Option {
 	return func(d *Daemon) { d.exposeAddr = addr }
-}
-
-// WithLogBuffer enables the daemon's structured log ring with the given
-// capacity in records (<= 0 selects logbuf.DefaultCapacity). The ring
-// collects trace-correlated records from the daemon, the telemetry
-// pipeline and the resilient transports; read it via Daemon.Logs, the
-// /logs endpoint, or `pmove logs`.
-func WithLogBuffer(capacity int) Option {
-	return func(d *Daemon) {
-		if capacity <= 0 {
-			capacity = logbuf.DefaultCapacity
-		}
-		d.logCap = capacity
-	}
 }
 
 // NewWith creates a daemon from functional options. The environment
@@ -118,13 +104,14 @@ func NewWith(opts ...Option) (*Daemon, error) {
 		}
 		d.TS, d.Docs = ts, docs
 	}
-	if d.logCap > 0 || d.exposeAddr != "" {
-		d.Logs = logbuf.New(d.logCap)
-	}
-	if d.exposeAddr != "" && d.Introspection == nil {
-		// Exposition without a registry is an empty page; bring up the
-		// default self-observability layer before anything wires to it.
-		WithIntrospection()(d)
+	if d.exposeAddr != "" {
+		d.Logs = logbuf.New(0)
+		if d.Introspection == nil {
+			// Exposition without a registry is an empty page; bring up
+			// the default self-observability layer before anything wires
+			// to it.
+			WithIntrospection()(d)
+		}
 	}
 	if d.Introspection != nil {
 		// Embedded store self-observability: query-cache hit/miss/evict
@@ -142,42 +129,37 @@ func NewWith(opts ...Option) (*Daemon, error) {
 	return d, nil
 }
 
-// startExpose stands up the observability-plane HTTP server and the
-// runtime-stats sampler. Called from NewWith once all options have run.
+// startExpose stands up the observability-plane HTTP server. Called
+// from NewWith once all options have run.
 func (d *Daemon) startExpose() error {
 	in := d.Introspection
-	srv := expose.NewServer()
-	srv.AddSource(expose.SourceFor(in, map[string]string{"process": "daemon"}))
-	srv.SetLogs(d.Logs)
-	srv.OnScrape(func() { expose.CollectRuntime(in) })
-	srv.TrackConns(in.Metrics().Gauge(expose.GaugeConns))
 	// Readiness is breaker- and backlog-aware: a daemon whose remote
 	// sink circuit is open, or whose spill journal holds unreplayed
 	// points, is alive (healthz) but not ready to take on new sessions
 	// without degrading them. Both probes read race-safe state: the
 	// mutex-guarded sink/breaker and an atomic registry gauge.
-	srv.AddCheck("telemetry-sink", func() error {
-		d.mu.Lock()
-		sink := d.sink
-		d.mu.Unlock()
-		if tc, ok := sink.(*tsdb.Client); ok {
-			if st := tc.BreakerState(); st == resilience.BreakerOpen {
-				return fmt.Errorf("sink breaker %s", st)
+	srv := expose.NewServer(in, map[string]string{"process": "daemon"}, d.Logs,
+		expose.Check{Name: "telemetry-sink", Probe: func() error {
+			d.mu.Lock()
+			sink := d.sink
+			d.mu.Unlock()
+			if tc, ok := sink.(*tsdb.Client); ok {
+				if st := tc.BreakerState(); st == resilience.BreakerOpen {
+					return fmt.Errorf("sink breaker %s", st)
+				}
 			}
-		}
-		return nil
-	})
-	srv.AddCheck("telemetry-backlog", func() error {
-		if n := in.Metrics().Gauge("telemetry.journal.pending").Load(); n > 0 {
-			return fmt.Errorf("%d spilled points awaiting replay", int(n))
-		}
-		return nil
-	})
+			return nil
+		}},
+		expose.Check{Name: "telemetry-backlog", Probe: func() error {
+			if n := in.Metrics().Gauge("telemetry.journal.pending").Load(); n > 0 {
+				return fmt.Errorf("%d spilled points awaiting replay", int(n))
+			}
+			return nil
+		}})
 	if err := srv.Listen(d.exposeAddr); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
 	d.exposeSrv = srv
-	d.stopSampler = expose.StartRuntimeSampler(in, 10*time.Second)
 	d.Logs.With("daemon").Info(context.Background(), "observability plane up",
 		"addr", srv.Addr())
 	return nil
@@ -200,10 +182,6 @@ func (d *Daemon) ExposeAddr() string {
 // Close must run unconditionally on shutdown paths where the request
 // context is already dead.
 func (d *Daemon) Close() error {
-	if d.stopSampler != nil {
-		d.stopSampler()
-		d.stopSampler = nil
-	}
 	var exposeErr error
 	if d.exposeSrv != nil {
 		exposeErr = d.exposeSrv.Close()
@@ -248,12 +226,17 @@ func (d *Daemon) opStart(ctx context.Context, op string) (context.Context, func(
 
 // exportSelf ships the self-metrics registry into the embedded TSDB under
 // the pmove.self.* namespace — the monitor writing its own health through
-// the same store it monitors targets with. Export failures only count;
-// self-telemetry must never wedge the operation that emitted it.
+// the same store it monitors targets with. With the plane up the runtime
+// is sampled first, so the exported pmove.self.runtime.* series are as
+// fresh as the op. Export failures only count; self-telemetry must never
+// wedge the operation that emitted it.
 func (d *Daemon) exportSelf(ctx context.Context) {
 	in := d.Introspection
 	if in == nil {
 		return
+	}
+	if d.exposeAddr != "" {
+		expose.CollectRuntime(in)
 	}
 	if _, err := selfexport.Export(context.WithoutCancel(ctx), in, d.TS, time.Now().UnixNano()); err != nil {
 		in.Metrics().Counter("export.errors").Inc()

@@ -17,24 +17,8 @@ import (
 	"pmove/internal/introspect"
 )
 
-// Source is one registry feeding the exposition: a snapshot function
-// (usually Introspector.Snapshot) and constant labels stamped on every
-// sample (e.g. process="daemon"). Every metric is named under
-// introspect.DefaultPrefix ("pmove.self"). Multiple sources merge into
-// one exposition; samples of the same family coexist when their labels
-// differ.
-type Source struct {
-	Labels   map[string]string
-	Snapshot func() introspect.Snapshot
-}
-
-// SourceFor adapts an introspector into a Source.
-func SourceFor(in *introspect.Introspector, labels map[string]string) Source {
-	return Source{Labels: labels, Snapshot: in.Snapshot}
-}
-
-// family is one metric family being assembled: all samples sharing a
-// sanitized name, across sources.
+// family is one metric family being assembled: all samples whose
+// names sanitize to one family name.
 type family struct {
 	name  string // sanitized family name (no _total suffix for counters)
 	kind  introspect.Kind
@@ -42,36 +26,33 @@ type family struct {
 	lines []string
 }
 
-// WriteOpenMetrics renders every source's snapshot in OpenMetrics text
-// form: `# HELP`/`# TYPE` headers, counters with the `_total` suffix,
-// histograms as cumulative `_bucket{le=...}`/`_sum`/`_count` lines, and
-// a terminating `# EOF`. Families are sorted by name, labels by key —
-// the output is byte-stable for a given set of snapshots.
-func WriteOpenMetrics(w io.Writer, sources ...Source) error {
+// WriteOpenMetrics renders a snapshot in OpenMetrics text form, every
+// sample stamped with the constant labels (every metric is named under
+// introspect.DefaultPrefix, "pmove.self"): `# HELP`/`# TYPE` headers,
+// counters with the `_total` suffix, histograms as cumulative
+// `_bucket{le=...}`/`_sum`/`_count` lines, and a terminating `# EOF`.
+// Families are sorted by name, labels by key — the output is byte-stable
+// for a given snapshot.
+func WriteOpenMetrics(w io.Writer, snap introspect.Snapshot, labels map[string]string) error {
 	fams := map[string]*family{}
 	var order []string
-	for _, src := range sources {
-		if src.Snapshot == nil {
-			continue
+	rendered := renderLabels(labels)
+	for _, m := range snap.Metrics {
+		dotted := introspect.DefaultPrefix + "." + m.Name
+		name := sanitizeName(dotted)
+		if m.Kind == introspect.KindCounter {
+			// A registry counter already named *.total must not
+			// double the suffix: the family is the stem, the
+			// sample re-appends _total per the OpenMetrics rule.
+			name = strings.TrimSuffix(name, "_total")
 		}
-		labels := renderLabels(src.Labels)
-		for _, m := range src.Snapshot().Metrics {
-			dotted := introspect.DefaultPrefix + "." + m.Name
-			name := sanitizeName(dotted)
-			if m.Kind == introspect.KindCounter {
-				// A registry counter already named *.total must not
-				// double the suffix: the family is the stem, the
-				// sample re-appends _total per the OpenMetrics rule.
-				name = strings.TrimSuffix(name, "_total")
-			}
-			f := fams[name]
-			if f == nil {
-				f = &family{name: name, kind: m.Kind, help: dotted}
-				fams[name] = f
-				order = append(order, name)
-			}
-			f.lines = append(f.lines, sampleLines(name, labels, m)...)
+		f := fams[name]
+		if f == nil {
+			f = &family{name: name, kind: m.Kind, help: dotted}
+			fams[name] = f
+			order = append(order, name)
 		}
+		f.lines = append(f.lines, sampleLines(name, rendered, m)...)
 	}
 	sort.Strings(order)
 	for _, name := range order {

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pmove/internal/introspect"
@@ -36,9 +37,12 @@ func golden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// fixtureSource builds a registry covering every metric kind, counter
+// fixtureLabels are the constant labels the fixture is rendered with.
+var fixtureLabels = map[string]string{"process": "daemon"}
+
+// fixtureSnapshot builds a registry covering every metric kind, counter
 // suffix handling, and histogram geometry.
-func fixtureSource() Source {
+func fixtureSnapshot() introspect.Snapshot {
 	reg := introspect.NewRegistry()
 	reg.Counter("op.probe.total").Add(5)
 	reg.Counter("op.probe.errors").Add(1) // no .total suffix: sample still gets _total
@@ -49,15 +53,12 @@ func fixtureSource() Source {
 	h.Observe(0.002)
 	h.Observe(0.002)
 	h.Observe(5) // lands in +Inf
-	return Source{
-		Labels:   map[string]string{"process": "daemon"},
-		Snapshot: reg.Snapshot,
-	}
+	return reg.Snapshot()
 }
 
 func TestOpenMetricsGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteOpenMetrics(&buf, fixtureSource()); err != nil {
+	if err := WriteOpenMetrics(&buf, fixtureSnapshot(), fixtureLabels); err != nil {
 		t.Fatal(err)
 	}
 	golden(t, "openmetrics_basic", buf.Bytes())
@@ -66,38 +67,55 @@ func TestOpenMetricsGolden(t *testing.T) {
 func TestOpenMetricsEscapingAndOrdering(t *testing.T) {
 	reg := introspect.NewRegistry()
 	reg.Gauge("weird metric-name").Set(1)
-	src := Source{
-		Labels: map[string]string{
-			"zeta":    "last-key-sorts-first-no",
-			"alpha":   `quote " backslash \ newline` + "\n" + `end`,
-			"bad key": "sanitized",
-		},
-		Snapshot: reg.Snapshot,
+	labels := map[string]string{
+		"zeta":    "last-key-sorts-first-no",
+		"alpha":   `quote " backslash \ newline` + "\n" + `end`,
+		"bad key": "sanitized",
 	}
 	var buf bytes.Buffer
-	if err := WriteOpenMetrics(&buf, src); err != nil {
+	if err := WriteOpenMetrics(&buf, reg.Snapshot(), labels); err != nil {
 		t.Fatal(err)
 	}
 	golden(t, "openmetrics_escaping", buf.Bytes())
 }
 
-func TestOpenMetricsMultiSourceMergesFamilies(t *testing.T) {
-	regA := introspect.NewRegistry()
-	regA.Counter("requests.total").Add(3)
-	regB := introspect.NewRegistry()
-	regB.Counter("requests.total").Add(7)
-	a := Source{Labels: map[string]string{"process": "tsdb"}, Snapshot: regA.Snapshot}
-	b := Source{Labels: map[string]string{"process": "docdb"}, Snapshot: regB.Snapshot}
+// TestOpenMetricsCollidingNamesShareFamily: a counter already named
+// *.total renders under its stem with one _total suffix, and a second
+// registry name that sanitizes to the same family joins its one
+// HELP/TYPE header.
+func TestOpenMetricsCollidingNamesShareFamily(t *testing.T) {
+	reg := introspect.NewRegistry()
+	reg.Counter("requests.total").Add(3)
 	var buf bytes.Buffer
-	if err := WriteOpenMetrics(&buf, a, b); err != nil {
+	if err := WriteOpenMetrics(&buf, reg.Snapshot(), fixtureLabels); err != nil {
 		t.Fatal(err)
 	}
-	golden(t, "openmetrics_multisource", buf.Bytes())
+	want := `# HELP pmove_self_requests pmove.self.requests.total
+# TYPE pmove_self_requests counter
+pmove_self_requests_total{process="daemon"} 3
+# EOF
+`
+	if got := buf.String(); got != want {
+		t.Fatalf("got:\n%s\nwant:\n%s", got, want)
+	}
+
+	// Known defect, not a contract: both samples of the colliding pair
+	// still render with the same name and labels, which an OpenMetrics
+	// parser rejects as a duplicate series. Only the shared header is
+	// asserted here.
+	reg.Counter("requests").Add(7)
+	buf.Reset()
+	if err := WriteOpenMetrics(&buf, reg.Snapshot(), fixtureLabels); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(buf.String(), "# TYPE pmove_self_requests counter\n"); n != 1 {
+		t.Fatalf("%d TYPE headers for one family:\n%s", n, buf.String())
+	}
 }
 
 func TestVarsEncoder(t *testing.T) {
 	var buf bytes.Buffer
-	if err := EncodeVars(&buf, fixtureSource()); err != nil {
+	if err := EncodeVars(&buf, fixtureSnapshot()); err != nil {
 		t.Fatal(err)
 	}
 	golden(t, "vars_basic", buf.Bytes())

@@ -3,8 +3,6 @@ package expose
 import (
 	"os"
 	"runtime"
-	"sync"
-	"time"
 
 	"pmove/internal/introspect"
 )
@@ -53,35 +51,4 @@ func countFDs() int {
 	}
 	// The ReadDir handle itself is one of the entries; don't count it.
 	return len(ents) - 1
-}
-
-// StartRuntimeSampler samples the runtime gauges every interval until
-// the returned stop function is called. extra hooks run after each
-// sample — the server uses one to refresh its connection gauge.
-func StartRuntimeSampler(in *introspect.Introspector, interval time.Duration, extra ...func()) (stop func()) {
-	if interval <= 0 {
-		interval = 10 * time.Second
-	}
-	done := make(chan struct{})
-	sample := func() {
-		CollectRuntime(in)
-		for _, f := range extra {
-			f()
-		}
-	}
-	sample()
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				sample()
-			}
-		}
-	}()
-	var once sync.Once
-	return func() { once.Do(func() { close(done) }) }
 }

@@ -8,8 +8,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"pmove/internal/introspect"
@@ -27,73 +25,27 @@ type Check struct {
 // Server is the observability-plane HTTP endpoint: /metrics (OpenMetrics
 // text), /healthz (liveness), /readyz (readiness via checks),
 // /debug/vars (expvar-style JSON) and /logs (the structured log ring).
-// Configure with AddSource / AddCheck / SetLogs before Listen; the
-// zero value is usable.
+// Everything it serves is fixed by NewServer.
 type Server struct {
-	mu       sync.Mutex
-	sources  []Source
-	checks   []Check
-	logs     *logbuf.Logger
-	onScrape []func()
+	in     *introspect.Introspector
+	labels map[string]string
+	logs   *logbuf.Logger
+	checks []Check
 
-	srv       *http.Server
-	ln        net.Listener
-	conns     atomic.Int64
-	connGauge *introspect.Gauge
+	conns *introspect.Gauge // in's runtime.conns
+
+	srv *http.Server
+	ln  net.Listener
 }
 
-// NewServer builds an empty server.
-func NewServer() *Server { return &Server{} }
-
-// AddSource registers a metrics source for /metrics and /debug/vars.
-func (s *Server) AddSource(src Source) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sources = append(s.sources, src)
-}
-
-// AddCheck registers a readiness check for /readyz.
-func (s *Server) AddCheck(name string, probe func() error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.checks = append(s.checks, Check{Name: name, Probe: probe})
-}
-
-// SetLogs attaches the structured log ring served at /logs.
-func (s *Server) SetLogs(l *logbuf.Logger) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.logs = l
-}
-
-// OnScrape registers a hook run before every /metrics and /debug/vars
-// snapshot — the daemon uses it to refresh the runtime gauges so a
-// scrape always sees current values, whatever the sampler interval.
-func (s *Server) OnScrape(f func()) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.onScrape = append(s.onScrape, f)
-}
-
-// TrackConns mirrors the server's open-connection count into g
-// (typically the runtime.conns gauge of the daemon's introspector).
-func (s *Server) TrackConns(g *introspect.Gauge) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.connGauge = g
-	g.Set(float64(s.conns.Load()))
-}
-
-// snapshotConfig copies the mutable configuration under the lock.
-func (s *Server) snapshotConfig() ([]Source, []Check, *logbuf.Logger, []func()) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	hooks := make([]func(), len(s.onScrape))
-	copy(hooks, s.onScrape)
-	return append([]Source(nil), s.sources...),
-		append([]Check(nil), s.checks...),
-		s.logs,
-		hooks
+// NewServer builds the plane over in's registry, whose samples carry the
+// constant labels (e.g. process="daemon"), the log ring served at /logs
+// and the readiness checks behind /readyz. Every /metrics and
+// /debug/vars render samples the runtime into in first, and the live
+// connection count is kept in in's runtime.conns gauge.
+func NewServer(in *introspect.Introspector, labels map[string]string, logs *logbuf.Logger, checks ...Check) *Server {
+	return &Server{in: in, labels: labels, logs: logs, checks: checks,
+		conns: in.Metrics().Gauge(GaugeConns)}
 }
 
 // Handler returns the route table; useful for tests and embedding.
@@ -119,31 +71,25 @@ func (s *Server) Listen(addr string) error {
 		ReadHeaderTimeout: 5 * time.Second,
 		ConnState:         s.connState,
 	}
-	s.mu.Lock()
-	s.ln = ln
-	s.srv = srv
-	s.mu.Unlock()
+	s.ln, s.srv = ln, srv
 	go func() { _ = srv.Serve(ln) }()
 	return nil
 }
 
 // Addr returns the bound listen address, or "" before Listen.
 func (s *Server) Addr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.ln == nil {
 		return ""
 	}
 	return s.ln.Addr().String()
 }
 
-// Close stops serving. Safe to call multiple times or before Listen.
+// Close stops serving. Safe to call multiple times or before Listen;
+// like Listen it is not for concurrent use, and a later Listen serves
+// again.
 func (s *Server) Close() error {
-	s.mu.Lock()
 	srv := s.srv
-	s.srv = nil
-	s.ln = nil
-	s.mu.Unlock()
+	s.srv, s.ln = nil, nil
 	if srv == nil {
 		return nil
 	}
@@ -152,31 +98,20 @@ func (s *Server) Close() error {
 	return srv.Shutdown(ctx)
 }
 
-// connState keeps the live-connection count and mirrors it into the
-// tracked gauge.
+// connState keeps the live-connection count in the runtime.conns gauge.
 func (s *Server) connState(_ net.Conn, state http.ConnState) {
-	var n int64
 	switch state {
 	case http.StateNew:
-		n = s.conns.Add(1)
+		s.conns.Add(1)
 	case http.StateClosed, http.StateHijacked:
-		n = s.conns.Add(-1)
-	default:
-		return
+		s.conns.Add(-1)
 	}
-	s.mu.Lock()
-	g := s.connGauge
-	s.mu.Unlock()
-	g.Set(float64(n))
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	sources, _, _, hooks := s.snapshotConfig()
-	for _, f := range hooks {
-		f()
-	}
+	CollectRuntime(s.in)
 	w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-	_ = WriteOpenMetrics(w, sources...)
+	_ = WriteOpenMetrics(w, s.in.Snapshot(), s.labels)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -185,10 +120,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	_, checks, _, _ := s.snapshotConfig()
 	type failure struct{ name, err string }
 	var failures []failure
-	for _, c := range checks {
+	for _, c := range s.checks {
 		if err := c.Probe(); err != nil {
 			failures = append(failures, failure{c.Name, err.Error()})
 		}
@@ -207,12 +141,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
-	sources, _, _, hooks := s.snapshotConfig()
-	for _, f := range hooks {
-		f()
-	}
+	CollectRuntime(s.in)
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	_ = EncodeVars(w, sources...)
+	_ = EncodeVars(w, s.in.Snapshot())
 }
 
 // LogRecordJSON is the wire shape of one /logs record.
@@ -280,7 +211,6 @@ func ParseLogQuery(level, trace, component, limit string) (logbuf.Query, error) 
 }
 
 func (s *Server) handleLogs(w http.ResponseWriter, r *http.Request) {
-	_, _, logs, _ := s.snapshotConfig()
 	params := r.URL.Query()
 	q, err := ParseLogQuery(params.Get("level"), params.Get("trace"),
 		params.Get("component"), params.Get("limit"))
@@ -288,7 +218,7 @@ func (s *Server) handleLogs(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	recs := logs.Filter(q)
+	recs := s.logs.Filter(q)
 	out := make([]LogRecordJSON, 0, len(recs))
 	for _, rec := range recs {
 		out = append(out, RecordJSON(rec))

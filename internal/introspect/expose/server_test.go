@@ -6,25 +6,22 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"pmove/internal/introspect"
 	"pmove/internal/introspect/logbuf"
 )
 
-func newTestServer(t *testing.T) (*Server, *introspect.Introspector, *logbuf.Logger) {
+func newTestServer(t *testing.T, checks ...Check) (*Server, *introspect.Introspector, *logbuf.Logger) {
 	t.Helper()
 	in := introspect.New(introspect.WithProcess("test"))
 	logs := logbuf.New(64)
-	s := NewServer()
-	s.AddSource(SourceFor(in, map[string]string{"process": "test"}))
-	s.SetLogs(logs)
-	return s, in, logs
+	return NewServer(in, map[string]string{"process": "test"}, logs, checks...), in, logs
 }
 
 func get(t *testing.T, h http.Handler, path string) (int, string) {
@@ -38,7 +35,6 @@ func get(t *testing.T, h http.Handler, path string) (int, string) {
 func TestMetricsEndpoint(t *testing.T) {
 	s, in, _ := newTestServer(t)
 	in.Metrics().Counter("op.probe.total").Add(2)
-	s.OnScrape(func() { CollectRuntime(in) })
 
 	code, body := get(t, s.Handler(), "/metrics")
 	if code != http.StatusOK {
@@ -58,17 +54,20 @@ func TestMetricsEndpoint(t *testing.T) {
 	if !strings.HasSuffix(body, "# EOF\n") {
 		t.Fatal("/metrics must terminate with # EOF")
 	}
+	// A plane over no introspector serves an empty exposition.
+	if code, body := get(t, NewServer(nil, nil, nil).Handler(), "/metrics"); code != http.StatusOK || body != "# EOF\n" {
+		t.Fatalf("nil-introspector /metrics = %d %q", code, body)
+	}
 }
 
 func TestHealthAndReadiness(t *testing.T) {
-	s, _, _ := newTestServer(t)
 	var failing atomic.Bool
-	s.AddCheck("telemetry-sink", func() error {
+	s, _, _ := newTestServer(t, Check{Name: "telemetry-sink", Probe: func() error {
 		if failing.Load() {
 			return errors.New("breaker open")
 		}
 		return nil
-	})
+	}})
 	h := s.Handler()
 
 	if code, body := get(t, h, "/healthz"); code != 200 || body != "ok\n" {
@@ -104,6 +103,10 @@ func TestVarsEndpoint(t *testing.T) {
 	}
 	if g := m["pmove.self.ops.inflight"]; g.Kind != "gauge" || g.Value != 3 {
 		t.Fatalf("vars gauge = %+v", g)
+	}
+	// The render samples the runtime first, as /metrics does.
+	if g := m["pmove.self."+GaugeGoroutines]; g.Value <= 0 {
+		t.Fatalf("vars goroutine gauge = %+v", g)
 	}
 }
 
@@ -153,8 +156,10 @@ func TestLogsEndpoint(t *testing.T) {
 }
 
 func TestListenServesOverRealSocket(t *testing.T) {
-	s, in, _ := newTestServer(t)
-	CollectRuntime(in)
+	s, _, _ := newTestServer(t)
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close before Listen: %v", err)
+	}
 	if err := s.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +168,6 @@ func TestListenServesOverRealSocket(t *testing.T) {
 	if addr == "" {
 		t.Fatal("no bound address")
 	}
-	s.TrackConns(in.Metrics().Gauge(GaugeConns))
 
 	resp, err := http.Get(fmt.Sprintf("http://%s/metrics", addr))
 	if err != nil {
@@ -177,35 +181,19 @@ func TestListenServesOverRealSocket(t *testing.T) {
 	if !strings.Contains(string(body), "pmove_self_runtime_goroutines") {
 		t.Fatal("scrape missing runtime gauges")
 	}
+	// The scrape's own connection is open while it is served.
+	if !strings.Contains(string(body), `pmove_self_runtime_conns{process="test"} 1`) {
+		t.Fatalf("scrape missing its own connection in the conns gauge:\n%s", body)
+	}
+
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if c, err := net.Dial("tcp", addr); err == nil {
+		c.Close()
+		t.Fatal("listener still accepting after Close")
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-}
-
-func TestRuntimeSampler(t *testing.T) {
-	in := introspect.New(introspect.WithProcess("test"))
-	var ticks atomic.Int64
-	stop := StartRuntimeSampler(in, time.Millisecond, func() { ticks.Add(1) })
-	defer stop()
-	deadline := time.Now().Add(2 * time.Second)
-	for ticks.Load() < 3 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if ticks.Load() < 3 {
-		t.Fatal("sampler did not tick")
-	}
-	snap := in.Snapshot()
-	if snap.GaugeValue(GaugeGoroutines) <= 0 {
-		t.Fatal("goroutine gauge not set")
-	}
-	if snap.GaugeValue(GaugeHeapAlloc) <= 0 {
-		t.Fatal("heap gauge not set")
-	}
-	stop()
-	stop() // idempotent
-	// Nil introspector is a no-op.
-	CollectRuntime(nil)
 }

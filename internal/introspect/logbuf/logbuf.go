@@ -102,7 +102,6 @@ type Logger struct {
 	ring      []slot
 	seq       atomic.Uint64 // next sequence number to allocate
 	dropped   atomic.Uint64 // records evicted by wrap-around
-	minLevel  atomic.Int32
 	component string
 	parent    *Logger // nil on root loggers; children share the root's counters
 }
@@ -121,7 +120,7 @@ func New(capacity int) *Logger {
 }
 
 // With returns a child logger stamping component onto every record. The
-// child shares the parent's ring, level, and sequence space.
+// child shares the parent's ring and sequence space.
 func (l *Logger) With(component string) *Logger {
 	if l == nil {
 		return nil
@@ -137,23 +136,6 @@ func (l *Logger) root() *Logger {
 	return l
 }
 
-// SetMinLevel drops records below min at append time. Applies ring-wide,
-// including records from component children.
-func (l *Logger) SetMinLevel(min Level) {
-	if l == nil {
-		return
-	}
-	l.root().minLevel.Store(int32(min))
-}
-
-// Enabled reports whether records at level survive the ring-wide filter.
-func (l *Logger) Enabled(level Level) bool {
-	if l == nil || len(l.root().ring) == 0 {
-		return false
-	}
-	return int32(level) >= l.root().minLevel.Load()
-}
-
 // Dropped counts records evicted by ring wrap-around since creation.
 func (l *Logger) Dropped() uint64 {
 	if l == nil {
@@ -164,9 +146,10 @@ func (l *Logger) Dropped() uint64 {
 
 // Log appends one record, pulling the trace identity from ctx. kv is
 // alternating key, value strings; a trailing key without a value gets
-// "". Nil loggers and filtered levels are free no-ops.
+// "". The ring keeps every level (Filter selects at read time); nil and
+// zero-value loggers are free no-ops.
 func (l *Logger) Log(ctx context.Context, level Level, msg string, kv ...string) {
-	if !l.Enabled(level) {
+	if l == nil || len(l.root().ring) == 0 {
 		return
 	}
 	r := l.root()

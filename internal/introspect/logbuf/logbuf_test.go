@@ -12,14 +12,13 @@ import (
 func TestNilAndZeroSafe(t *testing.T) {
 	var l *Logger
 	l.Info(context.Background(), "ignored")
-	l.SetMinLevel(Debug)
 	if l.With("x") != nil {
 		t.Fatal("nil.With should stay nil")
 	}
 	if got := l.Records(); got != nil {
 		t.Fatalf("nil.Records = %v, want nil", got)
 	}
-	if l.Dropped() != 0 || l.Enabled(Error) {
+	if l.Dropped() != 0 {
 		t.Fatal("nil logger must report empty state")
 	}
 
@@ -75,23 +74,6 @@ func TestEvictionKeepsNewest(t *testing.T) {
 	}
 	if l.Dropped() != 6 {
 		t.Fatalf("Dropped = %d, want 6", l.Dropped())
-	}
-}
-
-func TestMinLevelFilter(t *testing.T) {
-	l := New(8)
-	l.SetMinLevel(Warn)
-	ctx := context.Background()
-	l.Debug(ctx, "d")
-	l.Info(ctx, "i")
-	l.Warn(ctx, "w")
-	l.Error(ctx, "e")
-	recs := l.Records()
-	if len(recs) != 2 || recs[0].Msg != "w" || recs[1].Msg != "e" {
-		t.Fatalf("records = %+v, want only w and e", recs)
-	}
-	if l.Enabled(Info) || !l.Enabled(Warn) {
-		t.Fatal("Enabled disagrees with SetMinLevel")
 	}
 }
 

@@ -281,22 +281,19 @@ func (h *harness) setup() error {
 // daemon-side registry, with the same breaker- and backlog-aware
 // readiness probes the production daemon wires (core.WithExpose).
 func (h *harness) startExpose() error {
-	srv := expose.NewServer()
-	srv.AddSource(expose.SourceFor(h.daemonIn, map[string]string{"process": "harness"}))
-	srv.SetLogs(h.logs)
-	srv.OnScrape(func() { expose.CollectRuntime(h.daemonIn) })
-	srv.AddCheck("telemetry-sink", func() error {
-		if st := h.tsdbClient.BreakerState(); st == resilience.BreakerOpen {
-			return fmt.Errorf("sink breaker %s", st)
-		}
-		return nil
-	})
-	srv.AddCheck("telemetry-backlog", func() error {
-		if n := h.daemonIn.Metrics().Gauge("telemetry.journal.pending").Load(); n > 0 {
-			return fmt.Errorf("%d spilled points awaiting replay", int(n))
-		}
-		return nil
-	})
+	srv := expose.NewServer(h.daemonIn, map[string]string{"process": "harness"}, h.logs,
+		expose.Check{Name: "telemetry-sink", Probe: func() error {
+			if st := h.tsdbClient.BreakerState(); st == resilience.BreakerOpen {
+				return fmt.Errorf("sink breaker %s", st)
+			}
+			return nil
+		}},
+		expose.Check{Name: "telemetry-backlog", Probe: func() error {
+			if n := h.daemonIn.Metrics().Gauge("telemetry.journal.pending").Load(); n > 0 {
+				return fmt.Errorf("%d spilled points awaiting replay", int(n))
+			}
+			return nil
+		}})
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		return err
 	}

@@ -457,7 +457,7 @@ func batchBody(dst []byte, kvs []rowKV, ps []Point) ([]byte, []rowKV, error) {
 
 // frameBuf is a WRITEB body in flight, the batch's lines each with its
 // '\n', at either end of the wire, with the key scratch it is encoded
-// through and the frame, header and body, a client sends it in. It is
+// through and the frame a client sends it in, or a QUERY reply. It is
 // pooled, not kept per connection or per client: a writer that next
 // writes after a collection finds the pool empty and holds nothing
 // meanwhile, where a buffer per connection stays as large as its biggest

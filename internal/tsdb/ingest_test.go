@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -426,6 +427,64 @@ func TestServerQueryAllocations(t *testing.T) {
 	}
 	if n > 16 {
 		t.Errorf("a cached aggregate's reply allocates %v objects; want at most 16", n)
+	}
+}
+
+// TestServerLargeReplyAllocations: a warm reply larger than the server's
+// 4 KiB writer is encoded into a pooled frame, so it allocates far less
+// than its own size (a slice grown from the writer's free space on every
+// QUERY allocated 181 KB for this 179 KB reply).
+func TestServerLargeReplyAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are held without the race detector")
+	}
+	db := New()
+	ps := make([]Point, 2560)
+	for i := range ps {
+		ps[i] = Point{Measurement: "m", Tags: map[string]string{"host": "a"},
+			Fields: map[string]float64{"v": float64(i) / 3}, Time: int64(i+1) * int64(time.Second)}
+	}
+	if err := db.WriteBatchContext(context.Background(), ps); err != nil {
+		t.Fatal(err)
+	}
+	srv, addr := startServer(t, db)
+	defer srv.Close()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	stmt := []byte(`QUERY SELECT count("v"), mean("v") FROM "m" GROUP BY time(1s)` + "\n")
+	r := bufio.NewReaderSize(conn, 1<<20)
+	var reply []byte
+	send := func() {
+		if _, err := conn.Write(stmt); err != nil {
+			t.Fatal(err)
+		}
+		if reply, err = r.ReadSlice('\n'); err != nil || bytes.HasPrefix(reply, []byte("ERR")) {
+			t.Fatalf("reply %.80q, %v", reply, err)
+		}
+	}
+	// The first answer fills the cache; the warm-up grows a pooled frame
+	// on whichever Ps the server's goroutine runs.
+	for i := 0; i < 4; i++ {
+		send()
+	}
+	const replies = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < replies; i++ {
+		send()
+	}
+	runtime.ReadMemStats(&after)
+	perReply := (after.TotalAlloc - before.TotalAlloc) / replies
+	t.Logf("%d B allocated per %d-byte reply", perReply, len(reply))
+	if len(reply) < 100<<10 {
+		t.Fatalf("reply of %d bytes, want over 100 KB", len(reply))
+	}
+	if perReply >= 4<<10 {
+		t.Errorf("a warm %d-byte reply allocates %d B; want under 4 KB", len(reply), perReply)
 	}
 }
 

@@ -394,8 +394,8 @@ func (s *Server) handleWriteBatch(c *conn, rest string, arrivalNanos int64) bool
 		}
 	}
 	op.End(err)
-	// The ack is appended into the writer's free space, as handleQuery's
-	// reply is: a frame takes no buffer for it.
+	// The ack is appended into the writer's free space: a frame takes no
+	// buffer for it.
 	ack := strconv.AppendInt(append(c.w.AvailableBuffer(), "OK "...), int64(n), 10)
 	c.answer(wctx, ctx, "writeb", arrivalNanos, err, ack, extra...)
 	return true
@@ -459,13 +459,13 @@ func (s *Server) handleQuery(c *conn, rest string, arrivalNanos int64) {
 	// A result that will not encode fails the reply and the record, not
 	// the span.
 	op.End(err)
-	var reply []byte
 	var extra []string
+	fb := getFrameBuf()
+	defer putFrameBuf(fb)
 	if err == nil {
-		// Encoded into the writer's free space, which answer's Write then
-		// copies onto itself: a reply that fits takes no buffer of its own.
-		reply, err = appendTable(c.w.AvailableBuffer(), &t)
-		extra = []string{"rows", strconv.Itoa(len(t.Times)), "bytes", strconv.Itoa(len(reply))}
+		// A pooled frame: a reply over the writer's 4 KiB grows no slice.
+		fb.frame, err = appendTable(fb.frame, &t)
+		extra = []string{"rows", strconv.Itoa(len(t.Times)), "bytes", strconv.Itoa(len(fb.frame))}
 	}
-	c.answer(qctx, ctx, "query", arrivalNanos, err, reply, extra...)
+	c.answer(qctx, ctx, "query", arrivalNanos, err, fb.frame, extra...)
 }

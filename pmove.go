@@ -133,9 +133,6 @@ var (
 // OpenMetrics/health/vars/logs HTTP surface WithExpose serves, and the
 // trace-correlated structured log ring behind Daemon.Logs.
 type (
-	// ExposeSource is one metrics registry the observability plane
-	// scrapes.
-	ExposeSource = expose.Source
 	// LogBuffer is a bounded, concurrency-safe structured log ring.
 	LogBuffer = logbuf.Logger
 	// LogRecord is one structured record in a LogBuffer.
@@ -158,10 +155,8 @@ const (
 
 // Observability-plane functions.
 var (
-	// ExposeSourceFor adapts an Introspector into an ExposeSource.
-	ExposeSourceFor = expose.SourceFor
-	// EncodeSelfVars writes registries as the /debug/vars JSON document
-	// (`pmove introspect -json` shares this encoder).
+	// EncodeSelfVars writes a self-metrics snapshot as the /debug/vars
+	// JSON document (`pmove introspect -json` shares this encoder).
 	EncodeSelfVars = expose.EncodeVars
 )
 
