@@ -146,7 +146,9 @@ func (d *Daemon) SetTelemetrySink(sink telemetry.PointSink) {
 func (d *Daemon) openCollector(t *Target) (*telemetry.Collector, error) {
 	c := telemetry.NewCollector(d.TS, t.Pipeline)
 	d.mu.Lock()
-	c.Sink = d.sink
+	if d.sink != nil {
+		c.Sink = d.sink
+	}
 	d.mu.Unlock()
 	c.Self = d.Introspection
 	c.Log = d.Logs.With("telemetry")

@@ -1,14 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"time"
 
 	"pmove/internal/machine"
-	"pmove/internal/resilience"
 	"pmove/internal/telemetry"
-	"pmove/internal/tsdb"
+	"pmove/internal/testkit"
+	"pmove/internal/topo"
 )
 
 // ChaosRow is one configuration of the fault-injection study.
@@ -36,11 +34,11 @@ type ChaosResult struct {
 	Ticks uint64
 }
 
-// ChaosStudy runs one monitoring session per pipeline mode against a
-// live tsdb server behind a fault-injection proxy. The link is healthy
-// for the first third of the ticks, partitioned for the second, healed
-// for the last. Pipeline simulation costs are zeroed so every lost point
-// is attributable to the injected outage:
+// ChaosStudy runs one monitoring session per pipeline mode as a testkit
+// scenario: a live tsdb server behind a fault-injection proxy. The link
+// is healthy for the first third of the ticks, partitioned for the
+// second, healed for the last. Pipeline simulation costs are zeroed so
+// every lost point is attributable to the injected outage:
 //
 //   - "baseline" never sees a fault — the control row.
 //   - "default" hits the outage with the paper-faithful unbuffered
@@ -54,94 +52,47 @@ func ChaosStudy(ticks uint64, freqHz float64) (*ChaosResult, error) {
 	}
 	res := &ChaosResult{Ticks: ticks}
 	for _, mode := range []string{"baseline", "default", "degraded"} {
-		row, err := chaosRun(mode, ticks, freqHz)
+		r, err := testkit.Run(chaosScenario(mode, ticks, freqHz))
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, *row)
+		col := r.Collector
+		row := ChaosRow{
+			Mode: mode, Outcome: "completed",
+			Expected: col.Expected, Inserted: col.Inserted,
+			Spilled: col.Spilled, Replayed: col.Replayed, Dropped: col.SpillDropped,
+			Pending: uint64(col.PendingSpill()),
+			Retries: r.ClientStats.Retries, Dials: r.ClientStats.Dials,
+		}
+		if r.SessionErr != nil {
+			row.Outcome = fmt.Sprintf("aborted: %.24s...", r.SessionErr)
+		}
+		if row.Expected > 0 {
+			row.EndLossPct = 100 * float64(row.Expected-row.Inserted) / float64(row.Expected)
+		}
+		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }
 
-// chaosPolicy fails fast so the partitioned phase costs milliseconds per
-// tick, not the default multi-second deadlines.
-func chaosPolicy() resilience.Policy {
-	return resilience.Policy{
-		DialTimeout:  time.Second,
-		ReadTimeout:  200 * time.Millisecond,
-		WriteTimeout: 200 * time.Millisecond,
-		MaxRetries:   1,
-		Backoff:      resilience.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond, Factor: 2, Jitter: 0.2},
-		Seed:         11,
+// chaosScenario is one mode of the study: the partition and a reset of
+// every live connection before the middle third, the heal before the
+// last ("baseline" runs fault-free).
+func chaosScenario(mode string, ticks uint64, freqHz float64) testkit.Scenario {
+	sc := testkit.Scenario{
+		Seed:     7,
+		Preset:   topo.PresetICL,
+		Load:     testkit.Load{Metrics: []string{machine.MetricCPUIdle}, FreqHz: freqHz, Ticks: ticks},
+		Pipeline: &telemetry.PipelineConfig{Seed: 1, Degraded: mode == "degraded"}, // zero simulated costs
 	}
-}
-
-func chaosRun(mode string, ticks uint64, freqHz float64) (*ChaosRow, error) {
-	db := tsdb.New()
-	srv := tsdb.NewServer(db)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	defer srv.Close()
-	proxy := resilience.NewProxy(addr, resilience.Faults{}, 17)
-	paddr, err := proxy.Listen("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	defer proxy.Close()
-	client, err := tsdb.DialPolicy(paddr, chaosPolicy())
-	if err != nil {
-		return nil, err
-	}
-	defer client.Close()
-
-	_, pm, err := newTarget("icl", 7)
-	if err != nil {
-		return nil, err
-	}
-	cfg := telemetry.PipelineConfig{Seed: 1} // zero simulated costs
-	cfg.Degraded = mode == "degraded"
-	col := telemetry.NewCollector(nil, cfg)
-	col.Sink = client
-	sess, err := telemetry.NewSession(pm, col, telemetry.SessionConfig{
-		Metrics: []string{machine.MetricCPUIdle}, FreqHz: freqHz, Tag: "chaos-" + mode,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	third := ticks / 3
-	row := &ChaosRow{Mode: mode, Outcome: "completed"}
-	phases := []struct {
-		ticks uint64
-		fault func()
-	}{
-		{third, nil},
-		{third, func() { proxy.Partition(); proxy.DropConns() }},
-		{ticks - 2*third, func() { proxy.Heal() }},
-	}
-	for _, ph := range phases {
-		if ph.fault != nil && mode != "baseline" {
-			ph.fault()
-		}
-		if _, err := sess.RunTicksContext(context.Background(), ph.ticks); err != nil {
-			row.Outcome = fmt.Sprintf("aborted: %.24s...", err)
-			break
+	if third := ticks / 3; mode != "baseline" {
+		sc.Faults = []testkit.FaultEvent{
+			{AtTick: third + 1, Kind: testkit.FaultPartitionTSDB},
+			{AtTick: third + 1, Kind: testkit.FaultDropTSDBConns},
+			{AtTick: 2*third + 1, Kind: testkit.FaultHealTSDB},
 		}
 	}
-	row.Expected = col.Expected
-	row.Inserted = col.Inserted
-	row.Spilled = col.Spilled
-	row.Replayed = col.Replayed
-	row.Dropped = col.SpillDropped
-	row.Pending = uint64(col.PendingSpill())
-	ts := client.Stats()
-	row.Retries, row.Dials = ts.Retries, ts.Dials
-	if row.Expected > 0 {
-		row.EndLossPct = 100 * float64(row.Expected-row.Inserted) / float64(row.Expected)
-	}
-	return row, nil
+	return sc
 }
 
 // Render formats the study as a table.

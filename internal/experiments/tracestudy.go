@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -9,9 +8,7 @@ import (
 
 	"pmove/internal/introspect"
 	"pmove/internal/introspect/traceexport"
-	"pmove/internal/machine"
-	"pmove/internal/resilience"
-	"pmove/internal/telemetry"
+	"pmove/internal/testkit"
 	"pmove/internal/tsdb"
 )
 
@@ -29,118 +26,49 @@ type TraceStudyResult struct {
 	SumDeltaPct float64 // |attribution sum - end-to-end| as % of end-to-end
 	ChromeJSON  []byte
 	ChromeValid bool
-	UntaggedOK  bool // legacy untagged WRITEB still accepted mid-run
+	UntaggedOK  bool // legacy untagged WRITEB still accepted
 	Waterfall   string
 }
 
-// TraceStudy reruns the chaos scenario with distributed tracing on: the
-// client process ("daemon" ring) and the tsdb server process
-// ("tsdb-server" ring) each keep their own spans, linked over the wire
-// by the traceparent field on every WRITEB. The middle third of the run
-// is partitioned, so the assembled trace contains healthy round trips,
-// failed attempts, backoff waits and post-heal replays — exactly the
-// mix per-hop attribution must explain. The study then checks the
-// acceptance criteria mechanically: the attribution components sum to
-// the measured end-to-end wire time (≤5%), the Chrome trace-event JSON
-// is valid, and an untagged legacy frame is still accepted.
+// TraceStudy reruns the degraded chaos scenario with distributed tracing
+// on: the client process ("daemon" ring) and the tsdb server process
+// ("tsdb" ring) each keep their own spans, linked over the wire by the
+// traceparent field on every WRITEB, and testkit runs every tick under
+// one root span. The middle third of the run is partitioned, so the
+// assembled trace contains healthy round trips, failed attempts, backoff
+// waits and post-heal replays — exactly the mix per-hop attribution must
+// explain. The study then checks the acceptance criteria mechanically:
+// the attribution components sum to the measured end-to-end wire time
+// (≤5%), the Chrome trace-event JSON is valid, and an untagged legacy
+// frame is still accepted.
 func TraceStudy(ticks uint64, freqHz float64) (*TraceStudyResult, error) {
 	if ticks < 3 {
 		return nil, fmt.Errorf("experiments: trace study needs at least 3 ticks, got %d", ticks)
 	}
-	srv := tsdb.NewServer(tsdb.New())
-	serverIn := introspect.New(
-		introspect.WithProcess("tsdb-server"),
-		introspect.WithSampling(1, 23),
-		introspect.WithSpanCapacity(1<<14),
-	)
-	srv.SetTracing(serverIn)
-	addr, err := srv.Listen("127.0.0.1:0")
+	sc := chaosScenario("degraded", ticks, freqHz)
+	sc.Tracing = true
+	r, err := testkit.Run(sc)
 	if err != nil {
 		return nil, err
 	}
-	defer srv.Close()
-	proxy := resilience.NewProxy(addr, resilience.Faults{}, 17)
-	paddr, err := proxy.Listen("127.0.0.1:0")
+	if r.SessionErr != nil {
+		return nil, fmt.Errorf("experiments: trace study session: %w", r.SessionErr)
+	}
+	if len(r.Traces) != 1 {
+		return nil, fmt.Errorf("experiments: trace study assembled %d traces, want 1", len(r.Traces))
+	}
+	tr := r.Traces[0]
+	untagged, err := probeUntagged()
 	if err != nil {
 		return nil, err
-	}
-	defer proxy.Close()
-	client, err := tsdb.DialPolicy(paddr, chaosPolicy())
-	if err != nil {
-		return nil, err
-	}
-	defer client.Close()
-
-	clientIn := introspect.New(
-		introspect.WithProcess("daemon"),
-		introspect.WithSampling(1, 29),
-		introspect.WithSpanCapacity(1<<14),
-	)
-	client.SetIntrospection(clientIn, "tsdb")
-
-	_, pm, err := newTarget("icl", 7)
-	if err != nil {
-		return nil, err
-	}
-	cfg := telemetry.PipelineConfig{Seed: 1, Degraded: true} // zero simulated costs, survive the outage
-	col := telemetry.NewCollector(nil, cfg)
-	col.Sink = client
-	col.Self = clientIn
-	sess, err := telemetry.NewSession(pm, col, telemetry.SessionConfig{
-		Metrics: []string{machine.MetricCPUIdle}, FreqHz: freqHz, Tag: "chaos-trace",
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// One root span over the whole three-phase run: everything beneath —
-	// session ticks, offers, transport attempts, server inserts — joins
-	// one distributed trace.
-	ctx, root := clientIn.StartSpan(context.Background(), "chaos.trace")
-	sc := root.Context()
-	third := ticks / 3
-	phases := []struct {
-		ticks uint64
-		fault func()
-	}{
-		{third, nil},
-		{third, func() { proxy.Partition(); proxy.DropConns() }},
-		{ticks - 2*third, func() { proxy.Heal() }},
-	}
-	var runErr error
-	for _, ph := range phases {
-		if ph.fault != nil {
-			ph.fault()
-		}
-		if _, err := sess.RunTicksContext(ctx, ph.ticks); err != nil {
-			runErr = err
-			break
-		}
-	}
-	root.End(runErr)
-	if runErr != nil {
-		return nil, fmt.Errorf("experiments: trace study session: %w", runErr)
-	}
-
-	// Mid-run backward-compatibility probe: a legacy client that knows
-	// nothing of traceparent writes straight to the server.
-	untagged := probeUntagged(addr)
-
-	colr := traceexport.NewCollector()
-	colr.Add("daemon", clientIn.Tracer())
-	colr.Add("tsdb-server", serverIn.Tracer())
-	tr, ok := colr.Trace(sc.Trace)
-	if !ok {
-		return nil, fmt.Errorf("experiments: trace %s not assembled", sc.Trace)
 	}
 	a := traceexport.Attribute(tr)
-	traceexport.RecordAttribution(clientIn.Metrics(), a)
 	res := &TraceStudyResult{
-		TraceID:     sc.Trace.String(),
+		TraceID:     tr.ID.String(),
 		Spans:       tr.Spans,
 		Processes:   tr.Processes(),
 		Orphans:     len(tr.Orphans),
-		Dropped:     clientIn.Tracer().Dropped() + serverIn.Tracer().Dropped(),
+		Dropped:     r.DroppedSpans,
 		Attribution: a,
 		UntaggedOK:  untagged,
 		Waterfall:   traceexport.Waterfall(tr),
@@ -162,19 +90,27 @@ func abs(v float64) float64 {
 	return v
 }
 
-// probeUntagged speaks the pre-tracing protocol directly to the server.
-func probeUntagged(addr string) bool {
+// probeUntagged speaks the pre-tracing protocol to a throwaway in-memory
+// tracing server: a legacy client that knows nothing of traceparent.
+func probeUntagged() (bool, error) {
+	srv := tsdb.NewServer(tsdb.New())
+	srv.SetTracing(introspect.New(introspect.WithProcess("tsdb")))
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		return false, err
+	}
+	defer srv.Close()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
-		return false
+		return false, nil
 	}
 	defer conn.Close()
 	if _, err := fmt.Fprintf(conn, "WRITEB 1\nlegacy,host=old v=1 123\n"); err != nil {
-		return false
+		return false, nil
 	}
 	buf := make([]byte, 64)
 	n, err := conn.Read(buf)
-	return err == nil && strings.TrimSpace(string(buf[:n])) == "OK 1"
+	return err == nil && strings.TrimSpace(string(buf[:n])) == "OK 1", nil
 }
 
 // Render formats the study: a summary block, the per-hop attribution,

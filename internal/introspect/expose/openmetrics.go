@@ -17,8 +17,8 @@ import (
 	"pmove/internal/introspect"
 )
 
-// family is one metric family being assembled: all samples whose
-// names sanitize to one family name.
+// family is one metric family: the samples of the first metric, in the
+// snapshot's name order, whose name sanitizes to the family name.
 type family struct {
 	name  string // sanitized family name (no _total suffix for counters)
 	kind  introspect.Kind
@@ -32,7 +32,9 @@ type family struct {
 // counters with the `_total` suffix, histograms as cumulative
 // `_bucket{le=...}`/`_sum`/`_count` lines, and a terminating `# EOF`.
 // Families are sorted by name, labels by key — the output is byte-stable
-// for a given snapshot.
+// for a given snapshot. A later name that sanitizes to a family already
+// taken is not rendered, since its samples would repeat the first's
+// series; it stays in /debug/vars.
 func WriteOpenMetrics(w io.Writer, snap introspect.Snapshot, labels map[string]string) error {
 	fams := map[string]*family{}
 	var order []string
@@ -46,13 +48,10 @@ func WriteOpenMetrics(w io.Writer, snap introspect.Snapshot, labels map[string]s
 			// sample re-appends _total per the OpenMetrics rule.
 			name = strings.TrimSuffix(name, "_total")
 		}
-		f := fams[name]
-		if f == nil {
-			f = &family{name: name, kind: m.Kind, help: dotted}
-			fams[name] = f
+		if fams[name] == nil {
+			fams[name] = &family{name: name, kind: m.Kind, help: dotted, lines: sampleLines(name, rendered, m)}
 			order = append(order, name)
 		}
-		f.lines = append(f.lines, sampleLines(name, rendered, m)...)
 	}
 	sort.Strings(order)
 	for _, name := range order {

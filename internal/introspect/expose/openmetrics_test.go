@@ -80,9 +80,9 @@ func TestOpenMetricsEscapingAndOrdering(t *testing.T) {
 }
 
 // TestOpenMetricsCollidingNamesShareFamily: a counter already named
-// *.total renders under its stem with one _total suffix, and a second
-// registry name that sanitizes to the same family joins its one
-// HELP/TYPE header.
+// *.total renders under its stem with one _total suffix, and of two
+// registry names that sanitize to the same family only the first in
+// name order renders, under one HELP/TYPE header and as one series.
 func TestOpenMetricsCollidingNamesShareFamily(t *testing.T) {
 	reg := introspect.NewRegistry()
 	reg.Counter("requests.total").Add(3)
@@ -99,10 +99,6 @@ pmove_self_requests_total{process="daemon"} 3
 		t.Fatalf("got:\n%s\nwant:\n%s", got, want)
 	}
 
-	// Known defect, not a contract: both samples of the colliding pair
-	// still render with the same name and labels, which an OpenMetrics
-	// parser rejects as a duplicate series. Only the shared header is
-	// asserted here.
 	reg.Counter("requests").Add(7)
 	buf.Reset()
 	if err := WriteOpenMetrics(&buf, reg.Snapshot(), fixtureLabels); err != nil {
@@ -110,6 +106,12 @@ pmove_self_requests_total{process="daemon"} 3
 	}
 	if n := strings.Count(buf.String(), "# TYPE pmove_self_requests counter\n"); n != 1 {
 		t.Fatalf("%d TYPE headers for one family:\n%s", n, buf.String())
+	}
+	if n := strings.Count(buf.String(), `pmove_self_requests_total{process="daemon"} `); n != 1 {
+		t.Fatalf("%d samples of one series, want 1:\n%s", n, buf.String())
+	}
+	if !strings.Contains(buf.String(), `pmove_self_requests_total{process="daemon"} 7`+"\n") {
+		t.Fatalf("the family's sample is not the first name's (requests, 7):\n%s", buf.String())
 	}
 }
 

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -209,5 +210,42 @@ func TestChaosJournalCapBoundsLoss(t *testing.T) {
 	if col.Expected != col.Inserted+pendingFields+st.SpillDropped {
 		t.Fatalf("points unaccounted: expected=%d inserted=%d pending=%d dropped=%d",
 			col.Expected, col.Inserted, pendingFields, st.SpillDropped)
+	}
+}
+
+// downSink refuses every write and counts the attempts.
+type downSink struct{ writes int }
+
+func (d *downSink) WriteBatchContext(context.Context, []tsdb.Point) error {
+	d.writes++
+	return errors.New("sink down")
+}
+
+// TestTickContextProbesLikeOneRun pins the stepped session against a
+// dead sink: a degraded collector stepped with TickContext probes the
+// sink once a tick and replays its backlog once more after the last, as
+// one RunTicksContext call over the same ticks does, where a
+// RunTicksContext call per tick would probe twice a tick.
+func TestTickContextProbesLikeOneRun(t *testing.T) {
+	cfg := chaosPipeline()
+	cfg.Degraded = true
+	const ticks = 4
+	run := &downSink{}
+	if _, err := chaosSession(t, run, cfg).RunTicksContext(context.Background(), ticks); err != nil {
+		t.Fatal(err)
+	}
+	step := &downSink{}
+	s := chaosSession(t, step, cfg)
+	for tick := 1; tick <= ticks; tick++ {
+		if err := s.TickContext(context.Background(), tick == ticks); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if run.writes != ticks+1 || step.writes != run.writes {
+		t.Fatalf("dead sink probed %d times stepped, %d in one run; want %d each",
+			step.writes, run.writes, ticks+1)
+	}
+	if got := s.Collector.PendingSpill(); got != ticks {
+		t.Fatalf("journal holds %d reports, want %d", got, ticks)
 	}
 }

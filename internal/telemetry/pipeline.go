@@ -88,12 +88,11 @@ type PointSink = tsdb.BatchWriter
 // package (internal/bench) still spells.
 type BatchPointSink = PointSink
 
-// Collector is the host-side sink: it owns the tsdb handle and the
-// busy-until state of the unbuffered pipeline.
+// Collector is the host-side sink: it owns the point destination and
+// the busy-until state of the unbuffered pipeline.
 type Collector struct {
-	DB *tsdb.DB
-	// Sink overrides where points are written when non-nil (e.g. a
-	// resilient remote client); the embedded DB otherwise.
+	// Sink is where points are written: the embedded DB NewCollector was
+	// given, or a resilient remote client set in its place.
 	Sink PointSink
 	Cfg  PipelineConfig
 	// Self, when non-nil, mirrors the collector's counters into the
@@ -145,17 +144,14 @@ type Collector struct {
 	MaxLagSeconds float64
 }
 
-// NewCollector builds a collector over a tsdb.
+// NewCollector builds a collector writing to db; a nil db leaves Sink
+// for the caller to set.
 func NewCollector(db *tsdb.DB, cfg PipelineConfig) *Collector {
-	return &Collector{DB: db, Cfg: cfg, seq: cfg.Seed, names: map[string]string{}}
-}
-
-// sink returns the active point destination.
-func (c *Collector) sink() PointSink {
-	if c.Sink != nil {
-		return c.Sink
+	c := &Collector{Cfg: cfg, seq: cfg.Seed, names: map[string]string{}}
+	if db != nil { // a nil *tsdb.DB must not become a non-nil Sink
+		c.Sink = db
 	}
-	return c.DB
+	return c
 }
 
 // Degraded reports whether the collector is currently spilling.
@@ -233,10 +229,9 @@ func (c *Collector) ReplayContext(ctx context.Context) int {
 	}()
 	// One point per write, so a sink that fails mid-drain leaves exactly
 	// the undelivered suffix journalled.
-	sink := c.sink()
 	for len(c.journal) > 0 {
 		p := c.journal[0]
-		if err := sink.WriteBatchContext(ctx, c.journal[:1:1]); err != nil {
+		if err := c.Sink.WriteBatchContext(ctx, c.journal[:1:1]); err != nil {
 			reg.Gauge("telemetry.journal.pending").Set(float64(len(c.journal)))
 			return len(c.journal)
 		}
@@ -352,7 +347,7 @@ func (c *Collector) OfferContext(ctx context.Context, now float64, samples []Sam
 		for _, p := range pts {
 			c.spill(ctx, p)
 		}
-	} else if werr := c.sink().WriteBatchContext(ctx, pts); werr != nil {
+	} else if werr := c.Sink.WriteBatchContext(ctx, pts); werr != nil {
 		if !c.Cfg.Degraded {
 			err = fmt.Errorf("telemetry: batch insert (%d points): %w", len(pts), werr)
 			return err

@@ -12,8 +12,8 @@ type SessionConfig struct {
 	Metrics []string
 	FreqHz  float64
 	Tag     string // observation tag written to every point
-	// DurationSeconds bounds the session; 0 requires Stop conditions from
-	// the caller via RunUntil.
+	// DurationSeconds bounds a RunContext session, which refuses 0;
+	// RunTicksContext ignores it and runs the ticks it is asked for.
 	DurationSeconds float64
 }
 
@@ -92,7 +92,19 @@ func (s *Session) RunContext(ctx context.Context) (SessionStats, error) {
 
 // RunTicksContext executes exactly n sampling ticks, checking ctx before
 // each one so a cancelled caller stops within one tick.
-func (s *Session) RunTicksContext(ctx context.Context, n uint64) (stats SessionStats, err error) {
+func (s *Session) RunTicksContext(ctx context.Context, n uint64) (SessionStats, error) {
+	return s.runTicks(ctx, n, true)
+}
+
+// TickContext executes one tick of a session its caller steps tick by
+// tick. Only the last tick gives a degraded backlog the closing replay,
+// so the sink is probed once a tick, as in one RunTicksContext call.
+func (s *Session) TickContext(ctx context.Context, last bool) error {
+	_, err := s.runTicks(ctx, 1, last)
+	return err
+}
+
+func (s *Session) runTicks(ctx context.Context, n uint64, catchUp bool) (stats SessionStats, err error) {
 	ctx, span := s.Collector.Self.StartSpan(ctx, "telemetry.session")
 	defer func() { span.End(err) }()
 	m := s.PMCD.Machine()
@@ -135,7 +147,7 @@ func (s *Session) RunTicksContext(ctx context.Context, n uint64) (stats SessionS
 
 	// Final catch-up: a sink that recovered late gets one more chance to
 	// absorb the outage backlog before the session reports.
-	if s.Collector.Cfg.Degraded && s.Collector.PendingSpill() > 0 {
+	if catchUp && s.Collector.Cfg.Degraded && s.Collector.PendingSpill() > 0 {
 		s.Collector.ReplayContext(ctx)
 	}
 

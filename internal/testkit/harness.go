@@ -65,6 +65,11 @@ type Result struct {
 	// SessionErr records a session abort (expected for non-degraded
 	// scenarios whose sink dies); the log keeps the events up to it.
 	SessionErr error
+
+	// The client's retry and dial counts and the spans both rings
+	// evicted: wall-clock dependent, so never in the log.
+	ClientStats  tsdb.ClientStats
+	DroppedSpans uint64
 }
 
 // QueryOutcome records one per-tick aggregate query through the
@@ -92,13 +97,11 @@ type harness struct {
 	tsdbProxy  *resilience.Proxy
 	tsdbClient *tsdb.Client
 
-	// Durable-scenario state: the server's data directory, its WAL path
-	// (captured at open — a crashed DB no longer knows its path), the
-	// parsed fsync policy, and whether the harness owns (and so removes)
-	// the root directory.
+	// Durable-scenario state: the server's temporary data directory, its
+	// WAL path (captured at open — a crashed DB no longer knows its path)
+	// and the parsed fsync policy.
 	fsync       storage.FsyncPolicy
 	dataDir     string
-	ownDataDir  bool
 	tsdbWALPath string
 	// tsdbDown tracks the kill/restart window so WAL faults can insist
 	// the server is actually down.
@@ -183,14 +186,8 @@ func (h *harness) setup() error {
 			return fmt.Errorf("testkit: %w", err)
 		}
 		h.fsync = pol
-		h.dataDir = sc.DataDir
-		if h.dataDir == "" {
-			dir, err := os.MkdirTemp("", "testkit-durable-*")
-			if err != nil {
-				return err
-			}
-			h.dataDir = dir
-			h.ownDataDir = true
+		if h.dataDir, err = os.MkdirTemp("", "testkit-durable-*"); err != nil {
+			return err
 		}
 		db, err := tsdb.Open(filepath.Join(h.dataDir, "tsdb"), pol)
 		if err != nil {
@@ -312,10 +309,14 @@ func (h *harness) ready() bool {
 	return resp.StatusCode == http.StatusOK
 }
 
+// rootSpan wraps every tick of a run, so a traced run is one trace.
+const rootSpan = "chaos.trace"
+
 // drive runs the seeded schedule: faults at tick boundaries, one sampling
 // tick at a time, and one event log entry per observable step.
 func (h *harness) drive() error {
-	ctx := context.Background()
+	ctx, root := h.daemonIn.StartSpan(context.Background(), rootSpan)
+	defer func() { root.End(h.res.SessionErr) }()
 	for tick := uint64(1); tick <= h.sc.Load.Ticks; tick++ {
 		for _, f := range h.sc.Faults {
 			if f.AtTick == tick {
@@ -325,7 +326,7 @@ func (h *harness) drive() error {
 				h.res.Log.Append(Event{Tick: tick, Kind: "fault", Detail: string(f.Kind)})
 			}
 		}
-		if _, err := h.session.RunTicksContext(ctx, 1); err != nil {
+		if err := h.session.TickContext(ctx, tick == h.sc.Load.Ticks); err != nil {
 			// Expected for non-degraded scenarios whose sink died. The
 			// detail stays free of addresses/timing so the log replays.
 			h.res.SessionErr = err
@@ -488,7 +489,7 @@ func (h *harness) injectWALTail(corrupt bool, kind FaultKind) error {
 }
 
 // finish attaches the session observation to the KB (the production
-// Monitor epilogue) and assembles traces.
+// Monitor epilogue), reads the wall-clock counters, assembles traces.
 func (h *harness) finish() {
 	obs := &kb.Observation{
 		ID:      "obs:testkit",
@@ -506,6 +507,8 @@ func (h *harness) finish() {
 			_ = h.res.KB.Persist(h.daemon.Docs)
 		}
 	}
+	h.res.ClientStats = h.tsdbClient.Stats()
+	h.res.DroppedSpans = h.daemonIn.Tracer().Dropped() + h.tsdbSrvIn.Tracer().Dropped()
 	if h.sc.Tracing {
 		c := traceexport.NewCollector()
 		c.Add("daemon", h.daemonIn.Tracer())
@@ -521,9 +524,9 @@ func (h *harness) note(tick uint64, detail string) {
 }
 
 // close tears the stack down in dependency order. A durable database is
-// closed (flushing its WAL) and a harness-owned data directory is
-// removed; the recovered in-memory image stays readable for the oracles,
-// which run against the Result after close.
+// closed (flushing its WAL) and its data directory removed; the
+// recovered in-memory image stays readable for the oracles, which run
+// against the Result after close.
 func (h *harness) close() {
 	if h.exposeSrv != nil {
 		h.exposeSrv.Close()
@@ -541,7 +544,7 @@ func (h *harness) close() {
 		if h.tsdbDB != nil {
 			h.tsdbDB.Close()
 		}
-		if h.ownDataDir {
+		if h.dataDir != "" {
 			os.RemoveAll(h.dataDir)
 		}
 	}

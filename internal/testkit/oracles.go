@@ -107,19 +107,31 @@ func CheckNoDuplicateInserts(r *Result) error {
 	return nil
 }
 
-// CheckAttribution asserts latency conservation for every assembled
-// trace: the per-hop attribution components must sum to the end-to-end
-// wire time (they partition it; Sum differs only when clock anomalies
-// forced clamping, bounded here at 5%).
+// CheckAttribution asserts latency conservation for every tick of every
+// assembled trace: the per-hop attribution components must sum to the
+// end-to-end wire time (they partition it; Sum differs only when clock
+// anomalies forced clamping, bounded here at 5%). Each subtree under
+// drive's root span is checked on its own, so an error in one tick is
+// not averaged away over the run.
 func CheckAttribution(r *Result) error {
 	for _, tr := range r.Traces {
-		a := traceexport.Attribute(tr)
-		if a.EndToEndSeconds <= 0 {
-			continue // no wire hops in this trace
+		var units []*traceexport.Node
+		for _, root := range tr.Roots {
+			if root.Span.Name == rootSpan {
+				units = append(units, root.Children...)
+			} else {
+				units = append(units, root)
+			}
 		}
-		if diff := math.Abs(a.Sum() - a.EndToEndSeconds); diff > 0.05*a.EndToEndSeconds {
-			return fmt.Errorf("attribution violated: trace %x sums hops to %.9fs but spans %.9fs end-to-end",
-				tr.ID, a.Sum(), a.EndToEndSeconds)
+		for _, n := range append(units, tr.Orphans...) {
+			a := traceexport.Attribute(&traceexport.Trace{Roots: []*traceexport.Node{n}})
+			if a.EndToEndSeconds <= 0 {
+				continue // no wire hops in this subtree
+			}
+			if diff := math.Abs(a.Sum() - a.EndToEndSeconds); diff > 0.05*a.EndToEndSeconds {
+				return fmt.Errorf("attribution violated: trace %s span %s sums hops to %.9fs but spans %.9fs end-to-end",
+					tr.ID, n.Span.Name, a.Sum(), a.EndToEndSeconds)
+			}
 		}
 	}
 	return nil

@@ -118,10 +118,6 @@ type Scenario struct {
 	// "interval" or "never" ("" = always). With "always" the durable
 	// recovery oracle asserts zero acknowledged loss across kills.
 	Fsync string
-	// DataDir roots the server data directory; "" uses a fresh temp
-	// directory removed when the run ends. Set it to inspect the files a
-	// scenario leaves behind or to chain runs over one directory.
-	DataDir string
 	// QueryEveryTick issues one wire-level aggregate query per completed
 	// tick through the resilient tsdb client (count+mean over the first
 	// session measurement), exercising the query engine under the same
